@@ -19,8 +19,7 @@ import (
 // and the linear reference scan the indexes replaced. The simulated E19
 // artifact is deliberately free of wall-clock numbers — they would break
 // byte-identical output across machines — so this emitter is where the
-// sublinear-growth claim is measured and recorded (BENCH_inventory.json,
-// next to BENCH_kernel.json).
+// sublinear-growth claim is measured and recorded (BENCH_inventory.json).
 
 type invSizeEntry struct {
 	Size           int     `json:"size"`

@@ -44,30 +44,6 @@ func TestProbeReportWritesSummary(t *testing.T) {
 	}
 }
 
-func TestWriteBenchReportPropagatesWriteError(t *testing.T) {
-	rep := benchReport{Suite: "kernel", Results: []benchEntry{{Name: "x"}}}
-	if err := writeBenchReport(errWriter{}, rep); err == nil {
-		t.Fatal("writeBenchReport on failing writer = nil, want error")
-	}
-	var buf bytes.Buffer
-	if err := writeBenchReport(&buf, rep); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "\"suite\": \"kernel\"") {
-		t.Fatalf("report JSON %q missing suite", buf.String())
-	}
-}
-
-func TestRunBenchMeasures(t *testing.T) {
-	e := runBench("noop", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-		}
-	})
-	if e.Name != "noop" || e.Iterations <= 0 {
-		t.Fatalf("runBench entry %+v", e)
-	}
-}
-
 func TestLadderRungs(t *testing.T) {
 	cases := []struct {
 		max  int

@@ -45,7 +45,6 @@ func main() {
 		configPath = flag.String("config", "", "JSON scenario file (overrides -shards and the default topology)")
 		duration   = flag.Duration("duration", 0, "serve for this wall-clock duration then exit (0 = until SIGINT/SIGTERM)")
 		sessionTTL = flag.Duration("session-ttl", api.DefaultSessionTTL, "idle timeout before a session is evicted (0 = never)")
-		lanes      = flag.Int("lanes", 1, "event lanes partitioning the kernel (1 = single heap; identical behavior at any count)")
 		metricsOn  = flag.Bool("metrics", false, "collect per-layer metrics and print the snapshot at shutdown")
 	)
 	flag.Parse()
@@ -54,9 +53,6 @@ func main() {
 	}
 	if *sessionTTL < 0 {
 		fatal(fmt.Errorf("-session-ttl must be >= 0, got %v", *sessionTTL))
-	}
-	if *lanes < 1 {
-		fatal(fmt.Errorf("-lanes must be >= 1, got %d", *lanes))
 	}
 
 	var cfg core.Config
@@ -76,9 +72,6 @@ func main() {
 		cfg.Plane.Shards = *shards
 	}
 	cfg.Record = false // a served run is open-ended; an unbounded trace would only leak
-	if *lanes > 1 {
-		cfg.Lanes = *lanes
-	}
 	if *metricsOn {
 		cfg.Metrics = true
 	}

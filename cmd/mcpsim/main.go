@@ -42,8 +42,6 @@ func main() {
 		faultRate   = flag.Float64("fault-rate", 0.1, "base transient-failure probability for the fault preset (implies -faults)")
 		shards      = flag.Int("shards", 1, "management-server shards behind the director")
 		planeDB     = flag.String("plane-db", "shared", "management DB mode across shards: shared or per-shard")
-		lanes       = flag.Int("lanes", 1, "event lanes partitioning the kernel (1 = single heap; artifacts identical at any count)")
-		laneWorkers = flag.Int("lane-workers", 0, "barrier-merge worker goroutines (0 = one per lane)")
 		reconcileOn = flag.Bool("reconcile", false, "run the always-on reconciliation plane (drift, catalog, rebalance controllers)")
 		recInterval = flag.Float64("reconcile-interval", 300, "reconciliation resync interval in seconds (implies -reconcile)")
 		recDepth    = flag.Int("reconcile-depth", 2, "reconciliation worker depth per controller (implies -reconcile)")
@@ -83,12 +81,6 @@ func main() {
 	if *shards > *hosts {
 		fatal(fmt.Errorf("-shards %d exceeds -hosts %d: a shard needs at least one host", *shards, *hosts))
 	}
-	if *lanes < 1 {
-		fatal(fmt.Errorf("-lanes must be >= 1, got %d", *lanes))
-	}
-	if *laneWorkers < 0 {
-		fatal(fmt.Errorf("-lane-workers must be >= 0, got %d", *laneWorkers))
-	}
 
 	if *dumpConfig {
 		if err := core.WriteDefaultConfig(os.Stdout, *seed); err != nil {
@@ -125,10 +117,6 @@ func main() {
 			fatal(err)
 		}
 		cfg.Policy = *policyName
-	}
-	if *lanes > 1 {
-		cfg.Lanes = *lanes
-		cfg.LaneWorkers = *laneWorkers
 	}
 	if faultsOn {
 		fc := faults.Preset(*faultRate)

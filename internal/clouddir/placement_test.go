@@ -195,3 +195,47 @@ func TestPlacementEquivalenceFuzz(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// placeHostLinear is the retained O(hosts) reference implementation of
+// placeHost. The placement-equivalence suite fuzz-compares it against the
+// indexed path; production code never calls it.
+func (d *Director) placeHostLinear(memMB, prefShard int) *inventory.Host {
+	inv := d.mgr.Inventory()
+	affine := d.mgr.ShardCount() > 1
+	var best, bestPref *inventory.Host
+	for _, id := range inv.Hosts() {
+		h := inv.Host(id)
+		if !h.InService() || h.FreeMemMB() < memMB {
+			continue
+		}
+		if best == nil || h.FreeMemMB() > best.FreeMemMB() {
+			best = h
+		}
+		if affine && d.mgr.ShardOf(id) == prefShard &&
+			(bestPref == nil || h.FreeMemMB() > bestPref.FreeMemMB()) {
+			bestPref = h
+		}
+	}
+	if bestPref != nil {
+		return bestPref
+	}
+	return best
+}
+
+// placeDatastoreLinear is the retained O(datastores) reference
+// implementation of placeDatastore's most-free fallback, for the
+// placement-equivalence suite.
+func (d *Director) placeDatastoreLinear(needGB float64) *inventory.Datastore {
+	inv := d.mgr.Inventory()
+	var best *inventory.Datastore
+	for _, id := range inv.Datastores() {
+		ds := inv.Datastore(id)
+		if d.effectiveFree(ds) < needGB {
+			continue
+		}
+		if best == nil || d.effectiveFree(ds) > d.effectiveFree(best) {
+			best = ds
+		}
+	}
+	return best
+}

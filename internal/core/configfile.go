@@ -33,12 +33,6 @@ type ConfigFile struct {
 	// Empty keeps "default", which reproduces the hardcoded behavior.
 	Policy string `json:"policy,omitempty"`
 
-	// Lanes/LaneWorkers configure the partitioned event kernel (see
-	// Config.Lanes); <= 1 keeps the single-heap kernel and identical
-	// artifacts.
-	Lanes       int `json:"lanes,omitempty"`
-	LaneWorkers int `json:"laneWorkers,omitempty"`
-
 	Topology *TopologyFile `json:"topology,omitempty"`
 	Mgmt     *MgmtFile     `json:"mgmt,omitempty"`
 	Plane    *PlaneFile    `json:"plane,omitempty"`
@@ -202,11 +196,6 @@ func (f *ConfigFile) Apply() (Config, error) {
 		}
 		cfg.Policy = f.Policy
 	}
-	if f.Lanes < 0 || f.LaneWorkers < 0 {
-		return Config{}, fmt.Errorf("core: negative lanes %d / laneWorkers %d", f.Lanes, f.LaneWorkers)
-	}
-	cfg.Lanes = f.Lanes
-	cfg.LaneWorkers = f.LaneWorkers
 	if t := f.Topology; t != nil {
 		setInt := func(dst *int, v int) {
 			if v != 0 {

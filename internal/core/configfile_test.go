@@ -116,6 +116,13 @@ func TestLoadConfigRejectsUnknownFields(t *testing.T) {
 	if _, err := LoadConfig(strings.NewReader(`{"costs": {"zzz": {}}}`)); err == nil {
 		t.Fatal("bad op name accepted")
 	}
+	// Keys of the removed partitioned event kernel: a scenario written for
+	// that schema must fail loudly, never run on silently without them.
+	for _, src := range []string{`{"lanes": 4}`, `{"laneWorkers": 2}`} {
+		if _, err := LoadConfig(strings.NewReader(src)); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Fatalf("%s: err = %v, want an unknown-field rejection", src, err)
+		}
+	}
 }
 
 func TestWriteDefaultConfigRoundTrips(t *testing.T) {

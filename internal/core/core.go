@@ -126,19 +126,6 @@ type Config struct {
 	// pre-reconcile behaviour bit-for-bit.
 	Reconcile *reconcile.Config
 
-	// Lanes partitions the kernel's event heap into per-shard event
-	// lanes with conservative time-window barriers (see sim.LaneConfig):
-	// lane 0 carries shared resources, shards spread over lanes
-	// 1..Lanes-1, and the barrier window is keyed to the cross-shard
-	// coordinator round-trip (Plane.CoordWriteS). <= 1 (the default)
-	// keeps the single-heap kernel; artifacts are byte-identical at
-	// every lane count.
-	Lanes int
-
-	// LaneWorkers bounds the barrier-merge worker pool (<= 0 means one
-	// worker per lane). Worker count never affects output.
-	LaneWorkers int
-
 	// Policy names the policy set (see internal/policy) governing the
 	// plane's decision points: placement scoring, DRS move selection,
 	// HA failover targeting, retry shaping, and admission limits.
@@ -248,20 +235,6 @@ func New(cfg Config) (*Cloud, error) {
 	pl, err := plane.New(env, inv, pool, model, cfg.Seed, mcfg, cfg.Plane)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Lanes > 1 {
-		// The barrier window is the cheapest cross-lane interaction: one
-		// coordinator round-trip. Everything built before this point —
-		// and every layer below that is not explicitly pinned — lives on
-		// lane 0, the shared-resource lane.
-		window := cfg.Plane.CoordWriteS
-		if window <= 0 {
-			window = plane.DefaultConfig().CoordWriteS
-		}
-		if err := env.ConfigureLanes(sim.LaneConfig{Lanes: cfg.Lanes, WindowS: window, Workers: cfg.LaneWorkers}); err != nil {
-			return nil, err
-		}
-		pl.AssignLanes(cfg.Lanes)
 	}
 	dir, err := clouddir.New(env, pl, model, rng.Derive(cfg.Seed, "cells"), cfg.Director)
 	if err != nil {

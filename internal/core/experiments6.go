@@ -39,8 +39,6 @@ type E18Params struct {
 	HorizonS    float64 // per closed-loop point, default 30 min
 	WarmupS     float64 // default HorizonS/10
 	Workers     int     // sweep pool bound (0 = GOMAXPROCS)
-	Lanes       int     // event lanes per cloud (<= 1 = single-heap kernel)
-	LaneWorkers int     // barrier-merge workers (0 = one per lane)
 }
 
 // E18Cell is one (shard count, DB mode, clone mode) closed-loop outcome.
@@ -111,8 +109,6 @@ func RunE18(p E18Params) (*E18Result, error) {
 					cfg.Director.MaxChainLen = 1 << 20
 					cfg.Plane.Shards = shards
 					cfg.Plane.DB = db
-					cfg.Lanes = p.Lanes
-					cfg.LaneWorkers = p.LaneWorkers
 					r, err := RunClosedLoop(cfg, p.Clients, p.HorizonS, p.WarmupS)
 					if err != nil {
 						return pt, fmt.Errorf("E18 shards=%d db=%s fast=%v: %w", shards, db, fast, err)
@@ -140,7 +136,7 @@ func RunE18(p E18Params) (*E18Result, error) {
 			// — and the plane reports how many moves crossed a shard and
 			// what the two-phase coordinator charged.
 			var err error
-			pt.Migrations, pt.CrossOps, pt.CoordS, err = migrationStorm(p.Seed, shards, p.HorizonS, p.Lanes, p.LaneWorkers)
+			pt.Migrations, pt.CrossOps, pt.CoordS, err = migrationStorm(p.Seed, shards, p.HorizonS)
 			if err != nil {
 				return pt, fmt.Errorf("E18 shards=%d storm: %w", shards, err)
 			}
@@ -159,13 +155,11 @@ func RunE18(p E18Params) (*E18Result, error) {
 // VM and then live-migrate it between stream-chosen hosts until the
 // horizon. It returns the migrations issued plus the plane's cross-shard
 // op count and coordinator seconds.
-func migrationStorm(seed int64, shards int, horizonS float64, lanes, laneWorkers int) (migrations, crossOps int64, coordS float64, err error) {
+func migrationStorm(seed int64, shards int, horizonS float64) (migrations, crossOps int64, coordS float64, err error) {
 	cfg := DefaultConfig(seed)
 	cfg.Director.RebalanceThreshold = 0 // only the storm issues migrations
 	cfg.Plane.Shards = shards
 	cfg.Plane.DB = plane.DBShared
-	cfg.Lanes = lanes
-	cfg.LaneWorkers = laneWorkers
 	c, err := New(cfg)
 	if err != nil {
 		return 0, 0, 0, err

@@ -111,7 +111,7 @@ func TestFaultsEnabledRunsAreDeterministic(t *testing.T) {
 
 func TestExtensionRegistryCoversOptIns(t *testing.T) {
 	exts := Extensions()
-	want := []string{"E17", "E18", "E19", "E20", "E21", "E23"}
+	want := []string{"E17", "E18", "E19", "E20", "E21"}
 	if len(exts) != len(want) {
 		t.Fatalf("extensions = %+v, want %v", exts, want)
 	}

@@ -83,11 +83,9 @@ func Experiments() []Experiment {
 // Extensions returns opt-in experiments that are not part of the
 // default suite. E17 enables fault injection, E18 reshapes the
 // management-plane topology, E19 scales the inventory itself, E20
-// turns on the reconciliation plane, E21 races policy sets, and E23
-// measures the lane kernel's wall-clock behavior (so its artifact is
-// not byte-reproducible); folding any of them into RunAll would grow
-// or destabilize the default artifact. They run via RunExperiment
-// (mcpbench -only E17/E18/E19/E20/E21/E23), mcpbench -faults,
+// turns on the reconciliation plane, and E21 races policy sets; folding
+// any of them into RunAll would grow the default artifact. They run via
+// RunExperiment (mcpbench -only E17/E18/E19/E20/E21), mcpbench -faults,
 // mcpbench -shards, mcpbench -scale, or mcpbench -reconcile instead.
 func Extensions() []Experiment {
 	return []Experiment{
@@ -110,18 +108,6 @@ func Extensions() []Experiment {
 		}},
 		{"E21", func(seed int64, scale float64, workers int) (Renderable, error) {
 			return RunE21(E21Params{Seed: seed, HorizonS: 1800 * scale, Workers: workers})
-		}},
-		{"E23", func(seed int64, scale float64, _ int) (Renderable, error) {
-			// Cells are wall-clock timed and run serially; the sweep
-			// pool stays out of it so each cell owns the machine.
-			p := E23Params{Seed: seed, HorizonS: 1800 * scale}
-			if scale < 1 {
-				// Quick/CI runs: small grid, short horizon, fewer clients.
-				p.Shards = []int{4}
-				p.Lanes = []int{1, 4}
-				p.Clients = 32
-			}
-			return RunE23(p)
 		}},
 	}
 }
@@ -163,7 +149,7 @@ func RunExperiment(name string, seed int64, quick bool, workers int) (Renderable
 			return r, nil
 		}
 	}
-	return nil, fmt.Errorf("unknown experiment %q (want E1..E23, or a registered extension)", name)
+	return nil, fmt.Errorf("unknown experiment %q (want E1..E22, or a registered extension)", name)
 }
 
 // RunAllOptions tunes the parallel suite run.

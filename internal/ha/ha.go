@@ -155,23 +155,3 @@ func (e *Engine) RecoverHost(host *inventory.Host) error {
 func (e *Engine) pickTarget(vm *inventory.VM) *inventory.Host {
 	return e.cfg.Failover.PickTarget(e.mgr.Inventory(), vm)
 }
-
-// pickTargetLinear is the pre-index reference scan, retained for the
-// equivalence test that pins the default policy bit-for-bit.
-func (e *Engine) pickTargetLinear(vm *inventory.VM) *inventory.Host {
-	inv := e.mgr.Inventory()
-	var best *inventory.Host
-	for _, id := range inv.Hosts() {
-		if id == vm.HostID {
-			continue
-		}
-		h := inv.Host(id)
-		if !h.InService() || h.FreeMemMB() < vm.MemMB || h.FreeCPUMHz() < inventory.CPUReservationMHz(vm.CPUs) {
-			continue
-		}
-		if best == nil || h.FreeMemMB() > best.FreeMemMB() {
-			best = h
-		}
-	}
-	return best
-}

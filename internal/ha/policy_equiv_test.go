@@ -61,3 +61,23 @@ func TestPickTargetMatchesLinearReferenceFuzz(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// pickTargetLinear is the pre-index reference scan, retained for the
+// equivalence test that pins the default policy bit-for-bit.
+func (e *Engine) pickTargetLinear(vm *inventory.VM) *inventory.Host {
+	inv := e.mgr.Inventory()
+	var best *inventory.Host
+	for _, id := range inv.Hosts() {
+		if id == vm.HostID {
+			continue
+		}
+		h := inv.Host(id)
+		if !h.InService() || h.FreeMemMB() < vm.MemMB || h.FreeCPUMHz() < inventory.CPUReservationMHz(vm.CPUs) {
+			continue
+		}
+		if best == nil || h.FreeMemMB() > best.FreeMemMB() {
+			best = h
+		}
+	}
+	return best
+}

@@ -232,12 +232,6 @@ type Manager struct {
 	// disabled): inventory-lock wait and end-to-end task latency.
 	lockWait *metrics.Histogram
 	taskLat  *metrics.Histogram
-
-	// lane pinning (see sim.LaneConfig): the event lane this manager's
-	// private serialization points are tagged with. Locks created after
-	// PinLane inherit it.
-	lane       int32
-	lanePinned bool
 }
 
 type kindStats struct {
@@ -386,31 +380,6 @@ func (m *Manager) registerMetrics(reg *metrics.Registry) {
 	}
 }
 
-// PinLane tags the manager's private serialization points — admission,
-// worker threads, the per-shard database, inventory locks — with event
-// lane l for cross-lane accounting (see sim.LaneConfig). Shared
-// resources (a SharedDB pool, a SharedWAL database, the host-agent
-// registry) are deliberately left on lane 0, the shared-resource lane:
-// acquiring them from a shard lane is exactly the cross-lane
-// interaction the conservative barrier window is keyed to.
-func (m *Manager) PinLane(l int32) {
-	m.lane, m.lanePinned = l, true
-	m.admission.PinLane(l)
-	m.threads.PinLane(l)
-	m.global.PinLane(l)
-	switch {
-	case m.cfg.SharedDB != nil || m.cfg.SharedWAL != nil:
-		// shared instance: plane-owned, stays on lane 0
-	case m.waldb != nil:
-		m.waldb.PinLane(l)
-	default:
-		m.db.PinLane(l)
-	}
-	for _, r := range m.locks {
-		r.PinLane(l)
-	}
-}
-
 // NetworkStats returns migration-network statistics, or (zero, false)
 // when no network model is configured.
 func (m *Manager) NetworkStats() (bw.EngineStats, bool) {
@@ -500,9 +469,6 @@ func (m *Manager) lockFor(id inventory.ID) *sim.Resource {
 		m.lockPool = m.lockPool[:k-1]
 	} else {
 		r = sim.NewResource(m.env, fmt.Sprintf("lock:%d", id), 1)
-	}
-	if m.lanePinned {
-		r.PinLane(m.lane)
 	}
 	m.locks[id] = r
 	return r

@@ -111,15 +111,6 @@ func New(env *sim.Env, cfg Config) (*DB, error) {
 // Config returns the database's configuration.
 func (db *DB) Config() Config { return db.cfg }
 
-// PinLane pins the database's connection pool and WAL-flush serializer
-// to event lane l for cross-lane accounting (see sim.LaneConfig). The
-// plane pins per-shard instances to their shard's lane; a shared WAL
-// stays on lane 0, the shared-resource lane.
-func (db *DB) PinLane(l int32) {
-	db.conns.PinLane(l)
-	db.flush.PinLane(l)
-}
-
 // Commit writes `writes` rows and makes them durable, blocking p for the
 // whole transaction. It returns (waitS, serviceS): time spent queued for
 // shared resources vs. time attributable to database work itself.

@@ -96,11 +96,6 @@ type Plane struct {
 	shards []*mgmt.Manager
 	owner  map[inventory.ID]int // host → owning shard
 
-	// laneOf maps each shard to its event lane once AssignLanes runs;
-	// nil while lanes are off, in which case routing skips lane work
-	// entirely.
-	laneOf []int32
-
 	crossOps int64
 	coordS   float64
 }
@@ -203,61 +198,8 @@ func (pl *Plane) Stats() Stats {
 // Config returns the plane's topology configuration.
 func (pl *Plane) Config() Config { return pl.cfg }
 
-func (pl *Plane) forHost(id inventory.ID) *mgmt.Manager { return pl.shards[pl.ShardOf(id)] }
-
-// AssignLanes maps the plane's shards onto the kernel's event lanes and
-// pins each shard's private serialization points to its lane. Shard i
-// lands on lane 1 + i%(lanes-1); lane 0 is reserved for shared
-// resources (a shared management DB or WAL, the cross-shard
-// coordinator, netsim, the reconcile controllers), which is where
-// everything not pinned here already lives. Must be called after the
-// env's ConfigureLanes and before Run; a lanes value <= 1 is a no-op.
-func (pl *Plane) AssignLanes(lanes int) {
-	if lanes <= 1 {
-		return
-	}
-	pl.laneOf = make([]int32, len(pl.shards))
-	for i, m := range pl.shards {
-		l := int32(1 + i%(lanes-1))
-		pl.laneOf[i] = l
-		m.PinLane(l)
-	}
-}
-
-// laneToken records a caller's lane before a routed operation pinned it
-// to the target shard's lane; exit restores it. The zero token (lanes
-// off) restores nothing. Value type: entering and leaving a lane on the
-// routed hot path must not allocate.
-type laneToken struct {
-	p    *sim.Proc
-	prev int32
-	set  bool
-}
-
-// enter pins p to shard's lane for the duration of a routed operation,
-// so the operation's stage sleeps and wakeups land on the shard's lane
-// rather than the caller's.
-func (pl *Plane) enter(p *sim.Proc, shard int) laneToken {
-	if pl.laneOf == nil {
-		return laneToken{}
-	}
-	tok := laneToken{p: p, prev: p.Lane(), set: true}
-	p.SetLane(pl.laneOf[shard])
-	return tok
-}
-
-func (tok laneToken) exit() {
-	if tok.set {
-		tok.p.SetLane(tok.prev)
-	}
-}
-
-// route resolves the shard owning host and pins the caller to its lane;
-// the token must be exited when the operation returns.
-func (pl *Plane) route(p *sim.Proc, id inventory.ID) (*mgmt.Manager, laneToken) {
-	s := pl.ShardOf(id)
-	return pl.shards[s], pl.enter(p, s)
-}
+// route returns the manager of the shard owning host id.
+func (pl *Plane) route(id inventory.ID) *mgmt.Manager { return pl.shards[pl.ShardOf(id)] }
 
 // coordinate charges one two-phase round-trip (prepare or commit)
 // against both participant shards' databases in shard order, returning
@@ -288,14 +230,9 @@ func (pl *Plane) coordinate(p *sim.Proc, a, b int) ops.Breakdown {
 func (pl *Plane) Migrate(p *sim.Proc, vm *inventory.VM, dst *inventory.Host, ctx mgmt.ReqCtx) *mgmt.Task {
 	src, dstS := pl.ShardOf(vm.HostID), pl.ShardOf(dst.ID)
 	if src == dstS {
-		tok := pl.enter(p, src)
-		defer tok.exit()
 		return pl.shards[src].Migrate(p, vm, dst, ctx)
 	}
 	pl.crossOps++
-	// The two-phase round-trips are cross-shard coordination — lane 0
-	// work — so only the shard-local execution between them is pinned to
-	// the source shard's lane.
 	prep := pl.coordinate(p, src, dstS)
 	ctx.Pre = ctx.Pre.Add(prep)
 	if ctx.Submit == 0 {
@@ -304,9 +241,7 @@ func (pl *Plane) Migrate(p *sim.Proc, vm *inventory.VM, dst *inventory.Host, ctx
 		// upstream queueing.
 		ctx.Submit = p.Now() - sim.Time(prep.Queue+prep.DB)
 	}
-	tok := pl.enter(p, src)
 	task := pl.shards[src].Migrate(p, vm, dst, ctx)
-	tok.exit()
 	pl.coordinate(p, src, dstS)
 	return task
 }
@@ -315,69 +250,47 @@ func (pl *Plane) Migrate(p *sim.Proc, vm *inventory.VM, dst *inventory.Host, ctx
 // owns the operation's host.
 
 func (pl *Plane) DeployVM(p *sim.Proc, name string, tpl *inventory.Template, host *inventory.Host, ds *inventory.Datastore, mode ops.CloneMode, ctx mgmt.ReqCtx) (*inventory.VM, *mgmt.Task) {
-	m, tok := pl.route(p, host.ID)
-	defer tok.exit()
-	return m.DeployVM(p, name, tpl, host, ds, mode, ctx)
+	return pl.route(host.ID).DeployVM(p, name, tpl, host, ds, mode, ctx)
 }
 
 func (pl *Plane) PowerOn(p *sim.Proc, vm *inventory.VM, ctx mgmt.ReqCtx) *mgmt.Task {
-	m, tok := pl.route(p, vm.HostID)
-	defer tok.exit()
-	return m.PowerOn(p, vm, ctx)
+	return pl.route(vm.HostID).PowerOn(p, vm, ctx)
 }
 
 func (pl *Plane) PowerOff(p *sim.Proc, vm *inventory.VM, ctx mgmt.ReqCtx) *mgmt.Task {
-	m, tok := pl.route(p, vm.HostID)
-	defer tok.exit()
-	return m.PowerOff(p, vm, ctx)
+	return pl.route(vm.HostID).PowerOff(p, vm, ctx)
 }
 
 func (pl *Plane) SnapshotCreate(p *sim.Proc, vm *inventory.VM, ctx mgmt.ReqCtx) *mgmt.Task {
-	m, tok := pl.route(p, vm.HostID)
-	defer tok.exit()
-	return m.SnapshotCreate(p, vm, ctx)
+	return pl.route(vm.HostID).SnapshotCreate(p, vm, ctx)
 }
 
 func (pl *Plane) SnapshotRemove(p *sim.Proc, vm *inventory.VM, ctx mgmt.ReqCtx) *mgmt.Task {
-	m, tok := pl.route(p, vm.HostID)
-	defer tok.exit()
-	return m.SnapshotRemove(p, vm, ctx)
+	return pl.route(vm.HostID).SnapshotRemove(p, vm, ctx)
 }
 
 func (pl *Plane) Reconfigure(p *sim.Proc, vm *inventory.VM, ctx mgmt.ReqCtx) *mgmt.Task {
-	m, tok := pl.route(p, vm.HostID)
-	defer tok.exit()
-	return m.Reconfigure(p, vm, ctx)
+	return pl.route(vm.HostID).Reconfigure(p, vm, ctx)
 }
 
 func (pl *Plane) StorageMigrate(p *sim.Proc, vm *inventory.VM, dst *inventory.Datastore, ctx mgmt.ReqCtx) *mgmt.Task {
-	m, tok := pl.route(p, vm.HostID)
-	defer tok.exit()
-	return m.StorageMigrate(p, vm, dst, ctx)
+	return pl.route(vm.HostID).StorageMigrate(p, vm, dst, ctx)
 }
 
 func (pl *Plane) Destroy(p *sim.Proc, vm *inventory.VM, ctx mgmt.ReqCtx) *mgmt.Task {
-	m, tok := pl.route(p, vm.HostID)
-	defer tok.exit()
-	return m.Destroy(p, vm, ctx)
+	return pl.route(vm.HostID).Destroy(p, vm, ctx)
 }
 
 func (pl *Plane) Consolidate(p *sim.Proc, vm *inventory.VM, ctx mgmt.ReqCtx) *mgmt.Task {
-	m, tok := pl.route(p, vm.HostID)
-	defer tok.exit()
-	return m.Consolidate(p, vm, ctx)
+	return pl.route(vm.HostID).Consolidate(p, vm, ctx)
 }
 
 func (pl *Plane) Suspend(p *sim.Proc, vm *inventory.VM, ctx mgmt.ReqCtx) *mgmt.Task {
-	m, tok := pl.route(p, vm.HostID)
-	defer tok.exit()
-	return m.Suspend(p, vm, ctx)
+	return pl.route(vm.HostID).Suspend(p, vm, ctx)
 }
 
 func (pl *Plane) Resume(p *sim.Proc, vm *inventory.VM, ctx mgmt.ReqCtx) *mgmt.Task {
-	m, tok := pl.route(p, vm.HostID)
-	defer tok.exit()
-	return m.Resume(p, vm, ctx)
+	return pl.route(vm.HostID).Resume(p, vm, ctx)
 }
 
 // EnterMaintenance routes to the host's shard; the evacuation
@@ -385,31 +298,23 @@ func (pl *Plane) Resume(p *sim.Proc, vm *inventory.VM, ctx mgmt.ReqCtx) *mgmt.Ta
 // lands on a host another shard owns (the shard keeps authority over an
 // evacuation it started — a deliberate modeling shortcut).
 func (pl *Plane) EnterMaintenance(p *sim.Proc, host *inventory.Host, ctx mgmt.ReqCtx) *mgmt.Task {
-	m, tok := pl.route(p, host.ID)
-	defer tok.exit()
-	return m.EnterMaintenance(p, host, ctx)
+	return pl.route(host.ID).EnterMaintenance(p, host, ctx)
 }
 
 func (pl *Plane) ExitMaintenance(p *sim.Proc, host *inventory.Host, ctx mgmt.ReqCtx) *mgmt.Task {
-	m, tok := pl.route(p, host.ID)
-	defer tok.exit()
-	return m.ExitMaintenance(p, host, ctx)
+	return pl.route(host.ID).ExitMaintenance(p, host, ctx)
 }
 
 // FullCopyTemplate runs on the home shard: the template library is
 // unpartitioned catalog state.
 func (pl *Plane) FullCopyTemplate(p *sim.Proc, tpl *inventory.Template, dst *inventory.Datastore, name string) (*inventory.Template, error) {
-	tok := pl.enter(p, 0)
-	defer tok.exit()
 	return pl.Home().FullCopyTemplate(p, tpl, dst, name)
 }
 
 // Execute routes a pre-built spec by its host-agent target; host-less
 // specs run on the home shard.
 func (pl *Plane) Execute(p *sim.Proc, spec mgmt.ExecSpec) *mgmt.Task {
-	m, tok := pl.route(p, spec.HostID)
-	defer tok.exit()
-	return m.Execute(p, spec)
+	return pl.route(spec.HostID).Execute(p, spec)
 }
 
 // Inventory returns the shared managed-object inventory.

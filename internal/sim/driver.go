@@ -117,20 +117,6 @@ func NewPaced(env *Env, cfg PacedConfig) *Paced {
 	if cfg.QuantumS <= 0 {
 		cfg.QuantumS = DefaultPacedConfig().QuantumS
 	}
-	if env.lanes != nil {
-		// Commands are injected only between Env.Run calls — at quantum
-		// boundaries — and the lane kernel tiles each quantum with
-		// conservative windows. Rounding the quantum up to a whole
-		// number of lane windows makes every injection point a window
-		// boundary as well, so injected commands never land mid-window.
-		// (The default 0.25 s quantum over the default 0.05 s window is
-		// already aligned; this only moves deliberately odd quanta.)
-		if w := env.laneCfg.WindowS; w > 0 {
-			if k := math.Ceil(cfg.QuantumS/w - 1e-9); k >= 1 {
-				cfg.QuantumS = Time(k) * w
-			}
-		}
-	}
 	d := &Paced{env: env, cfg: cfg, sleep: time.Sleep, now: time.Now}
 	d.lastV.Store(env.Now())
 	return d

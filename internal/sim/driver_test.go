@@ -290,27 +290,3 @@ func TestPacedSubmitStopRace(t *testing.T) {
 		}
 	}
 }
-
-// TestPacedQuantumAlignsToLaneWindow: with lanes configured, the
-// injection quantum rounds up to a whole number of conservative
-// windows, so every injection point is also a window boundary.
-func TestPacedQuantumAlignsToLaneWindow(t *testing.T) {
-	env := NewEnv()
-	if err := env.ConfigureLanes(LaneConfig{Lanes: 2, WindowS: 0.05}); err != nil {
-		t.Fatal(err)
-	}
-	d := NewPaced(env, PacedConfig{QuantumS: 0.12})
-	if got := d.Config().QuantumS; got != 0.15000000000000002 && got != 0.15 {
-		t.Fatalf("quantum %v, want 3 windows (0.15)", got)
-	}
-	// Already-aligned quanta are untouched.
-	d = NewPaced(env, PacedConfig{QuantumS: 0.25})
-	if got := d.Config().QuantumS; got != 0.25 {
-		t.Fatalf("aligned quantum moved to %v", got)
-	}
-	// Lanes off: quanta pass through verbatim.
-	d = NewPaced(NewEnv(), PacedConfig{QuantumS: 0.12})
-	if got := d.Config().QuantumS; got != 0.12 {
-		t.Fatalf("laneless quantum moved to %v", got)
-	}
-}

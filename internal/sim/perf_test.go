@@ -172,9 +172,9 @@ func TestNowQueueStop(t *testing.T) {
 //
 //	go test -bench=Kernel -benchmem ./internal/sim
 //
-// and compare against BENCH_kernel.json (emitted by mcpbench
-// -bench-kernel). The allocs/op columns should stay at 0 for the
-// steady-state paths.
+// The allocs/op columns should stay at 0 for the steady-state paths.
+// The repo benchmark (bench/) tracks the same paths as its sim.event_ns
+// and sim.handoff_ns seams.
 
 func BenchmarkKernelScheduleFire(b *testing.B) {
 	env := NewEnv()

@@ -52,11 +52,9 @@ const Forever Time = math.MaxFloat64
 
 // event index markers (event.idx values outside the heap).
 const (
-	idxPopped         = -1 // fired, cancelled from the heap, or free
-	idxNowQ           = -2 // waiting in the same-time FIFO queue
-	idxNowQStopped    = -3 // cancelled while in the same-time queue
-	idxMailbox        = -4 // parked in a cross-lane mailbox (see lanes.go)
-	idxMailboxStopped = -5 // cancelled while in a mailbox
+	idxPopped      = -1 // fired, cancelled from the heap, or free
+	idxNowQ        = -2 // waiting in the same-time FIFO queue
+	idxNowQStopped = -3 // cancelled while in the same-time queue
 )
 
 // event is a scheduled callback. Events are pooled: after firing (or being
@@ -65,13 +63,12 @@ const (
 // distinguishes incarnations so a stale Timer cannot cancel the recycled
 // event.
 type event struct {
-	at   Time
-	seq  int64 // tie-break: FIFO among simultaneous events
-	fn   func()
-	p    *Proc  // when non-nil, the event resumes p instead of calling fn
-	idx  int    // heap index, or one of the idx* markers
-	gen  uint64 // incremented every time the event is recycled
-	lane int32  // owning lane when lanes are configured (see lanes.go)
+	at  Time
+	seq int64 // tie-break: FIFO among simultaneous events
+	fn  func()
+	p   *Proc  // when non-nil, the event resumes p instead of calling fn
+	idx int    // heap index, or one of the idx* markers
+	gen uint64 // incremented every time the event is recycled
 }
 
 type eventHeap []*event
@@ -141,14 +138,6 @@ type Env struct {
 	// model layers report into; nil (the default) disables collection at
 	// zero cost.
 	metrics *metrics.Registry
-
-	// Lane state (see lanes.go). lanes is nil until ConfigureLanes
-	// partitions the heap; every lane-aware branch below is guarded on
-	// that nil, so the single-heap path is untouched when lanes are off.
-	lanes     []lane
-	laneCfg   LaneConfig
-	curLane   int32 // lane of the currently firing event
-	windowEnd Time  // current conservative window's end (+Inf outside windows)
 }
 
 // NewEnv returns an empty environment with the clock at zero.
@@ -189,34 +178,9 @@ func (e *Env) newEvent(at Time, fn func(), p *Proc) *event {
 	if at == e.now && (e.nowqHead == len(e.nowq) || e.nowq[len(e.nowq)-1].at <= at) {
 		ev.idx = idxNowQ
 		e.nowq = append(e.nowq, ev)
-		if e.lanes != nil {
-			ev.lane = e.eventLane(p)
-		}
 		return ev
 	}
-	if e.lanes == nil {
-		heap.Push(&e.heap, ev)
-		return ev
-	}
-	// Lane routing for future-dated events: lane-local events go straight
-	// to the lane's heap; cross-lane events at or beyond the current
-	// window's end are parked in the target lane's mailbox for the next
-	// barrier merge (an O(1) append), and cross-lane events *inside* the
-	// window fall back to a direct heap insert — always correct, counted
-	// as a violation of the conservative-window assumption.
-	ln := e.eventLane(p)
-	ev.lane = ln
-	if ln != e.curLane {
-		if at >= e.windowEnd {
-			ev.idx = idxMailbox
-			e.lanes[ln].mbox = append(e.lanes[ln].mbox, ev)
-			return ev
-		}
-		if !math.IsInf(e.windowEnd, 1) {
-			e.lanes[ln].stats.Violations++
-		}
-	}
-	heap.Push(e.laneHeap(ln), ev)
+	heap.Push(&e.heap, ev)
 	return ev
 }
 
@@ -224,7 +188,6 @@ func (e *Env) newEvent(at Time, fn func(), p *Proc) *event {
 func (e *Env) release(ev *event) {
 	ev.fn, ev.p = nil, nil
 	ev.idx = idxPopped
-	ev.lane = 0
 	ev.gen++
 	e.free = append(e.free, ev)
 }
@@ -247,9 +210,6 @@ func (e *Env) peek() *event {
 		e.nowq = e.nowq[:0]
 		e.nowqHead = 0
 	}
-	if e.lanes != nil {
-		return e.peekLanes(front)
-	}
 	if len(e.heap) == 0 {
 		return front
 	}
@@ -267,10 +227,6 @@ func (e *Env) pop(ev *event) {
 		e.nowq[e.nowqHead] = nil
 		e.nowqHead++
 		ev.idx = idxPopped
-		return
-	}
-	if e.lanes != nil && ev.lane != 0 {
-		heap.Pop(&e.lanes[ev.lane].heap)
 		return
 	}
 	heap.Pop(&e.heap)
@@ -309,7 +265,7 @@ type Timer struct {
 // Schedule; the generation check makes sure this timer still refers to
 // its own incarnation.
 func (t Timer) pending() bool {
-	return t.ev != nil && t.ev.gen == t.gen && (t.ev.idx >= 0 || t.ev.idx == idxNowQ || t.ev.idx == idxMailbox)
+	return t.ev != nil && t.ev.gen == t.gen && (t.ev.idx >= 0 || t.ev.idx == idxNowQ)
 }
 
 // Stop cancels the timer's event if it has not fired yet. It reports
@@ -327,19 +283,7 @@ func (t Timer) Stop() bool {
 		t.env.nowqDead++
 		return true
 	}
-	if ev.idx == idxMailbox {
-		// Parked in a cross-lane mailbox: mark the slot dead; the next
-		// barrier merge reclaims it.
-		ev.fn, ev.p = nil, nil
-		ev.idx = idxMailboxStopped
-		t.env.lanes[ev.lane].mboxDead++
-		return true
-	}
-	if t.env.lanes != nil && ev.lane != 0 {
-		heap.Remove(&t.env.lanes[ev.lane].heap, ev.idx)
-	} else {
-		heap.Remove(&t.env.heap, ev.idx)
-	}
+	heap.Remove(&t.env.heap, ev.idx)
 	t.env.release(ev)
 	return true
 }
@@ -369,9 +313,6 @@ func (e *Env) Run(until Time) Time {
 	e.running = true
 	e.stopped = false
 	defer func() { e.running = false }()
-	if e.lanes != nil {
-		return e.runLanes(until)
-	}
 	var nev int64
 	for !e.stopped {
 		ev := e.peek()
@@ -406,12 +347,7 @@ func (e *Env) Run(until Time) Time {
 
 // Pending returns the number of scheduled (uncancelled) events.
 func (e *Env) Pending() int {
-	n := len(e.heap) + (len(e.nowq) - e.nowqHead - e.nowqDead)
-	for i := range e.lanes {
-		l := &e.lanes[i]
-		n += len(l.heap) + len(l.mbox) - l.mboxDead
-	}
-	return n
+	return len(e.heap) + (len(e.nowq) - e.nowqHead - e.nowqDead)
 }
 
 // LiveProcs returns the number of processes that have started and not yet
@@ -427,26 +363,6 @@ type Proc struct {
 	resume chan struct{}
 	fn     func(*Proc) // body for the current life (see startProc)
 	dead   bool
-	lane   int32 // event lane the process's wakeups land on (see lanes.go)
-}
-
-// Lane returns the event lane the process is pinned to (always 0 when
-// lanes are not configured).
-func (p *Proc) Lane() int32 { return p.lane }
-
-// SetLane pins the process's future wakeups to lane l. Model code calls
-// this when a process crosses a lane boundary — the sharded plane routes
-// an operation to a shard, pins the caller to the shard's lane for the
-// shard-local stages, and restores the previous lane on return. A no-op
-// when lanes are not configured.
-func (p *Proc) SetLane(l int32) {
-	if p.env.lanes == nil {
-		return
-	}
-	if l < 0 || int(l) >= len(p.env.lanes) {
-		panic(fmt.Sprintf("sim: SetLane(%d) with %d lanes", l, len(p.env.lanes)))
-	}
-	p.lane = l
 }
 
 // Name returns the label given to Go when the process was spawned.
@@ -461,10 +377,9 @@ func (p *Proc) Now() Time { return p.env.now }
 // Go spawns fn as a new process, starting at the current virtual time
 // (after already-scheduled events at this time, preserving FIFO order).
 func (e *Env) Go(name string, fn func(p *Proc)) {
-	ln := e.curLane
 	e.nproc++
 	e.Schedule(0, func() {
-		e.wake(e.startProc(name, fn, ln))
+		e.wake(e.startProc(name, fn))
 	})
 }
 
@@ -475,15 +390,15 @@ func (e *Env) Go(name string, fn func(p *Proc)) {
 // and the channel instead of allocating all three. The free list is
 // only touched while the kernel goroutine is blocked in wake, so the
 // handoff through procDone orders every access.
-func (e *Env) startProc(name string, fn func(*Proc), lane int32) *Proc {
+func (e *Env) startProc(name string, fn func(*Proc)) *Proc {
 	if k := len(e.procFree); k > 0 {
 		p := e.procFree[k-1]
 		e.procFree[k-1] = nil
 		e.procFree = e.procFree[:k-1]
-		p.name, p.fn, p.lane, p.dead = name, fn, lane, false
+		p.name, p.fn, p.dead = name, fn, false
 		return p
 	}
-	p := &Proc{env: e, name: name, fn: fn, resume: make(chan struct{}), lane: lane}
+	p := &Proc{env: e, name: name, fn: fn, resume: make(chan struct{})}
 	go func() {
 		for {
 			<-p.resume
@@ -532,11 +447,6 @@ type Resource struct {
 	capacity int
 	inUse    int
 
-	// lane pinning (see lanes.go): pinned resources account acquires
-	// from processes on other lanes as cross-lane interactions.
-	lane   int32
-	pinned bool
-
 	// waiters[wHead:] is the FIFO admission queue. The head index (rather
 	// than re-slicing) lets the backing array be reused once the queue
 	// drains, and freeW recycles waiter records, keeping Acquire
@@ -572,25 +482,6 @@ func NewResource(env *Env, name string, capacity int) *Resource {
 
 // Name returns the resource's label.
 func (r *Resource) Name() string { return r.name }
-
-// PinLane tags the resource as owned by event lane l. Pinning is pure
-// accounting — grant order never changes — and feeds the CrossAcq lane
-// counter that sizes the conservative barrier window: a pinned
-// resource acquired from another lane is exactly the cross-lane
-// interaction the window must cover.
-func (r *Resource) PinLane(l int32) {
-	if r.env.lanes == nil {
-		return
-	}
-	if l < 0 || int(l) >= len(r.env.lanes) {
-		panic(fmt.Sprintf("sim: PinLane(%d) with %d lanes", l, len(r.env.lanes)))
-	}
-	r.lane, r.pinned = l, true
-}
-
-// Lane returns the lane the resource is pinned to and whether PinLane
-// was called.
-func (r *Resource) Lane() (int32, bool) { return r.lane, r.pinned }
 
 // Capacity returns the total number of units.
 func (r *Resource) Capacity() int { return r.capacity }
@@ -631,9 +522,6 @@ func (r *Resource) Acquire(p *Proc, n int) {
 		panic(fmt.Sprintf("sim: acquire %d of %q (capacity %d)", n, r.name, r.capacity))
 	}
 	r.account()
-	if r.pinned && p.lane != r.lane {
-		r.env.lanes[r.lane].stats.CrossAcq++
-	}
 	w := r.newWaiter(p, n)
 	r.waiters = append(r.waiters, w)
 	if q := r.QueueLen(); q > r.maxQueue {

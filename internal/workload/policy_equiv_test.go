@@ -75,6 +75,45 @@ func TestPickersMatchLinearReferenceFuzz(t *testing.T) {
 	}
 }
 
+// pickOtherHostLinear is the pre-index reference scan for pickOtherHost.
+func (g *Generator) pickOtherHostLinear(vm *inventory.VM) *inventory.Host {
+	inv := g.dir.Manager().Inventory()
+	var best *inventory.Host
+	for _, id := range inv.Hosts() {
+		if id == vm.HostID {
+			continue
+		}
+		h := inv.Host(id)
+		if !h.InService() || h.FreeMemMB() < vm.MemMB {
+			continue
+		}
+		if best == nil || h.FreeMemMB() > best.FreeMemMB() {
+			best = h
+		}
+	}
+	return best
+}
+
+// pickMigrationTargetLinear is the pre-index reference scan, retained
+// for the equivalence test that pins pickMigrationTarget bit-for-bit.
+func (r *Replayer) pickMigrationTargetLinear(vm *inventory.VM) *inventory.Host {
+	inv := r.dir.Manager().Inventory()
+	var best *inventory.Host
+	for _, id := range inv.Hosts() {
+		if id == vm.HostID {
+			continue
+		}
+		h := inv.Host(id)
+		if !h.InService() || h.FreeMemMB() < vm.MemMB {
+			continue
+		}
+		if best == nil || h.FreeMemMB() > best.FreeMemMB() {
+			best = h
+		}
+	}
+	return best
+}
+
 // TestPickVMPrunesDeadVAppsInPlace deletes vApps mid-ring and asserts
 // pickVM drops the dead IDs from the ring (bounding its cost) while
 // still round-robining over the survivors in order.

@@ -229,29 +229,9 @@ func (r *Replayer) applyVMOp(p *sim.Proc, kind ops.Kind, vmID inventory.ID, org 
 
 // pickMigrationTarget finds the most-free in-service host other than
 // the VM's current one via the capacity index — O(log hosts) instead
-// of the O(hosts) scan it replaces (pickMigrationTargetLinear, kept
-// below as the equivalence reference).
+// of the O(hosts) scan it replaces (pickMigrationTargetLinear, kept in
+// policy_equiv_test.go as the equivalence reference).
 func (r *Replayer) pickMigrationTarget(vm *inventory.VM) *inventory.Host {
 	inv := r.dir.Manager().Inventory()
 	return inv.BestHostExcluding(vm.HostID, vm.MemMB, 0)
-}
-
-// pickMigrationTargetLinear is the pre-index reference scan, retained
-// for the equivalence test that pins pickMigrationTarget bit-for-bit.
-func (r *Replayer) pickMigrationTargetLinear(vm *inventory.VM) *inventory.Host {
-	inv := r.dir.Manager().Inventory()
-	var best *inventory.Host
-	for _, id := range inv.Hosts() {
-		if id == vm.HostID {
-			continue
-		}
-		h := inv.Host(id)
-		if !h.InService() || h.FreeMemMB() < vm.MemMB {
-			continue
-		}
-		if best == nil || h.FreeMemMB() > best.FreeMemMB() {
-			best = h
-		}
-	}
-	return best
 }

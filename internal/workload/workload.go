@@ -383,27 +383,10 @@ func (g *Generator) activityLoop(p *sim.Proc, vmID inventory.ID, org string) {
 }
 
 // pickOtherHost finds the most-free in-service host other than the
-// VM's current one via the capacity index; pickOtherHostLinear is the
-// retained O(hosts) reference the equivalence test pins it against.
+// VM's current one via the capacity index; pickOtherHostLinear (in
+// policy_equiv_test.go) is the O(hosts) reference the equivalence test
+// pins it against.
 func (g *Generator) pickOtherHost(vm *inventory.VM) *inventory.Host {
 	inv := g.dir.Manager().Inventory()
 	return inv.BestHostExcluding(vm.HostID, vm.MemMB, 0)
-}
-
-func (g *Generator) pickOtherHostLinear(vm *inventory.VM) *inventory.Host {
-	inv := g.dir.Manager().Inventory()
-	var best *inventory.Host
-	for _, id := range inv.Hosts() {
-		if id == vm.HostID {
-			continue
-		}
-		h := inv.Host(id)
-		if !h.InService() || h.FreeMemMB() < vm.MemMB {
-			continue
-		}
-		if best == nil || h.FreeMemMB() > best.FreeMemMB() {
-			best = h
-		}
-	}
-	return best
 }
