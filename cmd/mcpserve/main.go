@@ -7,10 +7,15 @@
 // — except that time inside is virtual and the whole installation is a
 // deterministic simulation.
 //
-//	mcpserve                               # 127.0.0.1:8080, one virtual minute per wall second
-//	mcpserve -ratio 600 -shards 4          # faster clock, sharded management plane
+//	mcpserve                                   # 127.0.0.1:8080, one virtual minute per wall second
+//	mcpserve -ratio 600 -set plane.shards=4    # faster clock, sharded management plane
 //	mcpserve -config scenarios/default.json
-//	mcpserve -duration 30s                 # serve for 30s wall, then summarize and exit
+//	mcpserve -duration 30s                     # serve for 30s wall, then summarize and exit
+//	mcpserve -set metrics=true                 # print the per-layer metrics snapshot at shutdown
+//
+// The cloud is configured through the same scenario surface as mcpsim
+// and mcpsweep: -config file.json, -seed, and repeatable -set
+// path=value overrides of the scenario schema.
 //
 // On SIGINT/SIGTERM (or after -duration) the server drains: no further
 // commands are injected, pending requests are rejected with 503, and a
@@ -37,44 +42,26 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8080", "listen address")
-		seed       = flag.Int64("seed", 1, "master random seed")
 		ratio      = flag.Float64("ratio", 60, "virtual seconds per wall-clock second (0 = free-run, for tests)")
 		quantum    = flag.Float64("quantum", 0.25, "injection quantum in virtual seconds")
-		shards     = flag.Int("shards", 1, "management-server shards behind the director")
 		orgs       = flag.Int("orgs", 8, "tenant organizations (org0..orgN-1)")
-		configPath = flag.String("config", "", "JSON scenario file (overrides -shards and the default topology)")
 		duration   = flag.Duration("duration", 0, "serve for this wall-clock duration then exit (0 = until SIGINT/SIGTERM)")
 		sessionTTL = flag.Duration("session-ttl", api.DefaultSessionTTL, "idle timeout before a session is evicted (0 = never)")
-		metricsOn  = flag.Bool("metrics", false, "collect per-layer metrics and print the snapshot at shutdown")
 	)
+	load := core.BindConfigFlags(flag.CommandLine)
 	flag.Parse()
-	if err := validateServeFlags(*ratio, *quantum, *shards, *orgs, *duration); err != nil {
+	if err := validateServeFlags(*ratio, *quantum, *orgs, *duration); err != nil {
 		fatal(err)
 	}
 	if *sessionTTL < 0 {
 		fatal(fmt.Errorf("-session-ttl must be >= 0, got %v", *sessionTTL))
 	}
 
-	var cfg core.Config
-	if *configPath != "" {
-		f, err := os.Open(*configPath)
-		if err != nil {
-			fatal(err)
-		}
-		var lerr error
-		cfg, lerr = core.LoadConfig(f)
-		f.Close()
-		if lerr != nil {
-			fatal(lerr)
-		}
-	} else {
-		cfg = core.DefaultConfig(*seed)
-		cfg.Plane.Shards = *shards
+	cfg, err := load()
+	if err != nil {
+		fatal(err)
 	}
 	cfg.Record = false // a served run is open-ended; an unbounded trace would only leak
-	if *metricsOn {
-		cfg.Metrics = true
-	}
 	cloud, err := core.New(cfg)
 	if err != nil {
 		fatal(err)
@@ -128,14 +115,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mcpserve: shutdown: %v\n", err)
 	}
 
-	if err := summarize(os.Stdout, fe, drv, cloud, *metricsOn); err != nil {
+	if err := summarize(os.Stdout, fe, drv, cloud); err != nil {
 		fatal(err)
 	}
 }
 
 // summarize prints the serving summary after the driver has stopped
-// (MaxLag is only coherent then).
-func summarize(w *os.File, fe *core.Frontend, drv *sim.Paced, cloud *core.Cloud, metricsOn bool) error {
+// (MaxLag is only coherent then), with the metrics snapshot when the
+// configuration collected one.
+func summarize(w *os.File, fe *core.Frontend, drv *sim.Paced, cloud *core.Cloud) error {
 	st := fe.Stats()
 	if _, err := fmt.Fprintf(w,
 		"mcpserve summary: virtual %.1fs served, %d submitted, %d completed, %d failed, %d in flight at drain\n",
@@ -146,27 +134,20 @@ func summarize(w *os.File, fe *core.Frontend, drv *sim.Paced, cloud *core.Cloud,
 		st.QueueWaitSumS, st.QueueWaitMeanS, float64(drv.MaxLag())/float64(time.Millisecond)); err != nil {
 		return err
 	}
-	if metricsOn {
-		if snap := cloud.MetricsSnapshot(); snap != nil {
-			if err := snap.WriteASCII(w); err != nil {
-				return err
-			}
-		}
+	if snap := cloud.MetricsSnapshot(); snap != nil {
+		return snap.WriteASCII(w)
 	}
 	return nil
 }
 
 // validateServeFlags rejects inconsistent values up front with a clear
 // message instead of misbehaving mid-serve.
-func validateServeFlags(ratio, quantum float64, shards, orgs int, duration time.Duration) error {
+func validateServeFlags(ratio, quantum float64, orgs int, duration time.Duration) error {
 	if ratio < 0 {
 		return fmt.Errorf("-ratio must be >= 0, got %g", ratio)
 	}
 	if quantum <= 0 {
 		return fmt.Errorf("-quantum must be > 0, got %g", quantum)
-	}
-	if shards < 1 {
-		return fmt.Errorf("-shards must be >= 1, got %d", shards)
 	}
 	if orgs < 1 {
 		return fmt.Errorf("-orgs must be >= 1, got %d", orgs)

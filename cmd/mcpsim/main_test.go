@@ -1,39 +1,108 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"io"
 	"strings"
 	"testing"
+
+	"cloudmcp/internal/workload"
 )
 
+func parse(args ...string) (options, error) {
+	fs := flag.NewFlagSet("mcpsim", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	return parseArgs(fs, args)
+}
+
+// Reconciliation settings reach mcpsim through -set and are validated by
+// the scenario loader, like every other configuration knob.
 func TestValidateReconcileFlags(t *testing.T) {
 	cases := []struct {
-		on        bool
-		intervalS float64
-		depth     int
-		ok        bool
+		sets []string
+		ok   bool
 	}{
-		{false, 0, 0, true},   // off: values irrelevant
-		{false, -5, -1, true}, // off: even bad values pass (never used)
-		{true, 300, 2, true},  // defaults
-		{true, 1, 1, true},    // minimal legal values
-		{true, 0, 2, false},   // interval must be positive
-		{true, -60, 2, false},
-		{true, 300, 0, false}, // depth must be at least one worker
-		{true, 300, -3, false},
+		{nil, true},                      // off
+		{[]string{"reconcile={}"}, true}, // defaults
+		{[]string{"reconcile.intervalS=1", "reconcile.depth=1"}, true}, // minimal legal values
+		{[]string{"reconcile.intervalS=-60"}, false},                   // interval must be positive
+		{[]string{"reconcile.depth=-3"}, false},                        // depth must be at least one worker
+		{[]string{"reconcile.controllers=[\"nope\"]"}, false},
 	}
 	for _, c := range cases {
-		err := validateReconcileFlags(c.on, c.intervalS, c.depth)
+		var args []string
+		for _, s := range c.sets {
+			args = append(args, "-set", s)
+		}
+		_, err := parse(args...)
 		if (err == nil) != c.ok {
-			t.Errorf("validateReconcileFlags(%v, %g, %d) = %v, want ok=%v", c.on, c.intervalS, c.depth, err, c.ok)
+			t.Errorf("mcpsim %v: err = %v, want ok=%v", args, err, c.ok)
 		}
 	}
 }
 
 func TestValidateReconcileFlagsMessagesNameTheFlag(t *testing.T) {
-	if err := validateReconcileFlags(true, 0, 2); err == nil || !strings.Contains(err.Error(), "-reconcile-interval") {
-		t.Fatalf("interval error = %v, want it to name -reconcile-interval", err)
+	if _, err := parse("-set", "reconcile.intervalS=-60"); err == nil || !strings.Contains(err.Error(), "reconcile: interval") {
+		t.Fatalf("interval error = %v, want it to name the reconcile interval", err)
 	}
-	if err := validateReconcileFlags(true, 300, 0); err == nil || !strings.Contains(err.Error(), "-reconcile-depth") {
-		t.Fatalf("depth error = %v, want it to name -reconcile-depth", err)
+	if _, err := parse("-set", "reconcile.depth=-3"); err == nil || !strings.Contains(err.Error(), "reconcile: depth") {
+		t.Fatalf("depth error = %v, want it to name the reconcile depth", err)
+	}
+	if _, err := parse("-set", "reconcile.intervl=60"); err == nil || !strings.Contains(err.Error(), "reconcile.intervl") {
+		t.Fatalf("typo error = %v, want it to name the path", err)
+	}
+}
+
+// The summary reports the configuration the cloud ran, whichever way it
+// was given: a scenario's full clones print fast=false, and a scenario's
+// fault block prints the fault, retry and goodput tables.
+func TestRunReportsLoadedScenario(t *testing.T) {
+	cases := []struct {
+		scenario string
+		want     []string
+	}{
+		{"sticky-tenants", []string{"(fast=false)"}},
+		{"fault-burst", []string{"(fast=true)", "Fault injection (rate 0.10) and retries", "give-ups (deadline)"}},
+	}
+	for _, c := range cases {
+		o, err := parse("-config", "../../scenarios/"+c.scenario+".json", "-hours", "0.25")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := run(&buf, o.cfg, workload.CloudA(), o.hours, ""); err != nil {
+			t.Fatalf("%s: %v", c.scenario, err)
+		}
+		for _, w := range c.want {
+			if !strings.Contains(buf.String(), w) {
+				t.Errorf("%s: output missing %q:\n%s", c.scenario, w, buf.String())
+			}
+		}
+	}
+}
+
+// The metrics tables follow the scenario's metrics flag; -metrics-out
+// alone writes the file and leaves stdout as it was.
+func TestRunMetricsTablesFollowConfig(t *testing.T) {
+	render := func(metricsOut string, args ...string) string {
+		t.Helper()
+		o, err := parse(append([]string{"-hours", "0.1"}, args...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := run(&buf, o.cfg, workload.CloudA(), o.hours, metricsOut); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	const title = "bottleneck attribution: top"
+	plain := render("")
+	if got := render(t.TempDir() + "/m.json"); got != plain {
+		t.Fatalf("-metrics-out changed stdout:\n%s\nwant:\n%s", got, plain)
+	}
+	if got := render("", "-set", "metrics=true"); !strings.Contains(got, title) || strings.Contains(plain, title) {
+		t.Fatalf("metrics=true output lacks the metrics tables, or the plain run has them:\n%s", got)
 	}
 }

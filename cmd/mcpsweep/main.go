@@ -1,6 +1,7 @@
 // Command mcpsweep runs an arbitrary what-if parameter grid — the
 // generalization of the hardcoded E6/E10/E11 sweeps. It loads a base
-// configuration (a scenarios/*.json file, or the defaults), varies one
+// configuration through the shared scenario surface (-config file.json,
+// -seed, repeatable -set path=value; the defaults otherwise), varies one
 // or more fields over a grid, runs the closed-loop provisioning workload
 // at every grid point in parallel through internal/sweep, and emits one
 // result row per point as an ASCII table or CSV. Output is byte-identical
@@ -10,6 +11,7 @@
 //	mcpsweep -config scenarios/paper-era.json -vary dbConns=1,2,4 -format csv
 //	mcpsweep -vary granularity=coarse,host,entity -horizon 1200
 //	mcpsweep -policy default,binpack,spread -vary hosts=16,64
+//	mcpsweep -set plane.shards=4 -vary dbConns=1,4
 //
 // -policy a,b,c races whole policy sets (see internal/policy) as the
 // slowest-varying grid dimension and appends a tournament ranking table
@@ -99,29 +101,13 @@ var fields = []field{
 		cfg.Director.FastProvisioning = b
 		return nil
 	}},
-	{"granularity", func(cfg *core.Config, _ *runSpec, val string) error {
-		switch val {
-		case "coarse":
-			cfg.Mgmt.Granularity = mgmt.GranularityCoarse
-		case "host":
-			cfg.Mgmt.Granularity = mgmt.GranularityHost
-		case "entity":
-			cfg.Mgmt.Granularity = mgmt.GranularityEntity
-		default:
-			return fmt.Errorf("granularity=%q: want coarse|host|entity", val)
-		}
-		return nil
+	{"granularity", func(cfg *core.Config, _ *runSpec, val string) (err error) {
+		cfg.Mgmt.Granularity, err = mgmt.ParseGranularity(val)
+		return err
 	}},
-	{"placement", func(cfg *core.Config, _ *runSpec, val string) error {
-		switch val {
-		case "most-free":
-			cfg.Director.Placement = clouddir.PlaceMostFree
-		case "sticky-org":
-			cfg.Director.Placement = clouddir.PlaceStickyOrg
-		default:
-			return fmt.Errorf("placement=%q: want most-free|sticky-org", val)
-		}
-		return nil
+	{"placement", func(cfg *core.Config, _ *runSpec, val string) (err error) {
+		cfg.Director.Placement, err = clouddir.ParsePlacement(val)
+		return err
 	}},
 	{"policy", func(cfg *core.Config, _ *runSpec, val string) error {
 		if _, err := policy.Named(val); err != nil {
@@ -204,8 +190,6 @@ func main() {
 	flag.Var(&vary, "vary", "field=v1,v2,... grid dimension (repeatable); fields: "+fieldNames())
 	policyList := flag.String("policy", "",
 		"comma-separated policy sets to race as a tournament (known: "+strings.Join(policy.Names(), ", ")+")")
-	configPath := flag.String("config", "", "JSON scenario file for the base configuration")
-	seed := flag.Int64("seed", 1, "master random seed (overrides the scenario's)")
 	concurrency := flag.Int("concurrency", 32, "closed-loop deploy clients (unless varied)")
 	horizon := flag.Float64("horizon", 600, "simulated seconds per grid point")
 	warmup := flag.Float64("warmup", 0, "warmup seconds excluded from measurement (0 = horizon/10)")
@@ -213,6 +197,7 @@ func main() {
 	format := flag.String("format", "ascii", "output format: ascii or csv")
 	pointSeeds := flag.Bool("point-seeds", false, "derive an independent seed per grid point instead of sharing the master seed")
 	progress := flag.Bool("progress", false, "print per-point completion to stderr")
+	load := core.BindConfigFlags(flag.CommandLine)
 	flag.Parse()
 
 	// -policy a,b,c is sugar for a slowest-varying policy dimension plus
@@ -247,22 +232,9 @@ func main() {
 		fatal(fmt.Errorf("warmup %.0fs must be below the horizon %.0fs", *warmup, *horizon))
 	}
 
-	base := core.DefaultConfig(*seed)
-	if *configPath != "" {
-		f, err := os.Open(*configPath)
-		if err != nil {
-			fatal(err)
-		}
-		base, err = core.LoadConfig(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		seedSet := false
-		flag.Visit(func(fl *flag.Flag) { seedSet = seedSet || fl.Name == "seed" })
-		if seedSet {
-			base.Seed = *seed
-		}
+	base, err := load()
+	if err != nil {
+		fatal(err)
 	}
 
 	// Row-major grid: the first -vary flag varies slowest.

@@ -52,6 +52,29 @@ func TestRenderRowsCSV(t *testing.T) {
 	}
 }
 
+// The enum grid dimensions accept exactly the scenario file's spellings,
+// with the same error text, because both call the parser beside the type.
+func TestVaryEnumsShareTheScenarioParser(t *testing.T) {
+	for _, c := range []struct{ vary, scenario string }{
+		{"granularity=weird", `{"mgmt": {"granularity": "weird"}}`},
+		{"placement=weird", `{"director": {"placement": "weird"}}`},
+	} {
+		var v varyFlag
+		verr := v.Set(c.vary)
+		_, ferr := core.LoadConfig(strings.NewReader(c.scenario))
+		if verr == nil || ferr == nil || verr.Error() != ferr.Error() {
+			t.Errorf("-vary %s: %v; scenario: %v; want the same error", c.vary, verr, ferr)
+		}
+	}
+	var v varyFlag
+	if err := v.Set("granularity=coarse,host,entity"); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Set("placement=most-free,sticky-org"); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRenderRowsASCII(t *testing.T) {
 	headers, rows := sampleRows()
 	var buf bytes.Buffer

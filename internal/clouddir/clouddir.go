@@ -47,6 +47,16 @@ func (p PlacementPolicy) String() string {
 	return "most-free"
 }
 
+// ParsePlacement is the inverse of String.
+func ParsePlacement(s string) (PlacementPolicy, error) {
+	for _, p := range []PlacementPolicy{PlaceMostFree, PlaceStickyOrg} {
+		if s == p.String() {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("clouddir: unknown placement %q (want most-free or sticky-org)", s)
+}
+
 // Config sizes the cloud-director deployment.
 type Config struct {
 	// Cells is the number of director cells (front-end servers).

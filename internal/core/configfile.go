@@ -178,13 +178,21 @@ type CostFile struct {
 // LoadConfig reads a JSON scenario and applies it over DefaultConfig.
 // Unknown fields are rejected so typos in scenario files fail loudly.
 func LoadConfig(r io.Reader) (Config, error) {
+	f, err := decodeConfigFile(r)
+	if err != nil {
+		return Config{}, err
+	}
+	return f.Apply()
+}
+
+func decodeConfigFile(r io.Reader) (ConfigFile, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var f ConfigFile
 	if err := dec.Decode(&f); err != nil {
-		return Config{}, fmt.Errorf("core: parse scenario: %w", err)
+		return ConfigFile{}, fmt.Errorf("core: parse scenario: %w", err)
 	}
-	return f.Apply()
+	return f, nil
 }
 
 // Apply converts the wire form to a runnable Config over the defaults.
@@ -231,16 +239,12 @@ func (f *ConfigFile) Apply() (Config, error) {
 		if m.HostSlots != 0 {
 			cfg.Mgmt.HostSlots = m.HostSlots
 		}
-		switch m.Granularity {
-		case "":
-		case "coarse":
-			cfg.Mgmt.Granularity = mgmt.GranularityCoarse
-		case "host":
-			cfg.Mgmt.Granularity = mgmt.GranularityHost
-		case "entity":
-			cfg.Mgmt.Granularity = mgmt.GranularityEntity
-		default:
-			return Config{}, fmt.Errorf("core: unknown granularity %q", m.Granularity)
+		if m.Granularity != "" {
+			g, err := mgmt.ParseGranularity(m.Granularity)
+			if err != nil {
+				return Config{}, err
+			}
+			cfg.Mgmt.Granularity = g
 		}
 		if m.Database != nil {
 			db := mgmtdb.DefaultConfig()
@@ -273,14 +277,8 @@ func (f *ConfigFile) Apply() (Config, error) {
 		if p.Shards != 0 {
 			cfg.Plane.Shards = p.Shards
 		}
-		switch p.DB {
-		case "":
-		case string(plane.DBShared):
-			cfg.Plane.DB = plane.DBShared
-		case string(plane.DBPerShard):
-			cfg.Plane.DB = plane.DBPerShard
-		default:
-			return Config{}, fmt.Errorf("core: unknown plane db mode %q (want %q or %q)", p.DB, plane.DBShared, plane.DBPerShard)
+		if p.DB != "" {
+			cfg.Plane.DB = plane.DBMode(p.DB) // Validate below rejects unknown modes
 		}
 		if p.CoordWriteS != 0 {
 			cfg.Plane.CoordWriteS = p.CoordWriteS
@@ -314,14 +312,12 @@ func (f *ConfigFile) Apply() (Config, error) {
 		if d.LeaseS != 0 {
 			cfg.Director.LeaseS = d.LeaseS
 		}
-		switch d.Placement {
-		case "":
-		case "most-free":
-			cfg.Director.Placement = clouddir.PlaceMostFree
-		case "sticky-org":
-			cfg.Director.Placement = clouddir.PlaceStickyOrg
-		default:
-			return Config{}, fmt.Errorf("core: unknown placement %q", d.Placement)
+		if d.Placement != "" {
+			p, err := clouddir.ParsePlacement(d.Placement)
+			if err != nil {
+				return Config{}, err
+			}
+			cfg.Director.Placement = p
 		}
 		if d.OrgQuotaVMs != 0 {
 			cfg.Director.OrgQuotaVMs = d.OrgQuotaVMs
@@ -390,6 +386,9 @@ func (f *ConfigFile) Apply() (Config, error) {
 		cfg.Metrics = *f.Metrics
 	}
 	if ff := f.Faults; ff != nil {
+		if ff.Rate < 0 || ff.Rate > 1 {
+			return Config{}, fmt.Errorf("core: faults rate must be in [0,1], got %g", ff.Rate)
+		}
 		fc := faults.Preset(ff.Rate)
 		if ff.Host != nil {
 			fc.Host = *ff.Host

@@ -229,6 +229,9 @@ func New(cfg Config) (*Cloud, error) {
 		// the single-shard identity topology.
 		cfg.Plane = plane.DefaultConfig()
 	}
+	if cfg.Plane.Shards > cfg.Topology.Hosts {
+		return nil, fmt.Errorf("core: %d shards exceed %d hosts: a shard needs at least one host", cfg.Plane.Shards, cfg.Topology.Hosts)
+	}
 	// Admission sizes the in-flight limit from the configured base and
 	// the deployment shape; the default "fixed" policy returns the base.
 	mcfg.MaxInFlight = pol.Admission.MaxInFlight(mcfg.MaxInFlight, cfg.Topology.Hosts, cfg.Plane.Shards)

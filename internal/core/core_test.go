@@ -50,6 +50,28 @@ func TestBadTopologyRejected(t *testing.T) {
 	}
 }
 
+// A shard owns at least one host, whether the Config came from Go code,
+// a scenario file, or -set overrides.
+func TestShardsExceedingHostsRejected(t *testing.T) {
+	cfg := DefaultConfig(1)
+	cfg.Topology.Hosts = 4
+	cfg.Plane.Shards = 4
+	if _, err := New(cfg); err != nil {
+		t.Fatalf("one host per shard: %v", err)
+	}
+	cfg.Plane.Shards = 8
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "a shard needs at least one host") {
+		t.Fatalf("8 shards on 4 hosts: err = %v", err)
+	}
+	cfg, err := LoadConfig(strings.NewReader(`{"topology": {"hosts": 4}, "plane": {"shards": 8}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(cfg); err == nil {
+		t.Fatal("scenario with 8 shards on 4 hosts built")
+	}
+}
+
 func TestRunProfileCollectsTrace(t *testing.T) {
 	c, err := New(DefaultConfig(2))
 	if err != nil {

@@ -13,7 +13,7 @@ package core
 // exactly when failures are already rampant.
 //
 // E17 is an opt-in extension: it is reachable through RunExperiment /
-// mcpbench -only E17 / mcpbench -faults, but not part of the default
+// mcpbench -only E17, but not part of the default
 // E1..E16 suite, so pre-faults artifacts stay byte-identical.
 
 import (

@@ -16,7 +16,7 @@ package core
 // two-phase coordinator charges for it.
 //
 // E18 is an opt-in extension like E17: reachable through RunExperiment /
-// mcpbench -only E18 / mcpbench -shards, never part of the default
+// mcpbench -only E18, never part of the default
 // E1..E16 suite, so existing artifacts stay byte-identical.
 
 import (

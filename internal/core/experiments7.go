@@ -19,9 +19,8 @@ package core
 // controller drain them through storage migrations.
 //
 // E20 is an opt-in extension like E17/E18: reachable through
-// RunExperiment / mcpbench -only E20 / mcpbench -reconcile, never part
-// of the default E1..E16 suite, so existing artifacts stay
-// byte-identical.
+// RunExperiment / mcpbench -only E20, never part of the default E1..E16
+// suite, so existing artifacts stay byte-identical.
 
 import (
 	"fmt"

@@ -15,11 +15,11 @@ package core
 // lever for commit storms at million-entity scale.
 //
 // Like E17/E18/E20, E19 is opt-in — reachable via RunExperiment
-// (mcpbench -only E19) or mcpbench -scale — and never part of the
-// default E1..E16 suite, so existing artifacts stay byte-identical.
-// The artifact carries only deterministic simulation outputs; wall-clock
-// placement costs are measured separately by mcpbench -bench-inventory
-// (BENCH_inventory.json).
+// (mcpbench -only E19) — and never part of the default E1..E16 suite,
+// so existing artifacts stay byte-identical. The artifact carries only
+// deterministic simulation outputs; the wall-clock placement cost is
+// measured separately by the repo benchmark's inventory.place_ns_1e5
+// seam (bench/).
 
 import (
 	"fmt"

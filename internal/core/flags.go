@@ -1,0 +1,138 @@
+package core
+
+// One configuration surface for every tool that builds a Cloud: a JSON
+// scenario file, an optional seed, and repeatable path=value overrides
+// of that same scenario document. The scenario schema (ConfigFile) is
+// the single source of knob names, and LoadConfig is the single place
+// they are validated.
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+)
+
+// BindConfigFlags registers -config, -seed and the repeatable -set on fs
+// and returns the loader to call after fs.Parse. Precedence, lowest
+// first: DefaultConfig, the -config file, -seed (applied when given
+// explicitly; with no -config it defaults to 1), then each -set in
+// command-line order.
+//
+// A -set path is a dotted JSON path in the ConfigFile schema
+// (plane.shards=4, faults.rate=0.1, reconcile={},
+// director.fastProvisioning=false). The value is parsed as JSON when it
+// is valid JSON and taken as a string otherwise.
+func BindConfigFlags(fs *flag.FlagSet) func() (Config, error) {
+	path := fs.String("config", "", "JSON scenario file (see scenarios/)")
+	seed := fs.Int64("seed", 1, "master random seed (overrides the scenario's)")
+	var sets setFlag
+	fs.Var(&sets, "set", "path=value override of a scenario field, e.g. plane.shards=4, faults.rate=0.1 or 'reconcile={}' (repeatable; value is JSON, else a string)")
+	return func() (Config, error) {
+		doc := map[string]any{}
+		if *path != "" {
+			src, err := os.ReadFile(*path)
+			if err != nil {
+				return Config{}, err
+			}
+			dec := json.NewDecoder(bytes.NewReader(src))
+			dec.UseNumber()
+			if err := dec.Decode(&doc); err != nil {
+				return Config{}, fmt.Errorf("core: parse scenario %s: %w", *path, err)
+			}
+			if doc == nil { // the file held JSON null
+				doc = map[string]any{}
+			}
+		}
+		seedSet := false
+		fs.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
+		if seedSet || *path == "" {
+			doc["seed"] = *seed
+		}
+		for _, s := range sets {
+			if err := s.merge(doc); err != nil {
+				return Config{}, err
+			}
+		}
+		src, err := json.Marshal(doc)
+		if err != nil {
+			return Config{}, err
+		}
+		return LoadConfig(bytes.NewReader(src))
+	}
+}
+
+// setting is one parsed -set override.
+type setting struct {
+	arg  string   // path=value as given
+	keys []string // the dotted path, split
+	val  any      // decoded JSON value (numbers as json.Number) or string
+}
+
+// merge writes the override into doc, creating intermediate objects.
+func (s setting) merge(doc map[string]any) error {
+	obj := doc
+	for i, k := range s.keys[:len(s.keys)-1] {
+		switch next := obj[k].(type) {
+		case map[string]any:
+			obj = next
+		case nil:
+			child := map[string]any{}
+			obj[k] = child
+			obj = child
+		default:
+			return fmt.Errorf("-set %s: %s is not an object", s.arg, strings.Join(s.keys[:i+1], "."))
+		}
+	}
+	obj[s.keys[len(s.keys)-1]] = s.val
+	return nil
+}
+
+// setFlag accumulates -set overrides in command-line order.
+type setFlag []setting
+
+func (f *setFlag) String() string {
+	args := make([]string, len(*f))
+	for i, s := range *f {
+		args[i] = s.arg
+	}
+	return strings.Join(args, " ")
+}
+
+// Set parses one path=value and decodes it alone against the scenario
+// schema, so a misspelled path or mistyped value is reported against
+// the -set that carries it.
+func (f *setFlag) Set(arg string) error {
+	path, v, ok := strings.Cut(arg, "=")
+	if !ok || path == "" {
+		return fmt.Errorf("want path=value, got %q", arg)
+	}
+	keys := strings.Split(path, ".")
+	for _, k := range keys {
+		if k == "" {
+			return fmt.Errorf("%s: empty path segment", path)
+		}
+	}
+	var val any = v
+	if json.Valid([]byte(v)) {
+		dec := json.NewDecoder(strings.NewReader(v))
+		dec.UseNumber()
+		if err := dec.Decode(&val); err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+	}
+	s := setting{arg: arg, keys: keys, val: val}
+	alone := map[string]any{}
+	_ = s.merge(alone) // an empty document has no non-object on the path
+	src, err := json.Marshal(alone)
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	if _, err := decodeConfigFile(bytes.NewReader(src)); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	*f = append(*f, s)
+	return nil
+}

@@ -1,0 +1,210 @@
+package core
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"io"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"cloudmcp/internal/clouddir"
+	"cloudmcp/internal/reconcile"
+)
+
+// bind parses args through a fresh flag set and loads the Config.
+func bind(t *testing.T, args ...string) (Config, error) {
+	t.Helper()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	load := BindConfigFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return Config{}, err
+	}
+	return load()
+}
+
+func scenarioPaths(t *testing.T) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("glob scenarios: %v (%d found)", err, len(paths))
+	}
+	return paths
+}
+
+func loadFile(t *testing.T, path string) Config {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	cfg, err := LoadConfig(f)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return cfg
+}
+
+// flatten turns a JSON document into -set arguments, one per leaf
+// (scalars, arrays and empty objects).
+func flatten(prefix string, v any, out *[]string) {
+	if obj, ok := v.(map[string]any); ok && len(obj) > 0 {
+		keys := make([]string, 0, len(obj))
+		for k := range obj {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			p := k
+			if prefix != "" {
+				p = prefix + "." + k
+			}
+			flatten(p, obj[k], out)
+		}
+		return
+	}
+	raw, _ := json.Marshal(v)
+	*out = append(*out, "-set", prefix+"="+string(raw))
+}
+
+// Every checked-in scenario, given as -set pairs alone, loads to the
+// same Config as the file itself: the flags and the file are one schema.
+func TestBindConfigFlagsScenariosAsSets(t *testing.T) {
+	for _, path := range scenarioPaths(t) {
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec := json.NewDecoder(bytes.NewReader(src))
+			dec.UseNumber()
+			var doc map[string]any
+			if err := dec.Decode(&doc); err != nil {
+				t.Fatal(err)
+			}
+			var args []string
+			flatten("", doc, &args)
+			got, err := bind(t, args...)
+			if err != nil {
+				t.Fatalf("bind %v: %v", args, err)
+			}
+			if want := loadFile(t, path); !reflect.DeepEqual(got, want) {
+				t.Fatalf("-set form of %s:\n got %+v\nwant %+v", path, got, want)
+			}
+			fromFile, err := bind(t, "-config", path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fromFile, got) {
+				t.Fatalf("-config %s differs from LoadConfig", path)
+			}
+		})
+	}
+}
+
+func TestBindConfigFlagsPrecedence(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.json")
+	src := `{"seed": 7, "topology": {"hosts": 12}, "director": {"cells": 3}}`
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	def, err := bind(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(def, DefaultConfig(1)) {
+		t.Fatalf("no flags: got %+v, want DefaultConfig(1)", def)
+	}
+	if cfg, err := bind(t, "-seed", "4"); err != nil || cfg.Seed != 4 {
+		t.Fatalf("-seed 4 alone: seed %d, err %v", cfg.Seed, err)
+	}
+
+	// The file's seed holds unless -seed is given explicitly.
+	cfg, err := bind(t, "-config", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Seed != 7 || cfg.Topology.Hosts != 12 || cfg.Director.Cells != 3 {
+		t.Fatalf("file alone: %+v", cfg)
+	}
+	if cfg, err = bind(t, "-config", path, "-seed", "9"); err != nil || cfg.Seed != 9 {
+		t.Fatalf("explicit -seed over the file: seed %d, err %v", cfg.Seed, err)
+	}
+
+	// -set beats both, in command-line order, and keeps sibling fields.
+	cfg, err = bind(t, "-set", "seed=11", "-seed", "9", "-config", path,
+		"-set", "topology.hosts=20", "-set", "topology.hosts=24",
+		"-set", "director.placement=sticky-org", "-set", "director.fastProvisioning=false")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Seed != 11 || cfg.Topology.Hosts != 24 || cfg.Director.Cells != 3 ||
+		cfg.Director.Placement != clouddir.PlaceStickyOrg || cfg.Director.FastProvisioning {
+		t.Fatalf("-set precedence: %+v", cfg)
+	}
+}
+
+func TestBindConfigFlagsRejectsNamingThePath(t *testing.T) {
+	cases := []struct {
+		arg, path string
+	}{
+		{"topology.hostz=4", "topology.hostz"},        // unknown path
+		{"topology.hosts=abc", "topology.hosts"},      // type mismatch
+		{"seed.x=1", "seed.x"},                        // through a non-object
+		{"plane.shards.n=2", "plane.shards.n"},        // through a non-object, nested
+		{"reconcile.intervl=60", "reconcile.intervl"}, // misspelled leaf
+		{"director.fastProvisioning=yes", "director.fastProvisioning"},
+	}
+	for _, c := range cases {
+		_, err := bind(t, "-set", c.arg)
+		if err == nil || !strings.Contains(err.Error(), c.path) {
+			t.Errorf("-set %s: err = %v, want an error naming %s", c.arg, err, c.path)
+		}
+	}
+	for _, arg := range []string{"noequals", "=1", "a..b=1"} {
+		if _, err := bind(t, "-set", arg); err == nil {
+			t.Errorf("-set %s accepted", arg)
+		}
+	}
+	// Values are validated where files are: in Apply.
+	for _, arg := range []string{"mgmt.granularity=weird", "plane.db=nope", "faults.rate=2", "faults.rate=-0.1", "policy=zzz"} {
+		if _, err := bind(t, "-set", arg); err == nil {
+			t.Errorf("-set %s accepted", arg)
+		}
+	}
+}
+
+func TestBindConfigFlagsEmptyReconcileEnablesAllControllers(t *testing.T) {
+	cfg, err := bind(t, "-set", "reconcile={}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := reconcile.DefaultConfig()
+	want.Controllers = reconcile.ControllerNames()
+	if cfg.Reconcile == nil || !reflect.DeepEqual(*cfg.Reconcile, want) {
+		t.Fatalf("reconcile={} = %+v, want %+v", cfg.Reconcile, want)
+	}
+}
+
+// scenarios/default.json is what mcpsim -dump-config prints, byte for
+// byte; a Config field added to WriteDefaultConfig must land in both.
+func TestDefaultScenarioMatchesDumpConfig(t *testing.T) {
+	var want bytes.Buffer
+	if err := WriteDefaultConfig(&want, 1); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join("..", "..", "scenarios", "default.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("scenarios/default.json drifted from WriteDefaultConfig(w, 1):\n%s\nwant:\n%s", got, want.Bytes())
+	}
+}

@@ -85,8 +85,9 @@ func Experiments() []Experiment {
 // management-plane topology, E19 scales the inventory itself, E20
 // turns on the reconciliation plane, and E21 races policy sets; folding
 // any of them into RunAll would grow the default artifact. They run via
-// RunExperiment (mcpbench -only E17/E18/E19/E20/E21), mcpbench -faults,
-// mcpbench -shards, mcpbench -scale, or mcpbench -reconcile instead.
+// RunExperiment (mcpbench -only E17/E18/E19/E20/E21) at these default
+// grids; a custom grid is a call to the experiment's Run function with
+// its Params struct.
 func Extensions() []Experiment {
 	return []Experiment{
 		{"E17", func(seed int64, scale float64, workers int) (Renderable, error) {

@@ -133,7 +133,7 @@ func (c Config) Validate() error {
 // agents' per-attempt transient-failure probability; the other layers
 // fail at a fraction of it, and every layer sees latency spikes at the
 // same rate). Preset(0) is a valid all-zero config; rates are clamped
-// to 1. This is what the CLIs' -fault-rate flag builds.
+// to 1. This is what a scenario's faults.rate builds.
 func Preset(rate float64) Config {
 	clamp := func(p float64) float64 {
 		if p > 1 {

@@ -59,6 +59,16 @@ func (g LockGranularity) String() string {
 	return fmt.Sprintf("granularity(%d)", int(g))
 }
 
+// ParseGranularity is the inverse of String for the named granularities.
+func ParseGranularity(s string) (LockGranularity, error) {
+	for _, g := range []LockGranularity{GranularityCoarse, GranularityHost, GranularityEntity} {
+		if s == g.String() {
+			return g, nil
+		}
+	}
+	return 0, fmt.Errorf("mgmt: unknown granularity %q (want coarse, host or entity)", s)
+}
+
 // Config holds the manager's sizing knobs.
 type Config struct {
 	Threads     int             // manager worker threads
