@@ -1,12 +1,15 @@
 // Command mcpgen generates a synthetic management-operation trace by
 // running a workload profile against a simulated cloud, writing one
 // record per completed operation. The format follows the -o extension:
-// .jsonl (JSON lines) or .csv.
+// .jsonl (JSON lines) or .csv. The cloud is configured through the shared
+// scenario surface: -config file.json, -seed, and repeatable -set
+// path=value (see mcpsim -dump-config).
 //
 //	mcpgen -profile cloud-a -hours 48 -o cloud-a.jsonl
-//	mcpgen -profile cloud-b -hours 48 -fast=false -o cloud-b-full.csv
+//	mcpgen -profile cloud-b -hours 48 -set director.fastProvisioning=false -o cloud-b-full.csv
 //
-// Traces are consumed by cmd/mcpchar or any external tooling.
+// Traces are consumed by cmd/mcpchar, cmd/mcpreplay or any external
+// tooling.
 package main
 
 import (
@@ -25,24 +28,20 @@ func main() {
 	var (
 		profileName = flag.String("profile", "cloud-a", "workload profile: cloud-a, cloud-b, classic-dc")
 		hours       = flag.Float64("hours", 24, "simulated hours")
-		seed        = flag.Int64("seed", 1, "master random seed")
-		fast        = flag.Bool("fast", true, "use fast provisioning (linked clones)")
 		out         = flag.String("o", "trace.jsonl", "output file (.jsonl or .csv)")
 	)
+	load := core.BindConfigFlags(flag.CommandLine)
 	flag.Parse()
 
 	profile, err := workload.ByName(*profileName)
 	if err != nil {
 		fatal(err)
 	}
-	cfg := core.DefaultConfig(*seed)
-	cfg.Director.FastProvisioning = *fast
-	// Records stream straight to the output file as tasks complete (the
-	// trace.Writer byte-identity test guarantees the artifact is the same
-	// as the old accumulate-then-dump path), so a 48-hour trace never
-	// holds every record in memory.
-	cfg.Record = false
-	cloud, err := core.New(cfg)
+	cfg, err := load()
+	if err != nil {
+		fatal(err)
+	}
+	cloud, err := newCloud(cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -62,6 +61,16 @@ func main() {
 	}
 	fmt.Printf("mcpgen: wrote %d records (%d vApp requests over %.1f h of %s) to %s\n",
 		sw.N(), st.Arrivals, *hours, profile.Name, *out)
+}
+
+// newCloud builds the cloud with the in-memory recorder off, whatever the
+// scenario's record field says. Records stream straight to the output
+// file as tasks complete (the trace.Writer byte-identity test guarantees
+// the artifact is the same as the old accumulate-then-dump path), so a
+// 48-hour trace never holds every record in memory.
+func newCloud(cfg core.Config) (*core.Cloud, error) {
+	cfg.Record = false
+	return core.New(cfg)
 }
 
 // openTrace creates the output file and a streaming writer in the format

@@ -2,10 +2,13 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"strings"
 	"testing"
 
+	"cloudmcp/internal/core"
 	"cloudmcp/internal/trace"
+	"cloudmcp/internal/workload"
 )
 
 // failingCloser succeeds on every write and fails on Close — the shape
@@ -91,6 +94,33 @@ func TestFinishTraceSucceedsAndCloses(t *testing.T) {
 	}
 	if fc.wrote == 0 {
 		t.Fatal("no bytes written")
+	}
+}
+
+// mcpgen streams records through its own task sink, so the cloud's
+// recorder stays off even when the scenario asks for it.
+func TestNewCloudForcesRecordOff(t *testing.T) {
+	fs := flag.NewFlagSet("mcpgen", flag.ContinueOnError)
+	load := core.BindConfigFlags(fs)
+	if err := fs.Parse([]string{"-set", "record=true"}); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cloud, err := newCloud(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cloud.Config().Record {
+		t.Fatal("record=true reached the cloud; mcpgen would hold the whole trace in memory")
+	}
+	if _, err := cloud.RunProfile(workload.CloudA(), 0.5*core.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if recs := cloud.Records(); recs != nil {
+		t.Fatalf("the recorder kept %d records", len(recs))
 	}
 }
 

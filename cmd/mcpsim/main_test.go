@@ -54,6 +54,20 @@ func TestValidateReconcileFlagsMessagesNameTheFlag(t *testing.T) {
 	}
 }
 
+// An explicit zero is used as written, so one that cannot build a cloud
+// fails the run instead of silently becoming the default.
+func TestRunRejectsInvalidExplicitZeros(t *testing.T) {
+	for _, set := range []string{"director.cells=0", "mgmt.threads=0", "topology.hosts=0"} {
+		o, err := parse("-set", set, "-hours", "0.1")
+		if err != nil {
+			t.Fatalf("-set %s: %v", set, err)
+		}
+		if err := run(io.Discard, o.cfg, workload.CloudA(), o.hours, ""); err == nil {
+			t.Errorf("-set %s ran, want an error", set)
+		}
+	}
+}
+
 // The summary reports the configuration the cloud ran, whichever way it
 // was given: a scenario's full clones print fast=false, and a scenario's
 // fault block prints the fault, retry and goodput tables.

@@ -2,16 +2,24 @@
 // generalization of the hardcoded E6/E10/E11 sweeps. It loads a base
 // configuration through the shared scenario surface (-config file.json,
 // -seed, repeatable -set path=value; the defaults otherwise), varies one
-// or more fields over a grid, runs the closed-loop provisioning workload
-// at every grid point in parallel through internal/sweep, and emits one
-// result row per point as an ASCII table or CSV. Output is byte-identical
-// for any -workers value at a fixed seed.
+// or more scenario fields over a grid, runs the closed-loop provisioning
+// workload at every grid point in parallel through internal/sweep, and
+// emits one result row per point as an ASCII table or CSV. Output is
+// byte-identical for any -workers value at a fixed seed.
 //
-//	mcpsweep -vary cells=1,2,4,8 -vary concurrency=16,64
-//	mcpsweep -config scenarios/paper-era.json -vary dbConns=1,2,4 -format csv
-//	mcpsweep -vary granularity=coarse,host,entity -horizon 1200
-//	mcpsweep -policy default,binpack,spread -vary hosts=16,64
-//	mcpsweep -set plane.shards=4 -vary dbConns=1,4
+//	mcpsweep -vary director.cells=1,2,4,8 -vary concurrency=16,64
+//	mcpsweep -config scenarios/paper-era.json -vary mgmt.dbConns=1,2,4 -format csv
+//	mcpsweep -vary mgmt.granularity=coarse,host,entity -horizon 1200
+//	mcpsweep -policy default,binpack,spread -vary topology.hosts=16,64
+//	mcpsweep -set plane.shards=4 -vary mgmt.dbConns=1,4
+//	mcpsweep -vary plane.shards=1,2,4 -vary plane.db=shared,per-shard -concurrency 192
+//
+// A -vary dimension is a scenario path — the -set syntax; mcpsim
+// -dump-config lists every field — with comma-separated values, each
+// parsed like a -set value. The one dimension outside the scenario is
+// concurrency, the number of closed-loop deploy clients. Every grid
+// point's configuration is loaded and built before the first point runs,
+// so a bad value fails, naming its path, before any simulation.
 //
 // -policy a,b,c races whole policy sets (see internal/policy) as the
 // slowest-varying grid dimension and appends a tournament ranking table
@@ -38,261 +46,219 @@ import (
 	"strings"
 	"time"
 
-	"cloudmcp/internal/clouddir"
 	"cloudmcp/internal/core"
-	"cloudmcp/internal/mgmt"
 	"cloudmcp/internal/policy"
 	"cloudmcp/internal/report"
 	"cloudmcp/internal/sweep"
 )
 
-// runSpec carries the per-point knobs that are not Config fields.
-type runSpec struct {
-	clients int // closed-loop deploy clients
-}
+// concurrency names the grid dimension that is not a scenario path.
+const concurrency = "concurrency"
 
-// field is one vary-able knob: how to parse a value and apply it.
-type field struct {
-	name  string
-	apply func(cfg *core.Config, rs *runSpec, val string) error
-}
-
-func intField(name string, set func(*core.Config, *runSpec, int)) field {
-	return field{name, func(cfg *core.Config, rs *runSpec, val string) error {
-		n, err := strconv.Atoi(val)
-		if err != nil || n <= 0 {
-			return fmt.Errorf("%s=%q: want a positive integer", name, val)
-		}
-		set(cfg, rs, n)
-		return nil
-	}}
-}
-
-func floatField(name string, set func(*core.Config, float64)) field {
-	return field{name, func(cfg *core.Config, _ *runSpec, val string) error {
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil || f <= 0 {
-			return fmt.Errorf("%s=%q: want a positive number", name, val)
-		}
-		set(cfg, f)
-		return nil
-	}}
-}
-
-// fields is the registry of grid dimensions mcpsweep can vary.
-var fields = []field{
-	intField("cells", func(c *core.Config, _ *runSpec, n int) { c.Director.Cells = n }),
-	intField("cellThreads", func(c *core.Config, _ *runSpec, n int) { c.Director.CellThreads = n }),
-	intField("threads", func(c *core.Config, _ *runSpec, n int) { c.Mgmt.Threads = n }),
-	intField("dbConns", func(c *core.Config, _ *runSpec, n int) { c.Mgmt.DBConns = n }),
-	intField("hostSlots", func(c *core.Config, _ *runSpec, n int) { c.Mgmt.HostSlots = n }),
-	intField("maxInFlight", func(c *core.Config, _ *runSpec, n int) { c.Mgmt.MaxInFlight = n }),
-	intField("hosts", func(c *core.Config, _ *runSpec, n int) { c.Topology.Hosts = n }),
-	intField("datastores", func(c *core.Config, _ *runSpec, n int) { c.Topology.Datastores = n }),
-	intField("maxChainLen", func(c *core.Config, _ *runSpec, n int) { c.Director.MaxChainLen = n }),
-	intField("concurrency", func(_ *core.Config, rs *runSpec, n int) { rs.clients = n }),
-	floatField("templateGB", func(c *core.Config, f float64) { c.Topology.TemplateDiskGB = f }),
-	floatField("datastoreMBps", func(c *core.Config, f float64) { c.Topology.DatastoreMBps = f }),
-	{"fast", func(cfg *core.Config, _ *runSpec, val string) error {
-		b, err := strconv.ParseBool(val)
-		if err != nil {
-			return fmt.Errorf("fast=%q: want true/false", val)
-		}
-		cfg.Director.FastProvisioning = b
-		return nil
-	}},
-	{"granularity", func(cfg *core.Config, _ *runSpec, val string) (err error) {
-		cfg.Mgmt.Granularity, err = mgmt.ParseGranularity(val)
-		return err
-	}},
-	{"placement", func(cfg *core.Config, _ *runSpec, val string) (err error) {
-		cfg.Director.Placement, err = clouddir.ParsePlacement(val)
-		return err
-	}},
-	{"policy", func(cfg *core.Config, _ *runSpec, val string) error {
-		if _, err := policy.Named(val); err != nil {
-			return err
-		}
-		cfg.Policy = val
-		return nil
-	}},
-}
-
-func fieldByName(name string) (field, bool) {
-	for _, f := range fields {
-		if f.name == name {
-			return f, true
-		}
-	}
-	return field{}, false
-}
-
-func fieldNames() string {
-	names := make([]string, len(fields))
-	for i, f := range fields {
-		names[i] = f.name
-	}
-	return strings.Join(names, ", ")
-}
-
-// varySpec is one -vary flag: a field and its value list.
-type varySpec struct {
-	field  field
+// dim is one -vary flag: a scenario path (or concurrency) and its values.
+type dim struct {
+	path   string
 	values []string
 }
 
 // varyFlag accumulates repeated -vary flags in command-line order.
-type varyFlag struct{ specs []varySpec }
+type varyFlag []dim
 
 func (v *varyFlag) String() string {
 	var parts []string
-	for _, s := range v.specs {
-		parts = append(parts, s.field.name+"="+strings.Join(s.values, ","))
+	for _, d := range *v {
+		parts = append(parts, d.path+"="+strings.Join(d.values, ","))
 	}
 	return strings.Join(parts, " ")
 }
 
 func (v *varyFlag) Set(s string) error {
-	name, vals, ok := strings.Cut(s, "=")
-	if !ok || vals == "" {
-		return fmt.Errorf("want field=v1,v2,... got %q", s)
+	path, vals, ok := strings.Cut(s, "=")
+	if !ok || path == "" || vals == "" {
+		return fmt.Errorf("want path=v1,v2,... got %q", s)
 	}
-	f, ok := fieldByName(name)
-	if !ok {
-		return fmt.Errorf("unknown field %q (known: %s)", name, fieldNames())
-	}
-	for _, prev := range v.specs {
-		if prev.field.name == f.name {
-			return fmt.Errorf("field %q varied twice; give all its values in one -vary", f.name)
+	for _, prev := range *v {
+		if prev.path == path {
+			return fmt.Errorf("%s varied twice; give all its values in one -vary", path)
 		}
 	}
 	values := strings.Split(vals, ",")
-	// Validate every value up front against a scratch config so a typo
-	// fails before hours of simulation.
-	for _, val := range values {
-		scratch, rs := core.DefaultConfig(1), runSpec{clients: 1}
-		if err := f.apply(&scratch, &rs, val); err != nil {
-			return err
+	if path == concurrency {
+		for _, val := range values {
+			if n, err := strconv.Atoi(val); err != nil || n <= 0 {
+				return fmt.Errorf("%s=%q: want a positive integer", path, val)
+			}
 		}
 	}
-	v.specs = append(v.specs, varySpec{field: f, values: values})
+	*v = append(*v, dim{path: path, values: values})
 	return nil
+}
+
+// options is one parsed command line.
+type options struct {
+	dims       varyFlag
+	tournament []string // -policy sets; when set, dims[0] is their dimension
+	clients    int
+	horizon    float64
+	warmup     float64
+	workers    int
+	format     string
+	pointSeeds bool
+	progress   bool
+	load       func(overrides ...string) (core.Config, error)
+}
+
+// parseArgs binds mcpsweep's flags and the shared configuration flags on
+// fs and parses args.
+func parseArgs(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	fs.Var(&o.dims, "vary", "path=v1,v2,... grid dimension over a scenario path (see mcpsim -dump-config) or concurrency (repeatable)")
+	policyList := fs.String("policy", "",
+		"comma-separated policy sets to race as a tournament (known: "+strings.Join(policy.Names(), ", ")+")")
+	fs.IntVar(&o.clients, "concurrency", 32, "closed-loop deploy clients (unless varied)")
+	fs.Float64Var(&o.horizon, "horizon", 600, "simulated seconds per grid point")
+	fs.Float64Var(&o.warmup, "warmup", 0, "warmup seconds excluded from measurement (0 = horizon/10)")
+	fs.IntVar(&o.workers, "workers", 0, "parallel sweep workers (0 = GOMAXPROCS)")
+	fs.StringVar(&o.format, "format", "ascii", "output format: ascii or csv")
+	fs.BoolVar(&o.pointSeeds, "point-seeds", false, "derive an independent seed per grid point instead of sharing the master seed")
+	fs.BoolVar(&o.progress, "progress", false, "print per-point completion to stderr")
+	o.load = core.BindConfigFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+
+	// -policy a,b,c is sugar for a slowest-varying policy dimension plus
+	// a ranking table over the rest of the grid.
+	if *policyList != "" {
+		for _, prev := range o.dims {
+			if prev.path == "policy" {
+				return o, fmt.Errorf("use either -policy or -vary policy=..., not both")
+			}
+		}
+		o.tournament = strings.Split(*policyList, ",")
+		o.dims = append(varyFlag{{path: "policy", values: o.tournament}}, o.dims...)
+	}
+	if len(o.dims) == 0 {
+		return o, fmt.Errorf("nothing to sweep: pass at least one -vary path=v1,v2,...")
+	}
+	if o.format != "ascii" && o.format != "csv" {
+		return o, fmt.Errorf("unknown format %q (want ascii or csv)", o.format)
+	}
+	if o.warmup == 0 {
+		o.warmup = o.horizon / 10
+	}
+	if o.warmup >= o.horizon {
+		return o, fmt.Errorf("warmup %.0fs must be below the horizon %.0fs", o.warmup, o.horizon)
+	}
+	return o, nil
+}
+
+// point is one grid point: its value in every dimension, the Config
+// loaded with those values, and its closed-loop client count.
+type point struct {
+	values  []string
+	cfg     core.Config
+	clients int
+}
+
+// buildGrid loads every point of the row-major grid (the first dimension
+// varies slowest) and builds a cloud from each, so a bad value fails,
+// naming the point's paths, before any point simulates.
+func buildGrid(o options) ([]point, error) {
+	total := 1
+	for _, d := range o.dims {
+		total *= len(d.values)
+	}
+	points := make([]point, total)
+	for i := range points {
+		pt := point{values: make([]string, len(o.dims)), clients: o.clients}
+		for j, index := len(o.dims)-1, i; j >= 0; j-- {
+			n := len(o.dims[j].values)
+			pt.values[j] = o.dims[j].values[index%n]
+			index /= n
+		}
+		var sets, labels []string
+		for j, d := range o.dims {
+			labels = append(labels, d.path+"="+pt.values[j])
+			if d.path == concurrency {
+				pt.clients, _ = strconv.Atoi(pt.values[j]) // checked by varyFlag.Set
+				continue
+			}
+			sets = append(sets, labels[j])
+		}
+		cfg, err := o.load(sets...)
+		if err == nil {
+			_, err = core.New(cfg)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("grid point %s: %w", strings.Join(labels, " "), err)
+		}
+		pt.cfg = cfg
+		points[i] = pt
+	}
+	return points, nil
 }
 
 // row is one grid point's rendered result.
 type row struct {
-	values []string // one per varied field
+	values []string // one per grid dimension
 	res    core.ClosedLoopResult
 }
 
-func main() {
-	var vary varyFlag
-	flag.Var(&vary, "vary", "field=v1,v2,... grid dimension (repeatable); fields: "+fieldNames())
-	policyList := flag.String("policy", "",
-		"comma-separated policy sets to race as a tournament (known: "+strings.Join(policy.Names(), ", ")+")")
-	concurrency := flag.Int("concurrency", 32, "closed-loop deploy clients (unless varied)")
-	horizon := flag.Float64("horizon", 600, "simulated seconds per grid point")
-	warmup := flag.Float64("warmup", 0, "warmup seconds excluded from measurement (0 = horizon/10)")
-	workers := flag.Int("workers", 0, "parallel sweep workers (0 = GOMAXPROCS)")
-	format := flag.String("format", "ascii", "output format: ascii or csv")
-	pointSeeds := flag.Bool("point-seeds", false, "derive an independent seed per grid point instead of sharing the master seed")
-	progress := flag.Bool("progress", false, "print per-point completion to stderr")
-	load := core.BindConfigFlags(flag.CommandLine)
-	flag.Parse()
-
-	// -policy a,b,c is sugar for a slowest-varying policy dimension plus
-	// a ranking table over the rest of the grid.
-	var tournament []string
-	if *policyList != "" {
-		for _, prev := range vary.specs {
-			if prev.field.name == "policy" {
-				fatal(fmt.Errorf("use either -policy or -vary policy=..., not both"))
-			}
-		}
-		f, _ := fieldByName("policy")
-		tournament = strings.Split(*policyList, ",")
-		for _, val := range tournament {
-			scratch, rs := core.DefaultConfig(1), runSpec{clients: 1}
-			if err := f.apply(&scratch, &rs, val); err != nil {
-				fatal(err)
-			}
-		}
-		vary.specs = append([]varySpec{{field: f, values: tournament}}, vary.specs...)
-	}
-	if len(vary.specs) == 0 {
-		fatal(fmt.Errorf("nothing to sweep: pass at least one -vary field=v1,v2,... (fields: %s)", fieldNames()))
-	}
-	if *format != "ascii" && *format != "csv" {
-		fatal(fmt.Errorf("unknown format %q (want ascii or csv)", *format))
-	}
-	if *warmup == 0 {
-		*warmup = *horizon / 10
-	}
-	if *warmup >= *horizon {
-		fatal(fmt.Errorf("warmup %.0fs must be below the horizon %.0fs", *warmup, *horizon))
-	}
-
-	base, err := load()
-	if err != nil {
-		fatal(err)
-	}
-
-	// Row-major grid: the first -vary flag varies slowest.
-	total := 1
-	for _, s := range vary.specs {
-		total *= len(s.values)
-	}
-	assign := func(index int) []string {
-		vals := make([]string, len(vary.specs))
-		for i := len(vary.specs) - 1; i >= 0; i-- {
-			n := len(vary.specs[i].values)
-			vals[i] = vary.specs[i].values[index%n]
-			index /= n
-		}
-		return vals
-	}
-
-	opts := sweep.Options{MasterSeed: base.Seed, Workers: *workers}
-	if *progress {
+// runGrid runs the closed loop at every point, in parallel, returning the
+// rows in grid order.
+func runGrid(o options, points []point, masterSeed int64) ([]row, error) {
+	opts := sweep.Options{MasterSeed: masterSeed, Workers: o.workers}
+	if o.progress {
 		opts.OnProgress = func(p sweep.Progress) {
 			fmt.Fprintf(os.Stderr, "mcpsweep: %d/%d points done (%.1fs)\n",
 				p.Done, p.Total, p.Elapsed.Seconds())
 		}
 	}
-	start := time.Now()
-	rows, err := sweep.Run(opts, total, func(pt sweep.Point) (row, error) {
-		cfg := base // per-point copy; applied fields only touch value fields
-		if *pointSeeds {
-			cfg.Seed = pt.Seed
+	return sweep.Run(opts, len(points), func(sp sweep.Point) (row, error) {
+		pt := points[sp.Index]
+		cfg := pt.cfg
+		if o.pointSeeds {
+			cfg.Seed = sp.Seed
 		}
-		rs := runSpec{clients: *concurrency}
-		vals := assign(pt.Index)
-		for i, s := range vary.specs {
-			if err := s.field.apply(&cfg, &rs, vals[i]); err != nil {
-				return row{}, err
-			}
-		}
-		res, err := core.RunClosedLoop(cfg, rs.clients, *horizon, *warmup)
-		return row{values: vals, res: res}, err
+		res, err := core.RunClosedLoop(cfg, pt.clients, o.horizon, o.warmup)
+		return row{values: pt.values, res: res}, err
 	})
+}
+
+func main() {
+	o, err := parseArgs(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fatal(err)
+	}
+	base, err := o.load()
+	if err != nil {
+		fatal(err)
+	}
+	points, err := buildGrid(o)
+	if err != nil {
+		fatal(err)
+	}
+	start := time.Now()
+	rows, err := runGrid(o, points, base.Seed)
 	if err != nil {
 		fatal(err)
 	}
 
-	headers := make([]string, 0, len(vary.specs)+4)
-	for _, s := range vary.specs {
-		headers = append(headers, s.field.name)
+	headers := make([]string, 0, len(o.dims)+4)
+	for _, d := range o.dims {
+		headers = append(headers, d.path)
 	}
 	headers = append(headers, "deploys/h", "mean lat s", "p95 lat s", "errors")
 	title := fmt.Sprintf("mcpsweep: %d-point grid, %.0fs horizon, seed %d",
-		total, *horizon, base.Seed)
+		len(points), o.horizon, base.Seed)
 	// Buffer stdout and check the flush: a full disk or closed pipe must
 	// exit non-zero, not silently truncate the grid.
 	out := bufio.NewWriter(os.Stdout)
-	err = renderRows(out, *format, title, headers, rows)
-	if err == nil && len(tournament) > 0 && *format == "ascii" {
+	err = renderRows(out, o.format, title, headers, rows)
+	if err == nil && len(o.tournament) > 0 && o.format == "ascii" {
 		rt := report.PolicyTable(
-			"policy tournament: ranking by mean normalized deploys/h", rankPolicies(tournament, rows))
+			"policy tournament: ranking by mean normalized deploys/h", rankPolicies(o.tournament, rows))
 		if rt != nil {
 			fmt.Fprintln(out)
 			err = rt.Render(out)
@@ -304,8 +270,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *progress {
-		fmt.Fprintf(os.Stderr, "mcpsweep: %d points in %.1fs\n", total, time.Since(start).Seconds())
+	if o.progress {
+		fmt.Fprintf(os.Stderr, "mcpsweep: %d points in %.1fs\n", len(points), time.Since(start).Seconds())
 	}
 }
 
@@ -314,7 +280,7 @@ func main() {
 // point (so big and small configurations weigh equally), then averaged.
 // Rows arrive in submission order from sweep.Run and the sort key is a
 // total order, so the ranking is identical for any -workers value.
-// The policy dimension is specs[0], so values[1:] identifies the group.
+// The policy dimension is dims[0], so values[1:] identifies the group.
 func rankPolicies(policies []string, rows []row) []report.PolicyRow {
 	groupMax := make(map[string]float64)
 	groupOf := func(r row) string { return strings.Join(r.values[1:], "\x00") }

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
+	"io"
 	"strings"
 	"testing"
 
@@ -52,26 +54,75 @@ func TestRenderRowsCSV(t *testing.T) {
 	}
 }
 
-// The enum grid dimensions accept exactly the scenario file's spellings,
-// with the same error text, because both call the parser beside the type.
-func TestVaryEnumsShareTheScenarioParser(t *testing.T) {
-	for _, c := range []struct{ vary, scenario string }{
-		{"granularity=weird", `{"mgmt": {"granularity": "weird"}}`},
-		{"placement=weird", `{"director": {"placement": "weird"}}`},
+func parse(args ...string) (options, error) {
+	fs := flag.NewFlagSet("mcpsweep", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	return parseArgs(fs, args)
+}
+
+// A value no cloud can be built from fails while the grid is built,
+// before any point simulates, with an error naming its path: the values
+// the per-field table used to reject, and the scenario enums.
+func TestGridRejectsBadValuesNamingThePath(t *testing.T) {
+	for _, c := range []struct{ vary, path string }{
+		{"topology.hosts=8,0", "topology.hosts=0"},
+		{"director.cells=x", "director.cells"},
+		{"plane.db=nope", "plane.db=nope"},
+		{"mgmt.dbConns=0", "mgmt.dbConns=0"},
+		{"topology.templateDiskGB=-1", "topology.templateDiskGB=-1"},
+		{"director.maxChainLen=-1", "director.maxChainLen=-1"},
+		{"director.fastProvisioning=yes", "director.fastProvisioning"},
+		{"mgmt.granularity=weird", "mgmt.granularity=weird"},
+		{"director.placement=weird", "director.placement=weird"},
+		{"policy=zzz", "policy=zzz"},
+		{"topology.hostz=4", "topology.hostz"},
 	} {
-		var v varyFlag
-		verr := v.Set(c.vary)
-		_, ferr := core.LoadConfig(strings.NewReader(c.scenario))
-		if verr == nil || ferr == nil || verr.Error() != ferr.Error() {
-			t.Errorf("-vary %s: %v; scenario: %v; want the same error", c.vary, verr, ferr)
+		o, err := parse("-vary", c.vary)
+		if err != nil {
+			t.Fatalf("-vary %s: %v", c.vary, err)
+		}
+		if _, err := buildGrid(o); err == nil || !strings.Contains(err.Error(), c.path) {
+			t.Errorf("-vary %s: err = %v, want an error naming %s", c.vary, err, c.path)
 		}
 	}
-	var v varyFlag
-	if err := v.Set("granularity=coarse,host,entity"); err != nil {
+	for _, vary := range []string{"concurrency=0", "concurrency=x", "director.cells=", "=1,2"} {
+		if _, err := parse("-vary", vary); err == nil {
+			t.Errorf("-vary %s accepted", vary)
+		}
+	}
+}
+
+// E18's linked-clone closed loop, written as a command line: the grid's
+// rows equal RunE18's cells, point for point.
+func TestGridReproducesE18(t *testing.T) {
+	const horizon = 300
+	o, err := parse("-vary", "plane.shards=1,2", "-vary", "plane.db=shared,per-shard",
+		"-set", "topology.datastoreMBps=4000", "-set", "director.maxChainLen=1048576",
+		"-set", "director.rebalanceThreshold=0", "-concurrency", "192", "-horizon", "300")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Set("placement=most-free,sticky-org"); err != nil {
+	points, err := buildGrid(o)
+	if err != nil {
 		t.Fatal(err)
+	}
+	rows, err := runGrid(o, points, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e18, err := core.RunE18(core.E18Params{Seed: 1, ShardCounts: []int{1, 2}, Clients: 192, HorizonS: horizon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []core.E18Cell
+	for _, p := range e18.Points {
+		want = append(want, p.SharedLinked, p.PerShardLinked)
+	}
+	for i, r := range rows {
+		got := core.E18Cell{GoodPerHour: r.res.DeploysPerHour, P99S: r.res.P99LatencyS, DBUtil: r.res.DBUtil}
+		if got != want[i] || got.GoodPerHour == 0 {
+			t.Errorf("point %v: grid %+v, E18 %+v", r.values, got, want[i])
+		}
 	}
 }
 

@@ -7,8 +7,9 @@
 // The public entry point is internal/core (package core), which
 // assembles the full simulated stack; see README.md for the repository
 // map and DESIGN.md for the system inventory and the reconstructed
-// experiment index. The benchmarks in bench_test.go regenerate every
-// table and figure; run them with:
+// experiment index. cmd/mcpbench regenerates every table and figure, and
+// bench/ is the repository's performance benchmark:
 //
-//	go test -bench=. -benchmem
+//	go run ./cmd/mcpbench -quick
+//	bash bench/run.sh
 package cloudmcp

@@ -67,7 +67,8 @@ type Config struct {
 	// clones otherwise.
 	FastProvisioning bool
 	// MaxChainLen caps a linked-clone chain before a new shadow template
-	// must be created (0 → the storage policy's limit).
+	// must be created (0 → the storage policy's limit; negative is
+	// rejected).
 	MaxChainLen int
 	// RebalanceThreshold is the datastore fill-imbalance (difference in
 	// fill fraction) above which the rebalancer acts. <=0 disables it.
@@ -107,6 +108,9 @@ func DefaultConfig() Config {
 func (c Config) validate() error {
 	if c.Cells <= 0 || c.CellThreads <= 0 {
 		return fmt.Errorf("clouddir: non-positive cells/threads in %+v", c)
+	}
+	if c.MaxChainLen < 0 {
+		return fmt.Errorf("clouddir: negative max chain length in %+v", c)
 	}
 	if c.RebalanceThreshold > 0 && (c.RebalanceCheckS <= 0 || c.RebalanceBatch <= 0) {
 		return fmt.Errorf("clouddir: rebalancer enabled with bad interval/batch in %+v", c)

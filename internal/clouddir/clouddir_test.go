@@ -352,6 +352,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(f.env, f.mgr, ops.DefaultCostModel(), rng.New(1), bad); err == nil {
 		t.Fatal("expected rebalancer config error")
 	}
+	bad = DefaultConfig()
+	bad.MaxChainLen = -1
+	if _, err := New(f.env, f.mgr, ops.DefaultCostModel(), rng.New(1), bad); err == nil {
+		t.Fatal("expected negative chain length error")
+	}
 }
 
 func TestLinkedDeployThroughputExceedsFull(t *testing.T) {

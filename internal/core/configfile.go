@@ -5,8 +5,15 @@ package core
 // (cmd/mcpsim -config scenario.json). The wire format is decoupled from
 // the in-memory structs so internal refactors don't break saved
 // scenarios; operation names (not enum values) key the cost overrides.
+//
+// A scenario is decoded over the wire form of DefaultConfig: a field the
+// document omits keeps its default, and a field it gives is used as
+// written, zero included. An optional block (mgmt.database, mgmt.network,
+// drs, faults.retry, reconcile) starts from its package defaults when
+// present.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -21,24 +28,24 @@ import (
 	"cloudmcp/internal/plane"
 	"cloudmcp/internal/policy"
 	"cloudmcp/internal/reconcile"
+	"cloudmcp/internal/storage"
 )
 
-// ConfigFile is the JSON wire form of a Config. Zero-valued fields keep
-// the defaults of DefaultConfig(seed).
+// ConfigFile is the JSON wire form of a Config.
 type ConfigFile struct {
 	Seed int64 `json:"seed,omitempty"`
 
 	// Policy names a policy set (internal/policy) for the decision
 	// points: placement, DRS move choice, HA failover, retry, admission.
-	// Empty keeps "default", which reproduces the hardcoded behavior.
+	// Empty is "default", which reproduces the hardcoded behavior.
 	Policy string `json:"policy,omitempty"`
 
-	Topology *TopologyFile `json:"topology,omitempty"`
-	Mgmt     *MgmtFile     `json:"mgmt,omitempty"`
-	Plane    *PlaneFile    `json:"plane,omitempty"`
-	Director *DirectorFile `json:"director,omitempty"`
-	Storage  *StorageFile  `json:"storage,omitempty"`
-	DRS      *DRSFile      `json:"drs,omitempty"`
+	Topology TopologyFile `json:"topology"`
+	Mgmt     MgmtFile     `json:"mgmt"`
+	Plane    PlaneFile    `json:"plane"`
+	Director DirectorFile `json:"director"`
+	Storage  StorageFile  `json:"storage"`
+	DRS      *DRSFile     `json:"drs,omitempty"`
 
 	// Costs overrides per-operation stage costs by operation name
 	// (ops.Kind String() names, e.g. "deploy", "powerOn").
@@ -47,31 +54,33 @@ type ConfigFile struct {
 	// (nil keeps the default).
 	CostCV *float64 `json:"costCV,omitempty"`
 
-	Record  *bool `json:"record,omitempty"`
-	Metrics *bool `json:"metrics,omitempty"`
+	Record  bool `json:"record"`
+	Metrics bool `json:"metrics"`
 
 	Faults *FaultsFile `json:"faults,omitempty"`
 
 	Reconcile *ReconcileFile `json:"reconcile,omitempty"`
 }
 
-// ReconcileFile configures the reconciliation plane (internal/reconcile);
-// presence enables it. Zero fields keep reconcile.DefaultConfig().
-type ReconcileFile struct {
-	Controllers  []string                 `json:"controllers,omitempty"`
-	IntervalS    float64                  `json:"intervalS,omitempty"`
-	Depth        int                      `json:"depth,omitempty"`
-	RatePerS     float64                  `json:"ratePerS,omitempty"`
-	Burst        float64                  `json:"burst,omitempty"`
-	MaxRetries   int                      `json:"maxRetries,omitempty"`
-	Backoff      *reconcile.BackoffPolicy `json:"backoff,omitempty"`
-	DriftRate    float64                  `json:"driftRate,omitempty"`
-	FillFraction float64                  `json:"fillFraction,omitempty"`
+// ReconcileFile is reconcile.Config in wire form; presence enables the
+// reconciliation plane, and a block without a controllers list runs
+// every controller.
+type ReconcileFile reconcile.Config
+
+// UnmarshalJSON decodes the block over reconcile.DefaultConfig() with
+// every controller named.
+func (r *ReconcileFile) UnmarshalJSON(b []byte) error {
+	def := reconcile.DefaultConfig()
+	def.Controllers = reconcile.ControllerNames()
+	v, err := decodeOver(bytes.NewReader(b), def)
+	*r = ReconcileFile(v)
+	return err
 }
 
 // FaultsFile configures fault injection (internal/faults) and the
 // manager's retry policy. Rate seeds every layer from faults.Preset;
-// the per-layer blocks then override whole layers.
+// the per-layer blocks then override whole layers. Without a retry
+// block the policy set's retry applies.
 type FaultsFile struct {
 	Rate    float64       `json:"rate,omitempty"`
 	Host    *faults.Layer `json:"host,omitempty"`
@@ -81,8 +90,7 @@ type FaultsFile struct {
 	Retry   *RetryFile    `json:"retry,omitempty"`
 }
 
-// RetryFile mirrors mgmt.RetryPolicy; zero fields keep
-// mgmt.DefaultRetryPolicy().
+// RetryFile mirrors mgmt.RetryPolicy.
 type RetryFile struct {
 	MaxAttempts  int     `json:"maxAttempts,omitempty"`
 	BaseBackoffS float64 `json:"baseBackoffS,omitempty"`
@@ -91,7 +99,20 @@ type RetryFile struct {
 	DeadlineS    float64 `json:"deadlineS,omitempty"`
 }
 
-// TopologyFile mirrors Topology.
+// UnmarshalJSON decodes the block over mgmt.DefaultRetryPolicy().
+func (r *RetryFile) UnmarshalJSON(b []byte) error {
+	type plain RetryFile
+	def := mgmt.DefaultRetryPolicy()
+	v, err := decodeOver(bytes.NewReader(b), plain{
+		MaxAttempts: def.MaxAttempts, BaseBackoffS: def.BaseBackoff, Multiplier: def.Multiplier,
+		Jitter: def.DeterministicJitter, DeadlineS: def.Deadline,
+	})
+	*r = RetryFile(v)
+	return err
+}
+
+// TopologyFile is Topology in wire form; the two convert into each
+// other, so a field added to one must be added to both.
 type TopologyFile struct {
 	Hosts          int     `json:"hosts,omitempty"`
 	HostCPUMHz     int     `json:"hostCPUMHz,omitempty"`
@@ -117,14 +138,15 @@ type MgmtFile struct {
 	Network  *NetworkFile  `json:"network,omitempty"`
 }
 
-// PlaneFile mirrors plane.Config: the management-plane topology.
+// PlaneFile is plane.Config in wire form (convertible, like
+// TopologyFile): the management-plane topology.
 type PlaneFile struct {
-	Shards      int     `json:"shards,omitempty"`
-	DB          string  `json:"db,omitempty"` // shared|per-shard
-	CoordWriteS float64 `json:"coordWriteS,omitempty"`
+	Shards      int          `json:"shards,omitempty"`
+	DB          plane.DBMode `json:"db,omitempty"` // shared|per-shard
+	CoordWriteS float64      `json:"coordWriteS,omitempty"`
 }
 
-// DatabaseFile mirrors mgmtdb.Config.
+// DatabaseFile is mgmtdb.Config in wire form (convertible).
 type DatabaseFile struct {
 	Conns        int     `json:"conns,omitempty"`
 	WriteS       float64 `json:"writeS,omitempty"`
@@ -133,33 +155,59 @@ type DatabaseFile struct {
 	GroupRows    bool    `json:"groupRows,omitempty"`
 }
 
-// NetworkFile mirrors netsim.Config.
+// UnmarshalJSON decodes the block over mgmtdb.DefaultConfig().
+func (d *DatabaseFile) UnmarshalJSON(b []byte) error {
+	type plain DatabaseFile
+	v, err := decodeOver(bytes.NewReader(b), plain(mgmtdb.DefaultConfig()))
+	*d = DatabaseFile(v)
+	return err
+}
+
+// NetworkFile is netsim.Config in wire form (convertible).
 type NetworkFile struct {
 	MBps float64 `json:"mbps,omitempty"`
 }
 
-// DirectorFile mirrors clouddir.Config.
-type DirectorFile struct {
-	Cells              int      `json:"cells,omitempty"`
-	CellThreads        int      `json:"cellThreads,omitempty"`
-	FastProvisioning   *bool    `json:"fastProvisioning,omitempty"`
-	MaxChainLen        int      `json:"maxChainLen,omitempty"`
-	RebalanceThreshold *float64 `json:"rebalanceThreshold,omitempty"`
-	RebalanceCheckS    float64  `json:"rebalanceCheckS,omitempty"`
-	RebalanceBatch     int      `json:"rebalanceBatch,omitempty"`
-	LeaseS             float64  `json:"leaseS,omitempty"`
-	Placement          string   `json:"placement,omitempty"` // most-free|sticky-org
-	OrgQuotaVMs        int      `json:"orgQuotaVMs,omitempty"`
+// UnmarshalJSON decodes the block over netsim.DefaultConfig().
+func (n *NetworkFile) UnmarshalJSON(b []byte) error {
+	type plain NetworkFile
+	v, err := decodeOver(bytes.NewReader(b), plain(netsim.DefaultConfig()))
+	*n = NetworkFile(v)
+	return err
 }
 
-// DRSFile mirrors drs.Config; presence enables the balancer.
+// DirectorFile mirrors clouddir.Config.
+type DirectorFile struct {
+	Cells              int     `json:"cells,omitempty"`
+	CellThreads        int     `json:"cellThreads,omitempty"`
+	FastProvisioning   bool    `json:"fastProvisioning"`
+	MaxChainLen        int     `json:"maxChainLen,omitempty"`
+	RebalanceThreshold float64 `json:"rebalanceThreshold"`
+	RebalanceCheckS    float64 `json:"rebalanceCheckS,omitempty"`
+	RebalanceBatch     int     `json:"rebalanceBatch,omitempty"`
+	LeaseS             float64 `json:"leaseS,omitempty"`
+	Placement          string  `json:"placement,omitempty"` // most-free|sticky-org
+	OrgQuotaVMs        int     `json:"orgQuotaVMs,omitempty"`
+}
+
+// DRSFile mirrors drs.Config; presence enables the balancer unless the
+// threshold is zero.
 type DRSFile struct {
 	Threshold float64 `json:"threshold,omitempty"`
 	CheckS    float64 `json:"checkS,omitempty"`
 	Batch     int     `json:"batch,omitempty"`
 }
 
-// StorageFile mirrors storage.Policy.
+// UnmarshalJSON decodes the block over drs.DefaultConfig().
+func (d *DRSFile) UnmarshalJSON(b []byte) error {
+	type plain DRSFile
+	def := drs.DefaultConfig()
+	v, err := decodeOver(bytes.NewReader(b), plain{Threshold: def.Threshold, CheckS: def.CheckS, Batch: def.Batch})
+	*d = DRSFile(v)
+	return err
+}
+
+// StorageFile is storage.Policy in wire form (convertible).
 type StorageFile struct {
 	DeltaDiskGB  float64 `json:"deltaDiskGB,omitempty"`
 	DeltaWriteMB float64 `json:"deltaWriteMB,omitempty"`
@@ -167,7 +215,8 @@ type StorageFile struct {
 	SnapshotGB   float64 `json:"snapshotGB,omitempty"`
 }
 
-// CostFile mirrors ops.StageCost.
+// CostFile mirrors ops.StageCost. An entry overrides the fields it
+// gives; a nil field keeps the default model's cost for the operation.
 type CostFile struct {
 	CellS    *float64 `json:"cellS,omitempty"`
 	MgmtS    *float64 `json:"mgmtS,omitempty"`
@@ -175,7 +224,46 @@ type CostFile struct {
 	HostS    *float64 `json:"hostS,omitempty"`
 }
 
-// LoadConfig reads a JSON scenario and applies it over DefaultConfig.
+// decodeOver decodes one JSON value from r over v, rejecting unknown
+// fields. The document decodes over defaultConfigFile, and each optional
+// block's UnmarshalJSON over its package defaults: the document decoder's
+// strictness does not reach inside a custom unmarshaler, so every block
+// restates it through this one function.
+func decodeOver[T any](r io.Reader, v T) (T, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&v)
+	return v, err
+}
+
+// defaultConfigFile is DefaultConfig(seed) in wire form: what
+// WriteDefaultConfig prints and what LoadConfig decodes a scenario over.
+// DefaultConfig has none of the optional blocks, so they stay nil.
+func defaultConfigFile(seed int64) ConfigFile {
+	def := DefaultConfig(seed)
+	m, d := def.Mgmt, def.Director
+	return ConfigFile{
+		Seed:     seed,
+		Policy:   def.Policy,
+		Topology: TopologyFile(def.Topology),
+		Mgmt: MgmtFile{
+			Threads: m.Threads, DBConns: m.DBConns, MaxInFlight: m.MaxInFlight, HostSlots: m.HostSlots,
+			Granularity: m.Granularity.String(),
+		},
+		Plane: PlaneFile(def.Plane),
+		Director: DirectorFile{
+			Cells: d.Cells, CellThreads: d.CellThreads, FastProvisioning: d.FastProvisioning,
+			MaxChainLen: d.MaxChainLen, RebalanceThreshold: d.RebalanceThreshold,
+			RebalanceCheckS: d.RebalanceCheckS, RebalanceBatch: d.RebalanceBatch, LeaseS: d.LeaseS,
+			Placement: d.Placement.String(), OrgQuotaVMs: d.OrgQuotaVMs,
+		},
+		Storage: StorageFile(def.Storage),
+		Record:  def.Record,
+		Metrics: def.Metrics,
+	}
+}
+
+// LoadConfig reads a JSON scenario and decodes it over DefaultConfig.
 // Unknown fields are rejected so typos in scenario files fail loudly.
 func LoadConfig(r io.Reader) (Config, error) {
 	f, err := decodeConfigFile(r)
@@ -186,170 +274,63 @@ func LoadConfig(r io.Reader) (Config, error) {
 }
 
 func decodeConfigFile(r io.Reader) (ConfigFile, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var f ConfigFile
-	if err := dec.Decode(&f); err != nil {
+	f, err := decodeOver(r, defaultConfigFile(0))
+	if err != nil {
 		return ConfigFile{}, fmt.Errorf("core: parse scenario: %w", err)
 	}
 	return f, nil
 }
 
-// Apply converts the wire form to a runnable Config over the defaults.
+// Apply converts the wire form to a runnable Config: every field is
+// copied as written, then the enums, the policy name and the optional
+// blocks are validated.
 func (f *ConfigFile) Apply() (Config, error) {
-	cfg := DefaultConfig(f.Seed)
-	if f.Policy != "" {
-		if _, err := policy.Named(f.Policy); err != nil {
-			return Config{}, err
-		}
-		cfg.Policy = f.Policy
+	if _, err := policy.Named(f.Policy); err != nil {
+		return Config{}, err
 	}
-	if t := f.Topology; t != nil {
-		setInt := func(dst *int, v int) {
-			if v != 0 {
-				*dst = v
-			}
-		}
-		setF := func(dst *float64, v float64) {
-			if v != 0 {
-				*dst = v
-			}
-		}
-		setInt(&cfg.Topology.Hosts, t.Hosts)
-		setInt(&cfg.Topology.HostCPUMHz, t.HostCPUMHz)
-		setInt(&cfg.Topology.HostMemMB, t.HostMemMB)
-		setInt(&cfg.Topology.Datastores, t.Datastores)
-		setF(&cfg.Topology.DatastoreGB, t.DatastoreGB)
-		setF(&cfg.Topology.DatastoreMBps, t.DatastoreMBps)
-		setInt(&cfg.Topology.Templates, t.Templates)
-		setF(&cfg.Topology.TemplateDiskGB, t.TemplateDiskGB)
-		setInt(&cfg.Topology.TemplateMemMB, t.TemplateMemMB)
-		setInt(&cfg.Topology.TemplateCPUs, t.TemplateCPUs)
+	gran, err := mgmt.ParseGranularity(f.Mgmt.Granularity)
+	if err != nil {
+		return Config{}, err
 	}
-	if m := f.Mgmt; m != nil {
-		if m.Threads != 0 {
-			cfg.Mgmt.Threads = m.Threads
-		}
-		if m.DBConns != 0 {
-			cfg.Mgmt.DBConns = m.DBConns
-		}
-		if m.MaxInFlight != 0 {
-			cfg.Mgmt.MaxInFlight = m.MaxInFlight
-		}
-		if m.HostSlots != 0 {
-			cfg.Mgmt.HostSlots = m.HostSlots
-		}
-		if m.Granularity != "" {
-			g, err := mgmt.ParseGranularity(m.Granularity)
-			if err != nil {
-				return Config{}, err
-			}
-			cfg.Mgmt.Granularity = g
-		}
-		if m.Database != nil {
-			db := mgmtdb.DefaultConfig()
-			if m.Database.Conns != 0 {
-				db.Conns = m.Database.Conns
-			}
-			if m.Database.WriteS != 0 {
-				db.WriteS = m.Database.WriteS
-			}
-			if m.Database.FlushS != 0 {
-				db.FlushS = m.Database.FlushS
-			}
-			if m.Database.GroupWindowS != 0 {
-				db.GroupWindowS = m.Database.GroupWindowS
-			}
-			if m.Database.GroupRows {
-				db.GroupRows = true
-			}
-			cfg.Mgmt.Database = &db
-		}
-		if m.Network != nil {
-			net := netsim.DefaultConfig()
-			if m.Network.MBps != 0 {
-				net.MBps = m.Network.MBps
-			}
-			cfg.Mgmt.Network = &net
-		}
+	place, err := clouddir.ParsePlacement(f.Director.Placement)
+	if err != nil {
+		return Config{}, err
 	}
-	if p := f.Plane; p != nil {
-		if p.Shards != 0 {
-			cfg.Plane.Shards = p.Shards
-		}
-		if p.DB != "" {
-			cfg.Plane.DB = plane.DBMode(p.DB) // Validate below rejects unknown modes
-		}
-		if p.CoordWriteS != 0 {
-			cfg.Plane.CoordWriteS = p.CoordWriteS
-		}
-		if err := cfg.Plane.Validate(); err != nil {
-			return Config{}, err
-		}
+	m, d := f.Mgmt, f.Director
+	cfg := Config{
+		Seed:     f.Seed,
+		Policy:   f.Policy,
+		Topology: Topology(f.Topology),
+		Mgmt: mgmt.Config{
+			Threads: m.Threads, DBConns: m.DBConns, MaxInFlight: m.MaxInFlight, HostSlots: m.HostSlots,
+			Granularity: gran,
+		},
+		Plane: plane.Config(f.Plane),
+		Director: clouddir.Config{
+			Cells: d.Cells, CellThreads: d.CellThreads, FastProvisioning: d.FastProvisioning,
+			MaxChainLen: d.MaxChainLen, RebalanceThreshold: d.RebalanceThreshold,
+			RebalanceCheckS: d.RebalanceCheckS, RebalanceBatch: d.RebalanceBatch, LeaseS: d.LeaseS,
+			Placement: place, OrgQuotaVMs: d.OrgQuotaVMs,
+		},
+		Storage: storage.Policy(f.Storage),
+		Record:  f.Record,
+		Metrics: f.Metrics,
 	}
-	if d := f.Director; d != nil {
-		if d.Cells != 0 {
-			cfg.Director.Cells = d.Cells
-		}
-		if d.CellThreads != 0 {
-			cfg.Director.CellThreads = d.CellThreads
-		}
-		if d.FastProvisioning != nil {
-			cfg.Director.FastProvisioning = *d.FastProvisioning
-		}
-		if d.MaxChainLen != 0 {
-			cfg.Director.MaxChainLen = d.MaxChainLen
-		}
-		if d.RebalanceThreshold != nil {
-			cfg.Director.RebalanceThreshold = *d.RebalanceThreshold
-		}
-		if d.RebalanceCheckS != 0 {
-			cfg.Director.RebalanceCheckS = d.RebalanceCheckS
-		}
-		if d.RebalanceBatch != 0 {
-			cfg.Director.RebalanceBatch = d.RebalanceBatch
-		}
-		if d.LeaseS != 0 {
-			cfg.Director.LeaseS = d.LeaseS
-		}
-		if d.Placement != "" {
-			p, err := clouddir.ParsePlacement(d.Placement)
-			if err != nil {
-				return Config{}, err
-			}
-			cfg.Director.Placement = p
-		}
-		if d.OrgQuotaVMs != 0 {
-			cfg.Director.OrgQuotaVMs = d.OrgQuotaVMs
-		}
+	if err := cfg.Plane.Validate(); err != nil {
+		return Config{}, err
+	}
+	if db := m.Database; db != nil {
+		c := mgmtdb.Config(*db)
+		cfg.Mgmt.Database = &c
+	}
+	if n := m.Network; n != nil {
+		c := netsim.Config(*n)
+		cfg.Mgmt.Network = &c
 	}
 	if d := f.DRS; d != nil {
-		cfg.DRS = drs.DefaultConfig()
-		if d.Threshold != 0 {
-			cfg.DRS.Threshold = d.Threshold
-		}
-		if d.CheckS != 0 {
-			cfg.DRS.CheckS = d.CheckS
-		}
-		if d.Batch != 0 {
-			cfg.DRS.Batch = d.Batch
-		}
+		cfg.DRS = drs.Config{Threshold: d.Threshold, CheckS: d.CheckS, Batch: d.Batch}
 	}
-	if s := f.Storage; s != nil {
-		if s.DeltaDiskGB != 0 {
-			cfg.Storage.DeltaDiskGB = s.DeltaDiskGB
-		}
-		if s.DeltaWriteMB != 0 {
-			cfg.Storage.DeltaWriteMB = s.DeltaWriteMB
-		}
-		if s.MaxChainLen != 0 {
-			cfg.Storage.MaxChainLen = s.MaxChainLen
-		}
-		if s.SnapshotGB != 0 {
-			cfg.Storage.SnapshotGB = s.SnapshotGB
-		}
-	}
-	if len(f.Costs) > 0 || f.CostCV != nil {
+	if f.Costs != nil || f.CostCV != nil {
 		model := ops.DefaultCostModel()
 		if f.CostCV != nil {
 			model.CV = *f.CostCV
@@ -379,12 +360,6 @@ func (f *ConfigFile) Apply() (Config, error) {
 		}
 		cfg.Model = model
 	}
-	if f.Record != nil {
-		cfg.Record = *f.Record
-	}
-	if f.Metrics != nil {
-		cfg.Metrics = *f.Metrics
-	}
 	if ff := f.Faults; ff != nil {
 		if ff.Rate < 0 || ff.Rate > 1 {
 			return Config{}, fmt.Errorf("core: faults rate must be in [0,1], got %g", ff.Rate)
@@ -407,56 +382,14 @@ func (f *ConfigFile) Apply() (Config, error) {
 		}
 		cfg.Faults = &fc
 		if r := ff.Retry; r != nil {
-			pol := mgmt.DefaultRetryPolicy()
-			if r.MaxAttempts != 0 {
-				pol.MaxAttempts = r.MaxAttempts
+			cfg.Mgmt.Retry = mgmt.RetryPolicy{
+				MaxAttempts: r.MaxAttempts, BaseBackoff: r.BaseBackoffS, Multiplier: r.Multiplier,
+				DeterministicJitter: r.Jitter, Deadline: r.DeadlineS,
 			}
-			if r.BaseBackoffS != 0 {
-				pol.BaseBackoff = r.BaseBackoffS
-			}
-			if r.Multiplier != 0 {
-				pol.Multiplier = r.Multiplier
-			}
-			if r.Jitter != 0 {
-				pol.DeterministicJitter = r.Jitter
-			}
-			if r.DeadlineS != 0 {
-				pol.Deadline = r.DeadlineS
-			}
-			cfg.Mgmt.Retry = pol
 		}
 	}
 	if rf := f.Reconcile; rf != nil {
-		rc := reconcile.DefaultConfig()
-		rc.Controllers = rf.Controllers
-		if len(rc.Controllers) == 0 {
-			// Presence of the block without a controller list means "all".
-			rc.Controllers = reconcile.ControllerNames()
-		}
-		if rf.IntervalS != 0 {
-			rc.IntervalS = rf.IntervalS
-		}
-		if rf.Depth != 0 {
-			rc.Depth = rf.Depth
-		}
-		if rf.RatePerS != 0 {
-			rc.RatePerS = rf.RatePerS
-		}
-		if rf.Burst != 0 {
-			rc.Burst = rf.Burst
-		}
-		if rf.MaxRetries != 0 {
-			rc.MaxRetries = rf.MaxRetries
-		}
-		if rf.Backoff != nil {
-			rc.Backoff = *rf.Backoff
-		}
-		if rf.DriftRate != 0 {
-			rc.DriftRate = rf.DriftRate
-		}
-		if rf.FillFraction != 0 {
-			rc.FillFraction = rf.FillFraction
-		}
+		rc := reconcile.Config(*rf)
 		if err := rc.Validate(); err != nil {
 			return Config{}, err
 		}
@@ -468,41 +401,7 @@ func (f *ConfigFile) Apply() (Config, error) {
 // WriteDefaultConfig emits a fully-populated scenario file matching
 // DefaultConfig(seed), as a starting point for editing.
 func WriteDefaultConfig(w io.Writer, seed int64) error {
-	def := DefaultConfig(seed)
-	fast := def.Director.FastProvisioning
-	rec := def.Record
-	met := def.Metrics
-	thr := def.Director.RebalanceThreshold
-	f := ConfigFile{
-		Seed: seed,
-		Topology: &TopologyFile{
-			Hosts: def.Topology.Hosts, HostCPUMHz: def.Topology.HostCPUMHz, HostMemMB: def.Topology.HostMemMB,
-			Datastores: def.Topology.Datastores, DatastoreGB: def.Topology.DatastoreGB, DatastoreMBps: def.Topology.DatastoreMBps,
-			Templates: def.Topology.Templates, TemplateDiskGB: def.Topology.TemplateDiskGB,
-			TemplateMemMB: def.Topology.TemplateMemMB, TemplateCPUs: def.Topology.TemplateCPUs,
-		},
-		Mgmt: &MgmtFile{
-			Threads: def.Mgmt.Threads, DBConns: def.Mgmt.DBConns,
-			MaxInFlight: def.Mgmt.MaxInFlight, HostSlots: def.Mgmt.HostSlots,
-			Granularity: def.Mgmt.Granularity.String(),
-		},
-		Plane: &PlaneFile{
-			Shards: def.Plane.Shards, DB: string(def.Plane.DB),
-			CoordWriteS: def.Plane.CoordWriteS,
-		},
-		Director: &DirectorFile{
-			Cells: def.Director.Cells, CellThreads: def.Director.CellThreads,
-			FastProvisioning: &fast, RebalanceThreshold: &thr,
-			RebalanceCheckS: def.Director.RebalanceCheckS, RebalanceBatch: def.Director.RebalanceBatch,
-			Placement: def.Director.Placement.String(),
-		},
-		Storage: &StorageFile{
-			DeltaDiskGB: def.Storage.DeltaDiskGB, DeltaWriteMB: def.Storage.DeltaWriteMB,
-			MaxChainLen: def.Storage.MaxChainLen, SnapshotGB: def.Storage.SnapshotGB,
-		},
-		Record:  &rec,
-		Metrics: &met,
-	}
+	f := defaultConfigFile(seed)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(&f)

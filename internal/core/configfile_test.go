@@ -2,12 +2,17 @@ package core
 
 import (
 	"bytes"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"cloudmcp/internal/clouddir"
+	"cloudmcp/internal/drs"
 	"cloudmcp/internal/mgmt"
+	"cloudmcp/internal/mgmtdb"
 	"cloudmcp/internal/ops"
+	"cloudmcp/internal/reconcile"
 )
 
 func TestLoadConfigDefaultsWhenEmpty(t *testing.T) {
@@ -126,27 +131,99 @@ func TestLoadConfigRejectsUnknownFields(t *testing.T) {
 }
 
 func TestWriteDefaultConfigRoundTrips(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteDefaultConfig(&buf, 7); err != nil {
-		t.Fatal(err)
+	for _, seed := range []int64{0, 1, 7} {
+		var buf bytes.Buffer
+		if err := WriteDefaultConfig(&buf, seed); err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := LoadConfig(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if def := DefaultConfig(seed); !reflect.DeepEqual(cfg, def) {
+			t.Fatalf("seed %d: round trip = %+v, want %+v", seed, cfg, def)
+		}
 	}
-	cfg, err := LoadConfig(bytes.NewReader(buf.Bytes()))
+}
+
+// A field the scenario gives is used as written, zero included; the
+// fields it omits, inside a present optional block too, keep their
+// defaults.
+func TestLoadConfigHonoursExplicitValues(t *testing.T) {
+	load := func(src string) Config {
+		t.Helper()
+		cfg, err := LoadConfig(strings.NewReader(src))
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		return cfg
+	}
+
+	cfg := load(`{"mgmt": {"database": {"groupWindowS": 0}}}`)
+	db := mgmtdb.DefaultConfig()
+	db.GroupWindowS = 0
+	if cfg.Mgmt.Database == nil || *cfg.Mgmt.Database != db {
+		t.Fatalf("database = %+v, want %+v", cfg.Mgmt.Database, db)
+	}
+	if cfg := loadFile(t, filepath.Join("..", "..", "scenarios", "paper-era.json")); cfg.Mgmt.Database.GroupWindowS != 0 {
+		t.Fatalf("paper-era groupWindowS = %g, want 0 as written", cfg.Mgmt.Database.GroupWindowS)
+	}
+
+	cfg = load(`{"drs": {"threshold": 0}}`)
+	if d := drs.DefaultConfig(); cfg.DRS.Threshold != 0 || cfg.DRS.CheckS != d.CheckS || cfg.DRS.Batch != d.Batch {
+		t.Fatalf("drs = %+v, want threshold 0 (off) over the defaults", cfg.DRS)
+	}
+
+	cfg = load(`{"reconcile": {"ratePerS": 0}}`)
+	rc := reconcile.DefaultConfig()
+	rc.Controllers = reconcile.ControllerNames()
+	rc.RatePerS = 0
+	if cfg.Reconcile == nil || !reflect.DeepEqual(*cfg.Reconcile, rc) {
+		t.Fatalf("reconcile = %+v, want %+v", cfg.Reconcile, rc)
+	}
+
+	cfg = load(`{"faults": {"rate": 0.1, "retry": {"deadlineS": 0, "jitter": 0}}}`)
+	retry := mgmt.DefaultRetryPolicy()
+	retry.Deadline, retry.DeterministicJitter = 0, 0
+	if cfg.Mgmt.Retry != retry {
+		t.Fatalf("retry = %+v, want %+v", cfg.Mgmt.Retry, retry)
+	}
+
+	cfg = load(`{"director": {"fastProvisioning": false, "rebalanceThreshold": 0}, "record": false}`)
+	if cfg.Director.FastProvisioning || cfg.Director.RebalanceThreshold != 0 || cfg.Record {
+		t.Fatalf("explicit false/0 lost: director %+v, record %v", cfg.Director, cfg.Record)
+	}
+}
+
+// A faults block without retry leaves Mgmt.Retry zero, so New applies
+// the policy set's retry (fault-burst.json's adaptive-retry depends on
+// it).
+func TestLoadConfigFaultsWithoutRetryKeepsPolicyRetry(t *testing.T) {
+	cfg, err := LoadConfig(strings.NewReader(`{"faults": {"rate": 0.1}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	def := DefaultConfig(7)
-	if cfg.Topology != def.Topology {
-		t.Fatalf("topology drifted: %+v vs %+v", cfg.Topology, def.Topology)
+	if cfg.Mgmt.Retry != (mgmt.RetryPolicy{}) {
+		t.Fatalf("retry = %+v, want zero", cfg.Mgmt.Retry)
 	}
-	if cfg.Mgmt.Threads != def.Mgmt.Threads || cfg.Mgmt.Granularity != def.Mgmt.Granularity {
-		t.Fatalf("mgmt drifted")
+	if cfg := loadFile(t, filepath.Join("..", "..", "scenarios", "fault-burst.json")); cfg.Mgmt.Retry != (mgmt.RetryPolicy{}) {
+		t.Fatalf("fault-burst retry = %+v, want zero", cfg.Mgmt.Retry)
 	}
-	if cfg.Director.Cells != def.Director.Cells ||
-		cfg.Director.FastProvisioning != def.Director.FastProvisioning ||
-		cfg.Director.RebalanceThreshold != def.Director.RebalanceThreshold {
-		t.Fatalf("director drifted")
-	}
-	if cfg.Storage != def.Storage {
-		t.Fatalf("storage drifted")
+}
+
+// Unknown fields fail inside optional blocks too, whose decoding starts
+// from package defaults.
+func TestLoadConfigRejectsUnknownFieldsInBlocks(t *testing.T) {
+	for _, src := range []string{
+		`{"drs": {"treshold": 0.1}}`,
+		`{"mgmt": {"database": {"conn": 4}}}`,
+		`{"mgmt": {"network": {"gbps": 10}}}`,
+		`{"faults": {"retry": {"deadline": 5}}}`,
+		`{"reconcile": {"intervl": 60}}`,
+		`{"reconcile": {"backoff": {"base": 1}}}`,
+	} {
+		if _, err := LoadConfig(strings.NewReader(src)); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("%s: err = %v, want an unknown-field rejection", src, err)
+		}
 	}
 }

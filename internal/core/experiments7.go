@@ -122,14 +122,10 @@ func e20Grid(seed int64, shards, depth int, intervalS float64) Config {
 	cfg.Topology.Templates = 48
 	cfg.Plane.Shards = shards
 	if intervalS > 0 {
-		cfg.Reconcile = &reconcile.Config{
-			Controllers: []string{reconcile.ControllerDrift, reconcile.ControllerCatalog},
-			IntervalS:   intervalS,
-			Depth:       depth,
-			RatePerS:    4,
-			Burst:       8,
-			DriftRate:   0.25,
-		}
+		rc := reconcile.DefaultConfig()
+		rc.Controllers = []string{reconcile.ControllerDrift, reconcile.ControllerCatalog}
+		rc.IntervalS, rc.Depth, rc.RatePerS, rc.Burst, rc.DriftRate = intervalS, depth, 4, 8, 0.25
+		cfg.Reconcile = &rc
 	}
 	return cfg
 }
@@ -248,11 +244,10 @@ func e20DriftStorm(p E20Params) (E20Storm, error) {
 	cfg.Director.RebalanceThreshold = 0
 	cfg.Topology.DatastoreMBps = 4000
 	cfg.Director.MaxChainLen = 1 << 20
-	cfg.Reconcile = &reconcile.Config{
-		Controllers: []string{reconcile.ControllerDrift},
-		IntervalS:   300, Depth: 4, RatePerS: 4, Burst: 8,
-		DriftRate: 0.05,
-	}
+	rc := reconcile.DefaultConfig()
+	rc.Controllers = []string{reconcile.ControllerDrift}
+	rc.IntervalS, rc.Depth, rc.RatePerS, rc.Burst, rc.DriftRate = 300, 4, 4, 8, 0.05
+	cfg.Reconcile = &rc
 	c, err := New(cfg)
 	if err != nil {
 		return E20Storm{}, err
@@ -342,11 +337,10 @@ func e20Rebalance(p E20Params) (E20Rebalance, error) {
 	cfg.Topology.DatastoreGB = 120
 	cfg.Topology.TemplateDiskGB = 8
 	cfg.Topology.DatastoreMBps = 4000
-	cfg.Reconcile = &reconcile.Config{
-		Controllers: []string{reconcile.ControllerRebalance},
-		IntervalS:   120, Depth: 4, RatePerS: 4, Burst: 8,
-		FillFraction: 0.6,
-	}
+	rc := reconcile.DefaultConfig()
+	rc.Controllers = []string{reconcile.ControllerRebalance}
+	rc.IntervalS, rc.Depth, rc.RatePerS, rc.Burst, rc.FillFraction = 120, 4, 4, 8, 0.6
+	cfg.Reconcile = &rc
 	c, err := New(cfg)
 	if err != nil {
 		return E20Rebalance{}, err

@@ -25,12 +25,22 @@ import (
 // (plane.shards=4, faults.rate=0.1, reconcile={},
 // director.fastProvisioning=false). The value is parsed as JSON when it
 // is valid JSON and taken as a string otherwise.
-func BindConfigFlags(fs *flag.FlagSet) func() (Config, error) {
+//
+// The loader's overrides are further path=value pairs in the same
+// syntax, applied after every -set: mcpsweep loads each grid point this
+// way.
+func BindConfigFlags(fs *flag.FlagSet) func(overrides ...string) (Config, error) {
 	path := fs.String("config", "", "JSON scenario file (see scenarios/)")
 	seed := fs.Int64("seed", 1, "master random seed (overrides the scenario's)")
 	var sets setFlag
 	fs.Var(&sets, "set", "path=value override of a scenario field, e.g. plane.shards=4, faults.rate=0.1 or 'reconcile={}' (repeatable; value is JSON, else a string)")
-	return func() (Config, error) {
+	return func(overrides ...string) (Config, error) {
+		all := append(setFlag(nil), sets...)
+		for _, o := range overrides {
+			if err := all.Set(o); err != nil {
+				return Config{}, err
+			}
+		}
 		doc := map[string]any{}
 		if *path != "" {
 			src, err := os.ReadFile(*path)
@@ -51,7 +61,7 @@ func BindConfigFlags(fs *flag.FlagSet) func() (Config, error) {
 		if seedSet || *path == "" {
 			doc["seed"] = *seed
 		}
-		for _, s := range sets {
+		for _, s := range all {
 			if err := s.merge(doc); err != nil {
 				return Config{}, err
 			}

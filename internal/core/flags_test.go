@@ -151,6 +151,29 @@ func TestBindConfigFlagsPrecedence(t *testing.T) {
 	}
 }
 
+// The loader's overrides apply after every -set, and a bad one fails
+// naming its path.
+func TestBindConfigFlagsOverridesFollowSets(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	load := BindConfigFlags(fs)
+	if err := fs.Parse([]string{"-set", "topology.hosts=20", "-set", "director.cells=3"}); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := load("topology.hosts=24", "plane.shards=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Topology.Hosts != 24 || cfg.Director.Cells != 3 || cfg.Plane.Shards != 2 {
+		t.Fatalf("overrides: %+v", cfg)
+	}
+	if cfg, err := load(); err != nil || cfg.Topology.Hosts != 20 || cfg.Plane.Shards != 1 {
+		t.Fatalf("an override leaked into the next load: %+v, %v", cfg, err)
+	}
+	if _, err := load("topology.hosts=abc"); err == nil || !strings.Contains(err.Error(), "topology.hosts") {
+		t.Fatalf("bad override: err = %v, want it to name topology.hosts", err)
+	}
+}
+
 func TestBindConfigFlagsRejectsNamingThePath(t *testing.T) {
 	cases := []struct {
 		arg, path string

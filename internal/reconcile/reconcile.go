@@ -23,6 +23,7 @@ package reconcile
 
 import (
 	"fmt"
+	"reflect"
 
 	"cloudmcp/internal/inventory"
 	"cloudmcp/internal/metrics"
@@ -116,35 +117,16 @@ func DefaultConfig() Config {
 // Enabled reports whether any controller is configured.
 func (c Config) Enabled() bool { return len(c.Controllers) > 0 }
 
-// withDefaults fills zero-valued knobs from DefaultConfig so a literal
-// Config{Controllers: ...} is runnable.
+// withDefaults gives the bare literal Config{Controllers: ...} every
+// DefaultConfig knob, so it is runnable. A Config that sets any knob is
+// used as written: a zero RatePerS, Burst or DriftRate means zero.
 func (c Config) withDefaults() Config {
+	if !reflect.DeepEqual(c, Config{Controllers: c.Controllers}) {
+		return c
+	}
 	d := DefaultConfig()
-	if c.IntervalS == 0 {
-		c.IntervalS = d.IntervalS
-	}
-	if c.Depth == 0 {
-		c.Depth = d.Depth
-	}
-	if c.RatePerS == 0 {
-		c.RatePerS = d.RatePerS
-	}
-	if c.Burst == 0 {
-		c.Burst = d.Burst
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = d.MaxRetries
-	}
-	if c.Backoff == (BackoffPolicy{}) {
-		c.Backoff = d.Backoff
-	}
-	if c.DriftRate == 0 {
-		c.DriftRate = d.DriftRate
-	}
-	if c.FillFraction == 0 {
-		c.FillFraction = d.FillFraction
-	}
-	return c
+	d.Controllers = c.Controllers
+	return d
 }
 
 // Validate checks the configuration. A disabled config is always valid.

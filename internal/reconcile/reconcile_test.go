@@ -42,13 +42,31 @@ func TestBackoffSeedMatchesDerive(t *testing.T) {
 	}
 }
 
-func TestConfigValidate(t *testing.T) {
-	ok := func(mut func(c *Config)) Config {
-		c := DefaultConfig()
-		c.Controllers = []string{ControllerDrift}
-		mut(&c)
-		return c
+// knobs is DefaultConfig running ctrls, adjusted by mut: tests name only
+// the knobs they exercise, and New uses every knob as written.
+func knobs(ctrls []string, mut func(c *Config)) Config {
+	c := DefaultConfig()
+	c.Controllers = ctrls
+	mut(&c)
+	return c
+}
+
+// Only the bare literal Config{Controllers: ...} takes the defaults; a
+// config that sets any knob keeps its zeros, so a scenario's ratePerS: 0
+// runs unthrottled.
+func TestWithDefaultsFillsOnlyTheBareLiteral(t *testing.T) {
+	want := knobs([]string{ControllerDrift}, func(*Config) {})
+	if got := (Config{Controllers: []string{ControllerDrift}}).withDefaults(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("bare literal = %+v, want %+v", got, want)
 	}
+	zero := knobs([]string{ControllerDrift}, func(c *Config) { c.RatePerS, c.Burst, c.DriftRate = 0, 0, 0 })
+	if got := zero.withDefaults(); !reflect.DeepEqual(got, zero) {
+		t.Fatalf("explicit zeros = %+v, want them kept", got)
+	}
+}
+
+func TestConfigValidate(t *testing.T) {
+	ok := func(mut func(c *Config)) Config { return knobs([]string{ControllerDrift}, mut) }
 	cases := []struct {
 		name string
 		cfg  Config
@@ -116,11 +134,10 @@ func (f *fixture) deploy(t *testing.T, n int, powerOn bool) {
 }
 
 func TestDriftControllerCorrectsEveryVM(t *testing.T) {
-	f := newFixture(t, testfix.Options{}, Config{
-		Controllers: []string{ControllerDrift},
-		IntervalS:   100, Depth: 2, RatePerS: 4, Burst: 4,
-		DriftRate: 1, // every VM drifts every epoch
-	})
+	f := newFixture(t, testfix.Options{}, knobs([]string{ControllerDrift}, func(c *Config) {
+		c.IntervalS, c.Depth, c.RatePerS, c.Burst = 100, 2, 4, 4
+		c.DriftRate = 1 // every VM drifts every epoch
+	}))
 	f.deploy(t, 6, true)
 	f.rec.Start()
 	f.fx.Env.Run(f.fx.Env.Now() + 250) // two resync epochs
@@ -140,10 +157,9 @@ func TestDriftControllerCorrectsEveryVM(t *testing.T) {
 }
 
 func TestCatalogControllerRepublishesTemplates(t *testing.T) {
-	f := newFixture(t, testfix.Options{}, Config{
-		Controllers: []string{ControllerCatalog},
-		IntervalS:   50, Depth: 1,
-	})
+	f := newFixture(t, testfix.Options{}, knobs([]string{ControllerCatalog}, func(c *Config) {
+		c.IntervalS, c.Depth = 50, 1
+	}))
 	f.rec.Start()
 	f.fx.Env.Run(175) // three epochs, one template each
 	st := f.rec.Stats()
@@ -156,12 +172,11 @@ func TestCatalogControllerRepublishesTemplates(t *testing.T) {
 // attempt fails; retries back off and the key drops at MaxRetries.
 func TestRebalanceRetriesThenDrops(t *testing.T) {
 	f := newFixture(t, testfix.Options{Datastores: 1, DatastoreGB: 100, TemplateGB: 16},
-		Config{
-			Controllers: []string{ControllerRebalance},
-			IntervalS:   1000, Depth: 1, RatePerS: 8, Burst: 8,
-			MaxRetries: 2, Backoff: BackoffPolicy{BaseS: 1, MaxS: 4, Mult: 2, Jitter: 0.25},
-			FillFraction: 0.5,
-		})
+		knobs([]string{ControllerRebalance}, func(c *Config) {
+			c.IntervalS, c.Depth, c.RatePerS, c.Burst = 1000, 1, 8, 8
+			c.MaxRetries, c.Backoff = 2, BackoffPolicy{BaseS: 1, MaxS: 4, Mult: 2, Jitter: 0.25}
+			c.FillFraction = 0.5
+		}))
 	f.deploy(t, 5, false) // 5 full clones: 96 GB of 100 → threshold 50%
 	f.rec.Start()
 	f.fx.Env.Run(f.fx.Env.Now() + 1100) // one resync plus backoff tail
@@ -178,11 +193,10 @@ func TestRebalanceRetriesThenDrops(t *testing.T) {
 // below threshold; later arrivals converge without moving.
 func TestRebalanceDrainsOverfullDatastore(t *testing.T) {
 	f := newFixture(t, testfix.Options{Datastores: 2, DatastoreGB: 100, TemplateGB: 16},
-		Config{
-			Controllers: []string{ControllerRebalance},
-			IntervalS:   200, Depth: 2, RatePerS: 8, Burst: 8,
-			FillFraction: 0.6,
-		})
+		knobs([]string{ControllerRebalance}, func(c *Config) {
+			c.IntervalS, c.Depth, c.RatePerS, c.Burst = 200, 2, 8, 8
+			c.FillFraction = 0.6
+		}))
 	// All 4 VMs on DS[0] as full clones: 64 GB + 16 GB template base = 80%.
 	f.fx.Env.Go("prep", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
@@ -212,11 +226,10 @@ func TestRebalanceDrainsOverfullDatastore(t *testing.T) {
 }
 
 func TestMarkDriftedForcesImmediateWork(t *testing.T) {
-	f := newFixture(t, testfix.Options{}, Config{
-		Controllers: []string{ControllerDrift},
-		IntervalS:   1e6, // resync effectively never fires
-		Depth:       2, DriftRate: 0,
-	})
+	f := newFixture(t, testfix.Options{}, knobs([]string{ControllerDrift}, func(c *Config) {
+		c.IntervalS = 1e6 // resync effectively never fires
+		c.Depth, c.DriftRate = 2, 0
+	}))
 	f.deploy(t, 4, true)
 	f.rec.Start()
 	if n := f.rec.MarkDrifted(f.fx.Inv.VMs()); n != 4 {
@@ -250,11 +263,10 @@ func TestDisabledPlaneIsInert(t *testing.T) {
 func TestRunsAreDeterministic(t *testing.T) {
 	run := func() []Stats {
 		f := newFixture(t, testfix.Options{Datastores: 2, DatastoreGB: 150, TemplateGB: 16},
-			Config{
-				Controllers: ControllerNames(),
-				IntervalS:   60, Depth: 2, RatePerS: 2, Burst: 4,
-				DriftRate: 0.5, FillFraction: 0.7,
-			})
+			knobs(ControllerNames(), func(c *Config) {
+				c.IntervalS, c.Depth, c.RatePerS, c.Burst = 60, 2, 2, 4
+				c.DriftRate, c.FillFraction = 0.5, 0.7
+			}))
 		f.deploy(t, 8, true)
 		f.rec.Start()
 		f.fx.Env.Run(f.fx.Env.Now() + 600)

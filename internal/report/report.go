@@ -1,6 +1,6 @@
 // Package report renders experiment results as plain-text tables and
-// series, the forms the benchmark harness prints so each paper table and
-// figure can be regenerated from `go test -bench` or cmd/mcpbench output.
+// series, the forms cmd/mcpbench prints so each paper table and figure can
+// be regenerated from its output.
 package report
 
 import (
