@@ -41,7 +41,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -275,55 +274,22 @@ func main() {
 	}
 }
 
-// rankPolicies aggregates tournament rows into the ranking table:
+// rankPolicies ranks the tournament through report.RankPolicies:
 // goodput is normalized against the best policy at each rest-of-grid
 // point (so big and small configurations weigh equally), then averaged.
-// Rows arrive in submission order from sweep.Run and the sort key is a
-// total order, so the ranking is identical for any -workers value.
-// The policy dimension is dims[0], so values[1:] identifies the group.
+// Rows arrive in submission order from sweep.Run, so the ranking is
+// identical for any -workers value. The policy dimension is dims[0], so
+// values[1:] identifies the group.
 func rankPolicies(policies []string, rows []row) []report.PolicyRow {
-	groupMax := make(map[string]float64)
-	groupOf := func(r row) string { return strings.Join(r.values[1:], "\x00") }
-	for _, r := range rows {
-		if k := groupOf(r); r.res.DeploysPerHour > groupMax[k] {
-			groupMax[k] = r.res.DeploysPerHour
+	results := make([]report.PolicyResult, len(rows))
+	for i, r := range rows {
+		results[i] = report.PolicyResult{
+			Policy: r.values[0], Group: strings.Join(r.values[1:], "\x00"),
+			GoodPerHour: r.res.DeploysPerHour, P99S: r.res.P99LatencyS,
+			Moves: r.res.DRSMoves + r.res.RebalanceMoves, Errors: r.res.Errors,
 		}
 	}
-	out := make([]report.PolicyRow, 0, len(policies))
-	for _, pol := range policies {
-		pr := report.PolicyRow{Policy: pol}
-		var n int
-		for _, r := range rows {
-			if r.values[0] != pol {
-				continue
-			}
-			n++
-			if m := groupMax[groupOf(r)]; m > 0 {
-				pr.Score += r.res.DeploysPerHour / m
-			}
-			pr.GoodPerHour += r.res.DeploysPerHour
-			pr.P99S += r.res.P99LatencyS
-			pr.Moves += float64(r.res.DRSMoves + r.res.RebalanceMoves)
-			pr.Errors += int64(r.res.Errors)
-		}
-		if n > 0 {
-			pr.Score /= float64(n)
-			pr.GoodPerHour /= float64(n)
-			pr.P99S /= float64(n)
-			pr.Moves /= float64(n)
-		}
-		out = append(out, pr)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Policy < out[j].Policy
-	})
-	for i := range out {
-		out[i].Rank = i + 1
-	}
-	return out
+	return report.RankPolicies(policies, results)
 }
 
 // renderRows writes the result grid to w as csv or an ascii table,

@@ -304,9 +304,12 @@ func (c *Cloud) ReconcileStats() []reconcile.Stats {
 
 // ReconcileReport adapts the reconciliation plane's per-controller
 // stats to the report renderer's rows (nil when the plane is off).
-func (c *Cloud) ReconcileReport() []report.ReconcileRow {
+func (c *Cloud) ReconcileReport() []report.ReconcileRow { return reconcileRows(c.ReconcileStats()) }
+
+// reconcileRows maps per-controller stats onto report rows (nil for none).
+func reconcileRows(stats []reconcile.Stats) []report.ReconcileRow {
 	var rows []report.ReconcileRow
-	for _, s := range c.ReconcileStats() {
+	for _, s := range stats {
 		rows = append(rows, report.ReconcileRow{
 			Controller: s.Controller,
 			Runs:       s.Runs,

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"cloudmcp/internal/analysis"
 	"cloudmcp/internal/drs"
 	"cloudmcp/internal/mgmt"
 	"cloudmcp/internal/ops"
@@ -188,6 +189,22 @@ func TestE3CDFMonotone(t *testing.T) {
 			}
 		}
 	}
+}
+
+// DeployControlShare returns the mean control share of successful deploys
+// for the given mode.
+func (r *E4Result) DeployControlShare(mode string) (float64, bool) {
+	for _, m := range r.Modes {
+		if m.Mode != mode {
+			continue
+		}
+		for _, row := range m.Rows {
+			if row.Kind == ops.KindDeploy.String() {
+				return analysis.ControlShare(row.MeanBreakdown), true
+			}
+		}
+	}
+	return 0, false
 }
 
 func TestE4LinkedShiftsCostToControlPlane(t *testing.T) {

@@ -18,7 +18,6 @@ import (
 	"cloudmcp/internal/plane"
 	"cloudmcp/internal/reconcile"
 	"cloudmcp/internal/report"
-	"cloudmcp/internal/rng"
 	"cloudmcp/internal/sim"
 	"cloudmcp/internal/stats"
 	"cloudmcp/internal/sweep"
@@ -320,22 +319,6 @@ func (r *E4Result) Render(w io.Writer) error {
 	return nil
 }
 
-// DeployControlShare returns the mean control share of successful deploys
-// for the given mode, for EXPERIMENTS.md assertions.
-func (r *E4Result) DeployControlShare(mode string) (float64, bool) {
-	for _, m := range r.Modes {
-		if m.Mode != mode {
-			continue
-		}
-		for _, row := range m.Rows {
-			if row.Kind == ops.KindDeploy.String() {
-				return analysis.ControlShare(row.MeanBreakdown), true
-			}
-		}
-	}
-	return 0, false
-}
-
 // ---------------------------------------------------------------------
 // E5 — deploy latency vs template disk size, full vs linked (paper
 // figure: why fast provisioning removes the data plane from the deploy
@@ -486,48 +469,28 @@ func RunClosedLoop(cfg Config, clients int, horizonS, warmupS float64) (ClosedLo
 	if err != nil {
 		return ClosedLoopResult{}, err
 	}
-	return runClosedLoopOn(c, clients, horizonS, warmupS), nil
+	// The "e6" label predates the harness being shared beyond E6; it is
+	// part of the reproducibility contract (changing it changes every
+	// closed-loop artifact), so it stays.
+	return runClosedLoopOn(c, clients, horizonS, warmupS, thinkTime(cfg.Seed, "e6")), nil
 }
 
 // runClosedLoopOn is RunClosedLoop against an already-built cloud, for
 // callers that prepare the inventory first (E19 prepopulates up to a
-// million VMs before the workload starts). The cloud must be freshly
-// built and not yet run.
-func runClosedLoopOn(c *Cloud, clients int, horizonS, warmupS float64) ClosedLoopResult {
+// million VMs before the workload starts) or think differently (E13).
+// The cloud must be freshly built and not yet run.
+func runClosedLoopOn(c *Cloud, clients int, horizonS, warmupS float64, think func() float64) ClosedLoopResult {
 	cfg := c.cfg
-	inv := c.Inventory()
-	tpl := inv.Template(inv.Templates()[0])
-	// The label predates the harness being shared beyond E6; it is part
-	// of the reproducibility contract (changing it changes every
-	// closed-loop artifact), so it stays.
-	stream := rng.Derive(cfg.Seed, "e6")
-	for i := 0; i < clients; i++ {
-		org := fmt.Sprintf("org%d", i%8)
-		c.Go(fmt.Sprintf("worker%d", i), func(p *sim.Proc) {
-			for p.Now() < horizonS {
-				res := c.Director().DeployVApp(p, org, tpl, 1, false)
-				if res.Err == nil {
-					c.Director().DeleteVApp(p, res.VApp, org)
-				} else if res.VApp != nil && inv.VApp(res.VApp.ID) != nil {
-					c.Director().DeleteVApp(p, res.VApp, org)
-				}
-				// Tiny think time decorrelates workers.
-				p.Sleep(stream.Uniform(0.1, 0.5))
-			}
-		})
-	}
+	startClosedLoop(c, clients, horizonS, think)
 	c.Run(horizonS)
-	recs := analysis.FilterTime(c.Records(), warmupS, horizonS)
-	all := analysis.FilterKind(recs, ops.KindDeploy.String())
-	deploys := analysis.FilterOK(all)
-	lat := analysis.LatencySample(deploys, "")
+	perHour, lat, failed := deployWindow(c, warmupS, horizonS)
 	res := ClosedLoopResult{
-		DeploysPerHour: float64(len(deploys)) / (horizonS - warmupS) * Hour,
+		DeploysPerHour: perHour,
 		MeanLatencyS:   lat.Mean(),
 		P95LatencyS:    lat.Percentile(95),
 		P99LatencyS:    lat.Percentile(99),
-		Deploys:        len(deploys),
-		Errors:         len(all) - len(deploys),
+		Deploys:        int(lat.Count()),
+		Errors:         failed,
 		Metrics:        c.MetricsSnapshot(),
 		DBUtil:         c.DBUtilization(),
 		DRSMoves:       c.DRS().Stats().Moves,

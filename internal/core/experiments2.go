@@ -12,14 +12,13 @@ import (
 	"cloudmcp/internal/mgmt"
 	"cloudmcp/internal/ops"
 	"cloudmcp/internal/report"
-	"cloudmcp/internal/rng"
 	"cloudmcp/internal/sim"
 	"cloudmcp/internal/sweep"
 )
 
-// openLoopCloud builds a cloud and feeds it Poisson single-VM deploy
-// arrivals at ratePerHour for horizon seconds; each vApp lives lifetimeS
-// then is deleted. Returns the cloud after the run.
+// openLoopCloud builds a cloud, runs the "openloop" stream of Poisson
+// single-VM deploys (see startOpenLoop) on it for horizon seconds, and
+// returns the cloud after the run.
 func openLoopCloud(seed int64, fast bool, ratePerHour, horizon, lifetimeS float64, mutate func(*Config)) (*Cloud, error) {
 	cfg := DefaultConfig(seed)
 	cfg.Director.FastProvisioning = fast
@@ -30,37 +29,7 @@ func openLoopCloud(seed int64, fast bool, ratePerHour, horizon, lifetimeS float6
 	if err != nil {
 		return nil, err
 	}
-	inv := c.Inventory()
-	stream := rng.Derive(seed, "openloop")
-	// Tenant activity is heavily skewed in real self-service clouds; the
-	// Zipf draw is what makes sticky placement fill datastores unevenly.
-	orgZipf := rng.NewZipf(stream, 8, 1.2)
-	c.Go("arrivals", func(p *sim.Proc) {
-		n := 0
-		for {
-			p.Sleep(stream.Exponential(Hour / ratePerHour))
-			if p.Now() >= horizon {
-				return
-			}
-			n++
-			org := fmt.Sprintf("org%d", orgZipf.Draw())
-			tpl := inv.Template(inv.Templates()[stream.Intn(len(inv.Templates()))])
-			c.Go(fmt.Sprintf("req%d", n), func(rp *sim.Proc) {
-				res := c.Director().DeployVApp(rp, org, tpl, 1, false)
-				if res.VApp == nil || inv.VApp(res.VApp.ID) == nil {
-					return
-				}
-				if res.Err != nil {
-					c.Director().DeleteVApp(rp, res.VApp, org)
-					return
-				}
-				rp.Sleep(lifetimeS)
-				if inv.VApp(res.VApp.ID) != nil {
-					c.Director().DeleteVApp(rp, res.VApp, org)
-				}
-			})
-		}
-	})
+	startOpenLoop(c, "openloop", ratePerHour, horizon, lifetimeS)
 	c.Run(horizon)
 	return c, nil
 }
@@ -488,19 +457,7 @@ func RunE12(p E12Params) (*E12Result, error) {
 			inv := c.Inventory()
 			tpl := inv.Template(inv.Templates()[0])
 			if mode != e12Idle {
-				stream := rng.Derive(p.Seed, "e12")
-				for i := 0; i < p.LoadWorkers; i++ {
-					org := fmt.Sprintf("org%d", i%8)
-					c.Go(fmt.Sprintf("bg%d", i), func(bp *sim.Proc) {
-						for bp.Now() < p.HorizonS {
-							r := c.Director().DeployVApp(bp, org, tpl, 1, false)
-							if r.VApp != nil && inv.VApp(r.VApp.ID) != nil {
-								c.Director().DeleteVApp(bp, r.VApp, org)
-							}
-							bp.Sleep(stream.Uniform(0.1, 0.5))
-						}
-					})
-				}
+				startClosedLoop(c, p.LoadWorkers, p.HorizonS, thinkTime(p.Seed, "e12"))
 			}
 			var latency float64
 			c.Go("publisher", func(pp *sim.Proc) {

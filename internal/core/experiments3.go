@@ -13,7 +13,6 @@ import (
 	"cloudmcp/internal/mgmtdb"
 	"cloudmcp/internal/ops"
 	"cloudmcp/internal/report"
-	"cloudmcp/internal/rng"
 	"cloudmcp/internal/sim"
 	"cloudmcp/internal/sweep"
 	"cloudmcp/internal/workload"
@@ -65,48 +64,23 @@ func RunE13(p E13Params) (*E13Result, error) {
 	points, err := sweep.Run(sweep.Options{MasterSeed: p.Seed, Workers: p.SweepWorkers}, len(p.WindowsS),
 		func(sp sweep.Point) (E13Point, error) {
 			w := p.WindowsS[sp.Index]
-			perHour, meanLat, dbStats, err := e13Run(p.Seed, w, p.Workers, p.HorizonS)
-			return E13Point{WindowS: w, LinkedPerHour: perHour, MeanLatS: meanLat, DB: dbStats}, err
+			cfg := DefaultConfig(p.Seed)
+			cfg.Director.FastProvisioning = true
+			cfg.Director.RebalanceThreshold = 0
+			cfg.Director.MaxChainLen = 1 << 30
+			cfg.Mgmt.Database = e13DB(w)
+			c, err := New(cfg)
+			if err != nil {
+				return E13Point{}, err
+			}
+			r := runClosedLoopOn(c, p.Workers, p.HorizonS, p.HorizonS/10, func() float64 { return 0.2 })
+			st, _ := c.Manager().WALStats()
+			return E13Point{WindowS: w, LinkedPerHour: r.DeploysPerHour, MeanLatS: r.MeanLatencyS, DB: st}, nil
 		})
 	if err != nil {
 		return nil, err
 	}
 	return &E13Result{Points: points}, nil
-}
-
-// e13Run is closedLoopDeploys with WAL-stats access.
-func e13Run(seed int64, window float64, workers int, horizon float64) (float64, float64, mgmtdb.Stats, error) {
-	cfg := DefaultConfig(seed)
-	cfg.Director.FastProvisioning = true
-	cfg.Director.RebalanceThreshold = 0
-	cfg.Director.MaxChainLen = 1 << 30
-	cfg.Mgmt.Database = e13DB(window)
-	c, err := New(cfg)
-	if err != nil {
-		return 0, 0, mgmtdb.Stats{}, err
-	}
-	inv := c.Inventory()
-	tpl := inv.Template(inv.Templates()[0])
-	for i := 0; i < workers; i++ {
-		org := fmt.Sprintf("org%d", i%8)
-		c.Go(fmt.Sprintf("worker%d", i), func(p *sim.Proc) {
-			for p.Now() < horizon {
-				res := c.Director().DeployVApp(p, org, tpl, 1, false)
-				if res.VApp != nil && inv.VApp(res.VApp.ID) != nil {
-					c.Director().DeleteVApp(p, res.VApp, org)
-				}
-				p.Sleep(0.2)
-			}
-		})
-	}
-	c.Run(horizon)
-	warmup := horizon / 10
-	recs := analysis.FilterTime(c.Records(), warmup, horizon)
-	deploys := analysis.FilterOK(analysis.FilterKind(recs, ops.KindDeploy.String()))
-	perHour := float64(len(deploys)) / (horizon - warmup) * Hour
-	lat := analysis.LatencySample(deploys, "")
-	st, _ := c.Manager().WALStats()
-	return perHour, lat.Mean(), st, nil
 }
 
 // Render writes the batching table.
@@ -169,31 +143,7 @@ func RunE14(p E14Params) (*E14Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		inv := c.Inventory()
-		tpl := inv.Template(inv.Templates()[0])
-		target := inv.Host(inv.Hosts()[0])
-
-		// Pre-populate the target host.
-		c.Go("prep", func(pp *sim.Proc) {
-			for i := 0; i < p.HostVMs; i++ {
-				ds := inv.Datastore(inv.Datastores()[i%len(inv.Datastores())])
-				vm, task := c.Manager().DeployVM(pp, fmt.Sprintf("res%d", i), tpl, target, ds, ops.LinkedClone, mgmt.ReqCtx{Org: "resident"})
-				if task.Err != nil {
-					continue
-				}
-				c.Manager().PowerOn(pp, vm, mgmt.ReqCtx{Org: "resident"})
-			}
-		})
-		c.Run(p.HorizonS / 100)
-
-		if rate > 0 {
-			// Background open-loop load for the rest of the run.
-			cl, err := attachOpenLoop(c, p.Seed, rate, p.HorizonS, 600)
-			if err != nil {
-				return nil, err
-			}
-			_ = cl
-		}
+		target := loadResidentHost(c, p.HostVMs, rate, p.HorizonS)
 		var evac *mgmt.Task
 		c.Go("admin", func(ap *sim.Proc) {
 			ap.Sleep(p.HorizonS / 3)
@@ -225,37 +175,6 @@ func taskErr(t *mgmt.Task) error {
 		return fmt.Errorf("no task")
 	}
 	return t.Err
-}
-
-// attachOpenLoop adds a Poisson single-VM deploy stream to an existing
-// cloud (same semantics as openLoopCloud, but composable).
-func attachOpenLoop(c *Cloud, seed int64, ratePerHour, horizon, lifetimeS float64) (*Cloud, error) {
-	inv := c.Inventory()
-	stream := rng.Derive(seed, "e14-load")
-	orgZipf := rng.NewZipf(stream, 8, 1.2)
-	c.Go("bg-arrivals", func(p *sim.Proc) {
-		n := 0
-		for {
-			p.Sleep(stream.Exponential(Hour / ratePerHour))
-			if p.Now() >= horizon {
-				return
-			}
-			n++
-			org := fmt.Sprintf("org%d", orgZipf.Draw())
-			tpl := inv.Template(inv.Templates()[stream.Intn(len(inv.Templates()))])
-			c.Go(fmt.Sprintf("bg%d", n), func(rp *sim.Proc) {
-				res := c.Director().DeployVApp(rp, org, tpl, 1, false)
-				if res.VApp == nil || inv.VApp(res.VApp.ID) == nil {
-					return
-				}
-				rp.Sleep(lifetimeS)
-				if inv.VApp(res.VApp.ID) != nil {
-					c.Director().DeleteVApp(rp, res.VApp, org)
-				}
-			})
-		}
-	})
-	return c, nil
 }
 
 // Render writes the evacuation table.

@@ -12,7 +12,6 @@ import (
 	"cloudmcp/internal/analysis"
 	"cloudmcp/internal/faults"
 	"cloudmcp/internal/ha"
-	"cloudmcp/internal/mgmt"
 	"cloudmcp/internal/ops"
 	"cloudmcp/internal/report"
 	"cloudmcp/internal/sim"
@@ -69,30 +68,11 @@ func RunE16(p E16Params) (*E16Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		inv := c.Inventory()
-		tpl := inv.Template(inv.Templates()[0])
-		target := inv.Host(inv.Hosts()[0])
 		eng, err := ha.New(c.Env(), c.Manager(), ha.Config{MaxConcurrentRestarts: p.Restarts})
 		if err != nil {
 			return nil, err
 		}
-
-		c.Go("prep", func(pp *sim.Proc) {
-			for i := 0; i < p.HostVMs; i++ {
-				ds := inv.Datastore(inv.Datastores()[i%len(inv.Datastores())])
-				vm, task := c.Manager().DeployVM(pp, fmt.Sprintf("res%d", i), tpl, target, ds, ops.LinkedClone, mgmt.ReqCtx{Org: "resident"})
-				if task.Err != nil {
-					continue
-				}
-				c.Manager().PowerOn(pp, vm, mgmt.ReqCtx{Org: "resident"})
-			}
-		})
-		c.Run(p.HorizonS / 100)
-		if rate > 0 {
-			if _, err := attachOpenLoop(c, p.Seed, rate, p.HorizonS, 600); err != nil {
-				return nil, err
-			}
-		}
+		target := loadResidentHost(c, p.HostVMs, rate, p.HorizonS)
 		var fo *ha.Failover
 		c.Go("failure", func(fp *sim.Proc) {
 			// Fail deep into the run, once the background stream has

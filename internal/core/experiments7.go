@@ -26,14 +26,11 @@ import (
 	"fmt"
 	"io"
 
-	"cloudmcp/internal/analysis"
 	"cloudmcp/internal/ha"
-	"cloudmcp/internal/inventory"
 	"cloudmcp/internal/mgmt"
 	"cloudmcp/internal/ops"
 	"cloudmcp/internal/reconcile"
 	"cloudmcp/internal/report"
-	"cloudmcp/internal/rng"
 	"cloudmcp/internal/sim"
 	"cloudmcp/internal/sweep"
 )
@@ -216,14 +213,7 @@ func RunE20(p E20Params) (*E20Result, error) {
 		}
 	}
 	if heavy != nil {
-		for _, s := range heavy.stats {
-			res.Heaviest = append(res.Heaviest, report.ReconcileRow{
-				Controller: s.Controller, Runs: s.Runs, Errors: s.Errors,
-				Retries: s.Retries, Drops: s.Drops,
-				Dedups: s.Queue.Dedups, Requeues: s.Queue.Requeues,
-				ThrottleS: s.ThrottleS, BusyS: s.BusyS,
-			})
-		}
+		res.Heaviest = reconcileRows(heavy.stats)
 	}
 	if res.Storm, err = e20DriftStorm(p); err != nil {
 		return nil, fmt.Errorf("E20 storm: %w", err)
@@ -256,61 +246,19 @@ func e20DriftStorm(p E20Params) (E20Storm, error) {
 	if err != nil {
 		return E20Storm{}, err
 	}
-	inv := c.Inventory()
-	tpl := inv.Template(inv.Templates()[0])
 	H := p.HorizonS
 	st := E20Storm{FleetVMs: p.StormVMs}
-
-	// The protected fleet: 8 vApps of powered-on VMs deployed up front.
-	per := (p.StormVMs + 7) / 8
-	for i := 0; i < 8; i++ {
-		i := i
-		c.Go(fmt.Sprintf("fleet%d", i), func(fp *sim.Proc) {
-			c.Director().DeployVApp(fp, fmt.Sprintf("fleet%d", i), tpl, per, true)
-		})
-	}
-	// Foreground provisioning, measured before vs after the failure.
-	stream := rng.Derive(p.Seed, "e20.storm")
-	for i := 0; i < 32; i++ {
-		org := fmt.Sprintf("org%d", i%8)
-		c.Go(fmt.Sprintf("fg%d", i), func(wp *sim.Proc) {
-			for wp.Now() < H {
-				res := c.Director().DeployVApp(wp, org, tpl, 1, false)
-				if res.Err == nil {
-					c.Director().DeleteVApp(wp, res.VApp, org)
-				} else if res.VApp != nil && inv.VApp(res.VApp.ID) != nil {
-					c.Director().DeleteVApp(wp, res.VApp, org)
-				}
-				wp.Sleep(stream.Uniform(0.1, 0.5))
-			}
-		})
-	}
-	// The failure: crash the busiest host, then mark the whole inventory
-	// drifted — every restarted (and bystander) VM re-reconciles at once.
-	c.Go("failer", func(fp *sim.Proc) {
-		fp.Sleep(H / 2)
-		var busiest *inventory.Host
-		for _, id := range inv.Hosts() {
-			h := inv.Host(id)
-			if h.InService() && (busiest == nil || len(h.VMs) > len(busiest.VMs)) {
-				busiest = h
-			}
-		}
-		if busiest == nil {
-			return
-		}
-		fo := eng.FailHost(fp, busiest)
+	// 32 foreground clients, measured before vs after the failure. After
+	// the crash the whole inventory is marked drifted: every restarted
+	// (and bystander) VM re-reconciles at once.
+	runFailoverStorm(c, eng, p.StormVMs, 32, "e20.storm", H, func(fo *ha.Failover) {
 		st.Affected = fo.Affected
 		st.Restarted = fo.Restarted
-		st.Marked = c.Reconcile().MarkDrifted(inv.VMs())
+		st.Marked = c.Reconcile().MarkDrifted(c.Inventory().VMs())
 	})
-	c.Run(H)
-
 	window := func(lo, hi float64) (float64, float64) {
-		recs := analysis.FilterTime(c.Records(), lo, hi)
-		deploys := analysis.FilterOK(analysis.FilterKind(recs, ops.KindDeploy.String()))
-		lat := analysis.LatencySample(deploys, "")
-		return float64(len(deploys)) / (hi - lo) * Hour, lat.Percentile(99)
+		perHour, lat, _ := deployWindow(c, lo, hi)
+		return perHour, lat.Percentile(99)
 	}
 	// Pre window skips the fleet ramp-up quarter.
 	st.PreGoodPerHour, st.PreP99S = window(H/4, H/2)

@@ -152,7 +152,7 @@ func RunE19(p E19Params) (*E19Result, error) {
 				if err := c.PrepopulateVMs(r.size); err != nil {
 					return pt, err
 				}
-				res := runClosedLoopOn(c, p.Clients, p.HorizonS, p.WarmupS)
+				res := runClosedLoopOn(c, p.Clients, p.HorizonS, p.WarmupS, thinkTime(p.Seed, "e6"))
 				cell := E19Cell{GoodPerHour: res.DeploysPerHour, P99S: res.P99LatencyS, DBUtil: res.DBUtil}
 				if grouped {
 					pt.Grouped = cell

@@ -18,18 +18,12 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
 
-	"cloudmcp/internal/analysis"
 	"cloudmcp/internal/clouddir"
 	"cloudmcp/internal/drs"
 	"cloudmcp/internal/faults"
 	"cloudmcp/internal/ha"
-	"cloudmcp/internal/inventory"
-	"cloudmcp/internal/ops"
 	"cloudmcp/internal/report"
-	"cloudmcp/internal/rng"
-	"cloudmcp/internal/sim"
 	"cloudmcp/internal/sweep"
 )
 
@@ -180,63 +174,16 @@ func RunE21(p E21Params) (*E21Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &E21Result{Cells: cells, Failovers: failovers}
-	res.Ranking = e21Rank(p.Policies, cells)
-	return res, nil
-}
-
-// e21Rank scores each policy by its mean goodput normalized within
-// every scenario × fault-rate group (group winner = 1.0), so easy
-// regimes cannot drown hard ones. Rank order: score desc, name asc —
-// a total order, so the ranking is identical at any worker count.
-func e21Rank(policies []string, cells []E21Cell) []report.PolicyRow {
-	type groupKey struct {
-		scenario string
-		rate     float64
-	}
-	groupMax := make(map[groupKey]float64)
-	for _, c := range cells {
-		k := groupKey{c.Scenario, c.FaultRate}
-		if c.GoodPerHour > groupMax[k] {
-			groupMax[k] = c.GoodPerHour
+	// Goodput is normalized within each scenario × fault-rate group, so
+	// easy regimes cannot drown hard ones.
+	results := make([]report.PolicyResult, len(cells))
+	for i, c := range cells {
+		results[i] = report.PolicyResult{
+			Policy: c.Policy, Group: fmt.Sprintf("%s\x00%v", c.Scenario, c.FaultRate),
+			GoodPerHour: c.GoodPerHour, P99S: c.P99S, Moves: c.Moves, Errors: c.Errors,
 		}
 	}
-	rows := make([]report.PolicyRow, 0, len(policies))
-	for _, pol := range policies {
-		var row report.PolicyRow
-		row.Policy = pol
-		var n int
-		for _, c := range cells {
-			if c.Policy != pol {
-				continue
-			}
-			n++
-			if m := groupMax[groupKey{c.Scenario, c.FaultRate}]; m > 0 {
-				row.Score += c.GoodPerHour / m
-			}
-			row.GoodPerHour += c.GoodPerHour
-			row.P99S += c.P99S
-			row.Moves += float64(c.Moves)
-			row.Errors += int64(c.Errors)
-		}
-		if n > 0 {
-			row.Score /= float64(n)
-			row.GoodPerHour /= float64(n)
-			row.P99S /= float64(n)
-			row.Moves /= float64(n)
-		}
-		rows = append(rows, row)
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		if rows[i].Score != rows[j].Score {
-			return rows[i].Score > rows[j].Score
-		}
-		return rows[i].Policy < rows[j].Policy
-	})
-	for i := range rows {
-		rows[i].Rank = i + 1
-	}
-	return rows
+	return &E21Result{Cells: cells, Failovers: failovers, Ranking: report.RankPolicies(p.Policies, results)}, nil
 }
 
 // e21FailoverStorm deploys a powered-on fleet under one policy set,
@@ -259,59 +206,16 @@ func e21FailoverStorm(p E21Params, pol string) (E21Failover, error) {
 	if err != nil {
 		return E21Failover{}, err
 	}
-	inv := c.Inventory()
-	tpl := inv.Template(inv.Templates()[0])
 	H := p.HorizonS
 	fo := E21Failover{Policy: pol}
-
-	// The protected fleet: 8 vApps of powered-on VMs deployed up front.
-	per := (p.StormVMs + 7) / 8
-	for i := 0; i < 8; i++ {
-		i := i
-		c.Go(fmt.Sprintf("fleet%d", i), func(fp *sim.Proc) {
-			c.Director().DeployVApp(fp, fmt.Sprintf("fleet%d", i), tpl, per, true)
-		})
-	}
-	// Foreground provisioning, measured after the failure.
-	stream := rng.Derive(p.Seed, "e21.storm")
-	for i := 0; i < 16; i++ {
-		org := fmt.Sprintf("org%d", i%8)
-		c.Go(fmt.Sprintf("fg%d", i), func(wp *sim.Proc) {
-			for wp.Now() < H {
-				res := c.Director().DeployVApp(wp, org, tpl, 1, false)
-				if res.Err == nil {
-					c.Director().DeleteVApp(wp, res.VApp, org)
-				} else if res.VApp != nil && inv.VApp(res.VApp.ID) != nil {
-					c.Director().DeleteVApp(wp, res.VApp, org)
-				}
-				wp.Sleep(stream.Uniform(0.1, 0.5))
-			}
-		})
-	}
-	// The failure: crash the busiest host at the half-way mark.
-	c.Go("failer", func(fp *sim.Proc) {
-		fp.Sleep(H / 2)
-		var busiest *inventory.Host
-		for _, id := range inv.Hosts() {
-			h := inv.Host(id)
-			if h.InService() && (busiest == nil || len(h.VMs) > len(busiest.VMs)) {
-				busiest = h
-			}
-		}
-		if busiest == nil {
-			return
-		}
-		rec := eng.FailHost(fp, busiest)
+	// 16 foreground clients, measured after the failure.
+	runFailoverStorm(c, eng, p.StormVMs, 16, "e21.storm", H, func(rec *ha.Failover) {
 		fo.Affected = rec.Affected
 		fo.Restarted = rec.Restarted
 		fo.Unplaced = rec.Unplaced
 	})
-	c.Run(H)
-
-	recs := analysis.FilterTime(c.Records(), H/2, H)
-	deploys := analysis.FilterOK(analysis.FilterKind(recs, ops.KindDeploy.String()))
-	lat := analysis.LatencySample(deploys, "")
-	fo.PostGoodPerHour = float64(len(deploys)) / (H / 2) * Hour
+	perHour, lat, _ := deployWindow(c, H/2, H)
+	fo.PostGoodPerHour = perHour
 	fo.PostP99S = lat.Percentile(99)
 	return fo, nil
 }

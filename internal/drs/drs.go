@@ -179,33 +179,3 @@ func (b *Balancer) BalanceOnce(p *sim.Proc) {
 		})
 	}
 }
-
-// pickMovableReference is the hardcoded biggest-fit scan the default
-// move policy extracted, retained for the equivalence test that pins
-// policy.DefaultMove bit-for-bit: the largest-memory live VM on hi
-// that fits lo without overshooting the balance (moving it must not
-// make lo hotter than hi was).
-func (b *Balancer) pickMovableReference(hi, lo *inventory.Host) *inventory.VM {
-	inv := b.mgr.Inventory()
-	var best *inventory.VM
-	for _, id := range hi.VMs {
-		vm := inv.VM(id)
-		if vm == nil || vm.State == inventory.VMDeleted {
-			continue
-		}
-		if lo.FreeMemMB() < vm.MemMB {
-			continue
-		}
-		if vm.State == inventory.VMPoweredOn && lo.FreeCPUMHz() < inventory.CPUReservationMHz(vm.CPUs) {
-			continue
-		}
-		// Don't create a new hotspot.
-		if float64(lo.UsedMemMB+vm.MemMB)/float64(lo.MemMB) >= memUtil(hi) {
-			continue
-		}
-		if best == nil || vm.MemMB > best.MemMB {
-			best = vm
-		}
-	}
-	return best
-}

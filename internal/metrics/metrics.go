@@ -1,11 +1,11 @@
 // Package metrics is a zero-dependency (standard library plus
 // internal/stats) instrumentation registry for the simulated control
-// plane: counters, gauges, time-weighted accumulators, latency
-// histograms, and pull-style probes over the resources every layer
-// already accounts for. Series are keyed by (layer, resource, metric) so
-// a snapshot can answer the paper's central question — *which* layer of
-// the management control plane saturates first — directly, instead of
-// inferring it from end-to-end latency breakdowns.
+// plane: latency histograms, plus pull-style probes over the resources
+// and scalar statistics every layer already accounts for. Series are
+// keyed by (layer, resource, metric) so a snapshot can answer the paper's
+// central question — *which* layer of the management control plane
+// saturates first — directly, instead of inferring it from end-to-end
+// latency breakdowns.
 //
 // Two properties are load-bearing:
 //
@@ -25,107 +25,6 @@ import (
 
 	"cloudmcp/internal/stats"
 )
-
-// Counter is a monotonically increasing count.
-type Counter struct {
-	key Key
-	n   int64
-}
-
-// Add increases the counter by d. No-op on a nil counter.
-func (c *Counter) Add(d int64) {
-	if c == nil {
-		return
-	}
-	c.n += d
-}
-
-// Inc increases the counter by one. No-op on a nil counter.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count (0 for nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.n
-}
-
-// Gauge is a last-value-wins instantaneous measurement.
-type Gauge struct {
-	key Key
-	v   float64
-}
-
-// Set records the current value. No-op on a nil gauge.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.v = v
-}
-
-// Value returns the last value set (0 for nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
-// TimeWeighted accumulates the time integral of a piecewise-constant
-// value (occupancy, queue length) over virtual time, yielding its
-// time-weighted mean. Callers report each change via Update(now, v).
-type TimeWeighted struct {
-	key      Key
-	lastT    float64
-	lastV    float64
-	integral float64
-	maxV     float64
-	started  bool
-}
-
-// Update advances the integral to now using the previous value, then
-// records v as current. No-op on a nil accumulator; time must not go
-// backwards (updates in the past are ignored).
-func (t *TimeWeighted) Update(now, v float64) {
-	if t == nil {
-		return
-	}
-	if !t.started {
-		t.started = true
-		t.lastT = now
-	}
-	if dt := now - t.lastT; dt > 0 {
-		t.integral += dt * t.lastV
-		t.lastT = now
-	}
-	t.lastV = v
-	if v > t.maxV {
-		t.maxV = v
-	}
-}
-
-// Mean returns the time-weighted mean over [0, now], matching the
-// convention of sim.Resource.Stats (0 when nil, unused, or now <= 0).
-func (t *TimeWeighted) Mean(now float64) float64 {
-	if t == nil || !t.started || now <= 0 {
-		return 0
-	}
-	integral := t.integral
-	if now > t.lastT {
-		integral += (now - t.lastT) * t.lastV
-	}
-	return integral / now
-}
-
-// Max returns the largest value seen (0 for nil).
-func (t *TimeWeighted) Max() float64 {
-	if t == nil {
-		return 0
-	}
-	return t.maxV
-}
 
 // Histogram collects a latency-style distribution with exact
 // percentiles (backed by stats.Sample, matching the repository's
@@ -188,9 +87,6 @@ type scalarProbe struct {
 // concurrent use; like the simulation kernel they serve, all access is
 // single-threaded per run.
 type Registry struct {
-	counters  []*Counter
-	gauges    []*Gauge
-	weighted  []*TimeWeighted
 	hists     []*Histogram
 	resources []resourceProbe
 	scalars   []scalarProbe
@@ -199,7 +95,7 @@ type Registry struct {
 }
 
 type indexKey struct {
-	kind string // "counter", "gauge", ...
+	kind string // "hist", "resource" or "scalar"
 	key  Key
 }
 
@@ -216,53 +112,6 @@ func (r *Registry) lookup(kind string, key Key) (int, bool) {
 
 func (r *Registry) remember(kind string, key Key, i int) {
 	r.index[indexKey{kind, key}] = i
-}
-
-// Counter returns the counter for the key, creating it on first use.
-// Returns nil (a valid no-op instrument) on a nil registry.
-func (r *Registry) Counter(layer, resource, metric string) *Counter {
-	if r == nil {
-		return nil
-	}
-	key := Key{layer, resource, metric}
-	if i, ok := r.lookup("counter", key); ok {
-		return r.counters[i]
-	}
-	c := &Counter{key: key}
-	r.remember("counter", key, len(r.counters))
-	r.counters = append(r.counters, c)
-	return c
-}
-
-// Gauge returns the gauge for the key, creating it on first use.
-func (r *Registry) Gauge(layer, resource, metric string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	key := Key{layer, resource, metric}
-	if i, ok := r.lookup("gauge", key); ok {
-		return r.gauges[i]
-	}
-	g := &Gauge{key: key}
-	r.remember("gauge", key, len(r.gauges))
-	r.gauges = append(r.gauges, g)
-	return g
-}
-
-// TimeWeighted returns the time-weighted accumulator for the key,
-// creating it on first use.
-func (r *Registry) TimeWeighted(layer, resource, metric string) *TimeWeighted {
-	if r == nil {
-		return nil
-	}
-	key := Key{layer, resource, metric}
-	if i, ok := r.lookup("weighted", key); ok {
-		return r.weighted[i]
-	}
-	t := &TimeWeighted{key: key}
-	r.remember("weighted", key, len(r.weighted))
-	r.weighted = append(r.weighted, t)
-	return t
 }
 
 // Histogram returns the histogram for the key, creating it on first use.
@@ -329,16 +178,6 @@ func (r *Registry) Snapshot(nowS float64) *Snapshot {
 	}
 	for _, p := range r.scalars {
 		s.Scalars = append(s.Scalars, ScalarRow{Layer: p.key.Layer, Resource: p.key.Resource, Metric: p.key.Metric, Value: p.fn()})
-	}
-	for _, c := range r.counters {
-		s.Scalars = append(s.Scalars, ScalarRow{Layer: c.key.Layer, Resource: c.key.Resource, Metric: c.key.Metric, Value: float64(c.n)})
-	}
-	for _, g := range r.gauges {
-		s.Scalars = append(s.Scalars, ScalarRow{Layer: g.key.Layer, Resource: g.key.Resource, Metric: g.key.Metric, Value: g.v})
-	}
-	for _, t := range r.weighted {
-		s.Scalars = append(s.Scalars, ScalarRow{Layer: t.key.Layer, Resource: t.key.Resource, Metric: t.key.Metric + ".mean", Value: t.Mean(nowS)})
-		s.Scalars = append(s.Scalars, ScalarRow{Layer: t.key.Layer, Resource: t.key.Resource, Metric: t.key.Metric + ".max", Value: t.maxV})
 	}
 	for _, h := range r.hists {
 		row := TimingRow{Layer: h.key.Layer, Resource: h.key.Resource, Metric: h.key.Metric, Count: h.sample.Count()}

@@ -11,20 +11,13 @@ import (
 
 func TestNilRegistryIsInert(t *testing.T) {
 	var r *Registry
-	c := r.Counter("l", "r", "m")
-	g := r.Gauge("l", "r", "m")
-	tw := r.TimeWeighted("l", "r", "m")
 	h := r.Histogram("l", "r", "m")
-	if c != nil || g != nil || tw != nil || h != nil {
+	if h != nil {
 		t.Fatal("nil registry must hand out nil instruments")
 	}
 	// Every instrument method must be a no-op on a nil receiver.
-	c.Add(3)
-	c.Inc()
-	g.Set(7)
-	tw.Update(1, 2)
 	h.Observe(0.5)
-	if c.Value() != 0 || g.Value() != 0 || tw.Mean(10) != 0 || h.Count() != 0 {
+	if h.Count() != 0 {
 		t.Fatal("nil instruments must read as zero")
 	}
 	r.ResourceFunc("l", "r", nil)
@@ -35,11 +28,8 @@ func TestNilRegistryIsInert(t *testing.T) {
 }
 
 func TestNilInstrumentOpsAllocationFree(t *testing.T) {
-	var c *Counter
 	var h *Histogram
 	allocs := testing.AllocsPerRun(100, func() {
-		c.Inc()
-		c.Add(2)
 		h.Observe(1.5)
 	})
 	if allocs != 0 {
@@ -49,40 +39,17 @@ func TestNilInstrumentOpsAllocationFree(t *testing.T) {
 
 func TestInstrumentLookupIdempotent(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("mgmt", "tasks", "completed")
-	b := r.Counter("mgmt", "tasks", "completed")
+	a := r.Histogram("mgmt", "tasks", "latency_s")
+	b := r.Histogram("mgmt", "tasks", "latency_s")
 	if a != b {
-		t.Fatal("same key must return the same counter")
+		t.Fatal("same key must return the same histogram")
 	}
-	a.Add(2)
-	if b.Value() != 2 {
-		t.Fatalf("aliased counter reads %d, want 2", b.Value())
+	a.Observe(2)
+	if b.Count() != 1 {
+		t.Fatalf("aliased histogram counts %d, want 1", b.Count())
 	}
-	if r.Counter("mgmt", "tasks", "errors") == a {
-		t.Fatal("distinct keys must return distinct counters")
-	}
-}
-
-func TestTimeWeightedMeanAndMax(t *testing.T) {
-	r := NewRegistry()
-	tw := r.TimeWeighted("l", "r", "depth")
-	tw.Update(0, 2)  // depth 2 over [0,10)
-	tw.Update(10, 6) // depth 6 over [10,20)
-	s := r.Snapshot(20)
-	var mean, max float64
-	for _, row := range s.Scalars {
-		switch row.Metric {
-		case "depth.mean":
-			mean = row.Value
-		case "depth.max":
-			max = row.Value
-		}
-	}
-	if math.Abs(mean-4) > 1e-9 {
-		t.Fatalf("mean = %v, want 4", mean)
-	}
-	if max != 6 {
-		t.Fatalf("max = %v, want 6", max)
+	if r.Histogram("mgmt", "tasks", "wait_s") == a {
+		t.Fatal("distinct keys must return distinct histograms")
 	}
 }
 
@@ -202,7 +169,7 @@ func TestTopByUtilizationAndWaitShare(t *testing.T) {
 
 func TestWriteFileFormats(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("l", "r", "m").Add(5)
+	r.ScalarFunc("l", "r", "m", func() float64 { return 5 })
 	s := r.Snapshot(1)
 	dir := t.TempDir()
 	for _, name := range []string{"snap.json", "snap.csv", "snap.txt"} {

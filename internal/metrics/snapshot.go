@@ -36,7 +36,7 @@ func (r ResourceRow) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// ScalarRow is one counter/gauge/accumulator/probe value.
+// ScalarRow is one scalar probe's value.
 type ScalarRow struct {
 	Layer    string  `json:"layer"`
 	Resource string  `json:"resource"`

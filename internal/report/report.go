@@ -177,42 +177,3 @@ func (s *Series) String() string {
 	s.Render(&b)
 	return b.String()
 }
-
-// RenderMarkdown writes the table as GitHub-flavored Markdown, for
-// dropping experiment results straight into docs like EXPERIMENTS.md.
-func (t *Table) RenderMarkdown(w io.Writer) error {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "**%s**\n\n", t.Title)
-	}
-	ncol := len(t.Headers)
-	for _, r := range t.Rows {
-		if len(r) > ncol {
-			ncol = len(r)
-		}
-	}
-	cell := func(row []string, i int) string {
-		if i < len(row) {
-			return strings.ReplaceAll(row[i], "|", "\\|")
-		}
-		return ""
-	}
-	writeRow := func(row []string) {
-		b.WriteString("|")
-		for i := 0; i < ncol; i++ {
-			b.WriteString(" " + cell(row, i) + " |")
-		}
-		b.WriteString("\n")
-	}
-	writeRow(t.Headers)
-	b.WriteString("|")
-	for i := 0; i < ncol; i++ {
-		b.WriteString("---|")
-	}
-	b.WriteString("\n")
-	for _, r := range t.Rows {
-		writeRow(r)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}

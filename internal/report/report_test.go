@@ -106,40 +106,6 @@ func TestSeriesCustomBarWidth(t *testing.T) {
 	}
 }
 
-func TestTableRenderMarkdown(t *testing.T) {
-	tb := NewTable("Mix", "kind", "n")
-	tb.AddRow("deploy", 12)
-	tb.AddRow("power|on", 3) // pipe must be escaped
-	var sb strings.Builder
-	if err := tb.RenderMarkdown(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "**Mix**") {
-		t.Fatalf("missing title:\n%s", out)
-	}
-	if !strings.Contains(out, "| kind | n |") || !strings.Contains(out, "|---|---|") {
-		t.Fatalf("bad header:\n%s", out)
-	}
-	if !strings.Contains(out, `power\|on`) {
-		t.Fatalf("pipe not escaped:\n%s", out)
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 6 { // title, blank, header, sep, 2 rows
-		t.Fatalf("lines = %d:\n%s", len(lines), out)
-	}
-}
-
-func TestMarkdownRaggedRows(t *testing.T) {
-	tb := NewTable("", "a")
-	tb.AddRow("x", "extra")
-	var sb strings.Builder
-	tb.RenderMarkdown(&sb)
-	if !strings.Contains(sb.String(), "| x | extra |") {
-		t.Fatalf("ragged markdown:\n%s", sb.String())
-	}
-}
-
 // Edge cases for the derived tables: empty inputs must yield nil (so
 // callers can skip rendering), single rows must not divide by zero, and
 // an idle snapshot must still rank deterministically.

@@ -10,11 +10,10 @@ package sim
 // requests on ordinary goroutines, in wall-clock time, and needs a safe,
 // deterministic place to hand them to the single-threaded kernel.
 //
-// A Driver owns that decision. Batch is the identity: it delegates to
-// Env.Run verbatim, so every existing artifact is untouched. Paced maps
-// virtual time onto the wall clock at a configurable ratio and advances
-// the kernel in fixed virtual-time quanta; between quanta — and only
-// there — externally submitted commands are injected. Quantized injection
+// Env.Run itself is the free-running driver every batch artifact uses.
+// Paced maps virtual time onto the wall clock at a configurable ratio
+// and advances the kernel in fixed virtual-time quanta; between quanta —
+// and only there — externally submitted commands are injected. Quantized injection
 // is what keeps the serving plane deterministic where it matters: the
 // virtual-time trace is a pure function of which quantum each command
 // landed in, so a scripted injection schedule (SubmitAt) reproduces the
@@ -34,24 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// Driver advances a simulation environment to a virtual-time horizon.
-// Batch and Paced are the two implementations; both return the final
-// virtual time like Env.Run does.
-type Driver interface {
-	Run(until Time) Time
-}
-
-// Batch is the free-running driver the experiments use: Env.Run,
-// verbatim. It exists so harness code can be written against the Driver
-// seam while remaining bit-for-bit the historical behavior.
-type Batch struct{ Env *Env }
-
-// Run delegates to Env.Run.
-func (b Batch) Run(until Time) Time { return b.Env.Run(until) }
-
-var _ Driver = Batch{}
-var _ Driver = (*Paced)(nil)
 
 // PacedConfig shapes a paced driver.
 type PacedConfig struct {

@@ -32,27 +32,8 @@ func traceModel(env *Env) *[]string {
 	return log
 }
 
-// TestBatchDriverIsEnvRun pins the identity: driving a model through
-// Batch produces exactly the trace Env.Run produces.
-func TestBatchDriverIsEnvRun(t *testing.T) {
-	envA := NewEnv()
-	logA := traceModel(envA)
-	endA := envA.Run(100)
-
-	envB := NewEnv()
-	logB := traceModel(envB)
-	endB := Batch{Env: envB}.Run(100)
-
-	if endA != endB {
-		t.Fatalf("final times differ: %v vs %v", endA, endB)
-	}
-	if !reflect.DeepEqual(*logA, *logB) {
-		t.Fatalf("traces differ:\nenv.Run: %v\nBatch:   %v", *logA, *logB)
-	}
-}
-
-// TestPacedNoInjectionMatchesBatch pins the other half of the identity:
-// with no injected commands, quantum batching merely splits Run into
+// TestPacedNoInjectionMatchesBatch pins the identity with a batch run:
+// with no injected commands, quantum batching merely splits Env.Run into
 // consecutive horizons, so the virtual-time trace is unchanged for any
 // quantum size.
 func TestPacedNoInjectionMatchesBatch(t *testing.T) {

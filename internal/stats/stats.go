@@ -191,70 +191,6 @@ func (s *Sample) Values() []float64 {
 	return out
 }
 
-// Histogram counts observations into fixed-width bins over [lo, hi);
-// values outside the range land in the under/overflow counters.
-type Histogram struct {
-	lo, hi float64
-	width  float64
-	bins   []int64
-	under  int64
-	over   int64
-	nan    int64
-	n      int64
-}
-
-// NewHistogram creates a histogram with nbins equal bins spanning [lo,hi).
-func NewHistogram(lo, hi float64, nbins int) *Histogram {
-	if hi <= lo || nbins <= 0 {
-		panic(fmt.Sprintf("stats: histogram [%v,%v) nbins=%d", lo, hi, nbins))
-	}
-	return &Histogram{lo: lo, hi: hi, width: (hi - lo) / float64(nbins), bins: make([]int64, nbins)}
-}
-
-// Add records one observation. NaN is counted separately (see NaNs):
-// it compares false against both range guards, so without its own case
-// it would fall through to the bin index computation, where int(NaN)
-// produces a platform-dependent negative index and a panic.
-func (h *Histogram) Add(x float64) {
-	h.n++
-	switch {
-	case math.IsNaN(x):
-		h.nan++
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		i := int((x - h.lo) / h.width)
-		if i >= len(h.bins) { // float edge
-			i = len(h.bins) - 1
-		}
-		h.bins[i]++
-	}
-}
-
-// Count returns total observations including under/overflow.
-func (h *Histogram) Count() int64 { return h.n }
-
-// Bin returns the count in bin i.
-func (h *Histogram) Bin(i int) int64 { return h.bins[i] }
-
-// NumBins returns the number of bins.
-func (h *Histogram) NumBins() int { return len(h.bins) }
-
-// BinStart returns the lower edge of bin i.
-func (h *Histogram) BinStart(i int) float64 { return h.lo + float64(i)*h.width }
-
-// Underflow returns the count of observations below lo.
-func (h *Histogram) Underflow() int64 { return h.under }
-
-// Overflow returns the count of observations at or above hi.
-func (h *Histogram) Overflow() int64 { return h.over }
-
-// NaNs returns the count of NaN observations. They are included in
-// Count but belong to no bin and neither the under- nor overflow.
-func (h *Histogram) NaNs() int64 { return h.nan }
-
 // TimeSeries bins event counts by fixed-width windows of (virtual) time,
 // for rate-over-time plots and burstiness measures. Windows start at 0.
 type TimeSeries struct {

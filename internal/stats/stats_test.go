@@ -164,74 +164,6 @@ func TestFractionBelow(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	if h.Underflow() != 1 || h.Overflow() != 2 {
-		t.Fatalf("under=%d over=%d", h.Underflow(), h.Overflow())
-	}
-	if h.Bin(0) != 2 { // 0 and 1.9
-		t.Fatalf("bin0 = %d", h.Bin(0))
-	}
-	if h.Bin(1) != 1 { // 2
-		t.Fatalf("bin1 = %d", h.Bin(1))
-	}
-	if h.Bin(4) != 1 { // 9.99
-		t.Fatalf("bin4 = %d", h.Bin(4))
-	}
-	if h.Count() != 7 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if h.BinStart(3) != 6 {
-		t.Fatalf("binstart(3) = %v", h.BinStart(3))
-	}
-}
-
-func TestHistogramCountsConserved(t *testing.T) {
-	f := func(raw []int16) bool {
-		h := NewHistogram(-100, 100, 13)
-		for _, r := range raw {
-			h.Add(float64(r))
-		}
-		var inBins int64
-		for i := 0; i < h.NumBins(); i++ {
-			inBins += h.Bin(i)
-		}
-		return inBins+h.Underflow()+h.Overflow() == int64(len(raw))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHistogramNaNDoesNotPanic(t *testing.T) {
-	// NaN compares false against both x < lo and x >= hi, so the old
-	// code fell through to the bin index, where int(NaN) is a
-	// platform-dependent negative value and bins[i]++ panicked.
-	h := NewHistogram(0, 10, 5)
-	h.Add(math.NaN())
-	h.Add(2)
-	h.Add(math.NaN())
-	if h.NaNs() != 2 {
-		t.Fatalf("NaNs = %d, want 2", h.NaNs())
-	}
-	if h.Count() != 3 {
-		t.Fatalf("Count = %d, want 3", h.Count())
-	}
-	if h.Underflow() != 0 || h.Overflow() != 0 {
-		t.Fatalf("NaN leaked into under/overflow: %d/%d", h.Underflow(), h.Overflow())
-	}
-	var binned int64
-	for i := 0; i < h.NumBins(); i++ {
-		binned += h.Bin(i)
-	}
-	if binned != 1 {
-		t.Fatalf("binned = %d, want 1", binned)
-	}
-}
-
 func TestTimeSeriesRejectsNaNTime(t *testing.T) {
 	// NaN t passes the t < 0 guard (NaN comparisons are false) and the
 	// old code indexed with int(NaN) — a platform-dependent negative.
@@ -320,9 +252,7 @@ func TestTimeSeriesMean(t *testing.T) {
 
 func TestConstructorPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"hist-bad-range": func() { NewHistogram(5, 5, 3) },
-		"hist-bad-bins":  func() { NewHistogram(0, 1, 0) },
-		"ts-bad-width":   func() { NewTimeSeries(0) },
+		"ts-bad-width": func() { NewTimeSeries(0) },
 	} {
 		func() {
 			defer func() {
