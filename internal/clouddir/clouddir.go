@@ -78,7 +78,7 @@ type Config struct {
 	// RebalanceBatch is the maximum VMs moved per rebalance pass.
 	RebalanceBatch int
 	// LeaseS is the vApp runtime lease; expired vApps are undeployed
-	// automatically. 0 disables leases.
+	// automatically. 0 disables leases; negative is rejected.
 	LeaseS float64
 	// Placement selects the datastore-placement policy.
 	Placement PlacementPolicy
@@ -87,8 +87,9 @@ type Config struct {
 	// Sticky-org pinning (Placement above) composes with it: the pin
 	// is tried first, Place answers the general search.
 	Place policy.PlacementPolicy
-	// OrgQuotaVMs caps each tenant's live VMs (0 = unlimited). Quota is
-	// enforced at vApp admission, counting in-flight deploys.
+	// OrgQuotaVMs caps each tenant's live VMs (0 = unlimited; negative
+	// is rejected). Quota is enforced at vApp admission, counting
+	// in-flight deploys.
 	OrgQuotaVMs int
 }
 
@@ -111,6 +112,12 @@ func (c Config) validate() error {
 	}
 	if c.MaxChainLen < 0 {
 		return fmt.Errorf("clouddir: negative max chain length in %+v", c)
+	}
+	if c.LeaseS < 0 {
+		return fmt.Errorf("clouddir: negative lease in %+v", c)
+	}
+	if c.OrgQuotaVMs < 0 {
+		return fmt.Errorf("clouddir: negative org quota in %+v", c)
 	}
 	if c.RebalanceThreshold > 0 && (c.RebalanceCheckS <= 0 || c.RebalanceBatch <= 0) {
 		return fmt.Errorf("clouddir: rebalancer enabled with bad interval/batch in %+v", c)

@@ -2,6 +2,7 @@ package clouddir
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"cloudmcp/internal/inventory"
@@ -356,6 +357,16 @@ func TestConfigValidation(t *testing.T) {
 	bad.MaxChainLen = -1
 	if _, err := New(f.env, f.mgr, ops.DefaultCostModel(), rng.New(1), bad); err == nil {
 		t.Fatal("expected negative chain length error")
+	}
+	bad = DefaultConfig()
+	bad.LeaseS = -1
+	if _, err := New(f.env, f.mgr, ops.DefaultCostModel(), rng.New(1), bad); err == nil || !strings.Contains(err.Error(), "negative lease") {
+		t.Fatalf("negative lease: err = %v", err)
+	}
+	bad = DefaultConfig()
+	bad.OrgQuotaVMs = -1
+	if _, err := New(f.env, f.mgr, ops.DefaultCostModel(), rng.New(1), bad); err == nil || !strings.Contains(err.Error(), "negative org quota") {
+		t.Fatalf("negative org quota: err = %v", err)
 	}
 }
 

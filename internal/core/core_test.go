@@ -51,6 +51,20 @@ func TestBadTopologyRejected(t *testing.T) {
 	}
 }
 
+// A negative lease or org quota is an error, not leases off or an
+// unlimited quota: the scenario loads, and building the cloud fails.
+func TestNegativeLeaseAndQuotaRejected(t *testing.T) {
+	for _, src := range []string{`{"director": {"leaseS": -1}}`, `{"director": {"orgQuotaVMs": -1}}`} {
+		cfg, err := LoadConfig(strings.NewReader(src))
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "clouddir: negative") {
+			t.Fatalf("%s: err = %v, want the director to reject it", src, err)
+		}
+	}
+}
+
 // A shard owns at least one host, whether the Config came from Go code,
 // a scenario file, or -set overrides.
 func TestShardsExceedingHostsRejected(t *testing.T) {

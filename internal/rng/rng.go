@@ -8,8 +8,6 @@
 package rng
 
 import (
-	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"sort"
@@ -31,9 +29,7 @@ func New(seed int64) *Stream {
 // out per-job seeds that depend only on the master seed and a stable job
 // label, never on execution order.
 func DeriveSeed(seed int64, label string) int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d/%s", seed, label)
-	return int64(h.Sum64())
+	return NewSeedHasher(seed).String(label).Seed()
 }
 
 // Derive returns a sub-stream keyed by the master seed and a label. The
@@ -43,9 +39,9 @@ func Derive(seed int64, label string) *Stream {
 	return New(DeriveSeed(seed, label))
 }
 
-// FNV-1a parameters, matching hash/fnv's 64-bit variant. SeedHasher
-// re-implements the hash byte by byte so derivation labels never have to
-// be materialized as strings on hot paths.
+// FNV-1a 64-bit parameters. The sub-seed of (seed, label) is the FNV-1a
+// hash of "<seed>/<label>", computed byte by byte so derivation labels
+// never have to be materialized as strings on hot paths.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -62,8 +58,8 @@ const (
 //	sub := h.Int(taskID).Byte(':').Int(attempt).Seed()
 //	// sub == rng.DeriveSeed(seed, fmt.Sprintf("fault:host:%d:%d", taskID, attempt))
 //
-// The equivalence with DeriveSeed is pinned by a golden test; it is what
-// lets hot paths switch to SeedHasher without perturbing a single draw.
+// DeriveSeed is SeedHasher over the whole label, and a golden test pins
+// the hash, so every derived seed is the one the artifacts were made with.
 type SeedHasher struct{ h uint64 }
 
 // NewSeedHasher starts a derivation for the given master seed: the state
@@ -135,19 +131,19 @@ func (s Hash32) Sum() uint32 { return s.h }
 // Reseeder is a reusable stream for components that derive a fresh
 // sub-stream per decision (the fault injector draws per (layer, task,
 // attempt)). Constructing a Stream allocates a generator of several
-// kilobytes; Reseed re-seeds one cached generator instead, yielding
-// exactly the draw sequence New(seed) would while keeping the hot path
-// allocation-free. Each Reseed invalidates the previous stream, so the
-// returned stream must be drained before the next call; not safe for
-// concurrent use.
+// kilobytes and seeding it fills all 607 registers; Reseed re-seeds one
+// cached lazySource instead, in O(1), yielding exactly the draw sequence
+// New(seed) would while keeping the hot path allocation-free. Each Reseed
+// invalidates the previous stream, so the returned stream must be drained
+// before the next call; not safe for concurrent use.
 type Reseeder struct {
 	stream Stream
 }
 
-// NewReseeder returns a Reseeder with an unseeded cached generator; call
-// Reseed before drawing.
+// NewReseeder returns a Reseeder positioned as New(0); call Reseed before
+// drawing.
 func NewReseeder() *Reseeder {
-	return &Reseeder{stream: Stream{r: rand.New(rand.NewSource(0))}}
+	return &Reseeder{stream: Stream{r: rand.New(newLazySource(0))}}
 }
 
 // Reseed re-seeds the cached generator with seed and returns the shared
@@ -178,7 +174,7 @@ func (s *Stream) Uniform(lo, hi float64) float64 {
 // mean (mean = 1/rate). It panics if mean <= 0.
 func (s *Stream) Exponential(mean float64) float64 {
 	if mean <= 0 {
-		panic(fmt.Sprintf("rng: exponential mean %v", mean))
+		panic("rng: exponential mean " + ftoa(mean))
 	}
 	return s.r.ExpFloat64() * mean
 }
@@ -194,7 +190,7 @@ func (s *Stream) Normal(mean, stddev float64) float64 {
 // specified. It panics if mean <= 0 or cv < 0.
 func (s *Stream) LogNormal(mean, cv float64) float64 {
 	if mean <= 0 || cv < 0 {
-		panic(fmt.Sprintf("rng: lognormal mean=%v cv=%v", mean, cv))
+		panic("rng: lognormal mean=" + ftoa(mean) + " cv=" + ftoa(cv))
 	}
 	if cv == 0 {
 		return mean
@@ -208,11 +204,14 @@ func (s *Stream) LogNormal(mean, cv float64) float64 {
 // value and shape alpha (>0). Heavy-tailed when alpha <= 2.
 func (s *Stream) Pareto(xmin, alpha float64) float64 {
 	if xmin <= 0 || alpha <= 0 {
-		panic(fmt.Sprintf("rng: pareto xmin=%v alpha=%v", xmin, alpha))
+		panic("rng: pareto xmin=" + ftoa(xmin) + " alpha=" + ftoa(alpha))
 	}
 	u := 1 - s.r.Float64() // in (0,1]
 	return xmin / math.Pow(u, 1/alpha)
 }
+
+// ftoa formats f as the %v verb would.
+func ftoa(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
 // Bernoulli returns true with probability p.
 func (s *Stream) Bernoulli(p float64) bool { return s.r.Float64() < p }
@@ -227,7 +226,7 @@ type Zipf struct {
 // NewZipf precomputes the rank CDF. n must be > 0 and theta >= 0.
 func NewZipf(s *Stream, n int, theta float64) *Zipf {
 	if n <= 0 || theta < 0 {
-		panic(fmt.Sprintf("rng: zipf n=%d theta=%v", n, theta))
+		panic("rng: zipf n=" + strconv.Itoa(n) + " theta=" + ftoa(theta))
 	}
 	cum := make([]float64, n)
 	total := 0.0
