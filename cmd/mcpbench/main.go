@@ -5,8 +5,10 @@
 // worker count at a fixed seed. E17 (fault injection), E18
 // (management-plane scale-out), E19 (inventory scale ladder), E20
 // (reconciliation interference), E21 (policy tournament) and E22 (serving
-// surface) are opt-in via -only and never change the default artifact;
-// their custom grids are reachable through core.E17Params..E21Params.
+// surface) are opt-in via -only and never change the default artifact.
+// The closed-loop legs of E17, E18, E20 and E21 are core.Grid values, so
+// a custom grid over their axes is an mcpsweep command line (see
+// core.Extensions for E18's).
 //
 //	mcpbench                 # full-scale horizons (minutes of wall time)
 //	mcpbench -quick          # CI-scale horizons (seconds)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -18,11 +19,11 @@ type errWriter struct{}
 
 func (errWriter) Write([]byte) (int, error) { return 0, errors.New("broken pipe") }
 
-func sampleRows() ([]string, []row) {
+func sampleRows() ([]string, []core.GridRow) {
 	headers := []string{"cells", "deploys/h", "mean lat s", "p95 lat s", "errors"}
-	rows := []row{
-		{values: []string{"1"}, res: core.ClosedLoopResult{Deploys: 10, DeploysPerHour: 60, MeanLatencyS: 30, P95LatencyS: 55}},
-		{values: []string{"2"}, res: core.ClosedLoopResult{Deploys: 0}}, // zero-deploy point: n/a latency
+	rows := []core.GridRow{
+		{Labels: []string{"1"}, Result: core.ClosedLoopResult{Deploys: 10, DeploysPerHour: 60, MeanLatencyS: 30, P95LatencyS: 55}},
+		{Labels: []string{"2"}, Result: core.ClosedLoopResult{Deploys: 0}}, // zero-deploy point: n/a latency
 	}
 	return headers, rows
 }
@@ -60,69 +61,64 @@ func parse(args ...string) (options, error) {
 	return parseArgs(fs, args)
 }
 
-// A value no cloud can be built from fails while the grid is built,
-// before any point simulates, with an error naming its path: the values
-// the per-field table used to reject, and the scenario enums.
+// A -vary value no cloud can be built from fails while the grid loads,
+// naming its path (the engine's table is in internal/core); a malformed
+// -vary or a numeric flag out of range fails at parse time.
 func TestGridRejectsBadValuesNamingThePath(t *testing.T) {
-	for _, c := range []struct{ vary, path string }{
-		{"topology.hosts=8,0", "topology.hosts=0"},
-		{"director.cells=x", "director.cells"},
-		{"plane.db=nope", "plane.db=nope"},
-		{"mgmt.dbConns=0", "mgmt.dbConns=0"},
-		{"topology.templateDiskGB=-1", "topology.templateDiskGB=-1"},
-		{"director.maxChainLen=-1", "director.maxChainLen=-1"},
-		{"director.fastProvisioning=yes", "director.fastProvisioning"},
-		{"mgmt.granularity=weird", "mgmt.granularity=weird"},
-		{"director.placement=weird", "director.placement=weird"},
-		{"policy=zzz", "policy=zzz"},
-		{"topology.hostz=4", "topology.hostz"},
-	} {
-		o, err := parse("-vary", c.vary)
-		if err != nil {
-			t.Fatalf("-vary %s: %v", c.vary, err)
-		}
-		if _, err := buildGrid(o); err == nil || !strings.Contains(err.Error(), c.path) {
-			t.Errorf("-vary %s: err = %v, want an error naming %s", c.vary, err, c.path)
-		}
+	o, err := parse("-vary", "topology.hosts=8,0", "-vary", "plane.db=shared")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, vary := range []string{"concurrency=0", "concurrency=x", "director.cells=", "=1,2"} {
-		if _, err := parse("-vary", vary); err == nil {
-			t.Errorf("-vary %s accepted", vary)
+	if _, err := o.grid.Points(o.load); err == nil || !strings.Contains(err.Error(), "topology.hosts=0 plane.db=shared") {
+		t.Errorf("err = %v, want an error naming topology.hosts=0 plane.db=shared", err)
+	}
+	for _, args := range [][]string{
+		{"-vary", "concurrency=0"},
+		{"-vary", "concurrency=x"},
+		{"-vary", "director.cells="},
+		{"-vary", "=1,2"},
+		{"-vary", "director.cells=1,2", "-concurrency", "-3"},
+		{"-vary", "director.cells=1,2", "-concurrency", "0"},
+		{"-vary", "director.cells=1,2", "-horizon", "0"},
+		{"-vary", "director.cells=1,2", "-horizon", "-60"},
+		{"-vary", "director.cells=1,2", "-horizon", "NaN"},
+		{"-vary", "director.cells=1,2", "-horizon", "+Inf"},
+		{"-vary", "director.cells=1,2", "-warmup", "NaN"},
+		{"-vary", "director.cells=1,2", "-warmup", "-30", "-horizon", "60"},
+		{"-vary", "director.cells=1,2", "-warmup", "60", "-horizon", "60"},
+	} {
+		if _, err := parse(args...); err == nil {
+			t.Errorf("%s accepted", strings.Join(args, " "))
 		}
 	}
 }
 
-// E18's linked-clone closed loop, written as a command line: the grid's
-// rows equal RunE18's cells, point for point.
+// E18's closed-loop leg, written as a command line, is E18's grid: the
+// same dimensions, clients, horizon and warmup, and every point loads
+// the same Config. Nothing simulates.
 func TestGridReproducesE18(t *testing.T) {
-	const horizon = 300
-	o, err := parse("-vary", "plane.shards=1,2", "-vary", "plane.db=shared,per-shard",
-		"-set", "topology.datastoreMBps=4000", "-set", "director.maxChainLen=1048576",
-		"-set", "director.rebalanceThreshold=0", "-concurrency", "192", "-horizon", "300")
+	o, err := parse("-vary", "plane.shards=1,2,4,8", "-vary", "plane.db=shared,per-shard",
+		"-vary", "director.fastProvisioning=false,true",
+		"-set", "director.rebalanceThreshold=0", "-set", "topology.datastoreMBps=4000",
+		"-set", "director.maxChainLen=1048576", "-concurrency", "192", "-horizon", "1800")
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := buildGrid(o)
+	want := core.E18Grid(1800)
+	if !reflect.DeepEqual(o.grid.Dims, want.Dims) || o.grid.Clients != want.Clients ||
+		o.grid.HorizonS != want.HorizonS || o.grid.WarmupS != want.WarmupS || o.grid.PointSeeds {
+		t.Fatalf("command line grid %+v\nE18 grid %+v", o.grid, want)
+	}
+	got, err := o.grid.Points(o.load)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := runGrid(o, points, 1)
+	wantPoints, err := want.Points(core.DefaultLoader(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e18, err := core.RunE18(core.E18Params{Seed: 1, ShardCounts: []int{1, 2}, Clients: 192, HorizonS: horizon})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []core.E18Cell
-	for _, p := range e18.Points {
-		want = append(want, p.SharedLinked, p.PerShardLinked)
-	}
-	for i, r := range rows {
-		got := core.E18Cell{GoodPerHour: r.res.DeploysPerHour, P99S: r.res.P99LatencyS, DBUtil: r.res.DBUtil}
-		if got != want[i] || got.GoodPerHour == 0 {
-			t.Errorf("point %v: grid %+v, E18 %+v", r.values, got, want[i])
-		}
+	if len(got) != 16 || !reflect.DeepEqual(got, wantPoints) {
+		t.Fatalf("command line points differ from E18's:\n%+v\n%+v", got, wantPoints)
 	}
 }
 

@@ -15,6 +15,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -224,16 +225,24 @@ type CostFile struct {
 	HostS    *float64 `json:"hostS,omitempty"`
 }
 
-// decodeOver decodes one JSON value from r over v, rejecting unknown
-// fields. The document decodes over defaultConfigFile, and each optional
-// block's UnmarshalJSON over its package defaults: the document decoder's
+// decodeOver decodes the one JSON value r holds over v, rejecting
+// unknown fields and any data after the value; a number decoded into an
+// interface stays a json.Number, so none is rounded. The document
+// decodes over defaultConfigFile, and each optional block's
+// UnmarshalJSON over its package defaults: the document decoder's
 // strictness does not reach inside a custom unmarshaler, so every block
 // restates it through this one function.
 func decodeOver[T any](r io.Reader, v T) (T, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	err := dec.Decode(&v)
-	return v, err
+	dec.UseNumber()
+	if err := dec.Decode(&v); err != nil {
+		return v, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return v, errors.New("data after the JSON value")
+	}
+	return v, nil
 }
 
 // defaultConfigFile is DefaultConfig(seed) in wire form: what

@@ -227,3 +227,24 @@ func TestLoadConfigRejectsUnknownFieldsInBlocks(t *testing.T) {
 		}
 	}
 }
+
+// A scenario is one JSON document: anything after it but white space is
+// an error, not silently ignored.
+func TestLoadConfigRejectsTrailingData(t *testing.T) {
+	for _, src := range []string{
+		`{"topology":{"hosts":8}} {"topology":{"hosts":0}} junk`,
+		`{"topology":{"hosts":8}} {"topology":{"hosts":0}}`,
+		`{"seed":1} junk`,
+		`{"seed":1}}`,
+		`{"seed":1} null`,
+	} {
+		if cfg, err := LoadConfig(strings.NewReader(src)); err == nil {
+			t.Errorf("%s: accepted as hosts=%d, want a trailing-data error", src, cfg.Topology.Hosts)
+		}
+	}
+	for _, src := range []string{`{"topology":{"hosts":8}}`, "{\"topology\":{\"hosts\":8}}\n", " \t{\"topology\":{\"hosts\":8}}\r\n\n "} {
+		if cfg, err := LoadConfig(strings.NewReader(src)); err != nil || cfg.Topology.Hosts != 8 {
+			t.Errorf("%q: hosts %d, err %v", src, cfg.Topology.Hosts, err)
+		}
+	}
+}

@@ -28,14 +28,33 @@ import (
 
 // E17Params configures the goodput-under-faults experiment.
 type E17Params struct {
-	Seed       int64
-	FaultRates []float64 // injected fault-rate grid, default {0, 0.05, 0.1, 0.2}
-	Clients    int       // closed-loop workers, default 32 (the E6 crossover)
-	HorizonS   float64   // default 30 min
-	WarmupS    float64   // default HorizonS/10
-	Workers    int       // sweep pool bound (0 = GOMAXPROCS)
+	Seed     int64
+	HorizonS float64 // per closed-loop point and storm
+	Workers  int     // sweep pool bound (0 = GOMAXPROCS)
+}
 
-	StormRatePerHour float64 // background load for the storm leg, default 2000
+// e17StormRatePerHour is the storm leg's background load.
+const e17StormRatePerHour = 2000.0
+
+// e17Loop is E17's closed-loop leg as data: fault rate × provisioning
+// mode (full, then linked clones) with rebalancing off to isolate
+// provisioning. Every point enables fault injection, and with it the
+// default retry policy.
+type e17Loop struct {
+	rates   []float64
+	clients int
+}
+
+// e17 is the registry's grid: four fault rates at the E6 crossover's 32
+// clients.
+var e17 = e17Loop{rates: []float64{0, 0.05, 0.1, 0.2}, clients: 32}
+
+func (d e17Loop) grid(horizonS float64) Grid {
+	return Grid{
+		Base:    []string{"director.rebalanceThreshold=0"},
+		Dims:    []Dim{Vary("faults.rate", d.rates...), Vary("director.fastProvisioning", false, true)},
+		Clients: d.clients, HorizonS: horizonS, WarmupS: horizonS / 10,
+	}
 }
 
 // E17Mode is one provisioning mode's outcome at one fault rate.
@@ -60,29 +79,17 @@ type E17Point struct {
 }
 
 // E17Result holds the sweep.
-type E17Result struct {
-	Points           []E17Point
-	StormRatePerHour float64
-}
+type E17Result struct{ Points []E17Point }
 
-// RunE17 sweeps the fault-rate grid; each point runs the closed loop in
-// both provisioning modes plus one restart storm, all on clouds with
-// fault injection and the default retry policy enabled.
-func RunE17(p E17Params) (*E17Result, error) {
-	if len(p.FaultRates) == 0 {
-		p.FaultRates = []float64{0, 0.05, 0.1, 0.2}
-	}
-	if p.Clients == 0 {
-		p.Clients = 32
-	}
-	if p.HorizonS == 0 {
-		p.HorizonS = 30 * 60
-	}
-	if p.WarmupS == 0 {
-		p.WarmupS = p.HorizonS / 10
-	}
-	if p.StormRatePerHour == 0 {
-		p.StormRatePerHour = 2000
+// RunE17 runs the fault-rate grid in both provisioning modes, then one
+// restart storm per fault rate.
+func RunE17(p E17Params) (*E17Result, error) { return e17.run(p) }
+
+func (d e17Loop) run(p E17Params) (*E17Result, error) {
+	opts := sweep.Options{MasterSeed: p.Seed, Workers: p.Workers}
+	rows, err := d.grid(p.HorizonS).Run(DefaultLoader(p.Seed), opts)
+	if err != nil {
+		return nil, err
 	}
 	mode := func(r ClosedLoopResult) E17Mode {
 		m := E17Mode{GoodPerHour: r.DeploysPerHour, P99S: r.P99LatencyS, GiveUps: r.Retry.GiveUps}
@@ -96,43 +103,20 @@ func RunE17(p E17Params) (*E17Result, error) {
 		}
 		return m
 	}
-	points, err := sweep.Run(sweep.Options{MasterSeed: p.Seed, Workers: p.Workers}, len(p.FaultRates),
-		func(sp sweep.Point) (E17Point, error) {
-			rate := p.FaultRates[sp.Index]
-			fc := faults.Preset(rate)
-			pt := E17Point{Rate: rate}
-			for _, fast := range []bool{false, true} {
-				cfg := DefaultConfig(p.Seed)
-				cfg.Director.FastProvisioning = fast
-				cfg.Director.RebalanceThreshold = 0 // isolate provisioning
-				cfg.Faults = &fc
-				r, err := RunClosedLoop(cfg, p.Clients, p.HorizonS, p.WarmupS)
-				if err != nil {
-					return pt, fmt.Errorf("E17 rate %.2f fast=%v: %w", rate, fast, err)
-				}
-				if fast {
-					pt.Linked = mode(r)
-					pt.goodput = r.Goodput
-				} else {
-					pt.Full = mode(r)
-				}
-			}
-			storm, err := RunE16(E16Params{
-				Seed:         p.Seed,
-				RatesPerHour: []float64{p.StormRatePerHour},
-				HorizonS:     p.HorizonS,
-				Faults:       &fc,
-			})
-			if err != nil {
-				return pt, fmt.Errorf("E17 rate %.2f storm: %w", rate, err)
-			}
-			pt.Storm = storm.Points[0]
-			return pt, nil
-		})
+	points, err := sweep.Run(opts, len(d.rates), func(sp sweep.Point) (E17Point, error) {
+		rate := d.rates[sp.Index]
+		fc := faults.Preset(rate)
+		storm, err := RunE16(E16Params{Seed: p.Seed, RatesPerHour: []float64{e17StormRatePerHour}, HorizonS: p.HorizonS, Faults: &fc})
+		if err != nil {
+			return E17Point{}, err
+		}
+		full, linked := rows[2*sp.Index].Result, rows[2*sp.Index+1].Result
+		return E17Point{Rate: rate, Full: mode(full), Linked: mode(linked), goodput: linked.Goodput, Storm: storm.Points[0]}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &E17Result{Points: points, StormRatePerHour: p.StormRatePerHour}, nil
+	return &E17Result{Points: points}, nil
 }
 
 // Render writes the goodput table, the per-kind goodput breakdown at the
@@ -158,7 +142,7 @@ func (r *E17Result) Render(w io.Writer) error {
 		}
 	}
 	st := report.NewTable(
-		fmt.Sprintf("E17: HA restart storm on a faulty control plane (%.0f req/h)", r.StormRatePerHour),
+		fmt.Sprintf("E17: HA restart storm on a faulty control plane (%.0f req/h)", e17StormRatePerHour),
 		"fault rate", "recovery s", "restarted", "unplaced", "bg deploys done")
 	for _, pt := range r.Points {
 		st.AddRow(pt.Rate, pt.Storm.RecoveryS, pt.Storm.Restarted, pt.Storm.Unplaced, pt.Storm.DeploysDone)

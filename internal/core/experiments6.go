@@ -33,12 +33,47 @@ import (
 
 // E18Params configures the scale-out experiment.
 type E18Params struct {
-	Seed        int64
-	ShardCounts []int   // shard-count grid, default {1, 2, 4, 8}
-	Clients     int     // closed-loop workers, default 192 (past one shard's capacity)
-	HorizonS    float64 // per closed-loop point, default 30 min
-	WarmupS     float64 // default HorizonS/10
-	Workers     int     // sweep pool bound (0 = GOMAXPROCS)
+	Seed     int64
+	HorizonS float64 // per closed-loop point and storm
+	Workers  int     // sweep pool bound (0 = GOMAXPROCS)
+}
+
+// e18Loop is E18's closed-loop leg as data: shard count × DB mode ×
+// provisioning mode, with rebalancing off to isolate provisioning.
+//
+// E18 measures the control plane, so the data plane is provisioned out
+// of the way the same way E6 suppresses rebalance: linked clones
+// concentrate on the template's home datastore (the director avoids
+// shadow churn), so its spindle bandwidth — not the management plane —
+// would cap throughput near 5 clones/s. An all-flash-class datastore and
+// an uncapped chain (no ~55 s shadow refresh copies) leave the managers
+// as the constraint.
+type e18Loop struct {
+	shards  []int
+	clients int
+}
+
+// e18 is the registry's grid: 1 to 8 shards under 192 clients, past one
+// shard's capacity.
+var e18 = e18Loop{shards: []int{1, 2, 4, 8}, clients: 192}
+
+// e18Base de-bottlenecks the data plane; E20 reuses it.
+var e18Base = []string{"director.rebalanceThreshold=0", "topology.datastoreMBps=4000", "director.maxChainLen=1048576"}
+
+// E18Grid is E18's closed-loop leg at horizonS, the grid of the
+// mcpsweep command line in the Extensions comment.
+func E18Grid(horizonS float64) Grid { return e18.grid(horizonS) }
+
+func (d e18Loop) grid(horizonS float64) Grid {
+	return Grid{
+		Base: e18Base,
+		Dims: []Dim{
+			Vary("plane.shards", d.shards...),
+			Vary("plane.db", plane.DBShared, plane.DBPerShard),
+			Vary("director.fastProvisioning", false, true),
+		},
+		Clients: d.clients, HorizonS: horizonS, WarmupS: horizonS / 10,
+	}
 }
 
 // E18Cell is one (shard count, DB mode, clone mode) closed-loop outcome.
@@ -69,82 +104,44 @@ type E18Point struct {
 // E18Result holds the sweep.
 type E18Result struct{ Points []E18Point }
 
-// RunE18 sweeps the shard-count grid; each point runs the closed loop
-// under shared and per-shard DB modes in both provisioning modes, plus
-// one cloud-a profile run measuring cross-shard coordination.
-func RunE18(p E18Params) (*E18Result, error) {
-	if len(p.ShardCounts) == 0 {
-		p.ShardCounts = []int{1, 2, 4, 8}
+// RunE18 runs the shard-count grid under both DB modes in both
+// provisioning modes, then one migration storm per shard count measuring
+// cross-shard coordination.
+func RunE18(p E18Params) (*E18Result, error) { return e18.run(p) }
+
+func (d e18Loop) run(p E18Params) (*E18Result, error) {
+	opts := sweep.Options{MasterSeed: p.Seed, Workers: p.Workers}
+	rows, err := d.grid(p.HorizonS).Run(DefaultLoader(p.Seed), opts)
+	if err != nil {
+		return nil, err
 	}
-	if p.Clients == 0 {
-		p.Clients = 192
-	}
-	if p.HorizonS == 0 {
-		p.HorizonS = 30 * 60
-	}
-	if p.WarmupS == 0 {
-		p.WarmupS = p.HorizonS / 10
-	}
-	cell := func(r ClosedLoopResult) E18Cell {
-		return E18Cell{GoodPerHour: r.DeploysPerHour, P99S: r.P99LatencyS, DBUtil: r.DBUtil}
-	}
-	points, err := sweep.Run(sweep.Options{MasterSeed: p.Seed, Workers: p.Workers}, len(p.ShardCounts),
-		func(sp sweep.Point) (E18Point, error) {
-			shards := p.ShardCounts[sp.Index]
-			pt := E18Point{Shards: shards}
-			for _, db := range []plane.DBMode{plane.DBShared, plane.DBPerShard} {
-				for _, fast := range []bool{false, true} {
-					cfg := DefaultConfig(p.Seed)
-					cfg.Director.FastProvisioning = fast
-					cfg.Director.RebalanceThreshold = 0 // isolate provisioning
-					// E18 measures the control plane, so the data plane is
-					// provisioned out of the way the same way E6 suppresses
-					// rebalance: linked clones concentrate on the template's
-					// home datastore (the director avoids shadow churn), so
-					// its spindle bandwidth — not the management plane —
-					// would cap throughput near 5 clones/s. An all-flash-class
-					// datastore and an uncapped chain (no ~55 s shadow
-					// refresh copies) leave the managers as the constraint.
-					cfg.Topology.DatastoreMBps = 4000
-					cfg.Director.MaxChainLen = 1 << 20
-					cfg.Plane.Shards = shards
-					cfg.Plane.DB = db
-					r, err := RunClosedLoop(cfg, p.Clients, p.HorizonS, p.WarmupS)
-					if err != nil {
-						return pt, fmt.Errorf("E18 shards=%d db=%s fast=%v: %w", shards, db, fast, err)
-					}
-					switch {
-					case db == plane.DBShared && !fast:
-						pt.SharedFull = cell(r)
-					case db == plane.DBShared && fast:
-						pt.SharedLinked = cell(r)
-					case db == plane.DBPerShard && !fast:
-						pt.PerShardFull = cell(r)
-					default:
-						pt.PerShardLinked = cell(r)
-					}
-				}
-			}
-			// Cross-shard leg: live migration is the operation whose
-			// source and destination hosts can land on different shards,
-			// but the operational profiles issue migrations far too
-			// rarely (cloud-a: 0.002 per VM-hour) to measure the
-			// coordinator. So the leg runs a deterministic migration
-			// storm: each worker deploys one VM and then live-migrates
-			// it between uniformly chosen hosts — the DRS-style "any
-			// most-free host" destination that ignores shard boundaries
-			// — and the plane reports how many moves crossed a shard and
-			// what the two-phase coordinator charged.
-			var err error
-			pt.Migrations, pt.CrossOps, pt.CoordS, err = migrationStorm(p.Seed, shards, p.HorizonS)
-			if err != nil {
-				return pt, fmt.Errorf("E18 shards=%d storm: %w", shards, err)
-			}
-			if pt.Migrations > 0 {
-				pt.CrossShare = 100 * float64(pt.CrossOps) / float64(pt.Migrations)
-			}
-			return pt, nil
-		})
+	// Cross-shard leg: live migration is the operation whose source and
+	// destination hosts can land on different shards, but the
+	// operational profiles issue migrations far too rarely (cloud-a:
+	// 0.002 per VM-hour) to measure the coordinator. So the leg runs a
+	// deterministic migration storm: each worker deploys one VM and then
+	// live-migrates it between uniformly chosen hosts — the DRS-style
+	// "any most-free host" destination that ignores shard boundaries —
+	// and the plane reports how many moves crossed a shard and what the
+	// two-phase coordinator charged.
+	points, err := sweep.Run(opts, len(d.shards), func(sp sweep.Point) (E18Point, error) {
+		// Each shard count's rows run shared full, shared linked,
+		// per-shard full, then per-shard linked.
+		cell := func(k int) E18Cell {
+			r := rows[4*sp.Index+k].Result
+			return E18Cell{GoodPerHour: r.DeploysPerHour, P99S: r.P99LatencyS, DBUtil: r.DBUtil}
+		}
+		pt := E18Point{Shards: d.shards[sp.Index], SharedFull: cell(0), SharedLinked: cell(1), PerShardFull: cell(2), PerShardLinked: cell(3)}
+		var err error
+		pt.Migrations, pt.CrossOps, pt.CoordS, err = migrationStorm(p.Seed, pt.Shards, p.HorizonS)
+		if err != nil {
+			return pt, fmt.Errorf("E18 shards=%d storm: %w", pt.Shards, err)
+		}
+		if pt.Migrations > 0 {
+			pt.CrossShare = 100 * float64(pt.CrossOps) / float64(pt.Migrations)
+		}
+		return pt, nil
+	})
 	if err != nil {
 		return nil, err
 	}

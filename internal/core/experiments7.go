@@ -37,17 +37,16 @@ import (
 
 // E20Params configures the reconciliation-interference experiment.
 type E20Params struct {
-	Seed       int64
-	IntervalsS []float64 // resync-interval grid, default {600, 300, 120, 60}
-	Depths     []int     // worker-depth grid, default {1, 4}
-	Shards     []int     // shard-count grid, default {1, 4}
-	Clients    int       // closed-loop foreground workers, default 64
-	HorizonS   float64   // per leg, default 30 min
-	WarmupS    float64   // default HorizonS/10
-	Workers    int       // sweep pool bound (0 = GOMAXPROCS)
-	StormVMs   int       // drift-storm fleet size, default 64
-	FillVMs    int       // rebalance-leg fleet size, default 44
+	Seed     int64
+	HorizonS float64 // per leg
+	Workers  int     // sweep pool bound (0 = GOMAXPROCS)
 }
+
+// The scenario legs' fleet sizes.
+const (
+	e20StormVMs = 64 // drift-storm fleet
+	e20FillVMs  = 44 // rebalance-leg fleet
+)
 
 // E20Cell is one grid point's outcome. IntervalS == 0 is the
 // reconcile-off baseline for that shard count (Depth is meaningless).
@@ -105,116 +104,67 @@ type E20Result struct {
 	Heaviest []report.ReconcileRow
 }
 
-// e20Grid enables the drift and catalog controllers for a grid point.
+// e20Loop is E20's closed-loop leg as data: shard count × a reconcile
+// dimension whose first level is off and whose others run the drift and
+// catalog controllers at each depth × interval. Linked clones run on
+// E18's de-bottlenecked data plane, so the managers are the constraint.
 // The wide catalog (48 templates vs the default 6) makes each resync a
 // real fan-out, and the elevated drift rate keeps the workqueues fed.
-func e20Grid(seed int64, shards, depth int, intervalS float64) Config {
-	cfg := DefaultConfig(seed)
-	cfg.Director.FastProvisioning = true
-	cfg.Director.RebalanceThreshold = 0 // isolate provisioning
-	// Same data-plane de-bottlenecking as E18: the managers, not the
-	// spindles, must be the constraint.
-	cfg.Topology.DatastoreMBps = 4000
-	cfg.Director.MaxChainLen = 1 << 20
-	cfg.Topology.Templates = 48
-	cfg.Plane.Shards = shards
-	if intervalS > 0 {
-		rc := reconcile.DefaultConfig()
-		rc.Controllers = []string{reconcile.ControllerDrift, reconcile.ControllerCatalog}
-		rc.IntervalS, rc.Depth, rc.RatePerS, rc.Burst, rc.DriftRate = intervalS, depth, 4, 8, 0.25
-		cfg.Reconcile = &rc
-	}
-	return cfg
+//
+// Each list runs from light to heavy load (intervals shrink), so the last
+// point is the heaviest.
+type e20Loop struct {
+	shards     []int
+	depths     []int
+	intervalsS []float64
+	clients    int
 }
 
-// RunE20 sweeps the interference grid, then runs the drift-storm and
-// thundering-rebalance legs serially (each is a pure function of the
-// seed, so the artifact is identical across sweep worker counts).
-func RunE20(p E20Params) (*E20Result, error) {
-	if len(p.IntervalsS) == 0 {
-		p.IntervalsS = []float64{600, 300, 120, 60}
-	}
-	if len(p.Depths) == 0 {
-		p.Depths = []int{1, 4}
-	}
-	if len(p.Shards) == 0 {
-		p.Shards = []int{1, 4}
-	}
-	if p.Clients == 0 {
-		p.Clients = 64
-	}
-	if p.HorizonS == 0 {
-		p.HorizonS = 30 * 60
-	}
-	if p.WarmupS == 0 {
-		p.WarmupS = p.HorizonS / 10
-	}
-	if p.StormVMs == 0 {
-		p.StormVMs = 64
-	}
-	if p.FillVMs == 0 {
-		p.FillVMs = 44
-	}
+// e20 is the registry's grid.
+var e20 = e20Loop{shards: []int{1, 4}, depths: []int{1, 4}, intervalsS: []float64{600, 300, 120, 60}, clients: 64}
 
-	type combo struct {
-		shards, depth int
-		intervalS     float64
-	}
-	var combos []combo
-	for _, s := range p.Shards {
-		combos = append(combos, combo{shards: s}) // reconcile-off baseline
-		for _, d := range p.Depths {
-			for _, iv := range p.IntervalsS {
-				combos = append(combos, combo{shards: s, depth: d, intervalS: iv})
-			}
+func (d e20Loop) grid(horizonS float64) Grid {
+	rec := Dim{Name: "reconcile", Levels: []Level{{Label: "off", Sets: []string{"reconcile=null"}}}}
+	for _, depth := range d.depths {
+		for _, iv := range d.intervalsS {
+			rec.Levels = append(rec.Levels, Level{
+				Label: fmt.Sprintf("depth %d interval %g", depth, iv),
+				Sets: []string{fmt.Sprintf(`reconcile={"controllers":[%q,%q],"intervalS":%g,"depth":%d,"ratePerS":4,"burst":8,"driftRate":0.25}`,
+					reconcile.ControllerDrift, reconcile.ControllerCatalog, iv, depth)},
+			})
 		}
 	}
-	type gridOut struct {
-		cell  E20Cell
-		stats []reconcile.Stats
+	return Grid{
+		Base:    append([]string{"director.fastProvisioning=true", "topology.templates=48"}, e18Base...),
+		Dims:    []Dim{Vary("plane.shards", d.shards...), rec},
+		Clients: d.clients, HorizonS: horizonS, WarmupS: horizonS / 10,
 	}
-	outs, err := sweep.Run(sweep.Options{MasterSeed: p.Seed, Workers: p.Workers}, len(combos),
-		func(sp sweep.Point) (gridOut, error) {
-			cb := combos[sp.Index]
-			r, err := RunClosedLoop(e20Grid(p.Seed, cb.shards, cb.depth, cb.intervalS), p.Clients, p.HorizonS, p.WarmupS)
-			if err != nil {
-				return gridOut{}, fmt.Errorf("E20 shards=%d depth=%d interval=%g: %w", cb.shards, cb.depth, cb.intervalS, err)
-			}
-			out := gridOut{cell: E20Cell{
-				Shards: cb.shards, Depth: cb.depth, IntervalS: cb.intervalS,
-				GoodPerHour: r.DeploysPerHour, P99S: r.P99LatencyS, DBUtil: r.DBUtil,
-			}, stats: r.Reconcile}
-			for _, s := range r.Reconcile {
-				out.cell.ReconcileRuns += s.Runs
-				out.cell.ThrottleS += s.ThrottleS
-			}
-			return out, nil
-		})
+}
+
+// RunE20 runs the interference grid, then the drift-storm and
+// thundering-rebalance legs serially (each is a pure function of the
+// seed, so the artifact is identical across sweep worker counts).
+func RunE20(p E20Params) (*E20Result, error) { return e20.run(p) }
+
+func (d e20Loop) run(p E20Params) (*E20Result, error) {
+	rows, err := d.grid(p.HorizonS).Run(DefaultLoader(p.Seed), sweep.Options{MasterSeed: p.Seed, Workers: p.Workers})
 	if err != nil {
 		return nil, err
 	}
 	res := &E20Result{}
-	var heavy *gridOut
-	for i := range outs {
-		res.Cells = append(res.Cells, outs[i].cell)
-		c := outs[i].cell
-		if c.IntervalS == 0 {
-			continue
+	for _, row := range rows {
+		r := row.Result
+		c := E20Cell{Shards: d.shards[row.Levels[0]], GoodPerHour: r.DeploysPerHour, P99S: r.P99LatencyS, DBUtil: r.DBUtil}
+		if level := row.Levels[1] - 1; level >= 0 {
+			c.Depth, c.IntervalS = d.depths[level/len(d.intervalsS)], d.intervalsS[level%len(d.intervalsS)]
 		}
-		if heavy == nil {
-			heavy = &outs[i]
-			continue
+		for _, s := range r.Reconcile {
+			c.ReconcileRuns += s.Runs
+			c.ThrottleS += s.ThrottleS
 		}
-		h := heavy.cell
-		if c.IntervalS < h.IntervalS ||
-			(c.IntervalS == h.IntervalS && (c.Depth > h.Depth ||
-				(c.Depth == h.Depth && c.Shards > h.Shards))) {
-			heavy = &outs[i]
-		}
+		res.Cells = append(res.Cells, c)
 	}
-	if heavy != nil {
-		res.Heaviest = reconcileRows(heavy.stats)
-	}
+	res.Heaviest = reconcileRows(rows[len(rows)-1].Result.Reconcile)
 	if res.Storm, err = e20DriftStorm(p); err != nil {
 		return nil, fmt.Errorf("E20 storm: %w", err)
 	}
@@ -247,11 +197,11 @@ func e20DriftStorm(p E20Params) (E20Storm, error) {
 		return E20Storm{}, err
 	}
 	H := p.HorizonS
-	st := E20Storm{FleetVMs: p.StormVMs}
+	st := E20Storm{FleetVMs: e20StormVMs}
 	// 32 foreground clients, measured before vs after the failure. After
 	// the crash the whole inventory is marked drifted: every restarted
 	// (and bystander) VM re-reconciles at once.
-	runFailoverStorm(c, eng, p.StormVMs, 32, "e20.storm", H, func(fo *ha.Failover) {
+	runFailoverStorm(c, eng, e20StormVMs, 32, "e20.storm", H, func(fo *ha.Failover) {
 		st.Affected = fo.Affected
 		st.Restarted = fo.Restarted
 		st.Marked = c.Reconcile().MarkDrifted(c.Inventory().VMs())
@@ -307,17 +257,17 @@ func e20Rebalance(p E20Params) (E20Rebalance, error) {
 		}
 		return m
 	}
-	st := E20Rebalance{FleetVMs: p.FillVMs}
+	st := E20Rebalance{FleetVMs: e20FillVMs}
 	// Fill the first two datastores with full clones.
 	const fillers = 4
-	per := (p.FillVMs + fillers - 1) / fillers
+	per := (e20FillVMs + fillers - 1) / fillers
 	remaining := fillers
 	for i := 0; i < fillers; i++ {
 		i := i
 		c.Go(fmt.Sprintf("fill%d", i), func(fp *sim.Proc) {
 			for j := 0; j < per; j++ {
 				n := i*per + j
-				if n >= p.FillVMs {
+				if n >= e20FillVMs {
 					break
 				}
 				host := inv.Host(hosts[n%len(hosts)])

@@ -19,9 +19,6 @@ import (
 	"fmt"
 	"io"
 
-	"cloudmcp/internal/clouddir"
-	"cloudmcp/internal/drs"
-	"cloudmcp/internal/faults"
 	"cloudmcp/internal/ha"
 	"cloudmcp/internal/report"
 	"cloudmcp/internal/sweep"
@@ -29,16 +26,13 @@ import (
 
 // E21Params configures the policy tournament.
 type E21Params struct {
-	Seed       int64
-	Policies   []string  // named policy sets to race, default {default, binpack, spread, band, adaptive-retry}
-	FaultRates []float64 // fault-rate grid, default {0, 0.15}
-	Scenarios  []string  // scenario grid, default {steady, skewed}
-	Clients    int       // closed-loop foreground workers, default 32
-	HorizonS   float64   // per grid point, default 30 min
-	WarmupS    float64   // default HorizonS/10
-	Workers    int       // sweep pool bound (0 = GOMAXPROCS)
-	StormVMs   int       // failover-leg fleet size, default 48
+	Seed     int64
+	HorizonS float64 // per grid point and failover leg
+	Workers  int     // sweep pool bound (0 = GOMAXPROCS)
 }
+
+// e21StormVMs is the failover leg's fleet size.
+const e21StormVMs = 48
 
 // E21Cell is one grid point's outcome.
 type E21Cell struct {
@@ -73,117 +67,87 @@ type E21Result struct {
 	Ranking   []report.PolicyRow
 }
 
-// e21Scenario builds the cloud config for one (policy, scenario,
-// fault-rate) grid point. Both scenarios run DRS hot (10% threshold,
-// 2-minute checks) so move policies differ. "steady" de-bottlenecks
-// the data plane — the decision policies, not the spindles, are the
+// e21Loop is E21's closed-loop leg as data: policy × scenario × fault
+// rate. Every point provisions linked clones on uncapped chains and runs
+// DRS hot (10% threshold, 2-minute checks) so move policies differ.
+// faultRates starts at 0, so each policy's first point, steady and
+// fault-free, is also the cloud its failover leg runs on.
+type e21Loop struct {
+	policies   []string
+	faultRates []float64
+	clients    int
+}
+
+// e21 is the registry's grid.
+var e21 = e21Loop{
+	policies:   []string{"default", "binpack", "spread", "band", "adaptive-retry"},
+	faultRates: []float64{0, 0.15},
+	clients:    32,
+}
+
+// e21Scenarios is the scenario dimension. "steady" de-bottlenecks the
+// data plane — the decision policies, not the spindles, are the
 // constraint — and disables the rebalancer; "skewed" keeps the default
 // spindles and adds sticky-org placement, so tenants pile onto their
-// pinned datastores, storage contention is real, and the rebalancer
-// (on a 5-minute check) cleans up behind them.
-func e21Scenario(seed int64, pol, scenario string, rate float64) (Config, error) {
-	cfg := DefaultConfig(seed)
-	cfg.Policy = pol
-	cfg.Director.FastProvisioning = true
-	cfg.Director.MaxChainLen = 1 << 20
-	cfg.DRS = drs.Config{Threshold: 0.10, CheckS: 120, Batch: 8}
-	switch scenario {
-	case "steady":
-		cfg.Topology.DatastoreMBps = 4000
-		cfg.Director.RebalanceThreshold = 0
-	case "skewed":
-		cfg.Director.Placement = clouddir.PlaceStickyOrg
-		cfg.Director.RebalanceCheckS = 300
-	default:
-		return Config{}, fmt.Errorf("unknown scenario %q (want steady or skewed)", scenario)
+// pinned datastores, storage contention is real, and the rebalancer (on
+// a 5-minute check) cleans up behind them.
+var e21Scenarios = Dim{Name: "scenario", Levels: []Level{
+	{Label: "steady", Sets: []string{"topology.datastoreMBps=4000", "director.rebalanceThreshold=0"}},
+	{Label: "skewed", Sets: []string{"director.placement=sticky-org", "director.rebalanceCheckS=300"}},
+}}
+
+func (d e21Loop) grid(horizonS float64) Grid {
+	rates := Dim{Name: "faults"}
+	for _, rate := range d.faultRates {
+		set := "faults=null"
+		if rate > 0 {
+			set = fmt.Sprintf(`faults={"rate":%g}`, rate)
+		}
+		rates.Levels = append(rates.Levels, Level{Label: fmt.Sprint(rate), Sets: []string{set}})
 	}
-	if rate > 0 {
-		fc := faults.Preset(rate)
-		cfg.Faults = &fc
+	return Grid{
+		Base:    []string{"director.fastProvisioning=true", "director.maxChainLen=1048576", `drs={"threshold":0.1,"checkS":120,"batch":8}`},
+		Dims:    []Dim{Vary("policy", d.policies...), e21Scenarios, rates},
+		Clients: d.clients, HorizonS: horizonS, WarmupS: horizonS / 10,
 	}
-	return cfg, nil
 }
 
 // RunE21 races the policy sets over the scenario × fault-rate grid,
 // runs one failover-storm leg per policy, and ranks policies by mean
-// normalized goodput.
-func RunE21(p E21Params) (*E21Result, error) {
-	if len(p.Policies) == 0 {
-		p.Policies = []string{"default", "binpack", "spread", "band", "adaptive-retry"}
-	}
-	if len(p.FaultRates) == 0 {
-		p.FaultRates = []float64{0, 0.15}
-	}
-	if len(p.Scenarios) == 0 {
-		p.Scenarios = []string{"steady", "skewed"}
-	}
-	if p.Clients == 0 {
-		p.Clients = 32
-	}
-	if p.HorizonS == 0 {
-		p.HorizonS = 30 * 60
-	}
-	if p.WarmupS == 0 {
-		p.WarmupS = p.HorizonS / 10
-	}
-	if p.StormVMs == 0 {
-		p.StormVMs = 48
-	}
+// goodput normalized within each scenario × fault-rate group, so easy
+// regimes cannot drown hard ones.
+func RunE21(p E21Params) (*E21Result, error) { return e21.run(p) }
 
-	type combo struct {
-		pol, scenario string
-		rate          float64
-	}
-	var combos []combo
-	for _, pol := range p.Policies {
-		for _, sc := range p.Scenarios {
-			for _, r := range p.FaultRates {
-				combos = append(combos, combo{pol: pol, scenario: sc, rate: r})
-			}
-		}
-	}
-	cells, err := sweep.Run(sweep.Options{MasterSeed: p.Seed, Workers: p.Workers}, len(combos),
-		func(sp sweep.Point) (E21Cell, error) {
-			cb := combos[sp.Index]
-			cfg, err := e21Scenario(p.Seed, cb.pol, cb.scenario, cb.rate)
-			if err != nil {
-				return E21Cell{}, err
-			}
-			r, err := RunClosedLoop(cfg, p.Clients, p.HorizonS, p.WarmupS)
-			if err != nil {
-				return E21Cell{}, fmt.Errorf("E21 %s/%s/%g: %w", cb.pol, cb.scenario, cb.rate, err)
-			}
-			return E21Cell{
-				Policy: cb.pol, Scenario: cb.scenario, FaultRate: cb.rate,
-				GoodPerHour: r.DeploysPerHour, P99S: r.P99LatencyS,
-				Moves:  r.DRSMoves + r.RebalanceMoves,
-				Errors: r.Errors, GiveUps: r.Retry.GiveUps,
-			}, nil
-		})
+func (d e21Loop) run(p E21Params) (*E21Result, error) {
+	g := d.grid(p.HorizonS)
+	opts := sweep.Options{MasterSeed: p.Seed, Workers: p.Workers}
+	rows, err := g.Run(DefaultLoader(p.Seed), opts)
 	if err != nil {
 		return nil, err
 	}
-	failovers, err := sweep.Run(sweep.Options{MasterSeed: p.Seed, Workers: p.Workers}, len(p.Policies),
-		func(sp sweep.Point) (E21Failover, error) {
-			fo, err := e21FailoverStorm(p, p.Policies[sp.Index])
-			if err != nil {
-				return E21Failover{}, fmt.Errorf("E21 failover %s: %w", p.Policies[sp.Index], err)
-			}
-			return fo, nil
-		})
+	cells := make([]E21Cell, len(rows))
+	for i, row := range rows {
+		r := row.Result
+		cells[i] = E21Cell{
+			Policy: row.Labels[0], Scenario: row.Labels[1], FaultRate: d.faultRates[row.Levels[2]],
+			GoodPerHour: r.DeploysPerHour, P99S: r.P99LatencyS,
+			Moves:  r.DRSMoves + r.RebalanceMoves,
+			Errors: r.Errors, GiveUps: r.Retry.GiveUps,
+		}
+	}
+	perPolicy := len(rows) / len(d.policies)
+	failovers, err := sweep.Run(opts, len(d.policies), func(sp sweep.Point) (E21Failover, error) {
+		row := rows[sp.Index*perPolicy]
+		fo, err := e21FailoverStorm(row.Config, row.Labels[0], p.HorizonS)
+		if err != nil {
+			return fo, fmt.Errorf("E21 failover %s: %w", row.Labels[0], err)
+		}
+		return fo, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	// Goodput is normalized within each scenario × fault-rate group, so
-	// easy regimes cannot drown hard ones.
-	results := make([]report.PolicyResult, len(cells))
-	for i, c := range cells {
-		results[i] = report.PolicyResult{
-			Policy: c.Policy, Group: fmt.Sprintf("%s\x00%v", c.Scenario, c.FaultRate),
-			GoodPerHour: c.GoodPerHour, P99S: c.P99S, Moves: c.Moves, Errors: c.Errors,
-		}
-	}
-	return &E21Result{Cells: cells, Failovers: failovers, Ranking: report.RankPolicies(p.Policies, results)}, nil
+	return &E21Result{Cells: cells, Failovers: failovers, Ranking: g.RankPolicies(rows)}, nil
 }
 
 // e21FailoverStorm deploys a powered-on fleet under one policy set,
@@ -191,11 +155,7 @@ func RunE21(p E21Params) (*E21Result, error) {
 // busiest host at the half-way mark through an HA engine wired to the
 // set's failover policy, and measures foreground service after the
 // restart storm.
-func e21FailoverStorm(p E21Params, pol string) (E21Failover, error) {
-	cfg, err := e21Scenario(p.Seed, pol, "steady", 0)
-	if err != nil {
-		return E21Failover{}, err
-	}
+func e21FailoverStorm(cfg Config, pol string, horizonS float64) (E21Failover, error) {
 	c, err := New(cfg)
 	if err != nil {
 		return E21Failover{}, err
@@ -206,10 +166,10 @@ func e21FailoverStorm(p E21Params, pol string) (E21Failover, error) {
 	if err != nil {
 		return E21Failover{}, err
 	}
-	H := p.HorizonS
+	H := horizonS
 	fo := E21Failover{Policy: pol}
 	// 16 foreground clients, measured after the failure.
-	runFailoverStorm(c, eng, p.StormVMs, 16, "e21.storm", H, func(rec *ha.Failover) {
+	runFailoverStorm(c, eng, e21StormVMs, 16, "e21.storm", H, func(rec *ha.Failover) {
 		fo.Affected = rec.Affected
 		fo.Restarted = rec.Restarted
 		fo.Unplaced = rec.Unplaced

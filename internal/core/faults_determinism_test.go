@@ -16,13 +16,12 @@ import (
 	"cloudmcp/internal/workload"
 )
 
-func e17Quick(workers int) E17Params {
-	return E17Params{Seed: 1, FaultRates: []float64{0, 0.1, 0.3}, Clients: 8, HorizonS: 120, Workers: workers}
-}
-
-func renderE17(t *testing.T, p E17Params) string {
+// renderE17 runs E17 trimmed to three fault rates and 8 clients over a
+// 120 s horizon.
+func renderE17(t *testing.T, workers int) string {
 	t.Helper()
-	r, err := RunE17(p)
+	quick := e17Loop{rates: []float64{0, 0.1, 0.3}, clients: 8}
+	r, err := quick.run(E17Params{Seed: 1, HorizonS: 120, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,8 +33,8 @@ func renderE17(t *testing.T, p E17Params) string {
 }
 
 func TestE17ArtifactIdenticalAcrossWorkerCounts(t *testing.T) {
-	serial := renderE17(t, e17Quick(1))
-	parallel := renderE17(t, e17Quick(8))
+	serial := renderE17(t, 1)
+	parallel := renderE17(t, 8)
 	if serial != parallel {
 		t.Fatalf("E17 artifact differs between 1 and 8 sweep workers:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", serial, parallel)
 	}

@@ -15,6 +15,10 @@ import (
 	"strings"
 )
 
+// Loader loads a Config with path=value overrides (the -set syntax)
+// applied in order, each decoded alone first so an error names its path.
+type Loader func(overrides ...string) (Config, error)
+
 // BindConfigFlags registers -config, -seed and the repeatable -set on fs
 // and returns the loader to call after fs.Parse. Precedence, lowest
 // first: DefaultConfig, the -config file, -seed (applied when given
@@ -27,29 +31,20 @@ import (
 // is valid JSON and taken as a string otherwise.
 //
 // The loader's overrides are further path=value pairs in the same
-// syntax, applied after every -set: mcpsweep loads each grid point this
-// way.
-func BindConfigFlags(fs *flag.FlagSet) func(overrides ...string) (Config, error) {
+// syntax, applied after every -set: a Grid loads each point this way.
+func BindConfigFlags(fs *flag.FlagSet) Loader {
 	path := fs.String("config", "", "JSON scenario file (see scenarios/)")
 	seed := fs.Int64("seed", 1, "master random seed (overrides the scenario's)")
 	var sets setFlag
 	fs.Var(&sets, "set", "path=value override of a scenario field, e.g. plane.shards=4, faults.rate=0.1 or 'reconcile={}' (repeatable; value is JSON, else a string)")
 	return func(overrides ...string) (Config, error) {
-		all := append(setFlag(nil), sets...)
-		for _, o := range overrides {
-			if err := all.Set(o); err != nil {
-				return Config{}, err
-			}
-		}
 		doc := map[string]any{}
 		if *path != "" {
 			src, err := os.ReadFile(*path)
 			if err != nil {
 				return Config{}, err
 			}
-			dec := json.NewDecoder(bytes.NewReader(src))
-			dec.UseNumber()
-			if err := dec.Decode(&doc); err != nil {
+			if doc, err = decodeOver(bytes.NewReader(src), doc); err != nil {
 				return Config{}, fmt.Errorf("core: parse scenario %s: %w", *path, err)
 			}
 			if doc == nil { // the file held JSON null
@@ -61,17 +56,37 @@ func BindConfigFlags(fs *flag.FlagSet) func(overrides ...string) (Config, error)
 		if seedSet || *path == "" {
 			doc["seed"] = *seed
 		}
-		for _, s := range all {
-			if err := s.merge(doc); err != nil {
-				return Config{}, err
-			}
-		}
-		src, err := json.Marshal(doc)
-		if err != nil {
+		return sets.load(doc, overrides)
+	}
+}
+
+// DefaultLoader is the loader over DefaultConfig(seed): what
+// BindConfigFlags gives with no -config and no -set.
+func DefaultLoader(seed int64) Loader {
+	return func(overrides ...string) (Config, error) {
+		return setFlag(nil).load(map[string]any{"seed": seed}, overrides)
+	}
+}
+
+// load merges the settings, then the overrides parsed like -set, into
+// doc and decodes it through LoadConfig.
+func (f setFlag) load(doc map[string]any, overrides []string) (Config, error) {
+	all := append(setFlag(nil), f...)
+	for _, o := range overrides {
+		if err := all.Set(o); err != nil {
 			return Config{}, err
 		}
-		return LoadConfig(bytes.NewReader(src))
 	}
+	for _, s := range all {
+		if err := s.merge(doc); err != nil {
+			return Config{}, err
+		}
+	}
+	src, err := json.Marshal(doc)
+	if err != nil {
+		return Config{}, err
+	}
+	return LoadConfig(bytes.NewReader(src))
 }
 
 // setting is one parsed -set override.

@@ -231,3 +231,104 @@ func TestDefaultScenarioMatchesDumpConfig(t *testing.T) {
 		t.Fatalf("scenarios/default.json drifted from WriteDefaultConfig(w, 1):\n%s\nwant:\n%s", got, want.Bytes())
 	}
 }
+
+// A -config file holding two documents fails instead of running the
+// first; the checked-in one-line files still load.
+func TestBindConfigFlagsRejectsTwoDocumentFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "two.json")
+	if err := os.WriteFile(path, []byte("{\"topology\":{\"hosts\":8}}\n{\"topology\":{\"hosts\":0}}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if cfg, err := bind(t, "-config", path); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("two-document file: hosts %d, err %v, want an error naming the file", cfg.Topology.Hosts, err)
+	}
+	for _, path := range scenarioPaths(t) {
+		if _, err := bind(t, "-config", path); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
+	}
+}
+
+// DefaultLoader with no overrides is DefaultConfig, and its overrides
+// merge the way -set does.
+func TestDefaultLoader(t *testing.T) {
+	cfg, err := DefaultLoader(7)()
+	if err != nil || !reflect.DeepEqual(cfg, DefaultConfig(7)) {
+		t.Fatalf("DefaultLoader(7)() = %+v, %v; want DefaultConfig(7)", cfg, err)
+	}
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	load := BindConfigFlags(fs)
+	args := []string{"-seed", "7", "-set", "plane.shards=2", "-set", `reconcile={"depth":3}`, "-set", "faults=null"}
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	want, err := load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DefaultLoader(7)("plane.shards=2", `reconcile={"depth":3}`, "faults=null")
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("DefaultLoader overrides = %+v, %v; want %+v", got, err, want)
+	}
+	if _, err := DefaultLoader(7)("plane.shardz=2"); err == nil || !strings.Contains(err.Error(), "plane.shardz") {
+		t.Fatalf("bad override: err = %v, want it to name plane.shardz", err)
+	}
+}
+
+// FuzzLoadConfig feeds a scenario document and one path=value override
+// through the -config decode and -set merge BindConfigFlags uses. Any
+// input may be rejected, but nothing may panic, and every Config the
+// loader accepts either builds with New or New returns an error.
+func FuzzLoadConfig(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("glob scenarios: %v (%d found)", err, len(paths))
+	}
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src), "")
+	}
+	for _, g := range []Grid{e17.grid(60), e18.grid(60), e20.grid(60), e21.grid(60)} {
+		sets := append([]string(nil), g.Base...)
+		for _, d := range g.Dims {
+			for _, l := range d.Levels {
+				sets = append(sets, l.Sets...)
+			}
+		}
+		for _, set := range sets {
+			f.Add("{}", set)
+		}
+	}
+	f.Add(`{"topology":{"hosts":8}} junk`, "plane.shards=9")
+	f.Fuzz(func(t *testing.T, doc, override string) {
+		m, err := decodeOver(strings.NewReader(doc), map[string]any{})
+		if err != nil {
+			return
+		}
+		if m == nil {
+			m = map[string]any{}
+		}
+		var overrides []string
+		if override != "" {
+			overrides = append(overrides, override)
+		}
+		cfg, err := setFlag(nil).load(m, overrides)
+		if err != nil {
+			return
+		}
+		// New allocates per host, datastore, template, shard, cell and
+		// reconcile worker; past these sizes an input tests memory, not
+		// the configuration surface.
+		const most = 64
+		top := cfg.Topology
+		if top.Hosts > most || top.Datastores > most || top.Templates > most ||
+			cfg.Plane.Shards > most || cfg.Director.Cells > most ||
+			(cfg.Reconcile != nil && cfg.Reconcile.Depth > most) {
+			t.Skip("too large to build")
+		}
+		_, _ = New(cfg)
+	})
+}

@@ -5,30 +5,30 @@ import (
 	"testing"
 )
 
-func e21Quick(workers int) E21Params {
-	return E21Params{
-		Seed: 1, Policies: []string{"default", "binpack", "adaptive-retry"},
-		FaultRates: []float64{0, 0.2}, Scenarios: []string{"steady", "skewed"},
-		Clients: 8, HorizonS: 120, StormVMs: 16, Workers: workers,
-	}
-}
-
-func renderE21(t *testing.T, p E21Params) string {
+// e21Quick runs E21 trimmed to three policies and fault rates 0 and 0.2
+// under 8 clients, over a 120 s horizon.
+func e21Quick(t *testing.T, workers int) *E21Result {
 	t.Helper()
-	r, err := RunE21(p)
+	quick := e21Loop{policies: []string{"default", "binpack", "adaptive-retry"}, faultRates: []float64{0, 0.2}, clients: 8}
+	r, err := quick.run(E21Params{Seed: 1, HorizonS: 120, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return r
+}
+
+func renderE21(t *testing.T, workers int) string {
+	t.Helper()
 	var sb strings.Builder
-	if err := r.Render(&sb); err != nil {
+	if err := e21Quick(t, workers).Render(&sb); err != nil {
 		t.Fatal(err)
 	}
 	return sb.String()
 }
 
 func TestE21ArtifactIdenticalAcrossWorkerCounts(t *testing.T) {
-	serial := renderE21(t, e21Quick(1))
-	parallel := renderE21(t, e21Quick(8))
+	serial := renderE21(t, 1)
+	parallel := renderE21(t, 8)
 	if serial != parallel {
 		t.Fatalf("E21 artifact differs between 1 and 8 sweep workers:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", serial, parallel)
 	}
@@ -44,10 +44,7 @@ func TestE21ArtifactIdenticalAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestE21RankingIsTotalOrder(t *testing.T) {
-	r, err := RunE21(e21Quick(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := e21Quick(t, 4)
 	if len(r.Ranking) != 3 {
 		t.Fatalf("ranking rows = %d, want 3", len(r.Ranking))
 	}

@@ -86,17 +86,12 @@ func TestReconcileEnabledRunsAreDeterministic(t *testing.T) {
 	}
 }
 
-func e20Quick(workers int) E20Params {
-	return E20Params{
-		Seed: 1, IntervalsS: []float64{60, 30}, Depths: []int{2},
-		Shards: []int{1, 2}, Clients: 8, HorizonS: 120,
-		StormVMs: 16, FillVMs: 20, Workers: workers,
-	}
-}
-
-func renderE20(t *testing.T, p E20Params) string {
+// renderE20 runs E20 with its grid trimmed to two intervals, one depth
+// and one and two shards under 8 clients, over a 120 s horizon.
+func renderE20(t *testing.T, workers int) string {
 	t.Helper()
-	r, err := RunE20(p)
+	quick := e20Loop{shards: []int{1, 2}, depths: []int{2}, intervalsS: []float64{60, 30}, clients: 8}
+	r, err := quick.run(E20Params{Seed: 1, HorizonS: 120, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +103,8 @@ func renderE20(t *testing.T, p E20Params) string {
 }
 
 func TestE20ArtifactIdenticalAcrossWorkerCounts(t *testing.T) {
-	serial := renderE20(t, e20Quick(1))
-	parallel := renderE20(t, e20Quick(8))
+	serial := renderE20(t, 1)
+	parallel := renderE20(t, 8)
 	if serial != parallel {
 		t.Fatalf("E20 artifact differs between 1 and 8 sweep workers:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", serial, parallel)
 	}

@@ -85,9 +85,14 @@ func Experiments() []Experiment {
 // management-plane topology, E19 scales the inventory itself, E20
 // turns on the reconciliation plane, and E21 races policy sets; folding
 // any of them into RunAll would grow the default artifact. They run via
-// RunExperiment (mcpbench -only E17/E18/E19/E20/E21) at these default
-// grids; a custom grid is a call to the experiment's Run function with
-// its Params struct.
+// RunExperiment (mcpbench -only E17/E18/E19/E20/E21) at these fixed
+// grids. The closed-loop legs of E17, E18, E20 and E21 are Grids, so a
+// custom grid over their axes is an mcpsweep command line, e.g. E18's:
+//
+//	mcpsweep -vary plane.shards=1,2,4,8 -vary plane.db=shared,per-shard \
+//	  -vary director.fastProvisioning=false,true -concurrency 192 -horizon 1800 \
+//	  -set director.rebalanceThreshold=0 -set topology.datastoreMBps=4000 \
+//	  -set director.maxChainLen=1048576
 func Extensions() []Experiment {
 	return []Experiment{
 		{"E17", func(seed int64, scale float64, workers int) (Renderable, error) {

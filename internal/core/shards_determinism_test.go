@@ -10,26 +10,30 @@ import (
 	"testing"
 )
 
-func e18Quick(workers int) E18Params {
-	return E18Params{Seed: 1, ShardCounts: []int{1, 2}, Clients: 48, HorizonS: 120, Workers: workers}
-}
-
-func renderE18(t *testing.T, p E18Params) string {
+// e18Quick runs E18 trimmed to one and two shards under 48 clients over
+// a 120 s horizon.
+func e18Quick(t *testing.T, workers int) *E18Result {
 	t.Helper()
-	r, err := RunE18(p)
+	quick := e18Loop{shards: []int{1, 2}, clients: 48}
+	r, err := quick.run(E18Params{Seed: 1, HorizonS: 120, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return r
+}
+
+func renderE18(t *testing.T, workers int) string {
+	t.Helper()
 	var sb strings.Builder
-	if err := r.Render(&sb); err != nil {
+	if err := e18Quick(t, workers).Render(&sb); err != nil {
 		t.Fatal(err)
 	}
 	return sb.String()
 }
 
 func TestE18ArtifactIdenticalAcrossWorkerCounts(t *testing.T) {
-	serial := renderE18(t, e18Quick(1))
-	parallel := renderE18(t, e18Quick(8))
+	serial := renderE18(t, 1)
+	parallel := renderE18(t, 8)
 	if serial != parallel {
 		t.Fatalf("E18 artifact differs between 1 and 8 sweep workers:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", serial, parallel)
 	}
@@ -47,10 +51,7 @@ func TestE18ArtifactIdenticalAcrossWorkerCounts(t *testing.T) {
 // A sharded cloud must produce cross-shard work in the storm leg and
 // none at one shard — the coordinator only fires across a boundary.
 func TestE18CrossShardAccounting(t *testing.T) {
-	r, err := RunE18(e18Quick(0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := e18Quick(t, 0)
 	one, two := r.Points[0], r.Points[1]
 	if one.Shards != 1 || two.Shards != 2 {
 		t.Fatalf("grid order: %d, %d", one.Shards, two.Shards)
