@@ -6,9 +6,9 @@
 // (management-plane scale-out), E19 (inventory scale ladder), E20
 // (reconciliation interference), E21 (policy tournament) and E22 (serving
 // surface) are opt-in via -only and never change the default artifact.
-// The closed-loop legs of E17, E18, E20 and E21 are core.Grid values, so
-// a custom grid over their axes is an mcpsweep command line (see
-// core.Extensions for E18's).
+// Every sweep of E5..E21 is a core.Grid, so a custom closed-loop grid
+// over the axes of E6, E10, E11, E17, E18, E20 or E21 is an mcpsweep
+// command line (see core.Extensions for E18's).
 //
 //	mcpbench                 # full-scale horizons (minutes of wall time)
 //	mcpbench -quick          # CI-scale horizons (seconds)

@@ -1,5 +1,5 @@
-// Command mcpsweep runs an arbitrary what-if parameter grid — the
-// generalization of the hardcoded E6/E10/E11 sweeps. It loads a base
+// Command mcpsweep runs an arbitrary what-if parameter grid on the grid
+// engine (core.Grid) every experiment sweep runs on. It loads a base
 // configuration through the shared scenario surface (-config file.json,
 // -seed, repeatable -set path=value; the defaults otherwise), varies one
 // or more scenario fields over a grid, runs the closed-loop provisioning

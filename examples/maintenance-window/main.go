@@ -16,27 +16,24 @@ import (
 )
 
 func main() {
-	fmt.Println("Evacuating a host with 10 resident VMs at three levels of")
+	fmt.Println("Evacuating a host with resident VMs at rising levels of")
 	fmt.Println("background self-service load (paper-era manager sizing):")
 	fmt.Println()
 
-	res, err := core.RunE14(core.E14Params{
-		Seed:         21,
-		HostVMs:      10,
-		RatesPerHour: []float64{0, 2000, 5000},
-		HorizonS:     1200,
-	})
+	res, err := core.RunE14(core.E14Params{Seed: 21, HorizonS: 1200})
 	if err != nil {
 		log.Fatal(err)
 	}
 	res.Render(os.Stdout)
 
-	idle := res.Points[0].EvacuationS
-	busy := res.Points[len(res.Points)-1].EvacuationS
-	fmt.Printf("\nThe same 10-VM evacuation takes %.0f s idle and %.0f s under load\n", idle, busy)
-	fmt.Printf("(%.1fx stretch): the migrations queue behind self-service traffic at\n", busy/idle)
-	fmt.Println("the manager's worker threads and database. Scheduling maintenance")
-	fmt.Println("windows by wall clock without modeling control-plane load under-")
-	fmt.Println("estimates them — one of the operational implications the paper's")
-	fmt.Println("characterization surfaces.")
+	idle, busy := res.Points[0], res.Points[len(res.Points)-1]
+	fmt.Printf("\nThe evacuation takes %.0f s idle (%d migrations) and %.0f s at %.0f req/h\n",
+		idle.EvacuationS, idle.Migrations, busy.EvacuationS, busy.RatePerHour)
+	fmt.Printf("(%d migrations, %.1fx stretch): background deploys land on the host\n",
+		busy.Migrations, busy.EvacuationS/idle.EvacuationS)
+	fmt.Println("before it drains, and the migrations queue behind self-service")
+	fmt.Println("traffic at the manager's worker threads and database. Scheduling")
+	fmt.Println("maintenance windows by wall clock without modeling control-plane")
+	fmt.Println("load underestimates them — one of the operational implications the")
+	fmt.Println("paper's characterization surfaces.")
 }

@@ -9,6 +9,7 @@ import (
 	"cloudmcp/internal/mgmt"
 	"cloudmcp/internal/ops"
 	"cloudmcp/internal/sim"
+	"cloudmcp/internal/sweep"
 	"cloudmcp/internal/workload"
 )
 
@@ -165,7 +166,7 @@ func TestE1MixShapes(t *testing.T) {
 }
 
 func TestE2Burstiness(t *testing.T) {
-	r, err := RunE2(E2Params{Seed: 5, HorizonS: 6 * Hour, BinS: 600})
+	r, err := RunE2(E2Params{Seed: 5, HorizonS: 6 * Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestE2Burstiness(t *testing.T) {
 }
 
 func TestE3CDFMonotone(t *testing.T) {
-	r, err := RunE3(E3Params{Seed: 5, HorizonS: 4 * Hour, Points: 10})
+	r, err := RunE3(E3Params{Seed: 5, HorizonS: 4 * Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestE4LinkedShiftsCostToControlPlane(t *testing.T) {
 }
 
 func TestE5LatencyScalesWithSizeOnlyForFull(t *testing.T) {
-	r, err := RunE5(E5Params{Seed: 5, SizesGB: []float64{2, 32}})
+	r, err := e5Sweep{sizesGB: []float64{2, 32}}.run(E5Params{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestE5LatencyScalesWithSizeOnlyForFull(t *testing.T) {
 }
 
 func TestE6LinkedScalesPastFull(t *testing.T) {
-	r, err := RunE6(E6Params{Seed: 5, Concurrency: []int{1, 16}, HorizonS: 900})
+	r, err := e6Sweep{clients: []int{1, 16}}.run(E6Params{Seed: 5, HorizonS: 900})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestE6LinkedScalesPastFull(t *testing.T) {
 }
 
 func TestE7QueueShareGrowsWithLoad(t *testing.T) {
-	r, err := RunE7(E7Params{Seed: 5, RatesPerHour: []float64{500, 5000}, HorizonS: 1200})
+	r, err := loadSweep{rates: []float64{500, 5000}}.e7(E7Params{Seed: 5, HorizonS: 1200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ func TestE7QueueShareGrowsWithLoad(t *testing.T) {
 }
 
 func TestE8ReconfigPressureGrowsWithRate(t *testing.T) {
-	r, err := RunE8(E8Params{Seed: 5, RatesPerHour: []float64{60, 480}, HorizonS: 1800, MaxChainLen: 4})
+	r, err := e8Sweep{rates: []float64{60, 480}, maxChainLen: 4}.run(E8Params{Seed: 5, HorizonS: 1800})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +312,7 @@ func TestE8ReconfigPressureGrowsWithRate(t *testing.T) {
 }
 
 func TestE9UtilizationGrowsWithLoad(t *testing.T) {
-	r, err := RunE9(E9Params{Seed: 5, RatesPerHour: []float64{500, 5000}, HorizonS: 1200})
+	r, err := loadSweep{rates: []float64{500, 5000}}.e9(E9Params{Seed: 5, HorizonS: 1200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +326,7 @@ func TestE9UtilizationGrowsWithLoad(t *testing.T) {
 }
 
 func TestE10MoreCellsMoreThroughput(t *testing.T) {
-	r, err := RunE10(E10Params{Seed: 5, Cells: []int{1, 4}, Workers: 48, HorizonS: 900})
+	r, err := e10Sweep{cells: []int{1, 4}, clients: 48}.run(E10Params{Seed: 5, HorizonS: 900})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +337,7 @@ func TestE10MoreCellsMoreThroughput(t *testing.T) {
 }
 
 func TestE11FinerLocksMoreThroughput(t *testing.T) {
-	r, err := RunE11(E11Params{Seed: 5, Workers: 32, HorizonS: 900})
+	r, err := e11Sweep{clients: 32}.run(E11Params{Seed: 5, HorizonS: 900})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +354,7 @@ func TestE11FinerLocksMoreThroughput(t *testing.T) {
 }
 
 func TestE12PublishAmplifiedUnderFullLoadOnly(t *testing.T) {
-	r, err := RunE12(E12Params{Seed: 5, SizesGB: []float64{8}, LoadWorkers: 32, HorizonS: 900})
+	r, err := e12Sweep{sizesGB: []float64{8}, clients: 32}.run(E12Params{Seed: 5, HorizonS: 900})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,11 +378,11 @@ func TestE12PublishAmplifiedUnderFullLoadOnly(t *testing.T) {
 func TestExperimentRendersNonEmpty(t *testing.T) {
 	// Every Render must produce output without error; cover the ones not
 	// rendered elsewhere in this file.
-	r5, err := RunE5(E5Params{Seed: 9, SizesGB: []float64{2}})
+	r5, err := e5Sweep{sizesGB: []float64{2}}.run(E5Params{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r12, err := RunE12(E12Params{Seed: 9, SizesGB: []float64{4}, HorizonS: 600})
+	r12, err := e12Sweep{sizesGB: []float64{4}, clients: 32}.run(E12Params{Seed: 9, HorizonS: 600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +397,7 @@ func TestExperimentRendersNonEmpty(t *testing.T) {
 }
 
 func TestE13BatchingRelievesDB(t *testing.T) {
-	r, err := RunE13(E13Params{Seed: 5, WindowsS: []float64{0, 0.1}, Workers: 32, HorizonS: 600})
+	r, err := e13Sweep{windowsS: []float64{0, 0.1}, clients: 32}.run(E13Params{Seed: 5, HorizonS: 600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +418,7 @@ func TestE13BatchingRelievesDB(t *testing.T) {
 }
 
 func TestE14EvacuationStretchesUnderLoad(t *testing.T) {
-	r, err := RunE14(E14Params{Seed: 5, HostVMs: 8, RatesPerHour: []float64{0, 6000}, HorizonS: 600})
+	r, err := e14Sweep{rates: []float64{0, 6000}, hostVMs: 8}.run(E14Params{Seed: 5, HorizonS: 600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +436,7 @@ func TestE14EvacuationStretchesUnderLoad(t *testing.T) {
 }
 
 func TestE15FewerCellsHurtReplayedUsers(t *testing.T) {
-	r, err := RunE15(E15Params{Seed: 5, RecordS: 1200, Cells: []int{1, 4}})
+	r, err := RunE15(E15Params{Seed: 5, HorizonS: 1200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,11 +476,11 @@ func TestRunAllQuickSmoke(t *testing.T) {
 }
 
 func TestE16RestartStormStretchesUnderLoad(t *testing.T) {
-	r, err := RunE16(E16Params{Seed: 5, HostVMs: 8, RatesPerHour: []float64{0, 6000}, HorizonS: 600})
+	pts, err := e16Storm{rates: []float64{0, 6000}, hostVMs: 8}.run(5, 600, sweep.Options{MasterSeed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	idle, busy := r.Points[0], r.Points[1]
+	idle, busy := pts[0], pts[1]
 	if idle.Restarted != 8 || busy.Restarted != 8 {
 		t.Fatalf("restarted = %d/%d, want 8", idle.Restarted, busy.Restarted)
 	}

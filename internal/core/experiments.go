@@ -57,7 +57,7 @@ func runProfileTrace(seed int64, pr workload.Profile, horizon float64) ([]trace.
 // E1Params configures the op-mix characterization.
 type E1Params struct {
 	Seed     int64
-	HorizonS float64 // default 2 simulated days
+	HorizonS float64 // per profile (registry: 2 days)
 }
 
 // E1Result holds the per-profile operation mixes.
@@ -70,9 +70,6 @@ type E1Result struct {
 
 // RunE1 runs each profile on a fresh cloud and tabulates the mix.
 func RunE1(p E1Params) (*E1Result, error) {
-	if p.HorizonS == 0 {
-		p.HorizonS = 2 * Day
-	}
 	res := &E1Result{Horizon: p.HorizonS, Mix: map[string][]analysis.MixRow{}, Total: map[string]int{}}
 	for _, pr := range profiles() {
 		recs, _, err := runProfileTrace(p.Seed, pr, p.HorizonS)
@@ -132,9 +129,11 @@ func (r *E1Result) Render(w io.Writer) error { return r.Table().Render(w) }
 // E2Params configures the arrival-series figure.
 type E2Params struct {
 	Seed     int64
-	HorizonS float64 // default 2 days
-	BinS     float64 // default 1 hour
+	HorizonS float64 // per profile (registry: 2 days)
 }
+
+// e2BinS is the series' bin width.
+const e2BinS = Hour
 
 // E2Profile is one profile's series and burstiness.
 type E2Profile struct {
@@ -144,32 +143,23 @@ type E2Profile struct {
 }
 
 // E2Result holds the per-profile arrival series.
-type E2Result struct {
-	BinS     float64
-	Profiles []E2Profile
-}
+type E2Result struct{ Profiles []E2Profile }
 
 // RunE2 produces the operations-per-hour series for each profile.
 func RunE2(p E2Params) (*E2Result, error) {
-	if p.HorizonS == 0 {
-		p.HorizonS = 2 * Day
-	}
-	if p.BinS == 0 {
-		p.BinS = Hour
-	}
-	res := &E2Result{BinS: p.BinS}
+	res := &E2Result{}
 	for _, pr := range profiles() {
 		recs, _, err := runProfileTrace(p.Seed, pr, p.HorizonS)
 		if err != nil {
 			return nil, fmt.Errorf("E2 %s: %w", pr.Name, err)
 		}
-		ts := analysis.RateSeries(recs, p.BinS, "")
+		ts := analysis.RateSeries(recs, e2BinS, "")
 		res.Profiles = append(res.Profiles, E2Profile{
 			Name:   pr.Name,
 			Series: ts.Bins(),
 			// Burstiness at finer bins: session batches and burst trains
 			// land within minutes, which hour-wide bins would smear out.
-			Burstiness: analysis.MeasureBurstiness(recs, p.BinS/6, ""),
+			Burstiness: analysis.MeasureBurstiness(recs, e2BinS/6, ""),
 		})
 	}
 	return res, nil
@@ -178,7 +168,7 @@ func RunE2(p E2Params) (*E2Result, error) {
 // Render writes one series block per profile plus a burstiness table.
 func (r *E2Result) Render(w io.Writer) error {
 	for _, p := range r.Profiles {
-		s := report.NewSeries(fmt.Sprintf("E2: %s management ops per %.0f min", p.Name, r.BinS/60), "bin", "ops")
+		s := report.NewSeries(fmt.Sprintf("E2: %s management ops per %.0f min", p.Name, e2BinS/60), "bin", "ops")
 		for i, y := range p.Series {
 			s.Add(float64(i), y)
 		}
@@ -200,9 +190,11 @@ func (r *E2Result) Render(w io.Writer) error {
 // E3Params configures the interarrival CDF.
 type E3Params struct {
 	Seed     int64
-	HorizonS float64 // default 2 days
-	Points   int     // CDF resolution, default 20
+	HorizonS float64 // per profile (registry: 2 days)
 }
+
+// e3Points is the CDF's resolution.
+const e3Points = 20
 
 // E3Profile is one profile's deploy-interarrival CDF.
 type E3Profile struct {
@@ -217,12 +209,6 @@ type E3Result struct{ Profiles []E3Profile }
 
 // RunE3 computes deploy interarrival CDFs per profile.
 func RunE3(p E3Params) (*E3Result, error) {
-	if p.HorizonS == 0 {
-		p.HorizonS = 2 * Day
-	}
-	if p.Points == 0 {
-		p.Points = 20
-	}
 	res := &E3Result{}
 	for _, pr := range profiles() {
 		recs, _, err := runProfileTrace(p.Seed, pr, p.HorizonS)
@@ -232,7 +218,7 @@ func RunE3(p E3Params) (*E3Result, error) {
 		ia := analysis.Interarrivals(recs, ops.KindDeploy.String())
 		res.Profiles = append(res.Profiles, E3Profile{
 			Name: pr.Name,
-			CDF:  ia.CDF(p.Points),
+			CDF:  ia.CDF(e3Points),
 			Mean: ia.Mean(),
 			CV:   ia.CV(),
 		})
@@ -263,7 +249,7 @@ func (r *E3Result) Render(w io.Writer) error {
 // E4Params configures the latency-breakdown table.
 type E4Params struct {
 	Seed     int64
-	HorizonS float64 // default 12 hours
+	HorizonS float64 // per mode (registry: 12 hours)
 }
 
 // E4Mode holds one provisioning mode's per-kind rows.
@@ -278,9 +264,6 @@ type E4Result struct{ Modes []E4Mode }
 // RunE4 runs CloudA under full-clone and linked-clone provisioning and
 // tabulates per-kind latency breakdowns.
 func RunE4(p E4Params) (*E4Result, error) {
-	if p.HorizonS == 0 {
-		p.HorizonS = 12 * Hour
-	}
 	res := &E4Result{}
 	for _, fast := range []bool{false, true} {
 		cfg := DefaultConfig(p.Seed)
@@ -327,8 +310,7 @@ func (r *E4Result) Render(w io.Writer) error {
 // E5Params configures the clone-latency sweep.
 type E5Params struct {
 	Seed    int64
-	SizesGB []float64 // default 1..64
-	Workers int       // sweep worker pool; 0 = GOMAXPROCS
+	Workers int // sweep worker pool; 0 = GOMAXPROCS
 }
 
 // E5Point is one sweep point.
@@ -341,47 +323,48 @@ type E5Point struct {
 // E5Result holds the sweep.
 type E5Result struct{ Points []E5Point }
 
-// RunE5 measures a single uncontended deploy per size and mode. The
-// sizes run in parallel through the sweep engine; each point is a pure
-// function of (seed, size), so the table is identical for any Workers.
-func RunE5(p E5Params) (*E5Result, error) {
-	if len(p.SizesGB) == 0 {
-		p.SizesGB = []float64{1, 2, 4, 8, 16, 32, 64}
-	}
-	points, err := sweep.Run(sweep.Options{MasterSeed: p.Seed, Workers: p.Workers}, len(p.SizesGB),
-		func(sp sweep.Point) (E5Point, error) {
-			size := p.SizesGB[sp.Index]
-			pt := E5Point{SizeGB: size}
-			for _, fast := range []bool{false, true} {
-				cfg := DefaultConfig(p.Seed)
-				cfg.Topology.TemplateDiskGB = size
-				cfg.Director.FastProvisioning = fast
-				c, err := New(cfg)
-				if err != nil {
-					return pt, err
-				}
-				inv := c.Inventory()
-				tpl := inv.Template(inv.Templates()[0])
-				var latency float64
-				c.Go("deploy", func(proc *sim.Proc) {
-					resD := c.Director().DeployVApp(proc, "org", tpl, 1, false)
-					if resD.Err == nil && len(resD.Tasks) > 0 {
-						latency = resD.Tasks[0].Latency()
-					}
-				})
-				c.Run(100 * Hour)
-				if fast {
-					pt.LinkedS = latency
-				} else {
-					pt.FullS = latency
-				}
+// e5Sweep is E5's grid: template disk size × provisioning mode (full,
+// then linked clones), one uncontended deploy per point.
+type e5Sweep struct{ sizesGB []float64 }
+
+var e5 = e5Sweep{sizesGB: []float64{1, 2, 4, 8, 16, 32, 64}}
+
+func (d e5Sweep) grid() Grid {
+	return Grid{Dims: []Dim{Vary("topology.templateDiskGB", d.sizesGB...), Vary("director.fastProvisioning", false, true)}}
+}
+
+// RunE5 measures a single uncontended deploy per size and mode. Each
+// point is a pure function of (seed, size, mode), so the table is
+// identical for any Workers.
+func RunE5(p E5Params) (*E5Result, error) { return e5.run(p) }
+
+func (d e5Sweep) run(p E5Params) (*E5Result, error) {
+	lat, err := RunGrid(d.grid(), DefaultLoader(p.Seed), sweep.Options{MasterSeed: p.Seed, Workers: p.Workers},
+		func(pt GridRow) (float64, error) {
+			c, err := New(pt.Config)
+			if err != nil {
+				return 0, err
 			}
-			return pt, nil
+			inv := c.Inventory()
+			tpl := inv.Template(inv.Templates()[0])
+			var latency float64
+			c.Go("deploy", func(proc *sim.Proc) {
+				resD := c.Director().DeployVApp(proc, "org", tpl, 1, false)
+				if resD.Err == nil && len(resD.Tasks) > 0 {
+					latency = resD.Tasks[0].Latency()
+				}
+			})
+			c.Run(100 * Hour)
+			return latency, nil
 		})
 	if err != nil {
 		return nil, err
 	}
-	return &E5Result{Points: points}, nil
+	res := &E5Result{}
+	for i, size := range d.sizesGB {
+		res.Points = append(res.Points, E5Point{SizeGB: size, FullS: lat[2*i], LinkedS: lat[2*i+1]})
+	}
+	return res, nil
 }
 
 // Render writes the sweep as a table plus a ratio column.
@@ -405,11 +388,9 @@ func (r *E5Result) Render(w io.Writer) error {
 
 // E6Params configures the throughput sweep.
 type E6Params struct {
-	Seed        int64
-	Concurrency []int   // default 1..128
-	HorizonS    float64 // per point, default 30 min
-	WarmupS     float64 // excluded from measurement, default 10% of horizon
-	Workers     int     // sweep worker pool; 0 = GOMAXPROCS
+	Seed     int64
+	HorizonS float64 // per point, the first 10% warmup (registry: 30 min)
+	Workers  int     // sweep worker pool; 0 = GOMAXPROCS
 }
 
 // E6Point is one sweep point.
@@ -423,6 +404,24 @@ type E6Point struct {
 
 // E6Result holds the sweep.
 type E6Result struct{ Points []E6Point }
+
+// e6Sweep is E6's grid: closed-loop clients × provisioning mode (full,
+// then linked clones), with rebalancing off to isolate provisioning.
+type e6Sweep struct{ clients []int }
+
+var e6 = e6Sweep{clients: []int{1, 2, 4, 8, 16, 32, 64, 128}}
+
+func (d e6Sweep) grid(horizonS float64) Grid {
+	clients := Dim{Name: "concurrency"}
+	for _, n := range d.clients {
+		clients.Levels = append(clients.Levels, Level{Label: fmt.Sprint(n), Clients: n})
+	}
+	return Grid{
+		Base:     []string{"director.rebalanceThreshold=0"},
+		Dims:     []Dim{clients, Vary("director.fastProvisioning", false, true)},
+		HorizonS: horizonS, WarmupS: horizonS / 10,
+	}
+}
 
 // ClosedLoopResult summarizes one closed-loop deploy→destroy run over
 // its post-warmup window.
@@ -461,9 +460,10 @@ type ClosedLoopResult struct {
 
 // RunClosedLoop drives `clients` closed-loop deploy→destroy workers
 // against a cloud built from cfg for horizon seconds and summarizes the
-// post-warmup window. E6/E10/E11 and cmd/mcpsweep all measure through
-// this harness; the think-time stream derives from cfg.Seed only, so the
-// result is a pure function of (cfg, clients, horizon, warmup).
+// post-warmup window. It is Grid.Run's per-point function, so E6, E10,
+// E11, E17, E18, E20, E21 and cmd/mcpsweep all measure through it; the
+// think-time stream derives from cfg.Seed only, so the result is a pure
+// function of (cfg, clients, horizon, warmup).
 func RunClosedLoop(cfg Config, clients int, horizonS, warmupS float64) (ClosedLoopResult, error) {
 	c, err := New(cfg)
 	if err != nil {
@@ -507,48 +507,24 @@ func runClosedLoopOn(c *Cloud, clients int, horizonS, warmupS float64, think fun
 	return res
 }
 
-// closedLoopDeploys runs `workers` closed-loop deploy→destroy clients for
-// horizon seconds and returns (deploys/hour, mean deploy latency) over
-// the post-warmup window.
-func closedLoopDeploys(seed int64, fast bool, workers int, horizon, warmup float64, mutate func(*Config)) (float64, float64, error) {
-	cfg := DefaultConfig(seed)
-	cfg.Director.FastProvisioning = fast
-	cfg.Director.RebalanceThreshold = 0 // isolate provisioning
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	r, err := RunClosedLoop(cfg, workers, horizon, warmup)
-	return r.DeploysPerHour, r.MeanLatencyS, err
-}
-
 // RunE6 sweeps closed-loop concurrency for both provisioning modes; the
-// concurrency points fan across the sweep engine's worker pool.
-func RunE6(p E6Params) (*E6Result, error) {
-	if len(p.Concurrency) == 0 {
-		p.Concurrency = []int{1, 2, 4, 8, 16, 32, 64, 128}
-	}
-	if p.HorizonS == 0 {
-		p.HorizonS = 30 * 60
-	}
-	if p.WarmupS == 0 {
-		p.WarmupS = p.HorizonS / 10
-	}
-	points, err := sweep.Run(sweep.Options{MasterSeed: p.Seed, Workers: p.Workers}, len(p.Concurrency),
-		func(sp sweep.Point) (E6Point, error) {
-			n := p.Concurrency[sp.Index]
-			pt := E6Point{Concurrency: n}
-			var err error
-			pt.FullPerHour, pt.FullMeanLatS, err = closedLoopDeploys(p.Seed, false, n, p.HorizonS, p.WarmupS, nil)
-			if err != nil {
-				return pt, err
-			}
-			pt.LinkedPerHour, pt.LinkedMeanLatS, err = closedLoopDeploys(p.Seed, true, n, p.HorizonS, p.WarmupS, nil)
-			return pt, err
-		})
+// grid's points fan across the sweep engine's worker pool.
+func RunE6(p E6Params) (*E6Result, error) { return e6.run(p) }
+
+func (d e6Sweep) run(p E6Params) (*E6Result, error) {
+	rows, err := d.grid(p.HorizonS).Run(DefaultLoader(p.Seed), sweep.Options{MasterSeed: p.Seed, Workers: p.Workers})
 	if err != nil {
 		return nil, err
 	}
-	return &E6Result{Points: points}, nil
+	res := &E6Result{}
+	for i, n := range d.clients {
+		full, linked := rows[2*i].Result, rows[2*i+1].Result
+		res.Points = append(res.Points, E6Point{
+			Concurrency: n, FullPerHour: full.DeploysPerHour, LinkedPerHour: linked.DeploysPerHour,
+			FullMeanLatS: full.MeanLatencyS, LinkedMeanLatS: linked.MeanLatencyS,
+		})
+	}
+	return res, nil
 }
 
 // Render writes the sweep table and the two throughput series.

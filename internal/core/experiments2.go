@@ -7,41 +7,27 @@ import (
 	"fmt"
 	"io"
 
+	"slices"
+
 	"cloudmcp/internal/analysis"
-	"cloudmcp/internal/clouddir"
-	"cloudmcp/internal/mgmt"
 	"cloudmcp/internal/ops"
 	"cloudmcp/internal/report"
 	"cloudmcp/internal/sim"
 	"cloudmcp/internal/sweep"
 )
 
-// openLoopCloud builds a cloud, runs the "openloop" stream of Poisson
-// single-VM deploys (see startOpenLoop) on it for horizon seconds, and
-// returns the cloud after the run.
-func openLoopCloud(seed int64, fast bool, ratePerHour, horizon, lifetimeS float64, mutate func(*Config)) (*Cloud, error) {
-	cfg := DefaultConfig(seed)
-	cfg.Director.FastProvisioning = fast
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	c, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	startOpenLoop(c, "openloop", ratePerHour, horizon, lifetimeS)
-	c.Run(horizon)
-	return c, nil
-}
+// loadSweep is the grid E7 and E9 share: open-loop linked-clone deploy
+// rates, with 600 s lifetimes, against a paper-era manager with shadow
+// churn off, so the sweep saturates the manager itself.
+type loadSweep struct{ rates []float64 }
 
-// paperEraManager shrinks the manager to the capacities of the paper's
-// era (a few worker threads, two DB connections) and disables shadow
-// churn and rebalancing, so open-loop sweeps saturate the manager itself.
-func paperEraManager(cfg *Config) {
-	cfg.Mgmt.Threads = 4
-	cfg.Mgmt.DBConns = 2
-	cfg.Director.MaxChainLen = 1 << 30
-	cfg.Director.RebalanceThreshold = 0
+var e7e9 = loadSweep{rates: []float64{500, 1000, 2000, 4000, 8000}}
+
+func (d loadSweep) grid() Grid {
+	return Grid{
+		Base: slices.Concat(paperEra, []string{"director.maxChainLen=1073741824", "director.fastProvisioning=true"}),
+		Dims: []Dim{axis("rate", d.rates...)},
+	}
 }
 
 // ---------------------------------------------------------------------
@@ -51,10 +37,9 @@ func paperEraManager(cfg *Config) {
 
 // E7Params configures the load sweep.
 type E7Params struct {
-	Seed         int64
-	RatesPerHour []float64 // default 100..1600
-	HorizonS     float64   // per point, default 1 hour
-	Workers      int       // sweep worker pool; 0 = GOMAXPROCS
+	Seed     int64
+	HorizonS float64 // per point (registry: 1 hour)
+	Workers  int     // sweep worker pool; 0 = GOMAXPROCS
 }
 
 // E7Point is one load level's mean deploy breakdown.
@@ -72,29 +57,19 @@ type E7Result struct{ Points []E7Point }
 // sized to paper-era capacity (4 worker threads, 2 DB connections) and
 // shadow churn is disabled so the sweep isolates control-plane queueing;
 // E8 covers the churn dimension.
-func RunE7(p E7Params) (*E7Result, error) {
-	if len(p.RatesPerHour) == 0 {
-		p.RatesPerHour = []float64{500, 1000, 2000, 4000, 8000}
-	}
-	if p.HorizonS == 0 {
-		p.HorizonS = Hour
-	}
-	points, err := sweep.Run(sweep.Options{MasterSeed: p.Seed, Workers: p.Workers}, len(p.RatesPerHour),
-		func(sp sweep.Point) (E7Point, error) {
-			rate := p.RatesPerHour[sp.Index]
-			c, err := openLoopCloud(p.Seed, true, rate, p.HorizonS, 600, paperEraManager)
+func RunE7(p E7Params) (*E7Result, error) { return e7e9.e7(p) }
+
+func (d loadSweep) e7(p E7Params) (*E7Result, error) {
+	points, err := RunGrid(d.grid(), DefaultLoader(p.Seed), sweep.Options{MasterSeed: p.Seed, Workers: p.Workers},
+		func(pt GridRow) (E7Point, error) {
+			rate := d.rates[pt.Levels[0]]
+			c, err := openLoopCloud(pt.Config, rate, p.HorizonS, 600)
 			if err != nil {
 				return E7Point{}, err
 			}
 			deploys := analysis.FilterOK(analysis.FilterKind(c.Records(), ops.KindDeploy.String()))
 			bd, _ := analysis.MeanBreakdown(deploys, "")
-			lat := analysis.LatencySample(deploys, "")
-			return E7Point{
-				RatePerHour: rate,
-				Completed:   len(deploys),
-				MeanLatS:    lat.Mean(),
-				Breakdown:   bd,
-			}, nil
+			return E7Point{RatePerHour: rate, Completed: len(deploys), MeanLatS: analysis.LatencySample(deploys, "").Mean(), Breakdown: bd}, nil
 		})
 	if err != nil {
 		return nil, err
@@ -126,10 +101,9 @@ func (r *E7Result) Render(w io.Writer) error {
 
 // E8Params configures the pressure sweep.
 type E8Params struct {
-	Seed         int64
-	RatesPerHour []float64 // default 50..800
-	HorizonS     float64   // per point, default 2 hours
-	MaxChainLen  int       // clones per shadow base, default 8
+	Seed     int64
+	HorizonS float64 // per point (registry: 2 hours)
+	Workers  int     // sweep worker pool; 0 = GOMAXPROCS
 }
 
 // E8Point is one rate's reconfiguration activity.
@@ -145,49 +119,58 @@ type E8Point struct {
 // E8Result holds the sweep.
 type E8Result struct{ Points []E8Point }
 
+// e8Sweep is E8's grid: open-loop deploy rate × mode. Linked clones
+// capped at maxChainLen per shadow base churn shadow templates; sticky
+// full clones on tighter datastores churn rebalancing.
+type e8Sweep struct {
+	rates       []float64
+	maxChainLen int
+}
+
+var e8 = e8Sweep{rates: []float64{50, 100, 200, 400, 800}, maxChainLen: 8}
+
+func (d e8Sweep) grid() Grid {
+	mode := Dim{Name: "mode", Levels: []Level{
+		{Label: "linked", Sets: []string{"director.fastProvisioning=true", "director.rebalanceThreshold=0",
+			fmt.Sprintf("director.maxChainLen=%d", d.maxChainLen)}},
+		{Label: "sticky", Sets: []string{"director.fastProvisioning=false", "director.placement=sticky-org",
+			"director.rebalanceThreshold=0.05", "director.rebalanceCheckS=600", "director.rebalanceBatch=8",
+			"topology.datastoreGB=2000"}},
+	}}
+	return Grid{Dims: []Dim{axis("rate", d.rates...), mode}}
+}
+
 // RunE8 sweeps the provisioning rate and measures both reconfiguration
 // mechanisms.
-func RunE8(p E8Params) (*E8Result, error) {
-	if len(p.RatesPerHour) == 0 {
-		p.RatesPerHour = []float64{50, 100, 200, 400, 800}
+func RunE8(p E8Params) (*E8Result, error) { return e8.run(p) }
+
+func (d e8Sweep) run(p E8Params) (*E8Result, error) {
+	hours := p.HorizonS / Hour
+	modes, err := RunGrid(d.grid(), DefaultLoader(p.Seed), sweep.Options{MasterSeed: p.Seed, Workers: p.Workers},
+		func(pt GridRow) (E8Point, error) {
+			c, err := openLoopCloud(pt.Config, d.rates[pt.Levels[0]], p.HorizonS, 900)
+			if err != nil {
+				return E8Point{}, err
+			}
+			st := c.Director().Stats()
+			return E8Point{
+				Deploys:         len(analysis.FilterOK(analysis.FilterKind(c.Records(), ops.KindDeploy.String()))),
+				ShadowsPerHour:  float64(st.ShadowCopies) / hours,
+				RebalStartsPerH: float64(st.RebalanceStarts) / hours,
+				MovesPerHour:    float64(st.RebalanceMoves) / hours,
+				EndImbalance:    c.Storage().Imbalance(),
+			}, nil
+		})
+	if err != nil {
+		return nil, err
 	}
-	if p.HorizonS == 0 {
-		p.HorizonS = 2 * Hour
-	}
-	if p.MaxChainLen == 0 {
-		p.MaxChainLen = 8
-	}
+	// Each rate's linked run reports the shadow churn, its sticky run
+	// the rebalancing.
 	res := &E8Result{}
-	for _, rate := range p.RatesPerHour {
-		pt := E8Point{RatePerHour: rate}
-
-		// (a) Linked clones: shadow-template churn.
-		cLinked, err := openLoopCloud(p.Seed, true, rate, p.HorizonS, 900, func(cfg *Config) {
-			cfg.Director.MaxChainLen = p.MaxChainLen
-			cfg.Director.RebalanceThreshold = 0
-		})
-		if err != nil {
-			return nil, err
-		}
-		pt.Deploys = len(analysis.FilterOK(analysis.FilterKind(cLinked.Records(), ops.KindDeploy.String())))
-		pt.ShadowsPerHour = float64(cLinked.Director().Stats().ShadowCopies) / (p.HorizonS / Hour)
-
-		// (b) Sticky full clones: datastore rebalancing.
-		cFull, err := openLoopCloud(p.Seed, false, rate, p.HorizonS, 900, func(cfg *Config) {
-			cfg.Director.Placement = clouddir.PlaceStickyOrg
-			cfg.Director.RebalanceThreshold = 0.05
-			cfg.Director.RebalanceCheckS = 600
-			cfg.Director.RebalanceBatch = 8
-			cfg.Topology.DatastoreGB = 2000 // tighter datastores fill faster
-		})
-		if err != nil {
-			return nil, err
-		}
-		st := cFull.Director().Stats()
-		pt.RebalStartsPerH = float64(st.RebalanceStarts) / (p.HorizonS / Hour)
-		pt.MovesPerHour = float64(st.RebalanceMoves) / (p.HorizonS / Hour)
-		pt.EndImbalance = cFull.Storage().Imbalance()
-		res.Points = append(res.Points, pt)
+	for i, rate := range d.rates {
+		linked, sticky := modes[2*i], modes[2*i+1]
+		res.Points = append(res.Points, E8Point{RatePerHour: rate, Deploys: linked.Deploys, ShadowsPerHour: linked.ShadowsPerHour,
+			RebalStartsPerH: sticky.RebalStartsPerH, MovesPerHour: sticky.MovesPerHour, EndImbalance: sticky.EndImbalance})
 	}
 	return res, nil
 }
@@ -209,10 +192,9 @@ func (r *E8Result) Render(w io.Writer) error {
 
 // E9Params configures the queueing sweep.
 type E9Params struct {
-	Seed         int64
-	RatesPerHour []float64 // default 100..1600
-	HorizonS     float64   // per point, default 1 hour
-	Workers      int       // sweep worker pool; 0 = GOMAXPROCS
+	Seed     int64
+	HorizonS float64 // per point (registry: 1 hour)
+	Workers  int     // sweep worker pool; 0 = GOMAXPROCS
 }
 
 // E9Point is one load level's resource report.
@@ -229,26 +211,19 @@ type E9Result struct{ Points []E9Point }
 
 // RunE9 sweeps open-loop load and snapshots the manager's resources,
 // using the same paper-era manager sizing as E7.
-func RunE9(p E9Params) (*E9Result, error) {
-	if len(p.RatesPerHour) == 0 {
-		p.RatesPerHour = []float64{500, 1000, 2000, 4000, 8000}
-	}
-	if p.HorizonS == 0 {
-		p.HorizonS = Hour
-	}
-	points, err := sweep.Run(sweep.Options{MasterSeed: p.Seed, Workers: p.Workers}, len(p.RatesPerHour),
-		func(sp sweep.Point) (E9Point, error) {
-			rate := p.RatesPerHour[sp.Index]
-			c, err := openLoopCloud(p.Seed, true, rate, p.HorizonS, 600, paperEraManager)
+func RunE9(p E9Params) (*E9Result, error) { return e7e9.e9(p) }
+
+func (d loadSweep) e9(p E9Params) (*E9Result, error) {
+	points, err := RunGrid(d.grid(), DefaultLoader(p.Seed), sweep.Options{MasterSeed: p.Seed, Workers: p.Workers},
+		func(pt GridRow) (E9Point, error) {
+			rate := d.rates[pt.Levels[0]]
+			c, err := openLoopCloud(pt.Config, rate, p.HorizonS, 600)
 			if err != nil {
 				return E9Point{}, err
 			}
 			rr := c.Manager().Resources()
 			done := analysis.Throughput(c.Records(), "", 0, p.HorizonS) * Hour
-			return E9Point{
-				RatePerHour: rate, DonePerHour: done,
-				Admission: rr.Admission, Threads: rr.Threads, DB: rr.DB,
-			}, nil
+			return E9Point{RatePerHour: rate, DonePerHour: done, Admission: rr.Admission, Threads: rr.Threads, DB: rr.DB}, nil
 		})
 	if err != nil {
 		return nil, err
@@ -274,11 +249,9 @@ func (r *E9Result) Render(w io.Writer) error {
 
 // E10Params configures the cell-scaling ablation.
 type E10Params struct {
-	Seed         int64
-	Cells        []int   // default 1,2,4,8
-	Workers      int     // closed-loop clients, default 64
-	HorizonS     float64 // default 30 min
-	SweepWorkers int     // sweep worker pool; 0 = GOMAXPROCS
+	Seed     int64
+	HorizonS float64 // per point, the first 10% warmup (registry: 30 min)
+	Workers  int     // sweep worker pool; 0 = GOMAXPROCS
 }
 
 // E10Point is one cell count's throughput.
@@ -291,36 +264,39 @@ type E10Point struct {
 // E10Result holds the ablation.
 type E10Result struct{ Points []E10Point }
 
+// e10Sweep is E10's grid: director cells at fixed saturating
+// concurrency under linked clones. Cells are deliberately small (2
+// threads) and shadow churn is off, so the cell tier is the binding
+// stage, which is what this ablation isolates.
+type e10Sweep struct {
+	cells   []int
+	clients int
+}
+
+var e10 = e10Sweep{cells: []int{1, 2, 4, 8}, clients: 64}
+
+func (d e10Sweep) grid(horizonS float64) Grid {
+	return Grid{
+		Base: []string{"director.fastProvisioning=true", "director.rebalanceThreshold=0",
+			"director.cellThreads=2", "director.maxChainLen=1073741824"},
+		Dims:    []Dim{Vary("director.cells", d.cells...)},
+		Clients: d.clients, HorizonS: horizonS, WarmupS: horizonS / 10,
+	}
+}
+
 // RunE10 sweeps the number of cells at fixed saturating concurrency.
-// Cells are deliberately small (4 threads) so the cell tier is the
-// binding stage.
-func RunE10(p E10Params) (*E10Result, error) {
-	if len(p.Cells) == 0 {
-		p.Cells = []int{1, 2, 4, 8}
-	}
-	if p.Workers == 0 {
-		p.Workers = 64
-	}
-	if p.HorizonS == 0 {
-		p.HorizonS = 30 * 60
-	}
-	points, err := sweep.Run(sweep.Options{MasterSeed: p.Seed, Workers: p.SweepWorkers}, len(p.Cells),
-		func(sp sweep.Point) (E10Point, error) {
-			cells := p.Cells[sp.Index]
-			perHour, meanLat, err := closedLoopDeploys(p.Seed, true, p.Workers, p.HorizonS, p.HorizonS/10,
-				func(cfg *Config) {
-					cfg.Director.Cells = cells
-					cfg.Director.CellThreads = 2
-					// Disable shadow churn so the cell tier is the binding
-					// stage, which is what this ablation isolates.
-					cfg.Director.MaxChainLen = 1 << 30
-				})
-			return E10Point{Cells: cells, LinkedPerHour: perHour, MeanLatS: meanLat}, err
-		})
+func RunE10(p E10Params) (*E10Result, error) { return e10.run(p) }
+
+func (d e10Sweep) run(p E10Params) (*E10Result, error) {
+	rows, err := d.grid(p.HorizonS).Run(DefaultLoader(p.Seed), sweep.Options{MasterSeed: p.Seed, Workers: p.Workers})
 	if err != nil {
 		return nil, err
 	}
-	return &E10Result{Points: points}, nil
+	res := &E10Result{}
+	for i, r := range rows {
+		res.Points = append(res.Points, E10Point{Cells: d.cells[i], LinkedPerHour: r.Result.DeploysPerHour, MeanLatS: r.Result.MeanLatencyS})
+	}
+	return res, nil
 }
 
 // Render writes the scaling series.
@@ -345,10 +321,9 @@ func (r *E10Result) Render(w io.Writer) error {
 
 // E11Params configures the lock ablation.
 type E11Params struct {
-	Seed         int64
-	Workers      int     // closed-loop clients, default 64
-	HorizonS     float64 // default 30 min
-	SweepWorkers int     // sweep worker pool; 0 = GOMAXPROCS
+	Seed     int64
+	HorizonS float64 // per point, the first 10% warmup (registry: 30 min)
+	Workers  int     // sweep worker pool; 0 = GOMAXPROCS
 }
 
 // E11Point is one granularity's throughput.
@@ -361,26 +336,33 @@ type E11Point struct {
 // E11Result holds the ablation.
 type E11Result struct{ Points []E11Point }
 
+// e11Sweep is E11's grid: inventory lock granularity at fixed
+// concurrency under linked clones, with rebalancing off.
+type e11Sweep struct{ clients int }
+
+var e11 = e11Sweep{clients: 64}
+
+func (d e11Sweep) grid(horizonS float64) Grid {
+	return Grid{
+		Base:    []string{"director.fastProvisioning=true", "director.rebalanceThreshold=0"},
+		Dims:    []Dim{Vary("mgmt.granularity", "coarse", "host", "entity")},
+		Clients: d.clients, HorizonS: horizonS, WarmupS: horizonS / 10,
+	}
+}
+
 // RunE11 compares coarse, host, and entity locking at fixed concurrency.
-func RunE11(p E11Params) (*E11Result, error) {
-	if p.Workers == 0 {
-		p.Workers = 64
-	}
-	if p.HorizonS == 0 {
-		p.HorizonS = 30 * 60
-	}
-	grans := []mgmt.LockGranularity{mgmt.GranularityCoarse, mgmt.GranularityHost, mgmt.GranularityEntity}
-	points, err := sweep.Run(sweep.Options{MasterSeed: p.Seed, Workers: p.SweepWorkers}, len(grans),
-		func(sp sweep.Point) (E11Point, error) {
-			g := grans[sp.Index]
-			perHour, meanLat, err := closedLoopDeploys(p.Seed, true, p.Workers, p.HorizonS, p.HorizonS/10,
-				func(cfg *Config) { cfg.Mgmt.Granularity = g })
-			return E11Point{Granularity: g.String(), LinkedPerHour: perHour, MeanLatS: meanLat}, err
-		})
+func RunE11(p E11Params) (*E11Result, error) { return e11.run(p) }
+
+func (d e11Sweep) run(p E11Params) (*E11Result, error) {
+	rows, err := d.grid(p.HorizonS).Run(DefaultLoader(p.Seed), sweep.Options{MasterSeed: p.Seed, Workers: p.Workers})
 	if err != nil {
 		return nil, err
 	}
-	return &E11Result{Points: points}, nil
+	res := &E11Result{}
+	for _, r := range rows {
+		res.Points = append(res.Points, E11Point{Granularity: r.Labels[0], LinkedPerHour: r.Result.DeploysPerHour, MeanLatS: r.Result.MeanLatencyS})
+	}
+	return res, nil
 }
 
 // Render writes the ablation table.
@@ -399,10 +381,9 @@ func (r *E11Result) Render(w io.Writer) error {
 
 // E12Params configures the catalog experiment.
 type E12Params struct {
-	Seed        int64
-	SizesGB     []float64 // default 4..64
-	LoadWorkers int       // concurrent deploy clients for the loaded case, default 32
-	HorizonS    float64   // loaded-case horizon, default 30 min
+	Seed     int64
+	HorizonS float64 // per point (registry: 30 min)
+	Workers  int     // sweep worker pool; 0 = GOMAXPROCS
 }
 
 // E12Point is one size's publish latencies.
@@ -418,46 +399,50 @@ type E12Point struct {
 // E12Result holds the experiment.
 type E12Result struct{ Points []E12Point }
 
-// e12Mode identifies the three measurement conditions.
-type e12Mode int
+// e12Sweep is E12's grid: template size × load, with rebalancing off.
+// The load is none (full clones, idle), closed-loop full-clone deploys,
+// or closed-loop linked-clone deploys from `clients` clients.
+type e12Sweep struct {
+	sizesGB []float64
+	clients int
+}
 
-const (
-	e12Idle e12Mode = iota
-	e12FullLoad
-	e12LinkedLoad
-)
+var e12 = e12Sweep{sizesGB: []float64{4, 16, 64}, clients: 32}
+
+func (d e12Sweep) grid() Grid {
+	load := Dim{Name: "load", Levels: []Level{
+		{Label: "idle", Sets: []string{"director.fastProvisioning=false"}},
+		{Label: "full", Sets: []string{"director.fastProvisioning=false"}},
+		{Label: "linked", Sets: []string{"director.fastProvisioning=true"}},
+	}}
+	return Grid{
+		Base: []string{"director.rebalanceThreshold=0"},
+		Dims: []Dim{Vary("topology.templateDiskGB", d.sizesGB...), load},
+	}
+}
 
 // RunE12 measures catalog publishes on an idle cloud and under
 // concurrent full-clone and linked-clone provisioning load. The contrast
 // between the two loaded cases shows fast provisioning relieving the
 // data-plane contention that catalog operations suffer.
-func RunE12(p E12Params) (*E12Result, error) {
-	if len(p.SizesGB) == 0 {
-		p.SizesGB = []float64{4, 16, 64}
+func RunE12(p E12Params) (*E12Result, error) { return e12.run(p) }
+
+func (d e12Sweep) run(p E12Params) (*E12Result, error) {
+	type publish struct {
+		latency float64
+		deploys int
 	}
-	if p.LoadWorkers == 0 {
-		p.LoadWorkers = 32
-	}
-	if p.HorizonS == 0 {
-		p.HorizonS = 30 * 60
-	}
-	res := &E12Result{}
-	for _, size := range p.SizesGB {
-		pt := E12Point{SizeGB: size}
-		for _, mode := range []e12Mode{e12Idle, e12FullLoad, e12LinkedLoad} {
-			mode := mode
-			cfg := DefaultConfig(p.Seed)
-			cfg.Topology.TemplateDiskGB = size
-			cfg.Director.RebalanceThreshold = 0
-			cfg.Director.FastProvisioning = mode == e12LinkedLoad
-			c, err := New(cfg)
+	runs, err := RunGrid(d.grid(), DefaultLoader(p.Seed), sweep.Options{MasterSeed: p.Seed, Workers: p.Workers},
+		func(pt GridRow) (publish, error) {
+			size := d.sizesGB[pt.Levels[0]]
+			c, err := New(pt.Config)
 			if err != nil {
-				return nil, err
+				return publish{}, err
 			}
 			inv := c.Inventory()
 			tpl := inv.Template(inv.Templates()[0])
-			if mode != e12Idle {
-				startClosedLoop(c, p.LoadWorkers, p.HorizonS, thinkTime(p.Seed, "e12"))
+			if pt.Levels[1] > 0 {
+				startClosedLoop(c, d.clients, p.HorizonS, thinkTime(p.Seed, "e12"))
 			}
 			var latency float64
 			c.Go("publisher", func(pp *sim.Proc) {
@@ -470,19 +455,18 @@ func RunE12(p E12Params) (*E12Result, error) {
 				}
 			})
 			c.Run(p.HorizonS)
-			deploys := len(analysis.FilterOK(analysis.FilterKind(c.Records(), ops.KindDeploy.String())))
-			switch mode {
-			case e12Idle:
-				pt.IdleS = latency
-			case e12FullLoad:
-				pt.FullLoadS = latency
-				pt.FullDeploys = deploys
-			case e12LinkedLoad:
-				pt.LinkedLoadS = latency
-				pt.LinkDeploys = deploys
-			}
-		}
-		res.Points = append(res.Points, pt)
+			return publish{latency, len(analysis.FilterOK(analysis.FilterKind(c.Records(), ops.KindDeploy.String())))}, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	res := &E12Result{}
+	for i, size := range d.sizesGB {
+		idle, full, linked := runs[3*i], runs[3*i+1], runs[3*i+2]
+		res.Points = append(res.Points, E12Point{
+			SizeGB: size, IdleS: idle.latency, FullLoadS: full.latency, LinkedLoadS: linked.latency,
+			FullDeploys: full.deploys, LinkDeploys: linked.deploys,
+		})
 	}
 	return res, nil
 }

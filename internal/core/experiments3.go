@@ -26,11 +26,9 @@ import (
 
 // E13Params configures the batching sweep.
 type E13Params struct {
-	Seed         int64
-	WindowsS     []float64 // group-commit windows; default 0..0.2
-	Workers      int       // closed-loop clients, default 64
-	HorizonS     float64   // default 30 min
-	SweepWorkers int       // sweep worker pool; 0 = GOMAXPROCS
+	Seed     int64
+	HorizonS float64 // per point, the first 10% warmup (registry: 30 min)
+	Workers  int     // sweep worker pool; 0 = GOMAXPROCS
 }
 
 // E13Point is one window's outcome.
@@ -44,38 +42,44 @@ type E13Point struct {
 // E13Result holds the sweep.
 type E13Result struct{ Points []E13Point }
 
-// e13DB returns the deliberately slow database the ablation stresses:
-// few connections and expensive flushes, paper-era hardware.
-func e13DB(window float64) *mgmtdb.Config {
-	return &mgmtdb.Config{Conns: 4, WriteS: 0.01, FlushS: 0.25, GroupWindowS: window}
+// e13Sweep is E13's grid: the group-commit window of a deliberately
+// slow database (few connections and expensive flushes, paper-era
+// hardware) under closed-loop linked-clone load with rebalancing and
+// shadow churn off. Its clients think a constant 0.2 s.
+type e13Sweep struct {
+	windowsS []float64
+	clients  int
+}
+
+var e13 = e13Sweep{windowsS: []float64{0, 0.01, 0.05, 0.2}, clients: 64}
+
+func (d e13Sweep) grid(horizonS float64) Grid {
+	db := Dim{Name: "mgmt.database"}
+	for _, w := range d.windowsS {
+		db.Levels = append(db.Levels, Level{Label: fmt.Sprint(w), Sets: []string{
+			fmt.Sprintf(`mgmt.database={"conns":4,"writeS":0.01,"flushS":0.25,"groupWindowS":%v}`, w)}})
+	}
+	return Grid{
+		Base:    []string{"director.fastProvisioning=true", "director.rebalanceThreshold=0", "director.maxChainLen=1073741824"},
+		Dims:    []Dim{db},
+		Clients: d.clients, HorizonS: horizonS, WarmupS: horizonS / 10,
+	}
 }
 
 // RunE13 sweeps the group-commit window at fixed saturating concurrency.
-func RunE13(p E13Params) (*E13Result, error) {
-	if len(p.WindowsS) == 0 {
-		p.WindowsS = []float64{0, 0.01, 0.05, 0.2}
-	}
-	if p.Workers == 0 {
-		p.Workers = 64
-	}
-	if p.HorizonS == 0 {
-		p.HorizonS = 30 * 60
-	}
-	points, err := sweep.Run(sweep.Options{MasterSeed: p.Seed, Workers: p.SweepWorkers}, len(p.WindowsS),
-		func(sp sweep.Point) (E13Point, error) {
-			w := p.WindowsS[sp.Index]
-			cfg := DefaultConfig(p.Seed)
-			cfg.Director.FastProvisioning = true
-			cfg.Director.RebalanceThreshold = 0
-			cfg.Director.MaxChainLen = 1 << 30
-			cfg.Mgmt.Database = e13DB(w)
-			c, err := New(cfg)
+func RunE13(p E13Params) (*E13Result, error) { return e13.run(p) }
+
+func (d e13Sweep) run(p E13Params) (*E13Result, error) {
+	g := d.grid(p.HorizonS)
+	points, err := RunGrid(g, DefaultLoader(p.Seed), sweep.Options{MasterSeed: p.Seed, Workers: p.Workers},
+		func(pt GridRow) (E13Point, error) {
+			c, err := New(pt.Config)
 			if err != nil {
 				return E13Point{}, err
 			}
-			r := runClosedLoopOn(c, p.Workers, p.HorizonS, p.HorizonS/10, func() float64 { return 0.2 })
+			r := runClosedLoopOn(c, pt.Clients, g.HorizonS, g.WarmupS, func() float64 { return 0.2 })
 			st, _ := c.Manager().WALStats()
-			return E13Point{WindowS: w, LinkedPerHour: r.DeploysPerHour, MeanLatS: r.MeanLatencyS, DB: st}, nil
+			return E13Point{WindowS: d.windowsS[pt.Levels[0]], LinkedPerHour: r.DeploysPerHour, MeanLatS: r.MeanLatencyS, DB: st}, nil
 		})
 	if err != nil {
 		return nil, err
@@ -102,10 +106,9 @@ func (r *E13Result) Render(w io.Writer) error {
 
 // E14Params configures the maintenance experiment.
 type E14Params struct {
-	Seed         int64
-	HostVMs      int       // VMs resident on the host entering maintenance, default 12
-	RatesPerHour []float64 // background deploy load levels, default {0, 400, 1600}
-	HorizonS     float64   // default 30 min (maintenance starts at 1/3)
+	Seed     int64
+	HorizonS float64 // per point, maintenance at 1/3 (registry: 30 min)
+	Workers  int     // sweep worker pool; 0 = GOMAXPROCS
 }
 
 // E14Point is one load level's evacuation outcome.
@@ -119,62 +122,63 @@ type E14Point struct {
 // E14Result holds the experiment.
 type E14Result struct{ Points []E14Point }
 
-// RunE14 measures evacuation time of a loaded host at each background
-// provisioning rate.
-func RunE14(p E14Params) (*E14Result, error) {
-	if p.HostVMs == 0 {
-		p.HostVMs = 12
-	}
-	if len(p.RatesPerHour) == 0 {
-		p.RatesPerHour = []float64{0, 2000, 6000}
-	}
-	if p.HorizonS == 0 {
-		p.HorizonS = 30 * 60
-	}
-	res := &E14Result{}
-	for _, rate := range p.RatesPerHour {
-		rate := rate
-		cfg := DefaultConfig(p.Seed)
-		cfg.Director.RebalanceThreshold = 0
-		// Paper-era manager so that load actually contends.
-		cfg.Mgmt.Threads = 4
-		cfg.Mgmt.DBConns = 2
-		c, err := New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		target := loadResidentHost(c, p.HostVMs, rate, p.HorizonS)
-		var evac *mgmt.Task
-		c.Go("admin", func(ap *sim.Proc) {
-			ap.Sleep(p.HorizonS / 3)
-			evac = c.Manager().EnterMaintenance(ap, target, mgmt.ReqCtx{Org: "admin"})
-		})
-		c.Run(p.HorizonS * 4) // let the evacuation finish even under load
-		if evac == nil || evac.Err != nil {
-			return nil, fmt.Errorf("E14 rate %.0f: evacuation failed: %v", rate, taskErr(evac))
-		}
-		migs := 0
-		for _, r := range c.Records() {
-			if r.Kind == ops.KindMigrate.String() && r.Org == "admin" && r.Err == "" {
-				migs++
-			}
-		}
-		deploys := analysis.FilterOK(analysis.FilterKind(c.Records(), ops.KindDeploy.String()))
-		res.Points = append(res.Points, E14Point{
-			RatePerHour: rate,
-			EvacuationS: evac.Latency(),
-			Migrations:  migs,
-			DeploysDone: len(deploys),
-		})
-	}
-	return res, nil
+// e14Sweep is E14's grid: the background open-loop deploy rate against
+// a paper-era manager, so that load actually contends, with hostVMs
+// linked clones resident on the host entering maintenance.
+type e14Sweep struct {
+	rates   []float64
+	hostVMs int
 }
 
-func taskErr(t *mgmt.Task) error {
-	if t == nil {
-		return fmt.Errorf("no task")
+var e14 = e14Sweep{rates: []float64{0, 2000, 6000}, hostVMs: 12}
+
+func (d e14Sweep) grid() Grid {
+	return Grid{Base: paperEra, Dims: []Dim{axis("rate", d.rates...)}}
+}
+
+// RunE14 measures evacuation time of a loaded host at each background
+// provisioning rate.
+func RunE14(p E14Params) (*E14Result, error) { return e14.run(p) }
+
+func (d e14Sweep) run(p E14Params) (*E14Result, error) {
+	points, err := RunGrid(d.grid(), DefaultLoader(p.Seed), sweep.Options{MasterSeed: p.Seed, Workers: p.Workers},
+		func(pt GridRow) (E14Point, error) {
+			rate := d.rates[pt.Levels[0]]
+			c, err := New(pt.Config)
+			if err != nil {
+				return E14Point{}, err
+			}
+			target := loadResidentHost(c, d.hostVMs, rate, p.HorizonS)
+			var evac *mgmt.Task
+			c.Go("admin", func(ap *sim.Proc) {
+				ap.Sleep(p.HorizonS / 3)
+				evac = c.Manager().EnterMaintenance(ap, target, mgmt.ReqCtx{Org: "admin"})
+			})
+			c.Run(p.HorizonS * 4) // let the evacuation finish even under load
+			if evac == nil {
+				return E14Point{}, fmt.Errorf("E14 rate %.0f: evacuation never finished", rate)
+			}
+			if evac.Err != nil {
+				return E14Point{}, fmt.Errorf("E14 rate %.0f: evacuation failed: %v", rate, evac.Err)
+			}
+			migs := 0
+			for _, r := range c.Records() {
+				if r.Kind == ops.KindMigrate.String() && r.Org == "admin" && r.Err == "" {
+					migs++
+				}
+			}
+			deploys := analysis.FilterOK(analysis.FilterKind(c.Records(), ops.KindDeploy.String()))
+			return E14Point{
+				RatePerHour: rate,
+				EvacuationS: evac.Latency(),
+				Migrations:  migs,
+				DeploysDone: len(deploys),
+			}, nil
+		})
+	if err != nil {
+		return nil, err
 	}
-	return t.Err
+	return &E14Result{Points: points}, nil
 }
 
 // Render writes the evacuation table.
@@ -195,9 +199,8 @@ func (r *E14Result) Render(w io.Writer) error {
 // E15Params configures the replay comparison.
 type E15Params struct {
 	Seed     int64
-	RecordS  float64 // recording horizon, default 2 h
-	Cells    []int   // configurations to replay against, default {1, 4}
-	HorizonS float64 // replay horizon, default RecordS * 1.5
+	HorizonS float64 // the recording; each replay runs 1.5x as long (registry: 2 hours)
+	Workers  int     // sweep worker pool; 0 = GOMAXPROCS
 }
 
 // E15Point is one configuration's replayed experience.
@@ -215,22 +218,31 @@ type E15Result struct {
 	Points   []E15Point
 }
 
+// e15Sweep is E15's replay grid: director cells, deliberately small (2
+// threads) so the tier matters, with rebalancing off. It loads at the
+// recording's seed + 1, so the replays draw fresh randomness.
+type e15Sweep struct{ cells []int }
+
+var e15 = e15Sweep{cells: []int{1, 4}}
+
+func (d e15Sweep) grid() Grid {
+	return Grid{
+		Base: []string{"director.cellThreads=2", "director.rebalanceThreshold=0"},
+		Dims: []Dim{Vary("director.cells", d.cells...)},
+	}
+}
+
 // RunE15 records a high-rate CloudA variant and replays it against each
 // cell count with deliberately small cells.
-func RunE15(p E15Params) (*E15Result, error) {
-	if p.RecordS == 0 {
-		p.RecordS = 2 * Hour
-	}
-	if len(p.Cells) == 0 {
-		p.Cells = []int{1, 4}
-	}
-	if p.HorizonS == 0 {
-		p.HorizonS = p.RecordS * 1.5
-	}
+func RunE15(p E15Params) (*E15Result, error) { return e15.run(p) }
+
+func (d e15Sweep) run(p E15Params) (*E15Result, error) {
 
 	// Record once.
-	recCfg := DefaultConfig(p.Seed)
-	recCfg.Director.RebalanceThreshold = 0
+	recCfg, err := DefaultLoader(p.Seed)("director.rebalanceThreshold=0")
+	if err != nil {
+		return nil, err
+	}
 	rc, err := New(recCfg)
 	if err != nil {
 		return nil, err
@@ -239,39 +251,38 @@ func RunE15(p E15Params) (*E15Result, error) {
 	pr.BaseRatePerHour = 2500 // a very busy day — enough to saturate one small cell
 	pr.DiurnalAmplitude = 0   // flat, so short recordings carry the full rate
 	pr.LifetimeMeanS = 900
-	if _, err := rc.RunProfile(pr, p.RecordS); err != nil {
+	if _, err := rc.RunProfile(pr, p.HorizonS); err != nil {
 		return nil, err
 	}
 	recorded := rc.Records()
-	res := &E15Result{Recorded: len(recorded)}
 
-	for _, cells := range p.Cells {
-		cfg := DefaultConfig(p.Seed + 1)
-		cfg.Director.Cells = cells
-		cfg.Director.CellThreads = 2 // small cells so the tier matters
-		cfg.Director.RebalanceThreshold = 0
-		c, err := New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		rp, err := workload.NewReplayer(c.Env(), c.Director(), recorded)
-		if err != nil {
-			return nil, err
-		}
-		rp.Start()
-		c.Run(p.HorizonS)
-		deploys := analysis.FilterOK(analysis.FilterKind(c.Records(), ops.KindDeploy.String()))
-		lat := analysis.LatencySample(deploys, "")
-		bd, _ := analysis.MeanBreakdown(deploys, "")
-		res.Points = append(res.Points, E15Point{
-			Cells:        cells,
-			Issued:       rp.Stats().Issued,
-			DeployMeanS:  lat.Mean(),
-			DeployP95S:   lat.Percentile(95),
-			DeployQueueS: bd.Queue,
+	points, err := RunGrid(d.grid(), DefaultLoader(p.Seed+1), sweep.Options{MasterSeed: p.Seed, Workers: p.Workers},
+		func(pt GridRow) (E15Point, error) {
+			c, err := New(pt.Config)
+			if err != nil {
+				return E15Point{}, err
+			}
+			rp, err := workload.NewReplayer(c.Env(), c.Director(), recorded)
+			if err != nil {
+				return E15Point{}, err
+			}
+			rp.Start()
+			c.Run(p.HorizonS * 1.5)
+			deploys := analysis.FilterOK(analysis.FilterKind(c.Records(), ops.KindDeploy.String()))
+			lat := analysis.LatencySample(deploys, "")
+			bd, _ := analysis.MeanBreakdown(deploys, "")
+			return E15Point{
+				Cells:        d.cells[pt.Levels[0]],
+				Issued:       rp.Stats().Issued,
+				DeployMeanS:  lat.Mean(),
+				DeployP95S:   lat.Percentile(95),
+				DeployQueueS: bd.Queue,
+			}, nil
 		})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &E15Result{Recorded: len(recorded), Points: points}, nil
 }
 
 // Render writes the what-if table.

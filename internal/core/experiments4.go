@@ -9,24 +9,21 @@ import (
 	"fmt"
 	"io"
 
+	"slices"
+
 	"cloudmcp/internal/analysis"
-	"cloudmcp/internal/faults"
 	"cloudmcp/internal/ha"
 	"cloudmcp/internal/ops"
 	"cloudmcp/internal/report"
 	"cloudmcp/internal/sim"
+	"cloudmcp/internal/sweep"
 )
 
 // E16Params configures the restart-storm experiment.
 type E16Params struct {
-	Seed         int64
-	HostVMs      int       // powered-on VMs on the failing host, default 16
-	RatesPerHour []float64 // background deploy load, default {0, 2000, 6000}
-	Restarts     int       // HA restart concurrency, default 32
-	HorizonS     float64   // default 30 min (failure at 1/3)
-	// Faults injects control-plane faults into every run (E17's "storm
-	// on an already-faulty control plane" leg); nil keeps E16 as-is.
-	Faults *faults.Config
+	Seed     int64
+	HorizonS float64 // per point, failure at 2/3 (registry: 30 min)
+	Workers  int     // sweep worker pool; 0 = GOMAXPROCS
 }
 
 // E16Point is one load level's recovery outcome.
@@ -41,59 +38,66 @@ type E16Point struct {
 // E16Result holds the experiment.
 type E16Result struct{ Points []E16Point }
 
+// e16Restarts is the HA engine's restart concurrency.
+const e16Restarts = 32
+
+// e16Storm is E16's grid: the background open-loop deploy rate against
+// a paper-era manager, as in E7/E14, with hostVMs powered-on VMs on the
+// host that fails. E17 runs it with a faults.rate base.
+type e16Storm struct {
+	rates   []float64
+	hostVMs int
+}
+
+var e16 = e16Storm{rates: []float64{0, 2000, 6000}, hostVMs: 16}
+
+func (d e16Storm) grid(base ...string) Grid {
+	return Grid{Base: slices.Concat(paperEra, base), Dims: []Dim{axis("rate", d.rates...)}}
+}
+
 // RunE16 fails a loaded host at each background rate and measures the
 // restart storm.
 func RunE16(p E16Params) (*E16Result, error) {
-	if p.HostVMs == 0 {
-		p.HostVMs = 16
+	points, err := e16.run(p.Seed, p.HorizonS, sweep.Options{MasterSeed: p.Seed, Workers: p.Workers})
+	if err != nil {
+		return nil, err
 	}
-	if len(p.RatesPerHour) == 0 {
-		p.RatesPerHour = []float64{0, 2000, 6000}
-	}
-	if p.Restarts == 0 {
-		p.Restarts = 32
-	}
-	if p.HorizonS == 0 {
-		p.HorizonS = 30 * 60
-	}
-	res := &E16Result{}
-	for _, rate := range p.RatesPerHour {
-		rate := rate
-		cfg := DefaultConfig(p.Seed)
-		cfg.Director.RebalanceThreshold = 0
-		cfg.Mgmt.Threads = 4 // paper-era manager, as in E7/E14
-		cfg.Mgmt.DBConns = 2
-		cfg.Faults = p.Faults
-		c, err := New(cfg)
+	return &E16Result{Points: points}, nil
+}
+
+// run runs the storm at every rate over the base overrides.
+func (d e16Storm) run(seed int64, horizonS float64, opts sweep.Options, base ...string) ([]E16Point, error) {
+	return RunGrid(d.grid(base...), DefaultLoader(seed), opts, func(pt GridRow) (E16Point, error) {
+		rate := d.rates[pt.Levels[0]]
+		c, err := New(pt.Config)
 		if err != nil {
-			return nil, err
+			return E16Point{}, err
 		}
-		eng, err := ha.New(c.Env(), c.Manager(), ha.Config{MaxConcurrentRestarts: p.Restarts})
+		eng, err := ha.New(c.Env(), c.Manager(), ha.Config{MaxConcurrentRestarts: e16Restarts})
 		if err != nil {
-			return nil, err
+			return E16Point{}, err
 		}
-		target := loadResidentHost(c, p.HostVMs, rate, p.HorizonS)
+		target := loadResidentHost(c, d.hostVMs, rate, horizonS)
 		var fo *ha.Failover
 		c.Go("failure", func(fp *sim.Proc) {
 			// Fail deep into the run, once the background stream has
 			// pushed the manager into its saturated regime.
-			fp.Sleep(p.HorizonS * 2 / 3)
+			fp.Sleep(horizonS * 2 / 3)
 			fo = eng.FailHost(fp, target)
 		})
-		c.Run(p.HorizonS * 4)
+		c.Run(horizonS * 4)
 		if fo == nil {
-			return nil, fmt.Errorf("E16 rate %.0f: failover never completed", rate)
+			return E16Point{}, fmt.Errorf("E16 rate %.0f: failover never completed", rate)
 		}
 		deploys := analysis.FilterOK(analysis.FilterKind(c.Records(), ops.KindDeploy.String()))
-		res.Points = append(res.Points, E16Point{
+		return E16Point{
 			RatePerHour: rate,
 			RecoveryS:   fo.Duration(),
 			Restarted:   fo.Restarted,
 			Unplaced:    fo.Unplaced,
 			DeploysDone: len(deploys),
-		})
-	}
-	return res, nil
+		}, nil
+	})
 }
 
 // Render writes the restart-storm table.

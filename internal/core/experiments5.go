@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 
-	"cloudmcp/internal/faults"
 	"cloudmcp/internal/mgmt"
 	"cloudmcp/internal/report"
 	"cloudmcp/internal/sweep"
@@ -35,6 +34,10 @@ type E17Params struct {
 
 // e17StormRatePerHour is the storm leg's background load.
 const e17StormRatePerHour = 2000.0
+
+// e17Storm is the storm leg: the E16 grid at e17StormRatePerHour, run at
+// each fault rate with a faults.rate base.
+var e17Storm = e16Storm{rates: []float64{e17StormRatePerHour}, hostVMs: e16.hostVMs}
 
 // e17Loop is E17's closed-loop leg as data: fault rate × provisioning
 // mode (full, then linked clones) with rebalancing off to isolate
@@ -105,13 +108,12 @@ func (d e17Loop) run(p E17Params) (*E17Result, error) {
 	}
 	points, err := sweep.Run(opts, len(d.rates), func(sp sweep.Point) (E17Point, error) {
 		rate := d.rates[sp.Index]
-		fc := faults.Preset(rate)
-		storm, err := RunE16(E16Params{Seed: p.Seed, RatesPerHour: []float64{e17StormRatePerHour}, HorizonS: p.HorizonS, Faults: &fc})
+		storm, err := e17Storm.run(p.Seed, p.HorizonS, sweep.Options{MasterSeed: p.Seed, Workers: 1}, fmt.Sprintf("faults.rate=%v", rate))
 		if err != nil {
 			return E17Point{}, err
 		}
 		full, linked := rows[2*sp.Index].Result, rows[2*sp.Index+1].Result
-		return E17Point{Rate: rate, Full: mode(full), Linked: mode(linked), goodput: linked.Goodput, Storm: storm.Points[0]}, nil
+		return E17Point{Rate: rate, Full: mode(full), Linked: mode(linked), goodput: linked.Goodput, Storm: storm[0]}, nil
 	})
 	if err != nil {
 		return nil, err

@@ -27,7 +27,6 @@ import (
 	"math"
 
 	"cloudmcp/internal/inventory"
-	"cloudmcp/internal/mgmtdb"
 	"cloudmcp/internal/report"
 	"cloudmcp/internal/sweep"
 )
@@ -35,11 +34,7 @@ import (
 // E19Params configures the scale ladder.
 type E19Params struct {
 	Seed     int64
-	Sizes    []int   // prepopulated-VM grid, default {1e3, 1e4, 1e5}
-	Shards   []int   // plane shard counts per size, default {1, 4}
-	Clients  int     // closed-loop workers, default 64
-	HorizonS float64 // per closed-loop point, default 30 min
-	WarmupS  float64 // default HorizonS/10
+	HorizonS float64 // per point, the first 10% warmup (registry: 30 min)
 	Workers  int     // sweep pool bound (0 = GOMAXPROCS)
 }
 
@@ -103,69 +98,68 @@ func (c *Cloud) PrepopulateVMs(n int) error {
 	return nil
 }
 
+// e19Ladder is E19's grid: prepopulated inventory size (each level
+// sets e19Topology's hosts, datastores and bandwidth) × plane shards ×
+// DB mode (the default pool, then row-level group commit), under
+// closed-loop linked-clone load with rebalancing off and the chain cap
+// lifted as in E18.
+type e19Ladder struct {
+	sizes   []int
+	shards  []int
+	clients int
+}
+
+var e19 = e19Ladder{sizes: []int{1000, 10000, 100000}, shards: []int{1, 4}, clients: 64}
+
+func (d e19Ladder) grid(horizonS float64) Grid {
+	size := Dim{Name: "size"}
+	for _, n := range d.sizes {
+		t := e19Topology(n)
+		size.Levels = append(size.Levels, Level{Label: fmt.Sprint(n), Sets: []string{
+			fmt.Sprintf("topology.hosts=%d", t.Hosts), fmt.Sprintf("topology.datastores=%d", t.Datastores),
+			fmt.Sprintf("topology.datastoreMBps=%v", t.DatastoreMBps)}})
+	}
+	db := Dim{Name: "mgmt.database", Levels: []Level{
+		{Label: "pool"},
+		{Label: "grouped", Sets: []string{`mgmt.database={"groupRows":true}`}},
+	}}
+	return Grid{
+		Base:    []string{"director.fastProvisioning=true", "director.rebalanceThreshold=0", "director.maxChainLen=1048576"},
+		Dims:    []Dim{size, Vary("plane.shards", d.shards...), db},
+		Clients: d.clients, HorizonS: horizonS, WarmupS: horizonS / 10,
+	}
+}
+
 // RunE19 climbs the inventory ladder: each (size, shards) rung
 // prepopulates a scaled cloud and runs the closed loop under both
 // database modes.
-func RunE19(p E19Params) (*E19Result, error) {
-	if len(p.Sizes) == 0 {
-		p.Sizes = []int{1000, 10000, 100000}
-	}
-	if len(p.Shards) == 0 {
-		p.Shards = []int{1, 4}
-	}
-	if p.Clients == 0 {
-		p.Clients = 64
-	}
-	if p.HorizonS == 0 {
-		p.HorizonS = 30 * 60
-	}
-	if p.WarmupS == 0 {
-		p.WarmupS = p.HorizonS / 10
-	}
-	type rung struct{ size, shards int }
-	var grid []rung
-	for _, size := range p.Sizes {
-		for _, shards := range p.Shards {
-			grid = append(grid, rung{size, shards})
-		}
-	}
-	points, err := sweep.Run(sweep.Options{MasterSeed: p.Seed, Workers: p.Workers}, len(grid),
-		func(sp sweep.Point) (E19Point, error) {
-			r := grid[sp.Index]
-			pt := E19Point{Size: r.size, Shards: r.shards}
-			for _, grouped := range []bool{false, true} {
-				cfg := DefaultConfig(p.Seed)
-				cfg.Topology = e19Topology(r.size)
-				cfg.Director.FastProvisioning = true
-				cfg.Director.RebalanceThreshold = 0 // isolate provisioning
-				cfg.Director.MaxChainLen = 1 << 20
-				cfg.Plane.Shards = r.shards
-				if grouped {
-					db := mgmtdb.DefaultConfig()
-					db.GroupRows = true
-					cfg.Mgmt.Database = &db
-				}
-				c, err := New(cfg)
-				if err != nil {
-					return pt, fmt.Errorf("E19 size=%d shards=%d grouped=%v: %w", r.size, r.shards, grouped, err)
-				}
-				if err := c.PrepopulateVMs(r.size); err != nil {
-					return pt, err
-				}
-				res := runClosedLoopOn(c, p.Clients, p.HorizonS, p.WarmupS, thinkTime(p.Seed, "e6"))
-				cell := E19Cell{GoodPerHour: res.DeploysPerHour, P99S: res.P99LatencyS, DBUtil: res.DBUtil}
-				if grouped {
-					pt.Grouped = cell
-				} else {
-					pt.Pool = cell
-				}
+func RunE19(p E19Params) (*E19Result, error) { return e19.run(p) }
+
+func (d e19Ladder) run(p E19Params) (*E19Result, error) {
+	g := d.grid(p.HorizonS)
+	cells, err := RunGrid(g, DefaultLoader(p.Seed), sweep.Options{MasterSeed: p.Seed, Workers: p.Workers},
+		func(pt GridRow) (E19Cell, error) {
+			c, err := New(pt.Config)
+			if err != nil {
+				return E19Cell{}, err
 			}
-			return pt, nil
+			if err := c.PrepopulateVMs(d.sizes[pt.Levels[0]]); err != nil {
+				return E19Cell{}, err
+			}
+			res := runClosedLoopOn(c, pt.Clients, g.HorizonS, g.WarmupS, thinkTime(pt.Config.Seed, "e6"))
+			return E19Cell{GoodPerHour: res.DeploysPerHour, P99S: res.P99LatencyS, DBUtil: res.DBUtil}, nil
 		})
 	if err != nil {
 		return nil, err
 	}
-	return &E19Result{Points: points}, nil
+	res := &E19Result{}
+	for i, size := range d.sizes {
+		for j, shards := range d.shards {
+			k := 2 * (i*len(d.shards) + j)
+			res.Points = append(res.Points, E19Point{Size: size, Shards: shards, Pool: cells[k], Grouped: cells[k+1]})
+		}
+	}
+	return res, nil
 }
 
 // Render writes the ladder table plus the headline flatness ratio: how

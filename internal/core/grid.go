@@ -1,8 +1,9 @@
 package core
 
-// The grid engine: a closed-loop experiment described as data. mcpsweep
-// builds its Grid from the command line; E17, E18, E20 and E21 define
-// theirs in Go and run their storm legs beside it.
+// The grid engine: an experiment's sweep described as data. mcpsweep
+// builds its Grid from the command line; E5-E21 define theirs in Go,
+// each with a per-point function (RunGrid) and a renderer, and run any
+// storm leg beside it.
 
 import (
 	"fmt"
@@ -38,7 +39,8 @@ func Vary[T any](path string, values ...T) Dim {
 }
 
 // A Grid is a row-major product of dimensions (Dims[0] varies slowest),
-// each point running RunClosedLoop on the Config its overrides load.
+// each point a Config its overrides load. Run drives RunClosedLoop at
+// every point; RunGrid drives any per-point function.
 type Grid struct {
 	Base     []string // path=value overrides applied at every point, first
 	Dims     []Dim
@@ -100,19 +102,37 @@ func (g Grid) Points(load Loader) ([]GridRow, error) {
 	return points, nil
 }
 
-// Run loads every point, then runs the closed loop at each through
-// internal/sweep, returning the rows in row-major order: byte-identical
-// for any opts.Workers.
-func (g Grid) Run(load Loader, opts sweep.Options) ([]GridRow, error) {
+// axis is a dimension the per-point function reads rather than the
+// loader: one level per value, labelled by its text and setting
+// nothing. The function finds its value by the point's level index.
+func axis[T any](name string, values ...T) Dim {
+	d := Dim{Name: name}
+	for _, v := range values {
+		d.Levels = append(d.Levels, Level{Label: fmt.Sprint(v)})
+	}
+	return d
+}
+
+// RunGrid loads every point of g, then runs run at each through
+// internal/sweep, returning the results in row-major order:
+// byte-identical for any opts.Workers.
+func RunGrid[T any](g Grid, load Loader, opts sweep.Options, run func(GridRow) (T, error)) ([]T, error) {
 	points, err := g.Points(load)
 	if err != nil {
 		return nil, err
 	}
-	return sweep.Run(opts, len(points), func(sp sweep.Point) (GridRow, error) {
+	return sweep.Run(opts, len(points), func(sp sweep.Point) (T, error) {
 		pt := points[sp.Index]
 		if g.PointSeeds {
 			pt.Config.Seed = sp.Seed
 		}
+		return run(pt)
+	})
+}
+
+// Run is RunGrid with the closed loop at every point.
+func (g Grid) Run(load Loader, opts sweep.Options) ([]GridRow, error) {
+	return RunGrid(g, load, opts, func(pt GridRow) (GridRow, error) {
 		var err error
 		pt.Result, err = RunClosedLoop(pt.Config, pt.Clients, g.HorizonS, g.WarmupS)
 		return pt, err

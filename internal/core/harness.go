@@ -95,6 +95,25 @@ func startOpenLoop(c *Cloud, label string, ratePerHour, horizon, lifetimeS float
 	})
 }
 
+// openLoopCloud builds a cloud from cfg, runs the "openloop" stream of
+// Poisson single-VM deploys (see startOpenLoop) on it for horizon
+// seconds, and returns the cloud after the run.
+func openLoopCloud(cfg Config, ratePerHour, horizon, lifetimeS float64) (*Cloud, error) {
+	c, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	startOpenLoop(c, "openloop", ratePerHour, horizon, lifetimeS)
+	c.Run(horizon)
+	return c, nil
+}
+
+// paperEra sizes the manager to the paper's era (4 worker threads, 2 DB
+// connections) with datastore rebalancing off: the base of the loaded
+// sweeps E7, E9, E14 and E16, so background load contends on the
+// manager itself.
+var paperEra = []string{"mgmt.threads=4", "mgmt.dbConns=2", "director.rebalanceThreshold=0"}
+
 // loadResidentHost loads host 0 with n powered-on linked clones (org
 // "resident", datastores round-robin), runs until horizon/100 so they
 // settle, and then, if ratePerHour is above 0, starts the "e14-load"

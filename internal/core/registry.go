@@ -44,39 +44,17 @@ func Experiments() []Experiment {
 		{"E5", func(seed int64, _ float64, workers int) (Renderable, error) {
 			return RunE5(E5Params{Seed: seed, Workers: workers})
 		}},
-		{"E6", func(seed int64, scale float64, workers int) (Renderable, error) {
-			return RunE6(E6Params{Seed: seed, HorizonS: 1800 * scale, Workers: workers})
-		}},
-		{"E7", func(seed int64, scale float64, workers int) (Renderable, error) {
-			return RunE7(E7Params{Seed: seed, HorizonS: Hour * scale, Workers: workers})
-		}},
-		{"E8", func(seed int64, scale float64, _ int) (Renderable, error) {
-			return RunE8(E8Params{Seed: seed, HorizonS: 2 * Hour * scale})
-		}},
-		{"E9", func(seed int64, scale float64, workers int) (Renderable, error) {
-			return RunE9(E9Params{Seed: seed, HorizonS: Hour * scale, Workers: workers})
-		}},
-		{"E10", func(seed int64, scale float64, workers int) (Renderable, error) {
-			return RunE10(E10Params{Seed: seed, HorizonS: 1800 * scale, SweepWorkers: workers})
-		}},
-		{"E11", func(seed int64, scale float64, workers int) (Renderable, error) {
-			return RunE11(E11Params{Seed: seed, HorizonS: 1800 * scale, SweepWorkers: workers})
-		}},
-		{"E12", func(seed int64, scale float64, _ int) (Renderable, error) {
-			return RunE12(E12Params{Seed: seed, HorizonS: 1800 * scale})
-		}},
-		{"E13", func(seed int64, scale float64, workers int) (Renderable, error) {
-			return RunE13(E13Params{Seed: seed, HorizonS: 1800 * scale, SweepWorkers: workers})
-		}},
-		{"E14", func(seed int64, scale float64, _ int) (Renderable, error) {
-			return RunE14(E14Params{Seed: seed, HorizonS: 1800 * scale})
-		}},
-		{"E15", func(seed int64, scale float64, _ int) (Renderable, error) {
-			return RunE15(E15Params{Seed: seed, RecordS: 2 * Hour * scale})
-		}},
-		{"E16", func(seed int64, scale float64, _ int) (Renderable, error) {
-			return RunE16(E16Params{Seed: seed, HorizonS: 1800 * scale})
-		}},
+		swept("E6", 1800, RunE6),
+		swept("E7", Hour, RunE7),
+		swept("E8", 2*Hour, RunE8),
+		swept("E9", Hour, RunE9),
+		swept("E10", 1800, RunE10),
+		swept("E11", 1800, RunE11),
+		swept("E12", 1800, RunE12),
+		swept("E13", 1800, RunE13),
+		swept("E14", 1800, RunE14),
+		swept("E15", 2*Hour, RunE15),
+		swept("E16", 1800, RunE16),
 	}
 }
 
@@ -86,8 +64,9 @@ func Experiments() []Experiment {
 // turns on the reconciliation plane, and E21 races policy sets; folding
 // any of them into RunAll would grow the default artifact. They run via
 // RunExperiment (mcpbench -only E17/E18/E19/E20/E21) at these fixed
-// grids. The closed-loop legs of E17, E18, E20 and E21 are Grids, so a
-// custom grid over their axes is an mcpsweep command line, e.g. E18's:
+// grids. Every sweep of E5..E21 is a Grid, and those that run the closed
+// loop at every point (E6, E10, E11, E17, E18, E20, E21) are mcpsweep
+// command lines over their axes, e.g. E18's:
 //
 //	mcpsweep -vary plane.shards=1,2,4,8 -vary plane.db=shared,per-shard \
 //	  -vary director.fastProvisioning=false,true -concurrency 192 -horizon 1800 \
@@ -95,27 +74,32 @@ func Experiments() []Experiment {
 //	  -set director.maxChainLen=1048576
 func Extensions() []Experiment {
 	return []Experiment{
-		{"E17", func(seed int64, scale float64, workers int) (Renderable, error) {
-			return RunE17(E17Params{Seed: seed, HorizonS: 1800 * scale, Workers: workers})
-		}},
-		{"E18", func(seed int64, scale float64, workers int) (Renderable, error) {
-			return RunE18(E18Params{Seed: seed, HorizonS: 1800 * scale, Workers: workers})
-		}},
+		swept("E17", 1800, RunE17),
+		swept("E18", 1800, RunE18),
 		{"E19", func(seed int64, scale float64, workers int) (Renderable, error) {
-			pp := E19Params{Seed: seed, HorizonS: 1800 * scale, Workers: workers}
+			d := e19
 			if scale < 1 {
 				// Quick/CI runs climb the two smallest rungs only.
-				pp.Sizes = []int{1000, 10000}
+				d.sizes = d.sizes[:2]
 			}
-			return RunE19(pp)
+			return d.run(E19Params{Seed: seed, HorizonS: 1800 * scale, Workers: workers})
 		}},
-		{"E20", func(seed int64, scale float64, workers int) (Renderable, error) {
-			return RunE20(E20Params{Seed: seed, HorizonS: 1800 * scale, Workers: workers})
-		}},
-		{"E21", func(seed int64, scale float64, workers int) (Renderable, error) {
-			return RunE21(E21Params{Seed: seed, HorizonS: 1800 * scale, Workers: workers})
-		}},
+		swept("E20", 1800, RunE20),
+		swept("E21", 1800, RunE21),
 	}
+}
+
+// swept is the registry entry of an experiment whose params are Seed,
+// HorizonS and Workers: horizonS at full scale, and the suite's worker
+// bound as the experiment's sweep pool.
+func swept[P ~struct {
+	Seed     int64
+	HorizonS float64
+	Workers  int
+}, R Renderable](name string, horizonS float64, run func(P) (R, error)) Experiment {
+	return Experiment{name, func(seed int64, scale float64, workers int) (Renderable, error) {
+		return run(P{Seed: seed, HorizonS: horizonS * scale, Workers: workers})
+	}}
 }
 
 // registered holds extensions contributed from outside this package.

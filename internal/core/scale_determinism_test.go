@@ -1,48 +1,11 @@
 package core
 
-// Regression tests for the inventory-ladder determinism contract: E19's
-// artifact must be byte-identical for any sweep worker count, and the
-// prepopulated inventory must never leak wall-clock or map-order
-// nondeterminism into the simulated results.
+// Regression tests for the inventory ladder: the prepopulated inventory
+// must never leak wall-clock or map-order nondeterminism into the
+// simulated results. E19's worker-count determinism is a row of
+// TestArtifactsIdenticalAcrossWorkerCounts.
 
-import (
-	"strings"
-	"testing"
-)
-
-func e19Quick(workers int) E19Params {
-	return E19Params{Seed: 1, Sizes: []int{1000, 4000}, Shards: []int{1, 2},
-		Clients: 24, HorizonS: 120, Workers: workers}
-}
-
-func renderE19(t *testing.T, p E19Params) string {
-	t.Helper()
-	r, err := RunE19(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := r.Render(&sb); err != nil {
-		t.Fatal(err)
-	}
-	return sb.String()
-}
-
-func TestE19ArtifactIdenticalAcrossWorkerCounts(t *testing.T) {
-	serial := renderE19(t, e19Quick(1))
-	parallel := renderE19(t, e19Quick(8))
-	if serial != parallel {
-		t.Fatalf("E19 artifact differs between 1 and 8 sweep workers:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", serial, parallel)
-	}
-	for _, want := range []string{
-		"E19: closed-loop provisioning vs inventory size",
-		"E19: throughput retention across the ladder",
-	} {
-		if !strings.Contains(serial, want) {
-			t.Fatalf("artifact missing %q:\n%s", want, serial)
-		}
-	}
-}
+import "testing"
 
 func TestPrepopulateVMsDeterministicAndCounted(t *testing.T) {
 	build := func() *Cloud {

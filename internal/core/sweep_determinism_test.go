@@ -1,9 +1,9 @@
 package core
 
-// Regression tests for the determinism contract of the parallel sweep
-// rewiring: for a fixed seed, rendered artifacts must be byte-identical
-// whatever the worker count. Run with -race to also exercise the
-// concurrent path for data races.
+// Regression tests for the determinism contract of the sweep engine:
+// for a fixed seed, rendered artifacts must be byte-identical whatever
+// the worker count. Run with -race to also exercise the concurrent path
+// for data races.
 
 import (
 	"fmt"
@@ -11,33 +11,45 @@ import (
 	"testing"
 )
 
-// e6Quick is a small E6 grid: 3 points × 2 modes × 120 simulated
-// seconds, enough to produce non-trivial tables fast.
-func e6Quick(workers int) E6Params {
-	return E6Params{Seed: 1, Concurrency: []int{1, 4, 8}, HorizonS: 120, Workers: workers}
-}
-
-func renderE6(t *testing.T, p E6Params) string {
-	t.Helper()
-	r, err := RunE6(p)
-	if err != nil {
-		t.Fatal(err)
+// TestArtifactsIdenticalAcrossWorkerCounts renders every swept
+// experiment of the suite, E5-E16, and E19 at quick scale on 1 and on 8
+// sweep workers, and requires the same bytes.
+func TestArtifactsIdenticalAcrossWorkerCounts(t *testing.T) {
+	const seed, scale = 1, 0.1
+	runs := map[string]func(workers int) (Renderable, error){}
+	for _, e := range Experiments()[4:] {
+		runs[e.Name] = func(workers int) (Renderable, error) { return e.Run(seed, scale, workers) }
 	}
-	var sb strings.Builder
-	if err := r.Render(&sb); err != nil {
-		t.Fatal(err)
+	runs["E19"] = func(workers int) (Renderable, error) {
+		quick := e19Ladder{sizes: []int{1000, 4000}, shards: []int{1, 2}, clients: 24}
+		return quick.run(E19Params{Seed: seed, HorizonS: 1800 * scale, Workers: workers})
 	}
-	return sb.String()
-}
-
-func TestE6ArtifactIdenticalAcrossWorkerCounts(t *testing.T) {
-	serial := renderE6(t, e6Quick(1))
-	parallel := renderE6(t, e6Quick(8))
-	if serial != parallel {
-		t.Fatalf("E6 artifact differs between 1 and 8 sweep workers:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", serial, parallel)
-	}
-	if !strings.Contains(serial, "E6: provisioning throughput vs concurrency") {
-		t.Fatalf("unexpected artifact:\n%s", serial)
+	for i := 5; i <= 19; i++ {
+		name := fmt.Sprintf("E%d", i)
+		run, ok := runs[name]
+		if !ok {
+			continue // E17, E18: their own determinism tests
+		}
+		t.Run(name, func(t *testing.T) {
+			render := func(workers int) string {
+				r, err := run(workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var sb strings.Builder
+				if err := r.Render(&sb); err != nil {
+					t.Fatal(err)
+				}
+				return sb.String()
+			}
+			serial, parallel := render(1), render(8)
+			if serial != parallel {
+				t.Fatalf("%s artifact differs between 1 and 8 sweep workers:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", name, serial, parallel)
+			}
+			if !strings.Contains(serial, name+": ") {
+				t.Fatalf("unexpected artifact:\n%s", serial)
+			}
+		})
 	}
 }
 
