@@ -35,50 +35,40 @@ import (
 
 // E22Params configures the serving-surface load grid.
 type E22Params struct {
-	Seed    int64
-	Users   []int     // virtual-user grid, default {100, 300, 1000}
-	Ratios  []float64 // pacing ratios (virtual s per wall s), default {120, 600}
-	Shards  []int     // management-plane shards, default {1, 4}
-	WallS   float64   // wall seconds of load per cell, default 4
-	VMs     int       // vApp size per instantiate, default 1
-	Quantum float64   // injection quantum in virtual seconds, default 0.25
+	Seed int64
 }
 
-func (p *E22Params) setDefaults() {
-	if len(p.Users) == 0 {
-		p.Users = []int{100, 300, 1000}
-	}
-	if len(p.Ratios) == 0 {
-		p.Ratios = []float64{120, 600}
-	}
-	if len(p.Shards) == 0 {
-		p.Shards = []int{1, 4}
-	}
-	if p.WallS <= 0 {
-		p.WallS = 4
-	}
-	if p.VMs <= 0 {
-		p.VMs = 1
-	}
-	if p.Quantum <= 0 {
-		p.Quantum = 0.25
-	}
+// e22QuantumS is the injection quantum of every E22 cell, in virtual
+// seconds.
+const e22QuantumS = 0.25
+
+// e22Grid is E22's cell grid: management-plane shards × pacing ratio
+// (virtual s per wall s) × virtual users, each cell loaded for wallS
+// wall seconds with one-VM instantiates.
+type e22Grid struct {
+	users  []int
+	ratios []float64
+	shards []int
+	wallS  float64
 }
+
+var e22 = e22Grid{users: []int{100, 300, 1000}, ratios: []float64{120, 600}, shards: []int{1, 4}, wallS: 4}
 
 // E22Result holds the measured grid.
 type E22Result struct {
-	Params E22Params
-	Rows   []report.APIRow
+	wallS float64
+	Rows  []report.APIRow
 }
 
 // RunE22 runs the serving-surface load grid.
-func RunE22(p E22Params) (*E22Result, error) {
-	p.setDefaults()
-	res := &E22Result{Params: p}
-	for _, shards := range p.Shards {
-		for _, ratio := range p.Ratios {
-			for _, users := range p.Users {
-				row, err := runE22Cell(p, users, ratio, shards)
+func RunE22(p E22Params) (*E22Result, error) { return e22.run(p) }
+
+func (d e22Grid) run(p E22Params) (*E22Result, error) {
+	res := &E22Result{wallS: d.wallS}
+	for _, shards := range d.shards {
+		for _, ratio := range d.ratios {
+			for _, users := range d.users {
+				row, err := d.cell(p.Seed, users, ratio, shards)
 				if err != nil {
 					return nil, fmt.Errorf("E22 cell users=%d ratio=%g shards=%d: %w",
 						users, ratio, shards, err)
@@ -90,16 +80,16 @@ func RunE22(p E22Params) (*E22Result, error) {
 	return res, nil
 }
 
-// runE22Cell boots one full serving stack and loads it.
-func runE22Cell(p E22Params, users int, ratio float64, shards int) (report.APIRow, error) {
-	cfg := core.DefaultConfig(p.Seed)
+// cell boots one full serving stack and loads it.
+func (d e22Grid) cell(seed int64, users int, ratio float64, shards int) (report.APIRow, error) {
+	cfg := core.DefaultConfig(seed)
 	cfg.Record = false // live load; nobody reads the trace and it only costs memory
 	cfg.Plane.Shards = shards
 	c, err := core.New(cfg)
 	if err != nil {
 		return report.APIRow{}, err
 	}
-	drv := sim.NewPaced(c.Env(), sim.PacedConfig{Ratio: ratio, QuantumS: sim.Time(p.Quantum)})
+	drv := sim.NewPaced(c.Env(), sim.PacedConfig{Ratio: ratio, QuantumS: e22QuantumS})
 	fe := core.NewFrontend(c, drv, core.FrontendConfig{})
 	srv := NewServer(fe)
 
@@ -119,9 +109,8 @@ func runE22Cell(p E22Params, users int, ratio float64, shards int) (report.APIRo
 	load, err := RunLoad(LoadConfig{
 		BaseURL:     "http://" + ln.Addr().String(),
 		Users:       users,
-		Duration:    time.Duration(p.WallS * float64(time.Second)),
-		VMs:         p.VMs,
-		Seed:        p.Seed,
+		Duration:    time.Duration(d.wallS * float64(time.Second)),
+		Seed:        seed,
 		PollInitial: 5 * time.Millisecond,
 		PollMax:     100 * time.Millisecond,
 	})
@@ -151,7 +140,7 @@ func runE22Cell(p E22Params, users int, ratio float64, shards int) (report.APIRo
 func (r *E22Result) Render(w io.Writer) error {
 	t := report.APITable(
 		fmt.Sprintf("E22: serving surface under load (%gs wall per cell, quantum %gs; wall-clock measurement, not byte-reproducible)",
-			r.Params.WallS, r.Params.Quantum),
+			r.wallS, e22QuantumS),
 		r.Rows)
 	if t == nil {
 		_, err := fmt.Fprintln(w, "E22: no cells")
@@ -166,15 +155,12 @@ func RegisterE22() {
 	core.RegisterExtension(core.Experiment{
 		Name: "E22",
 		Run: func(seed int64, scale float64, _ int) (core.Renderable, error) {
-			p := E22Params{Seed: seed}
+			d := e22
 			if scale < 1 {
 				// Quick/CI runs: a short two-cell ladder.
-				p.Users = []int{25, 100}
-				p.Ratios = []float64{240}
-				p.Shards = []int{1}
-				p.WallS = 1.5
+				d = e22Grid{users: []int{25, 100}, ratios: []float64{240}, shards: []int{1}, wallS: 1.5}
 			}
-			return RunE22(p)
+			return d.run(E22Params{Seed: seed})
 		},
 	})
 }

@@ -9,13 +9,8 @@ import (
 // stack boot, live load, teardown, and a rendered artifact with a
 // nonzero, separately-attributed API-queueing share.
 func TestE22SingleCell(t *testing.T) {
-	res, err := RunE22(E22Params{
-		Seed:   1,
-		Users:  []int{10},
-		Ratios: []float64{240},
-		Shards: []int{1},
-		WallS:  1,
-	})
+	d := e22Grid{users: []int{10}, ratios: []float64{240}, shards: []int{1}, wallS: 1}
+	res, err := d.run(E22Params{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

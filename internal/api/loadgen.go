@@ -230,9 +230,11 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 		merged.QueueWaitsS = append(merged.QueueWaitsS, u.res.QueueWaitsS...)
 		merged.WallMS = append(merged.WallMS, u.res.WallMS...)
 	}
-	if st, err := FetchStats(client, cfg.BaseURL); err == nil {
-		merged.VirtualEndS = st.VirtualNowS
+	st, err := FetchStats(client, cfg.BaseURL)
+	if err != nil {
+		return nil, err
 	}
+	merged.VirtualEndS = st.VirtualNowS
 	return merged, nil
 }
 
@@ -442,6 +444,9 @@ func fetchCatalog(client *http.Client, baseURL string) ([]string, error) {
 		return nil, err
 	}
 	defer drainClose(resp2)
+	if resp2.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("api: catalog read: status %d", resp2.StatusCode)
+	}
 	var vdc VDCJSON
 	if err := json.NewDecoder(resp2.Body).Decode(&vdc); err != nil {
 		return nil, err
@@ -453,7 +458,7 @@ func fetchCatalog(client *http.Client, baseURL string) ([]string, error) {
 	return names, nil
 }
 
-// fetchStats reads the operator stats endpoint.
+// FetchStats reads the operator stats endpoint.
 func FetchStats(client *http.Client, baseURL string) (StatsJSON, error) {
 	req, err := http.NewRequest("POST", baseURL+"/api/sessions", nil)
 	if err != nil {
@@ -465,6 +470,9 @@ func FetchStats(client *http.Client, baseURL string) (StatsJSON, error) {
 		return StatsJSON{}, err
 	}
 	defer drainClose(resp)
+	if resp.StatusCode != http.StatusCreated {
+		return StatsJSON{}, fmt.Errorf("api: stats login: status %d", resp.StatusCode)
+	}
 	token := resp.Header.Get(AuthHeader)
 
 	req, err = http.NewRequest("GET", baseURL+"/api/admin/stats", nil)
@@ -477,6 +485,9 @@ func FetchStats(client *http.Client, baseURL string) (StatsJSON, error) {
 		return StatsJSON{}, err
 	}
 	defer drainClose(resp2)
+	if resp2.StatusCode != http.StatusOK {
+		return StatsJSON{}, fmt.Errorf("api: stats read: status %d", resp2.StatusCode)
+	}
 	var st StatsJSON
 	if err := json.NewDecoder(resp2.Body).Decode(&st); err != nil {
 		return StatsJSON{}, err

@@ -17,10 +17,14 @@ import (
 type stuckServer struct {
 	nextTask atomic.Int64
 	polls    atomic.Int64
+	// failGET, when set, is a path whose GET answers 500.
+	failGET string
 }
 
 func (s *stuckServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
+	case r.Method == "GET" && r.URL.Path == s.failGET:
+		http.Error(w, "unavailable", http.StatusInternalServerError)
 	case r.Method == "POST" && r.URL.Path == "/api/sessions":
 		w.Header().Set(AuthHeader, "stuck-token")
 		w.WriteHeader(http.StatusCreated)
@@ -114,5 +118,28 @@ func TestLoadDefaultsDrainGrace(t *testing.T) {
 	}
 	if res.Cutoff == 0 {
 		t.Fatalf("Cutoff = 0 with default grace, res = %+v", res)
+	}
+}
+
+// TestLoadFailsOnErrorStatus pins that a failed catalog or stats read
+// fails the run: RunLoad must return an error naming the status instead
+// of decoding the error body into an empty catalog or a zero virtual
+// clock.
+func TestLoadFailsOnErrorStatus(t *testing.T) {
+	for _, path := range []string{vdcHref(), "/api/admin/stats"} {
+		ts := httptest.NewServer(&stuckServer{failGET: path})
+		_, err := RunLoad(LoadConfig{
+			BaseURL:     ts.URL,
+			Users:       1,
+			Duration:    20 * time.Millisecond,
+			DrainGrace:  20 * time.Millisecond,
+			Seed:        1,
+			PollInitial: 5 * time.Millisecond,
+			PollMax:     10 * time.Millisecond,
+		})
+		ts.Close()
+		if err == nil || !strings.Contains(err.Error(), "status 500") {
+			t.Fatalf("RunLoad with GET %s failing: err = %v, want status 500", path, err)
+		}
 	}
 }

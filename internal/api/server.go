@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -283,7 +284,7 @@ func (s *Server) deleteVApp(w http.ResponseWriter, r *http.Request, sess *sessio
 func (s *Server) acceptTask(w http.ResponseWriter, id int64, err error) {
 	if err != nil {
 		status := http.StatusBadRequest
-		if strings.Contains(err.Error(), "stopped") {
+		if errors.Is(err, core.ErrStopped) {
 			status = http.StatusServiceUnavailable
 		}
 		writeError(w, status, "%v", err)

@@ -243,6 +243,11 @@ func TestRequestValidation(t *testing.T) {
 	if code := do(t, "POST", ts.URL+"/api/vdc/provider-vdc/action/instantiateVAppTemplate", tok, body, nil); code != http.StatusBadRequest {
 		t.Fatalf("bad template: %d", code)
 	}
+	// A validation error stays a 400 whatever its text says.
+	stopped, _ := json.Marshal(InstantiateJSON{Template: "stopped"})
+	if code := do(t, "POST", ts.URL+"/api/vdc/provider-vdc/action/instantiateVAppTemplate", tok, stopped, nil); code != http.StatusBadRequest {
+		t.Fatalf("template named %q: %d", "stopped", code)
+	}
 	if code := do(t, "POST", ts.URL+"/api/vdc/nowhere/action/instantiateVAppTemplate", tok, body, nil); code != http.StatusNotFound {
 		t.Fatalf("bad vdc: %d", code)
 	}

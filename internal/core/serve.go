@@ -17,14 +17,16 @@ package core
 // completion time.
 //
 // The API-layer queue wait is measured here and attributed separately
-// from the control plane's own latency: for live submissions it is the
-// wall time a request waited for the next injection boundary scaled by
-// the pacing ratio into virtual seconds (so a driver lagging its wall
-// schedule shows up as real queueing, exactly like a saturated API
-// cell), and for scripted virtual-time submissions it is the virtual gap
-// between release and injection, which is deterministic.
+// from the control plane's own latency: it is the wall time a request
+// waited for the next injection boundary scaled by the pacing ratio into
+// virtual seconds (so a driver lagging its wall schedule shows up as
+// real queueing, exactly like a saturated API cell). A free-running
+// driver has no wall schedule, so there it is the virtual gap between
+// the last completed boundary at submission and the injecting boundary,
+// which is deterministic.
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -82,9 +84,9 @@ type TaskInfo struct {
 	Op    OpKind
 	Org   string
 	State TaskState
-	// SubmitV is the virtual clock when the request was accepted (the
-	// last completed boundary for live submissions, the release time for
-	// scripted ones). StartV/EndV are stamped inside the simulation.
+	// SubmitV is the virtual clock when the request was accepted: the
+	// last completed boundary. StartV/EndV are stamped inside the
+	// simulation.
 	SubmitV sim.Time
 	StartV  sim.Time
 	EndV    sim.Time
@@ -125,8 +127,11 @@ type FrontendStats struct {
 	InFlight       int64 // queued + running
 	QueueWaitSumS  float64
 	QueueWaitMeanS float64 // over tasks that reached injection
-	injected       int64
 }
+
+// ErrStopped is the error SubmitOp returns once the paced driver has
+// stopped accepting submissions.
+var ErrStopped = errors.New("core: frontend stopped")
 
 // TemplateInfo describes one catalog entry.
 type TemplateInfo struct {
@@ -179,22 +184,15 @@ type Frontend struct {
 	cloud *Cloud
 	drv   *sim.Paced
 
-	orgs      []string
 	orgSet    map[string]bool
 	templates map[string]inventory.ID
 	catalog   []TemplateInfo
 
-	// now is a test seam for the wall clock used in queue-wait
-	// attribution of live submissions.
-	now func() time.Time
-
 	mu       sync.Mutex
 	tasks    map[int64]*TaskInfo
-	order    []int64
 	nextID   int64
-	stats    FrontendStats
-	qwaitSum float64
-	injected int64
+	stats    FrontendStats // Submitted, Completed, Failed, QueueWaitSumS
+	injected int64         // tasks that reached injection
 }
 
 // NewFrontend wraps a cloud and its paced driver in a serving façade and
@@ -210,13 +208,10 @@ func NewFrontend(c *Cloud, drv *sim.Paced, cfg FrontendConfig) *Frontend {
 		drv:       drv,
 		orgSet:    make(map[string]bool, cfg.Orgs),
 		templates: make(map[string]inventory.ID),
-		now:       time.Now,
 		tasks:     make(map[int64]*TaskInfo),
 	}
 	for i := 0; i < cfg.Orgs; i++ {
-		name := fmt.Sprintf("org%d", i)
-		f.orgs = append(f.orgs, name)
-		f.orgSet[name] = true
+		f.orgSet[fmt.Sprintf("org%d", i)] = true
 	}
 	inv := c.Inventory()
 	for _, id := range inv.Templates() {
@@ -232,34 +227,18 @@ func NewFrontend(c *Cloud, drv *sim.Paced, cfg FrontendConfig) *Frontend {
 	sort.Slice(f.catalog, func(i, j int) bool { return f.catalog[i].Name < f.catalog[j].Name })
 
 	reg := c.MetricsRegistry()
-	reg.ScalarFunc("api", "frontend", "submitted", func() float64 {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		return float64(f.stats.Submitted)
-	})
-	reg.ScalarFunc("api", "frontend", "completed", func() float64 {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		return float64(f.stats.Completed)
-	})
-	reg.ScalarFunc("api", "frontend", "failed", func() float64 {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		return float64(f.stats.Failed)
-	})
-	reg.ScalarFunc("api", "frontend", "queue_wait_s_total", func() float64 {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		return f.qwaitSum
-	})
-	reg.ScalarFunc("api", "frontend", "queue_wait_s_mean", func() float64 {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		if f.injected == 0 {
-			return 0
-		}
-		return f.qwaitSum / float64(f.injected)
-	})
+	for _, probe := range []struct {
+		name string
+		read func(FrontendStats) float64
+	}{
+		{"submitted", func(s FrontendStats) float64 { return float64(s.Submitted) }},
+		{"completed", func(s FrontendStats) float64 { return float64(s.Completed) }},
+		{"failed", func(s FrontendStats) float64 { return float64(s.Failed) }},
+		{"queue_wait_s_total", func(s FrontendStats) float64 { return s.QueueWaitSumS }},
+		{"queue_wait_s_mean", func(s FrontendStats) float64 { return s.QueueWaitMeanS }},
+	} {
+		reg.ScalarFunc("api", "frontend", probe.name, func() float64 { return probe.read(f.Stats()) })
+	}
 	return f
 }
 
@@ -268,9 +247,6 @@ func (f *Frontend) Cloud() *Cloud { return f.cloud }
 
 // Driver returns the paced driver the façade injects through.
 func (f *Frontend) Driver() *sim.Paced { return f.drv }
-
-// Orgs lists the configured tenants.
-func (f *Frontend) Orgs() []string { return append([]string(nil), f.orgs...) }
 
 // KnownOrg reports whether name is a configured tenant.
 func (f *Frontend) KnownOrg(name string) bool { return f.orgSet[name] }
@@ -309,30 +285,13 @@ func (f *Frontend) validate(req *OpRequest) error {
 
 // SubmitOp validates req, enqueues it for the next injection boundary,
 // and returns the async task ID immediately. The task resolves in
-// virtual time; poll it with Task. Safe from any goroutine.
+// virtual time; poll it with Task. Safe from any goroutine. Once the
+// driver has stopped, the task is rejected and the error is ErrStopped.
 func (f *Frontend) SubmitOp(req OpRequest) (int64, error) {
-	return f.submit(req, -1, true)
-}
-
-// SubmitOpAt is the scripted variant: req is injected at the first
-// quantum boundary at or after virtual time at. A fixed SubmitOpAt
-// schedule yields a deterministic virtual-time trace and deterministic
-// task handles — the replay and determinism tests depend on this.
-func (f *Frontend) SubmitOpAt(at sim.Time, req OpRequest) (int64, error) {
-	if at < 0 {
-		at = 0
-	}
-	return f.submit(req, at, false)
-}
-
-func (f *Frontend) submit(req OpRequest, at sim.Time, live bool) (int64, error) {
 	if err := f.validate(&req); err != nil {
 		return 0, err
 	}
-	submitV := at
-	if live {
-		submitV = f.drv.VirtualNow()
-	}
+	submitV := f.drv.VirtualNow()
 	f.mu.Lock()
 	f.nextID++
 	id := f.nextID
@@ -340,22 +299,14 @@ func (f *Frontend) submit(req OpRequest, at sim.Time, live bool) (int64, error) 
 		ID: id, Op: req.Kind, Org: req.Org, State: TaskQueued,
 		SubmitV: submitV, VApp: req.VApp,
 	}
-	f.order = append(f.order, id)
 	f.stats.Submitted++
 	f.mu.Unlock()
 
-	wall0 := f.now()
+	wall0 := time.Now()
 	fn := func(env *sim.Env) {
-		injectV := env.Now()
-		var qw float64
-		if live {
-			if r := f.drv.Ratio(); r > 0 {
-				qw = f.now().Sub(wall0).Seconds() * r
-			} else {
-				qw = float64(injectV - submitV)
-			}
-		} else {
-			qw = float64(injectV - at)
+		qw := float64(env.Now() - submitV)
+		if r := f.drv.Ratio(); r > 0 {
+			qw = time.Since(wall0).Seconds() * r
 		}
 		f.markInjected(id, qw)
 		env.Go(fmt.Sprintf("api:task%d", id), func(p *sim.Proc) {
@@ -364,16 +315,9 @@ func (f *Frontend) submit(req OpRequest, at sim.Time, live bool) (int64, error) 
 			f.markDone(id, p.Now(), vapp, name, n, err)
 		})
 	}
-	reject := func() { f.markRejected(id) }
-	ok := false
-	if live {
-		ok = f.drv.Submit(fn, reject)
-	} else {
-		ok = f.drv.SubmitAt(at, fn, reject)
-	}
-	if !ok {
+	if !f.drv.Submit(fn, func() { f.markRejected(id) }) {
 		f.markRejected(id)
-		return id, fmt.Errorf("core: frontend stopped")
+		return id, ErrStopped
 	}
 	return id, nil
 }
@@ -437,7 +381,7 @@ func (f *Frontend) markInjected(id int64, queueWaitS float64) {
 	if t := f.tasks[id]; t != nil {
 		t.QueueWaitS = queueWaitS
 	}
-	f.qwaitSum += queueWaitS
+	f.stats.QueueWaitSumS += queueWaitS
 	f.injected++
 }
 
@@ -495,28 +439,15 @@ func (f *Frontend) Task(id int64) (TaskInfo, bool) {
 	return *t, true
 }
 
-// Tasks returns snapshots of every handle in submission order.
-func (f *Frontend) Tasks() []TaskInfo {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]TaskInfo, 0, len(f.order))
-	for _, id := range f.order {
-		out = append(out, *f.tasks[id])
-	}
-	return out
-}
-
 // Stats returns the façade's counters.
 func (f *Frontend) Stats() FrontendStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	s := f.stats
 	s.InFlight = s.Submitted - s.Completed - s.Failed
-	s.QueueWaitSumS = f.qwaitSum
 	if f.injected > 0 {
-		s.QueueWaitMeanS = f.qwaitSum / float64(f.injected)
+		s.QueueWaitMeanS = s.QueueWaitSumS / float64(f.injected)
 	}
-	s.injected = f.injected
 	return s
 }
 
@@ -576,7 +507,7 @@ func vappView(inv *inventory.Inventory, va *inventory.VApp) VAppView {
 func (f *Frontend) Provider() (ProviderView, bool) {
 	view := ProviderView{
 		PacedRatio:   f.drv.Ratio(),
-		OrgCount:     len(f.orgs),
+		OrgCount:     len(f.orgSet),
 		TemplateList: f.Catalog(),
 	}
 	ok := f.drv.Do(func(env *sim.Env) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,7 +12,8 @@ import (
 )
 
 // serveCloud builds a small cloud plus a free-running paced driver and
-// façade, ready for scripted or live submission.
+// façade, ready for submission from the test goroutine or from model
+// code at fixed virtual times.
 func serveCloud(t *testing.T, seed int64, quantum sim.Time) (*Cloud, *sim.Paced, *Frontend) {
 	t.Helper()
 	cfg := DefaultConfig(seed)
@@ -153,26 +155,36 @@ func TestFrontendValidation(t *testing.T) {
 	}
 }
 
-// TestFrontendScriptedDeterministic runs the same SubmitOpAt schedule
-// twice and requires identical task handles — virtual times, queue
-// waits, states, and vApp identities all included.
+// TestFrontendScriptedDeterministic runs the same SubmitOp schedule
+// twice — model events submitting at fixed virtual times on a
+// free-running driver — and requires identical task handles: virtual
+// times, queue waits, states, and vApp identities all included.
 func TestFrontendScriptedDeterministic(t *testing.T) {
 	run := func() []TaskInfo {
-		_, drv, f := serveCloud(t, 7, 0.25)
+		c, drv, f := serveCloud(t, 7, 0.25)
+		var ids []int64
+		submit := func(req OpRequest) {
+			id, err := f.SubmitOp(req)
+			if err != nil {
+				t.Error(err)
+			}
+			ids = append(ids, id)
+		}
+		env := c.Env()
 		for i := 0; i < 6; i++ {
 			org := []string{"org0", "org1", "org2"}[i%3]
-			if _, err := f.SubmitOpAt(sim.Time(i)*13.1, OpRequest{
-				Kind: OpInstantiate, Org: org, Template: "tpl01", VMs: 1 + i%2, PowerOn: i%2 == 0,
-			}); err != nil {
-				t.Fatal(err)
-			}
+			req := OpRequest{Kind: OpInstantiate, Org: org, Template: "tpl01", VMs: 1 + i%2, PowerOn: i%2 == 0}
+			env.Schedule(sim.Time(i)*13.1, func() { submit(req) })
 		}
 		// A deterministic failure: the target never exists.
-		if _, err := f.SubmitOpAt(40.7, OpRequest{Kind: OpPowerOff, Org: "org1", VApp: 999999}); err != nil {
-			t.Fatal(err)
-		}
+		env.Schedule(40.7, func() { submit(OpRequest{Kind: OpPowerOff, Org: "org1", VApp: 999999}) })
 		drv.Run(600)
-		return f.Tasks()
+		out := make([]TaskInfo, 0, len(ids))
+		for _, id := range ids {
+			ti, _ := f.Task(id)
+			out = append(out, ti)
+		}
+		return out
 	}
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
@@ -197,42 +209,60 @@ func TestFrontendScriptedDeterministic(t *testing.T) {
 	}
 }
 
-// TestFrontendQueueWaitQuantization pins the scripted queue-wait rule:
-// wait is the virtual gap from release to the next quantum boundary.
+// TestFrontendQueueWaitQuantization pins the free-running queue-wait
+// rule: a request submitted at virtual time 3.5 is stamped with the
+// last completed boundary (2), starts at the next boundary (4), and
+// waited the virtual gap between the two.
 func TestFrontendQueueWaitQuantization(t *testing.T) {
-	_, drv, f := serveCloud(t, 3, 2)
-	id, err := f.SubmitOpAt(3.5, OpRequest{Kind: OpInstantiate, Org: "org0", Template: "tpl00"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, drv, f := serveCloud(t, 3, 2)
+	var id int64
+	c.Go("client", func(p *sim.Proc) {
+		p.Sleep(3.5)
+		var err error
+		if id, err = f.SubmitOp(OpRequest{Kind: OpInstantiate, Org: "org0", Template: "tpl00"}); err != nil {
+			t.Error(err)
+		}
+	})
 	drv.Run(300)
 	ti, _ := f.Task(id)
 	if ti.State != TaskSuccess {
 		t.Fatalf("task: %+v", ti)
 	}
-	if ti.QueueWaitS != 0.5 { // released 3.5, boundary at 4
-		t.Fatalf("queue wait %v, want 0.5", ti.QueueWaitS)
+	if ti.SubmitV != 2 || ti.StartV != 4 {
+		t.Fatalf("submit %v, start %v; want 2 and 4", ti.SubmitV, ti.StartV)
 	}
-	if ti.StartV != 4 {
-		t.Fatalf("start %v, want 4", ti.StartV)
+	if ti.QueueWaitS != 2 {
+		t.Fatalf("queue wait %v, want 2", ti.QueueWaitS)
 	}
 }
 
-// TestFrontendRejectOnStop verifies pending commands fail their handles
-// when the driver stops, and post-stop submission reports an error.
+// TestFrontendRejectOnStop verifies a request still pending when the
+// driver stops fails its handle, and post-stop submission reports
+// ErrStopped. A model process stops the driver and then submits, so
+// the request is queued behind the stop.
 func TestFrontendRejectOnStop(t *testing.T) {
-	_, drv, f := serveCloud(t, 1, 0.5)
-	id, err := f.SubmitOpAt(1e9, OpRequest{Kind: OpInstantiate, Org: "org0", Template: "tpl00"})
-	if err != nil {
-		t.Fatal(err)
+	c, drv, f := serveCloud(t, 1, 0.5)
+	var id int64
+	c.Go("client", func(p *sim.Proc) {
+		p.Sleep(3.1)
+		drv.Stop()
+		var err error
+		if id, err = f.SubmitOp(OpRequest{Kind: OpInstantiate, Org: "org0", Template: "tpl00"}); err != nil {
+			t.Error(err)
+		}
+	})
+	if end := drv.Run(sim.Forever); end != 3.5 {
+		t.Fatalf("driver stopped at %v, want the boundary at 3.5", end)
 	}
-	drv.Run(10) // horizon reached long before the release time
 	ti, _ := f.Task(id)
 	if ti.State != TaskError || !strings.Contains(ti.Error, "reject") {
 		t.Fatalf("pending task after stop: %+v", ti)
 	}
-	if _, err := f.SubmitOp(OpRequest{Kind: OpInstantiate, Org: "org0", Template: "tpl00"}); err == nil {
-		t.Fatal("SubmitOp succeeded on a stopped driver")
+	if st := f.Stats(); st.Failed != 1 || st.InFlight != 0 {
+		t.Fatalf("stats after stop: %+v", st)
+	}
+	if _, err := f.SubmitOp(OpRequest{Kind: OpInstantiate, Org: "org0", Template: "tpl00"}); !errors.Is(err, ErrStopped) {
+		t.Fatalf("SubmitOp on a stopped driver: %v, want ErrStopped", err)
 	}
 	if _, ok := f.OrgView("org0"); ok {
 		t.Fatal("OrgView succeeded on a stopped driver")
@@ -243,7 +273,7 @@ func TestFrontendRejectOnStop(t *testing.T) {
 // snapshot with the façade's counters.
 func TestFrontendMetricsLayer(t *testing.T) {
 	c, drv, f := serveCloud(t, 1, 0.5)
-	if _, err := f.SubmitOpAt(0, OpRequest{Kind: OpInstantiate, Org: "org0", Template: "tpl00", VMs: 1}); err != nil {
+	if _, err := f.SubmitOp(OpRequest{Kind: OpInstantiate, Org: "org0", Template: "tpl00", VMs: 1}); err != nil {
 		t.Fatal(err)
 	}
 	drv.Run(300)
@@ -260,15 +290,16 @@ func TestFrontendMetricsLayer(t *testing.T) {
 	if got["submitted"] != 1 || got["completed"] != 1 || got["failed"] != 0 {
 		t.Fatalf("api layer scalars: %+v", got)
 	}
-	if _, ok := got["queue_wait_s_total"]; !ok {
-		t.Fatalf("queue wait missing from api layer: %+v", got)
+	st := f.Stats()
+	if got["queue_wait_s_total"] != st.QueueWaitSumS || got["queue_wait_s_mean"] != st.QueueWaitMeanS {
+		t.Fatalf("api layer queue wait %+v, want Stats %+v", got, st)
 	}
 }
 
 // TestFrontendProviderView sanity-checks the aggregate capacity view.
 func TestFrontendProviderView(t *testing.T) {
 	c, drv, f := serveCloud(t, 1, 0.5)
-	if _, err := f.SubmitOpAt(0, OpRequest{Kind: OpInstantiate, Org: "org0", Template: "tpl00", VMs: 2, PowerOn: true}); err != nil {
+	if _, err := f.SubmitOp(OpRequest{Kind: OpInstantiate, Org: "org0", Template: "tpl00", VMs: 2, PowerOn: true}); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan sim.Time, 1)

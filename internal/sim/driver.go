@@ -13,12 +13,14 @@ package sim
 // Env.Run itself is the free-running driver every batch artifact uses.
 // Paced maps virtual time onto the wall clock at a configurable ratio
 // and advances the kernel in fixed virtual-time quanta; between quanta —
-// and only there — externally submitted commands are injected. Quantized injection
-// is what keeps the serving plane deterministic where it matters: the
-// virtual-time trace is a pure function of which quantum each command
-// landed in, so a scripted injection schedule (SubmitAt) reproduces the
-// same trace bit-for-bit on every run, while live traffic (Submit) is
-// quantized to the boundary it arrived before.
+// and only there — externally submitted commands are injected. Submit is
+// the one injection path: each command joins a FIFO and lands at the
+// first boundary at or after the moment it was submitted, in submission
+// order. Quantized injection is what keeps the serving plane
+// deterministic where it matters: the virtual-time trace is a pure
+// function of which quantum each command landed in, so a model process
+// that submits at fixed virtual times on a free-running driver
+// reproduces the same trace bit-for-bit on every run.
 //
 // The paced driver also supplies the graceful-stop seam Env.Run lacks:
 // Env.Stop discards the future mid-event and may only be called from
@@ -28,7 +30,6 @@ package sim
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,33 +48,27 @@ type PacedConfig struct {
 	QuantumS Time
 }
 
-// DefaultPacedConfig paces one virtual minute per wall second with a
-// quarter-second injection quantum.
-func DefaultPacedConfig() PacedConfig {
-	return PacedConfig{Ratio: 60, QuantumS: 0.25}
-}
+// defaultQuantumS is the injection quantum a zero PacedConfig.QuantumS
+// takes.
+const defaultQuantumS Time = 0.25
 
 // command is one externally submitted closure awaiting injection.
 type command struct {
-	releaseV Time // earliest boundary virtual time; <0 = next boundary
-	seq      int64
-	fn       func(*Env)
-	reject   func() // called instead of fn when the driver stops first
+	fn     func(*Env)
+	reject func() // called instead of fn when the driver stops first
 }
 
 // Paced advances an Env in fixed virtual-time quanta, holding virtual
 // time to the wall clock at cfg.Ratio, and injects externally submitted
-// commands at quantum boundaries. Create with NewPaced; Submit, SubmitAt,
-// Do, and Stop are safe from any goroutine, Run must be called from
-// exactly one.
+// commands at quantum boundaries. Create with NewPaced; Submit, Do, and
+// Stop are safe from any goroutine, Run must be called from exactly one.
 type Paced struct {
 	env *Env
 	cfg PacedConfig
 
 	mu      sync.Mutex
-	pending []command
-	seq     int64
-	stopped bool // no further submissions accepted
+	pending []command // FIFO, taken whole at each boundary
+	stopped bool      // no further submissions accepted
 
 	stopFlag atomic.Bool
 	lastV    atomicTime // virtual time of the last completed boundary
@@ -96,18 +91,12 @@ func (a *atomicTime) Load() Time   { return math.Float64frombits(a.bits.Load()) 
 // callers wanting wall pacing must say so explicitly).
 func NewPaced(env *Env, cfg PacedConfig) *Paced {
 	if cfg.QuantumS <= 0 {
-		cfg.QuantumS = DefaultPacedConfig().QuantumS
+		cfg.QuantumS = defaultQuantumS
 	}
 	d := &Paced{env: env, cfg: cfg, sleep: time.Sleep, now: time.Now}
 	d.lastV.Store(env.Now())
 	return d
 }
-
-// Env returns the driven environment.
-func (d *Paced) Env() *Env { return d.env }
-
-// Config returns the driver's configuration.
-func (d *Paced) Config() PacedConfig { return d.cfg }
 
 // Ratio returns virtual seconds per wall second (0 when free-running).
 func (d *Paced) Ratio() float64 { return d.cfg.Ratio }
@@ -123,36 +112,20 @@ func (d *Paced) VirtualNow() Time { return d.lastV.Load() }
 // Run goroutine); zero when free-running.
 func (d *Paced) MaxLag() time.Duration { return d.maxLag }
 
-// Submit enqueues fn for injection at the next quantum boundary. fn runs
-// on the driver goroutine with the kernel paused — it may read model
-// state, call env.Go, and schedule events, exactly like model code
-// between events. reject (optional) is called instead if the driver
-// stops before the command is injected. Submit reports false once the
-// driver has stopped.
+// Submit enqueues fn for injection at the next quantum boundary; a
+// command submitted while boundary commands run (from inside an
+// injected fn) lands at the boundary after. fn runs on the driver
+// goroutine with the kernel paused — it may read model state, call
+// env.Go, and schedule events, exactly like model code between events.
+// reject (optional) is called instead if the driver stops before the
+// command is injected. Submit reports false once the driver has stopped.
 func (d *Paced) Submit(fn func(*Env), reject func()) bool {
-	return d.enqueue(command{releaseV: -1, fn: fn, reject: reject})
-}
-
-// SubmitAt enqueues fn for injection at the first quantum boundary whose
-// virtual time is >= at. A fixed schedule of SubmitAt commands yields a
-// fully deterministic virtual-time trace — the paced determinism tests
-// and replay tooling depend on this.
-func (d *Paced) SubmitAt(at Time, fn func(*Env), reject func()) bool {
-	if at < 0 {
-		at = 0
-	}
-	return d.enqueue(command{releaseV: at, fn: fn, reject: reject})
-}
-
-func (d *Paced) enqueue(c command) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.stopped {
 		return false
 	}
-	c.seq = d.seq
-	d.seq++
-	d.pending = append(d.pending, c)
+	d.pending = append(d.pending, command{fn: fn, reject: reject})
 	return true
 }
 
@@ -177,31 +150,13 @@ func (d *Paced) Do(fn func(*Env)) bool {
 // any goroutine, idempotent.
 func (d *Paced) Stop() { d.stopFlag.Store(true) }
 
-// takeDue removes and returns the pending commands releasable at
-// boundary time v, ordered by (releaseV, submission seq) so a scripted
-// schedule injects identically on every run.
-func (d *Paced) takeDue(v Time) []command {
+// takeDue removes and returns every pending command, in submission
+// order.
+func (d *Paced) takeDue() []command {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.pending) == 0 {
-		return nil
-	}
-	var due, rest []command
-	for _, c := range d.pending {
-		if c.releaseV <= v {
-			due = append(due, c)
-		} else {
-			rest = append(rest, c)
-		}
-	}
-	d.pending = rest
-	sort.SliceStable(due, func(i, j int) bool {
-		ri, rj := due[i].releaseV, due[j].releaseV
-		if ri != rj {
-			return ri < rj
-		}
-		return due[i].seq < due[j].seq
-	})
+	due := d.pending
+	d.pending = nil
 	return due
 }
 
@@ -232,7 +187,7 @@ func (d *Paced) Run(until Time) Time {
 			break
 		}
 		// The injection point: between batches, kernel at rest.
-		for _, c := range d.takeDue(d.env.Now()) {
+		for _, c := range d.takeDue() {
 			c.fn(d.env)
 		}
 		if d.env.Now() >= until {

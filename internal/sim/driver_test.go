@@ -55,8 +55,10 @@ func TestPacedNoInjectionMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestPacedScriptedInjectionDeterministic runs the same SubmitAt
-// schedule twice and requires bit-identical virtual-time traces.
+// TestPacedScriptedInjectionDeterministic pins that a paced run is a
+// pure function of its injection schedule: model events submit at the
+// same fixed virtual times in two runs of a free-running driver, and
+// the virtual-time traces are bit-identical.
 func TestPacedScriptedInjectionDeterministic(t *testing.T) {
 	run := func() []string {
 		env := NewEnv()
@@ -64,14 +66,15 @@ func TestPacedScriptedInjectionDeterministic(t *testing.T) {
 		d := NewPaced(env, PacedConfig{Ratio: 0, QuantumS: 0.5})
 		for i := 0; i < 10; i++ {
 			i := i
-			at := Time(i) * 3.1
-			d.SubmitAt(at, func(env *Env) {
-				*log = append(*log, fmt.Sprintf("inject%d t%.3f", i, env.Now()))
-				env.Go(fmt.Sprintf("inj%d", i), func(p *Proc) {
-					p.Sleep(0.9)
-					*log = append(*log, fmt.Sprintf("inj%d done t%.3f", i, p.Now()))
-				})
-			}, nil)
+			env.Schedule(Time(i)*3.1, func() {
+				d.Submit(func(env *Env) {
+					*log = append(*log, fmt.Sprintf("inject%d t%.3f", i, env.Now()))
+					env.Go(fmt.Sprintf("inj%d", i), func(p *Proc) {
+						p.Sleep(0.9)
+						*log = append(*log, fmt.Sprintf("inj%d done t%.3f", i, p.Now()))
+					})
+				}, nil)
+			})
 		}
 		d.Run(60)
 		return *log
@@ -93,24 +96,55 @@ func TestPacedScriptedInjectionDeterministic(t *testing.T) {
 }
 
 // TestPacedInjectionLandsAtBoundary checks the quantization contract: a
-// command released at virtual time v runs at the first boundary >= v,
-// never earlier.
+// command submitted at virtual time v runs at the first boundary >= v,
+// never earlier, and commands sharing a boundary run in submission
+// order. The first is submitted before Run, so it lands at the boundary
+// at 0; the rest are submitted by model events.
 func TestPacedInjectionLandsAtBoundary(t *testing.T) {
 	env := NewEnv()
 	d := NewPaced(env, PacedConfig{Ratio: 0, QuantumS: 2})
-	var at []Time
-	for _, rel := range []Time{0, 0.1, 2, 3.5, 9.99} {
-		d.SubmitAt(rel, func(env *Env) { at = append(at, env.Now()) }, nil)
+	var got []string
+	submit := func(i int) {
+		d.Submit(func(env *Env) { got = append(got, fmt.Sprintf("%d@%v", i, env.Now())) }, nil)
+	}
+	submit(0)
+	for i, v := range []Time{0.1, 2, 3.5, 9.99} {
+		env.Schedule(v, func() { submit(i + 1) })
 	}
 	d.Run(20)
-	want := []Time{0, 2, 2, 4, 10}
+	want := []string{"0@0", "1@2", "2@2", "3@4", "4@10"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("injections %v, want %v", got, want)
+	}
+}
+
+// TestPacedResubmitLandsAtNextBoundary checks that a command submitted
+// by an injected command waits for the following boundary instead of
+// running in the batch that is being injected.
+func TestPacedResubmitLandsAtNextBoundary(t *testing.T) {
+	env := NewEnv()
+	d := NewPaced(env, PacedConfig{Ratio: 0, QuantumS: 2})
+	var at []Time
+	var hop func(env *Env)
+	hop = func(env *Env) {
+		at = append(at, env.Now())
+		if len(at) < 3 {
+			d.Submit(hop, nil)
+		}
+	}
+	d.Submit(hop, nil)
+	d.Run(20)
+	want := []Time{0, 2, 4}
 	if !reflect.DeepEqual(at, want) {
 		t.Fatalf("injection times %v, want %v", at, want)
 	}
 }
 
 // TestPacedGracefulStop verifies Stop from another goroutine ends Run at
-// a quantum boundary and rejects still-pending commands exactly once.
+// a quantum boundary and rejects a still-pending command exactly once.
+// The injected command at boundary 0 queues a second one and holds the
+// boundary until the test goroutine has called Stop, so the second is
+// pending when the stop takes effect.
 func TestPacedGracefulStop(t *testing.T) {
 	env := NewEnv()
 	// An immortal heartbeat so the heap never drains.
@@ -120,15 +154,24 @@ func TestPacedGracefulStop(t *testing.T) {
 
 	d := NewPaced(env, PacedConfig{Ratio: 1000, QuantumS: 1})
 	var rejected int
-	d.SubmitAt(1e12, func(*Env) { t.Error("command from the far future ran") },
-		func() { rejected++ })
+	held, release := make(chan struct{}), make(chan struct{})
+	d.Submit(func(*Env) {
+		d.Submit(func(*Env) { t.Error("command pending at Stop ran") },
+			func() { rejected++ })
+		close(held)
+		<-release
+	}, nil)
 
 	done := make(chan Time, 1)
 	go func() { done <- d.Run(Forever) }()
-	time.Sleep(30 * time.Millisecond)
+	<-held
 	d.Stop()
+	close(release)
 	select {
-	case <-done:
+	case end := <-done:
+		if end != 1 {
+			t.Fatalf("Run stopped at %v, want the boundary at 1", end)
+		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Run did not return after Stop")
 	}
