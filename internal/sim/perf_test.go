@@ -118,6 +118,25 @@ func TestResourceAcquireAllocFree(t *testing.T) {
 	}
 }
 
+// Spawning on a recycled shell is the directors' per-VM path: Go takes a
+// finished shell off the free list and schedules its wakeup on a pooled
+// event, with no closure, so a non-capturing body costs nothing to start.
+func TestSpawnOnRecycledShellAllocFree(t *testing.T) {
+	env := NewEnv()
+	body := func(p *Proc) { p.Sleep(1) }
+	// Warm up: the first Go builds the shell, which returns to the free
+	// list when its body does.
+	env.Go("warm", body)
+	env.Run(Forever)
+	allocs := testing.AllocsPerRun(100, func() {
+		env.Go("spawn", body)
+		env.Run(Forever)
+	})
+	if allocs != 0 {
+		t.Fatalf("Go on a recycled shell + Run allocates %.1f/op, want 0", allocs)
+	}
+}
+
 // Same-time FIFO queue: ordering must match the heap exactly when events
 // at the current instant interleave with earlier-scheduled events at the
 // same timestamp, including cancellations.
@@ -235,9 +254,42 @@ func BenchmarkKernelProcessPingPong(b *testing.B) {
 	env.Schedule(Time(b.N), func() { stop = true; env.Stop() })
 	env.Run(Forever)
 	b.StopTimer()
-	// Let the blocked processes drain so the env's goroutines exit.
+	// Let the blocked processes finish.
 	stop = true
 	q.Put(1)
+	env.Run(Forever)
+}
+
+func BenchmarkKernelSpawnFresh(b *testing.B) {
+	// Every Go builds a new shell: each finished shell is taken off the
+	// free list, and the spent shells are ended in batches with the timer
+	// stopped, so their parked coroutines do not pile up.
+	env := NewEnv()
+	body := func(*Proc) {}
+	spent := make([]*Proc, 0, 1024)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		env.Go("fresh", body)
+		env.Run(Forever)
+		spent = append(spent, env.procFree...)
+		env.procFree = env.procFree[:0]
+		if len(spent) == cap(spent) || i == b.N-1 {
+			b.StopTimer()
+			for _, p := range spent {
+				endShell(env, p)
+			}
+			spent = spent[:0]
+			b.StartTimer()
+		}
+	}
+}
+
+// endShell ends a finished shell's coroutine: a body that panics unwinds
+// the shell's loop, and the panic comes back out of Run.
+func endShell(env *Env, p *Proc) {
+	env.procFree = append(env.procFree, p)
+	env.Go("end", func(*Proc) { panic("end shell") })
+	defer func() { recover() }()
 	env.Run(Forever)
 }
 

@@ -1,14 +1,19 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
 // The kernel advances a virtual clock through a time-ordered event heap.
-// Model logic is written as processes: ordinary functions that run on their
-// own goroutine but are scheduled cooperatively, one at a time, by the
-// kernel. A process blocks by sleeping, acquiring a Resource, or waiting on
-// a Queue or Signal; while it is blocked the kernel runs other events. At
-// most one process executes at any instant, so model code needs no locking
-// and — together with seeded randomness from package rng — a simulation run
-// is fully deterministic: the same inputs produce the same event order and
-// the same results.
+// Model logic is written as processes: ordinary functions that run as
+// coroutines (iter.Pull) under the kernel. A process blocks by sleeping,
+// acquiring a Resource, or waiting on a Queue or Signal; that suspends its
+// coroutine and switches straight back to the kernel, and the event that
+// wakes it switches straight into it again, with no trip through the Go
+// scheduler. At most one process executes at any instant, so model code
+// needs no locking and — together with seeded randomness from package
+// rng — a simulation run is fully deterministic: the same inputs produce
+// the same event order and the same results.
+//
+// A panic in a process body propagates to the caller of Env.Run, on the
+// caller's own goroutine, where it can be recovered like a panic in an
+// event callback.
 //
 // Time is measured in seconds of virtual time as a float64 (type Time).
 //
@@ -16,15 +21,17 @@
 //
 // The kernel is the hot path of every experiment, so its steady state is
 // allocation-free: fired events are recycled through a per-Env free list,
-// process wakeups are direct event fields rather than closures, and events
-// scheduled at the current instant bypass the heap through a FIFO
+// process wakeups are direct event fields rather than closures, finished
+// process shells and their coroutines are reused by later spawns, and
+// events scheduled at the current instant bypass the heap through a FIFO
 // same-time queue (wakeups and zero-delay chains are the most common
-// events by far). None of this changes the execution order, which remains
-// exactly (time, sequence)-ordered; the determinism tests pin that down.
+// events by far). The heap is typed on its events, so no comparison goes
+// through an interface. None of this changes the execution order, which
+// remains exactly (time, sequence)-ordered; the determinism tests pin
+// that down.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"os"
@@ -71,33 +78,75 @@ type event struct {
 	gen uint64 // incremented every time the event is recycled
 }
 
+// eventHeap is a binary min-heap of events ordered by (at, seq). It is
+// typed on *event, so no comparison or swap goes through an interface,
+// and it keeps every event's idx current so Timer.Stop can remove from
+// the middle.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before reports whether a fires before b.
+func (a *event) before(b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+func (h *eventHeap) push(ev *event) {
+	*h = append(*h, ev)
+	h.up(len(*h)-1, ev)
+}
+
+// remove takes the event at index i out of the heap and marks it popped.
+func (h *eventHeap) remove(i int) {
+	s := *h
+	n := len(s) - 1
+	ev := s[i]
+	if i != n {
+		last := s[n]
+		if !s.down(i, n, last) {
+			s.up(i, last)
+		}
 	}
-	return h[i].seq < h[j].seq
+	s[n] = nil
+	*h = s[:n]
+	ev.idx = idxPopped
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
+
+// up places ev, which belongs at slot j or above it, by moving the hole at
+// j towards the root past every parent that fires after ev.
+func (h eventHeap) up(j int, ev *event) {
+	for j > 0 {
+		i := (j - 1) / 2
+		parent := h[i]
+		if !ev.before(parent) {
+			break
+		}
+		h[j], parent.idx = parent, j
+		j = i
+	}
+	h[j], ev.idx = ev, j
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = idxPopped
-	*h = old[:n-1]
-	return e
+
+// down places ev, which belongs at slot i0 or below it within h[:n], by
+// moving the hole at i0 towards the leaves past every smaller child. It
+// reports whether ev moved below i0.
+func (h eventHeap) down(i0, n int, ev *event) bool {
+	i := i0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].before(h[j]) {
+			j = j2
+		}
+		child := h[j]
+		if !child.before(ev) {
+			break
+		}
+		h[i], child.idx = child, i
+		i = j
+	}
+	h[i], ev.idx = ev, i
+	return i > i0
 }
 
 // Env is a simulation environment: a virtual clock plus an event heap.
@@ -122,16 +171,13 @@ type Env struct {
 	// free is the event free list; see the event type.
 	free []*event
 
-	// procDone is signaled by a process goroutine whenever it blocks or
-	// terminates, returning control to the kernel loop.
-	procDone chan struct{}
-
 	// nproc counts live (started, not yet finished) processes, for leak
 	// detection in tests.
 	nproc int
 
-	// procFree holds finished process shells whose goroutines are parked
-	// on their resume channels, awaiting a next life (see startProc).
+	// procFree holds finished process shells whose coroutines are
+	// suspended at the end of their loop, awaiting a next life (see
+	// startProc).
 	procFree []*Proc
 
 	// metrics is the optional instrumentation registry resources and
@@ -142,7 +188,7 @@ type Env struct {
 
 // NewEnv returns an empty environment with the clock at zero.
 func NewEnv() *Env {
-	return &Env{procDone: make(chan struct{})}
+	return &Env{}
 }
 
 // Now returns the current virtual time in seconds.
@@ -180,7 +226,7 @@ func (e *Env) newEvent(at Time, fn func(), p *Proc) *event {
 		e.nowq = append(e.nowq, ev)
 		return ev
 	}
-	heap.Push(&e.heap, ev)
+	e.heap.push(ev)
 	return ev
 }
 
@@ -229,7 +275,7 @@ func (e *Env) pop(ev *event) {
 		ev.idx = idxPopped
 		return
 	}
-	heap.Pop(&e.heap)
+	e.heap.remove(0)
 }
 
 // Schedule registers fn to run after delay seconds of virtual time.
@@ -283,7 +329,7 @@ func (t Timer) Stop() bool {
 		t.env.nowqDead++
 		return true
 	}
-	heap.Remove(&t.env.heap, ev.idx)
+	t.env.heap.remove(ev.idx)
 	t.env.release(ev)
 	return true
 }
@@ -354,86 +400,6 @@ func (e *Env) Pending() int {
 // returned. A drained simulation with blocked processes will report them
 // here; tests use this to detect leaks.
 func (e *Env) LiveProcs() int { return e.nproc }
-
-// Proc is a simulation process: a goroutine scheduled cooperatively by the
-// kernel. All Proc methods must be called from the process's own function.
-type Proc struct {
-	env    *Env
-	name   string
-	resume chan struct{}
-	fn     func(*Proc) // body for the current life (see startProc)
-	dead   bool
-}
-
-// Name returns the label given to Go when the process was spawned.
-func (p *Proc) Name() string { return p.name }
-
-// Env returns the environment the process runs in.
-func (p *Proc) Env() *Env { return p.env }
-
-// Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.env.now }
-
-// Go spawns fn as a new process, starting at the current virtual time
-// (after already-scheduled events at this time, preserving FIFO order).
-func (e *Env) Go(name string, fn func(p *Proc)) {
-	e.nproc++
-	e.Schedule(0, func() {
-		e.wake(e.startProc(name, fn))
-	})
-}
-
-// startProc takes a parked process shell from the free list or spawns a
-// fresh goroutine. A shell's goroutine stays parked on its resume
-// channel between lives, so steady-state process churn (the directors
-// spawn one process per VM deployed) reuses the goroutine, the Proc,
-// and the channel instead of allocating all three. The free list is
-// only touched while the kernel goroutine is blocked in wake, so the
-// handoff through procDone orders every access.
-func (e *Env) startProc(name string, fn func(*Proc)) *Proc {
-	if k := len(e.procFree); k > 0 {
-		p := e.procFree[k-1]
-		e.procFree[k-1] = nil
-		e.procFree = e.procFree[:k-1]
-		p.name, p.fn, p.dead = name, fn, false
-		return p
-	}
-	p := &Proc{env: e, name: name, fn: fn, resume: make(chan struct{})}
-	go func() {
-		for {
-			<-p.resume
-			p.fn(p)
-			p.dead, p.fn = true, nil
-			e.nproc--
-			e.procFree = append(e.procFree, p)
-			e.procDone <- struct{}{}
-		}
-	}()
-	return p
-}
-
-// wake hands control to p and blocks the kernel until p yields back.
-func (e *Env) wake(p *Proc) {
-	p.resume <- struct{}{}
-	<-e.procDone
-}
-
-// yield returns control from the process to the kernel and blocks until
-// some event resumes the process.
-func (p *Proc) yield() {
-	p.env.procDone <- struct{}{}
-	<-p.resume
-}
-
-// Sleep blocks the process for d seconds of virtual time. Negative d
-// panics.
-func (p *Proc) Sleep(d Time) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative sleep %v", d))
-	}
-	p.env.scheduleWake(d, p)
-	p.yield()
-}
 
 // Resource is a counted resource with FIFO admission: at most Capacity
 // units may be held at once; Acquire blocks the calling process until its

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -496,6 +497,103 @@ func TestPropertyEventOrder(t *testing.T) {
 	}
 }
 
+// TestPropertyEventOrderWithStops drives the typed heap through random
+// interleavings of Schedule, Timer.Stop and partial Runs, with stops aimed
+// at the heap's root, its last slot and its middle (the remove paths that
+// sift down, truncate, and sift down or up). After every step the heap
+// must be well formed with every idx current and Pending must count the
+// live events; in the end the events must have fired in exact (time,
+// sequence) order, every stopped one left out.
+func TestPropertyEventOrderWithStops(t *testing.T) {
+	type rec struct {
+		at Time
+		id int // schedule order: the sequence tie-break
+		tm Timer
+	}
+	checkHeap := func(env *Env) error {
+		for i, ev := range env.heap {
+			if ev.idx != i {
+				return fmt.Errorf("heap[%d].idx = %d", i, ev.idx)
+			}
+			if i > 0 && ev.before(env.heap[(i-1)/2]) {
+				return fmt.Errorf("heap[%d] fires before its parent", i)
+			}
+		}
+		return nil
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		env := NewEnv()
+		var (
+			all     []*rec
+			live    = map[*event]*rec{}
+			stopped = map[int]bool{}
+			fired   []int
+			stops   [3]int // root, last, middle
+		)
+		stop := func(kind int, ev *event) {
+			r := live[ev]
+			if !r.tm.Stop() {
+				t.Fatalf("seed %d: Stop on a pending event reported false", seed)
+			}
+			delete(live, ev)
+			stopped[r.id] = true
+			stops[kind]++
+		}
+		for step := 0; step < 2000; step++ {
+			switch k := rng.Intn(20); {
+			case k < 12:
+				d := Time(rng.Intn(40)) / 4
+				r := &rec{at: env.Now() + d, id: len(all)}
+				id := r.id
+				r.tm = env.Schedule(d, func() { fired = append(fired, id) })
+				all = append(all, r)
+				live[r.tm.ev] = r
+			case k < 18 && len(env.heap) > 0:
+				switch kind := rng.Intn(3); kind {
+				case 0:
+					stop(kind, env.heap[0])
+				case 1:
+					stop(kind, env.heap[len(env.heap)-1])
+				default:
+					stop(kind, env.heap[len(env.heap)/2])
+				}
+			case k >= 18:
+				before := len(fired)
+				env.Run(env.Now() + Time(rng.Intn(8))/4)
+				for _, id := range fired[before:] {
+					delete(live, all[id].tm.ev)
+				}
+			}
+			if err := checkHeap(env); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			if env.Pending() != len(live) {
+				t.Fatalf("seed %d step %d: Pending = %d, want %d", seed, step, env.Pending(), len(live))
+			}
+		}
+		env.Run(Forever)
+		if env.Pending() != 0 {
+			t.Fatalf("seed %d: Pending = %d after drain", seed, env.Pending())
+		}
+		for i, n := range stops {
+			if n == 0 {
+				t.Fatalf("seed %d: no stop of kind %d (root, last, middle)", seed, i)
+			}
+		}
+		var want []int
+		for _, r := range all {
+			if !stopped[r.id] {
+				want = append(want, r.id)
+			}
+		}
+		sort.SliceStable(want, func(i, j int) bool { return all[want[i]].at < all[want[j]].at })
+		if fmt.Sprint(fired) != fmt.Sprint(want) {
+			t.Fatalf("seed %d: fired %v\nwant (time, sequence) order %v", seed, fired, want)
+		}
+	}
+}
+
 // Property: a capacity-c resource with n unit holders of service time s
 // completes the last one at ceil(n/c)*s.
 func TestPropertyResourceMakespan(t *testing.T) {
@@ -583,6 +681,33 @@ func TestRunReentrancyPanics(t *testing.T) {
 	env.Run(Forever)
 	if !panicked {
 		t.Fatal("re-entrant Run did not panic")
+	}
+}
+
+// A panic in a process body must reach Env.Run's caller on the caller's
+// own goroutine, where it can be recovered, rather than crash the program
+// from the process's. The body panics mid-run, after a sleep, with other
+// events still pending.
+func TestProcPanicReachesRun(t *testing.T) {
+	type boom struct{ at Time }
+	env := NewEnv()
+	env.Schedule(10, func() { t.Error("event after the panic ran") })
+	var sent *boom
+	env.Go("victim", func(p *Proc) {
+		p.Sleep(2)
+		sent = &boom{at: p.Now()}
+		panic(sent)
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		env.Run(Forever)
+	}()
+	if sent == nil || got != any(sent) {
+		t.Fatalf("Run's caller recovered %v, want the body's %v", got, sent)
+	}
+	if sent.at != 2 || env.Now() != 2 {
+		t.Fatalf("panicked at %v with the clock at %v, want 2 and 2", sent.at, env.Now())
 	}
 }
 
