@@ -178,7 +178,7 @@ func probeReport(w io.Writer, res core.ClosedLoopResult, clients int, horizon fl
 		res.DeploysPerHour, res.MeanLatencyS, res.P95LatencyS, res.Errors); err != nil {
 		return err
 	}
-	if err := res.Metrics.WriteASCII(w); err != nil {
+	if err := report.WriteMetrics(w, res.Metrics); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintln(w); err != nil {
@@ -191,7 +191,7 @@ func probeReport(w io.Writer, res core.ClosedLoopResult, clients int, horizon fl
 		return err
 	}
 	if outPath != "" {
-		return res.Metrics.WriteFile(outPath)
+		return report.WriteMetricsFile(outPath, res.Metrics)
 	}
 	return nil
 }

@@ -36,6 +36,7 @@ import (
 
 	"cloudmcp/internal/api"
 	"cloudmcp/internal/core"
+	"cloudmcp/internal/report"
 	"cloudmcp/internal/sim"
 )
 
@@ -134,10 +135,7 @@ func summarize(w *os.File, fe *core.Frontend, drv *sim.Paced, cloud *core.Cloud)
 		st.QueueWaitSumS, st.QueueWaitMeanS, float64(drv.MaxLag())/float64(time.Millisecond)); err != nil {
 		return err
 	}
-	if snap := cloud.MetricsSnapshot(); snap != nil {
-		return snap.WriteASCII(w)
-	}
-	return nil
+	return report.WriteMetrics(w, cloud.MetricsSnapshot())
 }
 
 // validateServeFlags rejects inconsistent values up front with a clear

@@ -138,7 +138,7 @@ func run(w io.Writer, cfg core.Config, profile workload.Profile, hours float64, 
 	sumT.AddRow("lease expiries", dirStats.LeaseExpiries)
 	sumT.AddRow("rebalance passes started", dirStats.RebalanceStarts)
 	sumT.AddRow("mgmt thread utilization", rr.Threads.Utilization)
-	sumT.AddRow("mgmt DB utilization", rr.DB.Utilization)
+	sumT.AddRow("mgmt DB utilization", cloud.DBUtilization())
 	sumT.AddRow("admission mean queue", rr.Admission.MeanQueueLen)
 	sumT.AddRow("task errors", cloud.Plane().TaskErrors())
 	add(sumT)
@@ -173,7 +173,7 @@ func run(w io.Writer, cfg core.Config, profile workload.Profile, hours float64, 
 
 	snap := cloud.MetricsSnapshot()
 	if snap != nil && showMetrics {
-		sections = append(sections, snap.WriteASCII)
+		sections = append(sections, func(w io.Writer) error { return report.WriteMetrics(w, snap) })
 		add(report.BottleneckTable(snap, 10))
 	}
 
@@ -190,7 +190,7 @@ func run(w io.Writer, cfg core.Config, profile workload.Profile, hours float64, 
 		}
 	}
 	if snap != nil && metricsOut != "" {
-		if err := snap.WriteFile(metricsOut); err != nil {
+		if err := report.WriteMetricsFile(metricsOut, snap); err != nil {
 			return err
 		}
 	}

@@ -120,3 +120,26 @@ func TestRunMetricsTablesFollowConfig(t *testing.T) {
 		t.Fatalf("metrics=true output lacks the metrics tables, or the plain run has them:\n%s", got)
 	}
 }
+
+// The summary's DB-utilization row reads the database the run used:
+// under the WAL model that is the commit log's flush stage, not the
+// aggregate connection pool, which stays idle.
+func TestRunReportsWALDBUtilization(t *testing.T) {
+	o, err := parse("-set", "mgmt.database={}", "-hours", "0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run(&buf, o.cfg, workload.CloudA(), o.hours, ""); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if value, ok := strings.CutPrefix(line, "mgmt DB utilization"); ok {
+			if strings.TrimSpace(value) == "0" {
+				t.Fatalf("WAL run reports zero DB utilization:\n%s", buf.String())
+			}
+			return
+		}
+	}
+	t.Fatalf("output lacks the DB utilization row:\n%s", buf.String())
+}

@@ -20,6 +20,7 @@ import (
 	"cloudmcp/internal/metrics"
 	"cloudmcp/internal/mgmt"
 	"cloudmcp/internal/ops"
+	"cloudmcp/internal/plane"
 	"cloudmcp/internal/policy"
 	"cloudmcp/internal/rng"
 	"cloudmcp/internal/sim"
@@ -150,7 +151,7 @@ type RebalanceEvent struct {
 // Director is the simulated cloud director.
 type Director struct {
 	env    *sim.Env
-	mgr    mgmt.API
+	plane  *plane.Plane
 	model  *ops.CostModel
 	stream *rng.Stream
 	cfg    Config
@@ -234,9 +235,10 @@ func (d *Director) getFrame(n int) *deployFrame {
 // passed done.Wait, which the last worker's fire precedes).
 func (d *Director) putFrame(f *deployFrame) { d.frameFree = append(d.frameFree, f) }
 
-// New builds a director over an existing manager. The stream seeds cell
-// stage-time draws; it must be distinct from the manager's stream.
-func New(env *sim.Env, mgr mgmt.API, model *ops.CostModel, stream *rng.Stream, cfg Config) (*Director, error) {
+// New builds a director over an existing management plane. The stream
+// seeds cell stage-time draws; it must be distinct from the managers'
+// streams.
+func New(env *sim.Env, pl *plane.Plane, model *ops.CostModel, stream *rng.Stream, cfg Config) (*Director, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -244,7 +246,7 @@ func New(env *sim.Env, mgr mgmt.API, model *ops.CostModel, stream *rng.Stream, c
 		cfg.Place = policy.DefaultPlacement()
 	}
 	d := &Director{
-		env: env, mgr: mgr, model: model, stream: stream, cfg: cfg,
+		env: env, plane: pl, model: model, stream: stream, cfg: cfg,
 		chains:    make(map[chainKey]*chainState),
 		baseDS:    make(map[inventory.ID][]inventory.ID),
 		orgHash:   make(map[string]uint32),
@@ -280,9 +282,9 @@ func (d *Director) registerMetrics(reg *metrics.Registry) {
 	scalar("sticky_overflows", func() float64 { return float64(d.stickyOverflows) })
 }
 
-// Manager returns the management-plane endpoint the director submits
-// operations to — a single manager or a sharded plane.
-func (d *Director) Manager() mgmt.API { return d.mgr }
+// Plane returns the management plane the director submits operations
+// to.
+func (d *Director) Plane() *plane.Plane { return d.plane }
 
 // Config returns the director's configuration.
 func (d *Director) Config() Config { return d.cfg }
@@ -291,7 +293,7 @@ func (d *Director) maxChain() int {
 	if d.cfg.MaxChainLen > 0 {
 		return d.cfg.MaxChainLen
 	}
-	return d.mgr.Storage().Policy.MaxChainLen
+	return d.plane.Storage().Policy.MaxChainLen
 }
 
 // cellStage charges one cell pass for an operation of kind k, returning
@@ -326,8 +328,8 @@ func (d *Director) reqCtx(p *sim.Proc, org string, k ops.Kind, submit sim.Time) 
 // global most-free as the fallback. On a single shard the preference
 // can't change the answer.
 func (d *Director) placeHost(memMB, prefShard int) *inventory.Host {
-	inv := d.mgr.Inventory()
-	if d.mgr.ShardCount() > 1 {
+	inv := d.plane.Inventory()
+	if d.plane.ShardCount() > 1 {
 		// The plane partitions hosts into inventory placement groups, so
 		// the preferred shard's best host is one group query; the global
 		// query answers the fallback.
@@ -341,7 +343,7 @@ func (d *Director) placeHost(memMB, prefShard int) *inventory.Host {
 // placeDatastore returns a datastore that fits needGB under the
 // configured placement policy, or nil when none fits.
 func (d *Director) placeDatastore(needGB float64, org string) *inventory.Datastore {
-	inv := d.mgr.Inventory()
+	inv := d.plane.Inventory()
 	if d.cfg.Placement == PlaceStickyOrg {
 		if ds := d.stickyDatastore(org); ds != nil {
 			if d.effectiveFree(ds) >= needGB {
@@ -360,7 +362,7 @@ func (d *Director) placeDatastore(needGB float64, org string) *inventory.Datasto
 // int(h) of a hash above 2^31 is negative on 32-bit platforms, which the
 // old hand-rolled expression turned into an index panic.
 func (d *Director) stickyDatastore(org string) *inventory.Datastore {
-	inv := d.mgr.Inventory()
+	inv := d.plane.Inventory()
 	ids := inv.Datastores()
 	if len(ids) == 0 {
 		return nil
@@ -376,7 +378,7 @@ func (d *Director) stickyDatastore(org string) *inventory.Datastore {
 // effectiveFree is the datastore's free space net of in-flight deploy
 // reservations.
 func (d *Director) effectiveFree(ds *inventory.Datastore) float64 {
-	return d.mgr.Inventory().EffectiveFreeGB(ds)
+	return d.plane.Inventory().EffectiveFreeGB(ds)
 }
 
 // placeNearBase returns the most-free datastore that already holds a
@@ -387,7 +389,7 @@ func (d *Director) effectiveFree(ds *inventory.Datastore) float64 {
 // resolve to (home, then lowest ID) — deterministically, where ranging
 // over the chains map left the winner to map iteration order.
 func (d *Director) placeNearBase(tpl *inventory.Template, needGB float64) *inventory.Datastore {
-	inv := d.mgr.Inventory()
+	inv := d.plane.Inventory()
 	var best *inventory.Datastore
 	consider := func(ds *inventory.Datastore) {
 		if ds == nil || d.effectiveFree(ds) < needGB {
@@ -427,7 +429,7 @@ func (d *Director) registerBase(tpl, ds inventory.ID) {
 // plus the seconds spent waiting for someone else's shadow copy (queue
 // time) and copying a shadow itself (data time).
 func (d *Director) baseFor(p *sim.Proc, tpl *inventory.Template, ds *inventory.Datastore) (base *inventory.Template, waitS, copyS float64, err error) {
-	inv := d.mgr.Inventory()
+	inv := d.plane.Inventory()
 	key := chainKey{tpl: tpl.ID, ds: ds.ID}
 	cs, ok := d.chains[key]
 	if !ok {
@@ -451,7 +453,7 @@ func (d *Director) baseFor(p *sim.Proc, tpl *inventory.Template, ds *inventory.D
 		d.nextShadow++
 		name := fmt.Sprintf("shadow-%s-%d", tpl.Name, d.nextShadow)
 		t0 := p.Now()
-		shadow, cerr := d.mgr.FullCopyTemplate(p, tpl, ds, name)
+		shadow, cerr := d.plane.FullCopyTemplate(p, tpl, ds, name)
 		copyS += p.Now() - t0
 		sig := cs.creating
 		cs.creating = nil
@@ -493,7 +495,7 @@ func (d *Director) DeployVApp(p *sim.Proc, org string, tpl *inventory.Template, 
 	// Reserve quota for the whole vApp up front; failures are returned
 	// below once the per-VM outcomes are known.
 	d.orgVMs[org] += nVMs
-	inv := d.mgr.Inventory()
+	inv := d.plane.Inventory()
 	submit := p.Now()
 	d.nextVApp++
 	dc := inv.Datacenter(inv.Datacenters()[0])
@@ -561,7 +563,7 @@ type vmOutcome struct {
 func (d *Director) deployOne(p *sim.Proc, org, name string, tpl *inventory.Template, va *inventory.VApp, powerOn bool, submit sim.Time) (out vmOutcome) {
 	// The request's cell index (the round-robin counter before the cell
 	// stage consumes it) doubles as its preferred management shard.
-	prefShard := d.rr % d.mgr.ShardCount()
+	prefShard := d.rr % d.plane.ShardCount()
 	ctx := d.reqCtx(p, org, ops.KindDeploy, submit)
 
 	host := d.placeHost(tpl.MemMB, prefShard)
@@ -573,7 +575,7 @@ func (d *Director) deployOne(p *sim.Proc, org, name string, tpl *inventory.Templ
 	needGB := tpl.DiskGB
 	if d.cfg.FastProvisioning {
 		mode = ops.LinkedClone
-		needGB = d.mgr.Storage().Policy.DeltaDiskGB
+		needGB = d.plane.Storage().Policy.DeltaDiskGB
 	}
 	var ds *inventory.Datastore
 	if mode == ops.LinkedClone {
@@ -593,7 +595,7 @@ func (d *Director) deployOne(p *sim.Proc, org, name string, tpl *inventory.Templ
 		out.err = fmt.Errorf("clouddir: no datastore fits %s (%.1f GB)", name, needGB)
 		return out
 	}
-	inv := d.mgr.Inventory()
+	inv := d.plane.Inventory()
 	inv.Reserve(ds.ID, needGB)
 	defer inv.Reserve(ds.ID, -needGB)
 	base := tpl
@@ -610,7 +612,7 @@ func (d *Director) deployOne(p *sim.Proc, org, name string, tpl *inventory.Templ
 		}
 		base = b
 	}
-	vm, task := d.mgr.DeployVM(p, name, base, host, ds, mode, ctx)
+	vm, task := d.plane.DeployVM(p, name, base, host, ds, mode, ctx)
 	out.deploy = task
 	if task.Err != nil {
 		out.err = task.Err
@@ -620,7 +622,7 @@ func (d *Director) deployOne(p *sim.Proc, org, name string, tpl *inventory.Templ
 	va.VMs = append(va.VMs, vm.ID)
 	if powerOn {
 		pctx := d.reqCtx(p, org, ops.KindPowerOn, p.Now())
-		out.pwr = d.mgr.PowerOn(p, vm, pctx)
+		out.pwr = d.plane.PowerOn(p, vm, pctx)
 		if out.pwr.Err != nil {
 			out.err = out.pwr.Err
 		}
@@ -633,7 +635,7 @@ func (d *Director) deployOne(p *sim.Proc, org, name string, tpl *inventory.Templ
 // in the requested state are skipped — vApp power ops are idempotent at
 // the director, matching how self-service APIs expose them.
 func (d *Director) PowerVApp(p *sim.Proc, va *inventory.VApp, org string, on bool) []*mgmt.Task {
-	inv := d.mgr.Inventory()
+	inv := d.plane.Inventory()
 	var tasks []*mgmt.Task
 	ids := make([]inventory.ID, len(va.VMs))
 	copy(ids, va.VMs)
@@ -647,13 +649,13 @@ func (d *Director) PowerVApp(p *sim.Proc, va *inventory.VApp, org string, on boo
 				continue
 			}
 			ctx := d.reqCtx(p, org, ops.KindPowerOn, p.Now())
-			tasks = append(tasks, d.mgr.PowerOn(p, vm, ctx))
+			tasks = append(tasks, d.plane.PowerOn(p, vm, ctx))
 		} else {
 			if vm.State != inventory.VMPoweredOn {
 				continue
 			}
 			ctx := d.reqCtx(p, org, ops.KindPowerOff, p.Now())
-			tasks = append(tasks, d.mgr.PowerOff(p, vm, ctx))
+			tasks = append(tasks, d.plane.PowerOff(p, vm, ctx))
 		}
 	}
 	return tasks
@@ -662,7 +664,7 @@ func (d *Director) PowerVApp(p *sim.Proc, va *inventory.VApp, org string, on boo
 // DeleteVApp powers off and destroys every VM of va, then removes the
 // vApp. It returns the tasks issued.
 func (d *Director) DeleteVApp(p *sim.Proc, va *inventory.VApp, org string) []*mgmt.Task {
-	inv := d.mgr.Inventory()
+	inv := d.plane.Inventory()
 	delete(d.liveVApps, va.ID)
 	var tasks []*mgmt.Task
 	// Copy: destroy mutates va.VMs.
@@ -675,10 +677,10 @@ func (d *Director) DeleteVApp(p *sim.Proc, va *inventory.VApp, org string) []*mg
 		}
 		if vm.State == inventory.VMPoweredOn {
 			ctx := d.reqCtx(p, org, ops.KindPowerOff, p.Now())
-			tasks = append(tasks, d.mgr.PowerOff(p, vm, ctx))
+			tasks = append(tasks, d.plane.PowerOff(p, vm, ctx))
 		}
 		ctx := d.reqCtx(p, org, ops.KindDestroy, p.Now())
-		task := d.mgr.Destroy(p, vm, ctx)
+		task := d.plane.Destroy(p, vm, ctx)
 		tasks = append(tasks, task)
 		if task.Err == nil {
 			d.orgVMs[va.OrgName]--
@@ -705,12 +707,12 @@ func (d *Director) PublishTemplate(p *sim.Proc, tpl *inventory.Template, dst *in
 		req.Submit = float64(p.Now())
 	}
 	var out *inventory.Template
-	task := d.mgr.Execute(p, mgmt.ExecSpec{
+	task := d.plane.Execute(p, mgmt.ExecSpec{
 		Req:         req,
 		LockTargets: []inventory.ID{tpl.ID, dst.ID},
 		Pre:         ctx.Pre,
 		Body: func(p *sim.Proc) error {
-			t, err := d.mgr.FullCopyTemplate(p, tpl, dst, name)
+			t, err := d.plane.FullCopyTemplate(p, tpl, dst, name)
 			out = t
 			return err
 		},
@@ -735,7 +737,7 @@ func (d *Director) StartRebalancer() {
 // rebalanceOnce runs a single rebalance pass (exported for tests via
 // RebalanceNow).
 func (d *Director) rebalanceOnce(p *sim.Proc) {
-	pool := d.mgr.Storage()
+	pool := d.plane.Storage()
 	before := pool.Imbalance()
 	if before <= d.cfg.RebalanceThreshold || d.rebalancing {
 		// Skip when balanced or when a previous pass is still moving
@@ -746,11 +748,11 @@ func (d *Director) rebalanceOnce(p *sim.Proc) {
 	d.rebalancing = true
 	defer func() { d.rebalancing = false }()
 	d.rebalanceStarts++
-	inv := d.mgr.Inventory()
+	inv := d.plane.Inventory()
 	start := p.Now()
 	req := ops.Request{Kind: ops.KindRebalance, Org: "system", Submit: float64(p.Now())}
 	moved := 0
-	d.mgr.Execute(p, mgmt.ExecSpec{
+	d.plane.Execute(p, mgmt.ExecSpec{
 		Req: req,
 		Body: func(p *sim.Proc) error {
 			for i := 0; i < d.cfg.RebalanceBatch; i++ {
@@ -766,7 +768,7 @@ func (d *Director) rebalanceOnce(p *sim.Proc) {
 				}
 				d.rebalanceMoves++
 				ctx := mgmt.ReqCtx{Org: "system", Submit: p.Now()}
-				task := d.mgr.StorageMigrate(p, vm, dst, ctx)
+				task := d.plane.StorageMigrate(p, vm, dst, ctx)
 				if task.Err != nil {
 					return task.Err
 				}
@@ -797,7 +799,7 @@ func (d *Director) RebalanceNow(p *sim.Proc) { d.rebalanceOnce(p) }
 // nil. Linked clones are pinned to their base's datastore and are not
 // rebalancing candidates.
 func (d *Director) pickMovable(src, dst *inventory.Datastore) *inventory.VM {
-	inv := d.mgr.Inventory()
+	inv := d.plane.Inventory()
 	var best *inventory.VM
 	for _, id := range src.VMs {
 		vm := inv.VM(id)

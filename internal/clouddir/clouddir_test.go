@@ -8,6 +8,7 @@ import (
 	"cloudmcp/internal/inventory"
 	"cloudmcp/internal/mgmt"
 	"cloudmcp/internal/ops"
+	"cloudmcp/internal/plane"
 	"cloudmcp/internal/rng"
 	"cloudmcp/internal/sim"
 	"cloudmcp/internal/testfix"
@@ -16,7 +17,7 @@ import (
 type fixture struct {
 	env *sim.Env
 	inv *inventory.Inventory
-	mgr *mgmt.Manager
+	pl  *plane.Plane
 	dir *Director
 	tpl *inventory.Template
 	ds  []*inventory.Datastore
@@ -24,16 +25,7 @@ type fixture struct {
 
 func newFixture(t *testing.T, cfg Config) *fixture {
 	t.Helper()
-	fx := testfix.New(testfix.Options{Hosts: 4, HostMemMB: 262144})
-	mgr, err := mgmt.New(fx.Env, fx.Inv, fx.Pool, fx.Model, rng.Derive(1, "mgmt"), mgmt.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir, err := New(fx.Env, mgr, fx.Model, rng.Derive(1, "cell"), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &fixture{env: fx.Env, inv: fx.Inv, mgr: mgr, dir: dir, tpl: fx.Tpl, ds: fx.DS}
+	return placementFixture(t, testfix.Options{Hosts: 4, HostMemMB: 262144}, 1, cfg)
 }
 
 func TestDeployVAppLinked(t *testing.T) {
@@ -250,19 +242,19 @@ func TestRebalancerMovesFullClones(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			// Place manually on ds0 via direct manager deploys.
 			h := f.inv.Host(f.inv.Hosts()[i%4])
-			vm, task := f.mgr.DeployVM(p, "vm", f.tpl, h, f.ds[0], ops.FullClone, mgmt.ReqCtx{Org: "x"})
+			vm, task := f.pl.DeployVM(p, "vm", f.tpl, h, f.ds[0], ops.FullClone, mgmt.ReqCtx{Org: "x"})
 			if task.Err != nil {
 				t.Errorf("deploy: %v", task.Err)
 			}
 			_ = vm
 		}
-		before := f.dir.Manager().Storage().Imbalance()
+		before := f.dir.Plane().Storage().Imbalance()
 		if before < cfg.RebalanceThreshold {
 			t.Errorf("setup: imbalance %v below threshold", before)
 			return
 		}
 		f.dir.RebalanceNow(p)
-		after := f.dir.Manager().Storage().Imbalance()
+		after := f.dir.Plane().Storage().Imbalance()
 		if after >= before {
 			t.Errorf("rebalance did not reduce imbalance: %v -> %v", before, after)
 		}
@@ -296,7 +288,7 @@ func TestBackgroundRebalancerRuns(t *testing.T) {
 	f.env.Go("load", func(p *sim.Proc) {
 		for i := 0; i < 6; i++ {
 			h := f.inv.Host(f.inv.Hosts()[i%4])
-			f.mgr.DeployVM(p, "vm", f.tpl, h, f.ds[0], ops.FullClone, mgmt.ReqCtx{Org: "x"})
+			f.pl.DeployVM(p, "vm", f.tpl, h, f.ds[0], ops.FullClone, mgmt.ReqCtx{Org: "x"})
 		}
 	})
 	f.env.Run(4000) // a few checker periods
@@ -345,27 +337,27 @@ func TestConfigValidation(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
 	bad := DefaultConfig()
 	bad.Cells = 0
-	if _, err := New(f.env, f.mgr, ops.DefaultCostModel(), rng.New(1), bad); err == nil {
+	if _, err := New(f.env, f.pl, ops.DefaultCostModel(), rng.New(1), bad); err == nil {
 		t.Fatal("expected error")
 	}
 	bad = DefaultConfig()
 	bad.RebalanceCheckS = 0
-	if _, err := New(f.env, f.mgr, ops.DefaultCostModel(), rng.New(1), bad); err == nil {
+	if _, err := New(f.env, f.pl, ops.DefaultCostModel(), rng.New(1), bad); err == nil {
 		t.Fatal("expected rebalancer config error")
 	}
 	bad = DefaultConfig()
 	bad.MaxChainLen = -1
-	if _, err := New(f.env, f.mgr, ops.DefaultCostModel(), rng.New(1), bad); err == nil {
+	if _, err := New(f.env, f.pl, ops.DefaultCostModel(), rng.New(1), bad); err == nil {
 		t.Fatal("expected negative chain length error")
 	}
 	bad = DefaultConfig()
 	bad.LeaseS = -1
-	if _, err := New(f.env, f.mgr, ops.DefaultCostModel(), rng.New(1), bad); err == nil || !strings.Contains(err.Error(), "negative lease") {
+	if _, err := New(f.env, f.pl, ops.DefaultCostModel(), rng.New(1), bad); err == nil || !strings.Contains(err.Error(), "negative lease") {
 		t.Fatalf("negative lease: err = %v", err)
 	}
 	bad = DefaultConfig()
 	bad.OrgQuotaVMs = -1
-	if _, err := New(f.env, f.mgr, ops.DefaultCostModel(), rng.New(1), bad); err == nil || !strings.Contains(err.Error(), "negative org quota") {
+	if _, err := New(f.env, f.pl, ops.DefaultCostModel(), rng.New(1), bad); err == nil || !strings.Contains(err.Error(), "negative org quota") {
 		t.Fatalf("negative org quota: err = %v", err)
 	}
 }

@@ -1,28 +1,33 @@
 package clouddir
 
 import (
+	"fmt"
 	"testing"
 
 	"cloudmcp/internal/inventory"
 	"cloudmcp/internal/mgmt"
+	"cloudmcp/internal/plane"
 	"cloudmcp/internal/rng"
 	"cloudmcp/internal/testfix"
 )
 
-// placementFixture is newFixture with a custom installation shape, for
-// tests that need more datastores or hosts than the canonical 4×2.
-func placementFixture(t *testing.T, opts testfix.Options, cfg Config) *fixture {
+// placementFixture builds a director over a plane of the given shard
+// count on a custom installation shape, for tests that need more
+// datastores, hosts or shards than newFixture's canonical one-shard 4×2.
+func placementFixture(t *testing.T, opts testfix.Options, shards int, cfg Config) *fixture {
 	t.Helper()
 	fx := testfix.New(opts)
-	mgr, err := mgmt.New(fx.Env, fx.Inv, fx.Pool, fx.Model, rng.Derive(1, "mgmt"), mgmt.DefaultConfig())
+	pcfg := plane.DefaultConfig()
+	pcfg.Shards = shards
+	pl, err := plane.New(fx.Env, fx.Inv, fx.Pool, fx.Model, 1, mgmt.DefaultConfig(), pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, err := New(fx.Env, mgr, fx.Model, rng.Derive(1, "cell"), cfg)
+	dir, err := New(fx.Env, pl, fx.Model, rng.Derive(1, "cell"), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{env: fx.Env, inv: fx.Inv, mgr: mgr, dir: dir, tpl: fx.Tpl, ds: fx.DS}
+	return &fixture{env: fx.Env, inv: fx.Inv, pl: pl, dir: dir, tpl: fx.Tpl, ds: fx.DS}
 }
 
 func TestPlaceNearBaseDeterministicTieBreak(t *testing.T) {
@@ -31,7 +36,7 @@ func TestPlaceNearBaseDeterministicTieBreak(t *testing.T) {
 	// with home out of the running, the lowest-ID shadow — regardless of
 	// base registration order. Before the candidate list existed the
 	// winner followed chains-map iteration order, which Go randomizes.
-	f := placementFixture(t, testfix.Options{Hosts: 2, Datastores: 4}, DefaultConfig())
+	f := placementFixture(t, testfix.Options{Hosts: 2, Datastores: 4}, 1, DefaultConfig())
 	home := f.inv.Datastore(f.tpl.DatastoreID)
 	// Equalize free space: home carries the 20 GB template base disk.
 	for _, ds := range f.ds {
@@ -87,7 +92,7 @@ func TestRegisterBaseKeepsSortedUniqueList(t *testing.T) {
 func TestStickyOrgGoldenMapping(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Placement = PlaceStickyOrg
-	f := placementFixture(t, testfix.Options{Hosts: 2, Datastores: 8}, cfg)
+	f := placementFixture(t, testfix.Options{Hosts: 2, Datastores: 8}, 1, cfg)
 	golden := map[string]int{
 		"org0": 3, "org1": 0, "org2": 1, "org3": 6,
 		"org4": 7, "org5": 4, "org6": 5, "org7": 2,
@@ -112,7 +117,7 @@ func TestStickyOrgGoldenMapping(t *testing.T) {
 func TestStickyOrgHighHashStaysInRange(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Placement = PlaceStickyOrg
-	f := placementFixture(t, testfix.Options{Hosts: 2, Datastores: 8}, cfg)
+	f := placementFixture(t, testfix.Options{Hosts: 2, Datastores: 8}, 1, cfg)
 	const h = uint32(3676370376) // FNV-1a("orgA"), > 2^31
 	if h <= 1<<31 {
 		t.Fatal("test premise broken: hash fits in int32")
@@ -133,9 +138,18 @@ func TestStickyOrgHighHashStaysInRange(t *testing.T) {
 // checks, after every mutation, that the indexed placement paths return
 // exactly the host/datastore the retained linear reference scans pick —
 // the standing invariant that made swapping the scan for the index a
-// byte-identical change.
+// byte-identical change. It runs on one shard and on three, where
+// placeHost's shard-affine branch answers from the placement groups
+// plane.New mirrors from its partition and the reference asks
+// Plane.ShardOf, with the preferred shard drawn at every step.
 func TestPlacementEquivalenceFuzz(t *testing.T) {
-	f := placementFixture(t, testfix.Options{Hosts: 12, Datastores: 6, DatastoreGB: 500}, DefaultConfig())
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { placementEquivalence(t, shards) })
+	}
+}
+
+func placementEquivalence(t *testing.T, shards int) {
+	f := placementFixture(t, testfix.Options{Hosts: 12, Datastores: 6, DatastoreGB: 500}, shards, DefaultConfig())
 	inv := f.inv
 	hosts := make([]*inventory.Host, 0, 12)
 	for _, id := range inv.Hosts() {
@@ -177,9 +191,9 @@ func TestPlacementEquivalenceFuzz(t *testing.T) {
 				inv.Reserve(d.ID, -r)
 			}
 		}
-		memMB := 1024 * (1 + next(10))
-		if got, want := f.dir.placeHost(memMB, 0), f.dir.placeHostLinear(memMB, 0); got != want {
-			t.Fatalf("step %d: placeHost(%d) = %v, linear = %v", step, memMB, got, want)
+		memMB, pref := 1024*(1+next(10)), next(shards)
+		if got, want := f.dir.placeHost(memMB, pref), f.dir.placeHostLinear(memMB, pref); got != want {
+			t.Fatalf("step %d: placeHost(%d, shard %d) = %v, linear = %v", step, memMB, pref, got, want)
 		}
 		needGB := float64(1 + next(30))
 		if got, want := f.dir.placeDatastore(needGB, "org0"), f.dir.placeDatastoreLinear(needGB); got != want {
@@ -200,8 +214,8 @@ func TestPlacementEquivalenceFuzz(t *testing.T) {
 // placeHost. The placement-equivalence suite fuzz-compares it against the
 // indexed path; production code never calls it.
 func (d *Director) placeHostLinear(memMB, prefShard int) *inventory.Host {
-	inv := d.mgr.Inventory()
-	affine := d.mgr.ShardCount() > 1
+	inv := d.plane.Inventory()
+	affine := d.plane.ShardCount() > 1
 	var best, bestPref *inventory.Host
 	for _, id := range inv.Hosts() {
 		h := inv.Host(id)
@@ -211,7 +225,7 @@ func (d *Director) placeHostLinear(memMB, prefShard int) *inventory.Host {
 		if best == nil || h.FreeMemMB() > best.FreeMemMB() {
 			best = h
 		}
-		if affine && d.mgr.ShardOf(id) == prefShard &&
+		if affine && d.plane.ShardOf(id) == prefShard &&
 			(bestPref == nil || h.FreeMemMB() > bestPref.FreeMemMB()) {
 			bestPref = h
 		}
@@ -226,7 +240,7 @@ func (d *Director) placeHostLinear(memMB, prefShard int) *inventory.Host {
 // implementation of placeDatastore's most-free fallback, for the
 // placement-equivalence suite.
 func (d *Director) placeDatastoreLinear(needGB float64) *inventory.Datastore {
-	inv := d.mgr.Inventory()
+	inv := d.plane.Inventory()
 	var best *inventory.Datastore
 	for _, id := range inv.Datastores() {
 		ds := inv.Datastore(id)

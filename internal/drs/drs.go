@@ -12,6 +12,7 @@ import (
 
 	"cloudmcp/internal/inventory"
 	"cloudmcp/internal/mgmt"
+	"cloudmcp/internal/plane"
 	"cloudmcp/internal/policy"
 	"cloudmcp/internal/reconcile"
 	"cloudmcp/internal/sim"
@@ -51,21 +52,11 @@ type PassRecord struct {
 	SpreadAfter  float64
 }
 
-// API is the slice of the management plane the balancer needs: reading
-// the inventory and submitting migrations. Both *mgmt.Manager and a
-// sharded plane satisfy it, so DRS moves route to the shard owning the
-// source host (crossing shards through the plane's coordinator when the
-// destination lives elsewhere).
-type API interface {
-	Inventory() *inventory.Inventory
-	Migrate(p *sim.Proc, vm *inventory.VM, dst *inventory.Host, ctx mgmt.ReqCtx) *mgmt.Task
-}
-
 // Balancer is the DRS service for one management plane.
 type Balancer struct {
-	env *sim.Env
-	mgr API
-	cfg Config
+	env   *sim.Env
+	plane *plane.Plane
+	cfg   Config
 
 	passes    []PassRecord
 	starts    int64
@@ -73,15 +64,17 @@ type Balancer struct {
 	balancing bool
 }
 
-// New builds a balancer.
-func New(env *sim.Env, mgr API, cfg Config) (*Balancer, error) {
+// New builds a balancer over the management plane. Its moves route to
+// the shard owning the source host, crossing shards through the plane's
+// coordinator when the destination lives elsewhere.
+func New(env *sim.Env, pl *plane.Plane, cfg Config) (*Balancer, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Move == nil {
 		cfg.Move = policy.DefaultMove()
 	}
-	return &Balancer{env: env, mgr: mgr, cfg: cfg}, nil
+	return &Balancer{env: env, plane: pl, cfg: cfg}, nil
 }
 
 // Start launches the periodic evaluation process (no-op when disabled).
@@ -124,7 +117,7 @@ func memUtil(h *inventory.Host) float64 {
 }
 
 func (b *Balancer) extremes() (hi, lo *inventory.Host, ok bool) {
-	inv := b.mgr.Inventory()
+	inv := b.plane.Inventory()
 	for _, id := range inv.Hosts() {
 		h := inv.Host(id)
 		if !h.InService() {
@@ -161,12 +154,12 @@ func (b *Balancer) BalanceOnce(p *sim.Proc) {
 		if !ok || memUtil(hi)-memUtil(lo) <= b.cfg.Threshold/2 {
 			break
 		}
-		vm := b.cfg.Move.Pick(b.mgr.Inventory(), hi, lo)
+		vm := b.cfg.Move.Pick(b.plane.Inventory(), hi, lo)
 		if vm == nil {
 			break
 		}
 		b.moves++
-		task := b.mgr.Migrate(p, vm, lo, mgmt.ReqCtx{Org: "system"})
+		task := b.plane.Migrate(p, vm, lo, mgmt.ReqCtx{Org: "system"})
 		if task.Err != nil {
 			break
 		}

@@ -7,7 +7,7 @@ import (
 	"cloudmcp/internal/inventory"
 	"cloudmcp/internal/mgmt"
 	"cloudmcp/internal/ops"
-	"cloudmcp/internal/rng"
+	"cloudmcp/internal/plane"
 	"cloudmcp/internal/sim"
 	"cloudmcp/internal/testfix"
 )
@@ -15,7 +15,7 @@ import (
 type fixture struct {
 	env   *sim.Env
 	inv   *inventory.Inventory
-	mgr   *mgmt.Manager
+	pl    *plane.Plane
 	bal   *Balancer
 	hosts []*inventory.Host
 	ds    *inventory.Datastore
@@ -26,15 +26,15 @@ func newFixture(t *testing.T, cfg Config) *fixture {
 	t.Helper()
 	fx := testfix.New(testfix.Options{Hosts: 3, HostMemMB: 32768,
 		Datastores: 1, DatastoreMBps: 300, TemplateGB: 16})
-	mgr, err := mgmt.New(fx.Env, fx.Inv, fx.Pool, fx.Model, rng.Derive(1, "m"), mgmt.DefaultConfig())
+	pl, err := plane.New(fx.Env, fx.Inv, fx.Pool, fx.Model, 1, mgmt.DefaultConfig(), plane.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	bal, err := New(fx.Env, mgr, cfg)
+	bal, err := New(fx.Env, pl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{env: fx.Env, inv: fx.Inv, mgr: mgr, bal: bal,
+	return &fixture{env: fx.Env, inv: fx.Inv, pl: pl, bal: bal,
 		hosts: fx.Hosts, ds: fx.DS[0], tpl: fx.Tpl}
 }
 
@@ -43,12 +43,12 @@ func (f *fixture) loadHost(t *testing.T, host *inventory.Host, n int) {
 	t.Helper()
 	f.env.Go("prep", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
-			vm, task := f.mgr.DeployVM(p, "vm", f.tpl, host, f.ds, ops.LinkedClone, mgmt.ReqCtx{Org: "o"})
+			vm, task := f.pl.DeployVM(p, "vm", f.tpl, host, f.ds, ops.LinkedClone, mgmt.ReqCtx{Org: "o"})
 			if task.Err != nil {
 				t.Errorf("deploy: %v", task.Err)
 				return
 			}
-			f.mgr.PowerOn(p, vm, mgmt.ReqCtx{Org: "o"})
+			f.pl.PowerOn(p, vm, mgmt.ReqCtx{Org: "o"})
 		}
 	})
 	f.env.Run(sim.Forever)
@@ -127,7 +127,7 @@ func TestSkipsMaintenanceHosts(t *testing.T) {
 
 func TestBadConfigRejected(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
-	if _, err := New(f.env, f.mgr, Config{Threshold: 0.2}); err == nil {
+	if _, err := New(f.env, f.pl, Config{Threshold: 0.2}); err == nil {
 		t.Fatal("expected error")
 	}
 }

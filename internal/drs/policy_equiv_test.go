@@ -75,7 +75,7 @@ func TestDefaultMoveMatchesReferenceFuzz(t *testing.T) {
 // that fits lo without overshooting the balance (moving it must not
 // make lo hotter than hi was).
 func (b *Balancer) pickMovableReference(hi, lo *inventory.Host) *inventory.VM {
-	inv := b.mgr.Inventory()
+	inv := b.plane.Inventory()
 	var best *inventory.VM
 	for _, id := range hi.VMs {
 		vm := inv.VM(id)

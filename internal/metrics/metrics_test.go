@@ -5,7 +5,6 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -84,17 +83,6 @@ func TestZeroCountTimingRendersNA(t *testing.T) {
 		t.Fatalf("zero-count p95 = %v, want NaN", s.Timings[0].P95S)
 	}
 
-	var ascii bytes.Buffer
-	if err := s.WriteASCII(&ascii); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(ascii.String(), "n/a") {
-		t.Fatalf("ASCII output lacks n/a:\n%s", ascii.String())
-	}
-	if strings.Contains(ascii.String(), "NaN") {
-		t.Fatalf("ASCII output leaks NaN:\n%s", ascii.String())
-	}
-
 	var js bytes.Buffer
 	if err := s.WriteJSON(&js); err != nil {
 		t.Fatalf("zero-count timing must still encode as JSON: %v", err)
@@ -164,17 +152,5 @@ func TestTopByUtilizationAndWaitShare(t *testing.T) {
 	}
 	if got := s.TotalQueueWaitS(); got != 100 {
 		t.Fatalf("total wait = %v, want 100", got)
-	}
-}
-
-func TestWriteFileFormats(t *testing.T) {
-	r := NewRegistry()
-	r.ScalarFunc("l", "r", "m", func() float64 { return 5 })
-	s := r.Snapshot(1)
-	dir := t.TempDir()
-	for _, name := range []string{"snap.json", "snap.csv", "snap.txt"} {
-		if err := s.WriteFile(dir + "/" + name); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
 	}
 }

@@ -3,14 +3,10 @@ package metrics
 import (
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // ResourceRow is one contended resource's snapshot.
@@ -113,141 +109,6 @@ func (s *Snapshot) TotalQueueWaitS() float64 {
 		total += r.TotalWaitS
 	}
 	return total
-}
-
-// fmtVal renders a float compactly, with NaN as "n/a" (the zero-count
-// distribution marker).
-func fmtVal(v float64) string {
-	if math.IsNaN(v) {
-		return "n/a"
-	}
-	av := math.Abs(v)
-	switch {
-	case v == 0:
-		return "0"
-	case av >= 10000 || av < 0.001:
-		return fmt.Sprintf("%.3g", v)
-	case av >= 100:
-		return fmt.Sprintf("%.1f", v)
-	default:
-		return fmt.Sprintf("%.3f", v)
-	}
-}
-
-// writeAligned writes rows as a left-aligned padded table.
-func writeAligned(w io.Writer, title string, header []string, rows [][]string) error {
-	widths := make([]int, len(header))
-	measure := func(row []string) {
-		for i, c := range row {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	measure(header)
-	for _, r := range rows {
-		measure(r)
-	}
-	var b strings.Builder
-	if title != "" {
-		fmt.Fprintf(&b, "%s\n", title)
-	}
-	line := func(row []string) {
-		for i, c := range row {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteString("\n")
-	}
-	line(header)
-	sep := make([]string, len(header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	line(sep)
-	for _, r := range rows {
-		line(r)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// WriteASCII renders the snapshot as plain-text tables: resources (in
-// layer order), scalars, and timings.
-func (s *Snapshot) WriteASCII(w io.Writer) error {
-	if s == nil {
-		return nil
-	}
-	if len(s.Resources) > 0 {
-		rows := make([][]string, 0, len(s.Resources))
-		for _, r := range s.Resources {
-			rows = append(rows, []string{
-				r.Layer, r.Resource, strconv.Itoa(r.Capacity),
-				fmtVal(r.Utilization), fmtVal(r.MeanQueueLen), strconv.Itoa(r.MaxQueueLen),
-				strconv.FormatInt(r.Grants, 10), fmtVal(r.MeanWaitS), fmtVal(r.TotalWaitS),
-			})
-		}
-		title := fmt.Sprintf("Per-layer resource metrics at t=%.0fs", s.AtS)
-		if err := writeAligned(w, title,
-			[]string{"layer", "resource", "cap", "util", "mean q", "max q", "grants", "mean wait s", "total wait s"}, rows); err != nil {
-			return err
-		}
-	}
-	if len(s.Scalars) > 0 {
-		rows := make([][]string, 0, len(s.Scalars))
-		for _, r := range s.Scalars {
-			rows = append(rows, []string{r.Layer, r.Resource, r.Metric, fmtVal(r.Value)})
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-		if err := writeAligned(w, "Scalar metrics",
-			[]string{"layer", "resource", "metric", "value"}, rows); err != nil {
-			return err
-		}
-	}
-	if len(s.Timings) > 0 {
-		rows := make([][]string, 0, len(s.Timings))
-		for _, r := range s.Timings {
-			rows = append(rows, []string{
-				r.Layer, r.Resource, r.Metric, strconv.FormatInt(r.Count, 10),
-				fmtVal(r.MeanS), fmtVal(r.P50S), fmtVal(r.P95S), fmtVal(r.MaxS),
-			})
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-		if err := writeAligned(w, "Timing metrics",
-			[]string{"layer", "resource", "metric", "n", "mean s", "p50 s", "p95 s", "max s"}, rows); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteFile writes the snapshot to path, picking the format from the
-// extension: .json → indented JSON, .csv → long-form CSV, anything else
-// → the ASCII tables. The close error is propagated so a short write
-// cannot pass silently.
-func (s *Snapshot) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	switch strings.ToLower(filepath.Ext(path)) {
-	case ".json":
-		err = s.WriteJSON(f)
-	case ".csv":
-		err = s.WriteCSV(f)
-	default:
-		err = s.WriteASCII(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // WriteJSON renders the snapshot as one indented JSON object.

@@ -1,65 +1,6 @@
 package mgmt
 
-import (
-	"cloudmcp/internal/inventory"
-	"cloudmcp/internal/ops"
-	"cloudmcp/internal/sim"
-	"cloudmcp/internal/storage"
-)
-
-// API is the management-plane surface the layers above the manager
-// program against: the cloud director, the workload generators, and the
-// DRS balancer all submit operations through it. A single *Manager
-// satisfies it directly; *plane.Plane satisfies it by routing each call
-// to the shard owning the target host (and through the two-phase
-// coordinator when an operation spans shards). Code that needs
-// shard-local details — the HA engine, the restart-storm experiments —
-// keeps a concrete *Manager instead.
-type API interface {
-	// Operation wrappers, one per ops.Kind the upper layers submit.
-	DeployVM(p *sim.Proc, name string, tpl *inventory.Template, host *inventory.Host, ds *inventory.Datastore, mode ops.CloneMode, ctx ReqCtx) (*inventory.VM, *Task)
-	PowerOn(p *sim.Proc, vm *inventory.VM, ctx ReqCtx) *Task
-	PowerOff(p *sim.Proc, vm *inventory.VM, ctx ReqCtx) *Task
-	SnapshotCreate(p *sim.Proc, vm *inventory.VM, ctx ReqCtx) *Task
-	SnapshotRemove(p *sim.Proc, vm *inventory.VM, ctx ReqCtx) *Task
-	Reconfigure(p *sim.Proc, vm *inventory.VM, ctx ReqCtx) *Task
-	Migrate(p *sim.Proc, vm *inventory.VM, dst *inventory.Host, ctx ReqCtx) *Task
-	StorageMigrate(p *sim.Proc, vm *inventory.VM, dst *inventory.Datastore, ctx ReqCtx) *Task
-	Destroy(p *sim.Proc, vm *inventory.VM, ctx ReqCtx) *Task
-	Consolidate(p *sim.Proc, vm *inventory.VM, ctx ReqCtx) *Task
-	Suspend(p *sim.Proc, vm *inventory.VM, ctx ReqCtx) *Task
-	Resume(p *sim.Proc, vm *inventory.VM, ctx ReqCtx) *Task
-	EnterMaintenance(p *sim.Proc, host *inventory.Host, ctx ReqCtx) *Task
-	ExitMaintenance(p *sim.Proc, host *inventory.Host, ctx ReqCtx) *Task
-	FullCopyTemplate(p *sim.Proc, tpl *inventory.Template, dst *inventory.Datastore, name string) (*inventory.Template, error)
-
-	// Execute submits a pre-built spec; the director's lease-expiry and
-	// consolidation paths use it for composite operations.
-	Execute(p *sim.Proc, spec ExecSpec) *Task
-
-	// Shared state and instrumentation.
-	Inventory() *inventory.Inventory
-	Storage() *storage.Pool
-	AddTaskSink(fn func(*Task))
-	TasksCompleted() int64
-	TaskErrors() int64
-	Goodput() []GoodputRow
-	RetryStats() RetryStats
-
-	// Topology. A plain manager is a one-shard plane.
-	ShardCount() int
-	ShardOf(host inventory.ID) int
-}
-
-var _ API = (*Manager)(nil)
-
-// ShardCount reports how many management shards stand behind this
-// endpoint; a plain manager is always exactly one.
-func (m *Manager) ShardCount() int { return 1 }
-
-// ShardOf reports which shard owns the given host: always 0 for a plain
-// manager.
-func (m *Manager) ShardOf(host inventory.ID) int { return 0 }
+import "cloudmcp/internal/sim"
 
 // DBRoundTrip charges one management-database round-trip of the given
 // aggregate service time against this manager's database, returning the

@@ -28,7 +28,6 @@ import (
 	"cloudmcp/internal/ops"
 	"cloudmcp/internal/rng"
 	"cloudmcp/internal/sim"
-	"cloudmcp/internal/stats"
 	"cloudmcp/internal/storage"
 )
 
@@ -245,8 +244,6 @@ type Manager struct {
 }
 
 type kindStats struct {
-	latency  stats.Sample
-	sum      ops.Breakdown
 	count    int64
 	errors   int64
 	attempts int64
@@ -791,8 +788,6 @@ func (m *Manager) dbStage(p *sim.Proc, task *Task, seconds float64, writes int, 
 
 func (m *Manager) record(t *Task) {
 	ks := m.kindStatsFor(t.Req.Kind)
-	ks.latency.Add(t.Latency())
-	ks.sum = ks.sum.Add(t.Breakdown)
 	ks.count++
 	m.taskLat.Observe(t.Latency())
 	if t.Err != nil {
@@ -802,39 +797,6 @@ func (m *Manager) record(t *Task) {
 	for _, fn := range m.sinks {
 		fn(t)
 	}
-}
-
-// KindSummary aggregates completed tasks of one kind.
-type KindSummary struct {
-	Kind          ops.Kind
-	Count         int64
-	Errors        int64 // included in Count
-	MeanLatency   float64
-	P95Latency    float64
-	MaxLatency    float64
-	MeanBreakdown ops.Breakdown
-}
-
-// Summary returns per-kind aggregates for every kind executed so far, in
-// canonical kind order.
-func (m *Manager) Summary() []KindSummary {
-	var out []KindSummary
-	for _, k := range ops.Kinds() {
-		ks, ok := m.perKind[k]
-		if !ok {
-			continue
-		}
-		out = append(out, KindSummary{
-			Kind:          k,
-			Count:         ks.count,
-			Errors:        ks.errors,
-			MeanLatency:   ks.latency.Mean(),
-			P95Latency:    ks.latency.Percentile(95),
-			MaxLatency:    ks.latency.Max(),
-			MeanBreakdown: ks.sum.Scale(1 / float64(ks.count)),
-		})
-	}
-	return out
 }
 
 // TasksCompleted returns the number of tasks executed.

@@ -331,6 +331,7 @@ func TestAdmissionCapQueues(t *testing.T) {
 	}
 }
 
+// Every completed task reaches the task sinks and its kind's goodput row.
 func TestSummaryAndSinks(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
 	var sunk []*Task
@@ -344,13 +345,18 @@ func TestSummaryAndSinks(t *testing.T) {
 	if len(sunk) != 3 {
 		t.Fatalf("sunk = %d", len(sunk))
 	}
-	sum := f.mgr.Summary()
-	if len(sum) != 3 {
-		t.Fatalf("summary kinds = %d", len(sum))
+	for _, task := range sunk {
+		if task.Latency() <= 0 {
+			t.Fatalf("%s latency = %v", task.Req.Kind, task.Latency())
+		}
 	}
-	for _, s := range sum {
-		if s.Count != 1 || s.MeanLatency <= 0 {
-			t.Fatalf("summary = %+v", s)
+	rows := f.mgr.Goodput()
+	if len(rows) != 3 {
+		t.Fatalf("goodput kinds = %d", len(rows))
+	}
+	for _, r := range rows {
+		if r.Tasks != 1 || r.OK != 1 {
+			t.Fatalf("goodput = %+v", r)
 		}
 	}
 	if f.mgr.TasksCompleted() != 3 {

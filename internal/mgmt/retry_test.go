@@ -157,7 +157,7 @@ func TestZeroRateInjectorEquivalence(t *testing.T) {
 }
 
 // Injected fault give-up errors land in the trace via task sinks and in
-// KindSummary.Errors.
+// the kind's goodput row as a task that did not finish OK.
 func TestGiveUpCountsAsError(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Faults = injector(t, faults.Config{Storage: faults.Layer{FailProb: 1}})
@@ -170,9 +170,9 @@ func TestGiveUpCountsAsError(t *testing.T) {
 	if f.mgr.TaskErrors() != 1 {
 		t.Fatalf("task errors = %d", f.mgr.TaskErrors())
 	}
-	sums := f.mgr.Summary()
-	if len(sums) != 1 || sums[0].Errors != 1 || sums[0].Count != 1 {
-		t.Fatalf("summary %+v", sums)
+	rows := f.mgr.Goodput()
+	if len(rows) != 1 || rows[0].Tasks != 1 || rows[0].OK != 0 {
+		t.Fatalf("goodput %+v", rows)
 	}
 }
 

@@ -1,5 +1,6 @@
 // Package plane is the management-plane topology layer: it stands N
-// virtualization-manager shards behind one mgmt.API endpoint, owns the
+// virtualization-manager shards behind the one endpoint the cloud
+// director, DRS and the reconcilers submit through, owns the
 // deterministic host→shard partition, and routes every operation to the
 // shard owning its target host. Each shard brings its own admission
 // queue, worker-thread pool, and inventory-lock table — the
@@ -89,7 +90,7 @@ type Stats struct {
 	CoordS   float64 // seconds of two-phase prepare+commit round-trips
 }
 
-// Plane is a sharded management plane satisfying mgmt.API.
+// Plane is a sharded management plane.
 type Plane struct {
 	env    *sim.Env
 	cfg    Config
@@ -99,8 +100,6 @@ type Plane struct {
 	crossOps int64
 	coordS   float64
 }
-
-var _ mgmt.API = (*Plane)(nil)
 
 // New builds the topology described by cfg over the shared inventory,
 // storage pool, and cost model. seed derives each shard's stage-time
@@ -179,9 +178,6 @@ func (pl *Plane) ShardOf(host inventory.ID) int {
 	}
 	return 0
 }
-
-// Shard returns shard i's manager.
-func (pl *Plane) Shard(i int) *mgmt.Manager { return pl.shards[i] }
 
 // Shards returns every shard's manager in shard order.
 func (pl *Plane) Shards() []*mgmt.Manager { return pl.shards }
@@ -281,10 +277,6 @@ func (pl *Plane) Destroy(p *sim.Proc, vm *inventory.VM, ctx mgmt.ReqCtx) *mgmt.T
 	return pl.route(vm.HostID).Destroy(p, vm, ctx)
 }
 
-func (pl *Plane) Consolidate(p *sim.Proc, vm *inventory.VM, ctx mgmt.ReqCtx) *mgmt.Task {
-	return pl.route(vm.HostID).Consolidate(p, vm, ctx)
-}
-
 func (pl *Plane) Suspend(p *sim.Proc, vm *inventory.VM, ctx mgmt.ReqCtx) *mgmt.Task {
 	return pl.route(vm.HostID).Suspend(p, vm, ctx)
 }
@@ -299,10 +291,6 @@ func (pl *Plane) Resume(p *sim.Proc, vm *inventory.VM, ctx mgmt.ReqCtx) *mgmt.Ta
 // evacuation it started — a deliberate modeling shortcut).
 func (pl *Plane) EnterMaintenance(p *sim.Proc, host *inventory.Host, ctx mgmt.ReqCtx) *mgmt.Task {
 	return pl.route(host.ID).EnterMaintenance(p, host, ctx)
-}
-
-func (pl *Plane) ExitMaintenance(p *sim.Proc, host *inventory.Host, ctx mgmt.ReqCtx) *mgmt.Task {
-	return pl.route(host.ID).ExitMaintenance(p, host, ctx)
 }
 
 // FullCopyTemplate runs on the home shard: the template library is

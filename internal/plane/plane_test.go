@@ -57,7 +57,7 @@ func TestNewRejectsPlaneOwnedManagerFields(t *testing.T) {
 // (stream "mgmt", unprefixed resources) yields bit-identical task
 // timings.
 func TestSingleShardIsIdentity(t *testing.T) {
-	deploy := func(mgr mgmt.API, fx *testfix.Fix) *mgmt.Task {
+	deploy := func(mgr *mgmt.Manager, fx *testfix.Fix) *mgmt.Task {
 		var task *mgmt.Task
 		fx.Env.Go("u", func(p *sim.Proc) {
 			_, task = mgr.DeployVM(p, "vm0", fx.Tpl, fx.Hosts[0], fx.DS[0], ops.LinkedClone, mgmt.ReqCtx{Org: "org"})
@@ -71,7 +71,7 @@ func TestSingleShardIsIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	plFx, pl := newPlane(t, 2, 1, DBShared)
-	a, b := deploy(raw, rawFx), deploy(pl, plFx)
+	a, b := deploy(raw, rawFx), deploy(pl.Home(), plFx)
 	if a.Err != nil || b.Err != nil {
 		t.Fatalf("errs: %v %v", a.Err, b.Err)
 	}
@@ -79,7 +79,7 @@ func TestSingleShardIsIdentity(t *testing.T) {
 		t.Fatalf("single-shard plane diverged from raw manager:\nraw   %+v (%.6f s)\nplane %+v (%.6f s)",
 			a.Breakdown, a.Latency(), b.Breakdown, b.Latency())
 	}
-	if pl.ShardCount() != 1 || pl.Home() != pl.Shard(0) {
+	if pl.ShardCount() != 1 || pl.Home() != pl.Shards()[0] {
 		t.Fatal("single-shard topology malformed")
 	}
 }
@@ -130,7 +130,7 @@ func TestRoutingByHostOwner(t *testing.T) {
 		pl.DeployVM(p, "c", fx.Tpl, fx.Hosts[3], fx.DS[1], ops.LinkedClone, mgmt.ReqCtx{Org: "o"})
 	})
 	fx.Env.Run(sim.Forever)
-	if n0, n1 := pl.Shard(0).TasksCompleted(), pl.Shard(1).TasksCompleted(); n0 != 1 || n1 != 2 {
+	if n0, n1 := pl.Shards()[0].TasksCompleted(), pl.Shards()[1].TasksCompleted(); n0 != 1 || n1 != 2 {
 		t.Fatalf("task routing: shard0=%d shard1=%d, want 1/2", n0, n1)
 	}
 	if got := pl.TasksCompleted(); got != 3 {

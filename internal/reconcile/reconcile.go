@@ -4,7 +4,7 @@
 // operations — the closed-loop controller workload modern control
 // planes (Kubernetes controller-runtime, Crossplane) run alongside
 // request-driven provisioning. Reconcilers submit their corrections
-// through mgmt.Execute / the sharded plane, so background reconciliation
+// through the management plane's Execute, so background reconciliation
 // competes with foreground work for the exact serialization points the
 // paper profiles: admission slots, worker threads, inventory locks, and
 // management-database connections.
@@ -25,24 +25,11 @@ import (
 	"fmt"
 	"reflect"
 
-	"cloudmcp/internal/inventory"
 	"cloudmcp/internal/metrics"
-	"cloudmcp/internal/mgmt"
+	"cloudmcp/internal/plane"
 	"cloudmcp/internal/rng"
 	"cloudmcp/internal/sim"
-	"cloudmcp/internal/storage"
 )
-
-// API is the slice of the management plane reconcilers program against:
-// reading shared state and executing operations. Both *mgmt.Manager and
-// *plane.Plane satisfy it, so on a sharded plane each correction routes
-// to the shard owning its target host (host-less work to the home
-// shard) and pays that shard's admission, thread, lock, and DB costs.
-type API interface {
-	Inventory() *inventory.Inventory
-	Storage() *storage.Pool
-	Execute(p *sim.Proc, spec mgmt.ExecSpec) *mgmt.Task
-}
 
 // BackoffPolicy shapes the per-item requeue delay after a failed
 // reconciliation: min(MaxS, BaseS·Mult^(attempt-1)), stretched by up to
@@ -237,21 +224,23 @@ func (rt *runtime) backoffDelay(key string, attempt int) float64 {
 // Plane is the assembled reconciliation plane for one simulated cloud.
 type Plane struct {
 	env   *sim.Env
-	api   API
+	plane *plane.Plane
 	seed  int64
 	cfg   Config
 	ctrls []*runtime
 }
 
-// New builds the reconciliation plane over the given management-plane
-// endpoint. A config with no controllers yields an inert plane:
+// New builds the reconciliation plane over the given management plane:
+// each correction routes to the shard owning its target host (host-less
+// work to the home shard) and pays that shard's admission, thread, lock,
+// and DB costs. A config with no controllers yields an inert plane:
 // identical in behaviour to not constructing one at all.
-func New(env *sim.Env, api API, seed int64, cfg Config) (*Plane, error) {
+func New(env *sim.Env, pl *plane.Plane, seed int64, cfg Config) (*Plane, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Plane{env: env, api: api, seed: seed, cfg: cfg}
+	r := &Plane{env: env, plane: pl, seed: seed, cfg: cfg}
 	for _, name := range cfg.Controllers {
 		ctrl, err := r.scenario(name)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"cloudmcp/internal/inventory"
 	"cloudmcp/internal/mgmt"
 	"cloudmcp/internal/ops"
+	"cloudmcp/internal/plane"
 	"cloudmcp/internal/rng"
 	"cloudmcp/internal/sim"
 	"cloudmcp/internal/testfix"
@@ -94,22 +95,22 @@ func TestConfigValidate(t *testing.T) {
 
 type fixture struct {
 	fx  *testfix.Fix
-	mgr *mgmt.Manager
+	pl  *plane.Plane
 	rec *Plane
 }
 
 func newFixture(t *testing.T, opts testfix.Options, cfg Config) *fixture {
 	t.Helper()
 	fx := testfix.New(opts)
-	mgr, err := mgmt.New(fx.Env, fx.Inv, fx.Pool, fx.Model, rng.Derive(1, "m"), mgmt.DefaultConfig())
+	pl, err := plane.New(fx.Env, fx.Inv, fx.Pool, fx.Model, 1, mgmt.DefaultConfig(), plane.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := New(fx.Env, mgr, 1, cfg)
+	rec, err := New(fx.Env, pl, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{fx: fx, mgr: mgr, rec: rec}
+	return &fixture{fx: fx, pl: pl, rec: rec}
 }
 
 // deploy places n VMs round-robin over hosts and datastores and powers
@@ -120,13 +121,13 @@ func (f *fixture) deploy(t *testing.T, n int, powerOn bool) {
 		for i := 0; i < n; i++ {
 			host := f.fx.Hosts[i%len(f.fx.Hosts)]
 			ds := f.fx.DS[i%len(f.fx.DS)]
-			vm, task := f.mgr.DeployVM(p, "vm", f.fx.Tpl, host, ds, ops.FullClone, mgmt.ReqCtx{Org: "o"})
+			vm, task := f.pl.DeployVM(p, "vm", f.fx.Tpl, host, ds, ops.FullClone, mgmt.ReqCtx{Org: "o"})
 			if task.Err != nil {
 				t.Errorf("deploy: %v", task.Err)
 				return
 			}
 			if powerOn {
-				f.mgr.PowerOn(p, vm, mgmt.ReqCtx{Org: "o"})
+				f.pl.PowerOn(p, vm, mgmt.ReqCtx{Org: "o"})
 			}
 		}
 	})
@@ -200,7 +201,7 @@ func TestRebalanceDrainsOverfullDatastore(t *testing.T) {
 	// All 4 VMs on DS[0] as full clones: 64 GB + 16 GB template base = 80%.
 	f.fx.Env.Go("prep", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
-			_, task := f.mgr.DeployVM(p, "vm", f.fx.Tpl, f.fx.Hosts[i%2], f.fx.DS[0], ops.FullClone, mgmt.ReqCtx{Org: "o"})
+			_, task := f.pl.DeployVM(p, "vm", f.fx.Tpl, f.fx.Hosts[i%2], f.fx.DS[0], ops.FullClone, mgmt.ReqCtx{Org: "o"})
 			if task.Err != nil {
 				t.Errorf("deploy: %v", task.Err)
 			}

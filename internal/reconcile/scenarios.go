@@ -65,7 +65,7 @@ func (r *Plane) scenario(name string) (Controller, error) {
 // round is a pure function of identifiers — and each drifted VM is
 // corrected with a reconfigure through the management plane.
 func (r *Plane) driftController() Controller {
-	inv := r.api.Inventory()
+	inv := r.plane.Inventory()
 	prefix := rng.NewSeedHasher(r.seed).String("reconcile:drift:list:")
 	scratch := rng.NewReseeder()
 	return Controller{
@@ -85,7 +85,7 @@ func (r *Plane) driftController() Controller {
 			if vm == nil || vm.State == inventory.VMDeleted {
 				return nil // drifted object vanished: nothing to correct
 			}
-			task := r.api.Execute(p, mgmt.ExecSpec{
+			task := r.plane.Execute(p, mgmt.ExecSpec{
 				Req: ops.Request{
 					Kind:   ops.KindReconfigure,
 					VMID:   vm.ID,
@@ -105,7 +105,7 @@ func (r *Plane) driftController() Controller {
 // plane they all land on the home shard — the catalog hot spot the
 // sharding experiment (E18) shows does not scale out.
 func (r *Plane) catalogController() Controller {
-	inv := r.api.Inventory()
+	inv := r.plane.Inventory()
 	return Controller{
 		Name: ControllerCatalog,
 		List: func(epoch int64) []string {
@@ -120,7 +120,7 @@ func (r *Plane) catalogController() Controller {
 			if tpl == nil {
 				return nil
 			}
-			task := r.api.Execute(p, mgmt.ExecSpec{
+			task := r.plane.Execute(p, mgmt.ExecSpec{
 				Req: ops.Request{
 					Kind:       ops.KindCatalogPublish,
 					TemplateID: tpl.ID,
@@ -142,7 +142,7 @@ func (r *Plane) catalogController() Controller {
 // viable destination fails and retries on backoff, draining the herd as
 // capacity frees up.
 func (r *Plane) rebalanceController() Controller {
-	inv := r.api.Inventory()
+	inv := r.plane.Inventory()
 	return Controller{
 		Name: ControllerRebalance,
 		List: func(epoch int64) []string {
@@ -172,7 +172,7 @@ func (r *Plane) rebalanceController() Controller {
 				return fmt.Errorf("reconcile: no datastore under %.0f%% fill fits %s",
 					r.cfg.FillFraction*100, vm.Name)
 			}
-			task := r.api.Execute(p, mgmt.ExecSpec{
+			task := r.plane.Execute(p, mgmt.ExecSpec{
 				Req: ops.Request{
 					Kind:   ops.KindStorageMigrate,
 					VMID:   vm.ID,
@@ -206,7 +206,7 @@ func (r *Plane) rebalanceController() Controller {
 // Iteration is over the sorted datastore ID list with a strict
 // improvement test, so ties break to the lowest ID — deterministic.
 func (r *Plane) migrationTarget(vm *inventory.VM, src *inventory.Datastore) *inventory.Datastore {
-	inv := r.api.Inventory()
+	inv := r.plane.Inventory()
 	var best *inventory.Datastore
 	for _, id := range inv.Datastores() {
 		ds := inv.Datastore(id)

@@ -77,7 +77,7 @@ func TestPickersMatchLinearReferenceFuzz(t *testing.T) {
 
 // pickOtherHostLinear is the pre-index reference scan for pickOtherHost.
 func (g *Generator) pickOtherHostLinear(vm *inventory.VM) *inventory.Host {
-	inv := g.dir.Manager().Inventory()
+	inv := g.dir.Plane().Inventory()
 	var best *inventory.Host
 	for _, id := range inv.Hosts() {
 		if id == vm.HostID {
@@ -97,7 +97,7 @@ func (g *Generator) pickOtherHostLinear(vm *inventory.VM) *inventory.Host {
 // pickMigrationTargetLinear is the pre-index reference scan, retained
 // for the equivalence test that pins pickMigrationTarget bit-for-bit.
 func (r *Replayer) pickMigrationTargetLinear(vm *inventory.VM) *inventory.Host {
-	inv := r.dir.Manager().Inventory()
+	inv := r.dir.Plane().Inventory()
 	var best *inventory.Host
 	for _, id := range inv.Hosts() {
 		if id == vm.HostID {

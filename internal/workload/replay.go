@@ -50,7 +50,7 @@ func NewReplayer(env *sim.Env, dir *clouddir.Director, records []trace.Record) (
 	if len(records) == 0 {
 		return nil, fmt.Errorf("workload: empty trace")
 	}
-	if len(dir.Manager().Inventory().Templates()) == 0 {
+	if len(dir.Plane().Inventory().Templates()) == 0 {
 		return nil, fmt.Errorf("workload: inventory has no templates")
 	}
 	cp := make([]trace.Record, len(records))
@@ -95,7 +95,7 @@ func (r *Replayer) dispatch(rec trace.Record) {
 		org := rec.Org
 		tplRef := rec.Template
 		r.env.Go(fmt.Sprintf("replay-deploy-%d", r.nextID), func(p *sim.Proc) {
-			inv := r.dir.Manager().Inventory()
+			inv := r.dir.Plane().Inventory()
 			tpls := inv.Templates()
 			tpl := inv.Template(tpls[int(tplRef)%len(tpls)])
 			res := r.dir.DeployVApp(p, org, tpl, 1, true)
@@ -116,7 +116,7 @@ func (r *Replayer) dispatch(rec trace.Record) {
 		r.nextID++
 		org := rec.Org
 		r.env.Go(fmt.Sprintf("replay-destroy-%d", r.nextID), func(p *sim.Proc) {
-			inv := r.dir.Manager().Inventory()
+			inv := r.dir.Plane().Inventory()
 			if v := inv.VApp(va); v != nil {
 				r.dir.DeleteVApp(p, v, org)
 			}
@@ -145,7 +145,7 @@ func (r *Replayer) dispatch(rec trace.Record) {
 
 // popVApp removes and returns the oldest live vApp of org.
 func (r *Replayer) popVApp(org string) inventory.ID {
-	inv := r.dir.Manager().Inventory()
+	inv := r.dir.Plane().Inventory()
 	ring := r.vapps[org]
 	for len(ring) > 0 {
 		id := ring[0]
@@ -168,7 +168,7 @@ func (r *Replayer) popVApp(org string) inventory.ID {
 // which keeps the visit order over survivors identical to the
 // pre-pruning behavior when no dead entries are present.
 func (r *Replayer) pickVM(org string) inventory.ID {
-	inv := r.dir.Manager().Inventory()
+	inv := r.dir.Plane().Inventory()
 	ring := r.vapps[org]
 	for tries := len(ring); tries > 0 && len(ring) > 0; tries-- {
 		idx := r.rrIdx[org] % len(ring)
@@ -188,8 +188,8 @@ func (r *Replayer) pickVM(org string) inventory.ID {
 }
 
 func (r *Replayer) applyVMOp(p *sim.Proc, kind ops.Kind, vmID inventory.ID, org string) {
-	mgr := r.dir.Manager()
-	inv := mgr.Inventory()
+	pl := r.dir.Plane()
+	inv := pl.Inventory()
 	vm := inv.VM(vmID)
 	if vm == nil {
 		return
@@ -198,31 +198,31 @@ func (r *Replayer) applyVMOp(p *sim.Proc, kind ops.Kind, vmID inventory.ID, org 
 	switch kind {
 	case ops.KindPowerOn:
 		if vm.State == inventory.VMPoweredOff {
-			mgr.PowerOn(p, vm, ctx)
+			pl.PowerOn(p, vm, ctx)
 		}
 	case ops.KindPowerOff:
 		if vm.State == inventory.VMPoweredOn {
-			mgr.PowerOff(p, vm, ctx)
+			pl.PowerOff(p, vm, ctx)
 		}
 	case ops.KindReconfigure:
-		mgr.Reconfigure(p, vm, ctx)
+		pl.Reconfigure(p, vm, ctx)
 	case ops.KindSnapshotCreate:
-		mgr.SnapshotCreate(p, vm, ctx)
+		pl.SnapshotCreate(p, vm, ctx)
 	case ops.KindSnapshotRemove:
 		if vm.Snapshots > 0 {
-			mgr.SnapshotRemove(p, vm, ctx)
+			pl.SnapshotRemove(p, vm, ctx)
 		}
 	case ops.KindMigrate:
 		if dst := r.pickMigrationTarget(vm); dst != nil {
-			mgr.Migrate(p, vm, dst, ctx)
+			pl.Migrate(p, vm, dst, ctx)
 		}
 	case ops.KindSuspend:
 		if vm.State == inventory.VMPoweredOn {
-			mgr.Suspend(p, vm, ctx)
+			pl.Suspend(p, vm, ctx)
 		}
 	case ops.KindResume:
 		if vm.State == inventory.VMSuspended {
-			mgr.Resume(p, vm, ctx)
+			pl.Resume(p, vm, ctx)
 		}
 	}
 }
@@ -232,6 +232,6 @@ func (r *Replayer) applyVMOp(p *sim.Proc, kind ops.Kind, vmID inventory.ID, org 
 // of the O(hosts) scan it replaces (pickMigrationTargetLinear, kept in
 // policy_equiv_test.go as the equivalence reference).
 func (r *Replayer) pickMigrationTarget(vm *inventory.VM) *inventory.Host {
-	inv := r.dir.Manager().Inventory()
+	inv := r.dir.Plane().Inventory()
 	return inv.BestHostExcluding(vm.HostID, vm.MemMB, 0)
 }

@@ -15,7 +15,7 @@ func recordTrace(t *testing.T, seed int64, horizon sim.Time) []trace.Record {
 	t.Helper()
 	r := newRig(t, seed, clouddir.DefaultConfig())
 	rec := trace.NewRecorder()
-	r.mgr.AddTaskSink(rec.Sink)
+	r.pl.AddTaskSink(rec.Sink)
 	pr := CloudA()
 	pr.LifetimeMeanS = 1200 // churn inside the window so destroys appear
 	gen, err := NewGenerator(r.env, r.dir, pr, rng.Derive(seed, "wl"), horizon)
@@ -36,7 +36,7 @@ func TestReplayReproducesWorkload(t *testing.T) {
 	// Replay onto a fresh rig with its own recorder.
 	r2 := newRig(t, 99, clouddir.DefaultConfig())
 	rec2 := trace.NewRecorder()
-	r2.mgr.AddTaskSink(rec2.Sink)
+	r2.pl.AddTaskSink(rec2.Sink)
 	rp, err := NewReplayer(r2.env, r2.dir, recs)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestReplayDeterministic(t *testing.T) {
 	run := func() (int64, int) {
 		r := newRig(t, 7, clouddir.DefaultConfig())
 		rec := trace.NewRecorder()
-		r.mgr.AddTaskSink(rec.Sink)
+		r.pl.AddTaskSink(rec.Sink)
 		rp, err := NewReplayer(r.env, r.dir, recs)
 		if err != nil {
 			t.Fatal(err)

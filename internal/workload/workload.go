@@ -207,7 +207,7 @@ func NewGenerator(env *sim.Env, dir *clouddir.Director, profile Profile, stream 
 	if horizon <= 0 {
 		return nil, fmt.Errorf("workload: horizon %v", horizon)
 	}
-	ntpl := len(dir.Manager().Inventory().Templates())
+	ntpl := len(dir.Plane().Inventory().Templates())
 	if ntpl == 0 {
 		return nil, fmt.Errorf("workload: inventory has no templates")
 	}
@@ -301,7 +301,7 @@ func (g *Generator) launchVApp(size int, lifetimeS float64) {
 	tplIdx := g.zipf.Draw()
 	name := fmt.Sprintf("%s-req%d", g.profile.Name, g.nextID)
 	g.env.Go(name, func(p *sim.Proc) {
-		inv := g.dir.Manager().Inventory()
+		inv := g.dir.Plane().Inventory()
 		tpl := inv.Template(inv.Templates()[tplIdx])
 		res := g.dir.DeployVApp(p, org, tpl, size, true)
 		if res.Err != nil {
@@ -333,8 +333,8 @@ func (g *Generator) activityLoop(p *sim.Proc, vmID inventory.ID, org string) {
 		return
 	}
 	weights := []float64{pr.PowerCycleRate, pr.SnapshotRate, pr.ReconfigRate, pr.MigrateRate, pr.SuspendRate}
-	inv := g.dir.Manager().Inventory()
-	mgr := g.dir.Manager()
+	pl := g.dir.Plane()
+	inv := pl.Inventory()
 	for {
 		p.Sleep(g.stream.Exponential(1 / total))
 		if p.Now() >= g.horizon {
@@ -353,30 +353,30 @@ func (g *Generator) activityLoop(p *sim.Proc, vmID inventory.ID, org string) {
 		switch g.stream.WeightedChoice(weights) {
 		case 0: // power cycle
 			if vm.State == inventory.VMPoweredOn {
-				mgr.PowerOff(p, vm, ctx)
+				pl.PowerOff(p, vm, ctx)
 				if inv.VM(vmID) != nil {
-					mgr.PowerOn(p, vm, ctx)
+					pl.PowerOn(p, vm, ctx)
 				}
 			} else if vm.State == inventory.VMPoweredOff {
-				mgr.PowerOn(p, vm, ctx)
+				pl.PowerOn(p, vm, ctx)
 			}
 		case 1: // snapshot: create, and remove the oldest if piling up
 			if vm.Snapshots >= 3 {
-				mgr.SnapshotRemove(p, vm, ctx)
+				pl.SnapshotRemove(p, vm, ctx)
 			} else {
-				mgr.SnapshotCreate(p, vm, ctx)
+				pl.SnapshotCreate(p, vm, ctx)
 			}
 		case 2:
-			mgr.Reconfigure(p, vm, ctx)
+			pl.Reconfigure(p, vm, ctx)
 		case 3:
 			if dst := g.pickOtherHost(vm); dst != nil {
-				mgr.Migrate(p, vm, dst, ctx)
+				pl.Migrate(p, vm, dst, ctx)
 			}
 		case 4: // suspend/resume cycle
 			if vm.State == inventory.VMPoweredOn {
-				mgr.Suspend(p, vm, ctx)
+				pl.Suspend(p, vm, ctx)
 			} else if vm.State == inventory.VMSuspended {
-				mgr.Resume(p, vm, ctx)
+				pl.Resume(p, vm, ctx)
 			}
 		}
 	}
@@ -387,6 +387,6 @@ func (g *Generator) activityLoop(p *sim.Proc, vmID inventory.ID, org string) {
 // policy_equiv_test.go) is the O(hosts) reference the equivalence test
 // pins it against.
 func (g *Generator) pickOtherHost(vm *inventory.VM) *inventory.Host {
-	inv := g.dir.Manager().Inventory()
+	inv := g.dir.Plane().Inventory()
 	return inv.BestHostExcluding(vm.HostID, vm.MemMB, 0)
 }

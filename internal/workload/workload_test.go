@@ -7,6 +7,7 @@ import (
 	"cloudmcp/internal/inventory"
 	"cloudmcp/internal/mgmt"
 	"cloudmcp/internal/ops"
+	"cloudmcp/internal/plane"
 	"cloudmcp/internal/rng"
 	"cloudmcp/internal/sim"
 	"cloudmcp/internal/storage"
@@ -16,8 +17,10 @@ import (
 type rig struct {
 	env *sim.Env
 	inv *inventory.Inventory
-	mgr *mgmt.Manager
+	pl  *plane.Plane
 	dir *clouddir.Director
+	// latS is the summed latency of every completed task.
+	latS float64
 }
 
 func newRig(t *testing.T, seed int64, dcfg clouddir.Config) *rig {
@@ -41,15 +44,26 @@ func newRig(t *testing.T, seed int64, dcfg clouddir.Config) *rig {
 	}
 	pool := storage.NewPool(env, inv)
 	model := ops.DefaultCostModel()
-	mgr, err := mgmt.New(env, inv, pool, model, rng.Derive(seed, "mgr"), mgmt.DefaultConfig())
+	pl, err := plane.New(env, inv, pool, model, seed, mgmt.DefaultConfig(), plane.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, err := clouddir.New(env, mgr, model, rng.Derive(seed, "cells"), dcfg)
+	dir, err := clouddir.New(env, pl, model, rng.Derive(seed, "cells"), dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &rig{env: env, inv: inv, mgr: mgr, dir: dir}
+	r := &rig{env: env, inv: inv, pl: pl, dir: dir}
+	pl.AddTaskSink(func(task *mgmt.Task) { r.latS += task.Latency() })
+	return r
+}
+
+// tasksByKind counts completed tasks per operation kind.
+func (r *rig) tasksByKind() map[ops.Kind]int64 {
+	kinds := map[ops.Kind]int64{}
+	for _, row := range r.pl.Goodput() {
+		kinds[row.Kind] = row.Tasks
+	}
+	return kinds
 }
 
 func runProfile(t *testing.T, pr Profile, seed int64, horizon sim.Time) (*rig, *Generator) {
@@ -104,8 +118,8 @@ func TestGeneratorRequiresTemplates(t *testing.T) {
 	inv.AddDatastore(dc, "ds", 100, 10)
 	pool := storage.NewPool(env, inv)
 	model := ops.DefaultCostModel()
-	mgr, _ := mgmt.New(env, inv, pool, model, rng.New(1), mgmt.DefaultConfig())
-	dir, _ := clouddir.New(env, mgr, model, rng.New(2), clouddir.DefaultConfig())
+	pl, _ := plane.New(env, inv, pool, model, 1, mgmt.DefaultConfig(), plane.DefaultConfig())
+	dir, _ := clouddir.New(env, pl, model, rng.New(2), clouddir.DefaultConfig())
 	if _, err := NewGenerator(env, dir, CloudA(), rng.New(3), 100); err == nil {
 		t.Fatal("expected no-templates error")
 	}
@@ -117,15 +131,11 @@ func TestCloudAGeneratesWork(t *testing.T) {
 	if st.Arrivals < 50 {
 		t.Fatalf("arrivals = %d, want >=50 over 4h at 40/h", st.Arrivals)
 	}
-	if r.mgr.TasksCompleted() < int64(st.Arrivals) {
-		t.Fatalf("tasks %d < arrivals %d", r.mgr.TasksCompleted(), st.Arrivals)
+	if r.pl.TasksCompleted() < int64(st.Arrivals) {
+		t.Fatalf("tasks %d < arrivals %d", r.pl.TasksCompleted(), st.Arrivals)
 	}
-	sum := r.mgr.Summary()
-	kinds := map[ops.Kind]bool{}
-	for _, s := range sum {
-		kinds[s.Kind] = true
-	}
-	if !kinds[ops.KindDeploy] || !kinds[ops.KindPowerOn] {
+	kinds := r.tasksByKind()
+	if kinds[ops.KindDeploy] == 0 || kinds[ops.KindPowerOn] == 0 {
 		t.Fatalf("missing core kinds in %v", kinds)
 	}
 	if err := r.inv.CheckInvariants(); err != nil {
@@ -143,13 +153,7 @@ func TestCloudALifecycleDeletes(t *testing.T) {
 	if gen.Stats().Deleted == 0 {
 		t.Fatal("no vApps deleted")
 	}
-	found := false
-	for _, s := range r.mgr.Summary() {
-		if s.Kind == ops.KindDestroy && s.Count > 0 {
-			found = true
-		}
-	}
-	if !found {
+	if r.tasksByKind()[ops.KindDestroy] == 0 {
 		t.Fatal("no destroy tasks recorded")
 	}
 }
@@ -180,7 +184,7 @@ func TestClassicDCIsQuiet(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	run := func() (int64, int64) {
 		r, gen := runProfile(t, CloudA(), 23, 2*3600)
-		return r.mgr.TasksCompleted(), gen.Stats().Arrivals
+		return r.pl.TasksCompleted(), gen.Stats().Arrivals
 	}
 	t1, a1 := run()
 	t2, a2 := run()
@@ -192,19 +196,9 @@ func TestDeterministicRuns(t *testing.T) {
 func TestDifferentSeedsDiffer(t *testing.T) {
 	ra, _ := runProfile(t, CloudA(), 31, 2*3600)
 	rb, _ := runProfile(t, CloudA(), 32, 2*3600)
-	if ra.mgr.TasksCompleted() == rb.mgr.TasksCompleted() {
-		t.Log("task counts equal across seeds (possible but unlikely); checking summaries")
-		sa, sb := ra.mgr.Summary(), rb.mgr.Summary()
-		same := len(sa) == len(sb)
-		if same {
-			for i := range sa {
-				if sa[i].MeanLatency != sb[i].MeanLatency {
-					same = false
-					break
-				}
-			}
-		}
-		if same {
+	if ra.pl.TasksCompleted() == rb.pl.TasksCompleted() {
+		t.Log("task counts equal across seeds (possible but unlikely); checking latencies")
+		if ra.latS == rb.latS {
 			t.Fatal("different seeds produced identical results")
 		}
 	}
@@ -219,10 +213,7 @@ func TestActivityOpsOccur(t *testing.T) {
 	if gen.Stats().ActivityOps == 0 {
 		t.Fatal("no background activity")
 	}
-	kinds := map[ops.Kind]int64{}
-	for _, s := range r.mgr.Summary() {
-		kinds[s.Kind] = s.Count
-	}
+	kinds := r.tasksByKind()
 	if kinds[ops.KindSnapshotCreate] == 0 || kinds[ops.KindReconfigure] == 0 {
 		t.Fatalf("missing activity kinds: %v", kinds)
 	}
@@ -241,7 +232,7 @@ func TestInvariantsHoldUnderChurnWithDeletes(t *testing.T) {
 	if err := r.inv.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if r.mgr.TasksCompleted() == 0 {
+	if r.pl.TasksCompleted() == 0 {
 		t.Fatal("nothing ran")
 	}
 }
@@ -279,10 +270,7 @@ func TestSuspendActivityAppears(t *testing.T) {
 	pr := CloudB()
 	pr.SuspendRate = 3.0 // crank so a short run sees it
 	r, _ := runProfile(t, pr, 43, 3*3600)
-	kinds := map[ops.Kind]int64{}
-	for _, s := range r.mgr.Summary() {
-		kinds[s.Kind] = s.Count
-	}
+	kinds := r.tasksByKind()
 	if kinds[ops.KindSuspend] == 0 {
 		t.Fatalf("no suspends: %v", kinds)
 	}
