@@ -372,17 +372,13 @@ func (c *Cloud) ShardReport() []report.ShardRow {
 	var rows []report.ShardRow
 	for i, mgr := range c.plane.Shards() {
 		rr := mgr.Resources()
-		dbUtil := rr.DB.Utilization
-		if wal, ok := mgr.WALStats(); ok {
-			dbUtil = wal.FlushStats.Utilization
-		}
 		rows = append(rows, report.ShardRow{
 			Shard:          fmt.Sprintf("shard%d", i),
 			Hosts:          hostsOf[i],
 			Tasks:          mgr.TasksCompleted(),
 			ThreadsUtil:    rr.Threads.Utilization,
 			AdmissionQueue: rr.Admission.MeanQueueLen,
-			DBUtil:         dbUtil,
+			DBUtil:         mgr.DB().Stats().Utilization,
 		})
 	}
 	return rows
@@ -393,21 +389,12 @@ func (c *Cloud) ShardReport() []report.ShardRow {
 // on the single-shard plane), the mean across instances in per-shard
 // mode. WAL-model databases report their flush-stage utilization.
 func (c *Cloud) DBUtilization() float64 {
-	dbUtil := func(m *mgmt.Manager) float64 {
-		if wal, ok := m.WALStats(); ok {
-			return wal.FlushStats.Utilization
-		}
-		return m.Resources().DB.Utilization
-	}
-	shards := c.plane.Shards()
-	if len(shards) == 1 || c.plane.Config().DB == plane.DBShared {
-		return dbUtil(shards[0])
-	}
+	dbs := c.plane.DBs()
 	var sum float64
-	for _, m := range shards {
-		sum += dbUtil(m)
+	for _, db := range dbs {
+		sum += db.Stats().Utilization
 	}
-	return sum / float64(len(shards))
+	return sum / float64(len(dbs))
 }
 
 // GoodputReport adapts the manager's per-kind goodput accounting to the
@@ -480,26 +467,18 @@ type StageUtilization struct {
 // appears once under its unprefixed name. Call after Run.
 func (c *Cloud) BottleneckReport() []StageUtilization {
 	var out []StageUtilization
-	sharedDB := c.plane.ShardCount() > 1 && c.plane.Config().DB == plane.DBShared
-	for i, mgr := range c.plane.Shards() {
-		label := mgr.Config().Label
+	var prevDB *mgmt.DB
+	for _, mgr := range c.plane.Shards() {
 		rr := mgr.Resources()
 		out = append(out,
-			StageUtilization{Stage: label + "mgmt.threads", Utilization: rr.Threads.Utilization, MeanQueue: rr.Threads.MeanQueueLen},
-			StageUtilization{Stage: label + "mgmt.admission", Utilization: rr.Admission.Utilization, MeanQueue: rr.Admission.MeanQueueLen},
+			StageUtilization{Stage: rr.Threads.Name, Utilization: rr.Threads.Utilization, MeanQueue: rr.Threads.MeanQueueLen},
+			StageUtilization{Stage: rr.Admission.Name, Utilization: rr.Admission.Utilization, MeanQueue: rr.Admission.MeanQueueLen},
 		)
-		if sharedDB && i > 0 {
-			continue // one shared database, reported once below
-		}
-		dbLabel := label
-		if sharedDB {
-			dbLabel = ""
-		}
-		if wal, ok := mgr.WALStats(); ok {
-			out = append(out, StageUtilization{Stage: dbLabel + "mgmt.db(wal)", Utilization: wal.FlushStats.Utilization, MeanQueue: wal.FlushStats.MeanQueueLen})
-		} else {
-			rr := mgr.Resources()
-			out = append(out, StageUtilization{Stage: dbLabel + "mgmt.db", Utilization: rr.DB.Utilization, MeanQueue: rr.DB.MeanQueueLen})
+		if db := mgr.DB(); db != prevDB {
+			// A shared database follows the first shard's stages, once.
+			s := db.Stats()
+			out = append(out, StageUtilization{Stage: db.Name(), Utilization: s.Utilization, MeanQueue: s.MeanQueueLen})
+			prevDB = db
 		}
 	}
 	for i, s := range c.dir.Stats().Cells {

@@ -223,7 +223,7 @@ func (d loadSweep) e9(p E9Params) (*E9Result, error) {
 			}
 			rr := c.Manager().Resources()
 			done := analysis.Throughput(c.Records(), "", 0, p.HorizonS) * Hour
-			return E9Point{RatePerHour: rate, DonePerHour: done, Admission: rr.Admission, Threads: rr.Threads, DB: rr.DB}, nil
+			return E9Point{RatePerHour: rate, DonePerHour: done, Admission: rr.Admission, Threads: rr.Threads, DB: c.Manager().DB().Stats()}, nil
 		})
 	if err != nil {
 		return nil, err

@@ -78,8 +78,7 @@ func (d e13Sweep) run(p E13Params) (*E13Result, error) {
 				return E13Point{}, err
 			}
 			r := runClosedLoopOn(c, pt.Clients, g.HorizonS, g.WarmupS, func() float64 { return 0.2 })
-			st, _ := c.Manager().WALStats()
-			return E13Point{WindowS: d.windowsS[pt.Levels[0]], LinkedPerHour: r.DeploysPerHour, MeanLatS: r.MeanLatencyS, DB: st}, nil
+			return E13Point{WindowS: d.windowsS[pt.Levels[0]], LinkedPerHour: r.DeploysPerHour, MeanLatS: r.MeanLatencyS, DB: c.Manager().DB().WALStats()}, nil
 		})
 	if err != nil {
 		return nil, err

@@ -2,9 +2,13 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"cloudmcp/internal/metrics"
+	"cloudmcp/internal/mgmtdb"
+	"cloudmcp/internal/plane"
 	"cloudmcp/internal/trace"
 	"cloudmcp/internal/workload"
 )
@@ -75,5 +79,65 @@ func TestMetricsDoNotPerturbClosedLoop(t *testing.T) {
 	}
 	if len(snap.TopByUtilization(3)) == 0 {
 		t.Fatal("no resources to rank")
+	}
+}
+
+// shardedSnapshot runs CloudA for an hour on a 4-shard plane with
+// metrics on and returns the cloud and its snapshot.
+func shardedSnapshot(t *testing.T, mode plane.DBMode, wal bool) (*Cloud, *metrics.Snapshot) {
+	t.Helper()
+	cfg := DefaultConfig(1)
+	cfg.Plane.Shards = 4
+	cfg.Plane.DB = mode
+	if wal {
+		db := mgmtdb.DefaultConfig()
+		cfg.Mgmt.Database = &db
+	}
+	cfg.Metrics = true
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RunProfile(workload.CloudA(), Hour); err != nil {
+		t.Fatal(err)
+	}
+	return c, c.MetricsSnapshot()
+}
+
+// The database every shard shares by default reaches the registry once,
+// under its unprefixed name.
+func TestSharedDBInMetrics(t *testing.T) {
+	_, snap := shardedSnapshot(t, plane.DBShared, false)
+	for _, r := range snap.Resources {
+		if r.Layer == "mgmt" && r.Resource == "mgmt.db" {
+			if r.Grants == 0 {
+				t.Fatalf("shared mgmt/mgmt.db registered with no grants: %+v", r)
+			}
+			return
+		}
+	}
+	t.Fatal("snapshot of a 4-shard shared-DB plane has no mgmt/mgmt.db row")
+}
+
+// Per-shard WAL databases register under their shard's label, so the
+// registry holds one commit series per database instead of one that the
+// last-built database overwrote.
+func TestPerShardWALMetricsLabelled(t *testing.T) {
+	c, snap := shardedSnapshot(t, plane.DBPerShard, true)
+	commits := map[string]float64{}
+	for _, s := range snap.Scalars {
+		if s.Layer == "mgmtdb" && s.Metric == "commits" {
+			commits[s.Resource] = s.Value
+		}
+	}
+	dbs := c.Plane().DBs()
+	if len(commits) != len(dbs) || len(dbs) != 4 {
+		t.Fatalf("commit series %v for %d databases, want 4 labelled sets", commits, len(dbs))
+	}
+	for i, db := range dbs {
+		n := float64(db.WALStats().Commits)
+		if got := commits[fmt.Sprintf("shard%d.wal", i)]; got != n || n == 0 {
+			t.Fatalf("shard%d.wal commits = %v, database committed %v", i, got, n)
+		}
 	}
 }

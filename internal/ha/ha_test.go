@@ -8,7 +8,7 @@ import (
 	"cloudmcp/internal/inventory"
 	"cloudmcp/internal/mgmt"
 	"cloudmcp/internal/ops"
-	"cloudmcp/internal/rng"
+	"cloudmcp/internal/plane"
 	"cloudmcp/internal/sim"
 	"cloudmcp/internal/testfix"
 )
@@ -27,10 +27,11 @@ func newFixture(t *testing.T, cfg Config) *fixture {
 	t.Helper()
 	fx := testfix.New(testfix.Options{Hosts: 4, Datastores: 1,
 		DatastoreGB: 8000, DatastoreMBps: 300, TemplateGB: 16})
-	mgr, err := mgmt.New(fx.Env, fx.Inv, fx.Pool, fx.Model, rng.Derive(1, "m"), mgmt.DefaultConfig())
+	pl, err := plane.New(fx.Env, fx.Inv, fx.Pool, fx.Model, 1, mgmt.DefaultConfig(), plane.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	mgr := pl.Home()
 	eng, err := New(fx.Env, mgr, cfg)
 	if err != nil {
 		t.Fatal(err)

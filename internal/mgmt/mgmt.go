@@ -76,31 +76,6 @@ type Config struct {
 	HostSlots   int             // per-host agent operation slots
 	Granularity LockGranularity // inventory lock granularity
 
-	// Label prefixes the manager's resource names (admission, threads,
-	// DB, locks) and metrics keys. A multi-shard plane (internal/plane)
-	// sets it to "shardN." so per-shard series stay distinguishable; the
-	// empty default keeps every name exactly as a single-manager
-	// installation has always reported it.
-	Label string
-
-	// SharedDB, when non-nil, replaces the manager's own connection pool
-	// with an externally-owned one, so several manager shards contend on
-	// one management database (the plane's shared-DB mode). DBConns is
-	// ignored when set.
-	SharedDB *sim.Resource
-
-	// SharedWAL likewise substitutes an externally-owned detailed WAL
-	// database for the one Database would build, sharing group-commit
-	// batching (and its queue) across shards. Takes precedence over
-	// Database.
-	SharedWAL *mgmtdb.DB
-
-	// SharedAgents substitutes an externally-owned host-agent registry.
-	// Host agents model per-host daemons — physical objects that exist
-	// once no matter how the management plane is sharded — so a
-	// multi-shard plane builds one registry and hands it to every shard.
-	SharedAgents *hostsim.Registry
-
 	// Database selects the detailed WAL database model (package mgmtdb)
 	// instead of the default aggregate-service-time model. When set,
 	// DBConns is ignored in favour of Database.Conns, and each
@@ -111,7 +86,8 @@ type Config struct {
 	// Network selects the shared migration-network model (package
 	// netsim): live-migration memory copies then contend on one
 	// fair-share link (counted as data-plane time) instead of being
-	// charged as isolated host-agent work.
+	// charged as isolated host-agent work. The plane builds the one
+	// network every shard's migrations share.
 	Network *netsim.Config
 
 	// Faults, when set, injects deterministic transient failures and
@@ -179,7 +155,8 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c Config) validate() error {
+// Validate checks the sizing knobs and the retry policy.
+func (c Config) Validate() error {
 	if c.Threads <= 0 || c.DBConns <= 0 || c.MaxInFlight <= 0 || c.HostSlots <= 0 {
 		return fmt.Errorf("mgmt: non-positive config %+v", c)
 	}
@@ -215,9 +192,8 @@ type Manager struct {
 
 	admission *sim.Resource
 	threads   *sim.Resource
-	db        *sim.Resource
-	waldb     *mgmtdb.DB      // non-nil when cfg.Database is set
-	network   *netsim.Network // non-nil when cfg.Network is set
+	db        *DB
+	network   *netsim.Network // nil without cfg.Network
 	locks     map[inventory.ID]*sim.Resource
 	global    *sim.Resource
 
@@ -293,17 +269,18 @@ func (m *Manager) Goodput() []GoodputRow {
 }
 
 // New builds a manager over the given inventory, storage pool, and cost
-// model. The stream seeds all stage-time draws.
-func New(env *sim.Env, inv *inventory.Inventory, pool *storage.Pool, model *ops.CostModel, stream *rng.Stream, cfg Config) (*Manager, error) {
-	if err := cfg.validate(); err != nil {
+// model, writing through db and dispatching host work to agents; network
+// carries live-migration memory copies (nil charges them as host work).
+// The plane builds db, agents and network and may share them between
+// managers. label prefixes the manager's resource names and metrics keys
+// ("shardN." on a multi-shard plane, "" alone). The stream seeds all
+// stage-time draws.
+func New(env *sim.Env, inv *inventory.Inventory, pool *storage.Pool, agents *hostsim.Registry, db *DB, network *netsim.Network, model *ops.CostModel, stream *rng.Stream, label string, cfg Config) (*Manager, error) {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if err := model.Validate(); err != nil {
 		return nil, err
-	}
-	agents := cfg.SharedAgents
-	if agents == nil {
-		agents = hostsim.NewRegistry(env, inv, cfg.HostSlots)
 	}
 	m := &Manager{
 		env:       env,
@@ -313,71 +290,49 @@ func New(env *sim.Env, inv *inventory.Inventory, pool *storage.Pool, model *ops.
 		model:     model,
 		stream:    stream,
 		cfg:       cfg,
-		admission: sim.NewResource(env, cfg.Label+"mgmt.admission", cfg.MaxInFlight),
-		threads:   sim.NewResource(env, cfg.Label+"mgmt.threads", cfg.Threads),
+		admission: sim.NewResource(env, label+"mgmt.admission", cfg.MaxInFlight),
+		threads:   sim.NewResource(env, label+"mgmt.threads", cfg.Threads),
+		db:        db,
+		network:   network,
 		locks:     make(map[inventory.ID]*sim.Resource),
-		global:    sim.NewResource(env, cfg.Label+"mgmt.globallock", 1),
+		global:    sim.NewResource(env, label+"mgmt.globallock", 1),
 		perKind:   make(map[ops.Kind]*kindStats),
 	}
 	m.globalRel = func() { m.global.Release(1) }
-	if cfg.SharedDB != nil {
-		m.db = cfg.SharedDB
-	} else {
-		m.db = sim.NewResource(env, cfg.Label+"mgmt.db", cfg.DBConns)
-	}
-	switch {
-	case cfg.SharedWAL != nil:
-		m.waldb = cfg.SharedWAL
-	case cfg.Database != nil:
-		waldb, err := mgmtdb.New(env, *cfg.Database)
-		if err != nil {
-			return nil, err
-		}
-		m.waldb = waldb
-	}
-	if cfg.Network != nil {
-		network, err := netsim.New(env, *cfg.Network)
-		if err != nil {
-			return nil, err
-		}
-		m.network = network
-	}
-	m.registerMetrics(env.Metrics())
+	m.registerMetrics(env.Metrics(), label)
 	return m, nil
 }
 
 // registerMetrics wires the manager's serialization points — admission,
-// worker threads, the database, and inventory locking — into the
-// registry. All probes pull statistics the manager accumulates anyway,
-// so enabling metrics cannot change the event order.
-func (m *Manager) registerMetrics(reg *metrics.Registry) {
+// worker threads, and inventory locking — into the registry (the
+// database registers itself when built). All probes pull statistics the
+// manager accumulates anyway, so enabling metrics cannot change the
+// event order.
+func (m *Manager) registerMetrics(reg *metrics.Registry, label string) {
 	if reg == nil {
 		return
 	}
 	m.admission.RegisterMetrics("mgmt")
 	m.threads.RegisterMetrics("mgmt")
-	if m.waldb == nil && m.cfg.SharedDB == nil {
-		m.db.RegisterMetrics("mgmt")
-	}
 	if m.cfg.Granularity == GranularityCoarse {
 		m.global.RegisterMetrics("mgmt")
 	}
-	// The Label prefix keeps per-shard series from colliding in the
+	// The label prefix keeps per-shard series from colliding in the
 	// registry (duplicate keys replace the probe); a single manager has
 	// an empty label and registers exactly the historical keys.
-	m.lockWait = reg.Histogram("mgmt", m.cfg.Label+"inventory.locks", "wait_s")
-	m.taskLat = reg.Histogram("mgmt", m.cfg.Label+"tasks", "latency_s")
-	reg.ScalarFunc("mgmt", m.cfg.Label+"tasks", "completed", func() float64 { return float64(m.nextTaskID) })
-	reg.ScalarFunc("mgmt", m.cfg.Label+"tasks", "errors", func() float64 { return float64(m.errs) })
-	reg.ScalarFunc("mgmt", m.cfg.Label+"inventory.locks", "live", func() float64 { return float64(len(m.locks)) })
+	m.lockWait = reg.Histogram("mgmt", label+"inventory.locks", "wait_s")
+	m.taskLat = reg.Histogram("mgmt", label+"tasks", "latency_s")
+	reg.ScalarFunc("mgmt", label+"tasks", "completed", func() float64 { return float64(m.nextTaskID) })
+	reg.ScalarFunc("mgmt", label+"tasks", "errors", func() float64 { return float64(m.errs) })
+	reg.ScalarFunc("mgmt", label+"inventory.locks", "live", func() float64 { return float64(len(m.locks)) })
 	if m.cfg.Faults != nil {
 		// Retry/failure/goodput series exist only when faults can occur,
 		// keeping uninstrumented snapshots identical to pre-faults runs.
-		reg.ScalarFunc("mgmt", m.cfg.Label+"retry", "attempts", func() float64 { return float64(m.retry.Attempts) })
-		reg.ScalarFunc("mgmt", m.cfg.Label+"retry", "faults", func() float64 { return float64(m.retry.Faults) })
-		reg.ScalarFunc("mgmt", m.cfg.Label+"retry", "retries", func() float64 { return float64(m.retry.Retries) })
-		reg.ScalarFunc("mgmt", m.cfg.Label+"retry", "giveups", func() float64 { return float64(m.retry.GiveUps) })
-		reg.ScalarFunc("mgmt", m.cfg.Label+"retry", "goodput_frac", func() float64 {
+		reg.ScalarFunc("mgmt", label+"retry", "attempts", func() float64 { return float64(m.retry.Attempts) })
+		reg.ScalarFunc("mgmt", label+"retry", "faults", func() float64 { return float64(m.retry.Faults) })
+		reg.ScalarFunc("mgmt", label+"retry", "retries", func() float64 { return float64(m.retry.Retries) })
+		reg.ScalarFunc("mgmt", label+"retry", "giveups", func() float64 { return float64(m.retry.GiveUps) })
+		reg.ScalarFunc("mgmt", label+"retry", "goodput_frac", func() float64 {
 			if m.nextTaskID == 0 {
 				return 0
 			}
@@ -396,15 +351,6 @@ func (m *Manager) NetworkStats() (bw.EngineStats, bool) {
 	return m.network.Stats(), true
 }
 
-// WALStats returns the detailed database statistics, or (zero, false)
-// when the manager runs the aggregate DB model.
-func (m *Manager) WALStats() (mgmtdb.Stats, bool) {
-	if m.waldb == nil {
-		return mgmtdb.Stats{}, false
-	}
-	return m.waldb.Stats(), true
-}
-
 // Env returns the simulation environment.
 func (m *Manager) Env() *sim.Env { return m.env }
 
@@ -417,8 +363,8 @@ func (m *Manager) Storage() *storage.Pool { return m.pool }
 // Agents returns the host-agent registry.
 func (m *Manager) Agents() *hostsim.Registry { return m.agents }
 
-// Config returns the manager's configuration.
-func (m *Manager) Config() Config { return m.cfg }
+// DB returns the management database the manager writes through.
+func (m *Manager) DB() *DB { return m.db }
 
 // AddTaskSink registers fn to be called with every completed task (used by
 // the trace writer and online analyses).
@@ -690,7 +636,7 @@ func (m *Manager) runAttempt(p *sim.Proc, task *Task, spec ExecSpec, sample ops.
 	preWrites := (writes*6 + 9) / 10
 	m.mgmtStage(p, task, sample.Mgmt*0.6)
 	dbOut := m.cfg.Faults.Decide(faults.LayerDB, kind, task.ID, attempt)
-	m.dbStage(p, task, sample.DB*0.6, preWrites, dbOut.StallS)
+	m.db.stage(p, task, sample.DB*0.6, preWrites, dbOut.StallS)
 	if dbOut.Fail {
 		return &faults.Error{Layer: faults.LayerDB, Op: kind, Attempt: attempt}
 	}
@@ -738,7 +684,7 @@ func (m *Manager) runAttempt(p *sim.Proc, task *Task, spec ExecSpec, sample ops.
 	// 6. Manager post-processing and final DB updates (task completion,
 	// inventory commit).
 	m.mgmtStage(p, task, sample.Mgmt*0.4)
-	m.dbStage(p, task, sample.DB*0.4, writes-preWrites, 0)
+	m.db.stage(p, task, sample.DB*0.4, writes-preWrites, 0)
 	return nil
 }
 
@@ -752,38 +698,6 @@ func (m *Manager) mgmtStage(p *sim.Proc, task *Task, seconds float64) {
 	p.Sleep(seconds)
 	m.threads.Release(1)
 	task.Breakdown.Mgmt += seconds
-}
-
-// dbStage charges one database interaction. Under the aggregate model it
-// is `seconds` of service behind the connection pool; under the WAL model
-// it is `writes` real row commits with group-commit durability. stallS
-// is injected fault latency: folded into the aggregate service time, or
-// charged as a pre-commit delay under the WAL model (always 0 when
-// faults are off, so the disabled path schedules no extra events).
-func (m *Manager) dbStage(p *sim.Proc, task *Task, seconds float64, writes int, stallS float64) {
-	if m.waldb != nil {
-		if stallS > 0 {
-			p.Sleep(stallS)
-			task.Breakdown.DB += stallS
-		}
-		if writes <= 0 {
-			return
-		}
-		wait, service := m.waldb.Commit(p, writes)
-		task.Breakdown.Queue += wait
-		task.Breakdown.DB += service
-		return
-	}
-	seconds += stallS
-	if seconds <= 0 {
-		return
-	}
-	t0 := p.Now()
-	m.db.Acquire(p, 1)
-	task.Breakdown.Queue += p.Now() - t0
-	p.Sleep(seconds)
-	m.db.Release(1)
-	task.Breakdown.DB += seconds
 }
 
 func (m *Manager) record(t *Task) {
@@ -805,12 +719,11 @@ func (m *Manager) TasksCompleted() int64 { return m.nextTaskID }
 // TaskErrors returns the number of tasks that completed with an error.
 func (m *Manager) TaskErrors() int64 { return m.errs }
 
-// ResourceReport exposes the manager's serialization points for the
-// queueing experiments.
+// ResourceReport exposes the manager's own serialization points for the
+// queueing experiments; DB().Stats() reports the database's.
 type ResourceReport struct {
 	Admission sim.ResourceStats
 	Threads   sim.ResourceStats
-	DB        sim.ResourceStats
 }
 
 // Resources returns current resource statistics.
@@ -818,6 +731,5 @@ func (m *Manager) Resources() ResourceReport {
 	return ResourceReport{
 		Admission: m.admission.Stats(),
 		Threads:   m.threads.Stats(),
-		DB:        m.db.Stats(),
 	}
 }

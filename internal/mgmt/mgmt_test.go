@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"cloudmcp/internal/hostsim"
 	"cloudmcp/internal/inventory"
 	"cloudmcp/internal/mgmtdb"
 	"cloudmcp/internal/netsim"
@@ -29,7 +30,18 @@ type fixture struct {
 func newFixture(t *testing.T, cfg Config) *fixture {
 	t.Helper()
 	fx := testfix.New(testfix.Options{})
-	mgr, err := New(fx.Env, fx.Inv, fx.Pool, fx.Model, rng.Derive(1, "mgmt-test"), cfg)
+	db, err := NewDB(fx.Env, "", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var network *netsim.Network
+	if cfg.Network != nil {
+		if network, err = netsim.New(fx.Env, *cfg.Network); err != nil {
+			t.Fatal(err)
+		}
+	}
+	agents := hostsim.NewRegistry(fx.Env, fx.Inv, cfg.HostSlots)
+	mgr, err := New(fx.Env, fx.Inv, fx.Pool, agents, db, network, fx.Model, rng.Derive(1, "mgmt-test"), "", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,29 +175,6 @@ func TestSnapshotLifecycle(t *testing.T) {
 		// Removing with no snapshots errors.
 		if task := f.mgr.SnapshotRemove(p, vm, ReqCtx{Org: "org"}); task.Err == nil {
 			t.Error("snapshot remove with none succeeded")
-		}
-	})
-	f.env.Run(sim.Forever)
-	if err := f.inv.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestConsolidateResetsChain(t *testing.T) {
-	f := newFixture(t, DefaultConfig())
-	f.env.Go("c", func(p *sim.Proc) {
-		vm, _ := f.mgr.DeployVM(p, "vm0", f.tpl, f.hosts[0], f.ds[0], ops.LinkedClone, ReqCtx{Org: "org"})
-		for i := 0; i < 3; i++ {
-			f.mgr.SnapshotCreate(p, vm, ReqCtx{Org: "org"})
-		}
-		if vm.ChainLen != 4 {
-			t.Errorf("chain = %d", vm.ChainLen)
-		}
-		if task := f.mgr.Consolidate(p, vm, ReqCtx{Org: "org"}); task.Err != nil {
-			t.Errorf("consolidate: %v", task.Err)
-		}
-		if vm.ChainLen != 1 || vm.Snapshots != 0 {
-			t.Errorf("after consolidate chain=%d snaps=%d", vm.ChainLen, vm.Snapshots)
 		}
 	})
 	f.env.Run(sim.Forever)
@@ -368,7 +357,7 @@ func TestInvalidConfigRejected(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
 	bad := DefaultConfig()
 	bad.Threads = 0
-	if _, err := New(f.env, f.inv, f.pool, ops.DefaultCostModel(), rng.New(1), bad); err == nil {
+	if _, err := New(f.env, f.inv, f.pool, nil, nil, nil, ops.DefaultCostModel(), rng.New(1), "", bad); err == nil {
 		t.Fatal("expected config error")
 	}
 }
@@ -436,12 +425,8 @@ func TestEnterMaintenanceEvacuates(t *testing.T) {
 				t.Errorf("vm state %v after evacuation", vm.State)
 			}
 		}
-		// Exit restores service.
-		if task := f.mgr.ExitMaintenance(p, f.hosts[0], ReqCtx{Org: "admin"}); task.Err != nil {
-			t.Errorf("exit: %v", task.Err)
-		}
-		if f.hosts[0].Maintenance {
-			t.Error("host still fenced")
+		if task := f.mgr.EnterMaintenance(p, f.hosts[0], ReqCtx{Org: "admin"}); task.Err == nil {
+			t.Error("double enter succeeded")
 		}
 	})
 	f.env.Run(sim.Forever)
@@ -474,22 +459,6 @@ func TestEnterMaintenanceAbortsWhenNoCapacity(t *testing.T) {
 	f.env.Run(sim.Forever)
 }
 
-func TestExitMaintenanceRequiresMaintenance(t *testing.T) {
-	f := newFixture(t, DefaultConfig())
-	f.env.Go("admin", func(p *sim.Proc) {
-		if task := f.mgr.ExitMaintenance(p, f.hosts[0], ReqCtx{Org: "admin"}); task.Err == nil {
-			t.Error("exit of in-service host succeeded")
-		}
-		vm, _ := f.mgr.DeployVM(p, "vm", f.tpl, f.hosts[0], f.ds[0], ops.LinkedClone, ReqCtx{Org: "o"})
-		_ = vm
-		f.mgr.EnterMaintenance(p, f.hosts[0], ReqCtx{Org: "admin"})
-		if task := f.mgr.EnterMaintenance(p, f.hosts[0], ReqCtx{Org: "admin"}); task.Err == nil {
-			t.Error("double enter succeeded")
-		}
-	})
-	f.env.Run(sim.Forever)
-}
-
 func TestWALDatabaseIntegration(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Database = &mgmtdb.Config{Conns: 4, WriteS: 0.01, FlushS: 0.05, GroupWindowS: 0.01}
@@ -506,10 +475,10 @@ func TestWALDatabaseIntegration(t *testing.T) {
 		f.mgr.PowerOn(p, vm, ReqCtx{Org: "o"})
 	})
 	f.env.Run(sim.Forever)
-	st, ok := f.mgr.WALStats()
-	if !ok {
-		t.Fatal("WAL stats unavailable")
+	if got := f.mgr.DB().Name(); got != "mgmt.db(wal)" {
+		t.Fatalf("WAL database named %q", got)
 	}
+	st := f.mgr.DB().WALStats()
 	// Deploy (6 writes: 4 pre + 2 post) and powerOn (3 writes: 2 + 1)
 	// each commit twice.
 	if st.Commits != 4 {
@@ -525,8 +494,11 @@ func TestWALDatabaseIntegration(t *testing.T) {
 
 func TestWALStatsAbsentByDefault(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
-	if _, ok := f.mgr.WALStats(); ok {
-		t.Fatal("WAL stats present without Database config")
+	if st := f.mgr.DB().WALStats(); st != (mgmtdb.Stats{}) {
+		t.Fatalf("WAL stats %+v without Database config", st)
+	}
+	if got := f.mgr.DB().Name(); got != "mgmt.db" {
+		t.Fatalf("aggregate database named %q", got)
 	}
 }
 

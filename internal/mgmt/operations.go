@@ -239,41 +239,6 @@ func (m *Manager) Destroy(p *sim.Proc, vm *inventory.VM, ctx ReqCtx) *Task {
 	return task
 }
 
-// Consolidate collapses vm's whole redo chain back to its base (or to the
-// linked-clone link), reclaiming snapshot space.
-func (m *Manager) Consolidate(p *sim.Proc, vm *inventory.VM, ctx ReqCtx) *Task {
-	req := ops.Request{Kind: ops.KindConsolidate, VMID: vm.ID}
-	ctx.apply(&req, p)
-	return m.Execute(p, ExecSpec{
-		Req:         req,
-		LockTargets: []inventory.ID{vm.ID, vm.DatastoreID},
-		HostID:      vm.HostID,
-		Pre:         ctx.Pre,
-		Body: func(p *sim.Proc) error {
-			if vm.State == inventory.VMDeleted {
-				return fmt.Errorf("mgmt: consolidate of deleted VM %s", vm.Name)
-			}
-			base := 0
-			if vm.LinkedParent != inventory.None {
-				base = 1
-			}
-			extra := vm.ChainLen - base
-			if extra <= 0 {
-				return nil
-			}
-			if err := m.pool.Consolidate(p, vm.DatastoreID, extra); err != nil {
-				return err
-			}
-			gb := float64(vm.Snapshots) * m.pool.Policy.SnapshotGB
-			vm.DiskGB -= gb
-			m.inv.AddDatastoreUsed(m.inv.Datastore(vm.DatastoreID), -gb)
-			vm.Snapshots = 0
-			vm.ChainLen = base
-			return nil
-		},
-	})
-}
-
 // FullCopyTemplate clones tpl's base disk to dst as a new template (the
 // data-plane half of catalog publication and shadow-VM creation); the
 // control-plane half is charged by the caller's surrounding Execute.
@@ -326,25 +291,6 @@ func (m *Manager) EnterMaintenance(p *sim.Proc, host *inventory.Host, ctx ReqCtx
 					return fmt.Errorf("mgmt: evacuating %s: %w", host.Name, task.Err)
 				}
 			}
-			return nil
-		},
-	})
-}
-
-// ExitMaintenance returns host to service.
-func (m *Manager) ExitMaintenance(p *sim.Proc, host *inventory.Host, ctx ReqCtx) *Task {
-	req := ops.Request{Kind: ops.KindMaintenance}
-	ctx.apply(&req, p)
-	return m.Execute(p, ExecSpec{
-		Req:         req,
-		LockTargets: []inventory.ID{host.ID},
-		HostID:      host.ID,
-		Pre:         ctx.Pre,
-		Body: func(p *sim.Proc) error {
-			if !host.Maintenance {
-				return fmt.Errorf("mgmt: host %s not in maintenance", host.Name)
-			}
-			m.inv.SetHostMaintenance(host, false)
 			return nil
 		},
 	})

@@ -79,33 +79,42 @@ type DB struct {
 	groupHist stats.Moments
 }
 
-// New builds a database. Pool and WAL-flush occupancy register with the
-// environment's metrics registry (if any) under the "mgmtdb" layer.
+// New builds a database. Its metrics register separately, through
+// RegisterMetrics, so the builder can label one database among several.
 func New(env *sim.Env, cfg Config) (*DB, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	db := &DB{
+	return &DB{
 		env:   env,
 		cfg:   cfg,
 		conns: sim.NewResource(env, "db.conns", cfg.Conns),
 		flush: sim.NewResource(env, "db.flush", 1),
+	}, nil
+}
+
+// RegisterMetrics registers pool and WAL-flush occupancy and the commit
+// counters with the environment's metrics registry (if any) under the
+// "mgmtdb" layer. label prefixes every resource key, so the databases of
+// several manager shards stay distinguishable; "" keeps the plain keys.
+func (db *DB) RegisterMetrics(label string) {
+	reg := db.env.Metrics()
+	if reg == nil {
+		return
 	}
-	if reg := env.Metrics(); reg != nil {
-		db.conns.RegisterMetrics("mgmtdb")
-		db.flush.RegisterMetrics("mgmtdb")
-		reg.ScalarFunc("mgmtdb", "wal", "commits", func() float64 { return float64(db.commits) })
-		reg.ScalarFunc("mgmtdb", "wal", "flushes", func() float64 { return float64(db.flushes) })
-		reg.ScalarFunc("mgmtdb", "wal", "rows", func() float64 { return float64(db.rows) })
-		reg.ScalarFunc("mgmtdb", "wal", "mean_commit_lat_s", func() float64 { return db.commitLat.Mean() })
-		reg.ScalarFunc("mgmtdb", "wal", "mean_group_size", func() float64 {
-			if db.flushes == 0 {
-				return 0
-			}
-			return db.groupHist.Mean()
-		})
-	}
-	return db, nil
+	db.conns.RegisterMetricsAs("mgmtdb", label+"db.conns")
+	db.flush.RegisterMetricsAs("mgmtdb", label+"db.flush")
+	wal := label + "wal"
+	reg.ScalarFunc("mgmtdb", wal, "commits", func() float64 { return float64(db.commits) })
+	reg.ScalarFunc("mgmtdb", wal, "flushes", func() float64 { return float64(db.flushes) })
+	reg.ScalarFunc("mgmtdb", wal, "rows", func() float64 { return float64(db.rows) })
+	reg.ScalarFunc("mgmtdb", wal, "mean_commit_lat_s", func() float64 { return db.commitLat.Mean() })
+	reg.ScalarFunc("mgmtdb", wal, "mean_group_size", func() float64 {
+		if db.flushes == 0 {
+			return 0
+		}
+		return db.groupHist.Mean()
+	})
 }
 
 // Config returns the database's configuration.

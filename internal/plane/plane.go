@@ -7,7 +7,9 @@
 // serialization points the paper shows saturating — while the
 // management database is either one shared instance every shard
 // contends on (the scale-out bottleneck the paper predicts) or a
-// private per-shard instance.
+// private per-shard instance. The plane builds everything the shards run
+// on — the databases, the one host-agent registry and the one migration
+// network — and hands each manager its share.
 //
 // Operations whose source and destination hosts live on different
 // shards (migrations) run under a two-phase coordinator: a prepare
@@ -15,10 +17,11 @@
 // commit round-trip after it, so cross-shard work costs extra DB
 // traffic and queueing without changing the per-task trace schema.
 //
-// Shards==1 is the identity topology: the plane builds exactly the one
-// manager core.New always built — same rng stream labels, same resource
-// names, same event sequence — and routes calls straight through, so
-// single-shard artifacts are byte-identical to the pre-plane code.
+// Shards==1 is the identity topology: through the same builder path the
+// plane builds the one manager core.New always built — same rng stream
+// label, unprefixed resource names, same event sequence — and routes
+// calls straight through, so single-shard artifacts are byte-identical
+// to the pre-plane code.
 package plane
 
 import (
@@ -27,7 +30,7 @@ import (
 	"cloudmcp/internal/hostsim"
 	"cloudmcp/internal/inventory"
 	"cloudmcp/internal/mgmt"
-	"cloudmcp/internal/mgmtdb"
+	"cloudmcp/internal/netsim"
 	"cloudmcp/internal/ops"
 	"cloudmcp/internal/rng"
 	"cloudmcp/internal/sim"
@@ -51,8 +54,8 @@ const (
 type Config struct {
 	// Shards is the number of management-server shards (>= 1).
 	Shards int
-	// DB selects shared vs per-shard database mode. Ignored (no shared
-	// instance is built) when Shards == 1.
+	// DB selects shared vs per-shard database mode. With one shard both
+	// modes build the same single database.
 	DB DBMode
 	// CoordWriteS is the aggregate-model DB service time, in seconds,
 	// of one two-phase-coordinator round-trip (prepare or commit) per
@@ -95,6 +98,7 @@ type Plane struct {
 	env    *sim.Env
 	cfg    Config
 	shards []*mgmt.Manager
+	dbs    []*mgmt.DB           // distinct databases in shard order
 	owner  map[inventory.ID]int // host → owning shard
 
 	crossOps int64
@@ -102,54 +106,58 @@ type Plane struct {
 }
 
 // New builds the topology described by cfg over the shared inventory,
-// storage pool, and cost model. seed derives each shard's stage-time
-// stream; mcfg is the per-shard manager configuration (its SharedDB,
-// SharedWAL, SharedAgents, and Label fields are owned by the plane and
-// must be left zero).
+// storage pool, and cost model. It builds what the shards run on — the
+// management databases (one shared, or one per shard), the host-agent
+// registry and the migration network, each of which exists once however
+// the plane is sharded — and then each shard's manager over them. seed
+// derives each shard's stage-time stream; mcfg is the per-shard manager
+// configuration.
 //
-// With Shards == 1 this is construction-for-construction what core.New
-// historically did: one manager on stream rng.Derive(seed, "mgmt") with
-// unprefixed resource names.
+// Every shard count takes the same path. With Shards == 1 it is
+// construction-for-construction what core.New historically did: one
+// manager on stream rng.Derive(seed, "mgmt") with unprefixed resource
+// names, and no host partition.
 func New(env *sim.Env, inv *inventory.Inventory, pool *storage.Pool, model *ops.CostModel, seed int64, mcfg mgmt.Config, cfg Config) (*Plane, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if mcfg.Label != "" || mcfg.SharedDB != nil || mcfg.SharedWAL != nil || mcfg.SharedAgents != nil {
-		return nil, fmt.Errorf("plane: mgmt config sharing fields are plane-owned, must be zero")
+	if err := mcfg.Validate(); err != nil {
+		return nil, err
 	}
 	pl := &Plane{env: env, cfg: cfg, owner: make(map[inventory.ID]int)}
-
-	if cfg.Shards == 1 {
-		mgr, err := mgmt.New(env, inv, pool, model, rng.Derive(seed, "mgmt"), mcfg)
-		if err != nil {
+	agents := hostsim.NewRegistry(env, inv, mcfg.HostSlots)
+	var network *netsim.Network
+	if mcfg.Network != nil {
+		var err error
+		if network, err = netsim.New(env, *mcfg.Network); err != nil {
 			return nil, err
 		}
-		pl.shards = []*mgmt.Manager{mgr}
-		return pl, nil
 	}
-
-	// Host agents are per-host daemons — one registry regardless of how
-	// the plane is sharded.
-	mcfg.SharedAgents = hostsim.NewRegistry(env, inv, mcfg.HostSlots)
-	if cfg.DB == DBShared {
-		if mcfg.Database != nil {
-			wal, err := mgmtdb.New(env, *mcfg.Database)
-			if err != nil {
+	var db *mgmt.DB
+	for i := 0; i < cfg.Shards; i++ {
+		label, stream := "", "mgmt"
+		if cfg.Shards > 1 {
+			label, stream = fmt.Sprintf("shard%d.", i), fmt.Sprintf("mgmt.shard%d", i)
+		}
+		if db == nil || cfg.DB == DBPerShard {
+			dbLabel := label
+			if cfg.DB == DBShared {
+				dbLabel = ""
+			}
+			var err error
+			if db, err = mgmt.NewDB(env, dbLabel, mcfg); err != nil {
 				return nil, err
 			}
-			mcfg.SharedWAL = wal
-		} else {
-			mcfg.SharedDB = sim.NewResource(env, "mgmt.db", mcfg.DBConns)
+			pl.dbs = append(pl.dbs, db)
 		}
-	}
-	for i := 0; i < cfg.Shards; i++ {
-		scfg := mcfg
-		scfg.Label = fmt.Sprintf("shard%d.", i)
-		mgr, err := mgmt.New(env, inv, pool, model, rng.Derive(seed, fmt.Sprintf("mgmt.shard%d", i)), scfg)
+		mgr, err := mgmt.New(env, inv, pool, agents, db, network, model, rng.Derive(seed, stream), label, mcfg)
 		if err != nil {
 			return nil, err
 		}
 		pl.shards = append(pl.shards, mgr)
+	}
+	if cfg.Shards == 1 {
+		return pl, nil
 	}
 
 	// Deterministic contiguous-block partition over the inventory's host
@@ -182,6 +190,10 @@ func (pl *Plane) ShardOf(host inventory.ID) int {
 // Shards returns every shard's manager in shard order.
 func (pl *Plane) Shards() []*mgmt.Manager { return pl.shards }
 
+// DBs returns the distinct management databases in shard order: one
+// when the shards share it, one per shard otherwise.
+func (pl *Plane) DBs() []*mgmt.DB { return pl.dbs }
+
 // Home returns the home shard (shard 0), which owns unpartitioned work:
 // template-library copies and host-less Execute specs.
 func (pl *Plane) Home() *mgmt.Manager { return pl.shards[0] }
@@ -190,9 +202,6 @@ func (pl *Plane) Home() *mgmt.Manager { return pl.shards[0] }
 func (pl *Plane) Stats() Stats {
 	return Stats{Shards: len(pl.shards), DB: pl.cfg.DB, CrossOps: pl.crossOps, CoordS: pl.coordS}
 }
-
-// Config returns the plane's topology configuration.
-func (pl *Plane) Config() Config { return pl.cfg }
 
 // route returns the manager of the shard owning host id.
 func (pl *Plane) route(id inventory.ID) *mgmt.Manager { return pl.shards[pl.ShardOf(id)] }
@@ -209,7 +218,7 @@ func (pl *Plane) coordinate(p *sim.Proc, a, b int) ops.Breakdown {
 		lo, hi = hi, lo
 	}
 	for _, s := range []int{lo, hi} {
-		wait, service := pl.shards[s].DBRoundTrip(p, pl.cfg.CoordWriteS)
+		wait, service := pl.shards[s].DB().RoundTrip(p, pl.cfg.CoordWriteS)
 		bd.Queue += wait
 		bd.DB += service
 	}

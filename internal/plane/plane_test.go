@@ -1,11 +1,15 @@
 package plane
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
+	"cloudmcp/internal/hostsim"
 	"cloudmcp/internal/inventory"
 	"cloudmcp/internal/mgmt"
+	"cloudmcp/internal/netsim"
 	"cloudmcp/internal/ops"
 	"cloudmcp/internal/rng"
 	"cloudmcp/internal/sim"
@@ -43,15 +47,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestNewRejectsPlaneOwnedManagerFields(t *testing.T) {
-	fx := testfix.New(testfix.Options{})
-	mcfg := mgmt.DefaultConfig()
-	mcfg.Label = "rogue."
-	if _, err := New(fx.Env, fx.Inv, fx.Pool, fx.Model, 1, mcfg, DefaultConfig()); err == nil {
-		t.Fatal("plane accepted a pre-labelled manager config")
-	}
-}
-
 // A single-shard plane must be the identity refactor: the same deploy
 // against a raw manager built the way core.New historically built it
 // (stream "mgmt", unprefixed resources) yields bit-identical task
@@ -66,7 +61,13 @@ func TestSingleShardIsIdentity(t *testing.T) {
 		return task
 	}
 	rawFx := testfix.New(testfix.Options{})
-	raw, err := mgmt.New(rawFx.Env, rawFx.Inv, rawFx.Pool, rawFx.Model, rng.Derive(1, "mgmt"), mgmt.DefaultConfig())
+	mcfg := mgmt.DefaultConfig()
+	db, err := mgmt.NewDB(rawFx.Env, "", mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agents := hostsim.NewRegistry(rawFx.Env, rawFx.Inv, mcfg.HostSlots)
+	raw, err := mgmt.New(rawFx.Env, rawFx.Inv, rawFx.Pool, agents, db, nil, rawFx.Model, rng.Derive(1, "mgmt"), "", mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestRoutingByHostOwner(t *testing.T) {
 // after it, both counted in Stats. Same-shard migrations pay nothing.
 func TestCrossShardMigrateCoordination(t *testing.T) {
 	fx, pl := newPlane(t, 4, 2, DBShared)
-	coordWrite := pl.Config().CoordWriteS
+	coordWrite := DefaultConfig().CoordWriteS
 	var vmA, vmB *inventory.VM
 	var same, cross *mgmt.Task
 	fx.Env.Go("u", func(p *sim.Proc) {
@@ -198,14 +199,97 @@ func TestTaskSinkFansOutAcrossShards(t *testing.T) {
 // collide, while the single-shard plane keeps the historical unprefixed
 // names.
 func TestShardResourceLabels(t *testing.T) {
-	_, pl := newPlane(t, 4, 2, DBShared)
+	_, pl := newPlane(t, 4, 2, DBPerShard)
 	for i, m := range pl.Shards() {
-		if got, want := m.Config().Label, map[int]string{0: "shard0.", 1: "shard1."}[i]; got != want {
-			t.Fatalf("shard %d label %q, want %q", i, got, want)
+		label := fmt.Sprintf("shard%d.", i)
+		if got := m.Resources().Threads.Name; got != label+"mgmt.threads" {
+			t.Fatalf("shard %d threads named %q, want prefix %q", i, got, label)
+		}
+		if got := m.DB().Name(); got != label+"mgmt.db" {
+			t.Fatalf("shard %d database named %q, want prefix %q", i, got, label)
 		}
 	}
-	_, single := newPlane(t, 2, 1, DBShared)
-	if got := single.Home().Config().Label; got != "" {
-		t.Fatalf("single-shard label %q, want empty", got)
+	_, single := newPlane(t, 2, 1, DBPerShard)
+	if got := single.Home().Resources().Threads.Name; got != "mgmt.threads" {
+		t.Fatalf("single-shard threads named %q", got)
+	}
+}
+
+// DBs lists each distinct database once, in shard order — the shared
+// instance alone, or every shard's own — and every shard writes through
+// one of them.
+func TestDBsDistinctInShardOrder(t *testing.T) {
+	for _, tc := range []struct {
+		shards int
+		mode   DBMode
+		want   []string
+	}{
+		{1, DBShared, []string{"mgmt.db"}},
+		{1, DBPerShard, []string{"mgmt.db"}},
+		{3, DBShared, []string{"mgmt.db"}},
+		{3, DBPerShard, []string{"shard0.mgmt.db", "shard1.mgmt.db", "shard2.mgmt.db"}},
+	} {
+		_, pl := newPlane(t, 4, tc.shards, tc.mode)
+		var got []string
+		for _, db := range pl.DBs() {
+			got = append(got, db.Name())
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("%d shards %s: databases %q, want %q", tc.shards, tc.mode, got, tc.want)
+		}
+		for i, m := range pl.Shards() {
+			if want := pl.DBs()[min(i, len(pl.DBs())-1)]; m.DB() != want {
+				t.Fatalf("%d shards %s: shard %d writes through %s, want %s", tc.shards, tc.mode, i, m.DB().Name(), want.Name())
+			}
+		}
+	}
+}
+
+// The migration network is one physical link however the plane is
+// sharded: concurrent migrations owned by different shards share it
+// exactly as they do on one shard.
+func TestMigrationNetworkSharedAcrossShards(t *testing.T) {
+	dataS := func(shards int) [2]float64 {
+		fx := testfix.New(testfix.Options{Hosts: 4})
+		mcfg := mgmt.DefaultConfig()
+		mcfg.Network = &netsim.Config{MBps: 1024} // a 2048 MB copy takes 2 s alone
+		cfg := DefaultConfig()
+		cfg.Shards = shards
+		pl, err := New(fx.Env, fx.Inv, fx.Pool, fx.Model, 1, mcfg, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [2]float64
+		// Host 0 → 1 stays on shard 0 and host 2 → 3 on shard 1.
+		for i, move := range [2][2]int{{0, 1}, {2, 3}} {
+			vm, err := fx.Inv.AddVM("vm", fx.Hosts[move[0]], fx.DS[0], 1, 2048, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vm.State = inventory.VMPoweredOff
+			i, dst := i, fx.Hosts[move[1]]
+			fx.Env.Go("m", func(p *sim.Proc) {
+				task := pl.Migrate(p, vm, dst, mgmt.ReqCtx{Org: "x"})
+				if task.Err != nil {
+					t.Error(task.Err)
+				}
+				out[i] = task.Breakdown.Data
+			})
+		}
+		fx.Env.Run(sim.Forever)
+		if st := pl.Stats(); st.CrossOps != 0 {
+			t.Fatalf("%d shards: %d cross-shard migrations, want 0", shards, st.CrossOps)
+		}
+		return out
+	}
+	one, two := dataS(1), dataS(2)
+	for i := range one {
+		// Two concurrent copies on one 1024 MB/s link: ~4 s each.
+		if one[i] < 3.5 || one[i] > 4.5 {
+			t.Fatalf("one shard: migration %d data %.3f s, want ~4 (shared link)", i, one[i])
+		}
+	}
+	if one != two {
+		t.Fatalf("data-plane seconds on 2 shards %v, on 1 shard %v: shards must share one link", two, one)
 	}
 }

@@ -576,12 +576,16 @@ func (r *Resource) Stats() ResourceStats {
 // RegisterMetrics registers the resource's busy-time and queue-time
 // statistics with the environment's metrics registry under the given
 // layer, keyed by the resource's name. No-op when metrics are disabled.
-func (r *Resource) RegisterMetrics(layer string) {
+func (r *Resource) RegisterMetrics(layer string) { r.RegisterMetricsAs(layer, r.name) }
+
+// RegisterMetricsAs is RegisterMetrics keyed by name instead of the
+// resource's own name.
+func (r *Resource) RegisterMetricsAs(layer, name string) {
 	reg := r.env.metrics
 	if reg == nil {
 		return
 	}
-	reg.ResourceFunc(layer, r.name, func() metrics.ResourceSample {
+	reg.ResourceFunc(layer, name, func() metrics.ResourceSample {
 		s := r.Stats()
 		return metrics.ResourceSample{
 			Capacity:     s.Capacity,
