@@ -1,14 +1,15 @@
-// Command mcpbench runs the full experiment suite (E1..E16, the
-// reconstructed paper tables/figures plus the extensions) and prints
-// every artifact. Experiments and their internal parameter sweeps run in
-// parallel across -workers cores; output is byte-identical for any
-// worker count at a fixed seed. E17 (fault injection), E18
-// (management-plane scale-out), E19 (inventory scale ladder), E20
-// (reconciliation interference), E21 (policy tournament) and E22 (serving
-// surface) are opt-in via -only and never change the default artifact.
-// Every sweep of E5..E21 is a core.Grid, so a custom closed-loop grid
-// over the axes of E6, E10, E11, E17, E18, E20 or E21 is an mcpsweep
-// command line (see core.Extensions for E18's).
+// Command mcpbench runs the default experiment suite (E1..E16: the
+// paper's characterization, provisioning study and design implications,
+// plus the operations experiments E13..E16) and prints every artifact.
+// Experiments and their internal parameter sweeps run in parallel across
+// -workers cores; output is byte-identical for any worker count at a
+// fixed seed. E17 (fault injection), E18 (management-plane scale-out),
+// E19 (inventory scale ladder), E20 (reconciliation interference), E21
+// (policy tournament) and E22 (serving surface) are opt-in via -only and
+// never change the default artifact. Every sweep of E5..E21 is a
+// core.Grid, so a custom closed-loop grid over the axes of E6, E10, E11,
+// E17, E18, E20 or E21 is an mcpsweep command line (the doc comment of
+// core.Extensions gives E18's).
 //
 //	mcpbench                 # full-scale horizons (minutes of wall time)
 //	mcpbench -quick          # CI-scale horizons (seconds)
@@ -46,9 +47,6 @@ import (
 )
 
 func main() {
-	// E22 (the serving-surface load grid) lives above core in the import
-	// graph, so it registers itself with the experiment registry here.
-	api.RegisterE22()
 	seed := flag.Int64("seed", 1, "master random seed")
 	quick := flag.Bool("quick", false, "run shortened horizons")
 	only := flag.String("only", "", "run a single experiment (E1..E22)")
@@ -114,7 +112,11 @@ func run(w io.Writer, o options) error {
 	case o.showMetrics || o.metricsOut != "":
 		return metricsProbe(w, o.seed, o.quick, o.metricsOut)
 	case o.only != "":
-		res, err := core.RunExperiment(o.only, o.seed, o.quick, o.workers)
+		e, err := lookup(o.only)
+		if err != nil {
+			return err
+		}
+		res, err := e.Exec(o.seed, o.quick, o.workers)
 		if err != nil {
 			return err
 		}
@@ -128,6 +130,22 @@ func run(w io.Writer, o options) error {
 		}
 	}
 	return core.RunAllWith(w, o.seed, o.quick, opts)
+}
+
+// experiments is every experiment -only can name, E1..E22: the default
+// suite, core's extensions, and internal/api's E22.
+func experiments() []core.Experiment {
+	return append(append(core.Experiments(), core.Extensions()...), api.E22())
+}
+
+// lookup resolves an -only name.
+func lookup(name string) (core.Experiment, error) {
+	for _, e := range experiments() {
+		if e.Name == name {
+			return e, nil
+		}
+	}
+	return core.Experiment{}, fmt.Errorf("unknown experiment %q (want E1..E22)", name)
 }
 
 // writeHeapProfile forces a GC so the profile reflects live objects, then

@@ -17,7 +17,7 @@ import (
 
 func main() {
 	fmt.Println("Step 1: where does provisioning throughput flatten?")
-	e6, err := core.RunE6(core.E6Params{Seed: 3, HorizonS: 900})
+	e6, err := core.RunE6(core.Params{Seed: 3, HorizonS: 900})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func main() {
 		e6.PeakThroughput(true), e6.PeakThroughput(false))
 
 	fmt.Println("Step 2: does adding director cells help at saturation?")
-	e10, err := core.RunE10(core.E10Params{Seed: 3, HorizonS: 900})
+	e10, err := core.RunE10(core.Params{Seed: 3, HorizonS: 900})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func main() {
 	fmt.Println()
 
 	fmt.Println("Step 3: or is lock granularity the binding constraint?")
-	e11, err := core.RunE11(core.E11Params{Seed: 3, HorizonS: 900})
+	e11, err := core.RunE11(core.Params{Seed: 3, HorizonS: 900})
 	if err != nil {
 		log.Fatal(err)
 	}

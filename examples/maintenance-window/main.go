@@ -20,7 +20,7 @@ func main() {
 	fmt.Println("background self-service load (paper-era manager sizing):")
 	fmt.Println()
 
-	res, err := core.RunE14(core.E14Params{Seed: 21, HorizonS: 1200})
+	res, err := core.RunE14(core.Params{Seed: 21, HorizonS: 1200})
 	if err != nil {
 		log.Fatal(err)
 	}

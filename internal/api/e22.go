@@ -16,7 +16,7 @@ package api
 // arrival), so E22 artifacts are *not* byte-reproducible; they are
 // load-test results, like the perf-smoke job, not determinism
 // artifacts. E22 lives here rather than internal/core because it
-// imports the server; core reaches it through RegisterExtension.
+// imports the server; mcpbench -only reaches it through the E22 row.
 //
 // Cells run serially — each one saturates the host by design, and
 // overlapping them would just measure scheduler noise.
@@ -32,11 +32,6 @@ import (
 	"cloudmcp/internal/report"
 	"cloudmcp/internal/sim"
 )
-
-// E22Params configures the serving-surface load grid.
-type E22Params struct {
-	Seed int64
-}
 
 // e22QuantumS is the injection quantum of every E22 cell, in virtual
 // seconds.
@@ -54,16 +49,24 @@ type e22Grid struct {
 
 var e22 = e22Grid{users: []int{100, 300, 1000}, ratios: []float64{120, 600}, shards: []int{1, 4}, wallS: 4}
 
+// e22Quick is the short two-cell ladder of quick (CI) runs.
+var e22Quick = e22Grid{users: []int{25, 100}, ratios: []float64{240}, shards: []int{1}, wallS: 1.5}
+
+// E22 returns the serving-surface experiment's row for mcpbench -only:
+// the full grid, or e22Quick at quick scale. Its cells read only
+// Params.Seed; a cell lasts wallS wall-clock seconds, not a horizon.
+func E22() core.Experiment {
+	return core.Experiment{Name: "E22", Run: core.Runner(e22.run), Quick: core.Runner(e22Quick.run)}
+}
+
 // E22Result holds the measured grid.
 type E22Result struct {
 	wallS float64
 	Rows  []report.APIRow
 }
 
-// RunE22 runs the serving-surface load grid.
-func RunE22(p E22Params) (*E22Result, error) { return e22.run(p) }
-
-func (d e22Grid) run(p E22Params) (*E22Result, error) {
+// run runs the serving-surface load grid.
+func (d e22Grid) run(p core.Params) (*E22Result, error) {
 	res := &E22Result{wallS: d.wallS}
 	for _, shards := range d.shards {
 		for _, ratio := range d.ratios {
@@ -147,20 +150,4 @@ func (r *E22Result) Render(w io.Writer) error {
 		return err
 	}
 	return t.Render(w)
-}
-
-// RegisterE22 adds E22 to core's experiment registry so mcpbench -only
-// E22 dispatches here. Call once from the binary's main.
-func RegisterE22() {
-	core.RegisterExtension(core.Experiment{
-		Name: "E22",
-		Run: func(seed int64, scale float64, _ int) (core.Renderable, error) {
-			d := e22
-			if scale < 1 {
-				// Quick/CI runs: a short two-cell ladder.
-				d = e22Grid{users: []int{25, 100}, ratios: []float64{240}, shards: []int{1}, wallS: 1.5}
-			}
-			return d.run(E22Params{Seed: seed})
-		},
-	})
 }

@@ -3,6 +3,8 @@ package api
 import (
 	"strings"
 	"testing"
+
+	"cloudmcp/internal/core"
 )
 
 // TestE22SingleCell runs a deliberately tiny cell end to end: full
@@ -10,7 +12,7 @@ import (
 // nonzero, separately-attributed API-queueing share.
 func TestE22SingleCell(t *testing.T) {
 	d := e22Grid{users: []int{10}, ratios: []float64{240}, shards: []int{1}, wallS: 1}
-	res, err := d.run(E22Params{Seed: 1})
+	res, err := d.run(core.Params{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,6 +151,12 @@ func DefaultConfig(seed int64) Config {
 	}
 }
 
+// Hour and Day are convenient horizons in seconds.
+const (
+	Hour = 3600.0
+	Day  = 86400.0
+)
+
 // Cloud is one assembled simulated installation.
 type Cloud struct {
 	cfg Config
@@ -449,6 +455,29 @@ func (c *Cloud) RunProfile(profile workload.Profile, horizon sim.Time) (workload
 	}
 	c.Run(horizon)
 	return gen.Stats(), nil
+}
+
+// PrepopulateVMs registers n powered-off VMs directly in the inventory —
+// round-robin across hosts and datastores, 2 vCPUs / 2 GB / 1 GB disk
+// each — modeling a long-lived installation whose inventory dwarfs its
+// operation rate. It bypasses the management plane (no tasks, no DB
+// writes, no simulated time) so the closed-loop measurement starts from
+// a populated inventory rather than spending the horizon building one.
+// Call before Run. Deterministic: depends only on n and the topology.
+func (c *Cloud) PrepopulateVMs(n int) error {
+	inv := c.inv
+	hosts := inv.Hosts()
+	dss := inv.Datastores()
+	for i := 0; i < n; i++ {
+		host := inv.Host(hosts[i%len(hosts)])
+		ds := inv.Datastore(dss[i%len(dss)])
+		vm, err := inv.AddVM(fmt.Sprintf("prevm%07d", i), host, ds, 2, 2048, 1.0)
+		if err != nil {
+			return fmt.Errorf("core: prepopulate VM %d/%d: %w", i, n, err)
+		}
+		vm.State = inventory.VMPoweredOff
+	}
+	return nil
 }
 
 // StageUtilization is one control-plane stage's utilization snapshot.

@@ -9,7 +9,6 @@ import (
 	"cloudmcp/internal/mgmt"
 	"cloudmcp/internal/ops"
 	"cloudmcp/internal/sim"
-	"cloudmcp/internal/sweep"
 	"cloudmcp/internal/workload"
 )
 
@@ -148,7 +147,7 @@ func TestSameSeedSameTrace(t *testing.T) {
 }
 
 func TestE1MixShapes(t *testing.T) {
-	r, err := RunE1(E1Params{Seed: 5, HorizonS: 3 * Hour})
+	r, err := RunE1(Params{Seed: 5, HorizonS: 3 * Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +165,7 @@ func TestE1MixShapes(t *testing.T) {
 }
 
 func TestE2Burstiness(t *testing.T) {
-	r, err := RunE2(E2Params{Seed: 5, HorizonS: 6 * Hour})
+	r, err := RunE2(Params{Seed: 5, HorizonS: 6 * Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +192,7 @@ func TestE2Burstiness(t *testing.T) {
 }
 
 func TestE3CDFMonotone(t *testing.T) {
-	r, err := RunE3(E3Params{Seed: 5, HorizonS: 4 * Hour})
+	r, err := RunE3(Params{Seed: 5, HorizonS: 4 * Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +222,7 @@ func (r *E4Result) DeployControlShare(mode string) (float64, bool) {
 }
 
 func TestE4LinkedShiftsCostToControlPlane(t *testing.T) {
-	r, err := RunE4(E4Params{Seed: 5, HorizonS: 2 * Hour})
+	r, err := RunE4(Params{Seed: 5, HorizonS: 2 * Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +242,7 @@ func TestE4LinkedShiftsCostToControlPlane(t *testing.T) {
 }
 
 func TestE5LatencyScalesWithSizeOnlyForFull(t *testing.T) {
-	r, err := e5Sweep{sizesGB: []float64{2, 32}}.run(E5Params{Seed: 5})
+	r, err := e5Sweep{sizesGB: []float64{2, 32}}.run(Params{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +259,7 @@ func TestE5LatencyScalesWithSizeOnlyForFull(t *testing.T) {
 }
 
 func TestE6LinkedScalesPastFull(t *testing.T) {
-	r, err := e6Sweep{clients: []int{1, 16}}.run(E6Params{Seed: 5, HorizonS: 900})
+	r, err := e6Sweep{clients: []int{1, 16}}.run(Params{Seed: 5, HorizonS: 900})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +276,7 @@ func TestE6LinkedScalesPastFull(t *testing.T) {
 }
 
 func TestE7QueueShareGrowsWithLoad(t *testing.T) {
-	r, err := loadSweep{rates: []float64{500, 5000}}.e7(E7Params{Seed: 5, HorizonS: 1200})
+	r, err := loadSweep{rates: []float64{500, 5000}}.e7(Params{Seed: 5, HorizonS: 1200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +292,7 @@ func TestE7QueueShareGrowsWithLoad(t *testing.T) {
 }
 
 func TestE8ReconfigPressureGrowsWithRate(t *testing.T) {
-	r, err := e8Sweep{rates: []float64{60, 480}, maxChainLen: 4}.run(E8Params{Seed: 5, HorizonS: 1800})
+	r, err := e8Sweep{rates: []float64{60, 480}, maxChainLen: 4}.run(Params{Seed: 5, HorizonS: 1800})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +311,7 @@ func TestE8ReconfigPressureGrowsWithRate(t *testing.T) {
 }
 
 func TestE9UtilizationGrowsWithLoad(t *testing.T) {
-	r, err := loadSweep{rates: []float64{500, 5000}}.e9(E9Params{Seed: 5, HorizonS: 1200})
+	r, err := loadSweep{rates: []float64{500, 5000}}.e9(Params{Seed: 5, HorizonS: 1200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +325,7 @@ func TestE9UtilizationGrowsWithLoad(t *testing.T) {
 }
 
 func TestE10MoreCellsMoreThroughput(t *testing.T) {
-	r, err := e10Sweep{cells: []int{1, 4}, clients: 48}.run(E10Params{Seed: 5, HorizonS: 900})
+	r, err := e10Sweep{cells: []int{1, 4}, clients: 48}.run(Params{Seed: 5, HorizonS: 900})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +336,7 @@ func TestE10MoreCellsMoreThroughput(t *testing.T) {
 }
 
 func TestE11FinerLocksMoreThroughput(t *testing.T) {
-	r, err := e11Sweep{clients: 32}.run(E11Params{Seed: 5, HorizonS: 900})
+	r, err := e11Sweep{clients: 32}.run(Params{Seed: 5, HorizonS: 900})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +353,7 @@ func TestE11FinerLocksMoreThroughput(t *testing.T) {
 }
 
 func TestE12PublishAmplifiedUnderFullLoadOnly(t *testing.T) {
-	r, err := e12Sweep{sizesGB: []float64{8}, clients: 32}.run(E12Params{Seed: 5, HorizonS: 900})
+	r, err := e12Sweep{sizesGB: []float64{8}, clients: 32}.run(Params{Seed: 5, HorizonS: 900})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,11 +377,11 @@ func TestE12PublishAmplifiedUnderFullLoadOnly(t *testing.T) {
 func TestExperimentRendersNonEmpty(t *testing.T) {
 	// Every Render must produce output without error; cover the ones not
 	// rendered elsewhere in this file.
-	r5, err := e5Sweep{sizesGB: []float64{2}}.run(E5Params{Seed: 9})
+	r5, err := e5Sweep{sizesGB: []float64{2}}.run(Params{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r12, err := e12Sweep{sizesGB: []float64{4}, clients: 32}.run(E12Params{Seed: 9, HorizonS: 600})
+	r12, err := e12Sweep{sizesGB: []float64{4}, clients: 32}.run(Params{Seed: 9, HorizonS: 600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +396,7 @@ func TestExperimentRendersNonEmpty(t *testing.T) {
 }
 
 func TestE13BatchingRelievesDB(t *testing.T) {
-	r, err := e13Sweep{windowsS: []float64{0, 0.1}, clients: 32}.run(E13Params{Seed: 5, HorizonS: 600})
+	r, err := e13Sweep{windowsS: []float64{0, 0.1}, clients: 32}.run(Params{Seed: 5, HorizonS: 600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +417,7 @@ func TestE13BatchingRelievesDB(t *testing.T) {
 }
 
 func TestE14EvacuationStretchesUnderLoad(t *testing.T) {
-	r, err := e14Sweep{rates: []float64{0, 6000}, hostVMs: 8}.run(E14Params{Seed: 5, HorizonS: 600})
+	r, err := e14Sweep{rates: []float64{0, 6000}, hostVMs: 8}.run(Params{Seed: 5, HorizonS: 600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +435,7 @@ func TestE14EvacuationStretchesUnderLoad(t *testing.T) {
 }
 
 func TestE15FewerCellsHurtReplayedUsers(t *testing.T) {
-	r, err := RunE15(E15Params{Seed: 5, HorizonS: 1200})
+	r, err := RunE15(Params{Seed: 5, HorizonS: 1200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +475,7 @@ func TestRunAllQuickSmoke(t *testing.T) {
 }
 
 func TestE16RestartStormStretchesUnderLoad(t *testing.T) {
-	pts, err := e16Storm{rates: []float64{0, 6000}, hostVMs: 8}.run(5, 600, sweep.Options{MasterSeed: 5})
+	pts, err := e16Storm{rates: []float64{0, 6000}, hostVMs: 8}.run(Params{Seed: 5, HorizonS: 600})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func TestQuickArtifactsGolden(t *testing.T) {
 		t.Skipf("digests are pinned on amd64, not %s", runtime.GOARCH)
 	}
 	for _, e := range append(Experiments(), Extensions()...) {
-		r, err := RunExperiment(e.Name, 1, true, 0)
+		r, err := e.Exec(1, true, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
