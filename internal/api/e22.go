@@ -122,6 +122,7 @@ func (d e22Grid) cell(seed int64, users int, ratio float64, shards int) (report.
 	<-runDone
 	_ = hs.Close()
 	<-serveErr
+	c.Close()
 	if err != nil {
 		return report.APIRow{}, err
 	}

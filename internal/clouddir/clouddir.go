@@ -540,8 +540,7 @@ func (d *Director) DeployVApp(p *sim.Proc, org string, tpl *inventory.Template, 
 	d.liveVApps[va.ID] = true
 	if d.cfg.LeaseS > 0 {
 		vaID := va.ID
-		d.env.Go("lease:"+va.Name, func(lp *sim.Proc) {
-			lp.Sleep(d.cfg.LeaseS)
+		d.env.GoAfter(d.cfg.LeaseS, func(lp *sim.Proc) {
 			if !d.liveVApps[vaID] {
 				return
 			}

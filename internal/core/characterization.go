@@ -28,6 +28,7 @@ func runProfileTrace(seed int64, pr workload.Profile, horizon float64) ([]trace.
 	if err != nil {
 		return nil, workload.Stats{}, err
 	}
+	defer c.Close()
 	st, err := c.RunProfile(pr, horizon)
 	if err != nil {
 		return nil, workload.Stats{}, err

@@ -435,6 +435,12 @@ func (c *Cloud) RunAll() sim.Time { return c.env.Run(sim.Forever) }
 // Go spawns a process in the cloud's environment.
 func (c *Cloud) Go(name string, fn func(p *sim.Proc)) { c.env.Go(name, fn) }
 
+// Close ends the coroutines of the cloud's processes (sim.Env.Close).
+// Call it once the cloud has run for the last time and every result has
+// been read from it; a program that builds many clouds otherwise keeps
+// every one's parked processes alive.
+func (c *Cloud) Close() { c.env.Close() }
+
 // StartProfile attaches a workload generator for the profile, creating
 // work until horizon. Call Run to advance time.
 func (c *Cloud) StartProfile(profile workload.Profile, horizon sim.Time) (*workload.Generator, error) {

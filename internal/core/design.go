@@ -67,6 +67,7 @@ func (d e8Sweep) run(p Params) (*E8Result, error) {
 			if err != nil {
 				return E8Point{}, err
 			}
+			defer c.Close()
 			st := c.Director().Stats()
 			return E8Point{
 				Deploys:         len(analysis.FilterOK(analysis.FilterKind(c.Records(), ops.KindDeploy.String()))),
@@ -130,6 +131,7 @@ func (d loadSweep) e9(p Params) (*E9Result, error) {
 			if err != nil {
 				return E9Point{}, err
 			}
+			defer c.Close()
 			rr := c.Manager().Resources()
 			done := analysis.Throughput(c.Records(), "", 0, p.HorizonS) * Hour
 			return E9Point{RatePerHour: rate, DonePerHour: done, Admission: rr.Admission, Threads: rr.Threads, DB: c.Manager().DB().Stats()}, nil
@@ -331,6 +333,7 @@ func (d e12Sweep) run(p Params) (*E12Result, error) {
 			if err != nil {
 				return publish{}, err
 			}
+			defer c.Close()
 			inv := c.Inventory()
 			tpl := inv.Template(inv.Templates()[0])
 			if pt.Levels[1] > 0 {

@@ -311,6 +311,7 @@ func migrationStorm(seed int64, shards int, horizonS float64) (migrations, cross
 	if err != nil {
 		return 0, 0, 0, err
 	}
+	defer c.Close()
 	inv := c.Inventory()
 	tpl := inv.Template(inv.Templates()[0])
 	hosts := inv.Hosts()
@@ -481,6 +482,7 @@ func (d e19Ladder) run(p Params) (*E19Result, error) {
 			if err != nil {
 				return E19Cell{}, err
 			}
+			defer c.Close()
 			if err := c.PrepopulateVMs(d.sizes[pt.Levels[0]]); err != nil {
 				return E19Cell{}, err
 			}
@@ -714,6 +716,7 @@ func e20DriftStorm(p Params) (E20Storm, error) {
 	if err != nil {
 		return E20Storm{}, err
 	}
+	defer c.Close()
 	eng, err := ha.New(c.Env(), c.Manager(), ha.DefaultConfig())
 	if err != nil {
 		return E20Storm{}, err
@@ -765,6 +768,7 @@ func e20Rebalance(p Params) (E20Rebalance, error) {
 	if err != nil {
 		return E20Rebalance{}, err
 	}
+	defer c.Close()
 	inv := c.Inventory()
 	tpl := inv.Template(inv.Templates()[0])
 	mgr := c.Manager()
@@ -992,6 +996,7 @@ func e21FailoverStorm(cfg Config, pol string, horizonS float64) (E21Failover, er
 	if err != nil {
 		return E21Failover{}, err
 	}
+	defer c.Close()
 	hcfg := ha.DefaultConfig()
 	hcfg.Failover = c.Policy().Failover
 	eng, err := ha.New(c.Env(), c.Manager(), hcfg)

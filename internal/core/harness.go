@@ -84,12 +84,15 @@ func startOpenLoop(c *Cloud, label string, ratePerHour, horizon, lifetimeS float
 				if res.VApp == nil || inv.VApp(res.VApp.ID) == nil {
 					return
 				}
-				if res.Err == nil {
-					rp.Sleep(lifetimeS)
-				}
-				if inv.VApp(res.VApp.ID) != nil {
+				if res.Err != nil {
 					c.Director().DeleteVApp(rp, res.VApp, org)
+					return
 				}
+				c.env.GoAfter(lifetimeS, func(dp *sim.Proc) {
+					if inv.VApp(res.VApp.ID) != nil {
+						c.Director().DeleteVApp(dp, res.VApp, org)
+					}
+				})
 			})
 		}
 	})

@@ -73,6 +73,7 @@ func (d e13Sweep) run(p Params) (*E13Result, error) {
 			if err != nil {
 				return E13Point{}, err
 			}
+			defer c.Close()
 			r := runClosedLoopOn(c, pt.Clients, g.HorizonS, g.WarmupS, func() float64 { return 0.2 })
 			return E13Point{WindowS: d.windowsS[pt.Levels[0]], LinkedPerHour: r.DeploysPerHour, MeanLatS: r.MeanLatencyS, DB: c.Manager().DB().WALStats()}, nil
 		})
@@ -137,6 +138,7 @@ func (d e14Sweep) run(p Params) (*E14Result, error) {
 			if err != nil {
 				return E14Point{}, err
 			}
+			defer c.Close()
 			target := loadResidentHost(c, d.hostVMs, rate, p.HorizonS)
 			var evac *mgmt.Task
 			c.Go("admin", func(ap *sim.Proc) {
@@ -234,10 +236,12 @@ func (d e15Sweep) run(p Params) (*E15Result, error) {
 	pr.BaseRatePerHour = 2500 // a very busy day — enough to saturate one small cell
 	pr.DiurnalAmplitude = 0   // flat, so short recordings carry the full rate
 	pr.LifetimeMeanS = 900
-	if _, err := rc.RunProfile(pr, p.HorizonS); err != nil {
+	_, err = rc.RunProfile(pr, p.HorizonS)
+	recorded := rc.Records()
+	rc.Close() // the replays below read only the recording
+	if err != nil {
 		return nil, err
 	}
-	recorded := rc.Records()
 
 	_, opts := p.sweep()
 	points, err := RunGrid(d.grid(), DefaultLoader(p.Seed+1), opts,
@@ -246,6 +250,7 @@ func (d e15Sweep) run(p Params) (*E15Result, error) {
 			if err != nil {
 				return E15Point{}, err
 			}
+			defer c.Close()
 			rp, err := workload.NewReplayer(c.Env(), c.Director(), recorded)
 			if err != nil {
 				return E15Point{}, err
@@ -334,6 +339,7 @@ func (d e16Storm) run(p Params, base ...string) ([]E16Point, error) {
 		if err != nil {
 			return E16Point{}, err
 		}
+		defer c.Close()
 		eng, err := ha.New(c.Env(), c.Manager(), ha.Config{MaxConcurrentRestarts: e16Restarts})
 		if err != nil {
 			return E16Point{}, err

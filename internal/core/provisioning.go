@@ -45,14 +45,17 @@ func RunE4(p Params) (*E4Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := c.RunProfile(workload.CloudA(), p.HorizonS); err != nil {
+		_, err = c.RunProfile(workload.CloudA(), p.HorizonS)
+		rows := analysis.LatencyByKind(c.Records())
+		c.Close()
+		if err != nil {
 			return nil, err
 		}
 		mode := ops.FullClone.String()
 		if fast {
 			mode = ops.LinkedClone.String()
 		}
-		res.Modes = append(res.Modes, E4Mode{Mode: mode, Rows: analysis.LatencyByKind(c.Records())})
+		res.Modes = append(res.Modes, E4Mode{Mode: mode, Rows: rows})
 	}
 	return res, nil
 }
@@ -113,6 +116,7 @@ func (d e5Sweep) run(p Params) (*E5Result, error) {
 			if err != nil {
 				return 0, err
 			}
+			defer c.Close()
 			inv := c.Inventory()
 			tpl := inv.Template(inv.Templates()[0])
 			var latency float64
@@ -230,6 +234,7 @@ func RunClosedLoop(cfg Config, clients int, horizonS, warmupS float64) (ClosedLo
 	if err != nil {
 		return ClosedLoopResult{}, err
 	}
+	defer c.Close()
 	// The "e6" label predates the harness being shared beyond E6; it is
 	// part of the reproducibility contract (changing it changes every
 	// closed-loop artifact), so it stays.
@@ -380,6 +385,7 @@ func (d loadSweep) e7(p Params) (*E7Result, error) {
 			if err != nil {
 				return E7Point{}, err
 			}
+			defer c.Close()
 			deploys := analysis.FilterOK(analysis.FilterKind(c.Records(), ops.KindDeploy.String()))
 			bd, _ := analysis.MeanBreakdown(deploys, "")
 			return E7Point{RatePerHour: rate, Completed: len(deploys), MeanLatS: analysis.LatencySample(deploys, "").Mean(), Breakdown: bd}, nil

@@ -137,6 +137,22 @@ func TestSpawnOnRecycledShellAllocFree(t *testing.T) {
 	}
 }
 
+// A deferred start on a warm Env takes a pooled event and a recycled
+// shell: the body rides on the event, so nothing allocates.
+func TestGoAfterOnRecycledShellAllocFree(t *testing.T) {
+	env := NewEnv()
+	body := func(p *Proc) { p.Sleep(1) }
+	env.GoAfter(1, body)
+	env.Run(Forever)
+	allocs := testing.AllocsPerRun(100, func() {
+		env.GoAfter(1, body)
+		env.Run(Forever)
+	})
+	if allocs != 0 {
+		t.Fatalf("GoAfter on a recycled shell + Run allocates %.1f/op, want 0", allocs)
+	}
+}
+
 // Same-time FIFO queue: ordering must match the heap exactly when events
 // at the current instant interleave with earlier-scheduled events at the
 // same timestamp, including cancellations.
@@ -262,35 +278,23 @@ func BenchmarkKernelProcessPingPong(b *testing.B) {
 
 func BenchmarkKernelSpawnFresh(b *testing.B) {
 	// Every Go builds a new shell: each finished shell is taken off the
-	// free list, and the spent shells are ended in batches with the timer
-	// stopped, so their parked coroutines do not pile up.
+	// free list, and the Env is closed and replaced in batches with the
+	// timer stopped, so the parked coroutines do not pile up.
 	env := NewEnv()
 	body := func(*Proc) {}
-	spent := make([]*Proc, 0, 1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		env.Go("fresh", body)
 		env.Run(Forever)
-		spent = append(spent, env.procFree...)
 		env.procFree = env.procFree[:0]
-		if len(spent) == cap(spent) || i == b.N-1 {
+		if i%1024 == 1023 {
 			b.StopTimer()
-			for _, p := range spent {
-				endShell(env, p)
-			}
-			spent = spent[:0]
+			env.Close()
+			env = NewEnv()
 			b.StartTimer()
 		}
 	}
-}
-
-// endShell ends a finished shell's coroutine: a body that panics unwinds
-// the shell's loop, and the panic comes back out of Run.
-func endShell(env *Env, p *Proc) {
-	env.procFree = append(env.procFree, p)
-	env.Go("end", func(*Proc) { panic("end shell") })
-	defer func() { recover() }()
-	env.Run(Forever)
+	env.Close()
 }
 
 func BenchmarkKernelResourceCycle(b *testing.B) {

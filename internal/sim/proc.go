@@ -2,10 +2,7 @@
 
 package sim
 
-import (
-	"fmt"
-	"iter"
-)
+import "iter"
 
 // Proc is a simulation process: a coroutine scheduled cooperatively by the
 // kernel. All Proc methods must be called from the process's own function.
@@ -15,12 +12,15 @@ type Proc struct {
 	fn   func(*Proc) // body for the current life (see startProc)
 
 	// next resumes the coroutine and returns when it yields; suspend is
-	// the coroutine's yield. Both are fixed for the shell's lifetime.
+	// the coroutine's yield; stop ends the coroutine (see Env.Close). All
+	// three are fixed for the shell's lifetime.
 	next    func() (struct{}, bool)
 	suspend func(struct{}) bool
+	stop    func()
 }
 
-// Name returns the label given to Go when the process was spawned.
+// Name returns the label given to Go when the process was spawned (empty
+// for a process started by GoAfter).
 func (p *Proc) Name() string { return p.name }
 
 // Env returns the environment the process runs in.
@@ -34,6 +34,18 @@ func (p *Proc) Now() Time { return p.env.now }
 func (e *Env) Go(name string, fn func(p *Proc)) {
 	e.nproc++
 	e.scheduleWake(0, e.startProc(name, fn))
+}
+
+// GoAfter starts fn as a new process delay seconds from now. Until then
+// nothing exists for it but its event: no shell and no coroutine. A
+// process that would otherwise sleep out the rest of its life before a
+// last step can instead finish at once and leave that step to GoAfter;
+// the step then runs in the (time, sequence) slot the sleep's wakeup
+// would have taken. An invalid delay (negative or NaN) panics.
+func (e *Env) GoAfter(delay Time, fn func(p *Proc)) {
+	checkDelay(delay)
+	ev := e.newEvent(e.now+delay, nil, nil)
+	ev.body = fn
 }
 
 // startProc takes a finished process shell from the free list or
@@ -56,39 +68,75 @@ func (e *Env) startProc(name string, fn func(*Proc)) *Proc {
 
 // wake hands control to p and returns when p yields back. A new shell's
 // coroutine is built on its first wake, so a model that spawns processes
-// while it is built does not pay for coroutines before it runs. A panic
-// in the process body comes out of next here, on the kernel's goroutine.
+// while it is built does not pay for coroutines before it runs; the Env
+// keeps every shell it built for Close. A panic in the process body comes
+// out of next here, on the kernel's goroutine.
 func (e *Env) wake(p *Proc) {
 	if p.next == nil {
-		p.next, _ = iter.Pull(p.loop)
+		p.next, p.stop = iter.Pull(p.loop)
+		e.shells = append(e.shells, p)
 	}
 	p.next()
 }
 
+// closedPanic is the panic value that unwinds a process parked mid-body
+// when Env.Close stops its coroutine.
+type closedPanic struct{}
+
 // loop is a shell's coroutine. Each pass runs one life, returns the shell
 // to the free list and suspends until a later Go hands it a new body and
-// the kernel wakes it.
+// the kernel wakes it. It returns when Close stops the coroutine: at
+// once from the free list, or, from inside a body, by recovering the
+// closedPanic that yield raises. Any other panic passes through.
 func (p *Proc) loop(yield func(struct{}) bool) {
+	defer func() {
+		if r := recover(); r != nil && r != any(closedPanic{}) {
+			panic(r)
+		}
+	}()
 	p.suspend = yield
 	for {
 		p.fn(p)
 		p.fn = nil
 		p.env.nproc--
 		p.env.procFree = append(p.env.procFree, p)
-		yield(struct{}{})
+		if !yield(struct{}{}) {
+			return
+		}
 	}
 }
 
 // yield returns control from the process to the kernel and blocks until
-// some event resumes the process.
-func (p *Proc) yield() { p.suspend(struct{}{}) }
-
-// Sleep blocks the process for d seconds of virtual time. Negative d
-// panics.
-func (p *Proc) Sleep(d Time) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative sleep %v", d))
+// some event resumes the process. If Close stops the coroutine instead,
+// yield unwinds the body.
+func (p *Proc) yield() {
+	if !p.suspend(struct{}{}) {
+		panic(closedPanic{})
 	}
+}
+
+// Sleep blocks the process for d seconds of virtual time. An invalid d
+// (negative or NaN) panics.
+func (p *Proc) Sleep(d Time) {
+	checkDelay(d)
 	p.env.scheduleWake(d, p)
 	p.yield()
+}
+
+// Close ends every coroutine the Env built: a finished shell's returns
+// from its loop, and a process parked mid-body unwinds, running its
+// deferred calls. Without Close those coroutines stay parked for the life
+// of the program, since nothing else resumes them. Whoever builds an Env
+// and drops it after its last Run calls Close; the Env must not run
+// again. Close panics during Run, and a second Close does nothing.
+func (e *Env) Close() {
+	if e.running {
+		panic("sim: Close called during Run")
+	}
+	e.closed = true
+	shells := e.shells
+	e.shells, e.procFree = nil, nil
+	for _, p := range shells {
+		p.stop()
+	}
 }

@@ -15,6 +15,10 @@
 // caller's own goroutine, where it can be recovered like a panic in an
 // event callback.
 //
+// Env.Go starts a process now; Env.GoAfter starts one later, and until
+// then only its event exists. Env.Close ends the coroutines of an Env
+// that will not run again.
+//
 // Time is measured in seconds of virtual time as a float64 (type Time).
 //
 // # Performance
@@ -29,6 +33,12 @@
 // through an interface. None of this changes the execution order, which
 // remains exactly (time, sequence)-ordered; the determinism tests pin
 // that down.
+//
+// A coroutine costs a goroutine stack that every garbage collection
+// scans, and only its Env can end it. So a process that would sleep out
+// the rest of its life hands its last step to GoAfter and finishes, and
+// a finished Env releases its coroutines on Close: a program that runs
+// many simulations keeps none of their processes alive.
 package sim
 
 import (
@@ -70,12 +80,13 @@ const (
 // distinguishes incarnations so a stale Timer cannot cancel the recycled
 // event.
 type event struct {
-	at  Time
-	seq int64 // tie-break: FIFO among simultaneous events
-	fn  func()
-	p   *Proc  // when non-nil, the event resumes p instead of calling fn
-	idx int    // heap index, or one of the idx* markers
-	gen uint64 // incremented every time the event is recycled
+	at   Time
+	seq  int64 // tie-break: FIFO among simultaneous events
+	fn   func()
+	p    *Proc       // when non-nil, the event resumes p instead of calling fn
+	body func(*Proc) // when non-nil, the event starts a process (GoAfter)
+	idx  int         // heap index, or one of the idx* markers
+	gen  uint64      // incremented every time the event is recycled
 }
 
 // eventHeap is a binary min-heap of events ordered by (at, seq). It is
@@ -159,6 +170,7 @@ type Env struct {
 	seq     int64
 	running bool
 	stopped bool
+	closed  bool
 
 	// nowq is the same-time fast path: a FIFO of events scheduled at the
 	// current instant. Entries are appended with non-decreasing (at, seq),
@@ -179,6 +191,9 @@ type Env struct {
 	// suspended at the end of their loop, awaiting a next life (see
 	// startProc).
 	procFree []*Proc
+
+	// shells holds every shell whose coroutine has been built, for Close.
+	shells []*Proc
 
 	// metrics is the optional instrumentation registry resources and
 	// model layers report into; nil (the default) disables collection at
@@ -232,7 +247,7 @@ func (e *Env) newEvent(at Time, fn func(), p *Proc) *event {
 
 // release returns a fired or cancelled event to the free list.
 func (e *Env) release(ev *event) {
-	ev.fn, ev.p = nil, nil
+	ev.fn, ev.p, ev.body = nil, nil, nil
 	ev.idx = idxPopped
 	ev.gen++
 	e.free = append(e.free, ev)
@@ -278,13 +293,21 @@ func (e *Env) pop(ev *event) {
 	e.heap.remove(0)
 }
 
-// Schedule registers fn to run after delay seconds of virtual time.
-// A negative delay panics: events cannot be scheduled in the past.
-// The returned Timer may be used to cancel the event before it fires.
-func (e *Env) Schedule(delay Time, fn func()) Timer {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", delay))
+// checkDelay panics on a delay that is negative or NaN. A NaN delay
+// would put the clock at NaN, after which no (time, sequence) comparison
+// holds and the event order is silently wrong; +Inf is a valid "never".
+func checkDelay(d Time) {
+	if !(d >= 0) {
+		panic(fmt.Sprintf("sim: invalid delay %v", d))
 	}
+}
+
+// Schedule registers fn to run after delay seconds of virtual time.
+// An invalid delay (negative or NaN) panics: events cannot be scheduled
+// in the past. The returned Timer may be used to cancel the event before
+// it fires.
+func (e *Env) Schedule(delay Time, fn func()) Timer {
+	checkDelay(delay)
 	ev := e.newEvent(e.now+delay, fn, nil)
 	return Timer{env: e, ev: ev, gen: ev.gen}
 }
@@ -324,7 +347,7 @@ func (t Timer) Stop() bool {
 	ev := t.ev
 	if ev.idx == idxNowQ {
 		// In the same-time queue: mark the slot dead; peek reclaims it.
-		ev.fn, ev.p = nil, nil
+		ev.fn, ev.p, ev.body = nil, nil, nil
 		ev.idx = idxNowQStopped
 		t.env.nowqDead++
 		return true
@@ -356,6 +379,9 @@ func (e *Env) Run(until Time) Time {
 	if e.running {
 		panic("sim: Run called re-entrantly")
 	}
+	if e.closed {
+		panic("sim: Run called after Close")
+	}
 	e.running = true
 	e.stopped = false
 	defer func() { e.running = false }()
@@ -371,7 +397,7 @@ func (e *Env) Run(until Time) Time {
 		}
 		e.pop(ev)
 		e.now = ev.at
-		fn, p := ev.fn, ev.p
+		fn, p, body := ev.fn, ev.p, ev.body
 		e.release(ev)
 		if debugEvents {
 			nev++
@@ -381,8 +407,11 @@ func (e *Env) Run(until Time) Time {
 		}
 		if p != nil {
 			e.wake(p)
-		} else {
+		} else if fn != nil {
 			fn()
+		} else {
+			e.nproc++
+			e.wake(e.startProc("", body))
 		}
 	}
 	if e.now < until && until != Forever {

@@ -314,19 +314,24 @@ func (g *Generator) launchVApp(size int, lifetimeS float64) {
 		}
 		for _, vmID := range res.VApp.VMs {
 			vmID := vmID
-			g.env.Go(name+":activity", func(ap *sim.Proc) { g.activityLoop(ap, vmID, org) })
+			g.env.Schedule(0, func() { g.activityLoop(vmID, org) })
 		}
-		p.Sleep(lifetimeS)
-		if inv.VApp(res.VApp.ID) != nil {
-			g.dir.DeleteVApp(p, res.VApp, org)
-			g.stats.Deleted++
-		}
+		// The vApp needs no process while it lives out its lifetime.
+		g.env.GoAfter(lifetimeS, func(p *sim.Proc) {
+			if inv.VApp(res.VApp.ID) != nil {
+				g.dir.DeleteVApp(p, res.VApp, org)
+				g.stats.Deleted++
+			}
+		})
 	})
 }
 
-// activityLoop issues background per-VM operations until the VM is
-// deleted or the horizon passes.
-func (g *Generator) activityLoop(p *sim.Proc, vmID inventory.ID, org string) {
+// activityLoop issues background per-VM operations, one after each
+// exponential gap, until the VM is deleted or the horizon passes. The VM
+// has no process between operations: each operation is a process of its
+// own that ends by drawing the next gap and starting the next operation
+// after it.
+func (g *Generator) activityLoop(vmID inventory.ID, org string) {
 	pr := g.profile
 	total := (pr.PowerCycleRate + pr.SnapshotRate + pr.ReconfigRate + pr.MigrateRate + pr.SuspendRate) / 3600
 	if total <= 0 {
@@ -335,8 +340,8 @@ func (g *Generator) activityLoop(p *sim.Proc, vmID inventory.ID, org string) {
 	weights := []float64{pr.PowerCycleRate, pr.SnapshotRate, pr.ReconfigRate, pr.MigrateRate, pr.SuspendRate}
 	pl := g.dir.Plane()
 	inv := pl.Inventory()
-	for {
-		p.Sleep(g.stream.Exponential(1 / total))
+	var op func(p *sim.Proc)
+	op = func(p *sim.Proc) {
 		if p.Now() >= g.horizon {
 			return
 		}
@@ -379,7 +384,9 @@ func (g *Generator) activityLoop(p *sim.Proc, vmID inventory.ID, org string) {
 				pl.Resume(p, vm, ctx)
 			}
 		}
+		g.env.GoAfter(g.stream.Exponential(1/total), op)
 	}
+	g.env.GoAfter(g.stream.Exponential(1/total), op)
 }
 
 // pickOtherHost finds the most-free in-service host other than the
