@@ -164,11 +164,11 @@ func run(w io.Writer, cfg core.Config, profile workload.Profile, hours float64, 
 		rtT.AddRow("give-ups (attempts exhausted)", rs.GiveUps)
 		rtT.AddRow("give-ups (deadline)", rs.Deadline)
 		add(rtT)
-		add(report.GoodputTable(cloud.GoodputReport()))
+		add(report.GoodputTable(cloud.Plane().Goodput()))
 	}
 
 	if cfg.Reconcile != nil {
-		add(report.ReconcileTable(cloud.ReconcileReport()))
+		add(report.ReconcileTable(cloud.ReconcileStats()))
 	}
 
 	snap := cloud.MetricsSnapshot()

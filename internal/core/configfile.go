@@ -2,9 +2,11 @@ package core
 
 // JSON scenario files: a stable, human-editable wire format for Config so
 // that experiment setups can be checked into a repo and re-run exactly
-// (cmd/mcpsim -config scenario.json). The wire format is decoupled from
-// the in-memory structs so internal refactors don't break saved
-// scenarios; operation names (not enum values) key the cost overrides.
+// (cmd/mcpsim -config scenario.json). A package config whose fields
+// are plain values carries its own JSON tags and is decoded as is; the
+// blocks declared here are the ones whose wire shape differs from their
+// config (enum names, block presence, per-field overrides). Operation
+// names (not enum values) key the cost overrides.
 //
 // A scenario is decoded over the wire form of DefaultConfig: a field the
 // document omits keeps its default, and a field it gives is used as
@@ -41,12 +43,12 @@ type ConfigFile struct {
 	// Empty is "default", which reproduces the hardcoded behavior.
 	Policy string `json:"policy,omitempty"`
 
-	Topology TopologyFile `json:"topology"`
-	Mgmt     MgmtFile     `json:"mgmt"`
-	Plane    PlaneFile    `json:"plane"`
-	Director DirectorFile `json:"director"`
-	Storage  StorageFile  `json:"storage"`
-	DRS      *DRSFile     `json:"drs,omitempty"`
+	Topology Topology       `json:"topology"`
+	Mgmt     MgmtFile       `json:"mgmt"`
+	Plane    plane.Config   `json:"plane"`
+	Director DirectorFile   `json:"director"`
+	Storage  storage.Policy `json:"storage"`
+	DRS      *DRSFile       `json:"drs,omitempty"`
 
 	// Costs overrides per-operation stage costs by operation name
 	// (ops.Kind String() names, e.g. "deploy", "powerOn").
@@ -91,40 +93,14 @@ type FaultsFile struct {
 	Retry   *RetryFile    `json:"retry,omitempty"`
 }
 
-// RetryFile mirrors mgmt.RetryPolicy.
-type RetryFile struct {
-	MaxAttempts  int     `json:"maxAttempts,omitempty"`
-	BaseBackoffS float64 `json:"baseBackoffS,omitempty"`
-	Multiplier   float64 `json:"multiplier,omitempty"`
-	Jitter       float64 `json:"jitter,omitempty"`
-	DeadlineS    float64 `json:"deadlineS,omitempty"`
-}
+// RetryFile is mgmt.RetryPolicy in wire form.
+type RetryFile mgmt.RetryPolicy
 
 // UnmarshalJSON decodes the block over mgmt.DefaultRetryPolicy().
 func (r *RetryFile) UnmarshalJSON(b []byte) error {
-	type plain RetryFile
-	def := mgmt.DefaultRetryPolicy()
-	v, err := decodeOver(bytes.NewReader(b), plain{
-		MaxAttempts: def.MaxAttempts, BaseBackoffS: def.BaseBackoff, Multiplier: def.Multiplier,
-		Jitter: def.DeterministicJitter, DeadlineS: def.Deadline,
-	})
+	v, err := decodeOver(bytes.NewReader(b), mgmt.DefaultRetryPolicy())
 	*r = RetryFile(v)
 	return err
-}
-
-// TopologyFile is Topology in wire form; the two convert into each
-// other, so a field added to one must be added to both.
-type TopologyFile struct {
-	Hosts          int     `json:"hosts,omitempty"`
-	HostCPUMHz     int     `json:"hostCPUMHz,omitempty"`
-	HostMemMB      int     `json:"hostMemMB,omitempty"`
-	Datastores     int     `json:"datastores,omitempty"`
-	DatastoreGB    float64 `json:"datastoreGB,omitempty"`
-	DatastoreMBps  float64 `json:"datastoreMBps,omitempty"`
-	Templates      int     `json:"templates,omitempty"`
-	TemplateDiskGB float64 `json:"templateDiskGB,omitempty"`
-	TemplateMemMB  int     `json:"templateMemMB,omitempty"`
-	TemplateCPUs   int     `json:"templateCPUs,omitempty"`
 }
 
 // MgmtFile mirrors mgmt.Config plus the optional substrate models.
@@ -139,40 +115,22 @@ type MgmtFile struct {
 	Network  *NetworkFile  `json:"network,omitempty"`
 }
 
-// PlaneFile is plane.Config in wire form (convertible, like
-// TopologyFile): the management-plane topology.
-type PlaneFile struct {
-	Shards      int          `json:"shards,omitempty"`
-	DB          plane.DBMode `json:"db,omitempty"` // shared|per-shard
-	CoordWriteS float64      `json:"coordWriteS,omitempty"`
-}
-
-// DatabaseFile is mgmtdb.Config in wire form (convertible).
-type DatabaseFile struct {
-	Conns        int     `json:"conns,omitempty"`
-	WriteS       float64 `json:"writeS,omitempty"`
-	FlushS       float64 `json:"flushS,omitempty"`
-	GroupWindowS float64 `json:"groupWindowS,omitempty"`
-	GroupRows    bool    `json:"groupRows,omitempty"`
-}
+// DatabaseFile is mgmtdb.Config in wire form.
+type DatabaseFile mgmtdb.Config
 
 // UnmarshalJSON decodes the block over mgmtdb.DefaultConfig().
 func (d *DatabaseFile) UnmarshalJSON(b []byte) error {
-	type plain DatabaseFile
-	v, err := decodeOver(bytes.NewReader(b), plain(mgmtdb.DefaultConfig()))
+	v, err := decodeOver(bytes.NewReader(b), mgmtdb.DefaultConfig())
 	*d = DatabaseFile(v)
 	return err
 }
 
-// NetworkFile is netsim.Config in wire form (convertible).
-type NetworkFile struct {
-	MBps float64 `json:"mbps,omitempty"`
-}
+// NetworkFile is netsim.Config in wire form.
+type NetworkFile netsim.Config
 
 // UnmarshalJSON decodes the block over netsim.DefaultConfig().
 func (n *NetworkFile) UnmarshalJSON(b []byte) error {
-	type plain NetworkFile
-	v, err := decodeOver(bytes.NewReader(b), plain(netsim.DefaultConfig()))
+	v, err := decodeOver(bytes.NewReader(b), netsim.DefaultConfig())
 	*n = NetworkFile(v)
 	return err
 }
@@ -206,14 +164,6 @@ func (d *DRSFile) UnmarshalJSON(b []byte) error {
 	v, err := decodeOver(bytes.NewReader(b), plain{Threshold: def.Threshold, CheckS: def.CheckS, Batch: def.Batch})
 	*d = DRSFile(v)
 	return err
-}
-
-// StorageFile is storage.Policy in wire form (convertible).
-type StorageFile struct {
-	DeltaDiskGB  float64 `json:"deltaDiskGB,omitempty"`
-	DeltaWriteMB float64 `json:"deltaWriteMB,omitempty"`
-	MaxChainLen  int     `json:"maxChainLen,omitempty"`
-	SnapshotGB   float64 `json:"snapshotGB,omitempty"`
 }
 
 // CostFile mirrors ops.StageCost. An entry overrides the fields it
@@ -254,19 +204,19 @@ func defaultConfigFile(seed int64) ConfigFile {
 	return ConfigFile{
 		Seed:     seed,
 		Policy:   def.Policy,
-		Topology: TopologyFile(def.Topology),
+		Topology: def.Topology,
 		Mgmt: MgmtFile{
 			Threads: m.Threads, DBConns: m.DBConns, MaxInFlight: m.MaxInFlight, HostSlots: m.HostSlots,
 			Granularity: m.Granularity.String(),
 		},
-		Plane: PlaneFile(def.Plane),
+		Plane: def.Plane,
 		Director: DirectorFile{
 			Cells: d.Cells, CellThreads: d.CellThreads, FastProvisioning: d.FastProvisioning,
 			MaxChainLen: d.MaxChainLen, RebalanceThreshold: d.RebalanceThreshold,
 			RebalanceCheckS: d.RebalanceCheckS, RebalanceBatch: d.RebalanceBatch, LeaseS: d.LeaseS,
 			Placement: d.Placement.String(), OrgQuotaVMs: d.OrgQuotaVMs,
 		},
-		Storage: StorageFile(def.Storage),
+		Storage: def.Storage,
 		Record:  def.Record,
 		Metrics: def.Metrics,
 	}
@@ -309,19 +259,19 @@ func (f *ConfigFile) Apply() (Config, error) {
 	cfg := Config{
 		Seed:     f.Seed,
 		Policy:   f.Policy,
-		Topology: Topology(f.Topology),
+		Topology: f.Topology,
 		Mgmt: mgmt.Config{
 			Threads: m.Threads, DBConns: m.DBConns, MaxInFlight: m.MaxInFlight, HostSlots: m.HostSlots,
 			Granularity: gran,
 		},
-		Plane: plane.Config(f.Plane),
+		Plane: f.Plane,
 		Director: clouddir.Config{
 			Cells: d.Cells, CellThreads: d.CellThreads, FastProvisioning: d.FastProvisioning,
 			MaxChainLen: d.MaxChainLen, RebalanceThreshold: d.RebalanceThreshold,
 			RebalanceCheckS: d.RebalanceCheckS, RebalanceBatch: d.RebalanceBatch, LeaseS: d.LeaseS,
 			Placement: place, OrgQuotaVMs: d.OrgQuotaVMs,
 		},
-		Storage: storage.Policy(f.Storage),
+		Storage: f.Storage,
 		Record:  f.Record,
 		Metrics: f.Metrics,
 	}
@@ -391,10 +341,7 @@ func (f *ConfigFile) Apply() (Config, error) {
 		}
 		cfg.Faults = &fc
 		if r := ff.Retry; r != nil {
-			cfg.Mgmt.Retry = mgmt.RetryPolicy{
-				MaxAttempts: r.MaxAttempts, BaseBackoff: r.BaseBackoffS, Multiplier: r.Multiplier,
-				DeterministicJitter: r.Jitter, Deadline: r.DeadlineS,
-			}
+			cfg.Mgmt.Retry = mgmt.RetryPolicy(*r)
 		}
 	}
 	if rf := f.Reconcile; rf != nil {

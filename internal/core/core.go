@@ -39,18 +39,18 @@ import (
 
 // Topology describes the physical installation to build.
 type Topology struct {
-	Hosts      int
-	HostCPUMHz int
-	HostMemMB  int
+	Hosts      int `json:"hosts,omitempty"`
+	HostCPUMHz int `json:"hostCPUMHz,omitempty"`
+	HostMemMB  int `json:"hostMemMB,omitempty"`
 
-	Datastores    int
-	DatastoreGB   float64
-	DatastoreMBps float64
+	Datastores    int     `json:"datastores,omitempty"`
+	DatastoreGB   float64 `json:"datastoreGB,omitempty"`
+	DatastoreMBps float64 `json:"datastoreMBps,omitempty"`
 
-	Templates      int
-	TemplateDiskGB float64
-	TemplateMemMB  int
-	TemplateCPUs   int
+	Templates      int     `json:"templates,omitempty"`
+	TemplateDiskGB float64 `json:"templateDiskGB,omitempty"`
+	TemplateMemMB  int     `json:"templateMemMB,omitempty"`
+	TemplateCPUs   int     `json:"templateCPUs,omitempty"`
 }
 
 // DefaultTopology is a mid-size cloud: 32 hosts, 8 datastores, 6 catalog
@@ -225,9 +225,7 @@ func New(cfg Config) (*Cloud, error) {
 		}
 		mcfg.Faults = inj
 		if mcfg.Retry == (mgmt.RetryPolicy{}) {
-			// The policy set's retry spec; the default set's "fixed"
-			// spec is mgmt.DefaultRetryPolicy() field-for-field.
-			mcfg.Retry = retryFromSpec(pol.Retry)
+			mcfg.Retry = pol.Retry
 		}
 	}
 	if cfg.Plane == (plane.Config{}) {
@@ -273,20 +271,6 @@ func New(cfg Config) (*Cloud, error) {
 	return c, nil
 }
 
-// retryFromSpec translates a policy retry spec into mgmt's policy
-// struct (policy cannot import mgmt without a cycle). The default
-// "fixed" spec maps onto mgmt.DefaultRetryPolicy() exactly.
-func retryFromSpec(s policy.RetrySpec) mgmt.RetryPolicy {
-	return mgmt.RetryPolicy{
-		MaxAttempts:         s.MaxAttempts,
-		BaseBackoff:         s.BaseBackoffS,
-		Multiplier:          s.Multiplier,
-		DeterministicJitter: s.Jitter,
-		Deadline:            s.DeadlineS,
-		Adaptive:            s.Adaptive,
-	}
-}
-
 // Policy returns the resolved policy set the cloud was assembled with,
 // so harnesses can hand the same set's axes to engines core does not
 // own (the HA engine's failover policy, for example).
@@ -306,29 +290,6 @@ func (c *Cloud) ReconcileStats() []reconcile.Stats {
 		return nil
 	}
 	return c.rec.Stats()
-}
-
-// ReconcileReport adapts the reconciliation plane's per-controller
-// stats to the report renderer's rows (nil when the plane is off).
-func (c *Cloud) ReconcileReport() []report.ReconcileRow { return reconcileRows(c.ReconcileStats()) }
-
-// reconcileRows maps per-controller stats onto report rows (nil for none).
-func reconcileRows(stats []reconcile.Stats) []report.ReconcileRow {
-	var rows []report.ReconcileRow
-	for _, s := range stats {
-		rows = append(rows, report.ReconcileRow{
-			Controller: s.Controller,
-			Runs:       s.Runs,
-			Errors:     s.Errors,
-			Retries:    s.Retries,
-			Drops:      s.Drops,
-			Dedups:     s.Queue.Dedups,
-			Requeues:   s.Queue.Requeues,
-			ThrottleS:  s.ThrottleS,
-			BusyS:      s.BusyS,
-		})
-	}
-	return rows
 }
 
 // Env returns the simulation environment.
@@ -402,11 +363,6 @@ func (c *Cloud) DBUtilization() float64 {
 	}
 	return sum / float64(len(dbs))
 }
-
-// GoodputReport adapts the manager's per-kind goodput accounting to the
-// report renderer's rows. Meaningful under fault injection; without it
-// every task costs exactly one attempt.
-func (c *Cloud) GoodputReport() []report.GoodputRow { return goodputRows(c.plane.Goodput()) }
 
 // Records returns the operation trace collected so far (nil when
 // recording is disabled).

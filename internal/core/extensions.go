@@ -140,7 +140,7 @@ func (r *E17Result) Render(w io.Writer) error {
 	}
 	if n := len(r.Points); n > 0 {
 		last := r.Points[n-1]
-		if gt := report.GoodputTable(goodputRows(last.goodput)); gt != nil {
+		if gt := report.GoodputTable(last.goodput); gt != nil {
 			gt.Title = fmt.Sprintf("E17: linked-clone goodput by operation at fault rate %.2f", last.Rate)
 			if err := gt.Render(w); err != nil {
 				return err
@@ -154,22 +154,6 @@ func (r *E17Result) Render(w io.Writer) error {
 		st.AddRow(pt.Rate, pt.Storm.RecoveryS, pt.Storm.Restarted, pt.Storm.Unplaced, pt.Storm.DeploysDone)
 	}
 	return st.Render(w)
-}
-
-// goodputRows adapts the manager's per-kind goodput accounting to the
-// report renderer's layer-agnostic rows.
-func goodputRows(rows []mgmt.GoodputRow) []report.GoodputRow {
-	out := make([]report.GoodputRow, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, report.GoodputRow{
-			Kind:     r.Kind.String(),
-			Tasks:    r.Tasks,
-			OK:       r.OK,
-			Attempts: r.Attempts,
-			GiveUps:  r.GiveUps,
-		})
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------
@@ -624,7 +608,7 @@ type E20Result struct {
 	Rebalance E20Rebalance
 	// Heaviest carries per-controller rows from the heaviest grid point
 	// (smallest interval, largest depth, largest shard count).
-	Heaviest []report.ReconcileRow
+	Heaviest []reconcile.Stats
 }
 
 // e20Loop is E20's closed-loop leg as data: shard count × a reconcile
@@ -688,7 +672,7 @@ func (d e20Loop) run(p Params) (*E20Result, error) {
 		}
 		res.Cells = append(res.Cells, c)
 	}
-	res.Heaviest = reconcileRows(rows[len(rows)-1].Result.Reconcile)
+	res.Heaviest = rows[len(rows)-1].Result.Reconcile
 	if res.Storm, err = e20DriftStorm(p); err != nil {
 		return nil, fmt.Errorf("E20 storm: %w", err)
 	}

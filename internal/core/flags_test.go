@@ -13,6 +13,9 @@ import (
 	"testing"
 
 	"cloudmcp/internal/clouddir"
+	"cloudmcp/internal/mgmt"
+	"cloudmcp/internal/mgmtdb"
+	"cloudmcp/internal/netsim"
 	"cloudmcp/internal/reconcile"
 )
 
@@ -215,6 +218,36 @@ func TestBindConfigFlagsEmptyReconcileEnablesAllControllers(t *testing.T) {
 		t.Fatalf("reconcile={} = %+v, want %+v", cfg.Reconcile, want)
 	}
 }
+
+// An empty optional block loads its package's defaults, and a field the
+// package config keeps off the wire is an unknown field.
+func TestBindConfigFlagsEmptyBlocksLoadPackageDefaults(t *testing.T) {
+	for _, tc := range []struct {
+		set  string
+		got  func(Config) any
+		want any // nil: the -set must be rejected
+	}{
+		{"mgmt.database={}", func(c Config) any { return c.Mgmt.Database }, ptr(mgmtdb.DefaultConfig())},
+		{"mgmt.network={}", func(c Config) any { return c.Mgmt.Network }, ptr(netsim.DefaultConfig())},
+		{"faults.retry={}", func(c Config) any { return c.Mgmt.Retry }, mgmt.DefaultRetryPolicy()},
+		{`faults.retry={"adaptive":true}`, nil, nil},
+	} {
+		cfg, err := bind(t, "-set", tc.set)
+		if tc.want == nil {
+			if err == nil || !strings.Contains(err.Error(), "unknown field") {
+				t.Errorf("-set %s: err = %v, want an unknown-field rejection", tc.set, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("-set %s: %v", tc.set, err)
+		} else if got := tc.got(cfg); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("-set %s = %+v, want %+v", tc.set, got, tc.want)
+		}
+	}
+}
+
+func ptr[T any](v T) *T { return &v }
 
 // scenarios/default.json is what mcpsim -dump-config prints, byte for
 // byte; a Config field added to WriteDefaultConfig must land in both.

@@ -109,26 +109,27 @@ type Config struct {
 // control-plane load rather than silently re-queueing.
 type RetryPolicy struct {
 	// MaxAttempts caps total attempts per task (<=1 means no retries).
-	MaxAttempts int
+	MaxAttempts int `json:"maxAttempts,omitempty"`
 	// BaseBackoff is the delay in seconds before the first retry.
-	BaseBackoff float64
+	BaseBackoff float64 `json:"baseBackoffS,omitempty"`
 	// Multiplier grows the backoff geometrically per retry (values < 1
 	// are treated as 1).
-	Multiplier float64
+	Multiplier float64 `json:"multiplier,omitempty"`
 	// DeterministicJitter stretches each backoff by up to this fraction,
 	// using a seed-derived per-(task, attempt) draw — deterministic, like
 	// everything else.
-	DeterministicJitter float64
+	DeterministicJitter float64 `json:"jitter,omitempty"`
 	// Deadline bounds a task's total latency in seconds: a retry whose
 	// backoff would exceed it gives up instead. 0 = no deadline.
-	Deadline float64
+	Deadline float64 `json:"deadlineS,omitempty"`
 	// Adaptive stretches backoff by the manager's observed fault ratio
 	// (faults/attempts so far, tripled): the sicker the plane, the
 	// longer retries wait, shedding retry amplification under sustained
 	// fault storms. The scaling reads only the manager's own
 	// deterministic counters, so runs stay reproducible. false (the
-	// default) leaves backoff exactly as before the knob existed.
-	Adaptive bool
+	// default) leaves backoff exactly as before the knob existed. Only a
+	// policy set turns it on; a scenario's faults.retry block cannot.
+	Adaptive bool `json:"-"`
 }
 
 // DefaultRetryPolicy mirrors a production task manager: up to 4

@@ -299,23 +299,11 @@ func (m *Manager) EnterMaintenance(p *sim.Proc, host *inventory.Host, ctx ReqCtx
 // evacuationTarget picks the most-free in-service host (other than the
 // VM's current one) that fits the VM's memory and, when powered on, CPU.
 func (m *Manager) evacuationTarget(vm *inventory.VM) *inventory.Host {
-	var best *inventory.Host
-	for _, id := range m.inv.Hosts() {
-		if id == vm.HostID {
-			continue
-		}
-		h := m.inv.Host(id)
-		if !h.InService() || h.FreeMemMB() < vm.MemMB {
-			continue
-		}
-		if vm.State == inventory.VMPoweredOn && h.FreeCPUMHz() < vm.CPUs*500 {
-			continue
-		}
-		if best == nil || h.FreeMemMB() > best.FreeMemMB() {
-			best = h
-		}
+	cpu := 0
+	if vm.State == inventory.VMPoweredOn {
+		cpu = inventory.CPUReservationMHz(vm.CPUs)
 	}
-	return best
+	return m.inv.BestHostExcluding(vm.HostID, vm.MemMB, cpu)
 }
 
 // Suspend checkpoints a running VM: the guest memory image is written to

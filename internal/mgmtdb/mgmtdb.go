@@ -26,15 +26,15 @@ import (
 // Config sizes the database model.
 type Config struct {
 	// Conns is the connection-pool size.
-	Conns int
+	Conns int `json:"conns,omitempty"`
 	// WriteS is the service time per row write, seconds.
-	WriteS float64
+	WriteS float64 `json:"writeS,omitempty"`
 	// FlushS is the WAL flush (fsync) duration, seconds.
-	FlushS float64
+	FlushS float64 `json:"flushS,omitempty"`
 	// GroupWindowS is the group-commit gather window: a commit leader
 	// waits this long for followers before flushing. 0 flushes every
 	// commit individually.
-	GroupWindowS float64
+	GroupWindowS float64 `json:"groupWindowS,omitempty"`
 	// GroupRows extends group commit from the flush to the row work:
 	// followers joining a gathering group hand their rows to the leader,
 	// which acquires one pooled connection, writes every gathered row,
@@ -42,7 +42,7 @@ type Config struct {
 	// connection acquisitions that otherwise scale with the commit count
 	// — the batching lever for million-entity inventories. Off (the
 	// default) reproduces the per-commit row path bit-for-bit.
-	GroupRows bool
+	GroupRows bool `json:"groupRows,omitempty"`
 }
 
 // DefaultConfig models a modest dedicated database: 4 connections, 5 ms

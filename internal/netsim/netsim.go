@@ -15,7 +15,7 @@ import (
 // Config sizes the management network.
 type Config struct {
 	// MBps is the aggregate vMotion bandwidth (e.g. 1250 for 10 GbE).
-	MBps float64
+	MBps float64 `json:"mbps,omitempty"`
 }
 
 // DefaultConfig is a single 10 GbE vMotion network.

@@ -53,15 +53,15 @@ const (
 // Config describes the management-plane topology.
 type Config struct {
 	// Shards is the number of management-server shards (>= 1).
-	Shards int
+	Shards int `json:"shards,omitempty"`
 	// DB selects shared vs per-shard database mode. With one shard both
 	// modes build the same single database.
-	DB DBMode
+	DB DBMode `json:"db,omitempty"`
 	// CoordWriteS is the aggregate-model DB service time, in seconds,
 	// of one two-phase-coordinator round-trip (prepare or commit) per
 	// participant shard. Under the WAL model each round-trip is one row
 	// commit and CoordWriteS is ignored.
-	CoordWriteS float64
+	CoordWriteS float64 `json:"coordWriteS,omitempty"`
 }
 
 // DefaultConfig returns the identity topology: one shard, shared DB

@@ -6,8 +6,6 @@ type fixedAdmission struct{}
 // FixedAdmission returns the identity admission policy.
 func FixedAdmission() AdmissionPolicy { return fixedAdmission{} }
 
-func (fixedAdmission) Name() string { return "fixed" }
-
 func (fixedAdmission) MaxInFlight(base, hosts, shards int) int { return base }
 
 // conservativeAdmission halves the base limit: admit less, queue at
@@ -17,8 +15,6 @@ type conservativeAdmission struct{}
 
 // ConservativeAdmission returns the half-base admission policy.
 func ConservativeAdmission() AdmissionPolicy { return conservativeAdmission{} }
-
-func (conservativeAdmission) Name() string { return "conservative" }
 
 func (conservativeAdmission) MaxInFlight(base, hosts, shards int) int {
 	if base/2 < 1 {
@@ -34,8 +30,6 @@ type perHostAdmission struct{}
 
 // PerHostAdmission returns the topology-scaled admission policy.
 func PerHostAdmission() AdmissionPolicy { return perHostAdmission{} }
-
-func (perHostAdmission) Name() string { return "per-host" }
 
 func (perHostAdmission) MaxInFlight(base, hosts, shards int) int {
 	if shards < 1 {

@@ -20,8 +20,6 @@ type mostFreeFailover struct{}
 // DefaultFailover returns the greedy most-free failover policy.
 func DefaultFailover() FailoverPolicy { return mostFreeFailover{} }
 
-func (mostFreeFailover) Name() string { return "most-free" }
-
 func (mostFreeFailover) PickTarget(inv *inventory.Inventory, vm *inventory.VM) *inventory.Host {
 	return inv.BestHostExcluding(vm.HostID, vm.MemMB, inventory.CPUReservationMHz(vm.CPUs))
 }
@@ -33,8 +31,6 @@ type packFailover struct{}
 
 // PackFailover returns the consolidating failover policy.
 func PackFailover() FailoverPolicy { return packFailover{} }
-
-func (packFailover) Name() string { return "pack" }
 
 func (packFailover) PickTarget(inv *inventory.Inventory, vm *inventory.VM) *inventory.Host {
 	var best *inventory.Host
@@ -57,8 +53,6 @@ type spreadFailover struct{}
 
 // SpreadFailover returns the load-spreading failover policy.
 func SpreadFailover() FailoverPolicy { return spreadFailover{} }
-
-func (spreadFailover) Name() string { return "spread" }
 
 func (spreadFailover) PickTarget(inv *inventory.Inventory, vm *inventory.VM) *inventory.Host {
 	var best *inventory.Host

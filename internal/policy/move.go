@@ -34,8 +34,6 @@ type biggestFitMove struct{}
 // DefaultMove returns the biggest-fit DRS move policy.
 func DefaultMove() MovePolicy { return biggestFitMove{} }
 
-func (biggestFitMove) Name() string { return "biggest-fit" }
-
 func (biggestFitMove) Pick(inv *inventory.Inventory, hi, lo *inventory.Host) *inventory.VM {
 	var best *inventory.VM
 	for _, id := range hi.VMs {
@@ -57,8 +55,6 @@ type smallestFitMove struct{}
 
 // SmallestFitMove returns the smallest-fit DRS move policy.
 func SmallestFitMove() MovePolicy { return smallestFitMove{} }
-
-func (smallestFitMove) Name() string { return "smallest-fit" }
 
 func (smallestFitMove) Pick(inv *inventory.Inventory, hi, lo *inventory.Host) *inventory.VM {
 	var best *inventory.VM
@@ -82,8 +78,6 @@ type bandMove struct{}
 
 // BandMove returns the utilization-band DRS move policy.
 func BandMove() MovePolicy { return bandMove{} }
-
-func (bandMove) Name() string { return "band" }
 
 func (bandMove) Pick(inv *inventory.Inventory, hi, lo *inventory.Host) *inventory.VM {
 	mid := (memUtil(hi) + memUtil(lo)) / 2

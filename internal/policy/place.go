@@ -10,8 +10,6 @@ type mostFreePlacement struct{}
 // DefaultPlacement returns the greedy most-free placement policy.
 func DefaultPlacement() PlacementPolicy { return mostFreePlacement{} }
 
-func (mostFreePlacement) Name() string { return "most-free" }
-
 func (mostFreePlacement) BestHost(inv *inventory.Inventory, memMB, group int) *inventory.Host {
 	if group >= 0 {
 		return inv.BestHostInGroup(group, memMB)
@@ -40,8 +38,6 @@ type binpackPlacement struct{}
 
 // BinpackPlacement returns the consolidating placement policy.
 func BinpackPlacement() PlacementPolicy { return binpackPlacement{} }
-
-func (binpackPlacement) Name() string { return "binpack" }
 
 func (binpackPlacement) BestHost(inv *inventory.Inventory, memMB, group int) *inventory.Host {
 	var best *inventory.Host
@@ -82,8 +78,6 @@ type spreadPlacement struct{}
 
 // SpreadPlacement returns the load-spreading placement policy.
 func SpreadPlacement() PlacementPolicy { return spreadPlacement{} }
-
-func (spreadPlacement) Name() string { return "spread" }
 
 func (spreadPlacement) BestHost(inv *inventory.Inventory, memMB, group int) *inventory.Host {
 	var best *inventory.Host

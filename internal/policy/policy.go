@@ -18,13 +18,13 @@ import (
 	"strings"
 
 	"cloudmcp/internal/inventory"
+	"cloudmcp/internal/mgmt"
 )
 
 // PlacementPolicy scores hosts and datastores for initial placement.
 // BestHost with group >= 0 restricts the search to that host group
 // (the sharded plane's shard-affinity path); group < 0 means any host.
 type PlacementPolicy interface {
-	Name() string
 	BestHost(inv *inventory.Inventory, memMB, group int) *inventory.Host
 	BestDatastore(inv *inventory.Inventory, needGB float64) *inventory.Datastore
 }
@@ -32,47 +32,31 @@ type PlacementPolicy interface {
 // MovePolicy picks which VM a DRS pass migrates from the hottest host
 // hi to the coolest host lo (nil = nothing movable).
 type MovePolicy interface {
-	Name() string
 	Pick(inv *inventory.Inventory, hi, lo *inventory.Host) *inventory.VM
 }
 
 // FailoverPolicy picks the surviving host an HA restart lands on
 // (nil = no host fits).
 type FailoverPolicy interface {
-	Name() string
 	PickTarget(inv *inventory.Inventory, vm *inventory.VM) *inventory.Host
-}
-
-// RetrySpec parameterizes mgmt's fault-retry loop. It mirrors
-// mgmt.RetryPolicy field-for-field (policy cannot import mgmt without
-// a cycle); core translates it when faults are enabled.
-type RetrySpec struct {
-	Name         string
-	MaxAttempts  int
-	BaseBackoffS float64
-	Multiplier   float64
-	Jitter       float64
-	DeadlineS    float64
-	// Adaptive scales backoff by the observed plane-wide fault ratio:
-	// the more faults the plane has seen, the longer retries back off.
-	Adaptive bool
 }
 
 // AdmissionPolicy sizes the plane's in-flight admission limit from the
 // configured base and the deployment shape.
 type AdmissionPolicy interface {
-	Name() string
 	MaxInFlight(base, hosts, shards int) int
 }
 
-// Set bundles one policy per axis. Zero fields are invalid; build Sets
-// with Default or Named.
+// Set bundles one policy per axis. Retry is the fault-retry policy core
+// hands mgmt when faults are enabled and the scenario gives no
+// faults.retry block. Zero fields are invalid; build Sets with Default
+// or Named.
 type Set struct {
 	Name      string
 	Place     PlacementPolicy
 	Move      MovePolicy
 	Failover  FailoverPolicy
-	Retry     RetrySpec
+	Retry     mgmt.RetryPolicy
 	Admission AdmissionPolicy
 }
 

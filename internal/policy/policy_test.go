@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cloudmcp/internal/inventory"
+	"cloudmcp/internal/mgmt"
 )
 
 func buildInv(t *testing.T, hostMemMB ...int) (*inventory.Inventory, []*inventory.Host, *inventory.Datastore) {
@@ -52,13 +53,10 @@ func TestNamedResolvesEverySet(t *testing.T) {
 }
 
 func TestDefaultRetryMirrorsMgmtDefault(t *testing.T) {
-	// mgmt.DefaultRetryPolicy is {4 attempts, 1 s base, 2x, 25% jitter,
-	// 600 s deadline}; the identity contract needs the fixed spec to
-	// match it field-for-field (core translates one into the other).
-	s := FixedRetry()
-	if s.MaxAttempts != 4 || s.BaseBackoffS != 1 || s.Multiplier != 2 ||
-		s.Jitter != 0.25 || s.DeadlineS != 600 || s.Adaptive {
-		t.Fatalf("FixedRetry() = %+v", s)
+	// The identity contract: the default set retries exactly as mgmt
+	// does without a policy set.
+	if got, want := Default().Retry, mgmt.DefaultRetryPolicy(); got != want {
+		t.Fatalf("Default().Retry = %+v, want %+v", got, want)
 	}
 }
 

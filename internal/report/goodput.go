@@ -2,30 +2,23 @@ package report
 
 // Goodput accounting under fault injection: how much of the control
 // plane's work produced successful operations, and how much was retry
-// amplification. Rows are layer-agnostic so the renderer does not depend
-// on the management model; internal/mgmt's Goodput() maps onto it.
+// amplification. The rows are the manager's own (mgmt.Manager.Goodput,
+// summed over shards by plane.Plane.Goodput).
 
-// GoodputRow is one operation kind's goodput accounting.
-type GoodputRow struct {
-	Kind     string
-	Tasks    int64 // tasks completed (including abandoned ones)
-	OK       int64 // tasks that finished without error
-	Attempts int64 // execution attempts those tasks consumed
-	GiveUps  int64 // tasks the retry policy abandoned
-}
+import "cloudmcp/internal/mgmt"
 
 // GoodputTable renders per-kind goodput rows plus a totals line.
 // Columns: kind, tasks, ok, goodput % (ok/tasks), attempts,
 // amplification (attempts per task), and give-ups. Returns nil for an
 // empty row set so callers can skip rendering cleanly.
-func GoodputTable(rows []GoodputRow) *Table {
+func GoodputTable(rows []mgmt.GoodputRow) *Table {
 	if len(rows) == 0 {
 		return nil
 	}
 	t := NewTable("goodput under fault injection",
 		"operation", "tasks", "ok", "goodput %", "attempts", "amp", "giveups")
-	var tot GoodputRow
-	add := func(name string, r GoodputRow) {
+	var tot mgmt.GoodputRow
+	add := func(name string, r mgmt.GoodputRow) {
 		goodput, amp := 0.0, 0.0
 		if r.Tasks > 0 {
 			goodput = 100 * float64(r.OK) / float64(r.Tasks)
@@ -34,7 +27,7 @@ func GoodputTable(rows []GoodputRow) *Table {
 		t.AddRow(name, r.Tasks, r.OK, goodput, r.Attempts, amp, r.GiveUps)
 	}
 	for _, r := range rows {
-		add(r.Kind, r)
+		add(r.Kind.String(), r)
 		tot.Tasks += r.Tasks
 		tot.OK += r.OK
 		tot.Attempts += r.Attempts

@@ -2,39 +2,28 @@ package report
 
 // Reconciliation-plane accounting: how much background drift-correction
 // work each controller generated, how it was paced, and how much of it
-// failed. Rows are layer-agnostic so the renderer does not depend on
-// the reconciliation model; core's ReconcileReport() maps onto it.
+// failed. The rows are the reconciliation plane's own
+// (reconcile.Plane.Stats).
 
-// ReconcileRow is one controller's accumulated activity.
-type ReconcileRow struct {
-	Controller string
-	Runs       int64   // reconciliations executed
-	Errors     int64   // reconciliations that returned an error
-	Retries    int64   // backoff requeues after errors
-	Drops      int64   // keys dropped after exhausting retries
-	Dedups     int64   // workqueue adds coalesced into pending keys
-	Requeues   int64   // mid-process re-adds run once more
-	ThrottleS  float64 // seconds spent waiting on the rate limiter
-	BusyS      float64 // seconds spent inside reconcile actions
-}
+import "cloudmcp/internal/reconcile"
 
 // ReconcileTable renders per-controller reconciliation rows plus a
 // totals line. Columns: controller, runs, err % (errors/runs), retries,
 // drops, dedups, requeues, throttle s, and busy s. Returns nil for an
 // empty row set so callers can skip rendering cleanly.
-func ReconcileTable(rows []ReconcileRow) *Table {
+func ReconcileTable(rows []reconcile.Stats) *Table {
 	if len(rows) == 0 {
 		return nil
 	}
 	t := NewTable("reconciliation plane",
 		"controller", "runs", "err %", "retries", "drops", "dedups", "requeues", "throttle s", "busy s")
-	var tot ReconcileRow
-	add := func(name string, r ReconcileRow) {
+	var tot reconcile.Stats
+	add := func(name string, r reconcile.Stats) {
 		errPct := 0.0
 		if r.Runs > 0 {
 			errPct = 100 * float64(r.Errors) / float64(r.Runs)
 		}
-		t.AddRow(name, r.Runs, errPct, r.Retries, r.Drops, r.Dedups, r.Requeues, r.ThrottleS, r.BusyS)
+		t.AddRow(name, r.Runs, errPct, r.Retries, r.Drops, r.Queue.Dedups, r.Queue.Requeues, r.ThrottleS, r.BusyS)
 	}
 	for _, r := range rows {
 		add(r.Controller, r)
@@ -42,8 +31,8 @@ func ReconcileTable(rows []ReconcileRow) *Table {
 		tot.Errors += r.Errors
 		tot.Retries += r.Retries
 		tot.Drops += r.Drops
-		tot.Dedups += r.Dedups
-		tot.Requeues += r.Requeues
+		tot.Queue.Dedups += r.Queue.Dedups
+		tot.Queue.Requeues += r.Queue.Requeues
 		tot.ThrottleS += r.ThrottleS
 		tot.BusyS += r.BusyS
 	}

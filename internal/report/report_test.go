@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"cloudmcp/internal/metrics"
+	"cloudmcp/internal/mgmt"
+	"cloudmcp/internal/ops"
+	"cloudmcp/internal/reconcile"
 )
 
 func TestTableRender(t *testing.T) {
@@ -123,14 +126,14 @@ func TestGoodputTableEmpty(t *testing.T) {
 	if GoodputTable(nil) != nil {
 		t.Fatal("empty goodput rows must render as nil")
 	}
-	if GoodputTable([]GoodputRow{}) != nil {
+	if GoodputTable([]mgmt.GoodputRow{}) != nil {
 		t.Fatal("zero-length goodput rows must render as nil")
 	}
 }
 
 func TestGoodputTableSingleRow(t *testing.T) {
-	out := renderString(t, GoodputTable([]GoodputRow{
-		{Kind: "deploy", Tasks: 10, OK: 8, Attempts: 14, GiveUps: 2},
+	out := renderString(t, GoodputTable([]mgmt.GoodputRow{
+		{Kind: ops.KindDeploy, Tasks: 10, OK: 8, Attempts: 14, GiveUps: 2},
 	}))
 	for _, want := range []string{"deploy", "total", "80.0", "1.4"} {
 		if !strings.Contains(out, want) {
@@ -145,7 +148,7 @@ func TestGoodputTableSingleRow(t *testing.T) {
 func TestGoodputTableZeroTasks(t *testing.T) {
 	// A kind that never completed a task: goodput and amplification are
 	// undefined and must render as 0, not NaN.
-	out := renderString(t, GoodputTable([]GoodputRow{{Kind: "migrate"}}))
+	out := renderString(t, GoodputTable([]mgmt.GoodputRow{{Kind: ops.KindMigrate}}))
 	if strings.Contains(out, "NaN") {
 		t.Fatalf("zero-task goodput rendered NaN:\n%s", out)
 	}
@@ -228,15 +231,15 @@ func TestReconcileTableEmpty(t *testing.T) {
 	if ReconcileTable(nil) != nil {
 		t.Fatal("empty reconcile rows must render as nil")
 	}
-	if ReconcileTable([]ReconcileRow{}) != nil {
+	if ReconcileTable([]reconcile.Stats{}) != nil {
 		t.Fatal("zero-length reconcile rows must render as nil")
 	}
 }
 
 func TestReconcileTableSingleRow(t *testing.T) {
-	out := renderString(t, ReconcileTable([]ReconcileRow{
+	out := renderString(t, ReconcileTable([]reconcile.Stats{
 		{Controller: "drift", Runs: 20, Errors: 5, Retries: 4, Drops: 1,
-			Dedups: 3, Requeues: 2, ThrottleS: 7.5, BusyS: 40},
+			Queue: reconcile.QueueStats{Dedups: 3, Requeues: 2}, ThrottleS: 7.5, BusyS: 40},
 	}))
 	for _, want := range []string{"drift", "total", "25.0", "7.5"} {
 		if !strings.Contains(out, want) {
@@ -251,7 +254,7 @@ func TestReconcileTableSingleRow(t *testing.T) {
 func TestReconcileTableZeroRuns(t *testing.T) {
 	// A controller that never ran: the error rate is undefined and must
 	// render as 0, not NaN.
-	out := renderString(t, ReconcileTable([]ReconcileRow{{Controller: "catalog"}}))
+	out := renderString(t, ReconcileTable([]reconcile.Stats{{Controller: "catalog"}}))
 	if strings.Contains(out, "NaN") {
 		t.Fatalf("zero-run reconcile row rendered NaN:\n%s", out)
 	}

@@ -23,7 +23,7 @@ package sim
 // reproduces the same trace bit-for-bit on every run.
 //
 // The paced driver also supplies the graceful-stop seam Env.Run lacks:
-// Env.Stop discards the future mid-event and may only be called from
+// Env.Stop ends Run after the current event and may only be called from
 // model code, whereas Paced.Stop can be called from any goroutine and
 // takes effect at the next quantum boundary — no event is abandoned
 // half-fired, and commands still queued are rejected instead of dropped.

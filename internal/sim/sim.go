@@ -174,8 +174,9 @@ type Env struct {
 
 	// nowq is the same-time fast path: a FIFO of events scheduled at the
 	// current instant. Entries are appended with non-decreasing (at, seq),
-	// so the front is always the queue's minimum and merging with the heap
-	// is a single comparison instead of an O(log n) heap operation.
+	// since Run never moves the clock backwards, so the front is always
+	// the queue's minimum and merging with the heap is a single
+	// comparison instead of an O(log n) heap operation.
 	nowq     []*event
 	nowqHead int
 	nowqDead int // cancelled entries still occupying nowq slots
@@ -233,10 +234,7 @@ func (e *Env) newEvent(at Time, fn func(), p *Proc) *event {
 	}
 	ev.at, ev.seq, ev.fn, ev.p = at, e.seq, fn, p
 	e.seq++
-	// The fast path requires nowq to stay sorted by (at, seq); appends are
-	// in seq order, so only a clock that moved backwards (Run to an
-	// earlier horizon) could break the at order — guard against it.
-	if at == e.now && (e.nowqHead == len(e.nowq) || e.nowq[len(e.nowq)-1].at <= at) {
+	if at == e.now {
 		ev.idx = idxNowQ
 		e.nowq = append(e.nowq, ev)
 		return ev
@@ -369,12 +367,15 @@ func (t Timer) When() (Time, bool) {
 }
 
 // Stop terminates the simulation: Run returns after the current event
-// completes and all later events are discarded.
+// completes, and later events stay pending for the next Run.
 func (e *Env) Stop() { e.stopped = true }
 
 // Run executes events in time order until the heap drains, the clock would
 // pass until, or Stop is called. It returns the final virtual time. Events
-// scheduled exactly at until still run.
+// scheduled exactly at until still run. The clock only moves forward: a
+// run that drains or reaches until leaves it at until (unless until is
+// Forever or already past), and a stopped run leaves it at the instant
+// it stopped, so the events still pending fire later at their own times.
 func (e *Env) Run(until Time) Time {
 	if e.running {
 		panic("sim: Run called re-entrantly")
@@ -388,12 +389,8 @@ func (e *Env) Run(until Time) Time {
 	var nev int64
 	for !e.stopped {
 		ev := e.peek()
-		if ev == nil {
+		if ev == nil || ev.at > until {
 			break
-		}
-		if ev.at > until {
-			e.now = until
-			return e.now
 		}
 		e.pop(ev)
 		e.now = ev.at
@@ -414,7 +411,7 @@ func (e *Env) Run(until Time) Time {
 			e.wake(e.startProc("", body))
 		}
 	}
-	if e.now < until && until != Forever {
+	if !e.stopped && e.now < until && until != Forever {
 		e.now = until
 	}
 	return e.now

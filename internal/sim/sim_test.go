@@ -54,6 +54,34 @@ func TestRunUntilStopsClock(t *testing.T) {
 	}
 }
 
+// Run never moves the clock backwards: not to an earlier horizon, and
+// not from a stopped run's horizon back to the events it left pending.
+func TestRunNeverRewindsClock(t *testing.T) {
+	env := NewEnv()
+	env.Schedule(100, func() {})
+	env.Run(50)
+	if end := env.Run(10); end != 50 {
+		t.Fatalf("Run(10) after Run(50) = %v, want 50", end)
+	}
+	var at Time
+	env.Schedule(0, func() { at = env.Now() })
+	env.Run(60)
+	if at != 50 {
+		t.Fatalf("delay-0 event fired at %v, want 50", at)
+	}
+
+	env = NewEnv()
+	env.Schedule(1, env.Stop)
+	var fired []Time
+	env.Schedule(5, func() { fired = append(fired, env.Now()) })
+	if end := env.Run(10); end != 1 {
+		t.Fatalf("stopped Run(10) = %v, want 1", end)
+	}
+	if end := env.Run(Forever); end != 5 || len(fired) != 1 || fired[0] != 5 {
+		t.Fatalf("resumed Run = %v with events at %v, want 5 and [5]", end, fired)
+	}
+}
+
 func TestEventAtExactHorizonRuns(t *testing.T) {
 	env := NewEnv()
 	fired := false

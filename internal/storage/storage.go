@@ -46,17 +46,17 @@ type Pool struct {
 type Policy struct {
 	// DeltaDiskGB is the space reserved for a linked clone's delta disk
 	// (its expected working set).
-	DeltaDiskGB float64
+	DeltaDiskGB float64 `json:"deltaDiskGB,omitempty"`
 	// DeltaWriteMB is the bytes actually written at deploy time — delta
 	// creation is nearly a metadata operation, which is exactly why fast
 	// provisioning shifts the deploy bottleneck to the control plane.
-	DeltaWriteMB float64
+	DeltaWriteMB float64 `json:"deltaWriteMB,omitempty"`
 	// MaxChainLen is the longest permitted linked-clone/redo-log chain
 	// (clones per shadow base). Deploys that would exceed it force a new
 	// shadow copy first.
-	MaxChainLen int
+	MaxChainLen int `json:"maxChainLen,omitempty"`
 	// SnapshotGB is the space charged per snapshot.
-	SnapshotGB float64
+	SnapshotGB float64 `json:"snapshotGB,omitempty"`
 }
 
 // DefaultPolicy mirrors common production settings: 1 GB reserved delta

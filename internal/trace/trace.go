@@ -104,14 +104,7 @@ func (rc *Recorder) Reset() { rc.records = nil }
 
 // WriteJSONL writes one JSON object per line.
 func WriteJSONL(w io.Writer, records []Record) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := range records {
-		if err := enc.Encode(&records[i]); err != nil {
-			return fmt.Errorf("trace: encode record %d: %w", i, err)
-		}
-	}
-	return bw.Flush()
+	return writeAll(NewJSONLWriter(w), records)
 }
 
 // ReadJSONL reads records written by WriteJSONL.
@@ -136,31 +129,23 @@ var csvHeader = []string{
 
 // WriteCSV writes records with a header row.
 func WriteCSV(w io.Writer, records []Record) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return err
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	return writeAll(NewCSVWriter(w), records)
+}
+
+// writeAll writes every record through sw, then flushes it.
+func writeAll(sw *Writer, records []Record) error {
 	for i := range records {
-		r := &records[i]
-		row := []string{
-			strconv.FormatInt(r.TaskID, 10), r.Kind, r.Mode, r.Org,
-			strconv.FormatInt(r.VM, 10), strconv.FormatInt(r.Template, 10),
-			f(r.Submit), f(r.End), f(r.Latency), f(r.Queue), f(r.Cell),
-			f(r.Mgmt), f(r.DB), f(r.Host), f(r.Data), r.Err,
-		}
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("trace: write record %d: %w", i, err)
+		if err := sw.Write(&records[i]); err != nil {
+			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return sw.Flush()
 }
 
 // Writer streams records one at a time to an underlying writer, buffered,
-// in JSONL or CSV form. Its output is byte-identical to WriteJSONL /
-// WriteCSV over the same records — pinned by a test — so a CLI can switch
-// from accumulate-then-dump to streaming without changing its artifact.
+// in JSONL or CSV form. WriteJSONL and WriteCSV are loops over it, so a
+// CLI can switch from accumulate-then-dump to streaming without changing
+// its artifact.
 // Errors are sticky: after the first failure every Write is a no-op and
 // Flush reports it, so a caller checking only the final Flush still
 // observes a mid-stream disk failure.
