@@ -18,7 +18,9 @@ type Engine struct {
 	name   string
 	bwMBps float64
 
-	active     map[*transfer]struct{}
+	// active holds the in-flight transfers in start order, so transfers
+	// finishing at one instant wake their processes in that order.
+	active     []*transfer
 	lastUpdate sim.Time
 	timer      sim.Timer
 	complete   func() // cached e.onComplete method value (reschedule hot path)
@@ -45,7 +47,7 @@ func NewEngine(env *sim.Env, name string, bwMBps float64) *Engine {
 	if bwMBps <= 0 {
 		panic(fmt.Sprintf("storage: engine %q bandwidth %v", name, bwMBps))
 	}
-	return &Engine{env: env, name: name, bwMBps: bwMBps, active: make(map[*transfer]struct{})}
+	return &Engine{env: env, name: name, bwMBps: bwMBps}
 }
 
 // Name returns the engine's label.
@@ -70,7 +72,7 @@ func (e *Engine) update() {
 		e.busyIntegral += dt
 		e.loadIntegral += dt * float64(k)
 		per := dt * e.bwMBps / float64(k)
-		for t := range e.active {
+		for _, t := range e.active {
 			t.remainingMB -= per
 		}
 	}
@@ -86,7 +88,7 @@ func (e *Engine) reschedule() {
 		return
 	}
 	minRem := math.Inf(1)
-	for t := range e.active {
+	for _, t := range e.active {
 		if t.remainingMB < minRem {
 			minRem = t.remainingMB
 		}
@@ -120,15 +122,19 @@ const finishEpsMB = 1e-6
 func (e *Engine) onComplete() {
 	e.timer = sim.Timer{}
 	e.update()
-	for t := range e.active {
-		if t.remainingMB <= finishEpsMB {
-			delete(e.active, t)
-			t.done.Fire()
-			// The signal's waiters are already scheduled for wakeup and
-			// nothing else references t, so the record can be recycled.
-			e.freeT = append(e.freeT, t)
+	live := e.active[:0]
+	for _, t := range e.active {
+		if t.remainingMB > finishEpsMB {
+			live = append(live, t)
+			continue
 		}
+		t.done.Fire()
+		// The signal's waiters are already scheduled for wakeup and
+		// nothing else references t, so the record can be recycled.
+		e.freeT = append(e.freeT, t)
 	}
+	clear(e.active[len(live):])
+	e.active = live
 	e.reschedule()
 }
 
@@ -149,7 +155,7 @@ func (e *Engine) Copy(p *sim.Proc, sizeMB float64) {
 	} else {
 		t = &transfer{remainingMB: sizeMB, done: sim.NewSignal(e.env), started: e.env.Now()}
 	}
-	e.active[t] = struct{}{}
+	e.active = append(e.active, t)
 	e.transfers++
 	e.bytesMB += sizeMB
 	e.reschedule()

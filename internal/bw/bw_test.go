@@ -6,6 +6,7 @@ package bw
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"cloudmcp/internal/sim"
@@ -30,6 +31,27 @@ func TestFairShare(t *testing.T) {
 	s := e.Stats()
 	if s.Transfers != 4 || s.BytesMB != 1000 {
 		t.Fatalf("stats = %+v", s)
+	}
+}
+
+// Transfers that finish at the same instant wake their processes in the
+// order they started, on every run: repeated rounds catch an order that
+// varies between runs.
+func TestSimultaneousCompletionsWakeInStartOrder(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		env := sim.NewEnv()
+		e := NewEngine(env, "link", 100)
+		var woke []int
+		for i := 0; i < 4; i++ {
+			env.Go("t", func(p *sim.Proc) {
+				e.Copy(p, 64)
+				woke = append(woke, i)
+			})
+		}
+		env.Run(sim.Forever)
+		if !slices.Equal(woke, []int{0, 1, 2, 3}) {
+			t.Fatalf("round %d: wake order %v, want start order [0 1 2 3]", round, woke)
+		}
 	}
 }
 

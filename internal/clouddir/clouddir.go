@@ -48,50 +48,54 @@ func (p PlacementPolicy) String() string {
 	return "most-free"
 }
 
-// ParsePlacement is the inverse of String.
-func ParsePlacement(s string) (PlacementPolicy, error) {
-	for _, p := range []PlacementPolicy{PlaceMostFree, PlaceStickyOrg} {
-		if s == p.String() {
-			return p, nil
+// MarshalText writes the placement's name, so a scenario file spells
+// it as a word.
+func (p PlacementPolicy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+// UnmarshalText is the inverse of MarshalText.
+func (p *PlacementPolicy) UnmarshalText(b []byte) error {
+	for _, v := range []PlacementPolicy{PlaceMostFree, PlaceStickyOrg} {
+		if string(b) == v.String() {
+			*p = v
+			return nil
 		}
 	}
-	return 0, fmt.Errorf("clouddir: unknown placement %q (want most-free or sticky-org)", s)
+	return fmt.Errorf("clouddir: unknown placement %q (want most-free or sticky-org)", b)
 }
 
-// Config sizes the cloud-director deployment.
+// Config sizes the cloud-director deployment. The JSON tags name the
+// scenario file's director fields (internal/core).
 type Config struct {
 	// Cells is the number of director cells (front-end servers).
-	Cells int
+	Cells int `json:"cells,omitempty"`
 	// CellThreads is each cell's concurrent request capacity.
-	CellThreads int
+	CellThreads int `json:"cellThreads,omitempty"`
 	// FastProvisioning selects linked-clone deploys when true, full
 	// clones otherwise.
-	FastProvisioning bool
+	FastProvisioning bool `json:"fastProvisioning"`
 	// MaxChainLen caps a linked-clone chain before a new shadow template
 	// must be created (0 → the storage policy's limit; negative is
 	// rejected).
-	MaxChainLen int
+	MaxChainLen int `json:"maxChainLen,omitempty"`
 	// RebalanceThreshold is the datastore fill-imbalance (difference in
 	// fill fraction) above which the rebalancer acts. <=0 disables it.
-	RebalanceThreshold float64
+	RebalanceThreshold float64 `json:"rebalanceThreshold"`
 	// RebalanceCheckS is how often the rebalancer evaluates imbalance.
-	RebalanceCheckS float64
+	RebalanceCheckS float64 `json:"rebalanceCheckS,omitempty"`
 	// RebalanceBatch is the maximum VMs moved per rebalance pass.
-	RebalanceBatch int
+	RebalanceBatch int `json:"rebalanceBatch,omitempty"`
 	// LeaseS is the vApp runtime lease; expired vApps are undeployed
 	// automatically. 0 disables leases; negative is rejected.
-	LeaseS float64
-	// Placement selects the datastore-placement policy.
-	Placement PlacementPolicy
-	// Place scores hosts and datastores; nil means the default
-	// most-free policy (identical to the historical indexed calls).
-	// Sticky-org pinning (Placement above) composes with it: the pin
-	// is tried first, Place answers the general search.
-	Place policy.PlacementPolicy
+	LeaseS float64 `json:"leaseS,omitempty"`
+	// Placement selects the datastore-placement policy. Sticky-org
+	// pinning composes with the director's placement scoring policy:
+	// the pin is tried first, the scoring policy answers the general
+	// search.
+	Placement PlacementPolicy `json:"placement"`
 	// OrgQuotaVMs caps each tenant's live VMs (0 = unlimited; negative
 	// is rejected). Quota is enforced at vApp admission, counting
 	// in-flight deploys.
-	OrgQuotaVMs int
+	OrgQuotaVMs int `json:"orgQuotaVMs,omitempty"`
 }
 
 // DefaultConfig returns a two-cell director with fast provisioning on and
@@ -154,6 +158,7 @@ type Director struct {
 	plane  *plane.Plane
 	model  *ops.CostModel
 	stream *rng.Stream
+	place  policy.PlacementPolicy
 	cfg    Config
 
 	cells []*sim.Resource
@@ -237,16 +242,13 @@ func (d *Director) putFrame(f *deployFrame) { d.frameFree = append(d.frameFree, 
 
 // New builds a director over an existing management plane. The stream
 // seeds cell stage-time draws; it must be distinct from the managers'
-// streams.
-func New(env *sim.Env, pl *plane.Plane, model *ops.CostModel, stream *rng.Stream, cfg Config) (*Director, error) {
+// streams. place scores the hosts and datastores the director picks.
+func New(env *sim.Env, pl *plane.Plane, model *ops.CostModel, stream *rng.Stream, place policy.PlacementPolicy, cfg Config) (*Director, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Place == nil {
-		cfg.Place = policy.DefaultPlacement()
-	}
 	d := &Director{
-		env: env, plane: pl, model: model, stream: stream, cfg: cfg,
+		env: env, plane: pl, model: model, stream: stream, place: place, cfg: cfg,
 		chains:    make(map[chainKey]*chainState),
 		baseDS:    make(map[inventory.ID][]inventory.ID),
 		orgHash:   make(map[string]uint32),
@@ -333,11 +335,11 @@ func (d *Director) placeHost(memMB, prefShard int) *inventory.Host {
 		// The plane partitions hosts into inventory placement groups, so
 		// the preferred shard's best host is one group query; the global
 		// query answers the fallback.
-		if h := d.cfg.Place.BestHost(inv, memMB, prefShard); h != nil {
+		if h := d.place.BestHost(inv, memMB, prefShard); h != nil {
 			return h
 		}
 	}
-	return d.cfg.Place.BestHost(inv, memMB, -1)
+	return d.place.BestHost(inv, memMB, -1)
 }
 
 // placeDatastore returns a datastore that fits needGB under the
@@ -353,7 +355,7 @@ func (d *Director) placeDatastore(needGB float64, org string) *inventory.Datasto
 		}
 		// Pinned datastore is full: fall through to general placement.
 	}
-	return d.cfg.Place.BestDatastore(inv, needGB)
+	return d.place.BestDatastore(inv, needGB)
 }
 
 // stickyDatastore returns org's pinned datastore — FNV-1a of the org name

@@ -9,6 +9,7 @@ import (
 	"cloudmcp/internal/mgmt"
 	"cloudmcp/internal/ops"
 	"cloudmcp/internal/plane"
+	"cloudmcp/internal/policy"
 	"cloudmcp/internal/rng"
 	"cloudmcp/internal/sim"
 	"cloudmcp/internal/testfix"
@@ -337,27 +338,27 @@ func TestConfigValidation(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
 	bad := DefaultConfig()
 	bad.Cells = 0
-	if _, err := New(f.env, f.pl, ops.DefaultCostModel(), rng.New(1), bad); err == nil {
+	if _, err := New(f.env, f.pl, ops.DefaultCostModel(), rng.New(1), policy.DefaultPlacement(), bad); err == nil {
 		t.Fatal("expected error")
 	}
 	bad = DefaultConfig()
 	bad.RebalanceCheckS = 0
-	if _, err := New(f.env, f.pl, ops.DefaultCostModel(), rng.New(1), bad); err == nil {
+	if _, err := New(f.env, f.pl, ops.DefaultCostModel(), rng.New(1), policy.DefaultPlacement(), bad); err == nil {
 		t.Fatal("expected rebalancer config error")
 	}
 	bad = DefaultConfig()
 	bad.MaxChainLen = -1
-	if _, err := New(f.env, f.pl, ops.DefaultCostModel(), rng.New(1), bad); err == nil {
+	if _, err := New(f.env, f.pl, ops.DefaultCostModel(), rng.New(1), policy.DefaultPlacement(), bad); err == nil {
 		t.Fatal("expected negative chain length error")
 	}
 	bad = DefaultConfig()
 	bad.LeaseS = -1
-	if _, err := New(f.env, f.pl, ops.DefaultCostModel(), rng.New(1), bad); err == nil || !strings.Contains(err.Error(), "negative lease") {
+	if _, err := New(f.env, f.pl, ops.DefaultCostModel(), rng.New(1), policy.DefaultPlacement(), bad); err == nil || !strings.Contains(err.Error(), "negative lease") {
 		t.Fatalf("negative lease: err = %v", err)
 	}
 	bad = DefaultConfig()
 	bad.OrgQuotaVMs = -1
-	if _, err := New(f.env, f.pl, ops.DefaultCostModel(), rng.New(1), bad); err == nil || !strings.Contains(err.Error(), "negative org quota") {
+	if _, err := New(f.env, f.pl, ops.DefaultCostModel(), rng.New(1), policy.DefaultPlacement(), bad); err == nil || !strings.Contains(err.Error(), "negative org quota") {
 		t.Fatalf("negative org quota: err = %v", err)
 	}
 }

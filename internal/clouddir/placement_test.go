@@ -2,11 +2,13 @@ package clouddir
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"cloudmcp/internal/inventory"
 	"cloudmcp/internal/mgmt"
 	"cloudmcp/internal/plane"
+	"cloudmcp/internal/policy"
 	"cloudmcp/internal/rng"
 	"cloudmcp/internal/testfix"
 )
@@ -23,7 +25,7 @@ func placementFixture(t *testing.T, opts testfix.Options, shards int, cfg Config
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, err := New(fx.Env, pl, fx.Model, rng.Derive(1, "cell"), cfg)
+	dir, err := New(fx.Env, pl, fx.Model, rng.Derive(1, "cell"), policy.DefaultPlacement(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,6 +91,25 @@ func TestRegisterBaseKeepsSortedUniqueList(t *testing.T) {
 // closed-loop harness spreads its workers over org0..org7 — so a hash
 // or modulo change shows up here before it silently shifts every
 // sticky-placement artifact.
+// Each placement name round-trips through the text form scenario files
+// use, and an unknown name is rejected.
+func TestPlacementPolicyText(t *testing.T) {
+	for _, p := range []PlacementPolicy{PlaceMostFree, PlaceStickyOrg} {
+		text, err := p.MarshalText()
+		if err != nil || string(text) != p.String() {
+			t.Fatalf("MarshalText(%v) = %q, %v", p, text, err)
+		}
+		var back PlacementPolicy = -1
+		if err := back.UnmarshalText(text); err != nil || back != p {
+			t.Fatalf("UnmarshalText(%q) = %v, %v", text, back, err)
+		}
+	}
+	var p PlacementPolicy
+	if err := p.UnmarshalText([]byte("x")); err == nil || !strings.Contains(err.Error(), `unknown placement "x"`) {
+		t.Fatalf("UnmarshalText(x) err = %v", err)
+	}
+}
+
 func TestStickyOrgGoldenMapping(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Placement = PlaceStickyOrg

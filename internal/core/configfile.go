@@ -2,11 +2,11 @@ package core
 
 // JSON scenario files: a stable, human-editable wire format for Config so
 // that experiment setups can be checked into a repo and re-run exactly
-// (cmd/mcpsim -config scenario.json). A package config whose fields
-// are plain values carries its own JSON tags and is decoded as is; the
-// blocks declared here are the ones whose wire shape differs from their
-// config (enum names, block presence, per-field overrides). Operation
-// names (not enum values) key the cost overrides.
+// (cmd/mcpsim -config scenario.json). Every package config carries its
+// own JSON tags and enum names (mgmt.LockGranularity and
+// clouddir.PlacementPolicy decode as words) and is decoded as is; the
+// blocks declared here only add block presence and per-field overrides.
+// Operation names (not enum values) key the cost overrides.
 //
 // A scenario is decoded over the wire form of DefaultConfig: a field the
 // document omits keeps its default, and a field it gives is used as
@@ -43,12 +43,12 @@ type ConfigFile struct {
 	// Empty is "default", which reproduces the hardcoded behavior.
 	Policy string `json:"policy,omitempty"`
 
-	Topology Topology       `json:"topology"`
-	Mgmt     MgmtFile       `json:"mgmt"`
-	Plane    plane.Config   `json:"plane"`
-	Director DirectorFile   `json:"director"`
-	Storage  storage.Policy `json:"storage"`
-	DRS      *DRSFile       `json:"drs,omitempty"`
+	Topology Topology        `json:"topology"`
+	Mgmt     MgmtFile        `json:"mgmt"`
+	Plane    plane.Config    `json:"plane"`
+	Director clouddir.Config `json:"director"`
+	Storage  storage.Policy  `json:"storage"`
+	DRS      *DRSFile        `json:"drs,omitempty"`
 
 	// Costs overrides per-operation stage costs by operation name
 	// (ops.Kind String() names, e.g. "deploy", "powerOn").
@@ -103,14 +103,10 @@ func (r *RetryFile) UnmarshalJSON(b []byte) error {
 	return err
 }
 
-// MgmtFile mirrors mgmt.Config plus the optional substrate models.
+// MgmtFile is mgmt.Config plus the optional substrate models, whose
+// blocks decode over their package defaults.
 type MgmtFile struct {
-	Threads     int    `json:"threads,omitempty"`
-	DBConns     int    `json:"dbConns,omitempty"`
-	MaxInFlight int    `json:"maxInFlight,omitempty"`
-	HostSlots   int    `json:"hostSlots,omitempty"`
-	Granularity string `json:"granularity,omitempty"` // coarse|host|entity
-
+	mgmt.Config
 	Database *DatabaseFile `json:"database,omitempty"`
 	Network  *NetworkFile  `json:"network,omitempty"`
 }
@@ -135,33 +131,13 @@ func (n *NetworkFile) UnmarshalJSON(b []byte) error {
 	return err
 }
 
-// DirectorFile mirrors clouddir.Config.
-type DirectorFile struct {
-	Cells              int     `json:"cells,omitempty"`
-	CellThreads        int     `json:"cellThreads,omitempty"`
-	FastProvisioning   bool    `json:"fastProvisioning"`
-	MaxChainLen        int     `json:"maxChainLen,omitempty"`
-	RebalanceThreshold float64 `json:"rebalanceThreshold"`
-	RebalanceCheckS    float64 `json:"rebalanceCheckS,omitempty"`
-	RebalanceBatch     int     `json:"rebalanceBatch,omitempty"`
-	LeaseS             float64 `json:"leaseS,omitempty"`
-	Placement          string  `json:"placement,omitempty"` // most-free|sticky-org
-	OrgQuotaVMs        int     `json:"orgQuotaVMs,omitempty"`
-}
-
-// DRSFile mirrors drs.Config; presence enables the balancer unless the
-// threshold is zero.
-type DRSFile struct {
-	Threshold float64 `json:"threshold,omitempty"`
-	CheckS    float64 `json:"checkS,omitempty"`
-	Batch     int     `json:"batch,omitempty"`
-}
+// DRSFile is drs.Config in wire form; presence enables the balancer
+// unless the threshold is zero.
+type DRSFile drs.Config
 
 // UnmarshalJSON decodes the block over drs.DefaultConfig().
 func (d *DRSFile) UnmarshalJSON(b []byte) error {
-	type plain DRSFile
-	def := drs.DefaultConfig()
-	v, err := decodeOver(bytes.NewReader(b), plain{Threshold: def.Threshold, CheckS: def.CheckS, Batch: def.Batch})
+	v, err := decodeOver(bytes.NewReader(b), drs.DefaultConfig())
 	*d = DRSFile(v)
 	return err
 }
@@ -200,25 +176,16 @@ func decodeOver[T any](r io.Reader, v T) (T, error) {
 // DefaultConfig has none of the optional blocks, so they stay nil.
 func defaultConfigFile(seed int64) ConfigFile {
 	def := DefaultConfig(seed)
-	m, d := def.Mgmt, def.Director
 	return ConfigFile{
 		Seed:     seed,
 		Policy:   def.Policy,
 		Topology: def.Topology,
-		Mgmt: MgmtFile{
-			Threads: m.Threads, DBConns: m.DBConns, MaxInFlight: m.MaxInFlight, HostSlots: m.HostSlots,
-			Granularity: m.Granularity.String(),
-		},
-		Plane: def.Plane,
-		Director: DirectorFile{
-			Cells: d.Cells, CellThreads: d.CellThreads, FastProvisioning: d.FastProvisioning,
-			MaxChainLen: d.MaxChainLen, RebalanceThreshold: d.RebalanceThreshold,
-			RebalanceCheckS: d.RebalanceCheckS, RebalanceBatch: d.RebalanceBatch, LeaseS: d.LeaseS,
-			Placement: d.Placement.String(), OrgQuotaVMs: d.OrgQuotaVMs,
-		},
-		Storage: def.Storage,
-		Record:  def.Record,
-		Metrics: def.Metrics,
+		Mgmt:     MgmtFile{Config: def.Mgmt},
+		Plane:    def.Plane,
+		Director: def.Director,
+		Storage:  def.Storage,
+		Record:   def.Record,
+		Metrics:  def.Metrics,
 	}
 }
 
@@ -241,39 +208,23 @@ func decodeConfigFile(r io.Reader) (ConfigFile, error) {
 }
 
 // Apply converts the wire form to a runnable Config: every field is
-// copied as written, then the enums, the policy name and the optional
-// blocks are validated.
+// used as written, then the policy name and the optional blocks are
+// validated.
 func (f *ConfigFile) Apply() (Config, error) {
 	if _, err := policy.Named(f.Policy); err != nil {
 		return Config{}, err
 	}
-	gran, err := mgmt.ParseGranularity(f.Mgmt.Granularity)
-	if err != nil {
-		return Config{}, err
-	}
-	place, err := clouddir.ParsePlacement(f.Director.Placement)
-	if err != nil {
-		return Config{}, err
-	}
-	m, d := f.Mgmt, f.Director
+	m := f.Mgmt
 	cfg := Config{
 		Seed:     f.Seed,
 		Policy:   f.Policy,
 		Topology: f.Topology,
-		Mgmt: mgmt.Config{
-			Threads: m.Threads, DBConns: m.DBConns, MaxInFlight: m.MaxInFlight, HostSlots: m.HostSlots,
-			Granularity: gran,
-		},
-		Plane: f.Plane,
-		Director: clouddir.Config{
-			Cells: d.Cells, CellThreads: d.CellThreads, FastProvisioning: d.FastProvisioning,
-			MaxChainLen: d.MaxChainLen, RebalanceThreshold: d.RebalanceThreshold,
-			RebalanceCheckS: d.RebalanceCheckS, RebalanceBatch: d.RebalanceBatch, LeaseS: d.LeaseS,
-			Placement: place, OrgQuotaVMs: d.OrgQuotaVMs,
-		},
-		Storage: f.Storage,
-		Record:  f.Record,
-		Metrics: f.Metrics,
+		Mgmt:     m.Config,
+		Plane:    f.Plane,
+		Director: f.Director,
+		Storage:  f.Storage,
+		Record:   f.Record,
+		Metrics:  f.Metrics,
 	}
 	if err := cfg.Plane.Validate(); err != nil {
 		return Config{}, err
@@ -287,7 +238,7 @@ func (f *ConfigFile) Apply() (Config, error) {
 		cfg.Mgmt.Network = &c
 	}
 	if d := f.DRS; d != nil {
-		cfg.DRS = drs.Config{Threshold: d.Threshold, CheckS: d.CheckS, Batch: d.Batch}
+		cfg.DRS = drs.Config(*d)
 	}
 	if f.Costs != nil || f.CostCV != nil {
 		model := ops.DefaultCostModel()

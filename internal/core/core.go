@@ -130,9 +130,11 @@ type Config struct {
 	// plane's decision points: placement scoring, DRS move selection,
 	// HA failover targeting, retry shaping, and admission limits.
 	// "" or "default" reproduce the historical hardcoded decisions
-	// bit-for-bit. Explicit per-engine settings (Director.Place,
-	// DRS.Move, Mgmt.Retry, Mgmt.MaxInFlight) take precedence over the
-	// named set's corresponding axis.
+	// bit-for-bit. The set is the only source of the director's
+	// placement, the balancer's move and the HA engine's failover
+	// policy (Cloud.Policy); an explicit Mgmt.Retry replaces the set's
+	// retry, and Mgmt.MaxInFlight is the base the set's admission
+	// policy sizes from.
 	Policy string
 }
 
@@ -180,15 +182,6 @@ func New(cfg Config) (*Cloud, error) {
 	pol, err := policy.Named(cfg.Policy)
 	if err != nil {
 		return nil, err
-	}
-	// The named set fills any axis the caller left at its zero value;
-	// explicit per-engine settings win. The default set is the identity
-	// on every axis.
-	if cfg.Director.Place == nil {
-		cfg.Director.Place = pol.Place
-	}
-	if cfg.DRS.Move == nil {
-		cfg.DRS.Move = pol.Move
 	}
 	model := cfg.Model
 	if model == nil {
@@ -243,11 +236,11 @@ func New(cfg Config) (*Cloud, error) {
 	if err != nil {
 		return nil, err
 	}
-	dir, err := clouddir.New(env, pl, model, rng.Derive(cfg.Seed, "cells"), cfg.Director)
+	dir, err := clouddir.New(env, pl, model, rng.Derive(cfg.Seed, "cells"), pol.Place, cfg.Director)
 	if err != nil {
 		return nil, err
 	}
-	balancer, err := drs.New(env, pl, cfg.DRS)
+	balancer, err := drs.New(env, pl, pol.Move, cfg.DRS)
 	if err != nil {
 		return nil, err
 	}
@@ -480,8 +473,9 @@ func (c *Cloud) BottleneckReport() []StageUtilization {
 		})
 	}
 	var busyAgent StageUtilization
-	for _, a := range c.plane.Home().Agents().All() {
-		s := a.Stats().Util
+	agents := c.plane.Home().Agents()
+	for _, id := range c.inv.Hosts() {
+		s := agents.Agent(id).Stats().Util
 		if s.Utilization >= busyAgent.Utilization {
 			// Resource names already carry the "hostagent:" prefix.
 			busyAgent = StageUtilization{Stage: s.Name, Utilization: s.Utilization, MeanQueue: s.MeanQueueLen}

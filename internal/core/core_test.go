@@ -517,6 +517,34 @@ func TestBottleneckReport(t *testing.T) {
 	}
 }
 
+// Host agents tied for the highest utilization resolve to the last in
+// host-ID order, on every cloud, as tied datastores do.
+func TestBottleneckReportBreaksAgentTiesByHostID(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		cfg := DefaultConfig(1)
+		cfg.Director.RebalanceThreshold = 0
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range c.Inventory().Hosts()[:3] {
+			agent := c.Manager().Agents().Agent(id)
+			c.Go("work", func(p *sim.Proc) { agent.Exec(p, 10) })
+		}
+		c.Run(100)
+		var got string
+		for _, s := range c.BottleneckReport() {
+			if strings.HasPrefix(s.Stage, "hostagent:") {
+				got = s.Stage
+			}
+		}
+		c.Close()
+		if got != "hostagent:host02" {
+			t.Fatalf("cloud %d: busiest agent %q, want hostagent:host02", i, got)
+		}
+	}
+}
+
 func TestDRSIntegration(t *testing.T) {
 	cfg := DefaultConfig(6)
 	cfg.DRS = drsConfigForTest()

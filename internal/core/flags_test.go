@@ -199,7 +199,7 @@ func TestBindConfigFlagsRejectsNamingThePath(t *testing.T) {
 			t.Errorf("-set %s accepted", arg)
 		}
 	}
-	// Values are validated where files are: in Apply.
+	// Values are validated where files are: by the decoder or in Apply.
 	for _, arg := range []string{"mgmt.granularity=weird", "plane.db=nope", "faults.rate=2", "faults.rate=-0.1", "policy=zzz"} {
 		if _, err := bind(t, "-set", arg); err == nil {
 			t.Errorf("-set %s accepted", arg)

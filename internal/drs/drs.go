@@ -18,18 +18,16 @@ import (
 	"cloudmcp/internal/sim"
 )
 
-// Config tunes the balancer.
+// Config tunes the balancer. The JSON tags name the scenario file's drs
+// fields (internal/core).
 type Config struct {
 	// Threshold is the host memory-utilization spread (max-min fraction)
 	// above which a pass migrates VMs. <= 0 disables the balancer.
-	Threshold float64
+	Threshold float64 `json:"threshold,omitempty"`
 	// CheckS is the evaluation period.
-	CheckS float64
+	CheckS float64 `json:"checkS,omitempty"`
 	// Batch caps migrations per pass.
-	Batch int
-	// Move picks which VM a pass migrates; nil means the default
-	// biggest-fit policy (identical to the historical hardcoded scan).
-	Move policy.MovePolicy
+	Batch int `json:"batch,omitempty"`
 }
 
 // DefaultConfig checks every 5 minutes and acts on a 25% spread.
@@ -56,6 +54,7 @@ type PassRecord struct {
 type Balancer struct {
 	env   *sim.Env
 	plane *plane.Plane
+	move  policy.MovePolicy
 	cfg   Config
 
 	passes    []PassRecord
@@ -64,17 +63,15 @@ type Balancer struct {
 	balancing bool
 }
 
-// New builds a balancer over the management plane. Its moves route to
-// the shard owning the source host, crossing shards through the plane's
-// coordinator when the destination lives elsewhere.
-func New(env *sim.Env, pl *plane.Plane, cfg Config) (*Balancer, error) {
+// New builds a balancer over the management plane; move picks which VM
+// a pass migrates. Its moves route to the shard owning the source host,
+// crossing shards through the plane's coordinator when the destination
+// lives elsewhere.
+func New(env *sim.Env, pl *plane.Plane, move policy.MovePolicy, cfg Config) (*Balancer, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Move == nil {
-		cfg.Move = policy.DefaultMove()
-	}
-	return &Balancer{env: env, plane: pl, cfg: cfg}, nil
+	return &Balancer{env: env, plane: pl, move: move, cfg: cfg}, nil
 }
 
 // Start launches the periodic evaluation process (no-op when disabled).
@@ -154,7 +151,7 @@ func (b *Balancer) BalanceOnce(p *sim.Proc) {
 		if !ok || memUtil(hi)-memUtil(lo) <= b.cfg.Threshold/2 {
 			break
 		}
-		vm := b.cfg.Move.Pick(b.plane.Inventory(), hi, lo)
+		vm := b.move.Pick(b.plane.Inventory(), hi, lo)
 		if vm == nil {
 			break
 		}

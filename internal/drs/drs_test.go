@@ -8,6 +8,7 @@ import (
 	"cloudmcp/internal/mgmt"
 	"cloudmcp/internal/ops"
 	"cloudmcp/internal/plane"
+	"cloudmcp/internal/policy"
 	"cloudmcp/internal/sim"
 	"cloudmcp/internal/testfix"
 )
@@ -30,7 +31,7 @@ func newFixture(t *testing.T, cfg Config) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bal, err := New(fx.Env, pl, cfg)
+	bal, err := New(fx.Env, pl, policy.DefaultMove(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestSkipsMaintenanceHosts(t *testing.T) {
 
 func TestBadConfigRejected(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
-	if _, err := New(f.env, f.pl, Config{Threshold: 0.2}); err == nil {
+	if _, err := New(f.env, f.pl, policy.DefaultMove(), Config{Threshold: 0.2}); err == nil {
 		t.Fatal("expected error")
 	}
 }

@@ -22,9 +22,6 @@ type Config struct {
 	// MaxConcurrentRestarts throttles the restart storm, as real HA
 	// engines do to avoid overwhelming the surviving hosts.
 	MaxConcurrentRestarts int
-	// Failover picks the restart target; nil means the default
-	// most-free policy (identical to the historical hardcoded scan).
-	Failover policy.FailoverPolicy
 }
 
 // DefaultConfig allows 32 concurrent restarts.
@@ -46,24 +43,22 @@ func (f *Failover) Duration() float64 { return f.End - f.Start }
 
 // Engine drives failovers against one manager.
 type Engine struct {
-	env *sim.Env
-	mgr *mgmt.Manager
-	cfg Config
+	env  *sim.Env
+	mgr  *mgmt.Manager
+	pick policy.FailoverPolicy
+	cfg  Config
 
 	slots     *sim.Resource
 	failovers []Failover
 }
 
-// New builds an HA engine.
-func New(env *sim.Env, mgr *mgmt.Manager, cfg Config) (*Engine, error) {
+// New builds an HA engine; pick chooses each restart's target host.
+func New(env *sim.Env, mgr *mgmt.Manager, pick policy.FailoverPolicy, cfg Config) (*Engine, error) {
 	if cfg.MaxConcurrentRestarts <= 0 {
 		return nil, fmt.Errorf("ha: restart concurrency %d", cfg.MaxConcurrentRestarts)
 	}
-	if cfg.Failover == nil {
-		cfg.Failover = policy.DefaultFailover()
-	}
 	return &Engine{
-		env: env, mgr: mgr, cfg: cfg,
+		env: env, mgr: mgr, pick: pick, cfg: cfg,
 		slots: sim.NewResource(env, "ha.restarts", cfg.MaxConcurrentRestarts),
 	}, nil
 }
@@ -153,5 +148,5 @@ func (e *Engine) RecoverHost(host *inventory.Host) error {
 // index in O(log hosts) — under the E19 million-VM ladder, a failover
 // storm over the old O(hosts) scan went quadratic.
 func (e *Engine) pickTarget(vm *inventory.VM) *inventory.Host {
-	return e.cfg.Failover.PickTarget(e.mgr.Inventory(), vm)
+	return e.pick.PickTarget(e.mgr.Inventory(), vm)
 }

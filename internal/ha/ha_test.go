@@ -9,6 +9,7 @@ import (
 	"cloudmcp/internal/mgmt"
 	"cloudmcp/internal/ops"
 	"cloudmcp/internal/plane"
+	"cloudmcp/internal/policy"
 	"cloudmcp/internal/sim"
 	"cloudmcp/internal/testfix"
 )
@@ -32,7 +33,7 @@ func newFixture(t *testing.T, cfg Config) *fixture {
 		t.Fatal(err)
 	}
 	mgr := pl.Home()
-	eng, err := New(fx.Env, mgr, cfg)
+	eng, err := New(fx.Env, mgr, policy.DefaultFailover(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestFailoversRecorded(t *testing.T) {
 
 func TestBadConfig(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
-	if _, err := New(f.env, f.mgr, Config{}); err == nil {
+	if _, err := New(f.env, f.mgr, policy.DefaultFailover(), Config{}); err == nil {
 		t.Fatal("expected error")
 	}
 }

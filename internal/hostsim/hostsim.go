@@ -106,6 +106,3 @@ func (r *Registry) Ensure(id inventory.ID, name string) *Agent {
 	r.agents[id] = a
 	return a
 }
-
-// All returns every agent, keyed by host ID.
-func (r *Registry) All() map[inventory.ID]*Agent { return r.agents }

@@ -58,49 +58,57 @@ func (g LockGranularity) String() string {
 	return fmt.Sprintf("granularity(%d)", int(g))
 }
 
-// ParseGranularity is the inverse of String for the named granularities.
-func ParseGranularity(s string) (LockGranularity, error) {
-	for _, g := range []LockGranularity{GranularityCoarse, GranularityHost, GranularityEntity} {
-		if s == g.String() {
-			return g, nil
+// MarshalText writes the granularity's name, so a scenario file spells
+// it as a word.
+func (g LockGranularity) MarshalText() ([]byte, error) { return []byte(g.String()), nil }
+
+// UnmarshalText is the inverse of MarshalText for the named
+// granularities.
+func (g *LockGranularity) UnmarshalText(b []byte) error {
+	for _, v := range []LockGranularity{GranularityCoarse, GranularityHost, GranularityEntity} {
+		if string(b) == v.String() {
+			*g = v
+			return nil
 		}
 	}
-	return 0, fmt.Errorf("mgmt: unknown granularity %q (want coarse, host or entity)", s)
+	return fmt.Errorf("mgmt: unknown granularity %q (want coarse, host or entity)", b)
 }
 
-// Config holds the manager's sizing knobs.
+// Config holds the manager's sizing knobs. The JSON tags name the
+// scenario file's mgmt fields (internal/core); the fields tagged "-"
+// are wired in code.
 type Config struct {
-	Threads     int             // manager worker threads
-	DBConns     int             // concurrent database connections
-	MaxInFlight int             // global in-flight task cap
-	HostSlots   int             // per-host agent operation slots
-	Granularity LockGranularity // inventory lock granularity
+	Threads     int             `json:"threads,omitempty"`     // manager worker threads
+	DBConns     int             `json:"dbConns,omitempty"`     // concurrent database connections
+	MaxInFlight int             `json:"maxInFlight,omitempty"` // global in-flight task cap
+	HostSlots   int             `json:"hostSlots,omitempty"`   // per-host agent operation slots
+	Granularity LockGranularity `json:"granularity"`           // inventory lock granularity
 
 	// Database selects the detailed WAL database model (package mgmtdb)
 	// instead of the default aggregate-service-time model. When set,
 	// DBConns is ignored in favour of Database.Conns, and each
 	// operation's DB stage becomes real commits with group-commit
 	// semantics — the substrate the E13 batching ablation sweeps.
-	Database *mgmtdb.Config
+	Database *mgmtdb.Config `json:"-"`
 
 	// Network selects the shared migration-network model (package
 	// netsim): live-migration memory copies then contend on one
 	// fair-share link (counted as data-plane time) instead of being
 	// charged as isolated host-agent work. The plane builds the one
 	// network every shard's migrations share.
-	Network *netsim.Config
+	Network *netsim.Config `json:"-"`
 
 	// Faults, when set, injects deterministic transient failures and
 	// latency stalls into the host, DB, network, and storage stages (see
 	// package faults). Build one injector per simulation. With no
 	// injector — or an injector whose rates are all zero — Execute's
 	// event sequence is bit-for-bit what it was before faults existed.
-	Faults *faults.Injector
+	Faults *faults.Injector `json:"-"`
 
 	// Retry is the policy applied to injected transient failures. The
 	// zero value means "one attempt, no retries"; it is only consulted
 	// when Faults is set.
-	Retry RetryPolicy
+	Retry RetryPolicy `json:"-"`
 }
 
 // RetryPolicy governs how Execute responds to injected transient
@@ -413,16 +421,15 @@ func (m *Manager) lockFor(id inventory.ID) *sim.Resource {
 		return r
 	}
 	// Reuse a retired lock when one is free: inventory IDs never repeat,
-	// so a recycled resource always stands for a brand-new entity. (The
-	// resource keeps its original debug name; lock names never reach an
-	// artifact.)
+	// so a recycled resource always stands for a brand-new entity. Every
+	// entity lock shares one label: lock names never reach an artifact.
 	var r *sim.Resource
 	if k := len(m.lockPool); k > 0 {
 		r = m.lockPool[k-1]
 		m.lockPool[k-1] = nil
 		m.lockPool = m.lockPool[:k-1]
 	} else {
-		r = sim.NewResource(m.env, fmt.Sprintf("lock:%d", id), 1)
+		r = sim.NewResource(m.env, "mgmt.lock", 1)
 	}
 	m.locks[id] = r
 	return r

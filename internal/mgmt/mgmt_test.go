@@ -2,6 +2,7 @@ package mgmt
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"cloudmcp/internal/hostsim"
@@ -391,6 +392,20 @@ func TestGranularityString(t *testing.T) {
 	}
 	if LockGranularity(9).String() == "" {
 		t.Fatal("unknown granularity must stringify")
+	}
+	for _, g := range []LockGranularity{GranularityCoarse, GranularityHost, GranularityEntity} {
+		text, err := g.MarshalText()
+		if err != nil || string(text) != g.String() {
+			t.Fatalf("MarshalText(%v) = %q, %v", g, text, err)
+		}
+		var back LockGranularity = -1
+		if err := back.UnmarshalText(text); err != nil || back != g {
+			t.Fatalf("UnmarshalText(%q) = %v, %v", text, back, err)
+		}
+	}
+	var g LockGranularity
+	if err := g.UnmarshalText([]byte("weird")); err == nil || !strings.Contains(err.Error(), `unknown granularity "weird"`) {
+		t.Fatalf("UnmarshalText(weird) err = %v", err)
 	}
 }
 

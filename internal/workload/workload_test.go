@@ -8,6 +8,7 @@ import (
 	"cloudmcp/internal/mgmt"
 	"cloudmcp/internal/ops"
 	"cloudmcp/internal/plane"
+	"cloudmcp/internal/policy"
 	"cloudmcp/internal/rng"
 	"cloudmcp/internal/sim"
 	"cloudmcp/internal/storage"
@@ -48,7 +49,7 @@ func newRig(t *testing.T, seed int64, dcfg clouddir.Config) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, err := clouddir.New(env, pl, model, rng.Derive(seed, "cells"), dcfg)
+	dir, err := clouddir.New(env, pl, model, rng.Derive(seed, "cells"), policy.DefaultPlacement(), dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestGeneratorRequiresTemplates(t *testing.T) {
 	pool := storage.NewPool(env, inv)
 	model := ops.DefaultCostModel()
 	pl, _ := plane.New(env, inv, pool, model, 1, mgmt.DefaultConfig(), plane.DefaultConfig())
-	dir, _ := clouddir.New(env, pl, model, rng.New(2), clouddir.DefaultConfig())
+	dir, _ := clouddir.New(env, pl, model, rng.New(2), policy.DefaultPlacement(), clouddir.DefaultConfig())
 	if _, err := NewGenerator(env, dir, CloudA(), rng.New(3), 100); err == nil {
 		t.Fatal("expected no-templates error")
 	}
