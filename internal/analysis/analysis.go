@@ -171,16 +171,6 @@ func LatencyByKind(records []trace.Record) []LatencyRow {
 	return out
 }
 
-// Shares expresses a breakdown as fractions of its total (zero breakdown
-// stays zero).
-func Shares(b ops.Breakdown) ops.Breakdown {
-	t := b.Total()
-	if t == 0 {
-		return ops.Breakdown{}
-	}
-	return b.Scale(1 / t)
-}
-
 // ControlShare returns the fraction of a breakdown spent off the data
 // plane (everything except Data). This is the paper's "control plane is
 // the limiting factor" measure.

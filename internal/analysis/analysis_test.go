@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"cloudmcp/internal/ops"
@@ -72,15 +73,12 @@ func TestOpMixEmpty(t *testing.T) {
 
 func TestRateSeries(t *testing.T) {
 	ts := RateSeries(mkRecords(), 60, "")
-	if ts.Len() != 5 {
-		t.Fatalf("bins = %d", ts.Len())
+	if bins := ts.Bins(); !slices.Equal(bins, []float64{1, 1, 1, 1, 1}) {
+		t.Fatalf("bins = %v", bins)
 	}
-	if ts.At(0) != 1 || ts.At(1) != 1 || ts.At(2) != 1 || ts.At(3) != 1 || ts.At(4) != 1 {
-		t.Fatalf("bins = %v", ts.Bins())
-	}
-	dep := RateSeries(mkRecords(), 60, "deploy")
-	if dep.At(2) != 0 || dep.At(0) != 1 {
-		t.Fatalf("deploy bins = %v", dep.Bins())
+	dep := RateSeries(mkRecords(), 60, "deploy").Bins()
+	if len(dep) < 3 || dep[2] != 0 || dep[0] != 1 {
+		t.Fatalf("deploy bins = %v", dep)
 	}
 }
 
@@ -102,9 +100,8 @@ func TestInterarrivals(t *testing.T) {
 func TestInterarrivalsUnsorted(t *testing.T) {
 	recs := []trace.Record{{Kind: "x", Submit: 100}, {Kind: "x", Submit: 0}, {Kind: "x", Submit: 40}}
 	s := Interarrivals(recs, "")
-	vals := s.Values()
-	if len(vals) != 2 || vals[0] != 40 || vals[1] != 60 {
-		t.Fatalf("gaps = %v", vals)
+	if s.Count() != 2 || s.Percentile(0) != 40 || s.Max() != 60 {
+		t.Fatalf("gaps: count=%d min=%v max=%v", s.Count(), s.Percentile(0), s.Max())
 	}
 }
 
@@ -127,17 +124,10 @@ func TestLatencyByKind(t *testing.T) {
 
 func TestSharesAndControlShare(t *testing.T) {
 	b := ops.Breakdown{Queue: 1, Cell: 1, Mgmt: 2, DB: 1, Host: 2, Data: 3}
-	sh := Shares(b)
-	if !almost(sh.Total(), 1, 1e-9) {
-		t.Fatalf("shares total = %v", sh.Total())
-	}
-	if !almost(sh.Data, 0.3, 1e-9) {
-		t.Fatalf("data share = %v", sh.Data)
-	}
 	if !almost(ControlShare(b), 0.7, 1e-9) {
 		t.Fatalf("control share = %v", ControlShare(b))
 	}
-	if ControlShare(ops.Breakdown{}) != 0 || Shares(ops.Breakdown{}).Total() != 0 {
+	if ControlShare(ops.Breakdown{}) != 0 {
 		t.Fatal("zero breakdown not handled")
 	}
 }

@@ -69,9 +69,6 @@ func NewServer(fe *core.Frontend) *Server {
 	return s
 }
 
-// Frontend returns the served façade.
-func (s *Server) Frontend() *core.Frontend { return s.fe }
-
 // ServeHTTP dispatches to the handler tree.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 

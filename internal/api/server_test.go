@@ -268,7 +268,7 @@ func TestRequestValidation(t *testing.T) {
 func TestServerStopping(t *testing.T) {
 	ts, srv := startServer(t, 1)
 	tok := login(t, ts.URL, "frank@org0")
-	srv.Frontend().Driver().Stop()
+	srv.fe.Driver().Stop()
 	// Wait for the driver loop to exit and reject submissions.
 	deadline := time.Now().Add(10 * time.Second)
 	for {

@@ -50,15 +50,6 @@ func NewEngine(env *sim.Env, name string, bwMBps float64) *Engine {
 	return &Engine{env: env, name: name, bwMBps: bwMBps}
 }
 
-// Name returns the engine's label.
-func (e *Engine) Name() string { return e.name }
-
-// Bandwidth returns the aggregate bandwidth in MB/s.
-func (e *Engine) Bandwidth() float64 { return e.bwMBps }
-
-// Active returns the number of in-flight transfers.
-func (e *Engine) Active() int { return len(e.active) }
-
 // update advances all in-flight transfers to the current virtual time.
 func (e *Engine) update() {
 	now := e.env.Now()

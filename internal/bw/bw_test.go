@@ -66,7 +66,7 @@ func TestBadBandwidthPanics(t *testing.T) {
 
 func TestNameAndBandwidthAccessors(t *testing.T) {
 	e := NewEngine(sim.NewEnv(), "net0", 1250)
-	if e.Name() != "net0" || e.Bandwidth() != 1250 || e.Active() != 0 {
-		t.Fatalf("accessors: %q %v %d", e.Name(), e.Bandwidth(), e.Active())
+	if e.name != "net0" || e.bwMBps != 1250 || len(e.active) != 0 {
+		t.Fatalf("fields: %q %v %d", e.name, e.bwMBps, len(e.active))
 	}
 }

@@ -500,8 +500,7 @@ func (d *Director) DeployVApp(p *sim.Proc, org string, tpl *inventory.Template, 
 	inv := d.plane.Inventory()
 	submit := p.Now()
 	d.nextVApp++
-	dc := inv.Datacenter(inv.Datacenters()[0])
-	va := inv.AddVApp(dc, fmt.Sprintf("vapp-%d", d.nextVApp), org)
+	va := inv.AddVApp(fmt.Sprintf("vapp-%d", d.nextVApp), org)
 	res := &DeployResult{VApp: va, Tasks: make([]*mgmt.Task, 0, nVMs*2)}
 
 	f := d.getFrame(nVMs)
@@ -735,8 +734,7 @@ func (d *Director) StartRebalancer() {
 	})
 }
 
-// rebalanceOnce runs a single rebalance pass (exported for tests via
-// RebalanceNow).
+// rebalanceOnce runs a single rebalance pass.
 func (d *Director) rebalanceOnce(p *sim.Proc) {
 	pool := d.plane.Storage()
 	before := pool.Imbalance()
@@ -791,10 +789,6 @@ func (d *Director) rebalanceOnce(p *sim.Proc) {
 		d.rebalanceFutile++
 	}
 }
-
-// RebalanceNow runs one rebalance pass immediately (testing and the
-// capacity-planning example).
-func (d *Director) RebalanceNow(p *sim.Proc) { d.rebalanceOnce(p) }
 
 // pickMovable returns the largest full-clone VM on src that fits dst, or
 // nil. Linked clones are pinned to their base's datastore and are not

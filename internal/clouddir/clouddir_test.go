@@ -254,7 +254,7 @@ func TestRebalancerMovesFullClones(t *testing.T) {
 			t.Errorf("setup: imbalance %v below threshold", before)
 			return
 		}
-		f.dir.RebalanceNow(p)
+		f.dir.rebalanceOnce(p)
 		after := f.dir.Plane().Storage().Imbalance()
 		if after >= before {
 			t.Errorf("rebalance did not reduce imbalance: %v -> %v", before, after)
@@ -272,7 +272,7 @@ func TestRebalancerMovesFullClones(t *testing.T) {
 
 func TestRebalancerSkipsWhenBalanced(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
-	f.env.Go("u", func(p *sim.Proc) { f.dir.RebalanceNow(p) })
+	f.env.Go("u", func(p *sim.Proc) { f.dir.rebalanceOnce(p) })
 	f.env.Run(sim.Forever)
 	if len(f.dir.Stats().Rebalances) != 0 {
 		t.Fatal("rebalanced a balanced pool")

@@ -43,7 +43,7 @@ func TestPlaceNearBaseDeterministicTieBreak(t *testing.T) {
 	// Equalize free space: home carries the 20 GB template base disk.
 	for _, ds := range f.ds {
 		if ds.ID != home.ID {
-			f.inv.SetDatastoreUsed(ds, home.UsedGB)
+			f.inv.AddDatastoreUsed(ds, home.UsedGB-ds.UsedGB)
 		}
 	}
 	// Register shadows out of ID order to exercise the sorted insert.
@@ -56,7 +56,7 @@ func TestPlaceNearBaseDeterministicTieBreak(t *testing.T) {
 		t.Fatalf("equal-free tie went to %v, want home %v", got.ID, home.ID)
 	}
 	// Take home out: fill it so 1 GB no longer fits.
-	f.inv.SetDatastoreUsed(home, home.CapacityGB-0.5)
+	f.inv.AddDatastoreUsed(home, home.CapacityGB-0.5-home.UsedGB)
 	want := f.ds[1]
 	if f.ds[1] == home {
 		want = f.ds[2]
@@ -208,7 +208,7 @@ func placementEquivalence(t *testing.T, shards int) {
 			inv.Reserve(d.ID, float64(1+next(30)))
 		case 6:
 			d := dss[next(len(dss))]
-			if r := inv.Reserved(d.ID); r > 0 {
+			if r := d.FreeGB() - inv.EffectiveFreeGB(d); r > 0 {
 				inv.Reserve(d.ID, -r)
 			}
 		}

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 
 	"cloudmcp/internal/clouddir"
 	"cloudmcp/internal/drs"
@@ -245,7 +246,15 @@ func (f *ConfigFile) Apply() (Config, error) {
 		if f.CostCV != nil {
 			model.CV = *f.CostCV
 		}
-		for name, over := range f.Costs {
+		// Sorted, so that of two bad names the error always reports the
+		// same one.
+		names := make([]string, 0, len(f.Costs))
+		for name := range f.Costs {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			over := f.Costs[name]
 			kind, err := ops.ParseKind(name)
 			if err != nil {
 				return Config{}, fmt.Errorf("core: cost override: %w", err)

@@ -121,6 +121,11 @@ func TestLoadConfigRejectsUnknownFields(t *testing.T) {
 	if _, err := LoadConfig(strings.NewReader(`{"costs": {"zzz": {}}}`)); err == nil {
 		t.Fatal("bad op name accepted")
 	}
+	// Two bad op names: the error names the lexically first, whatever
+	// order the map iterates in.
+	if _, err := LoadConfig(strings.NewReader(`{"costs": {"zzz": {}, "yyy": {}}}`)); err == nil || !strings.Contains(err.Error(), `"yyy"`) {
+		t.Fatalf("two bad op names: err = %v, want it to name \"yyy\"", err)
+	}
 	// Keys of the removed partitioned event kernel: a scenario written for
 	// that schema must fail loudly, never run on silently without them.
 	for _, src := range []string{`{"lanes": 4}`, `{"laneWorkers": 2}`} {

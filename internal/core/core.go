@@ -366,20 +366,8 @@ func (c *Cloud) Records() []trace.Record {
 	return c.recorder.Records()
 }
 
-// ResetTrace discards the trace collected so far; useful for excluding a
-// warm-up phase from measurements.
-func (c *Cloud) ResetTrace() {
-	if c.recorder != nil {
-		c.recorder.Reset()
-	}
-}
-
 // Run advances the simulation until the given virtual time.
 func (c *Cloud) Run(until sim.Time) sim.Time { return c.env.Run(until) }
-
-// RunAll drains every pending event (only safe when no immortal
-// background processes — rebalancer, generators — are running).
-func (c *Cloud) RunAll() sim.Time { return c.env.Run(sim.Forever) }
 
 // Go spawns a process in the cloud's environment.
 func (c *Cloud) Go(name string, fn func(p *sim.Proc)) { c.env.Go(name, fn) }

@@ -29,11 +29,7 @@ func TestFaultsDisabledEquivalence(t *testing.T) {
 		if _, err := c.RunProfile(workload.CloudA(), 2*Hour); err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := trace.WriteCSV(&buf, c.Records()); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return csvTrace(t, c.Records())
 	}
 	plain := run(nil)
 	zero := run(&faults.Config{})
@@ -59,11 +55,7 @@ func TestFaultsEnabledRunsAreDeterministic(t *testing.T) {
 		if _, err := c.RunProfile(workload.CloudA(), Hour); err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := trace.WriteCSV(&buf, c.Records()); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return csvTrace(t, c.Records())
 	}
 	a, b := run(), run()
 	if !bytes.Equal(a, b) {
@@ -74,4 +66,19 @@ func TestFaultsEnabledRunsAreDeterministic(t *testing.T) {
 		// some task should have exhausted its retries.
 		t.Log("no give-ups in trace; fault rate may be too low for this horizon")
 	}
+}
+
+// csvTrace renders records in the CSV trace format, the byte form the
+// determinism tests compare.
+func csvTrace(t *testing.T, recs []trace.Record) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := trace.NewCSVWriter(&buf)
+	for i := range recs {
+		w.Write(&recs[i]) // errors are sticky; Flush reports them
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"cloudmcp/internal/reconcile"
-	"cloudmcp/internal/trace"
 	"cloudmcp/internal/workload"
 )
 
@@ -30,11 +29,7 @@ func TestReconcileDisabledIsIdentity(t *testing.T) {
 		if _, err := c.RunProfile(workload.CloudA(), 2*Hour); err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := trace.WriteCSV(&buf, c.Records()); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return csvTrace(t, c.Records())
 	}
 	plain := run(nil)
 	empty := run(&reconcile.Config{})
@@ -60,11 +55,7 @@ func TestReconcileEnabledRunsAreDeterministic(t *testing.T) {
 		if _, err := c.RunProfile(workload.CloudA(), Hour); err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := trace.WriteCSV(&buf, c.Records()); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes(), c.ReconcileStats()
+		return csvTrace(t, c.Records()), c.ReconcileStats()
 	}
 	aTrace, aStats := run()
 	bTrace, bStats := run()

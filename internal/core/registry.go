@@ -1,7 +1,7 @@
 package core
 
 // The experiment registry: the tables of (name, full-scale horizon, run)
-// that cmd/mcpbench, RunAll and anything else that wants "the suite"
+// that cmd/mcpbench, RunAllWith and anything else that wants "the suite"
 // share.
 
 import (
@@ -93,7 +93,7 @@ func Experiments() []Experiment {
 // default suite. E17 enables fault injection, E18 reshapes the
 // management-plane topology, E19 scales the inventory itself, E20
 // turns on the reconciliation plane, and E21 races policy sets; folding
-// any of them into RunAll would grow the default artifact. mcpbench
+// any of them into RunAllWith would grow the default artifact. mcpbench
 // -only E17..E21 runs them at these fixed grids. Every sweep of E5..E21
 // is a Grid, and those that run the closed loop at every point (E6,
 // E10, E11, E17, E18, E20, E21) are mcpsweep command lines over their
@@ -124,15 +124,11 @@ type RunAllOptions struct {
 	Progress func(done, total int, elapsed time.Duration)
 }
 
-// RunAll runs every experiment ("quick" ≈ CI-speed scale 0.1, else full
-// paper horizons) and renders each to w in E1..E16 order. Experiments
-// execute concurrently across the sweep engine's pool; rendering waits
-// for all of them, so output is byte-identical to a serial run.
-func RunAll(w io.Writer, seed int64, quick bool) error {
-	return RunAllWith(w, seed, quick, RunAllOptions{})
-}
-
-// RunAllWith is RunAll with an explicit worker count and progress hook.
+// RunAllWith runs every experiment ("quick" ≈ CI-speed scale 0.1, else
+// full paper horizons) and renders each to w in E1..E16 order.
+// Experiments execute concurrently across the sweep engine's pool;
+// rendering waits for all of them, so output is byte-identical to a
+// serial run.
 func RunAllWith(w io.Writer, seed int64, quick bool, opts RunAllOptions) error {
 	steps := Experiments()
 	var onProgress func(sweep.Progress)

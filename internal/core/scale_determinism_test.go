@@ -21,7 +21,7 @@ func TestPrepopulateVMsDeterministicAndCounted(t *testing.T) {
 		return c
 	}
 	a, b := build(), build()
-	if got := a.Inventory().Count().VMs; got != 4000 {
+	if got := len(a.Inventory().VMs()); got != 4000 {
 		t.Fatalf("prepopulated VMs = %d, want 4000", got)
 	}
 	av, bv := a.Inventory().VMs(), b.Inventory().VMs()

@@ -18,6 +18,7 @@ package faults
 
 import (
 	"fmt"
+	"sort"
 
 	"cloudmcp/internal/metrics"
 	"cloudmcp/internal/rng"
@@ -63,19 +64,6 @@ func (l Layer) failProbFor(kind string) float64 {
 	return l.FailProb
 }
 
-// active reports whether the layer can ever inject anything.
-func (l Layer) active() bool {
-	if l.FailProb > 0 || l.Stall.Prob > 0 {
-		return true
-	}
-	for _, p := range l.PerKind {
-		if p > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 func (l Layer) validate(name string) error {
 	check := func(what string, p float64) error {
 		if p < 0 || p > 1 {
@@ -86,8 +74,15 @@ func (l Layer) validate(name string) error {
 	if err := check("fail", l.FailProb); err != nil {
 		return err
 	}
-	for k, p := range l.PerKind {
-		if err := check("per-kind "+k, p); err != nil {
+	// Sorted, so that of two bad kinds the error always reports the
+	// same one.
+	kinds := make([]string, 0, len(l.PerKind))
+	for k := range l.PerKind {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds)
+	for _, k := range kinds {
+		if err := check("per-kind "+k, l.PerKind[k]); err != nil {
 			return err
 		}
 	}
@@ -109,11 +104,6 @@ type Config struct {
 	DB      Layer `json:"db,omitempty"`
 	Net     Layer `json:"net,omitempty"`
 	Storage Layer `json:"storage,omitempty"`
-}
-
-// Enabled reports whether any layer can inject anything.
-func (c Config) Enabled() bool {
-	return c.Host.active() || c.DB.active() || c.Net.active() || c.Storage.active()
 }
 
 // Validate checks every probability and distribution parameter.
@@ -228,22 +218,6 @@ func New(seed int64, cfg Config) (*Injector, error) {
 		storPrefix:  base.String("fault:" + LayerStorage + ":"),
 		retryPrefix: base.String("retry:"),
 	}, nil
-}
-
-// Config returns the injector's configuration (zero value when nil).
-func (in *Injector) Config() Config {
-	if in == nil {
-		return Config{}
-	}
-	return in.cfg
-}
-
-// Stats returns the injection counts so far (zero when nil).
-func (in *Injector) Stats() Stats {
-	if in == nil {
-		return Stats{}
-	}
-	return in.stats
 }
 
 func (in *Injector) layerFor(name string) (Layer, *LayerStats, rng.SeedHasher) {

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"strings"
 	"testing"
 
 	"cloudmcp/internal/metrics"
@@ -13,9 +14,6 @@ func TestNilInjectorIsDisabled(t *testing.T) {
 	}
 	if u := in.JitterU(1, 1); u != 0 {
 		t.Fatalf("nil injector jitter = %v", u)
-	}
-	if s := in.Stats(); s != (Stats{}) {
-		t.Fatalf("nil injector stats = %+v", s)
 	}
 	in.RegisterMetrics(metrics.NewRegistry()) // must not panic
 }
@@ -31,10 +29,10 @@ func TestZeroRateLayerDrawsNothing(t *testing.T) {
 			t.Fatalf("zero-rate layer injected %+v", out)
 		}
 	}
-	if n := in.Stats().DB.Decisions; n != 0 {
+	if n := in.stats.DB.Decisions; n != 0 {
 		t.Fatalf("zero-rate layer recorded %d decisions", n)
 	}
-	if n := in.Stats().Host.Decisions; n != 0 {
+	if n := in.stats.Host.Decisions; n != 0 {
 		t.Fatalf("undecided layer recorded %d decisions", n)
 	}
 }
@@ -112,33 +110,53 @@ func TestStallDistribution(t *testing.T) {
 	if mean := sum / float64(n); mean < 1.5 || mean > 2.5 {
 		t.Fatalf("stall mean %v, want ≈2", mean)
 	}
-	st := in.Stats().Storage
+	st := in.stats.Storage
 	if st.Stalls != int64(n) || st.StallSeconds <= 0 {
 		t.Fatalf("stall stats %+v", st)
 	}
 }
 
 func TestValidateRejectsBadConfig(t *testing.T) {
-	bad := []Config{
-		{Host: Layer{FailProb: 1.5}},
-		{DB: Layer{FailProb: -0.1}},
-		{Net: Layer{PerKind: map[string]float64{"migrate": 2}}},
-		{Storage: Layer{Stall: Stall{Prob: 0.5}}}, // stall prob without mean
-		{Host: Layer{Stall: Stall{Prob: 0.5, MeanS: 1, CV: -1}}},
+	bad := []struct {
+		cfg  Config
+		want string // in the error text
+	}{
+		{Config{Host: Layer{FailProb: 1.5}}, "host fail probability"},
+		{Config{DB: Layer{FailProb: -0.1}}, "db fail probability"},
+		{Config{Net: Layer{PerKind: map[string]float64{"migrate": 2}}}, "net per-kind migrate"},
+		{Config{Storage: Layer{Stall: Stall{Prob: 0.5}}}, "storage stall mean"}, // stall prob without mean
+		{Config{Host: Layer{Stall: Stall{Prob: 0.5, MeanS: 1, CV: -1}}}, "host stall cv"},
+		// Two bad per-kind entries: the error names the lexically first,
+		// whatever order the map iterates in.
+		{Config{Net: Layer{PerKind: map[string]float64{"migrate": 2, "deploy": 3}}}, "net per-kind deploy"},
 	}
-	for i, cfg := range bad {
-		if _, err := New(1, cfg); err == nil {
-			t.Fatalf("config %d validated: %+v", i, cfg)
+	for i, tc := range bad {
+		_, err := New(1, tc.cfg)
+		if err == nil {
+			t.Fatalf("config %d validated: %+v", i, tc.cfg)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("config %d: error %q, want it to name %q", i, err, tc.want)
 		}
 	}
 	if err := (Config{}).Validate(); err != nil {
 		t.Fatalf("zero config rejected: %v", err)
 	}
-	if Preset(0).Enabled() {
-		t.Fatal("Preset(0) reports enabled")
-	}
-	if !Preset(0.1).Enabled() {
-		t.Fatal("Preset(0.1) reports disabled")
+	for _, tc := range []struct {
+		rate  float64
+		draws bool
+	}{{0, false}, {0.1, true}} {
+		in, err := New(1, Preset(tc.rate))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range []string{LayerHost, LayerDB, LayerNet, LayerStorage} {
+			in.Decide(l, "deploy", 1, 1)
+		}
+		s := in.stats
+		if drew := s.Host.Decisions+s.DB.Decisions+s.Net.Decisions+s.Storage.Decisions > 0; drew != tc.draws {
+			t.Fatalf("Preset(%v) drew = %v, want %v", tc.rate, drew, tc.draws)
+		}
 	}
 	if err := Preset(3).Validate(); err != nil {
 		t.Fatalf("Preset clamp failed: %v", err)

@@ -63,11 +63,6 @@ func New(env *sim.Env, mgr *mgmt.Manager, pick policy.FailoverPolicy, cfg Config
 	}, nil
 }
 
-// Failovers returns completed failover records.
-func (e *Engine) Failovers() []Failover {
-	return append([]Failover(nil), e.failovers...)
-}
-
 // FailHost crashes host: its VMs stop instantly, placement fences the
 // host, and the restart storm brings the previously powered-on VMs back
 // on surviving hosts. FailHost blocks p until the storm completes and
@@ -129,18 +124,6 @@ func (e *Engine) FailHost(p *sim.Proc, host *inventory.Host) *Failover {
 	e.failovers = append(e.failovers, fo)
 	out := fo
 	return &out
-}
-
-// RecoverHost returns a failed host to service (empty, repaired).
-func (e *Engine) RecoverHost(host *inventory.Host) error {
-	if !host.Failed {
-		return fmt.Errorf("ha: host %s has not failed", host.Name)
-	}
-	if len(host.VMs) != 0 {
-		return fmt.Errorf("ha: host %s still has %d stranded VMs", host.Name, len(host.VMs))
-	}
-	e.mgr.Inventory().SetHostFailed(host, false)
-	return nil
 }
 
 // pickTarget chooses the restart host via the configured failover

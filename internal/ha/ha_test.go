@@ -137,32 +137,6 @@ func TestUnplacedWhenNoCapacity(t *testing.T) {
 	}
 }
 
-func TestRecoverHost(t *testing.T) {
-	f := newFixture(t, DefaultConfig())
-	f.populate(t, f.hosts[0], 1, 1)
-	f.env.Go("fail", func(p *sim.Proc) { f.eng.FailHost(p, f.hosts[0]) })
-	f.env.Run(sim.Forever)
-	// Stranded powered-off VM blocks recovery.
-	if err := f.eng.RecoverHost(f.hosts[0]); err == nil {
-		t.Fatal("recovered with stranded VMs")
-	}
-	// Remove the stranded VM, then recovery succeeds.
-	for _, id := range append([]inventory.ID(nil), f.hosts[0].VMs...) {
-		if vm := f.inv.VM(id); vm != nil {
-			f.inv.RemoveVM(vm)
-		}
-	}
-	if err := f.eng.RecoverHost(f.hosts[0]); err != nil {
-		t.Fatal(err)
-	}
-	if f.hosts[0].Failed {
-		t.Fatal("still fenced")
-	}
-	if err := f.eng.RecoverHost(f.hosts[0]); err == nil {
-		t.Fatal("double recover succeeded")
-	}
-}
-
 func TestFailoversRecorded(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
 	f.populate(t, f.hosts[0], 1, 0)
@@ -172,7 +146,7 @@ func TestFailoversRecorded(t *testing.T) {
 		f.eng.FailHost(p, f.hosts[1])
 	})
 	f.env.Run(sim.Forever)
-	if got := len(f.eng.Failovers()); got != 2 {
+	if got := len(f.eng.failovers); got != 2 {
 		t.Fatalf("failovers = %d", got)
 	}
 }

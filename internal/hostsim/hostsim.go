@@ -38,9 +38,6 @@ func NewAgent(env *sim.Env, hostID inventory.ID, name string, slots int) *Agent 
 	return a
 }
 
-// HostID returns the host this agent serves.
-func (a *Agent) HostID() inventory.ID { return a.hostID }
-
 // Exec runs seconds of host-side work under one operation slot, blocking p
 // for queueing plus service. It returns (waited, served) seconds.
 func (a *Agent) Exec(p *sim.Proc, seconds float64) (waited, served float64) {

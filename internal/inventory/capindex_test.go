@@ -143,7 +143,7 @@ func TestBestHostMatchesReferenceScan(t *testing.T) {
 			d := dss[next(len(dss))]
 			if next(2) == 0 {
 				inv.Reserve(d.ID, float64(next(50)))
-			} else if r := inv.Reserved(d.ID); r > 0 {
+			} else if r := inv.reserved[d.ID]; r > 0 {
 				inv.Reserve(d.ID, -r)
 			}
 		}
@@ -252,8 +252,8 @@ func TestRemoveVMKeepsEnumerationOrder(t *testing.T) {
 			t.Fatalf("VMs()[%d] = %v, want %v (creation order violated)", i, got[i], want[i])
 		}
 	}
-	if c := inv.Count(); c.VMs != 6 {
-		t.Fatalf("Count().VMs = %d, want 6", c.VMs)
+	if n := len(inv.vms) - inv.vmHoles; n != 6 {
+		t.Fatalf("live VMs = %d, want 6", n)
 	}
 	// Enumeration stays stable across the compaction VMs() performed.
 	again := inv.VMs()

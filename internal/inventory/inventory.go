@@ -58,10 +58,9 @@ func (k Kind) String() string {
 
 // Entity is the common header embedded in every inventory object.
 type Entity struct {
-	ID     ID
-	Name   string
-	Kind   Kind
-	Parent ID // containing entity in the lock hierarchy (None for roots)
+	ID   ID
+	Name string
+	Kind Kind
 }
 
 // VMState is the lifecycle state of a virtual machine.
@@ -168,7 +167,6 @@ type VM struct {
 	DiskGB      float64 // bytes attributable to this VM on its datastore
 	HostID      ID
 	DatastoreID ID
-	TemplateID  ID // template it was deployed from (None if constructed raw)
 	VAppID      ID
 
 	// Linked-clone bookkeeping. LinkedParent is the template (or VM) whose
@@ -193,15 +191,13 @@ type VApp struct {
 
 // Inventory is the registry of all entities in one simulated installation.
 type Inventory struct {
-	nextID      ID
-	entities    map[ID]any
-	datacenters []ID
-	clusters    []ID
-	hosts       []ID
-	datastores  []ID
-	vms         []ID
-	templates   []ID
-	vapps       []ID
+	nextID     ID
+	entities   map[ID]any
+	hosts      []ID
+	datastores []ID
+	vms        []ID
+	templates  []ID
+	vapps      []ID
 
 	// vms and vapps churn on every deploy/delete; an O(n) ordered delete
 	// there is quadratic at million-VM scale. Removals tombstone the slot
@@ -274,15 +270,13 @@ func (inv *Inventory) allocate() ID {
 func (inv *Inventory) AddDatacenter(name string) *Datacenter {
 	dc := &Datacenter{Entity: Entity{ID: inv.allocate(), Name: name, Kind: KindDatacenter}}
 	inv.entities[dc.ID] = dc
-	inv.datacenters = append(inv.datacenters, dc.ID)
 	return dc
 }
 
 // AddCluster creates a cluster inside dc.
 func (inv *Inventory) AddCluster(dc *Datacenter, name string) *Cluster {
-	c := &Cluster{Entity: Entity{ID: inv.allocate(), Name: name, Kind: KindCluster, Parent: dc.ID}}
+	c := &Cluster{Entity: Entity{ID: inv.allocate(), Name: name, Kind: KindCluster}}
 	inv.entities[c.ID] = c
-	inv.clusters = append(inv.clusters, c.ID)
 	dc.Clusters = append(dc.Clusters, c.ID)
 	return c
 }
@@ -293,7 +287,7 @@ func (inv *Inventory) AddHost(c *Cluster, name string, cpuMHz, memMB int) *Host 
 		panic(fmt.Sprintf("inventory: host %q capacity %d MHz / %d MB", name, cpuMHz, memMB))
 	}
 	h := &Host{
-		Entity: Entity{ID: inv.allocate(), Name: name, Kind: KindHost, Parent: c.ID},
+		Entity: Entity{ID: inv.allocate(), Name: name, Kind: KindHost},
 		CPUMHz: cpuMHz, MemMB: memMB,
 	}
 	inv.entities[h.ID] = h
@@ -309,7 +303,7 @@ func (inv *Inventory) AddDatastore(dc *Datacenter, name string, capacityGB, band
 		panic(fmt.Sprintf("inventory: datastore %q capacity %v GB bw %v MB/s", name, capacityGB, bandwidthMBps))
 	}
 	d := &Datastore{
-		Entity:     Entity{ID: inv.allocate(), Name: name, Kind: KindDatastore, Parent: dc.ID},
+		Entity:     Entity{ID: inv.allocate(), Name: name, Kind: KindDatastore},
 		CapacityGB: capacityGB, BandwidthMBps: bandwidthMBps,
 	}
 	inv.entities[d.ID] = d
@@ -325,7 +319,7 @@ func (inv *Inventory) AddTemplate(ds *Datastore, name string, diskGB float64, me
 		panic(fmt.Sprintf("inventory: template %q disk %v GB", name, diskGB))
 	}
 	t := &Template{
-		Entity: Entity{ID: inv.allocate(), Name: name, Kind: KindTemplate, Parent: ds.ID},
+		Entity: Entity{ID: inv.allocate(), Name: name, Kind: KindTemplate},
 		DiskGB: diskGB, MemMB: memMB, CPUs: cpus, DatastoreID: ds.ID,
 	}
 	inv.entities[t.ID] = t
@@ -335,10 +329,10 @@ func (inv *Inventory) AddTemplate(ds *Datastore, name string, diskGB float64, me
 	return t
 }
 
-// AddVApp creates an empty vApp owned by org, parented to dc.
-func (inv *Inventory) AddVApp(dc *Datacenter, name, org string) *VApp {
+// AddVApp creates an empty vApp owned by org.
+func (inv *Inventory) AddVApp(name, org string) *VApp {
 	v := &VApp{
-		Entity:  Entity{ID: inv.allocate(), Name: name, Kind: KindVApp, Parent: dc.ID},
+		Entity:  Entity{ID: inv.allocate(), Name: name, Kind: KindVApp},
 		OrgName: org,
 	}
 	inv.entities[v.ID] = v
@@ -361,7 +355,7 @@ func (inv *Inventory) AddVM(name string, host *Host, ds *Datastore, cpus, memMB 
 		return nil, fmt.Errorf("inventory: datastore %s out of space for %s (%.1f free, need %.1f)", ds.Name, name, ds.FreeGB(), diskGB)
 	}
 	vm := &VM{
-		Entity: Entity{ID: inv.allocate(), Name: name, Kind: KindVM, Parent: host.ID},
+		Entity: Entity{ID: inv.allocate(), Name: name, Kind: KindVM},
 		State:  VMProvisioning,
 		CPUs:   cpus, MemMB: memMB, DiskGB: diskGB,
 		HostID: host.ID, DatastoreID: ds.ID,
@@ -443,7 +437,6 @@ func (inv *Inventory) MoveVM(vm *VM, newHost *Host, newDS *Datastore) error {
 		newHost.VMs = append(newHost.VMs, vm.ID)
 		newHost.UsedMemMB += vm.MemMB
 		vm.HostID = newHost.ID
-		vm.Parent = newHost.ID
 		inv.rekeyHost(old)
 		inv.rekeyHost(newHost)
 	}
@@ -566,33 +559,6 @@ func removeID(ids []ID, id ID) []ID {
 // Get returns the entity with the given ID, or nil.
 func (inv *Inventory) Get(id ID) any { return inv.entities[id] }
 
-// Header returns the Entity header of the object with the given ID, or nil.
-func (inv *Inventory) Header(id ID) *Entity {
-	switch e := inv.entities[id].(type) {
-	case *Datacenter:
-		return &e.Entity
-	case *Cluster:
-		return &e.Entity
-	case *Host:
-		return &e.Entity
-	case *Datastore:
-		return &e.Entity
-	case *Template:
-		return &e.Entity
-	case *VM:
-		return &e.Entity
-	case *VApp:
-		return &e.Entity
-	}
-	return nil
-}
-
-// Datacenter returns the datacenter with id, or nil if absent/wrong kind.
-func (inv *Inventory) Datacenter(id ID) *Datacenter { d, _ := inv.entities[id].(*Datacenter); return d }
-
-// Cluster returns the cluster with id, or nil.
-func (inv *Inventory) Cluster(id ID) *Cluster { c, _ := inv.entities[id].(*Cluster); return c }
-
 // Host returns the host with id, or nil.
 func (inv *Inventory) Host(id ID) *Host { h, _ := inv.entities[id].(*Host); return h }
 
@@ -607,12 +573,6 @@ func (inv *Inventory) VM(id ID) *VM { v, _ := inv.entities[id].(*VM); return v }
 
 // VApp returns the vApp with id, or nil.
 func (inv *Inventory) VApp(id ID) *VApp { v, _ := inv.entities[id].(*VApp); return v }
-
-// Datacenters returns all datacenter IDs in creation order.
-func (inv *Inventory) Datacenters() []ID { return inv.datacenters }
-
-// Clusters returns all cluster IDs in creation order.
-func (inv *Inventory) Clusters() []ID { return inv.clusters }
 
 // Hosts returns all host IDs in creation order.
 func (inv *Inventory) Hosts() []ID { return inv.hosts }
@@ -655,25 +615,6 @@ func compactIDs(ids []ID, pos map[ID]int) ([]ID, int) {
 	return out, 0
 }
 
-// Path returns the chain of entity IDs from the root down to and including
-// id — the set a management operation locks under hierarchical locking.
-func (inv *Inventory) Path(id ID) []ID {
-	var rev []ID
-	for cur := id; cur != None; {
-		h := inv.Header(cur)
-		if h == nil {
-			break
-		}
-		rev = append(rev, cur)
-		cur = h.Parent
-	}
-	out := make([]ID, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		out = append(out, rev[i])
-	}
-	return out
-}
-
 // SortIDs sorts ids in place in canonical (creation) order and removes
 // duplicates, returning the possibly shortened slice. Lock acquisition in
 // this order is deadlock-free.
@@ -688,24 +629,6 @@ func SortIDs(ids []ID) []ID {
 		}
 	}
 	return out
-}
-
-// Counts summarizes inventory sizes, for reports and invariant checks.
-type Counts struct {
-	Datacenters, Clusters, Hosts, Datastores, Templates, VMs, VApps int
-}
-
-// Count returns the current entity counts.
-func (inv *Inventory) Count() Counts {
-	return Counts{
-		Datacenters: len(inv.datacenters),
-		Clusters:    len(inv.clusters),
-		Hosts:       len(inv.hosts),
-		Datastores:  len(inv.datastores),
-		Templates:   len(inv.templates),
-		VMs:         len(inv.vms) - inv.vmHoles,
-		VApps:       len(inv.vapps) - inv.vappHoles,
-	}
 }
 
 // BestHost returns the in-service host with the most free memory (lowest
@@ -815,9 +738,6 @@ func (inv *Inventory) Reserve(id ID, deltaGB float64) {
 	inv.rekeyDatastore(d)
 }
 
-// Reserved returns the current in-flight reservation against datastore id.
-func (inv *Inventory) Reserved(id ID) float64 { return inv.reserved[id] }
-
 // EffectiveFreeGB is d's free space net of in-flight reservations — the
 // quantity placement compares.
 func (inv *Inventory) EffectiveFreeGB(d *Datastore) float64 {
@@ -843,18 +763,6 @@ func (inv *Inventory) SetHostFailed(h *Host, v bool) {
 // for disk growth outside VM add/move — snapshots and consolidation.
 func (inv *Inventory) AddDatastoreUsed(d *Datastore, deltaGB float64) {
 	d.UsedGB += deltaGB
-	inv.rekeyDatastore(d)
-}
-
-// SetDatastoreUsed overwrites d's used space (scenario and test setup).
-func (inv *Inventory) SetDatastoreUsed(d *Datastore, usedGB float64) {
-	d.UsedGB = usedGB
-	inv.rekeyDatastore(d)
-}
-
-// SetDatastoreCapacity overwrites d's capacity (scenario and test setup).
-func (inv *Inventory) SetDatastoreCapacity(d *Datastore, capacityGB float64) {
-	d.CapacityGB = capacityGB
 	inv.rekeyDatastore(d)
 }
 

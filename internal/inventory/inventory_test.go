@@ -22,9 +22,15 @@ func build(t *testing.T) (*Inventory, *Cluster, []*Host, []*Datastore, *Template
 
 func TestBuildAndCounts(t *testing.T) {
 	inv, _, _, _, _ := build(t)
-	c := inv.Count()
-	if c.Datacenters != 1 || c.Clusters != 1 || c.Hosts != 2 || c.Datastores != 2 || c.Templates != 1 {
-		t.Fatalf("counts = %+v", c)
+	var dcs []*Datacenter
+	for _, e := range inv.entities {
+		if dc, ok := e.(*Datacenter); ok {
+			dcs = append(dcs, dc)
+		}
+	}
+	if len(dcs) != 1 || len(dcs[0].Clusters) != 1 || len(inv.hosts) != 2 || len(inv.datastores) != 2 || len(inv.templates) != 1 {
+		t.Fatalf("counts: %d datacenters, %d hosts, %d datastores, %d templates",
+			len(dcs), len(inv.hosts), len(inv.datastores), len(inv.templates))
 	}
 	if err := inv.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -189,8 +195,7 @@ func TestMoveVMNilAxes(t *testing.T) {
 
 func TestVAppMembership(t *testing.T) {
 	inv, _, hosts, ds, _ := build(t)
-	dc := inv.Datacenter(inv.Datacenters()[0])
-	va := inv.AddVApp(dc, "app0", "orgA")
+	va := inv.AddVApp("app0", "orgA")
 	vm, _ := inv.AddVM("vm0", hosts[0], ds[0], 2, 1024, 5)
 	vm.VAppID = va.ID
 	va.VMs = append(va.VMs, vm.ID)
@@ -208,29 +213,6 @@ func TestVAppMembership(t *testing.T) {
 	}
 	if inv.VApp(va.ID) != nil {
 		t.Fatal("vApp still resolvable")
-	}
-}
-
-func TestPath(t *testing.T) {
-	inv, cl, hosts, ds, _ := build(t)
-	vm, _ := inv.AddVM("vm0", hosts[0], ds[0], 2, 1024, 5)
-	path := inv.Path(vm.ID)
-	dcID := inv.Datacenters()[0]
-	want := []ID{dcID, cl.ID, hosts[0].ID, vm.ID}
-	if len(path) != len(want) {
-		t.Fatalf("path = %v, want %v", path, want)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path = %v, want %v", path, want)
-		}
-	}
-}
-
-func TestPathUnknownID(t *testing.T) {
-	inv := New()
-	if p := inv.Path(99); len(p) != 0 {
-		t.Fatalf("path of unknown id = %v", p)
 	}
 }
 

@@ -42,14 +42,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sample.Add(v)
 }
 
-// Count returns the number of observations (0 for nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sample.Count()
-}
-
 // Key identifies one series: the model layer that owns it, the resource
 // within the layer, and the metric name.
 type Key struct {
@@ -101,9 +93,6 @@ type indexKey struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{index: make(map[indexKey]int)} }
-
-// Enabled reports whether the registry collects anything (false for nil).
-func (r *Registry) Enabled() bool { return r != nil }
 
 func (r *Registry) lookup(kind string, key Key) (int, bool) {
 	i, ok := r.index[indexKey{kind, key}]

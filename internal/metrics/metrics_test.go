@@ -16,9 +16,6 @@ func TestNilRegistryIsInert(t *testing.T) {
 	}
 	// Every instrument method must be a no-op on a nil receiver.
 	h.Observe(0.5)
-	if h.Count() != 0 {
-		t.Fatal("nil instruments must read as zero")
-	}
 	r.ResourceFunc("l", "r", nil)
 	r.ScalarFunc("l", "r", "m", nil)
 	if s := r.Snapshot(10); s != nil {
@@ -44,8 +41,8 @@ func TestInstrumentLookupIdempotent(t *testing.T) {
 		t.Fatal("same key must return the same histogram")
 	}
 	a.Observe(2)
-	if b.Count() != 1 {
-		t.Fatalf("aliased histogram counts %d, want 1", b.Count())
+	if n := b.sample.Count(); n != 1 {
+		t.Fatalf("aliased histogram counts %d, want 1", n)
 	}
 	if r.Histogram("mgmt", "tasks", "wait_s") == a {
 		t.Fatal("distinct keys must return distinct histograms")

@@ -18,7 +18,6 @@ package mgmt
 import (
 	"fmt"
 
-	"cloudmcp/internal/bw"
 	"cloudmcp/internal/faults"
 	"cloudmcp/internal/hostsim"
 	"cloudmcp/internal/inventory"
@@ -350,18 +349,6 @@ func (m *Manager) registerMetrics(reg *metrics.Registry, label string) {
 		m.cfg.Faults.RegisterMetrics(reg)
 	}
 }
-
-// NetworkStats returns migration-network statistics, or (zero, false)
-// when no network model is configured.
-func (m *Manager) NetworkStats() (bw.EngineStats, bool) {
-	if m.network == nil {
-		return bw.EngineStats{}, false
-	}
-	return m.network.Stats(), true
-}
-
-// Env returns the simulation environment.
-func (m *Manager) Env() *sim.Env { return m.env }
 
 // Inventory returns the managed inventory.
 func (m *Manager) Inventory() *inventory.Inventory { return m.inv }

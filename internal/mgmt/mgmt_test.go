@@ -90,7 +90,10 @@ func TestDeployReservesBeforeCopy(t *testing.T) {
 	// Two concurrent full deploys into a datastore with room for only one
 	// must fail one of them at reservation time, not overcommit.
 	f := newFixture(t, DefaultConfig())
-	f.inv.SetDatastoreCapacity(f.ds[1], f.ds[1].UsedGB+25) // room for one 20 GB clone
+	// Leave room for one 20 GB clone.
+	if _, err := f.inv.AddVM("filler", f.hosts[1], f.ds[1], 1, 1024, f.ds[1].FreeGB()-25); err != nil {
+		t.Fatal(err)
+	}
 	var tasks []*Task
 	for i := 0; i < 2; i++ {
 		f.env.Go("d", func(p *sim.Proc) {
@@ -548,16 +551,15 @@ func TestMigrationNetworkContention(t *testing.T) {
 			t.Fatalf("host = %v, mem copy double-charged", task.Breakdown.Host)
 		}
 	}
-	st, ok := f.mgr.NetworkStats()
-	if !ok || st.Transfers != 2 || st.BytesMB != 4096 {
-		t.Fatalf("network stats = %+v ok=%v", st, ok)
+	if st := f.mgr.network.Stats(); st.Transfers != 2 || st.BytesMB != 4096 {
+		t.Fatalf("network stats = %+v", st)
 	}
 }
 
 func TestNetworkStatsAbsentByDefault(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
-	if _, ok := f.mgr.NetworkStats(); ok {
-		t.Fatal("network stats present without config")
+	if f.mgr.network != nil {
+		t.Fatal("network model present without config")
 	}
 }
 

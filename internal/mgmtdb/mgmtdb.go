@@ -117,9 +117,6 @@ func (db *DB) RegisterMetrics(label string) {
 	})
 }
 
-// Config returns the database's configuration.
-func (db *DB) Config() Config { return db.cfg }
-
 // Commit writes `writes` rows and makes them durable, blocking p for the
 // whole transaction. It returns (waitS, serviceS): time spent queued for
 // shared resources vs. time attributable to database work itself.

@@ -122,7 +122,6 @@ type Request struct {
 	// Targets. Deploy carries a TemplateID; VM-scoped ops carry VMID.
 	TemplateID inventory.ID
 	VMID       inventory.ID
-	VAppID     inventory.ID
 
 	// Submit is the virtual time the request entered the system; it is
 	// stamped by the front end.

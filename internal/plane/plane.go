@@ -294,14 +294,6 @@ func (pl *Plane) Resume(p *sim.Proc, vm *inventory.VM, ctx mgmt.ReqCtx) *mgmt.Ta
 	return pl.route(vm.HostID).Resume(p, vm, ctx)
 }
 
-// EnterMaintenance routes to the host's shard; the evacuation
-// migrations it spawns stay on that shard even when a displaced VM
-// lands on a host another shard owns (the shard keeps authority over an
-// evacuation it started — a deliberate modeling shortcut).
-func (pl *Plane) EnterMaintenance(p *sim.Proc, host *inventory.Host, ctx mgmt.ReqCtx) *mgmt.Task {
-	return pl.route(host.ID).EnterMaintenance(p, host, ctx)
-}
-
 // FullCopyTemplate runs on the home shard: the template library is
 // unpartitioned catalog state.
 func (pl *Plane) FullCopyTemplate(p *sim.Proc, tpl *inventory.Template, dst *inventory.Datastore, name string) (*inventory.Template, error) {

@@ -76,9 +76,6 @@ func (q MMc) MeanQueueLen() float64 {
 	return q.Lambda * q.MeanWait()
 }
 
-// MeanResponse returns the expected total time in system, W = Wq + 1/mu.
-func (q MMc) MeanResponse() float64 { return q.MeanWait() + 1/q.Mu }
-
 // Utilization returns the per-server busy fraction, equal to Rho for a
 // stable queue.
 func (q MMc) Utilization() float64 {

@@ -261,9 +261,6 @@ func New(env *sim.Env, pl *plane.Plane, seed int64, cfg Config) (*Plane, error) 
 	return r, nil
 }
 
-// Config returns the plane's (defaulted) configuration.
-func (r *Plane) Config() Config { return r.cfg }
-
 // Start launches each controller's resync loop and Depth workers. The
 // first resync fires after one interval, so construction alone never
 // perturbs the event sequence at time zero.

@@ -111,12 +111,6 @@ type Hash32 struct{ h uint32 }
 // NewHash32 starts a hash at the FNV-1a 32-bit offset basis.
 func NewHash32() Hash32 { return Hash32{h: fnvOffset32} }
 
-// Byte folds one byte into the hash.
-func (s Hash32) Byte(b byte) Hash32 {
-	s.h = (s.h ^ uint32(b)) * fnvPrime32
-	return s
-}
-
 // String folds a string into the hash.
 func (s Hash32) String(str string) Hash32 {
 	for i := 0; i < len(str); i++ {
@@ -159,12 +153,6 @@ func (s *Stream) Float64() float64 { return s.r.Float64() }
 // Intn returns a uniform draw in [0,n).
 func (s *Stream) Intn(n int) int { return s.r.Intn(n) }
 
-// Int63 returns a non-negative uniform 63-bit integer.
-func (s *Stream) Int63() int64 { return s.r.Int63() }
-
-// Perm returns a random permutation of [0,n).
-func (s *Stream) Perm(n int) []int { return s.r.Perm(n) }
-
 // Uniform returns a draw in [lo, hi).
 func (s *Stream) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*s.r.Float64()
@@ -177,11 +165,6 @@ func (s *Stream) Exponential(mean float64) float64 {
 		panic("rng: exponential mean " + ftoa(mean))
 	}
 	return s.r.ExpFloat64() * mean
-}
-
-// Normal returns a normal draw with the given mean and standard deviation.
-func (s *Stream) Normal(mean, stddev float64) float64 {
-	return mean + stddev*s.r.NormFloat64()
 }
 
 // LogNormal returns a draw from a log-normal distribution parameterized by
@@ -198,16 +181,6 @@ func (s *Stream) LogNormal(mean, cv float64) float64 {
 	sigma2 := math.Log(1 + cv*cv)
 	mu := math.Log(mean) - sigma2/2
 	return math.Exp(mu + math.Sqrt(sigma2)*s.r.NormFloat64())
-}
-
-// Pareto returns a draw from a Pareto distribution with the given minimum
-// value and shape alpha (>0). Heavy-tailed when alpha <= 2.
-func (s *Stream) Pareto(xmin, alpha float64) float64 {
-	if xmin <= 0 || alpha <= 0 {
-		panic("rng: pareto xmin=" + ftoa(xmin) + " alpha=" + ftoa(alpha))
-	}
-	u := 1 - s.r.Float64() // in (0,1]
-	return xmin / math.Pow(u, 1/alpha)
 }
 
 // ftoa formats f as the %v verb would.
@@ -269,23 +242,3 @@ func (s *Stream) WeightedChoice(weights []float64) int {
 	}
 	return len(weights) - 1 // float round-off
 }
-
-// Empirical draws from a fixed set of values with equal probability —
-// handy for replaying measured service times.
-type Empirical struct {
-	vals []float64
-	s    *Stream
-}
-
-// NewEmpirical copies vals; it panics if vals is empty.
-func NewEmpirical(s *Stream, vals []float64) *Empirical {
-	if len(vals) == 0 {
-		panic("rng: empirical over no values")
-	}
-	cp := make([]float64, len(vals))
-	copy(cp, vals)
-	return &Empirical{vals: cp, s: s}
-}
-
-// Draw returns one of the values uniformly at random.
-func (e *Empirical) Draw() float64 { return e.vals[e.s.Intn(len(e.vals))] }

@@ -43,8 +43,8 @@ func TestCloseEndsEveryCoroutine(t *testing.T) {
 	env.Go("wait", parked(func(p *Proc) { s.Wait(p) }))
 	env.GoAfter(1e9, func(p *Proc) { t.Error("a pending GoAfter started") })
 	env.Run(10)
-	if env.LiveProcs() != 4 || runtime.NumGoroutine() <= base {
-		t.Fatalf("before Close: %d live processes, %d goroutines (%d at start)", env.LiveProcs(), runtime.NumGoroutine(), base)
+	if env.nproc != 4 || runtime.NumGoroutine() <= base {
+		t.Fatalf("before Close: %d live processes, %d goroutines (%d at start)", env.nproc, runtime.NumGoroutine(), base)
 	}
 	env.Close()
 	if unwound != 4 {

@@ -319,8 +319,7 @@ func (e *Env) scheduleWake(delay Time, p *Proc) {
 }
 
 // Timer is a handle to a scheduled event. The zero Timer is valid and
-// behaves like a timer whose event has already fired: Stop reports false
-// and When reports no pending event.
+// behaves like a timer whose event has already fired: Stop reports false.
 type Timer struct {
 	env *Env
 	ev  *event
@@ -353,17 +352,6 @@ func (t Timer) Stop() bool {
 	t.env.heap.remove(ev.idx)
 	t.env.release(ev)
 	return true
-}
-
-// When returns the virtual time the timer's event is scheduled to fire
-// and true, or (0, false) once the event has fired or been stopped (a
-// fired event's time is meaningless: the pooled event may already carry a
-// different schedule).
-func (t Timer) When() (Time, bool) {
-	if !t.pending() {
-		return 0, false
-	}
-	return t.ev.at, true
 }
 
 // Stop terminates the simulation: Run returns after the current event
@@ -422,11 +410,6 @@ func (e *Env) Pending() int {
 	return len(e.heap) + (len(e.nowq) - e.nowqHead - e.nowqDead)
 }
 
-// LiveProcs returns the number of processes that have started and not yet
-// returned. A drained simulation with blocked processes will report them
-// here; tests use this to detect leaks.
-func (e *Env) LiveProcs() int { return e.nproc }
-
 // Resource is a counted resource with FIFO admission: at most Capacity
 // units may be held at once; Acquire blocks the calling process until its
 // request can be granted in arrival order.
@@ -471,12 +454,6 @@ func NewResource(env *Env, name string, capacity int) *Resource {
 	}
 	return &Resource{env: env, name: name, capacity: capacity}
 }
-
-// Name returns the resource's label.
-func (r *Resource) Name() string { return r.name }
-
-// Capacity returns the total number of units.
-func (r *Resource) Capacity() int { return r.capacity }
 
 // InUse returns the number of units currently held.
 func (r *Resource) InUse() int { return r.inUse }
@@ -646,9 +623,6 @@ func NewQueue(env *Env) *Queue { return &Queue{env: env} }
 // Len returns the number of buffered items.
 func (q *Queue) Len() int { return len(q.items) }
 
-// Waiting returns the number of blocked getters.
-func (q *Queue) Waiting() int { return len(q.getters) }
-
 // Put appends v and wakes the oldest blocked getter, if any.
 func (q *Queue) Put(v any) {
 	if len(q.getters) > 0 {
@@ -711,6 +685,3 @@ func (s *Signal) Fire() {
 
 // Fires returns the number of times Fire has been called.
 func (s *Signal) Fires() int64 { return s.fires }
-
-// Waiters returns the number of currently blocked processes.
-func (s *Signal) Waiters() int { return len(s.waiters) }

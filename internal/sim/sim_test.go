@@ -214,8 +214,8 @@ func TestProcSleep(t *testing.T) {
 	if len(wakes) != 2 || wakes[0] != 1 || wakes[1] != 3.5 {
 		t.Fatalf("wakes = %v", wakes)
 	}
-	if env.LiveProcs() != 0 {
-		t.Fatalf("leaked %d procs", env.LiveProcs())
+	if env.nproc != 0 {
+		t.Fatalf("leaked %d procs", env.nproc)
 	}
 }
 
@@ -477,8 +477,8 @@ func TestSignalBroadcast(t *testing.T) {
 	}
 	env.Go("firer", func(p *Proc) {
 		p.Sleep(5)
-		if s.Waiters() != 3 {
-			t.Errorf("waiters = %d", s.Waiters())
+		if len(s.waiters) != 3 {
+			t.Errorf("waiters = %d", len(s.waiters))
 		}
 		s.Fire()
 	})
@@ -512,8 +512,8 @@ func TestSignalOnlyReleasesCurrentWaiters(t *testing.T) {
 	if len(woke) != 1 || woke[0] != "early" {
 		t.Fatalf("woke = %v", woke)
 	}
-	if s.Waiters() != 1 {
-		t.Fatalf("waiters = %d", s.Waiters())
+	if len(s.waiters) != 1 {
+		t.Fatalf("waiters = %d", len(s.waiters))
 	}
 }
 
@@ -704,12 +704,12 @@ func TestPropertyResourceMakespan(t *testing.T) {
 func TestTimerWhen(t *testing.T) {
 	env := NewEnv()
 	tm := env.Schedule(12.5, func() {})
-	if at, ok := tm.When(); !ok || at != 12.5 {
-		t.Fatalf("When = %v, %v; want 12.5, true", at, ok)
+	if !tm.pending() || tm.ev.at != 12.5 {
+		t.Fatalf("pending = %v at %v; want true at 12.5", tm.pending(), tm.ev.at)
 	}
 	env.Run(Forever)
-	if at, ok := tm.When(); ok {
-		t.Fatalf("When after firing = %v, %v; want ok=false", at, ok)
+	if tm.pending() {
+		t.Fatal("timer still pending after firing")
 	}
 }
 
@@ -719,11 +719,11 @@ func TestTimerWhenAfterStop(t *testing.T) {
 	if !tm.Stop() {
 		t.Fatal("Stop = false on a pending timer")
 	}
-	if at, ok := tm.When(); ok {
-		t.Fatalf("When after Stop = %v, %v; want ok=false", at, ok)
+	if tm.pending() {
+		t.Fatal("timer still pending after Stop")
 	}
 	var zero Timer
-	if _, ok := zero.When(); ok {
+	if zero.pending() {
 		t.Fatal("zero Timer reports a pending event")
 	}
 	if zero.Stop() {
@@ -802,16 +802,16 @@ func TestQueueWaitingCount(t *testing.T) {
 	}
 	env.Go("check", func(p *Proc) {
 		p.Sleep(1)
-		if q.Waiting() != 3 {
-			t.Errorf("waiting = %d", q.Waiting())
+		if len(q.getters) != 3 {
+			t.Errorf("waiting = %d", len(q.getters))
 		}
 		for i := 0; i < 3; i++ {
 			q.Put(i)
 		}
 	})
 	env.Run(Forever)
-	if q.Waiting() != 0 || q.Len() != 0 {
-		t.Fatalf("end state: waiting=%d len=%d", q.Waiting(), q.Len())
+	if len(q.getters) != 0 || q.Len() != 0 {
+		t.Fatalf("end state: waiting=%d len=%d", len(q.getters), q.Len())
 	}
 }
 
@@ -831,7 +831,7 @@ func TestProcNameAndEnv(t *testing.T) {
 func TestResourceAccessors(t *testing.T) {
 	env := NewEnv()
 	r := NewResource(env, "slots", 3)
-	if r.Name() != "slots" || r.Capacity() != 3 || r.InUse() != 0 || r.QueueLen() != 0 {
+	if r.name != "slots" || r.capacity != 3 || r.InUse() != 0 || r.QueueLen() != 0 {
 		t.Fatal("fresh resource accessors wrong")
 	}
 	env.Go("w", func(p *Proc) {

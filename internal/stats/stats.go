@@ -96,17 +96,8 @@ func (s *Sample) Count() int64 { return s.mom.Count() }
 // Mean returns the sample mean.
 func (s *Sample) Mean() float64 { return s.mom.Mean() }
 
-// Sum returns the total of observations.
-func (s *Sample) Sum() float64 { return s.mom.Sum() }
-
-// StdDev returns the sample standard deviation.
-func (s *Sample) StdDev() float64 { return s.mom.StdDev() }
-
 // CV returns the coefficient of variation.
 func (s *Sample) CV() float64 { return s.mom.CV() }
-
-// Min returns the smallest observation.
-func (s *Sample) Min() float64 { return s.mom.Min() }
 
 // Max returns the largest observation.
 func (s *Sample) Max() float64 { return s.mom.Max() }
@@ -172,25 +163,6 @@ func (s *Sample) CDF(n int) []CDFPoint {
 	return out
 }
 
-// FractionBelow returns the fraction of observations <= x.
-func (s *Sample) FractionBelow(x float64) float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	i := sort.SearchFloat64s(s.xs, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(s.xs))
-}
-
-// Values returns a copy of the observations in insertion-independent
-// (sorted) order.
-func (s *Sample) Values() []float64 {
-	s.ensureSorted()
-	out := make([]float64, len(s.xs))
-	copy(out, s.xs)
-	return out
-}
-
 // TimeSeries bins event counts by fixed-width windows of (virtual) time,
 // for rate-over-time plots and burstiness measures. Windows start at 0.
 type TimeSeries struct {
@@ -220,20 +192,6 @@ func (ts *TimeSeries) Add(t, w float64) {
 		ts.bins = append(ts.bins, 0)
 	}
 	ts.bins[i] += w
-}
-
-// Width returns the window width.
-func (ts *TimeSeries) Width() float64 { return ts.width }
-
-// Len returns the number of windows touched so far.
-func (ts *TimeSeries) Len() int { return len(ts.bins) }
-
-// At returns the accumulated weight in window i (0 beyond the end).
-func (ts *TimeSeries) At(i int) float64 {
-	if i < 0 || i >= len(ts.bins) {
-		return 0
-	}
-	return ts.bins[i]
 }
 
 // Bins returns a copy of the per-window totals.

@@ -23,9 +23,6 @@ import (
 // package bw for the sharing model.
 type Engine = bw.Engine
 
-// EngineStats is a snapshot of an engine's transfer statistics.
-type EngineStats = bw.EngineStats
-
 // NewEngine creates an engine with the given aggregate bandwidth in MB/s.
 func NewEngine(env *sim.Env, name string, bwMBps float64) *Engine {
 	return bw.NewEngine(env, name, bwMBps)
@@ -77,12 +74,6 @@ func NewPool(env *sim.Env, inv *inventory.Inventory) *Pool {
 		p.engines[id].RegisterMetrics("storage")
 	}
 	return p
-}
-
-// AddDatastore registers an engine for a datastore created after the pool.
-func (p *Pool) AddDatastore(ds *inventory.Datastore) {
-	p.engines[ds.ID] = NewEngine(p.env, ds.Name, ds.BandwidthMBps)
-	p.engines[ds.ID].RegisterMetrics("storage")
 }
 
 // Engine returns the engine for datastore id, or nil.

@@ -182,9 +182,6 @@ func TestPoolEnginesPerDatastore(t *testing.T) {
 	if pool.Engine(d0.ID) == nil || pool.Engine(d1.ID) == nil {
 		t.Fatal("missing engines")
 	}
-	if pool.Engine(d1.ID).Bandwidth() != 200 {
-		t.Fatal("bandwidth not propagated")
-	}
 	if pool.Engine(999) != nil {
 		t.Fatal("phantom engine")
 	}
@@ -282,8 +279,8 @@ func TestMostLeastFilledAndImbalance(t *testing.T) {
 	env := sim.NewEnv()
 	inv, d0, d1 := buildInv()
 	pool := NewPool(env, inv)
-	inv.SetDatastoreUsed(d0, 800)
-	inv.SetDatastoreUsed(d1, 100)
+	inv.AddDatastoreUsed(d0, 800)
+	inv.AddDatastoreUsed(d1, 100)
 	most, least := pool.MostAndLeastFilled()
 	if most != d0.ID || least != d1.ID {
 		t.Fatalf("most=%v least=%v", most, least)

@@ -31,7 +31,7 @@ func FuzzReadJSONL(f *testing.F) {
 
 func FuzzReadCSV(f *testing.F) {
 	var buf bytes.Buffer
-	WriteCSV(&buf, []Record{{TaskID: 1, Kind: "deploy", Org: "o", Submit: 1, End: 2, Latency: 1}})
+	writeAll(NewCSVWriter(&buf), []Record{{TaskID: 1, Kind: "deploy", Org: "o", Submit: 1, End: 2, Latency: 1}})
 	f.Add(buf.String())
 	f.Add("")
 	f.Add("task,kind\n1,deploy\n")
@@ -40,7 +40,7 @@ func FuzzReadCSV(f *testing.F) {
 		recs, err := ReadCSV(strings.NewReader(s))
 		if err == nil {
 			var out bytes.Buffer
-			if werr := WriteCSV(&out, recs); werr != nil {
+			if werr := writeAll(NewCSVWriter(&out), recs); werr != nil {
 				t.Fatalf("reserialize: %v", werr)
 			}
 			back, rerr := ReadCSV(bytes.NewReader(out.Bytes()))

@@ -96,12 +96,6 @@ func (rc *Recorder) Sink(t *mgmt.Task) { rc.records = append(rc.records, FromTas
 // mutate).
 func (rc *Recorder) Records() []Record { return rc.records }
 
-// Len returns the number of records.
-func (rc *Recorder) Len() int { return len(rc.records) }
-
-// Reset discards accumulated records.
-func (rc *Recorder) Reset() { rc.records = nil }
-
 // WriteJSONL writes one JSON object per line.
 func WriteJSONL(w io.Writer, records []Record) error {
 	return writeAll(NewJSONLWriter(w), records)
@@ -127,11 +121,6 @@ var csvHeader = []string{
 	"latency", "queue", "cell", "mgmt", "db", "host", "data", "err",
 }
 
-// WriteCSV writes records with a header row.
-func WriteCSV(w io.Writer, records []Record) error {
-	return writeAll(NewCSVWriter(w), records)
-}
-
 // writeAll writes every record through sw, then flushes it.
 func writeAll(sw *Writer, records []Record) error {
 	for i := range records {
@@ -143,9 +132,9 @@ func writeAll(sw *Writer, records []Record) error {
 }
 
 // Writer streams records one at a time to an underlying writer, buffered,
-// in JSONL or CSV form. WriteJSONL and WriteCSV are loops over it, so a
-// CLI can switch from accumulate-then-dump to streaming without changing
-// its artifact.
+// in JSONL or CSV form. WriteJSONL is a loop over it, so a CLI can
+// switch from accumulate-then-dump to streaming without changing its
+// artifact.
 // Errors are sticky: after the first failure every Write is a no-op and
 // Flush reports it, so a caller checking only the final Flush still
 // observes a mid-stream disk failure.
@@ -177,9 +166,9 @@ func NewJSONLWriter(w io.Writer) *Writer {
 	return &Writer{enc: json.NewEncoder(bw), bw: bw}
 }
 
-// NewCSVWriter returns a streaming writer producing WriteCSV output,
-// including the header row (written lazily, at the first record or at
-// Flush, so a zero-record stream still matches WriteCSV(w, nil)).
+// NewCSVWriter returns a streaming writer producing CSV with a header
+// row (written lazily, at the first record or at Flush, so a zero-record
+// stream still carries the header).
 func NewCSVWriter(w io.Writer) *Writer {
 	return &Writer{cw: csv.NewWriter(w)}
 }
@@ -242,7 +231,7 @@ func (sw *Writer) Flush() error {
 	return sw.err
 }
 
-// ReadCSV reads records written by WriteCSV.
+// ReadCSV reads records written by NewCSVWriter.
 func ReadCSV(r io.Reader) ([]Record, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()

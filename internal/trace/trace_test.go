@@ -45,7 +45,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 func TestCSVRoundTrip(t *testing.T) {
 	recs := sampleRecords()
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, recs); err != nil {
+	if err := writeAll(NewCSVWriter(&buf), recs); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadCSV(&buf)
@@ -80,7 +80,7 @@ a newline together`},
 		write func(*bytes.Buffer, []Record) error
 		read  func(*bytes.Buffer) ([]Record, error)
 	}{
-		"csv": {func(b *bytes.Buffer, r []Record) error { return WriteCSV(b, r) },
+		"csv": {func(b *bytes.Buffer, r []Record) error { return writeAll(NewCSVWriter(b), r) },
 			func(b *bytes.Buffer) ([]Record, error) { return ReadCSV(b) }},
 		"jsonl": {func(b *bytes.Buffer, r []Record) error { return WriteJSONL(b, r) },
 			func(b *bytes.Buffer) ([]Record, error) { return ReadJSONL(b) }},
@@ -116,7 +116,7 @@ func TestCSVRejectsBadHeader(t *testing.T) {
 func TestCSVRejectsBadNumbers(t *testing.T) {
 	recs := sampleRecords()[:1]
 	var buf bytes.Buffer
-	WriteCSV(&buf, recs)
+	writeAll(NewCSVWriter(&buf), recs)
 	s := strings.Replace(buf.String(), "10", "xx", 1)
 	if _, err := ReadCSV(strings.NewReader(s)); err == nil {
 		t.Fatal("expected parse error")
@@ -168,15 +168,11 @@ func TestRecorder(t *testing.T) {
 	rc := NewRecorder()
 	rc.Sink(&mgmt.Task{ID: 1, Req: ops.Request{Kind: ops.KindPowerOn}})
 	rc.Sink(&mgmt.Task{ID: 2, Req: ops.Request{Kind: ops.KindDestroy}})
-	if rc.Len() != 2 {
-		t.Fatalf("len = %d", rc.Len())
+	if n := len(rc.Records()); n != 2 {
+		t.Fatalf("len = %d", n)
 	}
 	if rc.Records()[1].Kind != "destroy" {
 		t.Fatal("order wrong")
-	}
-	rc.Reset()
-	if rc.Len() != 0 {
-		t.Fatal("reset failed")
 	}
 }
 
@@ -199,7 +195,7 @@ func TestPropertyCodecsRoundTrip(t *testing.T) {
 			r.Err = "some failure, with comma"
 		}
 		var jbuf, cbuf bytes.Buffer
-		if WriteJSONL(&jbuf, []Record{r}) != nil || WriteCSV(&cbuf, []Record{r}) != nil {
+		if WriteJSONL(&jbuf, []Record{r}) != nil || writeAll(NewCSVWriter(&cbuf), []Record{r}) != nil {
 			return false
 		}
 		jr, err1 := ReadJSONL(&jbuf)

@@ -38,7 +38,7 @@ func TestWriterMatchesBatchCSV(t *testing.T) {
 	// Include a hostile field to exercise csv quoting equally.
 	recs[2].Err = "boom,\"quoted\"\nnewline"
 	var batch bytes.Buffer
-	if err := WriteCSV(&batch, recs); err != nil {
+	if err := writeAll(NewCSVWriter(&batch), recs); err != nil {
 		t.Fatal(err)
 	}
 	var stream bytes.Buffer
@@ -58,7 +58,7 @@ func TestWriterMatchesBatchCSV(t *testing.T) {
 
 func TestWriterEmptyCSVMatchesBatch(t *testing.T) {
 	var batch bytes.Buffer
-	if err := WriteCSV(&batch, nil); err != nil {
+	if err := writeAll(NewCSVWriter(&batch), nil); err != nil {
 		t.Fatal(err)
 	}
 	var stream bytes.Buffer

@@ -65,8 +65,8 @@ func TestReplayReproducesWorkload(t *testing.T) {
 	}
 	// The replayed run produced comparable activity: at least as many
 	// operations as were dispatched (power-ons ride along with deploys).
-	if int64(rec2.Len()) < st.Issued {
-		t.Fatalf("replay produced %d records for %d issued ops", rec2.Len(), st.Issued)
+	if int64(len(rec2.Records())) < st.Issued {
+		t.Fatalf("replay produced %d records for %d issued ops", len(rec2.Records()), st.Issued)
 	}
 	if err := r2.inv.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestReplayDeterministic(t *testing.T) {
 		}
 		rp.Start()
 		r.env.Run(2 * 3600)
-		return rp.Stats().Issued, rec.Len()
+		return rp.Stats().Issued, len(rec.Records())
 	}
 	i1, n1 := run()
 	i2, n2 := run()

@@ -149,9 +149,6 @@ func ByName(name string) (Profile, error) {
 	return Profile{}, fmt.Errorf("workload: unknown profile %q (want cloud-a, cloud-b, or classic-dc)", name)
 }
 
-// Names lists the built-in profile CLI names.
-func Names() []string { return []string{"cloud-a", "cloud-b", "classic-dc"} }
-
 // Validate checks the profile for usable values.
 func (pr Profile) Validate() error {
 	if pr.BaseRatePerHour < 0 || pr.DiurnalAmplitude < 0 || pr.DiurnalAmplitude > 1 {
