@@ -189,7 +189,6 @@ type Stats struct {
 // rng.DeriveSeed(seed, "fault:<layer>:<taskID>:<attempt>") has always
 // produced, pinned by a golden test.
 type Injector struct {
-	seed  int64
 	cfg   Config
 	stats Stats
 
@@ -209,7 +208,6 @@ func New(seed int64, cfg Config) (*Injector, error) {
 	}
 	base := rng.NewSeedHasher(seed)
 	return &Injector{
-		seed:        seed,
 		cfg:         cfg,
 		scratch:     rng.NewReseeder(),
 		hostPrefix:  base.String("fault:" + LayerHost + ":"),

@@ -547,9 +547,12 @@ func (inv *Inventory) reclaimSuspendFile(vm *VM) {
 	inv.rekeyDatastore(ds)
 }
 
+// removeID deletes id from ids, keeping the order of the rest. IDs are
+// unique within a list, and the closed loops delete the VMs they placed
+// most recently, so the scan starts from the back.
 func removeID(ids []ID, id ID) []ID {
-	for i, v := range ids {
-		if v == id {
+	for i := len(ids) - 1; i >= 0; i-- {
+		if ids[i] == id {
 			return append(ids[:i], ids[i+1:]...)
 		}
 	}

@@ -1,6 +1,7 @@
 package inventory
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -377,5 +378,40 @@ func TestSuspendRejectsFullDatastore(t *testing.T) {
 	}
 	if vm.State != VMPoweredOn {
 		t.Fatal("state changed despite failure")
+	}
+}
+
+// TestRemoveIDMatchesFrontScan pins removeID's back-to-front scan to the
+// front-to-back scan it replaced: with unique IDs both remove the same
+// element and keep the rest in order.
+func TestRemoveIDMatchesFrontScan(t *testing.T) {
+	frontScan := func(ids []ID, id ID) []ID {
+		for i, v := range ids {
+			if v == id {
+				return append(ids[:i], ids[i+1:]...)
+			}
+		}
+		return ids
+	}
+	list := []ID{7, 3, 11, 5, 2}
+	for _, tc := range []struct {
+		name string
+		id   ID
+		want []ID
+	}{
+		{"first", 7, []ID{3, 11, 5, 2}},
+		{"middle", 11, []ID{7, 3, 5, 2}},
+		{"last", 2, []ID{7, 3, 11, 5}},
+		{"missing", 9, []ID{7, 3, 11, 5, 2}},
+	} {
+		got := removeID(slices.Clone(list), tc.id)
+		ref := frontScan(slices.Clone(list), tc.id)
+		if !slices.Equal(got, tc.want) || !slices.Equal(got, ref) {
+			t.Errorf("%s: removeID(%v, %d) = %v, front scan %v, want %v",
+				tc.name, list, tc.id, got, ref, tc.want)
+		}
+	}
+	if got := removeID(nil, 1); len(got) != 0 {
+		t.Errorf("removeID(nil, 1) = %v", got)
 	}
 }

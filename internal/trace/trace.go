@@ -80,21 +80,61 @@ func FromTask(t *mgmt.Task) Record {
 	return r
 }
 
+// blockLen is the number of records in one of the recorder's blocks.
+// A larger block leaves more unused capacity in the last one, which shows
+// in a short run's heap; a smaller one costs more allocations per record.
+const blockLen = 1024
+
 // Recorder is a task sink that accumulates records in memory. Register
 // Sink with mgmt.Manager.AddTaskSink.
+//
+// Records live in blocks of blockLen records. Sink fills the last block
+// and starts a new one when it is full, so a growing trace costs one
+// allocation per block and never copies the records before it. Records
+// flattens the blocks into one exact-size slice, at most once per read
+// that follows new Sinks, and keeps that slice as the only block, so a
+// read after the run does not hold the trace twice.
 type Recorder struct {
-	records []Record
+	blocks [][]Record
 }
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
 // Sink appends the task's record.
-func (rc *Recorder) Sink(t *mgmt.Task) { rc.records = append(rc.records, FromTask(t)) }
+func (rc *Recorder) Sink(t *mgmt.Task) {
+	n := len(rc.blocks)
+	if n == 0 || len(rc.blocks[n-1]) == cap(rc.blocks[n-1]) {
+		rc.blocks = append(rc.blocks, make([]Record, 0, blockLen))
+		n++
+	}
+	rc.blocks[n-1] = append(rc.blocks[n-1], FromTask(t))
+}
 
-// Records returns the accumulated records (shared slice; callers must not
-// mutate).
-func (rc *Recorder) Records() []Record { return rc.records }
+// Records returns the accumulated records in Sink order, or nil when
+// there are none. The slice is shared: callers must not mutate it. Its
+// capacity equals its length, so appending to it copies rather than
+// writing into the recorder.
+func (rc *Recorder) Records() []Record {
+	switch len(rc.blocks) {
+	case 0:
+		return nil
+	case 1:
+		b := rc.blocks[0]
+		return b[:len(b):len(b)]
+	}
+	n := 0
+	for _, b := range rc.blocks {
+		n += len(b)
+	}
+	flat := make([]Record, 0, n)
+	for _, b := range rc.blocks {
+		flat = append(flat, b...)
+	}
+	clear(rc.blocks)
+	rc.blocks = append(rc.blocks[:0], flat)
+	return flat
+}
 
 // WriteJSONL writes one JSON object per line.
 func WriteJSONL(w io.Writer, records []Record) error {

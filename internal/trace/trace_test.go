@@ -3,9 +3,12 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"cloudmcp/internal/mgmt"
 	"cloudmcp/internal/ops"
@@ -173,6 +176,114 @@ func TestRecorder(t *testing.T) {
 	}
 	if rc.Records()[1].Kind != "destroy" {
 		t.Fatal("order wrong")
+	}
+}
+
+// recorderTasks returns n completed tasks that cycle through every kind,
+// clone mode and five orgs, with a failure every seventh task.
+func recorderTasks(n int) []*mgmt.Task {
+	kinds := ops.Kinds()
+	tasks := make([]*mgmt.Task, n)
+	for i := range tasks {
+		t := &mgmt.Task{
+			ID:        int64(i + 1),
+			Req:       ops.Request{Kind: kinds[i%len(kinds)], Mode: ops.CloneMode(i % 2), Org: fmt.Sprintf("org%d", i%5), Submit: float64(i)},
+			Start:     float64(i),
+			End:       float64(i) + 1.5,
+			Breakdown: ops.Breakdown{Queue: 0.25, Mgmt: float64(i % 3), Host: 1},
+		}
+		if i%7 == 0 {
+			t.Err = fmt.Errorf("failure %d", i)
+		}
+		tasks[i] = t
+	}
+	return tasks
+}
+
+// TestRecorderBlocks reads the recorder on both sides of its block
+// boundaries and after Sinks that follow a read: every read is the
+// FromTask list in Sink order, exact-size, and writes the same JSONL.
+func TestRecorderBlocks(t *testing.T) {
+	tasks := recorderTasks(2600)
+	ref := make([]Record, len(tasks))
+	for i, task := range tasks {
+		ref[i] = FromTask(task)
+	}
+
+	rc := NewRecorder()
+	check := func(n int) []Record {
+		t.Helper()
+		got := rc.Records()
+		if len(got) != n || cap(got) != n {
+			t.Fatalf("after %d sinks: len %d cap %d", n, len(got), cap(got))
+		}
+		for i := range got {
+			if got[i] != ref[i] {
+				t.Fatalf("after %d sinks: record %d = %+v, want %+v", n, i, got[i], ref[i])
+			}
+		}
+		if !bytes.Equal(jsonl(t, got), jsonl(t, ref[:n])) {
+			t.Fatalf("after %d sinks: JSONL differs from the reference", n)
+		}
+		return got
+	}
+	var reads [][]Record
+	sunk := 0
+	for _, n := range []int{1, blockLen, blockLen + 1, 2500, 2500, 2600} {
+		for ; sunk < n; sunk++ {
+			rc.Sink(tasks[sunk])
+		}
+		reads = append(reads, check(n))
+	}
+	// A read with no Sink since the previous one returns the same slice.
+	if &reads[3][0] != &reads[4][0] {
+		t.Fatal("a second read without new Sinks flattened again")
+	}
+	// Later Sinks leave earlier reads intact.
+	for _, got := range reads {
+		for i := range got {
+			if got[i] != ref[i] {
+				t.Fatalf("earlier read of %d records changed at %d", len(got), i)
+			}
+		}
+	}
+}
+
+func jsonl(t *testing.T, recs []Record) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestRecorderEmptyIsNil(t *testing.T) {
+	if got := NewRecorder().Records(); got != nil {
+		t.Fatalf("empty recorder returned %v", got)
+	}
+}
+
+// TestRecorderSinkByteBudget bounds what Sink allocates to 1.25 times
+// the trace it holds. Growing one slice by append allocates about five
+// times the final trace and copies it on every growth.
+func TestRecorderSinkByteBudget(t *testing.T) {
+	const n = 10000
+	tasks := make([]*mgmt.Task, n)
+	for i := range tasks {
+		tasks[i] = &mgmt.Task{ID: int64(i + 1), Req: ops.Request{Kind: ops.KindPowerOn, Submit: float64(i)}, Start: float64(i), End: float64(i) + 1}
+	}
+	rc := NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, task := range tasks {
+		rc.Sink(task)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	budget := uint64(1.25 * n * float64(unsafe.Sizeof(Record{})))
+	if got > budget {
+		t.Fatalf("sinking %d tasks allocated %d bytes, budget %d", n, got, budget)
 	}
 }
 
