@@ -15,6 +15,7 @@ package clouddir
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"cloudmcp/internal/inventory"
 	"cloudmcp/internal/metrics"
@@ -385,16 +386,26 @@ func (d *Director) effectiveFree(ds *inventory.Datastore) float64 {
 
 // placeNearBase returns the most-free datastore that already holds a
 // linked-clone base for tpl (its home datastore or an existing shadow)
-// and fits needGB, or nil when none qualifies. The template's home
-// datastore is considered first and candidates follow in ascending
-// datastore-ID order under a strict comparison, so equal-free ties
-// resolve to (home, then lowest ID) — deterministically, where ranging
-// over the chains map left the winner to map iteration order.
+// and fits needGB, or nil when none qualifies. A candidate whose chain
+// is at its limit, with no shadow copy in flight, would have this
+// deploy copy a new shadow there first, so it must also fit the
+// template's disk. The template's home datastore is considered first
+// and candidates follow in ascending datastore-ID order under a strict
+// comparison, so equal-free ties resolve to (home, then lowest ID) —
+// deterministically, where ranging over the chains map left the winner
+// to map iteration order.
 func (d *Director) placeNearBase(tpl *inventory.Template, needGB float64) *inventory.Datastore {
 	inv := d.plane.Inventory()
 	var best *inventory.Datastore
 	consider := func(ds *inventory.Datastore) {
-		if ds == nil || d.effectiveFree(ds) < needGB {
+		if ds == nil {
+			return
+		}
+		need := needGB
+		if cs := d.chains[chainKey{tpl: tpl.ID, ds: ds.ID}]; cs != nil && cs.count >= d.maxChain() && cs.creating == nil {
+			need += tpl.DiskGB
+		}
+		if d.effectiveFree(ds) < need {
 			return
 		}
 		if best == nil || d.effectiveFree(ds) > d.effectiveFree(best) {
@@ -485,13 +496,13 @@ type DeployResult struct {
 // each VM independently, and optionally powers them on. VM-level deploys
 // proceed in parallel, as director cells do. The vApp is subject to the
 // configured lease.
-func (d *Director) DeployVApp(p *sim.Proc, org string, tpl *inventory.Template, nVMs int, powerOn bool) *DeployResult {
+func (d *Director) DeployVApp(p *sim.Proc, org string, tpl *inventory.Template, nVMs int, powerOn bool) DeployResult {
 	if nVMs <= 0 {
-		return &DeployResult{Err: fmt.Errorf("clouddir: vApp size %d", nVMs)}
+		return DeployResult{Err: fmt.Errorf("clouddir: vApp size %d", nVMs)}
 	}
 	if q := d.cfg.OrgQuotaVMs; q > 0 && d.orgVMs[org]+nVMs > q {
 		d.quotaRejects++
-		return &DeployResult{Err: fmt.Errorf("clouddir: org %s over quota (%d live + %d requested > %d)",
+		return DeployResult{Err: fmt.Errorf("clouddir: org %s over quota (%d live + %d requested > %d)",
 			org, d.orgVMs[org], nVMs, q)}
 	}
 	// Reserve quota for the whole vApp up front; failures are returned
@@ -500,15 +511,16 @@ func (d *Director) DeployVApp(p *sim.Proc, org string, tpl *inventory.Template, 
 	inv := d.plane.Inventory()
 	submit := p.Now()
 	d.nextVApp++
-	va := inv.AddVApp(fmt.Sprintf("vapp-%d", d.nextVApp), org)
-	res := &DeployResult{VApp: va, Tasks: make([]*mgmt.Task, 0, nVMs*2)}
+	var buf [24]byte
+	va := inv.AddVApp(string(strconv.AppendInt(append(buf[:0], "vapp-"...), d.nextVApp, 10)), org)
+	res := DeployResult{VApp: va, Tasks: make([]*mgmt.Task, 0, nVMs*2)}
 
 	f := d.getFrame(nVMs)
 	for i := 0; i < nVMs; i++ {
 		i := i
 		d.nextVM++
-		name := fmt.Sprintf("%s-vm%d", va.Name, i)
-		d.env.Go("deploy:"+name, func(hp *sim.Proc) {
+		name := va.Name + "-vm" + strconv.Itoa(i)
+		d.env.Go("deploy", func(hp *sim.Proc) {
 			defer func() {
 				f.remaining--
 				if f.remaining == 0 {
@@ -637,9 +649,8 @@ func (d *Director) deployOne(p *sim.Proc, org, name string, tpl *inventory.Templ
 func (d *Director) PowerVApp(p *sim.Proc, va *inventory.VApp, org string, on bool) []*mgmt.Task {
 	inv := d.plane.Inventory()
 	var tasks []*mgmt.Task
-	ids := make([]inventory.ID, len(va.VMs))
-	copy(ids, va.VMs)
-	for _, id := range ids {
+	var buf [8]inventory.ID
+	for _, id := range append(buf[:0], va.VMs...) {
 		vm := inv.VM(id)
 		if vm == nil {
 			continue
@@ -668,9 +679,8 @@ func (d *Director) DeleteVApp(p *sim.Proc, va *inventory.VApp, org string) []*mg
 	delete(d.liveVApps, va.ID)
 	var tasks []*mgmt.Task
 	// Copy: destroy mutates va.VMs.
-	ids := make([]inventory.ID, len(va.VMs))
-	copy(ids, va.VMs)
-	for _, id := range ids {
+	var buf [8]inventory.ID
+	for _, id := range append(buf[:0], va.VMs...) {
 		vm := inv.VM(id)
 		if vm == nil {
 			continue

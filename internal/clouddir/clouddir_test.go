@@ -31,7 +31,7 @@ func newFixture(t *testing.T, cfg Config) *fixture {
 
 func TestDeployVAppLinked(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
-	var res *DeployResult
+	var res DeployResult
 	f.env.Go("u", func(p *sim.Proc) {
 		res = f.dir.DeployVApp(p, "orgA", f.tpl, 3, true)
 	})
@@ -69,7 +69,7 @@ func TestDeployVAppFullClone(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FastProvisioning = false
 	f := newFixture(t, cfg)
-	var res *DeployResult
+	var res DeployResult
 	f.env.Go("u", func(p *sim.Proc) {
 		res = f.dir.DeployVApp(p, "orgA", f.tpl, 1, false)
 	})
@@ -96,7 +96,7 @@ func TestShadowCreatedOnForeignDatastore(t *testing.T) {
 	// filler template: the first linked clone on ds1 creates a shadow.
 	f := newFixture(t, DefaultConfig())
 	f.inv.AddTemplate(f.ds[0], "filler", f.ds[0].FreeGB()-0.5, 1024, 1)
-	var res *DeployResult
+	var res DeployResult
 	f.env.Go("u", func(p *sim.Proc) {
 		res = f.dir.DeployVApp(p, "orgA", f.tpl, 1, false)
 	})
@@ -305,7 +305,7 @@ func TestCellQueueingUnderBurst(t *testing.T) {
 	cfg.Cells = 1
 	cfg.CellThreads = 1
 	f := newFixture(t, cfg)
-	var res *DeployResult
+	var res DeployResult
 	f.env.Go("u", func(p *sim.Proc) {
 		res = f.dir.DeployVApp(p, "orgA", f.tpl, 6, false)
 	})
@@ -326,7 +326,7 @@ func TestCellQueueingUnderBurst(t *testing.T) {
 
 func TestVAppSizeValidation(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
-	var res *DeployResult
+	var res DeployResult
 	f.env.Go("u", func(p *sim.Proc) { res = f.dir.DeployVApp(p, "o", f.tpl, 0, false) })
 	f.env.Run(sim.Forever)
 	if res.Err == nil {
@@ -543,5 +543,32 @@ func TestLinkedClonesPlaceNearBase(t *testing.T) {
 	f.env.Run(sim.Forever)
 	if f.dir.Stats().ShadowCopies != 0 {
 		t.Fatalf("shadows = %d, want 0", f.dir.Stats().ShadowCopies)
+	}
+}
+
+func TestDeployCycleAllocBudget(t *testing.T) {
+	// One linked-clone vApp deployed and deleted: the director's names,
+	// vApp and per-VM process, the manager's tasks and the inventory's
+	// VM. Execute leaking its spec adds the lock-target slices, body
+	// closures and the deployed VM's variable to every cycle.
+	f := newFixture(t, DefaultConfig())
+	var allocs float64
+	f.env.Go("u", func(p *sim.Proc) {
+		allocs = testing.AllocsPerRun(100, func() {
+			res := f.dir.DeployVApp(p, "orgA", f.tpl, 1, false)
+			if res.Err != nil {
+				t.Error(res.Err)
+				return
+			}
+			f.dir.DeleteVApp(p, res.VApp, "orgA")
+		})
+	})
+	f.env.Run(sim.Forever)
+	const budget = 11
+	if allocs > budget {
+		t.Fatalf("deploy+delete cycle allocates %.2f/op, want <= %d", allocs, budget)
+	}
+	if err := f.inv.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

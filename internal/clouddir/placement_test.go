@@ -10,6 +10,7 @@ import (
 	"cloudmcp/internal/plane"
 	"cloudmcp/internal/policy"
 	"cloudmcp/internal/rng"
+	"cloudmcp/internal/sim"
 	"cloudmcp/internal/testfix"
 )
 
@@ -273,4 +274,34 @@ func (d *Director) placeDatastoreLinear(needGB float64) *inventory.Datastore {
 		}
 	}
 	return best
+}
+
+func TestLinkedClonesSkipDatastoreTooFullForShadow(t *testing.T) {
+	// Retired shadows are never reclaimed, so a sequential deploy→delete
+	// loop fills the template's home datastore with them. Once home
+	// cannot hold a new shadow beside the delta, its chain must stop
+	// taking clones and placement must move to a datastore with room.
+	// Placing by the delta alone lets the shadow copy take the space the
+	// deploy reserved, and the deploy fails with three datastores empty.
+	cfg := DefaultConfig()
+	cfg.MaxChainLen = 2
+	f := placementFixture(t, testfix.Options{Datastores: 4, DatastoreGB: 200}, 1, cfg)
+	const cycles = 60 // home holds 18 clones' worth of shadows
+	f.env.Go("u", func(p *sim.Proc) {
+		for i := 0; i < cycles; i++ {
+			res := f.dir.DeployVApp(p, "orgA", f.tpl, 1, false)
+			if res.Err != nil {
+				t.Errorf("deploy %d: %v", i+1, res.Err)
+				return
+			}
+			f.dir.DeleteVApp(p, res.VApp, "orgA")
+		}
+	})
+	f.env.Run(sim.Forever)
+	if got := f.dir.Stats().VAppsDeployed; got != cycles {
+		t.Fatalf("deployed %d vApps, want %d", got, cycles)
+	}
+	if err := f.inv.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -304,7 +304,7 @@ func migrationStorm(seed int64, shards int, horizonS float64) (migrations, cross
 	for i := 0; i < workers; i++ {
 		org := fmt.Sprintf("org%d", i%8)
 		stream := rng.Derive(seed, fmt.Sprintf("e18.migrate.%d", i))
-		c.Go(fmt.Sprintf("storm%d", i), func(p *sim.Proc) {
+		c.Go("storm", func(p *sim.Proc) {
 			res := c.Director().DeployVApp(p, org, tpl, 1, false)
 			if res.Err != nil || res.VApp == nil || len(res.VApp.VMs) == 0 {
 				return
@@ -774,7 +774,7 @@ func e20Rebalance(p Params) (E20Rebalance, error) {
 	remaining := fillers
 	for i := 0; i < fillers; i++ {
 		i := i
-		c.Go(fmt.Sprintf("fill%d", i), func(fp *sim.Proc) {
+		c.Go("fill", func(fp *sim.Proc) {
 			for j := 0; j < per; j++ {
 				n := i*per + j
 				if n >= e20FillVMs {

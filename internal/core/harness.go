@@ -37,7 +37,7 @@ func startClosedLoop(c *Cloud, clients int, untilS float64, think func() float64
 	tpl := inv.Template(inv.Templates()[0])
 	for i := 0; i < clients; i++ {
 		org := fmt.Sprintf("org%d", i%8)
-		c.Go(fmt.Sprintf("client%d", i), func(p *sim.Proc) {
+		c.Go("client", func(p *sim.Proc) {
 			for p.Now() < untilS {
 				res := c.Director().DeployVApp(p, org, tpl, 1, false)
 				if res.Err == nil || (res.VApp != nil && inv.VApp(res.VApp.ID) != nil) {
@@ -70,16 +70,14 @@ func startOpenLoop(c *Cloud, label string, ratePerHour, horizon, lifetimeS float
 	// Zipf draw is what makes sticky placement fill datastores unevenly.
 	orgZipf := rng.NewZipf(stream, 8, 1.2)
 	c.Go("arrivals", func(p *sim.Proc) {
-		n := 0
 		for {
 			p.Sleep(stream.Exponential(Hour / ratePerHour))
 			if p.Now() >= horizon {
 				return
 			}
-			n++
 			org := fmt.Sprintf("org%d", orgZipf.Draw())
 			tpl := inv.Template(inv.Templates()[stream.Intn(len(inv.Templates()))])
-			c.Go(fmt.Sprintf("req%d", n), func(rp *sim.Proc) {
+			c.Go("req", func(rp *sim.Proc) {
 				res := c.Director().DeployVApp(rp, org, tpl, 1, false)
 				if res.VApp == nil || inv.VApp(res.VApp.ID) == nil {
 					return

@@ -309,7 +309,7 @@ func (f *Frontend) SubmitOp(req OpRequest) (int64, error) {
 			qw = time.Since(wall0).Seconds() * r
 		}
 		f.markInjected(id, qw)
-		env.Go(fmt.Sprintf("api:task%d", id), func(p *sim.Proc) {
+		env.Go("api:task", func(p *sim.Proc) {
 			f.markRunning(id, p.Now())
 			vapp, name, n, err := f.execute(p, req)
 			f.markDone(id, p.Now(), vapp, name, n, err)

@@ -17,6 +17,7 @@ package mgmt
 
 import (
 	"fmt"
+	"strings"
 
 	"cloudmcp/internal/faults"
 	"cloudmcp/internal/hostsim"
@@ -217,6 +218,10 @@ type Manager struct {
 	nextTaskID int64
 	sinks      []func(*Task)
 
+	// orgs holds the manager's own copy of every org name it has seen
+	// (see org).
+	orgs map[string]string
+
 	perKind map[ops.Kind]*kindStats
 	errs    int64
 	retry   RetryStats
@@ -305,6 +310,7 @@ func New(env *sim.Env, inv *inventory.Inventory, pool *storage.Pool, agents *hos
 		locks:     make(map[inventory.ID]*sim.Resource),
 		global:    sim.NewResource(env, label+"mgmt.globallock", 1),
 		perKind:   make(map[ops.Kind]*kindStats),
+		orgs:      make(map[string]string),
 	}
 	m.globalRel = func() { m.global.Release(1) }
 	m.registerMetrics(env.Metrics(), label)
@@ -513,7 +519,20 @@ func (m *Manager) Execute(p *sim.Proc, spec ExecSpec) *Task {
 	if spec.Req.Submit > 0 && sim.Time(spec.Req.Submit) <= start {
 		start = sim.Time(spec.Req.Submit)
 	}
-	task := &Task{ID: m.nextTaskID, Req: spec.Req, HostID: spec.HostID, Start: start, Breakdown: spec.Pre}
+	// The task copies the request field by field and takes Org from the
+	// manager's table: no pointer moves from spec into the heap task, so
+	// escape analysis keeps every caller's spec on its stack, and with it
+	// the LockTargets literal, the Body closure and what the closure
+	// captures.
+	req := ops.Request{
+		Kind:       spec.Req.Kind,
+		Mode:       spec.Req.Mode,
+		TemplateID: spec.Req.TemplateID,
+		VMID:       spec.Req.VMID,
+		Submit:     spec.Req.Submit,
+		Org:        m.org(spec.Req.Org),
+	}
+	task := &Task{ID: m.nextTaskID, Req: req, HostID: spec.HostID, Start: start, Breakdown: spec.Pre}
 	m.nextTaskID++
 	// One stage-time sample per task, shared by every attempt: retries
 	// redo the same work, and the disabled-faults draw sequence stays
@@ -559,6 +578,17 @@ func (m *Manager) Execute(p *sim.Proc, spec ExecSpec) *Task {
 	task.End = p.Now()
 	m.record(task)
 	return task
+}
+
+// org returns the manager's copy of an org name, cloned on first sight.
+// The set of names is the tenants the director already counts quota for.
+func (m *Manager) org(name string) string {
+	if s, ok := m.orgs[name]; ok || name == "" {
+		return s
+	}
+	s := strings.Clone(name)
+	m.orgs[s] = s
+	return s
 }
 
 func (m *Manager) kindStatsFor(k ops.Kind) *kindStats {

@@ -2,6 +2,7 @@ package mgmt
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -354,6 +355,48 @@ func TestSummaryAndSinks(t *testing.T) {
 	}
 	if f.mgr.TasksCompleted() != 3 {
 		t.Fatalf("tasks = %d", f.mgr.TasksCompleted())
+	}
+}
+
+func TestExecuteAllocatesOnlyItsTask(t *testing.T) {
+	// Execute moves no pointer from its spec into the heap Task. Were it
+	// to copy spec.Req whole (Org is a string), the spec would escape,
+	// and every caller's LockTargets literal and Body closure with it.
+	f := newFixture(t, DefaultConfig())
+	vm, err := f.inv.AddVM("vm0", f.hosts[0], f.ds[0], 1, 1024, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every field set, so the task's copy is checked field by field.
+	req := ops.Request{Kind: ops.KindReconfigure, Mode: ops.LinkedClone, TemplateID: f.tpl.ID, VMID: vm.ID, Submit: 1, Org: "org"}
+	rv := reflect.ValueOf(req)
+	for i := 0; i < rv.NumField(); i++ {
+		if rv.Field(i).IsZero() {
+			t.Fatalf("set ops.Request.%s in this test", rv.Type().Field(i).Name)
+		}
+	}
+	var allocs float64
+	var last *Task
+	bodies := 0
+	f.env.Go("u", func(p *sim.Proc) {
+		allocs = testing.AllocsPerRun(100, func() {
+			last = f.mgr.Execute(p, ExecSpec{
+				Req:         req,
+				LockTargets: []inventory.ID{vm.ID},
+				HostID:      vm.HostID,
+				Body:        func(*sim.Proc) error { bodies++; return nil },
+			})
+		})
+	})
+	f.env.Run(sim.Forever)
+	if allocs != 1 {
+		t.Fatalf("Execute allocates %.2f/op, want 1 (its Task)", allocs)
+	}
+	if bodies != 101 || last.Err != nil {
+		t.Fatalf("bodies = %d, err = %v", bodies, last.Err)
+	}
+	if last.Req != req {
+		t.Fatalf("task request = %+v, want %+v", last.Req, req)
 	}
 }
 

@@ -274,7 +274,7 @@ func (r *Plane) Start() {
 			}
 		})
 		for w := 0; w < r.cfg.Depth; w++ {
-			r.env.Go(fmt.Sprintf("reconcile:%s:w%d", rt.ctrl.Name, w), func(p *sim.Proc) {
+			r.env.Go("reconcile:worker", func(p *sim.Proc) {
 				for {
 					key := rt.queue.Get(p)
 					r.process(rt, p, key)

@@ -30,10 +30,9 @@ type Replayer struct {
 	records []trace.Record
 
 	// per-org state
-	vapps  map[string][]inventory.ID // live vApp ring per org
-	rrIdx  map[string]int
-	stats  ReplayStats
-	nextID int64
+	vapps map[string][]inventory.ID // live vApp ring per org
+	rrIdx map[string]int
+	stats ReplayStats
 }
 
 // ReplayStats counts replay dispatch outcomes.
@@ -91,10 +90,9 @@ func (r *Replayer) dispatch(rec trace.Record) {
 	case ops.KindDeploy:
 		r.stats.Issued++
 		r.stats.ByKind[rec.Kind]++
-		r.nextID++
 		org := rec.Org
 		tplRef := rec.Template
-		r.env.Go(fmt.Sprintf("replay-deploy-%d", r.nextID), func(p *sim.Proc) {
+		r.env.Go("replay-deploy", func(p *sim.Proc) {
 			inv := r.dir.Plane().Inventory()
 			tpls := inv.Templates()
 			tpl := inv.Template(tpls[int(tplRef)%len(tpls)])
@@ -113,9 +111,8 @@ func (r *Replayer) dispatch(rec trace.Record) {
 		}
 		r.stats.Issued++
 		r.stats.ByKind[rec.Kind]++
-		r.nextID++
 		org := rec.Org
-		r.env.Go(fmt.Sprintf("replay-destroy-%d", r.nextID), func(p *sim.Proc) {
+		r.env.Go("replay-destroy", func(p *sim.Proc) {
 			inv := r.dir.Plane().Inventory()
 			if v := inv.VApp(va); v != nil {
 				r.dir.DeleteVApp(p, v, org)
@@ -131,9 +128,8 @@ func (r *Replayer) dispatch(rec trace.Record) {
 		}
 		r.stats.Issued++
 		r.stats.ByKind[rec.Kind]++
-		r.nextID++
 		org := rec.Org
-		r.env.Go(fmt.Sprintf("replay-op-%d", r.nextID), func(p *sim.Proc) {
+		r.env.Go("replay-op", func(p *sim.Proc) {
 			r.applyVMOp(p, kind, vmID, org)
 		})
 	default:
