@@ -18,6 +18,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"cloudmcp/internal/clouddir"
 	"cloudmcp/internal/drs"
@@ -414,13 +415,26 @@ func (c *Cloud) PrepopulateVMs(n int) error {
 	for i := 0; i < n; i++ {
 		host := inv.Host(hosts[i%len(hosts)])
 		ds := inv.Datastore(dss[i%len(dss)])
-		vm, err := inv.AddVM(fmt.Sprintf("prevm%07d", i), host, ds, 2, 2048, 1.0)
+		vm, err := inv.AddVM(prevmName(i), host, ds, 2, 2048, 1.0)
 		if err != nil {
 			return fmt.Errorf("core: prepopulate VM %d/%d: %w", i, n, err)
 		}
 		vm.State = inventory.VMPoweredOff
 	}
 	return nil
+}
+
+// prevmName returns fmt.Sprintf("prevm%07d", i) for i >= 0 without fmt's
+// per-call cost.
+func prevmName(i int) string {
+	var digits [20]byte
+	var buf [32]byte
+	d := strconv.AppendInt(digits[:0], int64(i), 10)
+	b := append(buf[:0], "prevm"...)
+	for n := len(d); n < 7; n++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
 }
 
 // StageUtilization is one control-plane stage's utilization snapshot.

@@ -5,7 +5,10 @@ package core
 // simulated results. E19's worker-count determinism is a row of
 // TestArtifactsIdenticalAcrossWorkerCounts.
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestPrepopulateVMsDeterministicAndCounted(t *testing.T) {
 	build := func() *Cloud {
@@ -49,5 +52,13 @@ func TestE19TopologyScalesWithSize(t *testing.T) {
 	}
 	if big.DatastoreMBps != 4000 {
 		t.Fatalf("data plane not de-bottlenecked: %v MB/s", big.DatastoreMBps)
+	}
+}
+
+func TestPrevmNameMatchesSprintf(t *testing.T) {
+	for _, i := range []int{0, 9, 10, 9_999_999, 10_000_000, 123_456_789} {
+		if got, want := prevmName(i), fmt.Sprintf("prevm%07d", i); got != want {
+			t.Errorf("prevmName(%d) = %q, want %q", i, got, want)
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package inventory
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // referenceBestHost is the O(hosts) scan BestHost replaced: most free
@@ -276,6 +278,138 @@ func TestRemoveVMKeepsEnumerationOrder(t *testing.T) {
 	}
 }
 
+func TestRemoveVAppKeepsEnumerationOrder(t *testing.T) {
+	// The vApp twin of TestRemoveVMKeepsEnumerationOrder: removal
+	// tombstones the vApp's slot, and VApps() compacts survivors in
+	// creation order.
+	inv := New()
+	var created []*VApp
+	for i := 0; i < 10; i++ {
+		created = append(created, inv.AddVApp("app", "org"))
+	}
+	for _, i := range []int{4, 0, 9, 5} {
+		if err := inv.RemoveVApp(created[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := inv.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	want := []ID{created[1].ID, created[2].ID, created[3].ID, created[6].ID, created[7].ID, created[8].ID}
+	if got := inv.VApps(); !slices.Equal(got, want) {
+		t.Fatalf("VApps() = %v, want %v (creation order violated)", got, want)
+	}
+	if err := inv.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	tail := inv.AddVApp("tail", "org")
+	if err := inv.RemoveVApp(created[2]); err != nil {
+		t.Fatal(err)
+	}
+	want = []ID{created[1].ID, created[3].ID, created[6].ID, created[7].ID, created[8].ID, tail.ID}
+	if got := inv.VApps(); !slices.Equal(got, want) {
+		t.Fatalf("VApps() after add and remove = %v, want %v", got, want)
+	}
+	if err := inv.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRemoveVAppTwiceIsNoOp(t *testing.T) {
+	// After compaction A's old slot belongs to B; a second removal of A
+	// must not tombstone it.
+	inv := New()
+	a, b := inv.AddVApp("a", "org"), inv.AddVApp("b", "org")
+	if err := inv.RemoveVApp(a); err != nil {
+		t.Fatal(err)
+	}
+	if got := inv.VApps(); !slices.Equal(got, []ID{b.ID}) {
+		t.Fatalf("VApps() = %v, want [%v]", got, b.ID)
+	}
+	slot, holes := b.slot, inv.vappHoles
+	if err := inv.RemoveVApp(a); err != nil {
+		t.Fatal(err)
+	}
+	if b.slot != slot || inv.vappHoles != holes {
+		t.Fatalf("second removal moved B's slot %d → %d, tombstones %d → %d", slot, b.slot, holes, inv.vappHoles)
+	}
+	if got := inv.VApps(); !slices.Equal(got, []ID{b.ID}) {
+		t.Fatalf("VApps() after second removal = %v, want [%v]", got, b.ID)
+	}
+	if err := inv.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzCapHeap decodes the input into Set, Remove, Max and bestWhere calls
+// over 64 IDs, 16 of them far above the rest, and compares every answer
+// with a linear (key desc, ID asc) scan of a reference map.
+func FuzzCapHeap(f *testing.F) {
+	f.Add([]byte{0, 1, 3, 0, 2, 3, 0, 60, 7, 2, 0, 0, 1, 2, 0, 3, 4, 9})
+	f.Add([]byte{0, 63, 1, 0, 0, 1, 0, 48, 1, 3, 1, 5, 1, 63, 0, 2, 0, 0})
+	f.Add([]byte{0, 5, 2, 0, 6, 2, 0, 7, 2, 0, 8, 2, 1, 6, 0, 0, 5, 9, 3, 2, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h := newCapHeap()
+		ref := map[ID]float64{}
+		// best is the scan's answer among entries with key >= minKey
+		// that keep accepts.
+		best := func(minKey float64, keep func(ID) bool) (ID, float64, bool) {
+			var bid ID
+			var bkey float64
+			found := false
+			for id, k := range ref {
+				if k < minKey || !keep(id) {
+					continue
+				}
+				if !found || k > bkey || (k == bkey && id < bid) {
+					bid, bkey, found = id, k, true
+				}
+			}
+			return bid, bkey, found
+		}
+		for ; len(data) >= 3; data = data[3:] {
+			id := ID(data[1] % 64)
+			if id >= 48 {
+				id <<= 8
+			}
+			arg := data[2]
+			switch data[0] % 4 {
+			case 0:
+				h.Set(id, float64(arg%8)) // few distinct keys force ties
+				ref[id] = float64(arg % 8)
+			case 1:
+				h.Remove(id)
+				delete(ref, id)
+			case 2:
+				gotID, gotKey, ok := h.Max()
+				wantID, wantKey, found := best(0, func(ID) bool { return true })
+				if ok != found || gotID != wantID || gotKey != wantKey {
+					t.Fatalf("Max() = (%v, %v, %v), scan = (%v, %v, %v)", gotID, gotKey, ok, wantID, wantKey, found)
+				}
+			case 3:
+				minKey := float64(arg % 8)
+				salt := ID(arg / 8)
+				keep := func(id ID) bool { return (id+salt)%3 != 0 }
+				got, ok := h.bestWhere(minKey, keep)
+				want, _, found := best(minKey, keep)
+				if ok != found || got != want {
+					t.Fatalf("bestWhere(%v) = (%v, %v), scan = (%v, %v)", minKey, got, ok, want, found)
+				}
+			}
+			k, ok := h.Key(id)
+			if want, present := ref[id]; ok != present || k != want {
+				t.Fatalf("Key(%v) = (%v, %v), reference (%v, %v)", id, k, ok, want, present)
+			}
+			if h.Len() != len(ref) {
+				t.Fatalf("Len() = %d, reference holds %d", h.Len(), len(ref))
+			}
+			if err := h.check(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
 func TestSetHostGroupMovesBetweenGroupHeaps(t *testing.T) {
 	inv := New()
 	dc := inv.AddDatacenter("dc")
@@ -299,5 +433,16 @@ func TestSetHostGroupMovesBetweenGroupHeaps(t *testing.T) {
 	}
 	if err := inv.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestEntitySlotsKeepSizeClass(t *testing.T) {
+	// The slot fields must not push VM or VApp into a larger allocation
+	// size class (128 B and 80 B on 64-bit platforms).
+	if n := unsafe.Sizeof(VM{}); n > 128 {
+		t.Errorf("VM is %d B, want at most 128", n)
+	}
+	if n := unsafe.Sizeof(VApp{}); n > 80 {
+		t.Errorf("VApp is %d B, want at most 80", n)
 	}
 }

@@ -179,6 +179,8 @@ type VM struct {
 	// SuspendGB is the size of the suspend (memory checkpoint) file
 	// currently charged to the VM's datastore, 0 when not suspended.
 	SuspendGB float64
+
+	slot int // index in Inventory.vms
 }
 
 // VApp is a group of VMs deployed and managed as a unit (the cloud
@@ -187,6 +189,8 @@ type VApp struct {
 	Entity
 	OrgName string
 	VMs     []ID
+
+	slot int // index in Inventory.vapps; -1 once removed
 }
 
 // Inventory is the registry of all entities in one simulated installation.
@@ -200,12 +204,10 @@ type Inventory struct {
 	vapps      []ID
 
 	// vms and vapps churn on every deploy/delete; an O(n) ordered delete
-	// there is quadratic at million-VM scale. Removals tombstone the slot
-	// (None) in O(1) via the position maps and enumeration compacts
-	// lazily, preserving creation order exactly.
-	vmPos     map[ID]int
+	// there is quadratic at million-VM scale. Each VM and vApp records
+	// its index (slot), so a removal tombstones it (None) in O(1), and
+	// enumeration compacts lazily, preserving creation order exactly.
 	vmHoles   int
-	vappPos   map[ID]int
 	vappHoles int
 
 	// Free-capacity indexes: hostIdx orders in-service hosts by free
@@ -226,8 +228,6 @@ func New() *Inventory {
 	return &Inventory{
 		nextID:   1,
 		entities: make(map[ID]any),
-		vmPos:    make(map[ID]int),
-		vappPos:  make(map[ID]int),
 		hostIdx:  newCapHeap(),
 		dsIdx:    newCapHeap(),
 		reserved: make(map[ID]float64),
@@ -334,9 +334,9 @@ func (inv *Inventory) AddVApp(name, org string) *VApp {
 	v := &VApp{
 		Entity:  Entity{ID: inv.allocate(), Name: name, Kind: KindVApp},
 		OrgName: org,
+		slot:    len(inv.vapps),
 	}
 	inv.entities[v.ID] = v
-	inv.vappPos[v.ID] = len(inv.vapps)
 	inv.vapps = append(inv.vapps, v.ID)
 	return v
 }
@@ -359,9 +359,9 @@ func (inv *Inventory) AddVM(name string, host *Host, ds *Datastore, cpus, memMB 
 		State:  VMProvisioning,
 		CPUs:   cpus, MemMB: memMB, DiskGB: diskGB,
 		HostID: host.ID, DatastoreID: ds.ID,
+		slot: len(inv.vms),
 	}
 	inv.entities[vm.ID] = vm
-	inv.vmPos[vm.ID] = len(inv.vms)
 	inv.vms = append(inv.vms, vm.ID)
 	host.VMs = append(host.VMs, vm.ID)
 	host.UsedMemMB += memMB
@@ -393,27 +393,26 @@ func (inv *Inventory) RemoveVM(vm *VM) error {
 	}
 	vm.State = VMDeleted
 	delete(inv.entities, vm.ID)
-	if i, ok := inv.vmPos[vm.ID]; ok {
-		inv.vms[i] = None
-		delete(inv.vmPos, vm.ID)
-		inv.vmHoles++
-	}
+	inv.vms[vm.slot] = None
+	inv.vmHoles++
 	inv.rekeyHost(host)
 	inv.rekeyDatastore(ds)
 	return nil
 }
 
-// RemoveVApp deletes an (empty) vApp container.
+// RemoveVApp deletes an (empty) vApp container. Removing it again is a
+// no-op.
 func (inv *Inventory) RemoveVApp(va *VApp) error {
 	if len(va.VMs) != 0 {
 		return fmt.Errorf("inventory: vApp %s still has %d VMs", va.Name, len(va.VMs))
 	}
-	delete(inv.entities, va.ID)
-	if i, ok := inv.vappPos[va.ID]; ok {
-		inv.vapps[i] = None
-		delete(inv.vappPos, va.ID)
-		inv.vappHoles++
+	if va.slot < 0 {
+		return nil
 	}
+	delete(inv.entities, va.ID)
+	inv.vapps[va.slot] = None
+	va.slot = -1
+	inv.vappHoles++
 	return nil
 }
 
@@ -588,7 +587,8 @@ func (inv *Inventory) Datastores() []ID { return inv.datastores }
 // holes; the slice is valid until the next mutation.
 func (inv *Inventory) VMs() []ID {
 	if inv.vmHoles > 0 {
-		inv.vms, inv.vmHoles = compactIDs(inv.vms, inv.vmPos)
+		inv.vms = compactIDs(inv.vms, func(id ID, slot int) { inv.VM(id).slot = slot })
+		inv.vmHoles = 0
 	}
 	return inv.vms
 }
@@ -600,22 +600,25 @@ func (inv *Inventory) Templates() []ID { return inv.templates }
 // tombstones like VMs.
 func (inv *Inventory) VApps() []ID {
 	if inv.vappHoles > 0 {
-		inv.vapps, inv.vappHoles = compactIDs(inv.vapps, inv.vappPos)
+		inv.vapps = compactIDs(inv.vapps, func(id ID, slot int) { inv.VApp(id).slot = slot })
+		inv.vappHoles = 0
 	}
 	return inv.vapps
 }
 
-// compactIDs squeezes None tombstones out of ids in place, rebuilding the
-// position map, and returns the shortened slice with a zero hole count.
-func compactIDs(ids []ID, pos map[ID]int) ([]ID, int) {
+// compactIDs squeezes None tombstones out of ids in place, calling moved
+// for each survivor whose index changes, and returns the shortened slice.
+func compactIDs(ids []ID, moved func(id ID, slot int)) []ID {
 	out := ids[:0]
-	for _, id := range ids {
+	for i, id := range ids {
 		if id != None {
-			pos[id] = len(out)
+			if len(out) != i {
+				moved(id, len(out))
+			}
 			out = append(out, id)
 		}
 	}
-	return out, 0
+	return out
 }
 
 // SortIDs sorts ids in place in canonical (creation) order and removes
@@ -830,9 +833,6 @@ func (inv *Inventory) CheckInvariants() error {
 			holes++
 			continue
 		}
-		if inv.vmPos[vid] != i {
-			return fmt.Errorf("VM %d position map says %d, slot is %d", vid, inv.vmPos[vid], i)
-		}
 		vm := inv.VM(vid)
 		if vm == nil {
 			return fmt.Errorf("VM list references missing VM %d", vid)
@@ -840,12 +840,29 @@ func (inv *Inventory) CheckInvariants() error {
 		if vm.State == VMDeleted {
 			return fmt.Errorf("deleted VM %s still registered", vm.Name)
 		}
+		if vm.slot != i {
+			return fmt.Errorf("VM %s records slot %d, list holds it at %d", vm.Name, vm.slot, i)
+		}
 	}
 	if holes != inv.vmHoles {
 		return fmt.Errorf("VM list has %d tombstones, counter says %d", holes, inv.vmHoles)
 	}
-	if len(inv.vmPos) != len(inv.vms)-inv.vmHoles {
-		return fmt.Errorf("VM position map size %d != %d live entries", len(inv.vmPos), len(inv.vms)-inv.vmHoles)
+	holes = 0
+	for i, aid := range inv.vapps {
+		if aid == None {
+			holes++
+			continue
+		}
+		va := inv.VApp(aid)
+		if va == nil {
+			return fmt.Errorf("vApp list references missing vApp %d", aid)
+		}
+		if va.slot != i {
+			return fmt.Errorf("vApp %s records slot %d, list holds it at %d", va.Name, va.slot, i)
+		}
+	}
+	if holes != inv.vappHoles {
+		return fmt.Errorf("vApp list has %d tombstones, counter says %d", holes, inv.vappHoles)
 	}
 	return inv.checkIndexes()
 }
@@ -853,8 +870,25 @@ func (inv *Inventory) CheckInvariants() error {
 // checkIndexes verifies the free-capacity indexes against a from-scratch
 // recomputation: membership must match in-service status and every key
 // must equal the freshly derived value bit-for-bit (the property that
-// makes indexed placement byte-identical to a linear scan).
+// makes indexed placement byte-identical to a linear scan). Each heap's
+// order and position table are checked too.
 func (inv *Inventory) checkIndexes() error {
+	if err := inv.hostIdx.check(); err != nil {
+		return fmt.Errorf("host index: %w", err)
+	}
+	if err := inv.dsIdx.check(); err != nil {
+		return fmt.Errorf("datastore index: %w", err)
+	}
+	groups := make([]int, 0, len(inv.groupIdx))
+	for g := range inv.groupIdx {
+		groups = append(groups, g)
+	}
+	slices.Sort(groups)
+	for _, g := range groups {
+		if err := inv.groupIdx[g].check(); err != nil {
+			return fmt.Errorf("group %d index: %w", g, err)
+		}
+	}
 	inService := 0
 	for _, hid := range inv.hosts {
 		h := inv.Host(hid)
