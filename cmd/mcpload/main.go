@@ -66,32 +66,15 @@ func main() {
 		fatal(err)
 	}
 
-	// The server knows its pacing ratio and shard count; ask it so the
-	// result row is self-describing.
-	var ratio float64
-	var shards int
-	if st, serr := api.FetchStats(api.DefaultClient(1), *url); serr == nil {
-		ratio, shards = st.PacedRatio, st.Shards
-	}
 	t := report.APITable(
 		fmt.Sprintf("mcpload: %d users, %v wall (virtual clock at %.1fs)", *users, res.WallDuration.Round(time.Millisecond), res.VirtualEndS),
-		[]report.APIRow{{
-			Users:    res.Users,
-			Ratio:    ratio,
-			Shards:   shards,
-			GoodPerH: res.GoodPerHour(),
-			P50S:     res.PercentileS(50),
-			P99S:     res.PercentileS(99),
-			APIShare: res.QueueShare(),
-			Errors:   res.Failed + res.HTTPError,
-			Cutoff:   res.Cutoff,
-		}})
+		[]report.APIRow{res.Row()})
 	if err := t.Render(os.Stdout); err != nil {
 		fatal(err)
 	}
 	if _, err := fmt.Fprintf(os.Stdout,
 		"ops %d (ok %d, failed %d, transport errors %d, cut off %d); wall p99 %.0fms\n",
-		res.Ops, res.Succeeded, res.Failed, res.HTTPError, res.Cutoff, wallP99(res)); err != nil {
+		res.Ops, res.Succeeded, res.Failed, res.HTTPError, res.Cutoff, res.WallMS.Percentile(99)); err != nil {
 		fatal(err)
 	}
 	// Exit non-zero only on real failures. A run whose operations were
@@ -105,11 +88,6 @@ func main() {
 		}
 		fatal(fmt.Errorf("no operation succeeded"))
 	}
-}
-
-// wallP99 is the 99th percentile of wall-clock operation latency in ms.
-func wallP99(res *api.LoadResult) float64 {
-	return api.Percentile(res.WallMS, 99)
 }
 
 // validateLoadFlags rejects inconsistent values up front with a clear

@@ -24,11 +24,8 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -62,35 +59,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg.Record = false // a served run is open-ended; an unbounded trace would only leak
-	cloud, err := core.New(cfg)
+	st, err := api.StartStack(cfg, sim.PacedConfig{Ratio: *ratio, QuantumS: sim.Time(*quantum)},
+		core.FrontendConfig{Orgs: *orgs}, *addr)
 	if err != nil {
 		fatal(err)
 	}
-	drv := sim.NewPaced(cloud.Env(), sim.PacedConfig{Ratio: *ratio, QuantumS: sim.Time(*quantum)})
-	fe := core.NewFrontend(cloud, drv, core.FrontendConfig{Orgs: *orgs})
-	srv := api.NewServer(fe)
-	srv.SetSessionTTL(*sessionTTL)
+	st.Server.SetSessionTTL(*sessionTTL)
+	fmt.Fprintf(os.Stderr, "mcpserve: serving on %s (ratio %g, quantum %gs, shards %d, orgs %d)\n",
+		st.URL, *ratio, *quantum, st.Cloud.Plane().ShardCount(), *orgs)
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "mcpserve: serving on http://%s (ratio %g, quantum %gs, shards %d, orgs %d)\n",
-		ln.Addr(), *ratio, *quantum, cloud.Plane().ShardCount(), *orgs)
-
-	hs := &http.Server{Handler: srv}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-	runDone := make(chan struct{})
-	go func() {
-		drv.Run(sim.Forever)
-		close(runDone)
-	}()
-
-	// Wait for a signal or the -duration timer, whichever the deployment
-	// uses; then drain in order — stop injecting first, so in-flight
-	// polls still see their tasks resolve to terminal states.
+	// Serve until a signal or the -duration timer, whichever the
+	// deployment uses; then drain.
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	var timer <-chan time.Time
@@ -102,21 +81,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mcpserve: %v, draining\n", sig)
 	case <-timer:
 		fmt.Fprintf(os.Stderr, "mcpserve: -duration elapsed, draining\n")
-	case err := <-serveErr:
-		drv.Stop()
-		<-runDone
+	case err := <-st.ServeErr():
+		_ = st.Stop() // the listener already failed; that error is the one to report
 		fatal(fmt.Errorf("serve: %w", err))
 	}
 
-	drv.Stop()
-	<-runDone
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(ctx); err != nil {
+	if err := st.Stop(); err != nil {
 		fmt.Fprintf(os.Stderr, "mcpserve: shutdown: %v\n", err)
 	}
-
-	if err := summarize(os.Stdout, fe, drv, cloud); err != nil {
+	if err := summarize(os.Stdout, st); err != nil {
 		fatal(err)
 	}
 }
@@ -124,7 +97,8 @@ func main() {
 // summarize prints the serving summary after the driver has stopped
 // (MaxLag is only coherent then), with the metrics snapshot when the
 // configuration collected one.
-func summarize(w *os.File, fe *core.Frontend, drv *sim.Paced, cloud *core.Cloud) error {
+func summarize(w *os.File, stack *api.Stack) error {
+	fe, drv := stack.Frontend, stack.Driver
 	st := fe.Stats()
 	if _, err := fmt.Fprintf(w,
 		"mcpserve summary: virtual %.1fs served, %d submitted, %d completed, %d failed, %d in flight at drain\n",
@@ -135,7 +109,7 @@ func summarize(w *os.File, fe *core.Frontend, drv *sim.Paced, cloud *core.Cloud)
 		st.QueueWaitSumS, st.QueueWaitMeanS, float64(drv.MaxLag())/float64(time.Millisecond)); err != nil {
 		return err
 	}
-	return report.WriteMetrics(w, cloud.MetricsSnapshot())
+	return report.WriteMetrics(w, stack.Cloud.MetricsSnapshot())
 }
 
 // validateServeFlags rejects inconsistent values up front with a clear

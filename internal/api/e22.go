@@ -24,8 +24,6 @@ package api
 import (
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"time"
 
 	"cloudmcp/internal/core"
@@ -86,58 +84,30 @@ func (d e22Grid) run(p core.Params) (*E22Result, error) {
 // cell boots one full serving stack and loads it.
 func (d e22Grid) cell(seed int64, users int, ratio float64, shards int) (report.APIRow, error) {
 	cfg := core.DefaultConfig(seed)
-	cfg.Record = false // live load; nobody reads the trace and it only costs memory
 	cfg.Plane.Shards = shards
-	c, err := core.New(cfg)
+	st, err := StartStack(cfg, sim.PacedConfig{Ratio: ratio, QuantumS: e22QuantumS},
+		core.FrontendConfig{}, "127.0.0.1:0")
 	if err != nil {
 		return report.APIRow{}, err
 	}
-	drv := sim.NewPaced(c.Env(), sim.PacedConfig{Ratio: ratio, QuantumS: e22QuantumS})
-	fe := core.NewFrontend(c, drv, core.FrontendConfig{})
-	srv := NewServer(fe)
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return report.APIRow{}, err
-	}
-	hs := &http.Server{Handler: srv}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-	runDone := make(chan struct{})
-	go func() {
-		drv.Run(sim.Forever)
-		close(runDone)
-	}()
-
+	defer st.Cloud.Close()
 	load, err := RunLoad(LoadConfig{
-		BaseURL:     "http://" + ln.Addr().String(),
+		BaseURL:     st.URL,
 		Users:       users,
 		Duration:    time.Duration(d.wallS * float64(time.Second)),
 		Seed:        seed,
 		PollInitial: 5 * time.Millisecond,
 		PollMax:     100 * time.Millisecond,
 	})
-
-	drv.Stop()
-	<-runDone
-	_ = hs.Close()
-	<-serveErr
-	c.Close()
+	// The load has returned, so the measurement is complete; a slow HTTP
+	// shutdown would not change it.
+	_ = st.Stop()
 	if err != nil {
 		return report.APIRow{}, err
 	}
-	return report.APIRow{
-		Users:    users,
-		Ratio:    ratio,
-		Shards:   shards,
-		GoodPerH: load.GoodPerHour(),
-		P50S:     load.PercentileS(50),
-		P99S:     load.PercentileS(99),
-		APIShare: load.QueueShare(),
-		MaxLagMS: float64(drv.MaxLag()) / float64(time.Millisecond),
-		Errors:   load.Failed + load.HTTPError,
-		Cutoff:   load.Cutoff,
-	}, nil
+	row := load.Row()
+	row.MaxLagMS = float64(st.Driver.MaxLag()) / float64(time.Millisecond)
+	return row, nil
 }
 
 // Render writes the E22 artifact.

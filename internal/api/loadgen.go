@@ -17,11 +17,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
+	"cloudmcp/internal/report"
 	"cloudmcp/internal/rng"
+	"cloudmcp/internal/stats"
 )
 
 // LoadConfig shapes one load run.
@@ -56,10 +57,6 @@ type LoadConfig struct {
 	ThinkMeanMS float64
 	// Seed derives per-user think/template streams.
 	Seed int64
-	// Client overrides the HTTP client; nil builds one sized for Users
-	// (keep-alive connections matter far more than raw parallelism at
-	// this fan-in).
-	Client *http.Client
 	// PollInitial/PollMax bound the adaptive task-poll backoff.
 	// Defaults 20ms and 500ms.
 	PollInitial time.Duration
@@ -69,89 +66,52 @@ type LoadConfig struct {
 // LoadResult aggregates what every user observed.
 type LoadResult struct {
 	Users     int
-	Ops       int64 // operations that reached a terminal task state
+	Ratio     float64 // the server's pacing ratio, virtual s per wall s
+	Shards    int     // the server's management-plane shards
+	Ops       int64   // operations that reached a terminal task state
 	Succeeded int64
 	Failed    int64 // terminal error states
 	HTTPError int64 // transport/protocol failures (retried)
 	Cutoff    int64 // still unresolved when the drain deadline expired
 
-	// Per successful operation, in completion order per user.
-	LatenciesS  []float64 // virtual end-to-end (queue wait included)
-	QueueWaitsS []float64 // virtual API-layer share
-	WallMS      []float64 // wall-clock submit→terminal
+	// Per successful operation.
+	LatenciesS  stats.Sample // virtual end-to-end (queue wait included)
+	QueueWaitsS stats.Sample // virtual API-layer share
+	WallMS      stats.Sample // wall-clock submit→terminal
 
 	VirtualEndS  float64 // server virtual clock at drain
 	WallDuration time.Duration
 }
 
-// GoodPerHour is successful operations per virtual hour.
-func (r *LoadResult) GoodPerHour() float64 {
-	if r.VirtualEndS <= 0 {
-		return 0
+// Row converts the result into its report row: goodput per virtual
+// hour, the latency percentiles, and the share of virtual latency spent
+// in API-layer queueing. MaxLagMS stays zero; only the process that
+// runs the driver can read it.
+func (r *LoadResult) Row() report.APIRow {
+	row := report.APIRow{
+		Users:  r.Users,
+		Ratio:  r.Ratio,
+		Shards: r.Shards,
+		P50S:   r.LatenciesS.Percentile(50),
+		P99S:   r.LatenciesS.Percentile(99),
+		Errors: r.Failed + r.HTTPError,
+		Cutoff: r.Cutoff,
 	}
-	return float64(r.Succeeded) / (r.VirtualEndS / 3600)
-}
-
-// PercentileS returns the p-th percentile (0..100) of the virtual
-// end-to-end latencies, NaN-free: 0 when empty.
-func (r *LoadResult) PercentileS(p float64) float64 {
-	return percentile(r.LatenciesS, p)
-}
-
-// QueueShare is the fraction of total virtual latency spent in
-// API-layer queueing.
-func (r *LoadResult) QueueShare() float64 {
-	var lat, qw float64
-	for _, v := range r.LatenciesS {
-		lat += v
+	if r.VirtualEndS > 0 {
+		row.GoodPerH = float64(r.Succeeded) / (r.VirtualEndS / 3600)
 	}
-	for _, v := range r.QueueWaitsS {
-		qw += v
+	// Both samples hold one value per successful operation, so the
+	// ratio of their means is the ratio of their sums.
+	if lat := r.LatenciesS.Mean(); lat > 0 {
+		row.APIShare = r.QueueWaitsS.Mean() / lat
 	}
-	if lat <= 0 {
-		return 0
-	}
-	return qw / lat
-}
-
-// Percentile returns the p-th percentile (0..100) of xs; 0 when empty.
-func Percentile(xs []float64, p float64) float64 { return percentile(xs, p) }
-
-func percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	idx := int(p/100*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-// DefaultClient builds an HTTP client that can keep one warm connection
-// per virtual user — without this, a thousand users churn through
-// ephemeral ports and the generator measures the TCP stack instead of
-// the server.
-func DefaultClient(users int) *http.Client {
-	tr := &http.Transport{
-		MaxIdleConns:        users + 16,
-		MaxIdleConnsPerHost: users + 16,
-		IdleConnTimeout:     90 * time.Second,
-	}
-	return &http.Client{Transport: tr, Timeout: 60 * time.Second}
+	return row
 }
 
 // loadUser is one virtual user's session state.
 type loadUser struct {
 	cfg      LoadConfig
-	client   *http.Client
-	token    string
-	org      string
+	c        restClient
 	template string
 	think    *rng.Stream
 	drainBy  time.Time // hard stop for task polling (deadline + grace)
@@ -159,11 +119,11 @@ type loadUser struct {
 	res LoadResult
 }
 
-// RunLoad drives cfg.Users concurrent users against cfg.BaseURL for
-// cfg.Duration and returns the merged result.
-func RunLoad(cfg LoadConfig) (*LoadResult, error) {
+// withDefaults checks cfg and fills in every zero field that has a
+// default.
+func (cfg LoadConfig) withDefaults() (LoadConfig, error) {
 	if cfg.Users <= 0 {
-		return nil, fmt.Errorf("api: load needs at least one user")
+		return cfg, fmt.Errorf("api: load needs at least one user")
 	}
 	if cfg.Orgs <= 0 {
 		cfg.Orgs = 8
@@ -180,16 +140,34 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	if cfg.DrainGrace <= 0 {
 		cfg.DrainGrace = 5 * time.Second
 	}
-	client := cfg.Client
-	if client == nil {
-		client = DefaultClient(cfg.Users)
-	}
+	return cfg, nil
+}
 
-	catalog, err := fetchCatalog(client, cfg.BaseURL)
+// RunLoad drives cfg.Users concurrent users against cfg.BaseURL for
+// cfg.Duration and returns the merged result.
+func RunLoad(cfg LoadConfig) (*LoadResult, error) {
+	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	if len(catalog) == 0 {
+	// One warm connection per virtual user: without them, a thousand
+	// users churn through ephemeral ports and the generator measures the
+	// TCP stack instead of the server.
+	hc := &http.Client{
+		Transport: &http.Transport{
+			MaxIdleConns:        cfg.Users + 16,
+			MaxIdleConnsPerHost: cfg.Users + 16,
+			IdleConnTimeout:     90 * time.Second,
+		},
+		Timeout: 60 * time.Second,
+	}
+	defer hc.CloseIdleConnections()
+
+	var vdc VDCJSON
+	if err := scoutGet(hc, cfg.BaseURL, vdcHref(), &vdc); err != nil {
+		return nil, err
+	}
+	if len(vdc.Templates) == 0 {
 		return nil, fmt.Errorf("api: server catalog is empty")
 	}
 
@@ -201,20 +179,19 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	for i := range users {
 		u := &loadUser{
 			cfg:     cfg,
-			client:  client,
-			org:     fmt.Sprintf("org%d", i%cfg.Orgs),
+			c:       restClient{http: hc, base: cfg.BaseURL},
 			think:   rng.Derive(cfg.Seed, fmt.Sprintf("loadgen-user%d", i)),
 			drainBy: drainBy,
 		}
 		u.template = cfg.Template
 		if u.template == "" {
-			u.template = catalog[i%len(catalog)]
+			u.template = vdc.Templates[i%len(vdc.Templates)].Name
 		}
 		users[i] = u
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			u.run(i, deadline)
+			u.run(fmt.Sprintf("user%d@org%d", i, i%cfg.Orgs), deadline)
 		}(i)
 	}
 	wg.Wait()
@@ -226,22 +203,22 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 		merged.Failed += u.res.Failed
 		merged.HTTPError += u.res.HTTPError
 		merged.Cutoff += u.res.Cutoff
-		merged.LatenciesS = append(merged.LatenciesS, u.res.LatenciesS...)
-		merged.QueueWaitsS = append(merged.QueueWaitsS, u.res.QueueWaitsS...)
-		merged.WallMS = append(merged.WallMS, u.res.WallMS...)
+		merged.LatenciesS.Merge(&u.res.LatenciesS)
+		merged.QueueWaitsS.Merge(&u.res.QueueWaitsS)
+		merged.WallMS.Merge(&u.res.WallMS)
 	}
-	st, err := FetchStats(client, cfg.BaseURL)
-	if err != nil {
+	var st StatsJSON
+	if err := scoutGet(hc, cfg.BaseURL, "/api/admin/stats", &st); err != nil {
 		return nil, err
 	}
-	merged.VirtualEndS = st.VirtualNowS
+	merged.VirtualEndS, merged.Ratio, merged.Shards = st.VirtualNowS, st.PacedRatio, st.Shards
 	return merged, nil
 }
 
 // run is one user's lifetime: log in, cycle vApps until the deadline,
 // drain the last operation.
-func (u *loadUser) run(idx int, deadline time.Time) {
-	if err := u.login(fmt.Sprintf("user%d", idx)); err != nil {
+func (u *loadUser) run(user string, deadline time.Time) {
+	if err := u.c.login(user); err != nil {
 		u.res.HTTPError++
 		return
 	}
@@ -278,7 +255,7 @@ func (u *loadUser) run(idx int, deadline time.Time) {
 // instantiate submits a deploy and polls its task; returns the vApp ID
 // on success.
 func (u *loadUser) instantiate() (int64, bool) {
-	body, _ := json.Marshal(InstantiateJSON{Template: u.template, VMs: u.cfg.VMs, PowerOn: u.cfg.PowerOn})
+	body := InstantiateJSON{Template: u.template, VMs: u.cfg.VMs, PowerOn: u.cfg.PowerOn}
 	task, ok := u.submit("POST", "/api/vdc/provider-vdc/action/instantiateVAppTemplate", body)
 	if !ok {
 		return 0, false
@@ -305,35 +282,20 @@ func (u *loadUser) deleteVApp(id int64) bool {
 }
 
 // submit issues one provisioning request and returns the accepted task.
-func (u *loadUser) submit(method, path string, body []byte) (TaskJSON, bool) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, u.cfg.BaseURL+path, rd)
-	if err != nil {
-		u.res.HTTPError++
-		return TaskJSON{}, false
-	}
-	req.Header.Set(AuthHeader, u.token)
-	resp, err := u.client.Do(req)
-	if err != nil {
-		u.res.HTTPError++
-		return TaskJSON{}, false
-	}
-	defer drainClose(resp)
-	if resp.StatusCode != http.StatusAccepted {
+func (u *loadUser) submit(method, path string, body any) (TaskJSON, bool) {
+	var task TaskJSON
+	status, err := u.c.do(method, path, body, http.StatusAccepted, &task)
+	switch {
+	case err == nil:
+		return task, true
+	case status != 0 && status != http.StatusAccepted:
 		// Quota rejections and validation errors come back synchronously.
 		u.res.Ops++
 		u.res.Failed++
-		return TaskJSON{}, false
-	}
-	var task TaskJSON
-	if err := json.NewDecoder(resp.Body).Decode(&task); err != nil {
+	default:
 		u.res.HTTPError++
-		return TaskJSON{}, false
 	}
-	return task, true
+	return TaskJSON{}, false
 }
 
 // awaitTask polls the handle with exponential backoff until terminal,
@@ -346,17 +308,18 @@ func (u *loadUser) awaitTask(task TaskJSON) (TaskJSON, bool) {
 	wall0 := time.Now()
 	delay := u.cfg.PollInitial
 	for {
-		final, ok := u.getTask(task.ID)
-		if !ok {
+		var final TaskJSON
+		if _, err := u.c.do("GET", taskHref(task.ID), nil, http.StatusOK, &final); err != nil {
+			u.res.HTTPError++
 			return TaskJSON{}, false
 		}
 		switch final.Status {
 		case "success":
 			u.res.Ops++
 			u.res.Succeeded++
-			u.res.LatenciesS = append(u.res.LatenciesS, final.LatencyS)
-			u.res.QueueWaitsS = append(u.res.QueueWaitsS, final.QueueWaitS)
-			u.res.WallMS = append(u.res.WallMS, float64(time.Since(wall0))/float64(time.Millisecond))
+			u.res.LatenciesS.Add(final.LatencyS)
+			u.res.QueueWaitsS.Add(final.QueueWaitS)
+			u.res.WallMS.Add(float64(time.Since(wall0)) / float64(time.Millisecond))
 			return final, true
 		case "error":
 			u.res.Ops++
@@ -375,124 +338,80 @@ func (u *loadUser) awaitTask(task TaskJSON) (TaskJSON, bool) {
 	}
 }
 
-func (u *loadUser) getTask(id int64) (TaskJSON, bool) {
-	req, _ := http.NewRequest("GET", u.cfg.BaseURL+taskHref(id), nil)
-	req.Header.Set(AuthHeader, u.token)
-	resp, err := u.client.Do(req)
-	if err != nil {
-		u.res.HTTPError++
-		return TaskJSON{}, false
-	}
-	defer drainClose(resp)
-	if resp.StatusCode != http.StatusOK {
-		u.res.HTTPError++
-		return TaskJSON{}, false
-	}
-	var task TaskJSON
-	if err := json.NewDecoder(resp.Body).Decode(&task); err != nil {
-		u.res.HTTPError++
-		return TaskJSON{}, false
-	}
-	return task, true
+// restClient is the load generator's one REST client: every login and
+// every authenticated JSON request goes through it.
+type restClient struct {
+	http  *http.Client
+	base  string
+	token string // the session that login opened
 }
 
-func (u *loadUser) login(user string) error {
-	req, err := http.NewRequest("POST", u.cfg.BaseURL+"/api/sessions", nil)
+// login opens a session as user ("name@org") and keeps its token.
+func (c *restClient) login(user string) error {
+	req, err := http.NewRequest("POST", c.base+"/api/sessions", nil)
 	if err != nil {
 		return err
 	}
-	req.SetBasicAuth(user+"@"+u.org, "password")
-	resp, err := u.client.Do(req)
+	req.SetBasicAuth(user, "password")
+	resp, err := c.http.Do(req)
 	if err != nil {
-		return err
+		return fmt.Errorf("api: cannot reach server at %s: %w", c.base, err)
 	}
 	defer drainClose(resp)
 	if resp.StatusCode != http.StatusCreated {
-		return fmt.Errorf("api: login for %s@%s: status %d", user, u.org, resp.StatusCode)
+		return fmt.Errorf("api: login as %s: status %d", user, resp.StatusCode)
 	}
-	u.token = resp.Header.Get(AuthHeader)
-	if u.token == "" {
+	c.token = resp.Header.Get(AuthHeader)
+	if c.token == "" {
 		return fmt.Errorf("api: login returned no %s header", AuthHeader)
 	}
 	return nil
 }
 
-// fetchCatalog logs in as a scout and lists template names.
-func fetchCatalog(client *http.Client, baseURL string) ([]string, error) {
-	req, err := http.NewRequest("POST", baseURL+"/api/sessions", nil)
-	if err != nil {
-		return nil, err
+// do sends one authenticated request, with in (when non-nil) as its
+// JSON body, and decodes a want-status answer into out (when non-nil).
+// It returns the answer's status, 0 when none arrived; err reports a
+// failed request, any status but want, or an undecodable answer.
+func (c *restClient) do(method, path string, in any, want int, out any) (int, error) {
+	var body io.Reader
+	if in != nil {
+		b, err := json.Marshal(in)
+		if err != nil {
+			return 0, err
+		}
+		body = bytes.NewReader(b)
 	}
-	req.SetBasicAuth("loadgen@org0", "password")
-	resp, err := client.Do(req)
+	req, err := http.NewRequest(method, c.base+path, body)
 	if err != nil {
-		return nil, fmt.Errorf("api: cannot reach server at %s: %w", baseURL, err)
+		return 0, err
+	}
+	req.Header.Set(AuthHeader, c.token)
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return 0, err
 	}
 	defer drainClose(resp)
-	if resp.StatusCode != http.StatusCreated {
-		return nil, fmt.Errorf("api: scout login: status %d", resp.StatusCode)
+	if resp.StatusCode != want {
+		return resp.StatusCode, fmt.Errorf("api: %s %s: status %d", method, path, resp.StatusCode)
 	}
-	token := resp.Header.Get(AuthHeader)
-
-	req, err = http.NewRequest("GET", baseURL+vdcHref(), nil)
-	if err != nil {
-		return nil, err
+	if out != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			return resp.StatusCode, fmt.Errorf("api: %s %s: %w", method, path, err)
+		}
 	}
-	req.Header.Set(AuthHeader, token)
-	resp2, err := client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer drainClose(resp2)
-	if resp2.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("api: catalog read: status %d", resp2.StatusCode)
-	}
-	var vdc VDCJSON
-	if err := json.NewDecoder(resp2.Body).Decode(&vdc); err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(vdc.Templates))
-	for _, t := range vdc.Templates {
-		names = append(names, t.Name)
-	}
-	return names, nil
+	return resp.StatusCode, nil
 }
 
-// FetchStats reads the operator stats endpoint.
-func FetchStats(client *http.Client, baseURL string) (StatsJSON, error) {
-	req, err := http.NewRequest("POST", baseURL+"/api/sessions", nil)
-	if err != nil {
-		return StatsJSON{}, err
+// scoutGet logs in as loadgen@org0 and reads path into out. Each read
+// opens its own session, since one held across the run could idle past
+// the server's session TTL.
+func scoutGet(hc *http.Client, base, path string, out any) error {
+	c := restClient{http: hc, base: base}
+	if err := c.login("loadgen@org0"); err != nil {
+		return err
 	}
-	req.SetBasicAuth("stats@org0", "password")
-	resp, err := client.Do(req)
-	if err != nil {
-		return StatsJSON{}, err
-	}
-	defer drainClose(resp)
-	if resp.StatusCode != http.StatusCreated {
-		return StatsJSON{}, fmt.Errorf("api: stats login: status %d", resp.StatusCode)
-	}
-	token := resp.Header.Get(AuthHeader)
-
-	req, err = http.NewRequest("GET", baseURL+"/api/admin/stats", nil)
-	if err != nil {
-		return StatsJSON{}, err
-	}
-	req.Header.Set(AuthHeader, token)
-	resp2, err := client.Do(req)
-	if err != nil {
-		return StatsJSON{}, err
-	}
-	defer drainClose(resp2)
-	if resp2.StatusCode != http.StatusOK {
-		return StatsJSON{}, fmt.Errorf("api: stats read: status %d", resp2.StatusCode)
-	}
-	var st StatsJSON
-	if err := json.NewDecoder(resp2.Body).Decode(&st); err != nil {
-		return StatsJSON{}, err
-	}
-	return st, nil
+	_, err := c.do("GET", path, nil, http.StatusOK, out)
+	return err
 }
 
 // drainClose empties and closes a response body so the connection is

@@ -95,29 +95,29 @@ func TestLoadCutoffAtDrainDeadline(t *testing.T) {
 }
 
 // TestLoadDefaultsDrainGrace pins the default so an unconfigured run is
-// still wall-bounded.
+// still wall-bounded: a zero grace resolves to 5 s, which bounds the run
+// at Duration + 5 s and cuts off what is unresolved then. It checks the
+// resolution RunLoad starts with instead of waiting the grace out;
+// TestLoadCutoffAtDrainDeadline covers the cutoff itself.
 func TestLoadDefaultsDrainGrace(t *testing.T) {
-	stuck := &stuckServer{}
-	ts := httptest.NewServer(stuck)
-	defer ts.Close()
-
-	start := time.Now()
-	res, err := RunLoad(LoadConfig{
-		BaseURL:     ts.URL,
+	cfg, err := LoadConfig{
 		Users:       1,
 		Duration:    50 * time.Millisecond,
 		Seed:        1,
 		PollInitial: 10 * time.Millisecond,
 		PollMax:     20 * time.Millisecond,
-	})
+	}.withDefaults()
 	if err != nil {
-		t.Fatalf("RunLoad: %v", err)
+		t.Fatalf("withDefaults: %v", err)
 	}
-	if limit := 50*time.Millisecond + 5*time.Second + 10*time.Second; time.Since(start) > limit {
-		t.Fatalf("RunLoad took %v, want <= %v", time.Since(start), limit)
+	if cfg.DrainGrace != 5*time.Second {
+		t.Fatalf("DrainGrace = %v with none given, want the 5s default", cfg.DrainGrace)
 	}
-	if res.Cutoff == 0 {
-		t.Fatalf("Cutoff = 0 with default grace, res = %+v", res)
+	if cfg.Duration != 50*time.Millisecond || cfg.PollInitial != 10*time.Millisecond || cfg.PollMax != 20*time.Millisecond {
+		t.Fatalf("explicit fields overridden: %+v", cfg)
+	}
+	if _, err := (LoadConfig{}).withDefaults(); err == nil {
+		t.Fatal("a config with no users resolved without error")
 	}
 }
 

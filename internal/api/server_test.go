@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -13,27 +12,21 @@ import (
 )
 
 // startServer boots a small cloud under a free-running paced driver and
-// serves it over httptest. The driver is stopped and joined in cleanup.
-func startServer(t *testing.T, seed int64) (*httptest.Server, *Server) {
+// serves it on a loopback port. The stack is drained in cleanup.
+func startServer(t *testing.T, seed int64) *Stack {
 	t.Helper()
-	c, err := core.New(core.DefaultConfig(seed))
+	st, err := StartStack(core.DefaultConfig(seed), sim.PacedConfig{Ratio: 0, QuantumS: 0.5},
+		core.FrontendConfig{}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	drv := sim.NewPaced(c.Env(), sim.PacedConfig{Ratio: 0, QuantumS: 0.5})
-	srv := NewServer(core.NewFrontend(c, drv, core.FrontendConfig{}))
-	done := make(chan struct{})
-	go func() {
-		drv.Run(sim.Forever)
-		close(done)
-	}()
-	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
-		ts.Close()
-		drv.Stop()
-		<-done
+		if err := st.Stop(); err != nil {
+			t.Error(err)
+		}
+		st.Cloud.Close()
 	})
-	return ts, srv
+	return st
 }
 
 // login creates a session and returns its token.
@@ -101,7 +94,8 @@ func pollTask(t *testing.T, base, token string, id int64) TaskJSON {
 }
 
 func TestSessionLifecycle(t *testing.T) {
-	ts, srv := startServer(t, 1)
+	ts := startServer(t, 1)
+	srv := ts.Server
 	// Bad credentials shapes.
 	req, _ := http.NewRequest("POST", ts.URL+"/api/sessions", nil)
 	resp, _ := http.DefaultClient.Do(req)
@@ -137,7 +131,7 @@ func TestSessionLifecycle(t *testing.T) {
 }
 
 func TestOrgScoping(t *testing.T) {
-	ts, _ := startServer(t, 1)
+	ts := startServer(t, 1)
 	tok := login(t, ts.URL, "bob@org1")
 
 	var orgs []OrgRefJSON
@@ -167,7 +161,7 @@ func TestOrgScoping(t *testing.T) {
 }
 
 func TestProvisionFlow(t *testing.T) {
-	ts, _ := startServer(t, 1)
+	ts := startServer(t, 1)
 	tok := login(t, ts.URL, "carol@org0")
 
 	body, _ := json.Marshal(InstantiateJSON{Template: "tpl00", VMs: 2, PowerOn: true})
@@ -236,7 +230,7 @@ func TestProvisionFlow(t *testing.T) {
 }
 
 func TestRequestValidation(t *testing.T) {
-	ts, _ := startServer(t, 1)
+	ts := startServer(t, 1)
 	tok := login(t, ts.URL, "erin@org0")
 
 	body, _ := json.Marshal(InstantiateJSON{Template: "no-such-template"})
@@ -266,7 +260,8 @@ func TestRequestValidation(t *testing.T) {
 }
 
 func TestServerStopping(t *testing.T) {
-	ts, srv := startServer(t, 1)
+	ts := startServer(t, 1)
+	srv := ts.Server
 	tok := login(t, ts.URL, "frank@org0")
 	srv.fe.Driver().Stop()
 	// Wait for the driver loop to exit and reject submissions.
@@ -290,7 +285,7 @@ func TestServerStopping(t *testing.T) {
 // TestLoadgenAgainstServer drives the in-package load generator at a
 // live server and checks the latency split it captures.
 func TestLoadgenAgainstServer(t *testing.T) {
-	ts, _ := startServer(t, 2)
+	ts := startServer(t, 2)
 	res, err := RunLoad(LoadConfig{
 		BaseURL:     ts.URL,
 		Users:       8,
@@ -307,20 +302,24 @@ func TestLoadgenAgainstServer(t *testing.T) {
 	if res.Succeeded == 0 {
 		t.Fatalf("no successful ops: %+v", res)
 	}
-	if len(res.LatenciesS) != int(res.Succeeded) || len(res.QueueWaitsS) != int(res.Succeeded) {
-		t.Fatalf("latency capture mismatch: %d/%d/%d", res.Succeeded, len(res.LatenciesS), len(res.QueueWaitsS))
+	if res.LatenciesS.Count() != res.Succeeded || res.QueueWaitsS.Count() != res.Succeeded {
+		t.Fatalf("latency capture mismatch: %d/%d/%d", res.Succeeded, res.LatenciesS.Count(), res.QueueWaitsS.Count())
 	}
 	if res.VirtualEndS <= 0 {
 		t.Fatalf("virtual clock not captured: %+v", res)
 	}
-	if p99 := res.PercentileS(99); p99 <= 0 {
-		t.Fatalf("p99 = %v", p99)
+	row := res.Row()
+	if row.P99S <= 0 {
+		t.Fatalf("p99 = %v", row.P99S)
 	}
-	if share := res.QueueShare(); share < 0 || share > 1 {
-		t.Fatalf("queue share = %v", share)
+	if row.APIShare < 0 || row.APIShare > 1 {
+		t.Fatalf("queue share = %v", row.APIShare)
 	}
-	if res.GoodPerHour() <= 0 {
-		t.Fatalf("good/h = %v", res.GoodPerHour())
+	if row.GoodPerH <= 0 {
+		t.Fatalf("good/h = %v", row.GoodPerH)
+	}
+	if row.Ratio != 0 || row.Shards != 1 || row.Users != 8 {
+		t.Fatalf("row does not carry the server's stats: %+v", row)
 	}
 }
 
@@ -329,7 +328,8 @@ func TestLoadgenAgainstServer(t *testing.T) {
 // requests survive indefinitely. The clock is injected so the test
 // controls idleness exactly.
 func TestSessionIdleEviction(t *testing.T) {
-	ts, srv := startServer(t, 1)
+	ts := startServer(t, 1)
+	srv := ts.Server
 	clock := time.Unix(1700000000, 0)
 	srv.now = func() time.Time { return clock }
 	srv.SetSessionTTL(time.Minute)

@@ -701,7 +701,7 @@ func e20DriftStorm(p Params) (E20Storm, error) {
 		return E20Storm{}, err
 	}
 	defer c.Close()
-	eng, err := ha.New(c.Env(), c.Manager(), c.Policy().Failover, ha.DefaultConfig())
+	eng, err := ha.New(c.Env(), c.Plane(), c.Policy().Failover, ha.DefaultConfig())
 	if err != nil {
 		return E20Storm{}, err
 	}
@@ -981,7 +981,7 @@ func e21FailoverStorm(cfg Config, pol string, horizonS float64) (E21Failover, er
 		return E21Failover{}, err
 	}
 	defer c.Close()
-	eng, err := ha.New(c.Env(), c.Manager(), c.Policy().Failover, ha.DefaultConfig())
+	eng, err := ha.New(c.Env(), c.Plane(), c.Policy().Failover, ha.DefaultConfig())
 	if err != nil {
 		return E21Failover{}, err
 	}

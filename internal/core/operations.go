@@ -340,7 +340,7 @@ func (d e16Storm) run(p Params, base ...string) ([]E16Point, error) {
 			return E16Point{}, err
 		}
 		defer c.Close()
-		eng, err := ha.New(c.Env(), c.Manager(), c.Policy().Failover, ha.Config{MaxConcurrentRestarts: e16Restarts})
+		eng, err := ha.New(c.Env(), c.Plane(), c.Policy().Failover, ha.Config{MaxConcurrentRestarts: e16Restarts})
 		if err != nil {
 			return E16Point{}, err
 		}

@@ -12,6 +12,7 @@ import (
 
 	"cloudmcp/internal/inventory"
 	"cloudmcp/internal/mgmt"
+	"cloudmcp/internal/plane"
 	"cloudmcp/internal/policy"
 	"cloudmcp/internal/reconcile"
 	"cloudmcp/internal/sim"
@@ -41,10 +42,11 @@ type Failover struct {
 // Duration returns the failover's wall time in virtual seconds.
 func (f *Failover) Duration() float64 { return f.End - f.Start }
 
-// Engine drives failovers against one manager.
+// Engine drives failovers through the management plane, which routes
+// each restart to the shard that owns the VM's new host.
 type Engine struct {
 	env  *sim.Env
-	mgr  *mgmt.Manager
+	pl   *plane.Plane
 	pick policy.FailoverPolicy
 	cfg  Config
 
@@ -53,12 +55,12 @@ type Engine struct {
 }
 
 // New builds an HA engine; pick chooses each restart's target host.
-func New(env *sim.Env, mgr *mgmt.Manager, pick policy.FailoverPolicy, cfg Config) (*Engine, error) {
+func New(env *sim.Env, pl *plane.Plane, pick policy.FailoverPolicy, cfg Config) (*Engine, error) {
 	if cfg.MaxConcurrentRestarts <= 0 {
 		return nil, fmt.Errorf("ha: restart concurrency %d", cfg.MaxConcurrentRestarts)
 	}
 	return &Engine{
-		env: env, mgr: mgr, pick: pick, cfg: cfg,
+		env: env, pl: pl, pick: pick, cfg: cfg,
 		slots: sim.NewResource(env, "ha.restarts", cfg.MaxConcurrentRestarts),
 	}, nil
 }
@@ -68,7 +70,7 @@ func New(env *sim.Env, mgr *mgmt.Manager, pick policy.FailoverPolicy, cfg Config
 // on surviving hosts. FailHost blocks p until the storm completes and
 // returns the failover record.
 func (e *Engine) FailHost(p *sim.Proc, host *inventory.Host) *Failover {
-	inv := e.mgr.Inventory()
+	inv := e.pl.Inventory()
 	fo := Failover{Host: host.ID, Start: p.Now()}
 	inv.SetHostFailed(host, true)
 
@@ -113,7 +115,7 @@ func (e *Engine) FailHost(p *sim.Proc, host *inventory.Host) *Failover {
 			fo.Unplaced++
 			return
 		}
-		task := e.mgr.PowerOn(rp, vm, mgmt.ReqCtx{Org: "ha"})
+		task := e.pl.PowerOn(rp, vm, mgmt.ReqCtx{Org: "ha"})
 		if task.Err != nil {
 			fo.Errors++
 			return
@@ -131,5 +133,5 @@ func (e *Engine) FailHost(p *sim.Proc, host *inventory.Host) *Failover {
 // index in O(log hosts) — under the E19 million-VM ladder, a failover
 // storm over the old O(hosts) scan went quadratic.
 func (e *Engine) pickTarget(vm *inventory.VM) *inventory.Host {
-	return e.pick.PickTarget(e.mgr.Inventory(), vm)
+	return e.pick.PickTarget(e.pl.Inventory(), vm)
 }

@@ -17,6 +17,7 @@ import (
 type fixture struct {
 	env   *sim.Env
 	inv   *inventory.Inventory
+	pl    *plane.Plane
 	mgr   *mgmt.Manager
 	eng   *Engine
 	hosts []*inventory.Host
@@ -25,19 +26,26 @@ type fixture struct {
 }
 
 func newFixture(t *testing.T, cfg Config) *fixture {
+	return newShardedFixture(t, cfg, 1)
+}
+
+// newShardedFixture builds the fixture on a plane of the given shard
+// count; its four hosts split into contiguous blocks across the shards.
+func newShardedFixture(t *testing.T, cfg Config, shards int) *fixture {
 	t.Helper()
 	fx := testfix.New(testfix.Options{Hosts: 4, Datastores: 1,
 		DatastoreGB: 8000, DatastoreMBps: 300, TemplateGB: 16})
-	pl, err := plane.New(fx.Env, fx.Inv, fx.Pool, fx.Model, 1, mgmt.DefaultConfig(), plane.DefaultConfig())
+	pcfg := plane.DefaultConfig()
+	pcfg.Shards = shards
+	pl, err := plane.New(fx.Env, fx.Inv, fx.Pool, fx.Model, 1, mgmt.DefaultConfig(), pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr := pl.Home()
-	eng, err := New(fx.Env, mgr, policy.DefaultFailover(), cfg)
+	eng, err := New(fx.Env, pl, policy.DefaultFailover(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{env: fx.Env, inv: fx.Inv, mgr: mgr, eng: eng,
+	return &fixture{env: fx.Env, inv: fx.Inv, pl: pl, mgr: pl.Home(), eng: eng,
 		hosts: fx.Hosts, ds: fx.DS[0], tpl: fx.Tpl}
 }
 
@@ -151,9 +159,38 @@ func TestFailoversRecorded(t *testing.T) {
 	}
 }
 
+// TestRestartsRouteToOwningShard pins the plane's routing for HA: on a
+// two-shard plane, each restart's power-on is a task of the shard that
+// owns the VM's new host, not of the home shard.
+func TestRestartsRouteToOwningShard(t *testing.T) {
+	f := newShardedFixture(t, DefaultConfig(), 2)
+	f.populate(t, f.hosts[0], 6, 0)
+	perShard := make([]int, f.pl.ShardCount())
+	for i, mgr := range f.pl.Shards() {
+		mgr.AddTaskSink(func(task *mgmt.Task) {
+			if task.Req.Org != "ha" {
+				return
+			}
+			perShard[i]++
+			if owner := f.pl.ShardOf(task.HostID); owner != i {
+				t.Errorf("restart on host %d ran on shard %d, owner is shard %d", task.HostID, i, owner)
+			}
+		})
+	}
+	var fo *Failover
+	f.env.Go("fail", func(p *sim.Proc) { fo = f.eng.FailHost(p, f.hosts[0]) })
+	f.env.Run(sim.Forever)
+	if fo.Restarted != 6 || perShard[0]+perShard[1] != 6 {
+		t.Fatalf("failover = %+v, restarts per shard = %v", fo, perShard)
+	}
+	if perShard[1] == 0 {
+		t.Fatalf("no restart landed on shard 1 (per shard %v); the test does not exercise routing", perShard)
+	}
+}
+
 func TestBadConfig(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
-	if _, err := New(f.env, f.mgr, policy.DefaultFailover(), Config{}); err == nil {
+	if _, err := New(f.env, f.pl, policy.DefaultFailover(), Config{}); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -162,7 +199,7 @@ func TestBadConfig(t *testing.T) {
 // out before the fan-out was generalized onto reconcile.FanOut — kept
 // here verbatim so the refactor is pinned event-for-event.
 func failHostHandRolled(e *Engine, p *sim.Proc, host *inventory.Host) *Failover {
-	inv := e.mgr.Inventory()
+	inv := e.pl.Inventory()
 	fo := Failover{Host: host.ID, Start: p.Now()}
 	inv.SetHostFailed(host, true)
 
@@ -206,7 +243,7 @@ func failHostHandRolled(e *Engine, p *sim.Proc, host *inventory.Host) *Failover 
 				fo.Unplaced++
 				return
 			}
-			task := e.mgr.PowerOn(rp, vm, mgmt.ReqCtx{Org: "ha"})
+			task := e.pl.PowerOn(rp, vm, mgmt.ReqCtx{Org: "ha"})
 			if task.Err != nil {
 				fo.Errors++
 				return

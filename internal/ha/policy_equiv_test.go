@@ -65,7 +65,7 @@ func TestPickTargetMatchesLinearReferenceFuzz(t *testing.T) {
 // pickTargetLinear is the pre-index reference scan, retained for the
 // equivalence test that pins the default policy bit-for-bit.
 func (e *Engine) pickTargetLinear(vm *inventory.VM) *inventory.Host {
-	inv := e.mgr.Inventory()
+	inv := e.pl.Inventory()
 	var best *inventory.Host
 	for _, id := range inv.Hosts() {
 		if id == vm.HostID {

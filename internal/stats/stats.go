@@ -90,6 +90,13 @@ func (s *Sample) Add(x float64) {
 	s.mom.Add(x)
 }
 
+// Merge records every observation of o.
+func (s *Sample) Merge(o *Sample) {
+	for _, x := range o.xs {
+		s.Add(x)
+	}
+}
+
 // Count returns the number of observations.
 func (s *Sample) Count() int64 { return s.mom.Count() }
 

@@ -94,6 +94,29 @@ func TestSamplePercentileInterleavedAdds(t *testing.T) {
 	}
 }
 
+func TestSampleMergeMatchesAdd(t *testing.T) {
+	var all, odd, even Sample
+	for i := 1; i <= 100; i++ {
+		all.Add(float64(i))
+		if i%2 == 1 {
+			odd.Add(float64(i))
+		} else {
+			even.Add(float64(i))
+		}
+	}
+	_ = odd.Median() // a sorted receiver must take unsorted additions
+	odd.Merge(&even)
+	if odd.Count() != all.Count() || !almost(odd.Mean(), all.Mean(), 1e-9) || odd.Max() != all.Max() {
+		t.Fatalf("merged count/mean/max = %d/%v/%v, want %d/%v/%v",
+			odd.Count(), odd.Mean(), odd.Max(), all.Count(), all.Mean(), all.Max())
+	}
+	for _, p := range []float64{0, 50, 95, 100} {
+		if odd.Percentile(p) != all.Percentile(p) {
+			t.Fatalf("p%v: merged %v, want %v", p, odd.Percentile(p), all.Percentile(p))
+		}
+	}
+}
+
 func TestSampleEmpty(t *testing.T) {
 	var s Sample
 	if s.Percentile(50) != 0 || s.CDF(4) != nil {
