@@ -49,7 +49,8 @@ const (
 	KindResume
 )
 
-var kindNames = map[Kind]string{
+// kindNames is indexed by Kind; index 0 names no kind.
+var kindNames = [...]string{
 	KindDeploy:         "deploy",
 	KindPowerOn:        "powerOn",
 	KindPowerOff:       "powerOff",
@@ -68,8 +69,8 @@ var kindNames = map[Kind]string{
 }
 
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k >= KindDeploy && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("op(%d)", int(k))
 }
@@ -86,8 +87,8 @@ func Kinds() []Kind {
 
 // ParseKind returns the Kind with the given String() name.
 func ParseKind(s string) (Kind, error) {
-	for k, n := range kindNames {
-		if n == s {
+	for k := KindDeploy; int(k) < len(kindNames); k++ {
+		if kindNames[k] == s {
 			return k, nil
 		}
 	}

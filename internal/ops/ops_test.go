@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -18,11 +19,18 @@ func TestKindStringsAndParse(t *testing.T) {
 			t.Fatalf("round trip %v: got %v err %v", k, got, err)
 		}
 	}
-	if _, err := ParseKind("nonsense"); err == nil {
-		t.Fatal("expected parse error")
+	for _, s := range []string{"nonsense", "", "op(0)", "op(99)"} {
+		if _, err := ParseKind(s); err == nil {
+			t.Fatalf("ParseKind(%q): expected parse error", s)
+		}
 	}
-	if Kind(99).String() == "" {
-		t.Fatal("unknown kind must stringify")
+	for _, k := range []Kind{0, -1, KindResume + 1, 99} {
+		if got, want := k.String(), fmt.Sprintf("op(%d)", int(k)); got != want {
+			t.Fatalf("Kind(%d).String() = %q, want %q", int(k), got, want)
+		}
+	}
+	if len(Kinds()) != len(kindNames)-1 {
+		t.Fatalf("Kinds() lists %d kinds, kindNames names %d", len(Kinds()), len(kindNames)-1)
 	}
 }
 

@@ -4,6 +4,10 @@
 // (cmd/mcpgen) and analyzed separately (cmd/mcpchar), mirroring how the
 // paper's measurements were collected from live systems and studied
 // offline.
+//
+// A Recorder keeps records packed: the numbers as they are, each string
+// as an index into a per-recorder table. A packed record holds no
+// pointers, so the collector never scans a trace kept in memory.
 package trace
 
 import (
@@ -12,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"cloudmcp/internal/mgmt"
@@ -88,27 +93,61 @@ const blockLen = 1024
 // Recorder is a task sink that accumulates records in memory. Register
 // Sink with mgmt.Manager.AddTaskSink.
 //
-// Records live in blocks of blockLen records. Sink fills the last block
-// and starts a new one when it is full, so a growing trace costs one
-// allocation per block and never copies the records before it. Records
-// flattens the blocks into one exact-size slice, at most once per read
-// that follows new Sinks, and keeps that slice as the only block, so a
+// Sink stores each record packed, in blocks of blockLen records. It
+// fills the last block and starts a new one when it is full, so a growing
+// trace costs one allocation per block and never copies the records
+// before it. Records unpacks the records sunk since the previous read
+// onto a copy of the slice that read returned, and drops the blocks, so a
 // read after the run does not hold the trace twice.
 type Recorder struct {
-	blocks [][]Record
+	blocks [][]packed
+	flat   []Record // what the last Records returned
+
+	strs  []string          // the string table; strs[0] is ""
+	index map[string]uint32 // a string's index in strs
+}
+
+// packed is a Record with each string replaced by its index in the
+// recorder's string table: 112 bytes against Record's 160. It holds no
+// pointers, so the garbage collector never scans a block of them.
+type packed struct {
+	task, vm, template                                      int64
+	submit, end, latency, queue, cell, mgmt, db, host, data float64
+	kind, mode, org, err                                    uint32
 }
 
 // NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
+func NewRecorder() *Recorder { return &Recorder{strs: []string{""}, index: map[string]uint32{}} }
+
+// intern returns s's index in the string table, adding it on first sight.
+func (rc *Recorder) intern(s string) uint32 {
+	if s == "" {
+		return 0
+	}
+	i, ok := rc.index[s]
+	if !ok {
+		i = uint32(len(rc.strs))
+		rc.index[s] = i
+		rc.strs = append(rc.strs, s)
+	}
+	return i
+}
 
 // Sink appends the task's record.
 func (rc *Recorder) Sink(t *mgmt.Task) {
 	n := len(rc.blocks)
-	if n == 0 || len(rc.blocks[n-1]) == cap(rc.blocks[n-1]) {
-		rc.blocks = append(rc.blocks, make([]Record, 0, blockLen))
+	if n == 0 || len(rc.blocks[n-1]) == blockLen {
+		rc.blocks = append(rc.blocks, make([]packed, 0, blockLen))
 		n++
 	}
-	rc.blocks[n-1] = append(rc.blocks[n-1], FromTask(t))
+	r := FromTask(t)
+	rc.blocks[n-1] = append(rc.blocks[n-1], packed{
+		task: r.TaskID, vm: r.VM, template: r.Template,
+		submit: r.Submit, end: r.End, latency: r.Latency, queue: r.Queue,
+		cell: r.Cell, mgmt: r.Mgmt, db: r.DB, host: r.Host, data: r.Data,
+		kind: rc.intern(r.Kind), mode: rc.intern(r.Mode),
+		org: rc.intern(r.Org), err: rc.intern(r.Err),
+	})
 }
 
 // Records returns the accumulated records in Sink order, or nil when
@@ -116,24 +155,39 @@ func (rc *Recorder) Sink(t *mgmt.Task) {
 // capacity equals its length, so appending to it copies rather than
 // writing into the recorder.
 func (rc *Recorder) Records() []Record {
-	switch len(rc.blocks) {
-	case 0:
-		return nil
-	case 1:
-		b := rc.blocks[0]
-		return b[:len(b):len(b)]
+	if len(rc.blocks) == 0 {
+		return rc.flat
 	}
-	n := 0
+	n := len(rc.flat)
 	for _, b := range rc.blocks {
 		n += len(b)
 	}
-	flat := make([]Record, 0, n)
+	flat := append(make([]Record, 0, n), rc.flat...)
 	for _, b := range rc.blocks {
-		flat = append(flat, b...)
+		for i := range b {
+			p := &b[i]
+			flat = append(flat, Record{
+				TaskID: p.task, Kind: rc.strs[p.kind], Mode: rc.strs[p.mode],
+				Org: rc.strs[p.org], VM: p.vm, Template: p.template,
+				Submit: p.submit, End: p.end, Latency: p.latency, Queue: p.queue,
+				Cell: p.cell, Mgmt: p.mgmt, DB: p.db, Host: p.host, Data: p.data,
+				Err: rc.strs[p.err],
+			})
+		}
 	}
-	clear(rc.blocks)
-	rc.blocks = append(rc.blocks[:0], flat)
+	rc.flat, rc.blocks = flat, nil
 	return flat
+}
+
+// checkTimes rejects a submit or end time that is negative, NaN or
+// infinite: no run produces one, and the analyses bin records by time.
+func checkTimes(r *Record) error {
+	for _, t := range [2]float64{r.Submit, r.End} {
+		if t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
+			return fmt.Errorf("time %v is not finite and non-negative", t)
+		}
+	}
+	return nil
 }
 
 // WriteJSONL writes one JSON object per line.
@@ -151,6 +205,9 @@ func ReadJSONL(r io.Reader) ([]Record, error) {
 			return out, nil
 		} else if err != nil {
 			return nil, fmt.Errorf("trace: decode record %d: %w", len(out), err)
+		}
+		if err := checkTimes(&rec); err != nil {
+			return nil, fmt.Errorf("trace: record %d: %w", len(out), err)
 		}
 		out = append(out, rec)
 	}
@@ -287,7 +344,7 @@ func ReadCSV(r io.Reader) ([]Record, error) {
 	out := make([]Record, 0, len(rows)-1)
 	for i, row := range rows[1:] {
 		var rec Record
-		var errs [12]error
+		var errs [13]error
 		rec.TaskID, errs[0] = strconv.ParseInt(row[0], 10, 64)
 		rec.Kind, rec.Mode, rec.Org = row[1], row[2], row[3]
 		rec.VM, errs[1] = strconv.ParseInt(row[4], 10, 64)
@@ -302,6 +359,7 @@ func ReadCSV(r io.Reader) ([]Record, error) {
 		rec.Host, errs[10] = strconv.ParseFloat(row[13], 64)
 		rec.Data, errs[11] = strconv.ParseFloat(row[14], 64)
 		rec.Err = row[15]
+		errs[12] = checkTimes(&rec)
 		for _, e := range errs {
 			if e != nil {
 				return nil, fmt.Errorf("trace: csv row %d: %v", i+1, e)

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -179,15 +181,17 @@ func TestRecorder(t *testing.T) {
 	}
 }
 
-// recorderTasks returns n completed tasks that cycle through every kind,
-// clone mode and five orgs, with a failure every seventh task.
+// recorderTasks returns n completed tasks that cycle through every kind
+// plus the unknown ops.Kind(99), full and linked clones, four orgs and
+// the empty org, with a failure every seventh task.
 func recorderTasks(n int) []*mgmt.Task {
-	kinds := ops.Kinds()
+	kinds := append(ops.Kinds(), ops.Kind(99))
+	orgs := []string{"", "org1", "org2", "org3", "org4"}
 	tasks := make([]*mgmt.Task, n)
 	for i := range tasks {
 		t := &mgmt.Task{
 			ID:        int64(i + 1),
-			Req:       ops.Request{Kind: kinds[i%len(kinds)], Mode: ops.CloneMode(i % 2), Org: fmt.Sprintf("org%d", i%5), Submit: float64(i)},
+			Req:       ops.Request{Kind: kinds[i%len(kinds)], Mode: ops.CloneMode(i / len(kinds) % 2), Org: orgs[i%len(orgs)], Submit: float64(i)},
 			Start:     float64(i),
 			End:       float64(i) + 1.5,
 			Breakdown: ops.Breakdown{Queue: 0.25, Mgmt: float64(i % 3), Host: 1},
@@ -204,10 +208,21 @@ func recorderTasks(n int) []*mgmt.Task {
 // boundaries and after Sinks that follow a read: every read is the
 // FromTask list in Sink order, exact-size, and writes the same JSONL.
 func TestRecorderBlocks(t *testing.T) {
-	tasks := recorderTasks(2600)
+	tasks := recorderTasks(6000)
 	ref := make([]Record, len(tasks))
 	for i, task := range tasks {
 		ref[i] = FromTask(task)
+	}
+	seen := map[string]bool{}
+	for _, r := range ref {
+		seen[r.Kind+"/"+r.Mode] = true
+		seen["org="+r.Org] = true
+		seen["failed="+strconv.FormatBool(r.Err != "")] = true
+	}
+	for _, want := range []string{"deploy/full", "deploy/linked", "powerOn/", "op(99)/", "org=", "org=org1", "failed=true", "failed=false"} {
+		if !seen[want] {
+			t.Fatalf("the reference trace has no %q record", want)
+		}
 	}
 
 	rc := NewRecorder()
@@ -229,7 +244,9 @@ func TestRecorderBlocks(t *testing.T) {
 	}
 	var reads [][]Record
 	sunk := 0
-	for _, n := range []int{1, blockLen, blockLen + 1, 2500, 2500, 2600} {
+	// Each read drops the blocks, so the counts fill exactly one block
+	// after a read, then start a new one, then fill three, then more.
+	for _, n := range []int{1, 1 + blockLen, 2 + blockLen, 2 + 4*blockLen, 2 + 4*blockLen, 6000} {
 		for ; sunk < n; sunk++ {
 			rc.Sink(tasks[sunk])
 		}
@@ -237,7 +254,7 @@ func TestRecorderBlocks(t *testing.T) {
 	}
 	// A read with no Sink since the previous one returns the same slice.
 	if &reads[3][0] != &reads[4][0] {
-		t.Fatal("a second read without new Sinks flattened again")
+		t.Fatal("a second read without new Sinks unpacked again")
 	}
 	// Later Sinks leave earlier reads intact.
 	for _, got := range reads {
@@ -246,6 +263,29 @@ func TestRecorderBlocks(t *testing.T) {
 				t.Fatalf("earlier read of %d records changed at %d", len(got), i)
 			}
 		}
+	}
+}
+
+// TestPackedHoldsNoPointers guards the point of the packed layout: a
+// block of records the collector need not scan, smaller than Record.
+func TestPackedHoldsNoPointers(t *testing.T) {
+	var walk func(reflect.Type, string)
+	walk = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(typ.Field(i).Type, path+"."+typ.Field(i).Name)
+			}
+		case reflect.Array:
+			walk(typ.Elem(), path+"[]")
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
+			reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+			t.Errorf("%s is a %s, which holds a pointer", path, typ.Kind())
+		}
+	}
+	walk(reflect.TypeOf(packed{}), "packed")
+	if size := unsafe.Sizeof(packed{}); size > 112 {
+		t.Errorf("packed is %d bytes, want at most 112", size)
 	}
 }
 
@@ -265,8 +305,9 @@ func TestRecorderEmptyIsNil(t *testing.T) {
 }
 
 // TestRecorderSinkByteBudget bounds what Sink allocates to 1.25 times
-// the trace it holds. Growing one slice by append allocates about five
-// times the final trace and copies it on every growth.
+// the packed trace it holds. Growing one slice by append allocates about
+// five times the final trace and copies it on every growth, and keeping
+// whole Records takes 160/112 of the packed size.
 func TestRecorderSinkByteBudget(t *testing.T) {
 	const n = 10000
 	tasks := make([]*mgmt.Task, n)
@@ -281,7 +322,7 @@ func TestRecorderSinkByteBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc
-	budget := uint64(1.25 * n * float64(unsafe.Sizeof(Record{})))
+	budget := uint64(1.25 * n * float64(unsafe.Sizeof(packed{})))
 	if got > budget {
 		t.Fatalf("sinking %d tasks allocated %d bytes, budget %d", n, got, budget)
 	}
@@ -318,5 +359,40 @@ func TestPropertyCodecsRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadersRejectBadTimes feeds both readers a record whose submit or
+// end time is negative, NaN or infinite. mcpchar's rate series panics on
+// such a time, so the readers must refuse it and name the record.
+func TestReadersRejectBadTimes(t *testing.T) {
+	const twoLines = `{"task":1,"kind":"deploy","submit":-7200,"end":10,"latency":1,"queue":0,"cell":0,"mgmt":0,"db":0,"host":0,"data":0}
+{"task":2,"kind":"deploy","submit":5,"end":10,"latency":5,"queue":0,"cell":0,"mgmt":0,"db":0,"host":0,"data":0}
+`
+	if _, err := ReadJSONL(strings.NewReader(twoLines)); err == nil || !strings.Contains(err.Error(), "record 0") {
+		t.Fatalf("JSONL with submit -7200: err = %v, want one naming record 0", err)
+	}
+	end := strings.Replace(twoLines, `"submit":5,"end":10`, `"submit":5,"end":-1`, 1)
+	end = strings.Replace(end, "-7200", "0", 1)
+	if _, err := ReadJSONL(strings.NewReader(end)); err == nil || !strings.Contains(err.Error(), "record 1") {
+		t.Fatalf("JSONL with end -1: err = %v, want one naming record 1", err)
+	}
+
+	var buf bytes.Buffer
+	if err := writeAll(NewCSVWriter(&buf), sampleRecords()); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.String()
+	for _, bad := range []string{"-7200", "NaN", "Inf", "-Inf", "+Inf"} {
+		// Row 2 has submit 26 and end 31.
+		for _, times := range []string{"," + bad + ",31,", ",26," + bad + ","} {
+			s := strings.Replace(good, ",26,31,", times, 1)
+			if _, err := ReadCSV(strings.NewReader(s)); err == nil || !strings.Contains(err.Error(), "row 2") {
+				t.Fatalf("CSV with times %q: err = %v, want one naming row 2", times, err)
+			}
+		}
+	}
+	if _, err := ReadCSV(strings.NewReader(good)); err != nil {
+		t.Fatalf("the unmodified CSV: %v", err)
 	}
 }

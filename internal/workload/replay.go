@@ -1,8 +1,9 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cloudmcp/internal/clouddir"
 	"cloudmcp/internal/inventory"
@@ -44,7 +45,8 @@ type ReplayStats struct {
 }
 
 // NewReplayer prepares a replay of records against dir. Records are
-// copied and sorted by submit time.
+// copied and sorted by submit time, ties in trace order. The sort moves
+// 4-byte indexes rather than the records, then gathers the copy.
 func NewReplayer(env *sim.Env, dir *clouddir.Director, records []trace.Record) (*Replayer, error) {
 	if len(records) == 0 {
 		return nil, fmt.Errorf("workload: empty trace")
@@ -52,9 +54,17 @@ func NewReplayer(env *sim.Env, dir *clouddir.Director, records []trace.Record) (
 	if len(dir.Plane().Inventory().Templates()) == 0 {
 		return nil, fmt.Errorf("workload: inventory has no templates")
 	}
+	idx := make([]int32, len(records))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	slices.SortFunc(idx, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(records[a].Submit, records[b].Submit), cmp.Compare(a, b))
+	})
 	cp := make([]trace.Record, len(records))
-	copy(cp, records)
-	sort.SliceStable(cp, func(i, j int) bool { return cp[i].Submit < cp[j].Submit })
+	for i, j := range idx {
+		cp[i] = records[j]
+	}
 	return &Replayer{
 		env: env, dir: dir, records: cp,
 		vapps: make(map[string][]inventory.ID),

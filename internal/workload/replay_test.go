@@ -1,6 +1,10 @@
 package workload
 
 import (
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"cloudmcp/internal/clouddir"
@@ -147,5 +151,29 @@ func TestReplayOrdersBySubmit(t *testing.T) {
 	}
 	if n := len(r.inv.VMs()); n != 0 {
 		t.Fatalf("VMs left = %d", n)
+	}
+}
+
+// TestReplayOrderMatchesStableSort checks that NewReplayer's index sort
+// gives the order a stable sort of the records by submit time gives, on a
+// recorded trace shuffled with many ties and on one already sorted.
+func TestReplayOrderMatchesStableSort(t *testing.T) {
+	recs := recordTrace(t, 3, 3600)
+	shuffled := make([]trace.Record, len(recs))
+	for i, j := range rand.New(rand.NewSource(1)).Perm(len(recs)) {
+		shuffled[i] = recs[j]
+		shuffled[i].Submit = float64(int(recs[j].Submit) / 60 * 60) // whole minutes: ties
+	}
+	r := newRig(t, 19, clouddir.DefaultConfig())
+	for _, in := range [][]trace.Record{recs, shuffled} {
+		want := slices.Clone(in)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Submit < want[j].Submit })
+		rp, err := NewReplayer(r.env, r.dir, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rp.records, want) {
+			t.Fatal("replay order differs from a stable sort by submit time")
+		}
 	}
 }
