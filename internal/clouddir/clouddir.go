@@ -179,7 +179,6 @@ type Director struct {
 	orgHash map[string]uint32
 
 	nextVApp   int64
-	nextVM     int64
 	nextShadow int64
 
 	orgVMs          map[string]int
@@ -209,11 +208,21 @@ type Director struct {
 
 // deployFrame is one DeployVApp call's scatter/gather state: a slot per
 // member VM for the worker outcomes, the signal the last worker fires,
-// and the outstanding-worker count.
+// the outstanding-worker count, and the call's arguments, which every
+// member VM's worker reads. work is bound to the frame once, so
+// spawning a worker allocates no closure.
 type deployFrame struct {
-	slots     []vmOutcome
-	done      *sim.Signal
-	remaining int
+	slots           []vmOutcome
+	done            *sim.Signal
+	remaining, next int
+	work            func(*sim.Proc)
+
+	org     string
+	tpl     *inventory.Template
+	va      *inventory.VApp
+	vm0     string // the first VM's name; the vApp's name is its prefix
+	powerOn bool
+	submit  sim.Time
 }
 
 func (d *Director) getFrame(n int) *deployFrame {
@@ -224,22 +233,40 @@ func (d *Director) getFrame(n int) *deployFrame {
 		d.frameFree = d.frameFree[:k-1]
 	} else {
 		f = &deployFrame{done: sim.NewSignal(d.env)}
+		f.work = func(p *sim.Proc) { d.deployWorker(p, f) }
 	}
 	if cap(f.slots) < n {
 		f.slots = make([]vmOutcome, n)
-	} else {
-		f.slots = f.slots[:n]
-		for i := range f.slots {
-			f.slots[i] = vmOutcome{}
-		}
 	}
-	f.remaining = n
+	f.slots = f.slots[:n]
+	f.remaining, f.next = n, 0
 	return f
 }
 
 // putFrame returns a frame once every worker has exited (the caller has
-// passed done.Wait, which the last worker's fire precedes).
-func (d *Director) putFrame(f *deployFrame) { d.frameFree = append(d.frameFree, f) }
+// passed done.Wait, which the last worker's fire precedes). It drops the
+// frame's tasks and entities, so a pooled frame keeps none of them alive.
+func (d *Director) putFrame(f *deployFrame) {
+	clear(f.slots)
+	f.org, f.tpl, f.va, f.vm0 = "", nil, nil, ""
+	d.frameFree = append(d.frameFree, f)
+}
+
+// deployWorker deploys one member VM of f's vApp. Workers start in the
+// order they were spawned, so each takes the next slot as it starts.
+func (d *Director) deployWorker(p *sim.Proc, f *deployFrame) {
+	i := f.next
+	f.next++
+	name := f.vm0
+	if i > 0 {
+		name = f.va.Name + "-vm" + strconv.Itoa(i)
+	}
+	f.slots[i] = d.deployOne(p, f.org, name, f.tpl, f.va, f.powerOn, f.submit)
+	f.remaining--
+	if f.remaining == 0 {
+		f.done.Fire()
+	}
+}
 
 // New builds a director over an existing management plane. The stream
 // seeds cell stage-time draws; it must be distinct from the managers'
@@ -511,24 +538,16 @@ func (d *Director) DeployVApp(p *sim.Proc, org string, tpl *inventory.Template, 
 	inv := d.plane.Inventory()
 	submit := p.Now()
 	d.nextVApp++
-	var buf [24]byte
-	va := inv.AddVApp(string(strconv.AppendInt(append(buf[:0], "vapp-"...), d.nextVApp, 10)), org)
+	// One string names the vApp ("vapp-N") and its first VM ("vapp-N-vm0").
+	var buf [32]byte
+	vm0 := string(append(strconv.AppendInt(append(buf[:0], "vapp-"...), d.nextVApp, 10), "-vm0"...))
+	va := inv.AddVApp(vm0[:len(vm0)-len("-vm0")], org)
 	res := DeployResult{VApp: va, Tasks: make([]*mgmt.Task, 0, nVMs*2)}
 
 	f := d.getFrame(nVMs)
+	f.org, f.tpl, f.va, f.vm0, f.powerOn, f.submit = org, tpl, va, vm0, powerOn, submit
 	for i := 0; i < nVMs; i++ {
-		i := i
-		d.nextVM++
-		name := va.Name + "-vm" + strconv.Itoa(i)
-		d.env.Go("deploy", func(hp *sim.Proc) {
-			defer func() {
-				f.remaining--
-				if f.remaining == 0 {
-					f.done.Fire()
-				}
-			}()
-			f.slots[i] = d.deployOne(hp, org, name, tpl, va, powerOn, submit)
-		})
+		d.env.Go("deploy", f.work)
 	}
 	if f.remaining > 0 {
 		f.done.Wait(p)
@@ -643,12 +662,12 @@ func (d *Director) deployOne(p *sim.Proc, org, name string, tpl *inventory.Templ
 }
 
 // PowerVApp powers every VM of va on (or off), paying one cell stage per
-// VM like the deploy path does, and returns the tasks issued. VMs already
-// in the requested state are skipped — vApp power ops are idempotent at
-// the director, matching how self-service APIs expose them.
-func (d *Director) PowerVApp(p *sim.Proc, va *inventory.VApp, org string, on bool) []*mgmt.Task {
+// VM like the deploy path does, and returns how many tasks it issued and
+// the first of their errors. VMs already in the requested state are
+// skipped — vApp power ops are idempotent at the director, matching how
+// self-service APIs expose them.
+func (d *Director) PowerVApp(p *sim.Proc, va *inventory.VApp, org string, on bool) (tasks int, err error) {
 	inv := d.plane.Inventory()
-	var tasks []*mgmt.Task
 	var buf [8]inventory.ID
 	for _, id := range append(buf[:0], va.VMs...) {
 		vm := inv.VM(id)
@@ -660,24 +679,32 @@ func (d *Director) PowerVApp(p *sim.Proc, va *inventory.VApp, org string, on boo
 				continue
 			}
 			ctx := d.reqCtx(p, org, ops.KindPowerOn, p.Now())
-			tasks = append(tasks, d.plane.PowerOn(p, vm, ctx))
+			tasks, err = tally(tasks, err, d.plane.PowerOn(p, vm, ctx))
 		} else {
 			if vm.State != inventory.VMPoweredOn {
 				continue
 			}
 			ctx := d.reqCtx(p, org, ops.KindPowerOff, p.Now())
-			tasks = append(tasks, d.plane.PowerOff(p, vm, ctx))
+			tasks, err = tally(tasks, err, d.plane.PowerOff(p, vm, ctx))
 		}
 	}
-	return tasks
+	return tasks, err
+}
+
+// tally counts t into a (tasks, first error) pair.
+func tally(tasks int, err error, t *mgmt.Task) (int, error) {
+	if err == nil {
+		err = t.Err
+	}
+	return tasks + 1, err
 }
 
 // DeleteVApp powers off and destroys every VM of va, then removes the
-// vApp. It returns the tasks issued.
-func (d *Director) DeleteVApp(p *sim.Proc, va *inventory.VApp, org string) []*mgmt.Task {
+// vApp. It returns how many tasks it issued and the first of their
+// errors.
+func (d *Director) DeleteVApp(p *sim.Proc, va *inventory.VApp, org string) (tasks int, err error) {
 	inv := d.plane.Inventory()
 	delete(d.liveVApps, va.ID)
-	var tasks []*mgmt.Task
 	// Copy: destroy mutates va.VMs.
 	var buf [8]inventory.ID
 	for _, id := range append(buf[:0], va.VMs...) {
@@ -687,17 +714,17 @@ func (d *Director) DeleteVApp(p *sim.Proc, va *inventory.VApp, org string) []*mg
 		}
 		if vm.State == inventory.VMPoweredOn {
 			ctx := d.reqCtx(p, org, ops.KindPowerOff, p.Now())
-			tasks = append(tasks, d.plane.PowerOff(p, vm, ctx))
+			tasks, err = tally(tasks, err, d.plane.PowerOff(p, vm, ctx))
 		}
 		ctx := d.reqCtx(p, org, ops.KindDestroy, p.Now())
 		task := d.plane.Destroy(p, vm, ctx)
-		tasks = append(tasks, task)
+		tasks, err = tally(tasks, err, task)
 		if task.Err == nil {
 			d.orgVMs[va.OrgName]--
 		}
 	}
 	inv.RemoveVApp(va)
-	return tasks
+	return tasks, err
 }
 
 // OrgLiveVMs returns the director's quota accounting for org (live plus

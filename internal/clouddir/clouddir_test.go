@@ -155,9 +155,9 @@ func TestDeleteVAppCleansUp(t *testing.T) {
 			t.Errorf("deploy: %v", res.Err)
 			return
 		}
-		tasks := f.dir.DeleteVApp(p, res.VApp, "orgA")
-		if len(tasks) != 4 { // 2 power-offs + 2 destroys
-			t.Errorf("delete tasks = %d", len(tasks))
+		tasks, err := f.dir.DeleteVApp(p, res.VApp, "orgA")
+		if tasks != 4 || err != nil { // 2 power-offs + 2 destroys
+			t.Errorf("delete tasks = %d, err = %v", tasks, err)
 		}
 	})
 	f.env.Run(sim.Forever)
@@ -547,10 +547,12 @@ func TestLinkedClonesPlaceNearBase(t *testing.T) {
 }
 
 func TestDeployCycleAllocBudget(t *testing.T) {
-	// One linked-clone vApp deployed and deleted: the director's names,
-	// vApp and per-VM process, the manager's tasks and the inventory's
-	// VM. Execute leaking its spec adds the lock-target slices, body
-	// closures and the deployed VM's variable to every cycle.
+	// One linked-clone vApp deployed and deleted makes seven: the one
+	// string naming the vApp and its VM, the vApp and its VM list, the
+	// DeployResult's task slice, the VM, and the deploy and destroy
+	// tasks. A per-VM worker closure, a separate vApp name or a delete
+	// task slice each adds one; Execute leaking its spec adds the
+	// lock-target slices, body closures and the deployed VM's variable.
 	f := newFixture(t, DefaultConfig())
 	var allocs float64
 	f.env.Go("u", func(p *sim.Proc) {
@@ -564,7 +566,7 @@ func TestDeployCycleAllocBudget(t *testing.T) {
 		})
 	})
 	f.env.Run(sim.Forever)
-	const budget = 11
+	const budget = 7
 	if allocs > budget {
 		t.Fatalf("deploy+delete cycle allocates %.2f/op, want <= %d", allocs, budget)
 	}

@@ -86,9 +86,10 @@ func startOpenLoop(c *Cloud, label string, ratePerHour, horizon, lifetimeS float
 					c.Director().DeleteVApp(rp, res.VApp, org)
 					return
 				}
+				va := res.VApp // the timer holds the vApp, not the deploy's tasks
 				c.env.GoAfter(lifetimeS, func(dp *sim.Proc) {
-					if inv.VApp(res.VApp.ID) != nil {
-						c.Director().DeleteVApp(dp, res.VApp, org)
+					if inv.VApp(va.ID) != nil {
+						c.Director().DeleteVApp(dp, va, org)
 					}
 				})
 			})

@@ -346,14 +346,8 @@ func (f *Frontend) execute(p *sim.Proc, req OpRequest) (vapp inventory.ID, name 
 		if va.OrgName != req.Org {
 			return inventory.None, "", 0, fmt.Errorf("core: vApp %d not owned by org %s", req.VApp, req.Org)
 		}
-		tasks := dir.PowerVApp(p, va, req.Org, req.Kind == OpPowerOn)
-		for _, t := range tasks {
-			if t.Err != nil {
-				err = t.Err
-				break
-			}
-		}
-		return va.ID, va.Name, len(tasks), err
+		mgmtTasks, err = dir.PowerVApp(p, va, req.Org, req.Kind == OpPowerOn)
+		return va.ID, va.Name, mgmtTasks, err
 	case OpDelete:
 		va := inv.VApp(req.VApp)
 		if va == nil {
@@ -363,14 +357,8 @@ func (f *Frontend) execute(p *sim.Proc, req OpRequest) (vapp inventory.ID, name 
 			return inventory.None, "", 0, fmt.Errorf("core: vApp %d not owned by org %s", req.VApp, req.Org)
 		}
 		id, vaName := va.ID, va.Name
-		tasks := dir.DeleteVApp(p, va, req.Org)
-		for _, t := range tasks {
-			if t.Err != nil {
-				err = t.Err
-				break
-			}
-		}
-		return id, vaName, len(tasks), err
+		mgmtTasks, err = dir.DeleteVApp(p, va, req.Org)
+		return id, vaName, mgmtTasks, err
 	}
 	return inventory.None, "", 0, fmt.Errorf("core: unknown op kind %q", req.Kind)
 }

@@ -313,10 +313,12 @@ func (g *Generator) launchVApp(size int, lifetimeS float64) {
 			vmID := vmID
 			g.env.Schedule(0, func() { g.activityLoop(vmID, org) })
 		}
-		// The vApp needs no process while it lives out its lifetime.
+		// The vApp needs no process while it lives out its lifetime, and
+		// its timer holds only the vApp, not the deploy's tasks.
+		va := res.VApp
 		g.env.GoAfter(lifetimeS, func(p *sim.Proc) {
-			if inv.VApp(res.VApp.ID) != nil {
-				g.dir.DeleteVApp(p, res.VApp, org)
+			if inv.VApp(va.ID) != nil {
+				g.dir.DeleteVApp(p, va, org)
 				g.stats.Deleted++
 			}
 		})

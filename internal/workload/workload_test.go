@@ -1,7 +1,10 @@
 package workload
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"cloudmcp/internal/clouddir"
 	"cloudmcp/internal/inventory"
@@ -157,6 +160,43 @@ func TestCloudALifecycleDeletes(t *testing.T) {
 	if r.tasksByKind()[ops.KindDestroy] == 0 {
 		t.Fatal("no destroy tasks recorded")
 	}
+}
+
+// A vApp that outlives the run is held by its lifetime timer, and that
+// timer must hold only the vApp: once the deploys have drained, every
+// deploy task is garbage even though every vApp is still live.
+func TestLiveVAppsDoNotPinTheirTasks(t *testing.T) {
+	pr := CloudA()
+	pr.LifetimeMeanS = 20 * Day
+	pr.LifetimeCV = 0.3
+	r := newRig(t, 3, clouddir.DefaultConfig())
+	var deploys int64
+	var freed atomic.Int64
+	r.pl.AddTaskSink(func(task *mgmt.Task) {
+		if task.Req.Kind == ops.KindDeploy {
+			deploys++
+			runtime.SetFinalizer(task, func(*mgmt.Task) { freed.Add(1) })
+		}
+	})
+	gen, err := NewGenerator(r.env, r.dir, pr, rng.Derive(3, "wl:"+pr.Name), 2*3600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen.Start()
+	r.env.Run(3 * 3600) // arrivals and activity stop at 2 h; the hour after drains them
+	if gen.Stats().Deleted != 0 || len(r.inv.VApps()) == 0 || deploys == 0 {
+		t.Fatalf("want only live vApps: deleted %d, live %d, deploys %d",
+			gen.Stats().Deleted, len(r.inv.VApps()), deploys)
+	}
+	for i := 0; i < 100 && freed.Load() < deploys; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := freed.Load(); got != deploys {
+		t.Fatalf("%d of %d deploy tasks collected; live vApps keep the rest", got, deploys)
+	}
+	runtime.KeepAlive(r)
+	runtime.KeepAlive(gen)
 }
 
 func TestCloudBSessionBatches(t *testing.T) {
