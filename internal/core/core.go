@@ -17,8 +17,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strconv"
+	"strings"
 
 	"cloudmcp/internal/clouddir"
 	"cloudmcp/internal/drs"
@@ -410,12 +411,17 @@ func (c *Cloud) RunProfile(profile workload.Profile, horizon sim.Time) (workload
 // Call before Run. Deterministic: depends only on n and the topology.
 func (c *Cloud) PrepopulateVMs(n int) error {
 	inv := c.inv
-	hosts := inv.Hosts()
-	dss := inv.Datastores()
-	for i := 0; i < n; i++ {
-		host := inv.Host(hosts[i%len(hosts)])
-		ds := inv.Datastore(dss[i%len(dss)])
-		vm, err := inv.AddVM(prevmName(i), host, ds, 2, 2048, 1.0)
+	hosts := make([]*inventory.Host, len(inv.Hosts()))
+	for i, id := range inv.Hosts() {
+		hosts[i] = inv.Host(id)
+	}
+	dss := make([]*inventory.Datastore, len(inv.Datastores()))
+	for i, id := range inv.Datastores() {
+		dss[i] = inv.Datastore(id)
+	}
+	inv.Grow(n)
+	for i, name := range prevmNames(0, n) {
+		vm, err := inv.AddVM(name, hosts[i%len(hosts)], dss[i%len(dss)], 2, 2048, 1.0)
 		if err != nil {
 			return fmt.Errorf("core: prepopulate VM %d/%d: %w", i, n, err)
 		}
@@ -424,17 +430,35 @@ func (c *Cloud) PrepopulateVMs(n int) error {
 	return nil
 }
 
-// prevmName returns fmt.Sprintf("prevm%07d", i) for i >= 0 without fmt's
-// per-call cost.
-func prevmName(i int) string {
-	var digits [20]byte
-	var buf [32]byte
-	d := strconv.AppendInt(digits[:0], int64(i), 10)
-	b := append(buf[:0], "prevm"...)
-	for n := len(d); n < 7; n++ {
-		b = append(b, '0')
+// prevmNames returns fmt.Sprintf("prevm%07d", i) for i in [from, from+n),
+// all slices of one backing string. It formats the first name once, then
+// increments its digits in place, widening it past all nines as %07d
+// does, rather than formatting and allocating every name.
+func prevmNames(from, n int) []string {
+	const prefix = len("prevm")
+	name := fmt.Appendf(nil, "prevm%07d", from)
+	var b strings.Builder
+	b.Grow(n * len(name))
+	ends := make([]int, n)
+	for k := range ends {
+		b.Write(name)
+		ends[k] = b.Len()
+		i := len(name) - 1
+		for ; i >= prefix && name[i] == '9'; i-- {
+			name[i] = '0'
+		}
+		if i < prefix {
+			name = slices.Insert(name, prefix, '1')
+		} else {
+			name[i]++
+		}
 	}
-	return string(append(b, d...))
+	all, start := b.String(), 0
+	names := make([]string, n)
+	for k, end := range ends {
+		names[k], start = all[start:end], end
+	}
+	return names
 }
 
 // StageUtilization is one control-plane stage's utilization snapshot.

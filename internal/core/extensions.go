@@ -366,7 +366,7 @@ func (r *E18Result) Render(w io.Writer) error {
 // measurements top out at thousands of VMs per management server; E19
 // asks what the control plane looks like when the *inventory itself* is
 // the large dimension. Each cell prepopulates the cloud with N
-// registered VMs (10^3 up to 10^6), then runs the standard closed-loop
+// registered VMs (10^3 up to 10^5), then runs the standard closed-loop
 // deploy→destroy workload against it. With the indexed placement path,
 // admission and placement stay O(log n) in inventory size, so deploy
 // throughput and p99 should be flat across the ladder — any knee is a

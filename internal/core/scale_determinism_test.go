@@ -56,9 +56,19 @@ func TestE19TopologyScalesWithSize(t *testing.T) {
 }
 
 func TestPrevmNameMatchesSprintf(t *testing.T) {
+	// Each case starts the builder two names early, so the in-place
+	// increment carries into it, and runs it two names past.
 	for _, i := range []int{0, 9, 10, 9_999_999, 10_000_000, 123_456_789} {
-		if got, want := prevmName(i), fmt.Sprintf("prevm%07d", i); got != want {
-			t.Errorf("prevmName(%d) = %q, want %q", i, got, want)
+		from := max(i-2, 0)
+		for k, got := range prevmNames(from, i-from+3) {
+			if want := fmt.Sprintf("prevm%07d", from+k); got != want {
+				t.Errorf("prevmNames(%d, ...)[%d] = %q, want %q", from, k, got, want)
+			}
 		}
+	}
+	// The names share one backing string: the allocations do not grow
+	// with their number.
+	if allocs := testing.AllocsPerRun(5, func() { prevmNames(0, 1000) }); allocs > 5 {
+		t.Errorf("prevmNames(0, 1000) allocates %v times, want at most 5", allocs)
 	}
 }

@@ -37,61 +37,14 @@ func TestCPUReservationMHz(t *testing.T) {
 }
 
 func TestBestHostExcludingMatchesReferenceScan(t *testing.T) {
-	inv := New()
-	dc := inv.AddDatacenter("dc")
-	cl := inv.AddCluster(dc, "cl")
-	var hosts []*Host
-	for i := 0; i < 8; i++ {
-		hosts = append(hosts, inv.AddHost(cl, "h", 8000, 65536))
-	}
-	var dss []*Datastore
-	for i := 0; i < 2; i++ {
-		dss = append(dss, inv.AddDatastore(dc, "d", 4000, 100))
-	}
-	// Deterministic churn: powered-on VMs consume CPU reservation too,
-	// so the CPU filter is exercised against hosts near both limits.
-	var vms []*VM
-	state := uint64(0x51ed2701)
-	next := func(n int) int {
-		state = state*6364136223846793005 + 1442695040888963407
-		return int((state >> 33) % uint64(n))
-	}
+	// Deterministic churn, 0–4 mutations per step: powered-on VMs consume
+	// CPU reservation too, so the CPU filter is exercised against hosts
+	// near both limits.
+	c := newChurn(8, 8000, 65536, 2, 4000, 2)
+	inv, next := c.inv, lcg(0x51ed2701)
 	for step := 0; step < 3000; step++ {
-		switch next(7) {
-		case 0, 1:
-			h, d := hosts[next(len(hosts))], dss[next(len(dss))]
-			if vm, err := inv.AddVM("vm", h, d, 1+next(4), 1024*(1+next(4)), 1); err == nil {
-				vms = append(vms, vm)
-			}
-		case 2:
-			if len(vms) > 0 {
-				vm := vms[next(len(vms))]
-				if vm.State == VMPoweredOff {
-					_ = inv.PowerOn(vm)
-				}
-			}
-		case 3:
-			if len(vms) > 0 {
-				vm := vms[next(len(vms))]
-				if vm.State == VMPoweredOn {
-					_ = inv.PowerOff(vm)
-				}
-			}
-		case 4:
-			if len(vms) > 0 {
-				i := next(len(vms))
-				if inv.RemoveVM(vms[i]) == nil {
-					vms = append(vms[:i], vms[i+1:]...)
-				}
-			}
-		case 5:
-			h := hosts[next(len(hosts))]
-			inv.SetHostMaintenance(h, !h.Maintenance)
-		case 6:
-			h := hosts[next(len(hosts))]
-			inv.SetHostFailed(h, !h.Failed)
-		}
-		exclude := hosts[next(len(hosts))].ID
+		c.mutate(next)
+		exclude := c.hosts[next(len(c.hosts))].ID
 		memMB := 1024 * (1 + next(8))
 		cpuMHz := 0
 		if next(2) == 0 {

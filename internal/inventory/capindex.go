@@ -16,9 +16,10 @@ import "fmt"
 // the build-time ID range, not the VM IDs that follow it.
 //
 // Determinism contract: keys are recomputed from the authoritative entity
-// fields on every mutation (never updated incrementally), so a heap query
-// compares the very same float64 values a linear scan would and returns
-// the identical winner, ties included.
+// fields (never updated incrementally) before any read that follows a
+// mutation, so a heap query compares the very same float64 values a
+// linear scan would and returns the identical winner, ties included,
+// whatever order the entries were rekeyed in.
 type capHeap struct {
 	items []capEntry
 	pos   []int32 // entry ID → 1 + index in items; 0 = absent

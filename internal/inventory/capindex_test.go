@@ -101,54 +101,15 @@ func TestCapHeapMatchesScanUnderRandomOps(t *testing.T) {
 }
 
 func TestBestHostMatchesReferenceScan(t *testing.T) {
-	inv := New()
-	dc := inv.AddDatacenter("dc")
-	cl := inv.AddCluster(dc, "cl")
-	var hosts []*Host
-	for i := 0; i < 8; i++ {
-		hosts = append(hosts, inv.AddHost(cl, "h", 40000, 65536))
-	}
-	var dss []*Datastore
-	for i := 0; i < 4; i++ {
-		dss = append(dss, inv.AddDatastore(dc, "d", 2000, 100))
-	}
-	// Deterministic pseudo-random churn: VM adds/removes, maintenance
-	// and failure toggles, reservations. After every mutation the index
-	// must agree with the scans exactly — including float equality.
-	var vms []*VM
-	state := uint64(0x9e3779b97f4a7c15)
-	next := func(n int) int {
-		state = state*6364136223846793005 + 1442695040888963407
-		return int((state >> 33) % uint64(n))
-	}
+	// Deterministic pseudo-random churn: each step applies 0–4 mutations
+	// (VM adds, removes, moves and snapshots, power and suspend,
+	// maintenance and failure toggles, group moves, reservations), so
+	// stale keys pile up before the queries. The index must then agree
+	// with the scans exactly — including float equality.
+	c := newChurn(8, 40000, 65536, 4, 2000, 3)
+	inv, next := c.inv, lcg(0x9e3779b97f4a7c15)
 	for step := 0; step < 2000; step++ {
-		switch next(6) {
-		case 0, 1:
-			h, d := hosts[next(len(hosts))], dss[next(len(dss))]
-			if vm, err := inv.AddVM("vm", h, d, 1, 1024*(1+next(4)), float64(1+next(20))); err == nil {
-				vms = append(vms, vm)
-			}
-		case 2:
-			if len(vms) > 0 {
-				i := next(len(vms))
-				if inv.RemoveVM(vms[i]) == nil {
-					vms = append(vms[:i], vms[i+1:]...)
-				}
-			}
-		case 3:
-			h := hosts[next(len(hosts))]
-			inv.SetHostMaintenance(h, !h.Maintenance)
-		case 4:
-			h := hosts[next(len(hosts))]
-			inv.SetHostFailed(h, !h.Failed)
-		case 5:
-			d := dss[next(len(dss))]
-			if next(2) == 0 {
-				inv.Reserve(d.ID, float64(next(50)))
-			} else if r := inv.reserved[d.ID]; r > 0 {
-				inv.Reserve(d.ID, -r)
-			}
-		}
+		c.mutate(next)
 		memMB := 1024 * (1 + next(8))
 		if got, want := inv.BestHost(memMB), referenceBestHost(inv, memMB); got != want {
 			t.Fatalf("step %d: BestHost(%d) = %v, scan = %v", step, memMB, got, want)
@@ -169,54 +130,13 @@ func TestBestHostMatchesReferenceScan(t *testing.T) {
 }
 
 func TestBestHostInGroupMatchesReferenceScan(t *testing.T) {
-	inv := New()
-	dc := inv.AddDatacenter("dc")
-	cl := inv.AddCluster(dc, "cl")
-	d := inv.AddDatastore(dc, "d", 10000, 100)
 	const groups = 3
-	var hosts []*Host
-	for i := 0; i < 9; i++ {
-		h := inv.AddHost(cl, "h", 40000, 65536)
-		inv.SetHostGroup(h.ID, i*groups/9)
-		hosts = append(hosts, h)
-	}
-	ref := func(group, memMB int) *Host {
-		var best *Host
-		for i, h := range hosts {
-			if i*groups/9 != group || !h.InService() || h.FreeMemMB() < memMB {
-				continue
-			}
-			if best == nil || h.FreeMemMB() > best.FreeMemMB() {
-				best = h
-			}
-		}
-		return best
-	}
-	state := uint64(7)
-	next := func(n int) int {
-		state = state*6364136223846793005 + 1442695040888963407
-		return int((state >> 33) % uint64(n))
-	}
-	var vms []*VM
+	c := newChurn(9, 40000, 65536, 2, 10000, groups)
+	inv, next := c.inv, lcg(7)
 	for step := 0; step < 1000; step++ {
-		switch next(4) {
-		case 0, 1:
-			if vm, err := inv.AddVM("vm", hosts[next(9)], d, 1, 2048*(1+next(4)), 1); err == nil {
-				vms = append(vms, vm)
-			}
-		case 2:
-			if len(vms) > 0 {
-				i := next(len(vms))
-				if inv.RemoveVM(vms[i]) == nil {
-					vms = append(vms[:i], vms[i+1:]...)
-				}
-			}
-		case 3:
-			h := hosts[next(9)]
-			inv.SetHostMaintenance(h, !h.Maintenance)
-		}
+		c.mutate(next)
 		group, memMB := next(groups), 2048*(1+next(6))
-		if got, want := inv.BestHostInGroup(group, memMB), ref(group, memMB); got != want {
+		if got, want := inv.BestHostInGroup(group, memMB), referenceBestHostInGroup(inv, group, memMB); got != want {
 			t.Fatalf("step %d: BestHostInGroup(%d, %d) = %v, scan = %v", step, group, memMB, got, want)
 		}
 	}

@@ -10,6 +10,7 @@ package inventory
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 )
 
@@ -117,6 +118,7 @@ type Host struct {
 	// Failed marks a crashed host: its VMs are stranded until the HA
 	// engine restarts them elsewhere (package ha).
 	Failed bool
+	stale  bool // queued in Inventory.stale for rekeying
 }
 
 // InService reports whether the host can accept placements.
@@ -136,6 +138,7 @@ type Datastore struct {
 	UsedGB        float64
 	BandwidthMBps float64 // aggregate copy bandwidth
 	VMs           []ID
+	stale         bool // queued in Inventory.stale for rekeying
 }
 
 // FreeGB returns remaining datastore capacity.
@@ -212,12 +215,14 @@ type Inventory struct {
 
 	// Free-capacity indexes: hostIdx orders in-service hosts by free
 	// memory, dsIdx orders datastores by free space net of reservations.
-	// Both are maintained on every mutation so placement is O(1) per
-	// query instead of a linear scan, with winners identical to the scan
-	// (see capHeap). groupIdx adds per-group host heaps once SetHostGroup
-	// partitions hosts (the sharded plane's shard affinity).
+	// A mutation marks its host or datastore stale, and every index
+	// reader first rekeys the stale entities from their current fields,
+	// so placement is O(1) per query with winners identical to a linear
+	// scan (see capHeap). groupIdx adds per-group host heaps once
+	// SetHostGroup partitions hosts (the sharded plane's shard affinity).
 	hostIdx   *capHeap
 	dsIdx     *capHeap
+	stale     []any          // *Host and *Datastore awaiting rekey
 	reserved  map[ID]float64 // datastore → in-flight reservation, GB
 	hostGroup map[ID]int     // host → placement group (shard)
 	groupIdx  map[int]*capHeap
@@ -234,30 +239,58 @@ func New() *Inventory {
 	}
 }
 
-// rekeyHost refreshes h's entry in the free-memory indexes. Hosts out of
-// service (maintenance or failed) are excluded entirely, matching the
-// InService check every placement scan applies.
+// rekeyHost marks h's free-memory index entries stale (see rekeyStale).
 func (inv *Inventory) rekeyHost(h *Host) {
-	g, grouped := inv.hostGroup[h.ID]
-	if h.InService() {
-		key := float64(h.FreeMemMB())
-		inv.hostIdx.Set(h.ID, key)
-		if grouped {
-			inv.groupIdx[g].Set(h.ID, key)
-		}
-		return
-	}
-	inv.hostIdx.Remove(h.ID)
-	if grouped {
-		inv.groupIdx[g].Remove(h.ID)
+	if !h.stale {
+		h.stale = true
+		inv.stale = append(inv.stale, h)
 	}
 }
 
-// rekeyDatastore refreshes d's entry in the free-space index. The key is
-// recomputed from scratch so it bit-matches what a linear scan over
-// FreeGB()-reserved would compare.
+// rekeyDatastore marks d's entry in the free-space index stale.
 func (inv *Inventory) rekeyDatastore(d *Datastore) {
-	inv.dsIdx.Set(d.ID, d.FreeGB()-inv.reserved[d.ID])
+	if !d.stale {
+		d.stale = true
+		inv.stale = append(inv.stale, d)
+	}
+}
+
+// rekeyStale refreshes the index entries of every entity marked stale
+// since the last read. The empty-queue check inlines into each reader.
+func (inv *Inventory) rekeyStale() {
+	if len(inv.stale) > 0 {
+		inv.rekeyQueued()
+	}
+}
+
+// rekeyQueued recomputes each queued entity's keys from its current
+// fields, so they bit-match what a linear scan would compare. Hosts out
+// of service (maintenance or failed) are excluded entirely, matching the
+// InService check every placement scan applies.
+func (inv *Inventory) rekeyQueued() {
+	for _, e := range inv.stale {
+		switch e := e.(type) {
+		case *Host:
+			e.stale = false
+			g, grouped := inv.hostGroup[e.ID]
+			if e.InService() {
+				key := float64(e.FreeMemMB())
+				inv.hostIdx.Set(e.ID, key)
+				if grouped {
+					inv.groupIdx[g].Set(e.ID, key)
+				}
+				continue
+			}
+			inv.hostIdx.Remove(e.ID)
+			if grouped {
+				inv.groupIdx[g].Remove(e.ID)
+			}
+		case *Datastore:
+			e.stale = false
+			inv.dsIdx.Set(e.ID, e.FreeGB()-inv.reserved[e.ID])
+		}
+	}
+	inv.stale = inv.stale[:0]
 }
 
 func (inv *Inventory) allocate() ID {
@@ -341,6 +374,15 @@ func (inv *Inventory) AddVApp(name, org string) *VApp {
 	return v
 }
 
+// Grow makes room for vms more VMs, so that registering them neither
+// rehashes the entity map nor re-copies the VM list as it fills.
+func (inv *Inventory) Grow(vms int) {
+	entities := make(map[ID]any, len(inv.entities)+vms)
+	maps.Copy(entities, inv.entities)
+	inv.entities = entities
+	inv.vms = slices.Grow(inv.vms, vms)
+}
+
 // AddVM creates a VM placed on host and ds, charging capacity on both.
 // diskGB is the space the VM's own disks occupy (the delta disk size for a
 // linked clone). The VM starts in VMProvisioning.
@@ -418,14 +460,20 @@ func (inv *Inventory) RemoveVApp(va *VApp) error {
 
 // MoveVM relocates vm to a new host and/or datastore, transferring the
 // capacity charges. Pass nil to keep the current placement on that axis.
+// Both axes are checked before either changes.
 func (inv *Inventory) MoveVM(vm *VM, newHost *Host, newDS *Datastore) error {
 	if vm.State == VMDeleted {
 		return fmt.Errorf("inventory: move of deleted VM %s", vm.Name)
 	}
-	if newHost != nil && newHost.ID != vm.HostID {
-		if newHost.FreeMemMB() < vm.MemMB {
-			return fmt.Errorf("inventory: host %s out of memory for %s", newHost.Name, vm.Name)
-		}
+	moveHost := newHost != nil && newHost.ID != vm.HostID
+	moveDS := newDS != nil && newDS.ID != vm.DatastoreID
+	if moveHost && newHost.FreeMemMB() < vm.MemMB {
+		return fmt.Errorf("inventory: host %s out of memory for %s", newHost.Name, vm.Name)
+	}
+	if moveDS && newDS.FreeGB() < vm.DiskGB {
+		return fmt.Errorf("inventory: datastore %s out of space for %s", newDS.Name, vm.Name)
+	}
+	if moveHost {
 		old := inv.Host(vm.HostID)
 		old.VMs = removeID(old.VMs, vm.ID)
 		old.UsedMemMB -= vm.MemMB
@@ -439,10 +487,7 @@ func (inv *Inventory) MoveVM(vm *VM, newHost *Host, newDS *Datastore) error {
 		inv.rekeyHost(old)
 		inv.rekeyHost(newHost)
 	}
-	if newDS != nil && newDS.ID != vm.DatastoreID {
-		if newDS.FreeGB() < vm.DiskGB {
-			return fmt.Errorf("inventory: datastore %s out of space for %s", newDS.Name, vm.Name)
-		}
+	if moveDS {
 		old := inv.Datastore(vm.DatastoreID)
 		old.VMs = removeID(old.VMs, vm.ID)
 		old.UsedGB -= vm.DiskGB
@@ -643,6 +688,7 @@ func SortIDs(ids []ID) []ID {
 // the strictly-freest fitting host: if the globally freest host does not
 // fit, no host does, so one root peek answers the scan exactly.
 func (inv *Inventory) BestHost(memMB int) *Host {
+	inv.rekeyStale()
 	id, key, ok := inv.hostIdx.Max()
 	if !ok || key < float64(memMB) {
 		return nil
@@ -659,6 +705,7 @@ func (inv *Inventory) BestHost(memMB int) *Host {
 // passing the filters, so the winner (ties included) is identical while
 // the cost stays near O(log hosts) instead of O(hosts) per pick.
 func (inv *Inventory) BestHostExcluding(exclude ID, memMB, cpuMHz int) *Host {
+	inv.rekeyStale()
 	id, ok := inv.hostIdx.bestWhere(float64(memMB), func(id ID) bool {
 		if id == exclude {
 			return false
@@ -683,6 +730,7 @@ func (inv *Inventory) HostGroup(id ID) (int, bool) {
 // sharded plane's host partition). It returns nil when the group is
 // empty, has no fitting host, or no groups were ever assigned.
 func (inv *Inventory) BestHostInGroup(group, memMB int) *Host {
+	inv.rekeyStale()
 	h := inv.groupIdx[group]
 	if h == nil {
 		return nil
@@ -723,6 +771,7 @@ func (inv *Inventory) SetHostGroup(id ID, group int) {
 // reservations (lowest ID on ties) provided it fits needGB, or nil when
 // none fits — the indexed equivalent of the most-effective-free scan.
 func (inv *Inventory) BestDatastore(needGB float64) *Datastore {
+	inv.rekeyStale()
 	id, key, ok := inv.dsIdx.Max()
 	if !ok || key < needGB {
 		return nil
@@ -867,12 +916,13 @@ func (inv *Inventory) CheckInvariants() error {
 	return inv.checkIndexes()
 }
 
-// checkIndexes verifies the free-capacity indexes against a from-scratch
-// recomputation: membership must match in-service status and every key
-// must equal the freshly derived value bit-for-bit (the property that
-// makes indexed placement byte-identical to a linear scan). Each heap's
-// order and position table are checked too.
+// checkIndexes rekeys the stale entities, then verifies the free-capacity
+// indexes against a from-scratch recomputation: membership must match
+// in-service status and every key must equal the freshly derived value
+// bit-for-bit (the property that makes indexed placement byte-identical
+// to a linear scan). Each heap's order and position table are checked too.
 func (inv *Inventory) checkIndexes() error {
+	inv.rekeyStale()
 	if err := inv.hostIdx.check(); err != nil {
 		return fmt.Errorf("host index: %w", err)
 	}

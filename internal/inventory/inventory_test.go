@@ -194,6 +194,28 @@ func TestMoveVMNilAxes(t *testing.T) {
 	}
 }
 
+func TestMoveVMOntoFullDatastoreMovesNothing(t *testing.T) {
+	// The host axis fits and the datastore axis does not: the move must
+	// fail before either axis changes.
+	inv, _, hosts, ds, _ := build(t)
+	vm, _ := inv.AddVM("vm0", hosts[0], ds[0], 2, 4096, 40)
+	if _, err := inv.AddVM("filler", hosts[1], ds[1], 1, 1024, 990); err != nil {
+		t.Fatal(err)
+	}
+	if err := inv.MoveVM(vm, hosts[1], ds[1]); err == nil {
+		t.Fatal("move onto a full datastore succeeded")
+	}
+	if vm.HostID != hosts[0].ID || vm.DatastoreID != ds[0].ID {
+		t.Fatalf("failed move left VM on host %v, datastore %v", vm.HostID, vm.DatastoreID)
+	}
+	if hosts[0].UsedMemMB != 4096 || hosts[1].UsedMemMB != 1024 {
+		t.Fatalf("failed move changed host memory: %d, %d", hosts[0].UsedMemMB, hosts[1].UsedMemMB)
+	}
+	if err := inv.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestVAppMembership(t *testing.T) {
 	inv, _, hosts, ds, _ := build(t)
 	va := inv.AddVApp("app0", "orgA")
