@@ -331,13 +331,13 @@ func (d *Director) maxChain() int {
 func (d *Director) cellStage(p *sim.Proc, k ops.Kind) (wait, service float64) {
 	cell := d.cells[d.rr%len(d.cells)]
 	d.rr++
-	s := d.model.Sample(d.stream, k)
+	s := d.model.CellS(d.stream, k)
 	t0 := p.Now()
 	cell.Acquire(p, 1)
 	wait = p.Now() - t0
-	p.Sleep(s.Cell)
+	p.Sleep(s)
 	cell.Release(1)
-	return wait, s.Cell
+	return wait, s
 }
 
 // reqCtx runs the cell stage and returns the ReqCtx carrying it.

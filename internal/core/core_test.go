@@ -532,7 +532,11 @@ func TestBottleneckReportBreaksAgentTiesByHostID(t *testing.T) {
 		}
 		for _, id := range c.Inventory().Hosts()[:3] {
 			agent := c.Manager().Agents().Agent(id)
-			c.Go("work", func(p *sim.Proc) { agent.Exec(p, 10) })
+			c.Go("work", func(p *sim.Proc) {
+				agent.Slots().Acquire(p, 1)
+				p.Sleep(10)
+				agent.Slots().Release(1)
+			})
 		}
 		c.Run(100)
 		var got string

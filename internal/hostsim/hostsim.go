@@ -38,21 +38,18 @@ func NewAgent(env *sim.Env, hostID inventory.ID, name string, slots int) *Agent 
 	return a
 }
 
-// Exec runs seconds of host-side work under one operation slot, blocking p
-// for queueing plus service. It returns (waited, served) seconds.
-func (a *Agent) Exec(p *sim.Proc, seconds float64) (waited, served float64) {
-	if seconds < 0 {
-		panic(fmt.Sprintf("hostsim: negative exec %v", seconds))
-	}
-	t0 := p.Now()
-	a.slots.Acquire(p, 1)
-	waited = p.Now() - t0
-	p.Sleep(seconds)
-	a.slots.Release(1)
+// Slots is the agent's operation-slot resource. Host-side work holds
+// one slot for its service time; a caller that runs it as kernel
+// callbacks takes the slot with AcquireThen and, once it has released
+// it, reports the operation to Record.
+func (a *Agent) Slots() *sim.Resource { return a.slots }
+
+// Record accounts one finished operation that queued waited seconds for
+// its slot and held it for served seconds.
+func (a *Agent) Record(waited, served float64) {
 	a.ops++
-	a.busyTime += seconds
+	a.busyTime += served
 	a.waitTime += waited
-	return waited, seconds
 }
 
 // Stats summarizes the agent's activity.

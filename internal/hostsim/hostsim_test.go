@@ -8,16 +8,26 @@ import (
 	"cloudmcp/internal/sim"
 )
 
+// exec runs seconds of host work for p the way a caller of Slots and
+// Record does, and returns the seconds p queued for a slot.
+func exec(p *sim.Proc, a *Agent, seconds float64) (waited float64) {
+	t0 := p.Now()
+	a.Slots().Acquire(p, 1)
+	waited = p.Now() - t0
+	p.Sleep(seconds)
+	a.Slots().Release(1)
+	a.Record(waited, seconds)
+	return waited
+}
+
 func TestExecService(t *testing.T) {
 	env := sim.NewEnv()
 	a := NewAgent(env, 1, "h0", 2)
-	var wait, serve float64
-	env.Go("op", func(p *sim.Proc) {
-		wait, serve = a.Exec(p, 3)
-	})
+	wait := -1.0
+	env.Go("op", func(p *sim.Proc) { wait = exec(p, a, 3) })
 	end := env.Run(sim.Forever)
-	if wait != 0 || serve != 3 || end != 3 {
-		t.Fatalf("wait=%v serve=%v end=%v", wait, serve, end)
+	if s := a.Stats(); wait != 0 || end != 3 || s.Ops != 1 || s.Busy != 3 {
+		t.Fatalf("wait=%v end=%v stats=%+v", wait, end, s)
 	}
 }
 
@@ -28,8 +38,7 @@ func TestSlotsBoundConcurrency(t *testing.T) {
 	var waits []float64
 	for i := 0; i < 4; i++ {
 		env.Go("op", func(p *sim.Proc) {
-			w, _ := a.Exec(p, 10)
-			waits = append(waits, w)
+			waits = append(waits, exec(p, a, 10))
 		})
 	}
 	end := env.Run(sim.Forever)
@@ -50,29 +59,11 @@ func TestSlotsBoundConcurrency(t *testing.T) {
 	}
 }
 
-func TestNegativeExecPanics(t *testing.T) {
-	env := sim.NewEnv()
-	a := NewAgent(env, 1, "h0", 1)
-	panicked := false
-	env.Go("op", func(p *sim.Proc) {
-		defer func() {
-			if recover() != nil {
-				panicked = true
-			}
-		}()
-		a.Exec(p, -1)
-	})
-	env.Run(sim.Forever)
-	if !panicked {
-		t.Fatal("expected panic")
-	}
-}
-
 func TestAgentStats(t *testing.T) {
 	env := sim.NewEnv()
 	a := NewAgent(env, 7, "h0", 1)
 	for i := 0; i < 2; i++ {
-		env.Go("op", func(p *sim.Proc) { a.Exec(p, 5) })
+		env.Go("op", func(p *sim.Proc) { exec(p, a, 5) })
 	}
 	env.Run(sim.Forever)
 	s := a.Stats()

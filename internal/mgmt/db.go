@@ -10,7 +10,9 @@ import (
 // interaction, or mgmtdb's write-ahead-log model when Config.Database
 // is set, where each interaction is real row commits with group-commit
 // durability. A plane builds one per shard or one that every shard
-// shares; nothing outside DB depends on which model it holds.
+// shares; nothing outside DB depends on which model it holds. An
+// operation's own database stages run as steps of its chain (chain.go);
+// RoundTrip serves the plane's two-phase traffic.
 type DB struct {
 	name string
 	pool *sim.Resource // aggregate model; nil under the WAL model
@@ -54,31 +56,6 @@ func (db *DB) WALStats() mgmtdb.Stats {
 		return mgmtdb.Stats{}
 	}
 	return db.wal.Stats()
-}
-
-// stage charges one of an operation's database interactions to task.
-// Under the aggregate model it is `seconds` of service behind the
-// connection pool; under the WAL model it is `writes` real row commits.
-// stallS is injected fault latency: folded into the aggregate service
-// time, or charged as a pre-commit delay under the WAL model (always 0
-// when faults are off, so the disabled path schedules no extra events).
-func (db *DB) stage(p *sim.Proc, task *Task, seconds float64, writes int, stallS float64) {
-	if db.wal != nil {
-		if stallS > 0 {
-			p.Sleep(stallS)
-			task.Breakdown.DB += stallS
-		}
-		if writes <= 0 {
-			return
-		}
-		wait, service := db.wal.Commit(p, writes)
-		task.Breakdown.Queue += wait
-		task.Breakdown.DB += service
-		return
-	}
-	wait, service := db.RoundTrip(p, seconds+stallS)
-	task.Breakdown.Queue += wait
-	task.Breakdown.DB += service
 }
 
 // RoundTrip charges one round-trip of the given aggregate service time,

@@ -214,6 +214,8 @@ type Manager struct {
 	lockFrames []*lockSet
 	lockPool   []*sim.Resource
 	globalRel  func()
+	chains     []*chain              // Execute's stage-chain frames
+	retiring   map[inventory.ID]bool // destroyed entities whose locks were busy (see recycleLock)
 
 	nextTaskID int64
 	sinks      []func(*Task)
@@ -430,16 +432,34 @@ func (m *Manager) lockFor(id inventory.ID) *sim.Resource {
 
 // recycleLock retires the lock of a destroyed entity. Without this the
 // lock map grows by one entry per VM ever created — a leak on any
-// long-lived manager (the reconciliation plane runs forever). The lock
-// must be idle; a waiter queued behind the destroy keeps it alive and
-// the entry is simply dropped when that waiter's operation fails.
+// long-lived manager (the reconciliation plane runs forever). A lock
+// still held, or awaited by an operation queued behind the destroy, is
+// marked instead, and retired when its last holder lets go.
 func (m *Manager) recycleLock(id inventory.ID) {
 	r, ok := m.locks[id]
-	if !ok || r.InUse() > 0 || r.QueueLen() > 0 {
+	if !ok {
+		return
+	}
+	if r.InUse() > 0 || r.QueueLen() > 0 {
+		if m.retiring == nil {
+			m.retiring = make(map[inventory.ID]bool)
+		}
+		m.retiring[id] = true
 		return
 	}
 	delete(m.locks, id)
 	m.lockPool = append(m.lockPool, r)
+}
+
+// retireIdle retires every marked lock among ids that is now idle.
+func (m *Manager) retireIdle(ids []inventory.ID) {
+	for _, id := range ids {
+		if r := m.locks[id]; m.retiring[id] && r.InUse() == 0 && r.QueueLen() == 0 {
+			delete(m.retiring, id)
+			delete(m.locks, id)
+			m.lockPool = append(m.lockPool, r)
+		}
+	}
 }
 
 // lockSet is one attempt's pooled lock-acquisition frame: the mapped
@@ -463,6 +483,9 @@ func (m *Manager) getLockFrame() *lockSet {
 	ls.release = func() {
 		for i := len(ls.held) - 1; i >= 0; i-- {
 			ls.held[i].Release(1)
+		}
+		if len(m.retiring) > 0 { // no lookup while no lock is marked
+			m.retireIdle(ls.ids)
 		}
 		ls.held = ls.held[:0]
 		ls.ids = ls.ids[:0]
@@ -514,6 +537,8 @@ type ExecSpec struct {
 // queue. Every injection point precedes the data-plane Body, so a
 // successful inventory mutation is never re-run. Without an injector
 // (or with all-zero rates) the event sequence is unchanged.
+// The control stages around the body run as kernel callbacks while p
+// parks (see chain), in the event slots p's own wakeups would take.
 func (m *Manager) Execute(p *sim.Proc, spec ExecSpec) *Task {
 	start := p.Now()
 	if spec.Req.Submit > 0 && sim.Time(spec.Req.Submit) <= start {
@@ -554,7 +579,7 @@ func (m *Manager) Execute(p *sim.Proc, spec ExecSpec) *Task {
 		task.Attempts = attempt
 		m.retry.Attempts++
 		m.kindStatsFor(spec.Req.Kind).attempts++
-		flt := m.runAttempt(p, task, spec, sample, attempt)
+		flt := m.attempt(p, task, spec, sample, attempt)
 		if flt == nil {
 			break // success, or a permanent (body) error — no retry
 		}
@@ -632,7 +657,7 @@ func (m *Manager) backoff(taskID int64, attempt int) float64 {
 	return b
 }
 
-// runAttempt executes one attempt: locks → pre-processing → host agent →
+// attempt executes one attempt: locks → pre-processing → host agent →
 // data-plane body → post-processing. It returns a non-nil *faults.Error
 // when an injected transient failure aborted the attempt; permanent body
 // errors are stored on the task directly (no retry). Locks are released
@@ -646,83 +671,50 @@ func (m *Manager) backoff(taskID int64, attempt int) float64 {
 // pays for everything up to the failure — that wasted work is the retry
 // amplification E17 measures. Post stages are past the point of no
 // return and are never injected.
-func (m *Manager) runAttempt(p *sim.Proc, task *Task, spec ExecSpec, sample ops.StageSample, attempt int) *faults.Error {
-	kind := spec.Req.Kind.String()
-
+func (m *Manager) attempt(p *sim.Proc, task *Task, spec ExecSpec, sample ops.StageSample, attempt int) *faults.Error {
 	// 2. Inventory locks.
 	wait, release := m.acquireLocks(p, spec.LockTargets)
 	m.lockWait.Observe(wait)
 	task.Breakdown.Queue += wait
 	defer release()
 
-	// 3. Manager pre-processing (validation, task creation, inventory
-	// reads) — 60% of the manager's share, before dispatch.
-	writes := m.model.Stage[spec.Req.Kind].DBWrites
-	preWrites := (writes*6 + 9) / 10
-	m.mgmtStage(p, task, sample.Mgmt*0.6)
-	dbOut := m.cfg.Faults.Decide(faults.LayerDB, kind, task.ID, attempt)
-	m.db.stage(p, task, sample.DB*0.6, preWrites, dbOut.StallS)
-	if dbOut.Fail {
-		return &faults.Error{Layer: faults.LayerDB, Op: kind, Attempt: attempt}
-	}
-
-	// 4. Host-agent execution.
-	if spec.HostID != inventory.None {
-		// The registry interns agents by host ID; the name is only needed
-		// on first sight of a host, so the common path formats nothing.
-		agent := m.agents.Agent(spec.HostID)
-		if agent == nil {
-			name := fmt.Sprintf("host:%d", spec.HostID)
-			if h := m.inv.Host(spec.HostID); h != nil {
-				name = h.Name
-			}
-			agent = m.agents.Ensure(spec.HostID, name)
-		}
-		hostOut := m.cfg.Faults.Decide(faults.LayerHost, kind, task.ID, attempt)
-		waited, served := agent.Exec(p, sample.Host+spec.ExtraHostS+hostOut.StallS)
-		task.Breakdown.Queue += waited
-		task.Breakdown.Host += served
-		if hostOut.Fail {
-			return &faults.Error{Layer: faults.LayerHost, Op: kind, Attempt: attempt}
-		}
+	// 3–4. Manager pre-processing, pre-DB and host agent (with no body,
+	// on through the post stages) as a chain of callbacks.
+	c := m.getChain()
+	defer func() {
+		c.p, c.task, c.agent, c.fault = nil, nil, nil, nil
+		m.chains = append(m.chains, c)
+	}()
+	c.p, c.task, c.kind, c.attempt, c.sample = p, task, spec.Req.Kind, attempt, sample
+	c.hostID, c.hostS, c.body = spec.HostID, sample.Host+spec.ExtraHostS, spec.Body != nil
+	c.writes = m.model.Stage[spec.Req.Kind].DBWrites
+	c.run(atMgmtPre)
+	if c.fault != nil || spec.Body == nil {
+		return c.fault
 	}
 
 	// 5. Data plane.
-	if spec.Body != nil {
-		layer := faults.LayerStorage
-		if m.network != nil && spec.Req.Kind == ops.KindMigrate {
-			layer = faults.LayerNet
-		}
-		out := m.cfg.Faults.Decide(layer, kind, task.ID, attempt)
-		if out.StallS > 0 {
-			p.Sleep(out.StallS)
-			task.Breakdown.Data += out.StallS
-		}
-		if out.Fail {
-			return &faults.Error{Layer: layer, Op: kind, Attempt: attempt}
-		}
-		d0 := p.Now()
-		task.Err = spec.Body(p)
-		task.Breakdown.Data += p.Now() - d0
+	layer := faults.LayerStorage
+	if m.network != nil && spec.Req.Kind == ops.KindMigrate {
+		layer = faults.LayerNet
 	}
+	kind := spec.Req.Kind.String()
+	out := m.cfg.Faults.Decide(layer, kind, task.ID, attempt)
+	if out.StallS > 0 {
+		p.Sleep(out.StallS)
+		task.Breakdown.Data += out.StallS
+	}
+	if out.Fail {
+		return &faults.Error{Layer: layer, Op: kind, Attempt: attempt}
+	}
+	d0 := p.Now()
+	task.Err = spec.Body(p)
+	task.Breakdown.Data += p.Now() - d0
 
 	// 6. Manager post-processing and final DB updates (task completion,
 	// inventory commit).
-	m.mgmtStage(p, task, sample.Mgmt*0.4)
-	m.db.stage(p, task, sample.DB*0.4, writes-preWrites, 0)
+	c.run(atMgmtPost)
 	return nil
-}
-
-func (m *Manager) mgmtStage(p *sim.Proc, task *Task, seconds float64) {
-	if seconds <= 0 {
-		return
-	}
-	t0 := p.Now()
-	m.threads.Acquire(p, 1)
-	task.Breakdown.Queue += p.Now() - t0
-	p.Sleep(seconds)
-	m.threads.Release(1)
-	task.Breakdown.Mgmt += seconds
 }
 
 func (m *Manager) record(t *Task) {

@@ -154,6 +154,34 @@ func TestPowerCycleAndDestroy(t *testing.T) {
 	}
 }
 
+// A destroy retires its VM's lock even when another operation is queued
+// on that lock behind it: the lock goes when its last holder lets go.
+func TestDestroyedVMLockRetiresBehindAQueuedOp(t *testing.T) {
+	f := newFixture(t, DefaultConfig())
+	var destroy, powerOn *Task
+	f.env.Go("deploy", func(p *sim.Proc) {
+		vm, task := f.mgr.DeployVM(p, "vm0", f.tpl, f.hosts[0], f.ds[0], ops.LinkedClone, ReqCtx{Org: "org"})
+		if task.Err != nil {
+			t.Errorf("deploy: %v", task.Err)
+			return
+		}
+		f.env.Go("destroy", func(p *sim.Proc) { destroy = f.mgr.Destroy(p, vm, ReqCtx{Org: "org"}) })
+		f.env.Go("powerOn", func(p *sim.Proc) {
+			if f.mgr.locks[vm.ID].InUse() != 1 {
+				t.Error("the destroy does not hold the VM's lock")
+			}
+			powerOn = f.mgr.PowerOn(p, vm, ReqCtx{Org: "org"})
+		})
+	})
+	f.env.Run(sim.Forever)
+	if destroy == nil || destroy.Err != nil || powerOn == nil || powerOn.Err == nil {
+		t.Fatalf("destroy %+v, power-on %+v: want the destroy to succeed and the power-on to fail", destroy, powerOn)
+	}
+	if n := len(f.mgr.locks); n != 0 {
+		t.Fatalf("%d locks live after both operations, want 0", n)
+	}
+}
+
 func TestSnapshotLifecycle(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
 	f.env.Go("snap", func(p *sim.Proc) {

@@ -224,33 +224,42 @@ func DefaultCostModel() *CostModel {
 	}
 }
 
-// StageSample is one drawn set of per-stage service times, in seconds.
-type StageSample struct {
-	Cell float64
-	Mgmt float64
-	DB   float64
-	Host float64
-}
+// StageSample is one drawn set of manager-side service times, in seconds.
+type StageSample struct{ Mgmt, DB, Host float64 }
 
-// Sample draws the per-stage service times for one operation of kind k.
-// It panics if the model has no entry for k.
-func (m *CostModel) Sample(s *rng.Stream, k Kind) StageSample {
+// stages draws kind k's stage times in their one fixed order (cell,
+// manager, database, host), each log-normal around its mean. It computes
+// the cell time or the other three, as cell says, and skips the rest, so
+// the stream ends where the whole draw would. It panics if the model has
+// no entry for k.
+func (m *CostModel) stages(s *rng.Stream, k Kind, cell bool) (float64, StageSample) {
 	c, ok := m.Stage[k]
 	if !ok {
 		panic(fmt.Sprintf("ops: no cost entry for %v", k))
 	}
-	draw := func(mean float64) float64 {
-		if mean <= 0 {
-			return 0
+	draw := func(mean float64, keep bool) float64 {
+		if mean > 0 && keep {
+			return s.LogNormal(mean, m.CV)
+		} else if mean > 0 {
+			s.SkipLogNormal(m.CV)
 		}
-		return s.LogNormal(mean, m.CV)
+		return 0
 	}
-	return StageSample{
-		Cell: draw(c.CellS),
-		Mgmt: draw(c.MgmtS),
-		DB:   draw(float64(c.DBWrites) * m.DBWriteS),
-		Host: draw(c.HostS),
-	}
+	t := draw(c.CellS, cell)
+	return t, StageSample{Mgmt: draw(c.MgmtS, !cell), DB: draw(float64(c.DBWrites)*m.DBWriteS, !cell), Host: draw(c.HostS, !cell)}
+}
+
+// Sample draws the manager, database and host service times for one
+// operation of kind k.
+func (m *CostModel) Sample(s *rng.Stream, k Kind) StageSample {
+	_, ss := m.stages(s, k, false)
+	return ss
+}
+
+// CellS draws the cell service time for one operation of kind k.
+func (m *CostModel) CellS(s *rng.Stream, k Kind) float64 {
+	t, _ := m.stages(s, k, true)
+	return t
 }
 
 // MigrateMemCopyS returns the host-side memory-copy seconds for a live

@@ -67,12 +67,14 @@ func TestValidateCatchesNegative(t *testing.T) {
 
 func TestSampleMeansTrackModel(t *testing.T) {
 	m := DefaultCostModel()
-	s := rng.New(7)
+	// Two streams on one seed: the director and the manager each read
+	// their own draws of the same sequence.
+	cs, s := rng.New(7), rng.New(7)
 	const n = 20000
 	var cell, host, db float64
 	for i := 0; i < n; i++ {
+		cell += m.CellS(cs, KindDeploy)
 		ss := m.Sample(s, KindDeploy)
-		cell += ss.Cell
 		host += ss.Host
 		db += ss.DB
 	}
@@ -95,8 +97,8 @@ func TestSamplePositive(t *testing.T) {
 	for _, k := range Kinds() {
 		for i := 0; i < 100; i++ {
 			ss := m.Sample(s, k)
-			if ss.Cell < 0 || ss.Mgmt < 0 || ss.DB < 0 || ss.Host < 0 {
-				t.Fatalf("negative stage sample for %v: %+v", k, ss)
+			if cell := m.CellS(s, k); cell < 0 || ss.Mgmt < 0 || ss.DB < 0 || ss.Host < 0 {
+				t.Fatalf("negative stage sample for %v: cell %v, %+v", k, cell, ss)
 			}
 		}
 	}
@@ -111,6 +113,63 @@ func TestSampleUnknownKindPanics(t *testing.T) {
 		}
 	}()
 	m.Sample(s, Kind(99))
+}
+
+// wholeDraw is the draw both Sample and CellS split: every stage's
+// log-normal, in order, the way one call drew them all before the
+// director and the manager each skipped the stages they do not read.
+func wholeDraw(m *CostModel, s *rng.Stream, k Kind) (cell, mgmt, db, host float64) {
+	c := m.Stage[k]
+	draw := func(mean float64) float64 {
+		if mean <= 0 {
+			return 0
+		}
+		return s.LogNormal(mean, m.CV)
+	}
+	cell = draw(c.CellS)
+	mgmt = draw(c.MgmtS)
+	db = draw(float64(c.DBWrites) * m.DBWriteS)
+	host = draw(c.HostS)
+	return
+}
+
+// TestSplitDrawsMatchTheWholeDraw pins the split bit for bit: Sample and
+// CellS return exactly the whole draw's values for the stages they keep,
+// and leave the stream where the whole draw leaves it, for every kind,
+// with and without variation, and with stages of zero mean.
+func TestSplitDrawsMatchTheWholeDraw(t *testing.T) {
+	zeroMgmt := DefaultCostModel()
+	c := zeroMgmt.Stage[KindPowerOn]
+	c.MgmtS, c.HostS = 0, 0
+	zeroMgmt.Stage[KindPowerOn] = c
+	for _, cv := range []float64{0.25, 0} {
+		for _, m := range []*CostModel{DefaultCostModel(), zeroMgmt} {
+			m.CV = cv
+			for _, k := range Kinds() {
+				for seed := int64(1); seed <= 20; seed++ {
+					ref, split := rng.New(seed), rng.New(seed)
+					cell, mgmt, db, host := wholeDraw(m, ref, k)
+					ss := m.Sample(split, k)
+					if math.Float64bits(ss.Mgmt) != math.Float64bits(mgmt) ||
+						math.Float64bits(ss.DB) != math.Float64bits(db) ||
+						math.Float64bits(ss.Host) != math.Float64bits(host) {
+						t.Fatalf("cv %v %v seed %d: Sample %+v, whole draw mgmt %v db %v host %v", cv, k, seed, ss, mgmt, db, host)
+					}
+					if a, b := ref.Float64(), split.Float64(); a != b {
+						t.Fatalf("cv %v %v seed %d: after Sample the stream reads %v, after the whole draw %v", cv, k, seed, b, a)
+					}
+					ref, split = rng.New(seed), rng.New(seed)
+					cell, _, _, _ = wholeDraw(m, ref, k)
+					if got := m.CellS(split, k); math.Float64bits(got) != math.Float64bits(cell) {
+						t.Fatalf("cv %v %v seed %d: CellS %v, whole draw %v", cv, k, seed, got, cell)
+					}
+					if a, b := ref.Float64(), split.Float64(); a != b {
+						t.Fatalf("cv %v %v seed %d: after CellS the stream reads %v, after the whole draw %v", cv, k, seed, b, a)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestSampleDeterministic(t *testing.T) {

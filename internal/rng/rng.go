@@ -183,6 +183,16 @@ func (s *Stream) LogNormal(mean, cv float64) float64 {
 	return math.Exp(mu + math.Sqrt(sigma2)*s.r.NormFloat64())
 }
 
+// SkipLogNormal advances the stream exactly as a valid LogNormal(mean,
+// cv) would, without the logarithms and exponential: one normal draw,
+// none when cv is 0. A caller that reads only some of a fixed sequence
+// of draws skips the rest, so every later draw stays the same.
+func (s *Stream) SkipLogNormal(cv float64) {
+	if cv != 0 {
+		s.r.NormFloat64()
+	}
+}
+
 // ftoa formats f as the %v verb would.
 func ftoa(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 

@@ -72,6 +72,19 @@ func TestLogNormalMoments(t *testing.T) {
 	}
 }
 
+func TestSkipLogNormalAdvancesLikeLogNormal(t *testing.T) {
+	for _, cv := range []float64{0.25, 0} {
+		a, b := New(3), New(3)
+		for i := 0; i < 50; i++ {
+			a.LogNormal(2, cv)
+			b.SkipLogNormal(cv)
+			if x, y := a.Float64(), b.Float64(); x != y {
+				t.Fatalf("cv %v, draw %d: %v after LogNormal, %v after SkipLogNormal", cv, i, x, y)
+			}
+		}
+	}
+}
+
 func TestLogNormalZeroCV(t *testing.T) {
 	s := New(4)
 	if v := s.LogNormal(7, 0); v != 7 {

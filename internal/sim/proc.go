@@ -7,9 +7,10 @@ import "iter"
 // Proc is a simulation process: a coroutine scheduled cooperatively by the
 // kernel. All Proc methods must be called from the process's own function.
 type Proc struct {
-	env  *Env
-	name string
-	fn   func(*Proc) // body for the current life (see startProc)
+	env    *Env
+	name   string
+	fn     func(*Proc) // body for the current life (see startProc)
+	parked bool        // suspended in Park, awaiting Env.Unpark
 
 	// next resumes the coroutine and returns when it yields; suspend is
 	// the coroutine's yield; stop ends the coroutine (see Env.Close). All
@@ -76,7 +77,9 @@ func (e *Env) wake(p *Proc) {
 		p.next, p.stop = iter.Pull(p.loop)
 		e.shells = append(e.shells, p)
 	}
+	e.active = p
 	p.next()
+	e.active = nil
 }
 
 // closedPanic is the panic value that unwinds a process parked mid-body
@@ -121,6 +124,25 @@ func (p *Proc) Sleep(d Time) {
 	checkDelay(d)
 	p.env.scheduleWake(d, p)
 	p.yield()
+}
+
+// Park suspends the process, scheduling nothing, until an event callback
+// passes it to Env.Unpark.
+func (p *Proc) Park() {
+	p.parked = true
+	p.yield()
+}
+
+// Unpark switches into p, which must be suspended in Park, and returns
+// when p blocks again. Only an event callback may call it: the callback
+// hands p the rest of its event, so p runs in that (time, sequence)
+// slot without scheduling a wakeup.
+func (e *Env) Unpark(p *Proc) {
+	if !p.parked || e.active != nil {
+		panic("sim: Unpark of a process that is not parked, or from inside a process")
+	}
+	p.parked = false
+	e.wake(p)
 }
 
 // Close ends every coroutine the Env built: a finished shell's returns

@@ -19,6 +19,12 @@
 // then only its event exists. Env.Close ends the coroutines of an Env
 // that will not run again.
 //
+// A coroutine switch costs an order of magnitude more than an event
+// callback, so stages a process would sleep and acquire through can run
+// as callbacks instead (Schedule for Sleep, Resource.AcquireThen for
+// Acquire), each in the (time, sequence) slot of the wakeup it replaces,
+// while the process waits in Proc.Park until a callback calls Env.Unpark.
+//
 // Time is measured in seconds of virtual time as a float64 (type Time).
 //
 // # Performance
@@ -195,6 +201,9 @@ type Env struct {
 
 	// shells holds every shell whose coroutine has been built, for Close.
 	shells []*Proc
+
+	// active is the process the kernel is switched into, if any.
+	active *Proc
 
 	// metrics is the optional instrumentation registry resources and
 	// model layers report into; nil (the default) disables collection at
@@ -373,7 +382,7 @@ func (e *Env) Run(until Time) Time {
 	}
 	e.running = true
 	e.stopped = false
-	defer func() { e.running = false }()
+	defer func() { e.running, e.active = false, nil }()
 	var nev int64
 	for !e.stopped {
 		ev := e.peek()
@@ -411,8 +420,9 @@ func (e *Env) Pending() int {
 }
 
 // Resource is a counted resource with FIFO admission: at most Capacity
-// units may be held at once; Acquire blocks the calling process until its
-// request can be granted in arrival order.
+// units may be held at once; Acquire blocks the calling process, and
+// AcquireThen defers its callback, until the request can be granted in
+// arrival order.
 //
 // Resource additionally keeps the time-integrals needed for utilization and
 // queue-length statistics (see Stats).
@@ -441,10 +451,11 @@ type Resource struct {
 
 type resWaiter struct {
 	p       *Proc
+	fn      func() // AcquireThen's continuation; nil for a process waiter
 	n       int
 	since   Time
 	granted bool
-	blocked bool // true once the owning process has yielded
+	blocked bool // true once the request has queued
 }
 
 // NewResource creates a resource with the given capacity (units > 0).
@@ -458,7 +469,7 @@ func NewResource(env *Env, name string, capacity int) *Resource {
 // InUse returns the number of units currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen returns the number of processes waiting to acquire.
+// QueueLen returns the number of requests waiting to be granted.
 func (r *Resource) QueueLen() int { return len(r.waiters) - r.wHead }
 
 func (r *Resource) account() {
@@ -471,7 +482,7 @@ func (r *Resource) account() {
 }
 
 // newWaiter takes a waiter record from the free list or allocates one.
-func (r *Resource) newWaiter(p *Proc, n int) *resWaiter {
+func (r *Resource) newWaiter(p *Proc, fn func(), n int) *resWaiter {
 	var w *resWaiter
 	if k := len(r.freeW); k > 0 {
 		w = r.freeW[k-1]
@@ -480,33 +491,47 @@ func (r *Resource) newWaiter(p *Proc, n int) *resWaiter {
 	} else {
 		w = &resWaiter{}
 	}
-	*w = resWaiter{p: p, n: n, since: r.env.now}
+	*w = resWaiter{p: p, fn: fn, n: n, since: r.env.now}
 	return w
 }
 
-// Acquire blocks p until n units are available and this request is at the
-// head of the FIFO queue. n must be in [1, capacity].
-func (r *Resource) Acquire(p *Proc, n int) {
+// acquire queues a request for n units (n in [1, capacity]) that resumes
+// p or calls fn when granted, and reports whether it was granted at once.
+func (r *Resource) acquire(p *Proc, fn func(), n int) bool {
 	if n <= 0 || n > r.capacity {
 		panic(fmt.Sprintf("sim: acquire %d of %q (capacity %d)", n, r.name, r.capacity))
 	}
 	r.account()
-	w := r.newWaiter(p, n)
+	w := r.newWaiter(p, fn, n)
 	r.waiters = append(r.waiters, w)
 	if q := r.QueueLen(); q > r.maxQueue {
 		r.maxQueue = q
 	}
 	r.dispatch()
-	if !w.granted {
-		w.blocked = true
+	if w.granted {
+		r.freeW = append(r.freeW, w) // the grant removed w from the queue
+		return true
+	}
+	w.blocked = true
+	return false
+}
+
+// Acquire blocks p until n units are available and this request is at the
+// head of the FIFO queue. n must be in [1, capacity].
+func (r *Resource) Acquire(p *Proc, n int) {
+	if !r.acquire(p, nil, n) {
 		p.yield()
 	}
-	if !w.granted {
-		panic("sim: resumed without grant") // kernel invariant
+}
+
+// AcquireThen is Acquire for code that runs as event callbacks: it
+// requests n units and calls fn once they are granted, inline when at
+// once (as a process continues inline after Acquire), otherwise from an
+// event in the (time, sequence) slot a blocked process's wakeup takes.
+func (r *Resource) AcquireThen(n int, fn func()) {
+	if r.acquire(nil, fn, n) {
+		fn()
 	}
-	// The grant removed w from the queue; no one else references it.
-	w.p = nil
-	r.freeW = append(r.freeW, w)
 }
 
 // Release returns n units to the resource and wakes eligible waiters.
@@ -540,12 +565,14 @@ func (r *Resource) dispatch() {
 		r.grants++
 		r.waitTotal += r.env.now - w.since
 		if w.blocked {
-			// The process has yielded: resume it via a fresh event so
-			// wakeups stay in deterministic FIFO order.
-			r.env.scheduleWake(0, w.p)
+			// The process has yielded, or the callback is queued: resume
+			// it via a fresh event so wakeups stay in deterministic FIFO
+			// order. Nothing else holds w.
+			r.env.newEvent(r.env.now, w.fn, w.p)
+			r.freeW = append(r.freeW, w)
 		}
-		// Otherwise the acquiring process is still running inside
-		// Acquire; it sees granted==true and continues inline.
+		// Otherwise the acquirer is still inside acquire; it sees
+		// granted==true and continues inline.
 	}
 }
 
