@@ -11,7 +11,8 @@ type churn struct {
 	hosts  []*Host
 	dss    []*Datastore
 	vms    []*VM
-	groups int // placement groups SetHostGroup moves hosts between
+	gone   []*VM // VMs RemoveVM deleted
+	groups int   // placement groups SetHostGroup moves hosts between
 }
 
 // newChurn builds one cluster of hosts (cpuMHz, memMB each) and
@@ -56,6 +57,7 @@ func (c *churn) apply(op, x, y int) {
 		if vm != nil && inv.RemoveVM(vm) == nil {
 			i := x % len(c.vms)
 			c.vms = append(c.vms[:i], c.vms[i+1:]...)
+			c.gone = append(c.gone, vm)
 		}
 	case 5:
 		if vm != nil && vm.State == VMPoweredOn {
@@ -76,7 +78,7 @@ func (c *churn) apply(op, x, y int) {
 	case 9:
 		if y%2 == 0 {
 			inv.Reserve(d.ID, float64(y%50))
-		} else if r := inv.reserved[d.ID]; r > 0 {
+		} else if r := d.reservedGB; r > 0 {
 			inv.Reserve(d.ID, -r)
 		}
 	case 10:
@@ -152,7 +154,8 @@ func referenceBestHostInGroup(inv *Inventory, group, memMB int) *Host {
 
 // FuzzInventoryIndexes decodes the input into interleavings of churn's
 // mutations with the four indexed queries, and compares every answer
-// with its linear reference scan, ending with CheckInvariants.
+// with its linear reference scan, ending with CheckInvariants and with
+// every VM's lookup: removed ones resolve to nil, live ones to themselves.
 func FuzzInventoryIndexes(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 3, 1, 7, 1, 0, 14, 0, 0, 15, 2, 5, 16, 1, 3, 17, 4, 9})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 11, 0, 1, 9, 0, 40, 7, 0, 0, 16, 0, 8, 17, 1, 2, 14, 2, 2})
@@ -190,6 +193,16 @@ func FuzzInventoryIndexes(f *testing.F) {
 		}
 		if err := inv.CheckInvariants(); err != nil {
 			t.Fatal(err)
+		}
+		for _, vm := range c.gone {
+			if inv.VM(vm.ID) != nil || inv.Get(vm.ID) != nil {
+				t.Fatalf("removed VM %d still resolves", vm.ID)
+			}
+		}
+		for _, vm := range c.vms {
+			if inv.VM(vm.ID) != vm || inv.Get(vm.ID) != vm {
+				t.Fatalf("live VM %d does not resolve to itself", vm.ID)
+			}
 		}
 	})
 }

@@ -10,7 +10,6 @@ package inventory
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 )
 
@@ -119,6 +118,7 @@ type Host struct {
 	// engine restarts them elsewhere (package ha).
 	Failed bool
 	stale  bool // queued in Inventory.stale for rekeying
+	group  int  // 1 + placement group (see SetHostGroup); 0 = never grouped
 }
 
 // InService reports whether the host can accept placements.
@@ -138,7 +138,8 @@ type Datastore struct {
 	UsedGB        float64
 	BandwidthMBps float64 // aggregate copy bandwidth
 	VMs           []ID
-	stale         bool // queued in Inventory.stale for rekeying
+	reservedGB    float64 // in-flight reservation (see Reserve)
+	stale         bool    // queued in Inventory.stale for rekeying
 }
 
 // FreeGB returns remaining datastore capacity.
@@ -199,7 +200,7 @@ type VApp struct {
 // Inventory is the registry of all entities in one simulated installation.
 type Inventory struct {
 	nextID     ID
-	entities   map[ID]any
+	entities   entityTable
 	hosts      []ID
 	datastores []ID
 	vms        []ID
@@ -220,22 +221,18 @@ type Inventory struct {
 	// so placement is O(1) per query with winners identical to a linear
 	// scan (see capHeap). groupIdx adds per-group host heaps once
 	// SetHostGroup partitions hosts (the sharded plane's shard affinity).
-	hostIdx   *capHeap
-	dsIdx     *capHeap
-	stale     []any          // *Host and *Datastore awaiting rekey
-	reserved  map[ID]float64 // datastore → in-flight reservation, GB
-	hostGroup map[ID]int     // host → placement group (shard)
-	groupIdx  map[int]*capHeap
+	hostIdx  *capHeap
+	dsIdx    *capHeap
+	stale    []any      // *Host and *Datastore awaiting rekey
+	groupIdx []*capHeap // indexed by placement group
 }
 
 // New returns an empty inventory.
 func New() *Inventory {
 	return &Inventory{
-		nextID:   1,
-		entities: make(map[ID]any),
-		hostIdx:  newCapHeap(),
-		dsIdx:    newCapHeap(),
-		reserved: make(map[ID]float64),
+		nextID:  1,
+		hostIdx: newCapHeap(),
+		dsIdx:   newCapHeap(),
 	}
 }
 
@@ -272,22 +269,21 @@ func (inv *Inventory) rekeyQueued() {
 		switch e := e.(type) {
 		case *Host:
 			e.stale = false
-			g, grouped := inv.hostGroup[e.ID]
 			if e.InService() {
 				key := float64(e.FreeMemMB())
 				inv.hostIdx.Set(e.ID, key)
-				if grouped {
-					inv.groupIdx[g].Set(e.ID, key)
+				if e.group > 0 {
+					inv.groupIdx[e.group-1].Set(e.ID, key)
 				}
 				continue
 			}
 			inv.hostIdx.Remove(e.ID)
-			if grouped {
-				inv.groupIdx[g].Remove(e.ID)
+			if e.group > 0 {
+				inv.groupIdx[e.group-1].Remove(e.ID)
 			}
 		case *Datastore:
 			e.stale = false
-			inv.dsIdx.Set(e.ID, e.FreeGB()-inv.reserved[e.ID])
+			inv.dsIdx.Set(e.ID, e.FreeGB()-e.reservedGB)
 		}
 	}
 	inv.stale = inv.stale[:0]
@@ -302,14 +298,14 @@ func (inv *Inventory) allocate() ID {
 // AddDatacenter creates a root datacenter.
 func (inv *Inventory) AddDatacenter(name string) *Datacenter {
 	dc := &Datacenter{Entity: Entity{ID: inv.allocate(), Name: name, Kind: KindDatacenter}}
-	inv.entities[dc.ID] = dc
+	inv.entities.put(dc.ID, dc)
 	return dc
 }
 
 // AddCluster creates a cluster inside dc.
 func (inv *Inventory) AddCluster(dc *Datacenter, name string) *Cluster {
 	c := &Cluster{Entity: Entity{ID: inv.allocate(), Name: name, Kind: KindCluster}}
-	inv.entities[c.ID] = c
+	inv.entities.put(c.ID, c)
 	dc.Clusters = append(dc.Clusters, c.ID)
 	return c
 }
@@ -323,7 +319,7 @@ func (inv *Inventory) AddHost(c *Cluster, name string, cpuMHz, memMB int) *Host 
 		Entity: Entity{ID: inv.allocate(), Name: name, Kind: KindHost},
 		CPUMHz: cpuMHz, MemMB: memMB,
 	}
-	inv.entities[h.ID] = h
+	inv.entities.put(h.ID, h)
 	inv.hosts = append(inv.hosts, h.ID)
 	c.Hosts = append(c.Hosts, h.ID)
 	inv.rekeyHost(h)
@@ -339,7 +335,7 @@ func (inv *Inventory) AddDatastore(dc *Datacenter, name string, capacityGB, band
 		Entity:     Entity{ID: inv.allocate(), Name: name, Kind: KindDatastore},
 		CapacityGB: capacityGB, BandwidthMBps: bandwidthMBps,
 	}
-	inv.entities[d.ID] = d
+	inv.entities.put(d.ID, d)
 	inv.datastores = append(inv.datastores, d.ID)
 	dc.Datastores = append(dc.Datastores, d.ID)
 	inv.rekeyDatastore(d)
@@ -355,7 +351,7 @@ func (inv *Inventory) AddTemplate(ds *Datastore, name string, diskGB float64, me
 		Entity: Entity{ID: inv.allocate(), Name: name, Kind: KindTemplate},
 		DiskGB: diskGB, MemMB: memMB, CPUs: cpus, DatastoreID: ds.ID,
 	}
-	inv.entities[t.ID] = t
+	inv.entities.put(t.ID, t)
 	inv.templates = append(inv.templates, t.ID)
 	ds.UsedGB += diskGB
 	inv.rekeyDatastore(ds)
@@ -369,17 +365,15 @@ func (inv *Inventory) AddVApp(name, org string) *VApp {
 		OrgName: org,
 		slot:    len(inv.vapps),
 	}
-	inv.entities[v.ID] = v
+	inv.entities.put(v.ID, v)
 	inv.vapps = append(inv.vapps, v.ID)
 	return v
 }
 
-// Grow makes room for vms more VMs, so that registering them neither
-// rehashes the entity map nor re-copies the VM list as it fills.
+// Grow makes room for vms more VMs, so that registering them re-copies
+// neither the entity table's page directory nor the VM list as they fill.
 func (inv *Inventory) Grow(vms int) {
-	entities := make(map[ID]any, len(inv.entities)+vms)
-	maps.Copy(entities, inv.entities)
-	inv.entities = entities
+	inv.entities.grow(inv.nextID + ID(vms))
 	inv.vms = slices.Grow(inv.vms, vms)
 }
 
@@ -403,7 +397,7 @@ func (inv *Inventory) AddVM(name string, host *Host, ds *Datastore, cpus, memMB 
 		HostID: host.ID, DatastoreID: ds.ID,
 		slot: len(inv.vms),
 	}
-	inv.entities[vm.ID] = vm
+	inv.entities.put(vm.ID, vm)
 	inv.vms = append(inv.vms, vm.ID)
 	host.VMs = append(host.VMs, vm.ID)
 	host.UsedMemMB += memMB
@@ -434,7 +428,7 @@ func (inv *Inventory) RemoveVM(vm *VM) error {
 		va.VMs = removeID(va.VMs, vm.ID)
 	}
 	vm.State = VMDeleted
-	delete(inv.entities, vm.ID)
+	inv.entities.remove(vm.ID, inv.nextID)
 	inv.vms[vm.slot] = None
 	inv.vmHoles++
 	inv.rekeyHost(host)
@@ -451,7 +445,7 @@ func (inv *Inventory) RemoveVApp(va *VApp) error {
 	if va.slot < 0 {
 		return nil
 	}
-	delete(inv.entities, va.ID)
+	inv.entities.remove(va.ID, inv.nextID)
 	inv.vapps[va.slot] = None
 	va.slot = -1
 	inv.vappHoles++
@@ -604,22 +598,25 @@ func removeID(ids []ID, id ID) []ID {
 }
 
 // Get returns the entity with the given ID, or nil.
-func (inv *Inventory) Get(id ID) any { return inv.entities[id] }
+func (inv *Inventory) Get(id ID) any { return inv.entities.get(id) }
 
 // Host returns the host with id, or nil.
-func (inv *Inventory) Host(id ID) *Host { h, _ := inv.entities[id].(*Host); return h }
+func (inv *Inventory) Host(id ID) *Host { h, _ := inv.entities.get(id).(*Host); return h }
 
 // Datastore returns the datastore with id, or nil.
-func (inv *Inventory) Datastore(id ID) *Datastore { d, _ := inv.entities[id].(*Datastore); return d }
+func (inv *Inventory) Datastore(id ID) *Datastore {
+	d, _ := inv.entities.get(id).(*Datastore)
+	return d
+}
 
 // Template returns the template with id, or nil.
-func (inv *Inventory) Template(id ID) *Template { t, _ := inv.entities[id].(*Template); return t }
+func (inv *Inventory) Template(id ID) *Template { t, _ := inv.entities.get(id).(*Template); return t }
 
 // VM returns the VM with id, or nil.
-func (inv *Inventory) VM(id ID) *VM { v, _ := inv.entities[id].(*VM); return v }
+func (inv *Inventory) VM(id ID) *VM { v, _ := inv.entities.get(id).(*VM); return v }
 
 // VApp returns the vApp with id, or nil.
-func (inv *Inventory) VApp(id ID) *VApp { v, _ := inv.entities[id].(*VApp); return v }
+func (inv *Inventory) VApp(id ID) *VApp { v, _ := inv.entities.get(id).(*VApp); return v }
 
 // Hosts returns all host IDs in creation order.
 func (inv *Inventory) Hosts() []ID { return inv.hosts }
@@ -722,8 +719,10 @@ func (inv *Inventory) BestHostExcluding(exclude ID, memMB, cpuMHz int) *Host {
 // and whether it was ever grouped. Policy implementations that scan
 // hosts linearly use it to honor the sharded plane's host partition.
 func (inv *Inventory) HostGroup(id ID) (int, bool) {
-	g, ok := inv.hostGroup[id]
-	return g, ok
+	if h := inv.Host(id); h != nil && h.group > 0 {
+		return h.group - 1, true
+	}
+	return 0, false
 }
 
 // BestHostInGroup is BestHost restricted to one placement group (the
@@ -731,11 +730,10 @@ func (inv *Inventory) HostGroup(id ID) (int, bool) {
 // empty, has no fitting host, or no groups were ever assigned.
 func (inv *Inventory) BestHostInGroup(group, memMB int) *Host {
 	inv.rekeyStale()
-	h := inv.groupIdx[group]
-	if h == nil {
+	if group < 0 || group >= len(inv.groupIdx) || inv.groupIdx[group] == nil {
 		return nil
 	}
-	id, key, ok := h.Max()
+	id, key, ok := inv.groupIdx[group].Max()
 	if !ok || key < float64(memMB) {
 		return nil
 	}
@@ -745,25 +743,25 @@ func (inv *Inventory) BestHostInGroup(group, memMB int) *Host {
 // SetHostGroup assigns host id to a placement group, maintaining the
 // per-group free-memory index. The sharded plane calls this with its
 // host→shard partition; regrouping moves the host between group heaps.
+// group must not be negative.
 func (inv *Inventory) SetHostGroup(id ID, group int) {
 	h := inv.Host(id)
-	if h == nil {
-		panic(fmt.Sprintf("inventory: SetHostGroup of non-host %d", id))
+	if h == nil || group < 0 {
+		panic(fmt.Sprintf("inventory: SetHostGroup(%d, %d) needs a host and a group ≥ 0", id, group))
 	}
-	if old, ok := inv.hostGroup[id]; ok {
-		if old == group {
-			return
-		}
-		inv.groupIdx[old].Remove(id)
+	if h.group == group+1 {
+		return
 	}
-	if inv.groupIdx == nil {
-		inv.hostGroup = make(map[ID]int)
-		inv.groupIdx = make(map[int]*capHeap)
+	if h.group > 0 {
+		inv.groupIdx[h.group-1].Remove(id)
 	}
-	inv.hostGroup[id] = group
+	for len(inv.groupIdx) <= group {
+		inv.groupIdx = append(inv.groupIdx, nil)
+	}
 	if inv.groupIdx[group] == nil {
 		inv.groupIdx[group] = newCapHeap()
 	}
+	h.group = group + 1
 	inv.rekeyHost(h)
 }
 
@@ -789,14 +787,14 @@ func (inv *Inventory) Reserve(id ID, deltaGB float64) {
 	if d == nil {
 		panic(fmt.Sprintf("inventory: Reserve on non-datastore %d", id))
 	}
-	inv.reserved[id] += deltaGB
+	d.reservedGB += deltaGB
 	inv.rekeyDatastore(d)
 }
 
 // EffectiveFreeGB is d's free space net of in-flight reservations — the
 // quantity placement compares.
 func (inv *Inventory) EffectiveFreeGB(d *Datastore) float64 {
-	return d.FreeGB() - inv.reserved[d.ID]
+	return d.FreeGB() - d.reservedGB
 }
 
 // SetHostMaintenance fences (or unfences) h for placement, keeping the
@@ -929,13 +927,11 @@ func (inv *Inventory) checkIndexes() error {
 	if err := inv.dsIdx.check(); err != nil {
 		return fmt.Errorf("datastore index: %w", err)
 	}
-	groups := make([]int, 0, len(inv.groupIdx))
-	for g := range inv.groupIdx {
-		groups = append(groups, g)
-	}
-	slices.Sort(groups)
-	for _, g := range groups {
-		if err := inv.groupIdx[g].check(); err != nil {
+	for g, h := range inv.groupIdx {
+		if h == nil {
+			continue
+		}
+		if err := h.check(); err != nil {
 			return fmt.Errorf("group %d index: %w", g, err)
 		}
 	}
@@ -954,8 +950,8 @@ func (inv *Inventory) checkIndexes() error {
 		} else if ok {
 			return fmt.Errorf("host %s out of service but still indexed", h.Name)
 		}
-		if g, grouped := inv.hostGroup[hid]; grouped {
-			gkey, gok := inv.groupIdx[g].Key(hid)
+		if h.group > 0 {
+			gkey, gok := inv.groupIdx[h.group-1].Key(hid)
 			if gok != h.InService() {
 				return fmt.Errorf("host %s group index membership %v != in-service %v", h.Name, gok, h.InService())
 			}
@@ -973,7 +969,7 @@ func (inv *Inventory) checkIndexes() error {
 		if !ok {
 			return fmt.Errorf("datastore %s not indexed", d.Name)
 		}
-		if want := d.FreeGB() - inv.reserved[did]; key != want {
+		if want := d.FreeGB() - d.reservedGB; key != want {
 			return fmt.Errorf("datastore %s index key %v != effective free %v", d.Name, key, want)
 		}
 	}

@@ -24,8 +24,8 @@ func build(t *testing.T) (*Inventory, *Cluster, []*Host, []*Datastore, *Template
 func TestBuildAndCounts(t *testing.T) {
 	inv, _, _, _, _ := build(t)
 	var dcs []*Datacenter
-	for _, e := range inv.entities {
-		if dc, ok := e.(*Datacenter); ok {
+	for id := None; id < inv.nextID; id++ {
+		if dc, ok := inv.Get(id).(*Datacenter); ok {
 			dcs = append(dcs, dc)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 
 	"cloudmcp/internal/hostsim"
 	"cloudmcp/internal/inventory"
+	"cloudmcp/internal/metrics"
 	"cloudmcp/internal/mgmtdb"
 	"cloudmcp/internal/netsim"
 	"cloudmcp/internal/ops"
@@ -38,6 +39,9 @@ func newFixture(t *testing.T, cfg Config) *fixture {
 	}
 	var network *netsim.Network
 	if cfg.Network != nil {
+		// The link registers its probes at construction; tests read the
+		// net layer through them.
+		fx.Env.SetMetrics(metrics.NewRegistry())
 		if network, err = netsim.New(fx.Env, *cfg.Network); err != nil {
 			t.Fatal(err)
 		}
@@ -622,8 +626,21 @@ func TestMigrationNetworkContention(t *testing.T) {
 			t.Fatalf("host = %v, mem copy double-charged", task.Breakdown.Host)
 		}
 	}
-	if st := f.mgr.network.Stats(); st.Transfers != 2 || st.BytesMB != 4096 {
-		t.Fatalf("network stats = %+v", st)
+	snap := f.env.Metrics().Snapshot(f.env.Now())
+	var grants int64 = -1
+	for _, r := range snap.Resources {
+		if r.Layer == "net" && r.Resource == "vmotion" {
+			grants = r.Grants
+		}
+	}
+	bytesMB := -1.0
+	for _, s := range snap.Scalars {
+		if s.Layer == "net" && s.Resource == "vmotion" && s.Metric == "bytes_mb" {
+			bytesMB = s.Value
+		}
+	}
+	if grants != 2 || bytesMB != 4096 {
+		t.Fatalf("net layer: %d vmotion transfers, %v MB; want 2 and 4096", grants, bytesMB)
 	}
 }
 

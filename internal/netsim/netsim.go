@@ -45,6 +45,3 @@ func (n *Network) MigrateMemory(p *sim.Proc, memMB int) {
 	}
 	n.link.Copy(p, float64(memMB))
 }
-
-// Stats returns link statistics.
-func (n *Network) Stats() bw.EngineStats { return n.link.Stats() }

@@ -22,7 +22,7 @@ func TestMigrateMemoryDuration(t *testing.T) {
 	if math.Abs(float64(end)-2) > 1e-9 {
 		t.Fatalf("end = %v, want 2", end)
 	}
-	if s := n.Stats(); s.Transfers != 1 || s.BytesMB != 2048 {
+	if s := n.link.Stats(); s.Transfers != 1 || s.BytesMB != 2048 {
 		t.Fatalf("stats = %+v", s)
 	}
 }
@@ -62,7 +62,7 @@ func TestThreeWayContentionOnOneLink(t *testing.T) {
 			t.Fatalf("migration %d ended at %v, want 3 (fair three-way share)", i, e)
 		}
 	}
-	if s := n.Stats(); s.Transfers != 3 || math.Abs(s.BytesMB-3750) > 1e-6 {
+	if s := n.link.Stats(); s.Transfers != 3 || math.Abs(s.BytesMB-3750) > 1e-6 {
 		t.Fatalf("stats = %+v", s)
 	}
 }
@@ -92,7 +92,7 @@ func TestBandwidthRedividedWhenTransferCompletes(t *testing.T) {
 	if math.Abs(float64(bigEnd)-3) > 1e-6 {
 		t.Fatalf("big migration ended at %v, want 3 (full link after re-division)", bigEnd)
 	}
-	if s := n.Stats(); math.Abs(s.MeanActive-(5.0/3.0)) > 1e-6 {
+	if s := n.link.Stats(); math.Abs(s.MeanActive-(5.0/3.0)) > 1e-6 {
 		// ∫active dt = 2·2s + 1·1s = 5 transfer-seconds over 3 s.
 		t.Fatalf("mean active = %v, want 5/3", s.MeanActive)
 	}

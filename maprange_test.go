@@ -23,13 +23,12 @@ import (
 // for a function's later map ranges; a key that names no site fails the
 // test, so the list cannot outlive its entries.
 var mapRangeAllowlist = map[string]string{
-	"analysis/analysis.go:OpMix":                    "collects the kinds ops.Kinds leaves out, then sorts them",
-	"analysis/analysis.go:PerOrg":                   "builds the rows that sort.Slice then orders by ops and org",
-	"api/server.go:Server.sweepLocked":              "deletes expired sessions; nothing it returns or writes depends on the order",
-	"core/configfile.go:ConfigFile.Apply":           "collects the cost-override names, then sorts them",
-	"faults/faults.go:Layer.validate":               "collects the per-kind names, then sorts them",
-	"inventory/inventory.go:Inventory.checkIndexes": "collects the group IDs, then sorts them",
-	"policy/policy.go:Names":                        "collects the set names, then sorts them",
+	"analysis/analysis.go:OpMix":          "collects the kinds ops.Kinds leaves out, then sorts them",
+	"analysis/analysis.go:PerOrg":         "builds the rows that sort.Slice then orders by ops and org",
+	"api/server.go:Server.sweepLocked":    "deletes expired sessions; nothing it returns or writes depends on the order",
+	"core/configfile.go:ConfigFile.Apply": "collects the cost-override names, then sorts them",
+	"faults/faults.go:Layer.validate":     "collects the per-kind names, then sorts them",
+	"policy/policy.go:Names":              "collects the set names, then sorts them",
 }
 
 // TestNoNewMapRanges type-checks every package under internal/ from
