@@ -284,3 +284,29 @@ func TestConcurrencySeriesEmpty(t *testing.T) {
 		t.Fatalf("series = %v", s)
 	}
 }
+
+// TestCharacterizationReadersLeaveRecordsUnchanged guards the contract
+// a suite run relies on: E1..E3 read one shared trace per profile, so
+// none of the functions they call may reorder or rewrite it. The
+// records are out of submit order, so an in-place sort would show.
+func TestCharacterizationReadersLeaveRecordsUnchanged(t *testing.T) {
+	recs := append(mkRecords(),
+		trace.Record{Kind: "deploy", Submit: 900, End: 950},
+		trace.Record{Kind: "powerOn", Submit: 30, End: 31},
+		trace.Record{Kind: "deploy", Submit: 12, End: 40})
+	want := slices.Clone(recs)
+	for _, r := range []struct {
+		name string
+		read func()
+	}{
+		{"OpMix", func() { OpMix(recs) }},
+		{"RateSeries.Bins", func() { RateSeries(recs, 60, "").Bins() }},
+		{"MeasureBurstiness", func() { MeasureBurstiness(recs, 60, "") }},
+		{"Interarrivals", func() { Interarrivals(recs, "deploy") }},
+	} {
+		r.read()
+		if !slices.Equal(recs, want) {
+			t.Fatalf("%s modified its records", r.name)
+		}
+	}
+}

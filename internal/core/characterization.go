@@ -21,19 +21,20 @@ func profiles() []workload.Profile {
 	return []workload.Profile{workload.CloudA(), workload.CloudB(), workload.ClassicDC()}
 }
 
-// runProfileTrace runs one profile on a fresh default cloud and returns
-// the trace.
-func runProfileTrace(seed int64, pr workload.Profile, horizon float64) ([]trace.Record, workload.Stats, error) {
-	c, err := New(DefaultConfig(seed))
-	if err != nil {
-		return nil, workload.Stats{}, err
-	}
-	defer c.Close()
-	st, err := c.RunProfile(pr, horizon)
-	if err != nil {
-		return nil, workload.Stats{}, err
-	}
-	return c.Records(), st, nil
+// profileTrace runs profile pr for p.HorizonS on a fresh default cloud
+// and returns the trace, which a suite run shares, so it is read-only.
+func (p Params) profileTrace(pr workload.Profile) ([]trace.Record, error) {
+	return share(p, fmt.Sprint(pr.Name, "@", p.HorizonS), func() ([]trace.Record, error) {
+		c, err := New(DefaultConfig(p.Seed))
+		if err != nil {
+			return nil, err
+		}
+		defer c.Close()
+		if _, err := c.RunProfile(pr, p.HorizonS); err != nil {
+			return nil, err
+		}
+		return c.Records(), nil
+	})
 }
 
 // ---------------------------------------------------------------------
@@ -52,7 +53,7 @@ type E1Result struct {
 func RunE1(p Params) (*E1Result, error) {
 	res := &E1Result{Horizon: p.HorizonS, Mix: map[string][]analysis.MixRow{}, Total: map[string]int{}}
 	for _, pr := range profiles() {
-		recs, _, err := runProfileTrace(p.Seed, pr, p.HorizonS)
+		recs, err := p.profileTrace(pr)
 		if err != nil {
 			return nil, fmt.Errorf("E1 %s: %w", pr.Name, err)
 		}
@@ -124,7 +125,7 @@ type E2Result struct{ Profiles []E2Profile }
 func RunE2(p Params) (*E2Result, error) {
 	res := &E2Result{}
 	for _, pr := range profiles() {
-		recs, _, err := runProfileTrace(p.Seed, pr, p.HorizonS)
+		recs, err := p.profileTrace(pr)
 		if err != nil {
 			return nil, fmt.Errorf("E2 %s: %w", pr.Name, err)
 		}
@@ -181,7 +182,7 @@ type E3Result struct{ Profiles []E3Profile }
 func RunE3(p Params) (*E3Result, error) {
 	res := &E3Result{}
 	for _, pr := range profiles() {
-		recs, _, err := runProfileTrace(p.Seed, pr, p.HorizonS)
+		recs, err := p.profileTrace(pr)
 		if err != nil {
 			return nil, fmt.Errorf("E3 %s: %w", pr.Name, err)
 		}

@@ -123,23 +123,15 @@ type E9Result struct{ Points []E9Point }
 func RunE9(p Params) (*E9Result, error) { return e7e9.e9(p) }
 
 func (d loadSweep) e9(p Params) (*E9Result, error) {
-	load, opts := p.sweep()
-	points, err := RunGrid(d.grid(), load, opts,
-		func(pt GridRow) (E9Point, error) {
-			rate := d.rates[pt.Levels[0]]
-			c, err := openLoopCloud(pt.Config, rate, p.HorizonS, 600)
-			if err != nil {
-				return E9Point{}, err
-			}
-			defer c.Close()
-			rr := c.Manager().Resources()
-			done := analysis.Throughput(c.Records(), "", 0, p.HorizonS) * Hour
-			return E9Point{RatePerHour: rate, DonePerHour: done, Admission: rr.Admission, Threads: rr.Threads, DB: c.Manager().DB().Stats()}, nil
-		})
+	points, err := d.run(p)
 	if err != nil {
 		return nil, err
 	}
-	return &E9Result{Points: points}, nil
+	res := &E9Result{}
+	for _, pt := range points {
+		res.Points = append(res.Points, pt.e9)
+	}
+	return res, nil
 }
 
 // Render writes the queueing table.

@@ -354,6 +354,37 @@ func (d loadSweep) grid() Grid {
 	}
 }
 
+// loadPoint is one rate's E7 and E9 readings of the same cloud.
+type loadPoint struct {
+	e7 E7Point
+	e9 E9Point
+}
+
+// run simulates each rate once and reads both experiments' point from
+// its cloud; inside a suite run E7 and E9 share the result.
+func (d loadSweep) run(p Params) ([]loadPoint, error) {
+	return share(p, fmt.Sprint("load", d.rates, "@", p.HorizonS), func() ([]loadPoint, error) {
+		load, opts := p.sweep()
+		return RunGrid(d.grid(), load, opts, func(pt GridRow) (loadPoint, error) {
+			rate := d.rates[pt.Levels[0]]
+			c, err := openLoopCloud(pt.Config, rate, p.HorizonS, 600)
+			if err != nil {
+				return loadPoint{}, err
+			}
+			defer c.Close()
+			recs := c.Records()
+			deploys := analysis.FilterOK(analysis.FilterKind(recs, ops.KindDeploy.String()))
+			bd, _ := analysis.MeanBreakdown(deploys, "")
+			rr := c.Manager().Resources()
+			return loadPoint{
+				e7: E7Point{RatePerHour: rate, Completed: len(deploys), MeanLatS: analysis.LatencySample(deploys, "").Mean(), Breakdown: bd},
+				e9: E9Point{RatePerHour: rate, DonePerHour: analysis.Throughput(recs, "", 0, p.HorizonS) * Hour,
+					Admission: rr.Admission, Threads: rr.Threads, DB: c.Manager().DB().Stats()},
+			}, nil
+		})
+	})
+}
+
 // ---------------------------------------------------------------------
 // E7 — deploy latency breakdown across layers as offered load rises
 // (paper figure: where the time goes once the data plane is out of the
@@ -377,23 +408,15 @@ type E7Result struct{ Points []E7Point }
 func RunE7(p Params) (*E7Result, error) { return e7e9.e7(p) }
 
 func (d loadSweep) e7(p Params) (*E7Result, error) {
-	load, opts := p.sweep()
-	points, err := RunGrid(d.grid(), load, opts,
-		func(pt GridRow) (E7Point, error) {
-			rate := d.rates[pt.Levels[0]]
-			c, err := openLoopCloud(pt.Config, rate, p.HorizonS, 600)
-			if err != nil {
-				return E7Point{}, err
-			}
-			defer c.Close()
-			deploys := analysis.FilterOK(analysis.FilterKind(c.Records(), ops.KindDeploy.String()))
-			bd, _ := analysis.MeanBreakdown(deploys, "")
-			return E7Point{RatePerHour: rate, Completed: len(deploys), MeanLatS: analysis.LatencySample(deploys, "").Mean(), Breakdown: bd}, nil
-		})
+	points, err := d.run(p)
 	if err != nil {
 		return nil, err
 	}
-	return &E7Result{Points: points}, nil
+	res := &E7Result{}
+	for _, pt := range points {
+		res.Points = append(res.Points, pt.e7)
+	}
+	return res, nil
 }
 
 // Render writes the breakdown-vs-load table.

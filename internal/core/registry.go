@@ -7,6 +7,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"cloudmcp/internal/sweep"
@@ -21,6 +22,19 @@ type Params struct {
 	Seed     int64
 	HorizonS float64
 	Workers  int
+	runs     *sync.Map // RunAllWith's simulations shared by key (see share); nil shares none
+}
+
+// share returns run's result, computed once per key in p.runs on the
+// first requester's goroutine; later ones wait and read the same value
+// and error. A key names all that determines a run but the table's seed.
+func share[T any](p Params, key string, run func() (T, error)) (T, error) {
+	if p.runs == nil {
+		return run()
+	}
+	once, _ := p.runs.LoadOrStore(key, sync.OnceValues(func() (any, error) { return run() }))
+	v, err := once.(func() (any, error))()
+	return v.(T), err
 }
 
 // sweep returns what an experiment's sweep runs on: the loader over
@@ -53,7 +67,12 @@ func Runner[R Renderable](run func(Params) (R, error)) func(Params) (Renderable,
 // Exec runs e at seed, at full scale or quick, with workers bounding
 // its sweep pool.
 func (e Experiment) Exec(seed int64, quick bool, workers int) (Renderable, error) {
-	p, run := Params{Seed: seed, HorizonS: e.HorizonS, Workers: workers}, e.Run
+	return e.exec(seed, quick, workers, nil)
+}
+
+// exec is Exec sharing simulations through runs.
+func (e Experiment) exec(seed int64, quick bool, workers int, runs *sync.Map) (Renderable, error) {
+	p, run := Params{Seed: seed, HorizonS: e.HorizonS, Workers: workers, runs: runs}, e.Run
 	if quick {
 		p.HorizonS *= 0.1
 		if e.Quick != nil {
@@ -128,8 +147,12 @@ type RunAllOptions struct {
 // full paper horizons) and renders each to w in E1..E16 order.
 // Experiments execute concurrently across the sweep engine's pool;
 // rendering waits for all of them, so output is byte-identical to a
-// serial run.
+// serial run. Each simulation that several experiments read runs once.
 func RunAllWith(w io.Writer, seed int64, quick bool, opts RunAllOptions) error {
+	return runAll(w, seed, quick, opts, new(sync.Map))
+}
+
+func runAll(w io.Writer, seed int64, quick bool, opts RunAllOptions, runs *sync.Map) error {
 	steps := Experiments()
 	var onProgress func(sweep.Progress)
 	if opts.Progress != nil {
@@ -137,7 +160,7 @@ func RunAllWith(w io.Writer, seed int64, quick bool, opts RunAllOptions) error {
 	}
 	results, err := sweep.Run(sweep.Options{MasterSeed: seed, Workers: opts.Workers, OnProgress: onProgress},
 		len(steps), func(pt sweep.Point) (Renderable, error) {
-			return steps[pt.Index].Exec(seed, quick, opts.Workers)
+			return steps[pt.Index].exec(seed, quick, opts.Workers, runs)
 		})
 	if err != nil {
 		return err

@@ -31,14 +31,14 @@ type QueueStats struct {
 // the kernel's deterministic blocking queue so worker wake-up order is
 // part of the reproducible event sequence.
 type Queue struct {
-	fifo  *sim.Queue
+	fifo  *sim.Queue[string]
 	state map[string]itemState
 	stats QueueStats
 }
 
 // NewQueue builds an empty workqueue.
 func NewQueue(env *sim.Env) *Queue {
-	return &Queue{fifo: sim.NewQueue(env), state: make(map[string]itemState)}
+	return &Queue{fifo: sim.NewQueue[string](env), state: make(map[string]itemState)}
 }
 
 // Add enqueues key unless it is already pending. A key under processing
@@ -59,7 +59,7 @@ func (q *Queue) Add(key string) {
 // Get blocks p until a key is ready and marks it processing. Every Get
 // must be paired with a Done.
 func (q *Queue) Get(p *sim.Proc) string {
-	key := q.fifo.Get(p).(string)
+	key := q.fifo.Get(p)
 	q.state[key] = stateProcessing
 	return key
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -115,6 +116,31 @@ func TestResourceAcquireAllocFree(t *testing.T) {
 	env.Run(Forever)
 	if allocs != 0 {
 		t.Fatalf("uncontended Acquire/Release allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// A Put that hands its item to a blocked getter, and a Put/Get pair
+// through the buffer, reuse the recycled getter record and both FIFOs'
+// backing arrays, so neither allocates once warm.
+func TestQueuePutGetAllocFree(t *testing.T) {
+	env := NewEnv()
+	q := NewQueue[string](env)
+	key := strings.Repeat("k", 3)
+	put := func() { q.Put(key) }
+	var allocs float64
+	env.Go("getter", func(p *Proc) {
+		cycle := func() {
+			env.Schedule(1, put)
+			q.Get(p) // blocks until put hands over the key
+			q.Put(key)
+			q.Get(p)
+		}
+		cycle()
+		allocs = testing.AllocsPerRun(100, cycle)
+	})
+	env.Run(Forever)
+	if allocs != 0 {
+		t.Fatalf("blocked-getter and buffered Put/Get allocate %.1f/cycle, want 0", allocs)
 	}
 }
 
@@ -250,7 +276,7 @@ func BenchmarkKernelProcessPingPong(b *testing.B) {
 	// Two processes alternating on a queue: the classic block/resume
 	// cycle, two goroutine handoffs plus one wakeup event per Put/Get.
 	env := NewEnv()
-	q := NewQueue(env)
+	q := NewQueue[int](env)
 	stop := false
 	env.Go("producer", func(p *Proc) {
 		for !stop {

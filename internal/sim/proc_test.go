@@ -23,7 +23,7 @@ func TestCloseEndsEveryCoroutine(t *testing.T) {
 	base := runtime.NumGoroutine()
 	env := NewEnv()
 	r := NewResource(env, "r", 1)
-	q := NewQueue(env)
+	q := NewQueue[int](env)
 	s := NewSignal(env)
 	for i := 0; i < 3; i++ {
 		env.Go("finished", func(p *Proc) { p.Sleep(1) })

@@ -631,52 +631,69 @@ func (r *Resource) RegisterMetricsAs(layer, name string) {
 
 // Queue is an unbounded FIFO channel between processes: Put never blocks,
 // Get blocks the caller until an item is available. Items are delivered to
-// getters in arrival order.
-type Queue struct {
+// getters in arrival order. A Put to a blocked getter queues the item in
+// handed and wakes the getter; getters wake in the order they were
+// handed items, so each takes its own. Nothing allocates at steady state.
+type Queue[T any] struct {
 	env     *Env
-	items   []any
-	getters []*qGetter
-}
-
-type qGetter struct {
-	p     *Proc
-	item  any
-	ready bool
+	items   fifo[T]
+	handed  fifo[T]
+	getters fifo[*Proc]
 }
 
 // NewQueue creates an empty queue.
-func NewQueue(env *Env) *Queue { return &Queue{env: env} }
+func NewQueue[T any](env *Env) *Queue[T] { return &Queue[T]{env: env} }
 
 // Len returns the number of buffered items.
-func (q *Queue) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // Put appends v and wakes the oldest blocked getter, if any.
-func (q *Queue) Put(v any) {
-	if len(q.getters) > 0 {
-		g := q.getters[0]
-		q.getters = q.getters[1:]
-		g.item = v
-		g.ready = true
-		q.env.scheduleWake(0, g.p)
+func (q *Queue[T]) Put(v T) {
+	if q.getters.len() > 0 {
+		q.handed.push(v)
+		q.env.scheduleWake(0, q.getters.pop())
 		return
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 }
 
 // Get blocks p until an item is available and returns it.
-func (q *Queue) Get(p *Proc) any {
-	if len(q.items) > 0 {
-		v := q.items[0]
-		q.items = q.items[1:]
-		return v
+func (q *Queue[T]) Get(p *Proc) T {
+	if q.items.len() > 0 {
+		return q.items.pop()
 	}
-	g := &qGetter{p: p}
-	q.getters = append(q.getters, g)
+	q.getters.push(p)
 	p.yield()
-	if !g.ready {
+	if q.handed.len() == 0 {
 		panic("sim: queue getter resumed without item")
 	}
-	return g.item
+	return q.handed.pop()
+}
+
+// fifo is a FIFO over buf[head:]. A push into a full buffer first slides
+// the live items down, so the backing array is reused, not regrown.
+type fifo[E any] struct {
+	buf  []E
+	head int
+}
+
+func (f *fifo[E]) len() int { return len(f.buf) - f.head }
+
+func (f *fifo[E]) push(v E) {
+	if f.head > 0 && len(f.buf) == cap(f.buf) {
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
+		f.buf, f.head = f.buf[:n], 0
+	}
+	f.buf = append(f.buf, v)
+}
+
+func (f *fifo[E]) pop() E {
+	v := f.buf[f.head]
+	var zero E
+	f.buf[f.head] = zero
+	f.head++
+	return v
 }
 
 // Signal is a broadcast condition: processes Wait on it and all waiters are

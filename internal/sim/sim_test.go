@@ -400,11 +400,11 @@ func TestReleaseTooManyPanics(t *testing.T) {
 
 func TestQueuePutGet(t *testing.T) {
 	env := NewEnv()
-	q := NewQueue(env)
+	q := NewQueue[int](env)
 	var got []int
 	env.Go("consumer", func(p *Proc) {
 		for i := 0; i < 3; i++ {
-			got = append(got, q.Get(p).(int))
+			got = append(got, q.Get(p))
 		}
 	})
 	env.Go("producer", func(p *Proc) {
@@ -423,7 +423,7 @@ func TestQueuePutGet(t *testing.T) {
 
 func TestQueueBufferedBeforeGet(t *testing.T) {
 	env := NewEnv()
-	q := NewQueue(env)
+	q := NewQueue[string](env)
 	q.Put("x")
 	q.Put("y")
 	if q.Len() != 2 {
@@ -431,7 +431,7 @@ func TestQueueBufferedBeforeGet(t *testing.T) {
 	}
 	var got []string
 	env.Go("c", func(p *Proc) {
-		got = append(got, q.Get(p).(string), q.Get(p).(string))
+		got = append(got, q.Get(p), q.Get(p))
 	})
 	env.Run(Forever)
 	if got[0] != "x" || got[1] != "y" {
@@ -441,12 +441,12 @@ func TestQueueBufferedBeforeGet(t *testing.T) {
 
 func TestQueueMultipleGettersFIFO(t *testing.T) {
 	env := NewEnv()
-	q := NewQueue(env)
+	q := NewQueue[int](env)
 	var got []string
 	for _, name := range []string{"g0", "g1", "g2"} {
 		name := name
 		env.Go(name, func(p *Proc) {
-			v := q.Get(p).(int)
+			v := q.Get(p)
 			got = append(got, name+":"+string(rune('0'+v)))
 		})
 	}
@@ -523,7 +523,7 @@ func TestDeterminism(t *testing.T) {
 	run := func(seed int64) []Time {
 		env := NewEnv()
 		res := NewResource(env, "r", 3)
-		q := NewQueue(env)
+		q := NewQueue[Time](env)
 		rng := rand.New(rand.NewSource(seed))
 		var trace []Time
 		for i := 0; i < 20; i++ {
@@ -538,7 +538,7 @@ func TestDeterminism(t *testing.T) {
 		}
 		env.Go("drain", func(p *Proc) {
 			for i := 0; i < 20; i++ {
-				trace = append(trace, q.Get(p).(Time))
+				trace = append(trace, q.Get(p))
 			}
 		})
 		env.Run(Forever)
@@ -796,22 +796,22 @@ func TestProcPanicReachesRun(t *testing.T) {
 
 func TestQueueWaitingCount(t *testing.T) {
 	env := NewEnv()
-	q := NewQueue(env)
+	q := NewQueue[int](env)
 	for i := 0; i < 3; i++ {
 		env.Go("g", func(p *Proc) { q.Get(p) })
 	}
 	env.Go("check", func(p *Proc) {
 		p.Sleep(1)
-		if len(q.getters) != 3 {
-			t.Errorf("waiting = %d", len(q.getters))
+		if q.getters.len() != 3 {
+			t.Errorf("waiting = %d", q.getters.len())
 		}
 		for i := 0; i < 3; i++ {
 			q.Put(i)
 		}
 	})
 	env.Run(Forever)
-	if len(q.getters) != 0 || q.Len() != 0 {
-		t.Fatalf("end state: waiting=%d len=%d", len(q.getters), q.Len())
+	if q.getters.len() != 0 || q.Len() != 0 {
+		t.Fatalf("end state: waiting=%d len=%d", q.getters.len(), q.Len())
 	}
 }
 
@@ -889,5 +889,35 @@ func TestPropertyClockMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A queue that never drains slides its live items down when its buffer
+// fills instead of growing it, and keeps them in order.
+func TestQueueOrderAcrossBufferReuse(t *testing.T) {
+	env := NewEnv()
+	q := NewQueue[int](env)
+	var got []int
+	env.Go("c", func(p *Proc) {
+		next := 0
+		for round := 0; round < 50; round++ {
+			for i := 0; i < 3; i++ {
+				q.Put(next)
+				next++
+			}
+			got = append(got, q.Get(p), q.Get(p))
+		}
+		for q.Len() > 0 {
+			got = append(got, q.Get(p))
+		}
+	})
+	env.Run(Forever)
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("got[%d] = %d, want items in Put order: %v", i, v, got)
+		}
+	}
+	if len(got) != 150 || cap(q.items.buf) > 64 {
+		t.Fatalf("got %d items, buffer capacity %d; want 150 and at most 64", len(got), cap(q.items.buf))
 	}
 }
