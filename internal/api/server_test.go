@@ -3,7 +3,9 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,7 +15,7 @@ import (
 
 // startServer boots a small cloud under a free-running paced driver and
 // serves it on a loopback port. The stack is drained in cleanup.
-func startServer(t *testing.T, seed int64) *Stack {
+func startServer(t testing.TB, seed int64) *Stack {
 	t.Helper()
 	st, err := StartStack(core.DefaultConfig(seed), sim.PacedConfig{Ratio: 0, QuantumS: 0.5},
 		core.FrontendConfig{}, "127.0.0.1:0")
@@ -256,6 +258,38 @@ func TestRequestValidation(t *testing.T) {
 	}
 	if code := do(t, "GET", ts.URL+"/api/org", "", nil, nil); code != http.StatusUnauthorized {
 		t.Fatalf("unauthenticated query: %d", code)
+	}
+}
+
+// An instantiate body asking for more VMs than all hosts' memory holds
+// is a 400, and the server still answers afterwards: before the size was
+// bounded, 1<<62 VMs panicked the driver goroutine and killed the server.
+func TestOversizedVAppRejected(t *testing.T) {
+	ts := startServer(t, 1)
+	tok := login(t, ts.URL, "gina@org0")
+	url := ts.URL + "/api/vdc/provider-vdc/action/instantiateVAppTemplate"
+	topo := core.DefaultConfig(1).Topology
+	most := topo.Hosts * topo.HostMemMB / topo.TemplateMemMB
+	for _, tc := range []struct{ body, msg string }{
+		{`{"template": "tpl00", "vms": 4611686018427387904}`, ""}, // past int on 32-bit: a decode error
+		{fmt.Sprintf(`{"template": "tpl00", "vms": %d}`, most+1), fmt.Sprintf("at most %d VMs", most)},
+	} {
+		var e ErrorJSON
+		if code := do(t, "POST", url, tok, []byte(tc.body), &e); code != http.StatusBadRequest || !strings.Contains(e.Message, tc.msg) {
+			t.Fatalf("%s: status %d, %q; want 400 naming %q", tc.body, code, e.Message, tc.msg)
+		}
+	}
+	var st StatsJSON
+	if code := do(t, "GET", ts.URL+"/api/admin/stats", tok, nil, &st); code != http.StatusOK || st.Submitted != 0 {
+		t.Fatalf("stats after rejections: status %d, %+v", code, st)
+	}
+	body, _ := json.Marshal(InstantiateJSON{Template: "tpl00", VMs: 2})
+	var task TaskJSON
+	if code := do(t, "POST", url, tok, body, &task); code != http.StatusAccepted {
+		t.Fatalf("instantiate after rejections: status %d", code)
+	}
+	if got := pollTask(t, ts.URL, tok, task.ID); got.Status != "success" {
+		t.Fatalf("instantiate after rejections: %+v", got)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package bw provides a fair-share bandwidth engine: a shared link or
 // array whose aggregate bandwidth is divided equally among all in-flight
 // transfers (processor sharing). Datastore copy engines (package storage)
-// and the management/vMotion network (package netsim) are both instances.
+// are its instances.
 package bw
 
 import (

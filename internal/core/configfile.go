@@ -10,8 +10,8 @@ package core
 //
 // A scenario is decoded over the wire form of DefaultConfig: a field the
 // document omits keeps its default, and a field it gives is used as
-// written, zero included. An optional block (mgmt.database, mgmt.network,
-// drs, faults.retry, reconcile) starts from its package defaults when
+// written, zero included. An optional block (mgmt.database, drs,
+// faults.retry, reconcile) starts from its package defaults when
 // present.
 
 import (
@@ -27,7 +27,6 @@ import (
 	"cloudmcp/internal/faults"
 	"cloudmcp/internal/mgmt"
 	"cloudmcp/internal/mgmtdb"
-	"cloudmcp/internal/netsim"
 	"cloudmcp/internal/ops"
 	"cloudmcp/internal/plane"
 	"cloudmcp/internal/policy"
@@ -89,7 +88,6 @@ type FaultsFile struct {
 	Rate    float64       `json:"rate,omitempty"`
 	Host    *faults.Layer `json:"host,omitempty"`
 	DB      *faults.Layer `json:"db,omitempty"`
-	Net     *faults.Layer `json:"net,omitempty"`
 	Storage *faults.Layer `json:"storage,omitempty"`
 	Retry   *RetryFile    `json:"retry,omitempty"`
 }
@@ -104,12 +102,11 @@ func (r *RetryFile) UnmarshalJSON(b []byte) error {
 	return err
 }
 
-// MgmtFile is mgmt.Config plus the optional substrate models, whose
-// blocks decode over their package defaults.
+// MgmtFile is mgmt.Config plus the optional database model, whose block
+// decodes over its package defaults.
 type MgmtFile struct {
 	mgmt.Config
 	Database *DatabaseFile `json:"database,omitempty"`
-	Network  *NetworkFile  `json:"network,omitempty"`
 }
 
 // DatabaseFile is mgmtdb.Config in wire form.
@@ -119,16 +116,6 @@ type DatabaseFile mgmtdb.Config
 func (d *DatabaseFile) UnmarshalJSON(b []byte) error {
 	v, err := decodeOver(bytes.NewReader(b), mgmtdb.DefaultConfig())
 	*d = DatabaseFile(v)
-	return err
-}
-
-// NetworkFile is netsim.Config in wire form.
-type NetworkFile netsim.Config
-
-// UnmarshalJSON decodes the block over netsim.DefaultConfig().
-func (n *NetworkFile) UnmarshalJSON(b []byte) error {
-	v, err := decodeOver(bytes.NewReader(b), netsim.DefaultConfig())
-	*n = NetworkFile(v)
 	return err
 }
 
@@ -234,10 +221,6 @@ func (f *ConfigFile) Apply() (Config, error) {
 		c := mgmtdb.Config(*db)
 		cfg.Mgmt.Database = &c
 	}
-	if n := m.Network; n != nil {
-		c := netsim.Config(*n)
-		cfg.Mgmt.Network = &c
-	}
 	if d := f.DRS; d != nil {
 		cfg.DRS = drs.Config(*d)
 	}
@@ -289,9 +272,6 @@ func (f *ConfigFile) Apply() (Config, error) {
 		}
 		if ff.DB != nil {
 			fc.DB = *ff.DB
-		}
-		if ff.Net != nil {
-			fc.Net = *ff.Net
 		}
 		if ff.Storage != nil {
 			fc.Storage = *ff.Storage

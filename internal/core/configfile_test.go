@@ -35,8 +35,7 @@ func TestLoadConfigOverrides(t *testing.T) {
 	  "topology": {"hosts": 8, "datastoreMBps": 500},
 	  "mgmt": {
 	    "threads": 4, "granularity": "coarse",
-	    "database": {"flushS": 0.5},
-	    "network": {"mbps": 2500}
+	    "database": {"flushS": 0.5}
 	  },
 	  "director": {"cells": 6, "fastProvisioning": false, "placement": "sticky-org", "orgQuotaVMs": 10},
 	  "storage": {"deltaWriteMB": 128},
@@ -62,9 +61,6 @@ func TestLoadConfigOverrides(t *testing.T) {
 	}
 	if cfg.Mgmt.Database.Conns == 0 {
 		t.Fatal("database defaults not filled")
-	}
-	if cfg.Mgmt.Network == nil || cfg.Mgmt.Network.MBps != 2500 {
-		t.Fatalf("network = %+v", cfg.Mgmt.Network)
 	}
 	if cfg.Director.Cells != 6 || cfg.Director.FastProvisioning ||
 		cfg.Director.Placement != clouddir.PlaceStickyOrg || cfg.Director.OrgQuotaVMs != 10 {
@@ -219,16 +215,19 @@ func TestLoadConfigFaultsWithoutRetryKeepsPolicyRetry(t *testing.T) {
 // Unknown fields fail inside optional blocks too, whose decoding starts
 // from package defaults.
 func TestLoadConfigRejectsUnknownFieldsInBlocks(t *testing.T) {
-	for _, src := range []string{
-		`{"drs": {"treshold": 0.1}}`,
-		`{"mgmt": {"database": {"conn": 4}}}`,
-		`{"mgmt": {"network": {"gbps": 10}}}`,
-		`{"faults": {"retry": {"deadline": 5}}}`,
-		`{"reconcile": {"intervl": 60}}`,
-		`{"reconcile": {"backoff": {"base": 1}}}`,
+	for _, tc := range []struct{ src, field string }{
+		{`{"drs": {"treshold": 0.1}}`, "treshold"},
+		{`{"mgmt": {"database": {"conn": 4}}}`, "conn"},
+		{`{"mgmt": {"network": {"gbps": 10}}}`, "network"},
+		{`{"mgmt":{"network":{}}}`, "network"},
+		{`{"faults":{"net":{}}}`, "net"},
+		{`{"faults": {"retry": {"deadline": 5}}}`, "deadline"},
+		{`{"reconcile": {"intervl": 60}}`, "intervl"},
+		{`{"reconcile": {"backoff": {"base": 1}}}`, "base"},
 	} {
-		if _, err := LoadConfig(strings.NewReader(src)); err == nil || !strings.Contains(err.Error(), "unknown field") {
-			t.Errorf("%s: err = %v, want an unknown-field rejection", src, err)
+		want := `unknown field "` + tc.field + `"`
+		if _, err := LoadConfig(strings.NewReader(tc.src)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want %s", tc.src, err, want)
 		}
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"cloudmcp/internal/clouddir"
 	"cloudmcp/internal/mgmt"
 	"cloudmcp/internal/mgmtdb"
-	"cloudmcp/internal/netsim"
 	"cloudmcp/internal/reconcile"
 )
 
@@ -228,7 +227,6 @@ func TestBindConfigFlagsEmptyBlocksLoadPackageDefaults(t *testing.T) {
 		want any // nil: the -set must be rejected
 	}{
 		{"mgmt.database={}", func(c Config) any { return c.Mgmt.Database }, ptr(mgmtdb.DefaultConfig())},
-		{"mgmt.network={}", func(c Config) any { return c.Mgmt.Network }, ptr(netsim.DefaultConfig())},
 		{"faults.retry={}", func(c Config) any { return c.Mgmt.Retry }, mgmt.DefaultRetryPolicy()},
 		{`faults.retry={"adaptive":true}`, nil, nil},
 	} {

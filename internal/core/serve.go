@@ -185,7 +185,7 @@ type Frontend struct {
 	drv   *sim.Paced
 
 	orgSet    map[string]bool
-	templates map[string]inventory.ID
+	templates map[string]catalogEntry
 	catalog   []TemplateInfo
 
 	mu       sync.Mutex
@@ -193,6 +193,14 @@ type Frontend struct {
 	nextID   int64
 	stats    FrontendStats // Submitted, Completed, Failed, QueueWaitSumS
 	injected int64         // tasks that reached injection
+}
+
+// catalogEntry is one served template and the largest vApp of it that
+// the hosts' memory, all of it free, could hold: a larger request is
+// rejected before it reaches the simulation.
+type catalogEntry struct {
+	id     inventory.ID
+	maxVMs int64
 }
 
 // NewFrontend wraps a cloud and its paced driver in a serving façade and
@@ -207,19 +215,23 @@ func NewFrontend(c *Cloud, drv *sim.Paced, cfg FrontendConfig) *Frontend {
 		cloud:     c,
 		drv:       drv,
 		orgSet:    make(map[string]bool, cfg.Orgs),
-		templates: make(map[string]inventory.ID),
+		templates: make(map[string]catalogEntry),
 		tasks:     make(map[int64]*TaskInfo),
 	}
 	for i := 0; i < cfg.Orgs; i++ {
 		f.orgSet[fmt.Sprintf("org%d", i)] = true
 	}
 	inv := c.Inventory()
+	var memMB int64
+	for _, id := range inv.Hosts() {
+		memMB += int64(inv.Host(id).MemMB)
+	}
 	for _, id := range inv.Templates() {
 		tpl := inv.Template(id)
 		if tpl == nil {
 			continue
 		}
-		f.templates[tpl.Name] = id
+		f.templates[tpl.Name] = catalogEntry{id, memMB / int64(max(tpl.MemMB, 1))}
 		f.catalog = append(f.catalog, TemplateInfo{
 			Name: tpl.Name, DiskGB: tpl.DiskGB, MemMB: tpl.MemMB, CPUs: tpl.CPUs,
 		})
@@ -270,8 +282,12 @@ func (f *Frontend) validate(req *OpRequest) error {
 		if req.VMs < 0 {
 			return fmt.Errorf("core: vApp size %d", req.VMs)
 		}
-		if _, ok := f.templates[req.Template]; !ok {
+		tpl, ok := f.templates[req.Template]
+		if !ok {
 			return fmt.Errorf("core: unknown template %q", req.Template)
+		}
+		if int64(req.VMs) > tpl.maxVMs {
+			return fmt.Errorf("core: vApp size %d: all hosts' memory holds at most %d VMs of template %q", req.VMs, tpl.maxVMs, req.Template)
 		}
 	case OpPowerOn, OpPowerOff, OpDelete:
 		if req.VApp == inventory.None {
@@ -329,7 +345,7 @@ func (f *Frontend) execute(p *sim.Proc, req OpRequest) (vapp inventory.ID, name 
 	inv := f.cloud.Inventory()
 	switch req.Kind {
 	case OpInstantiate:
-		tpl := inv.Template(f.templates[req.Template])
+		tpl := inv.Template(f.templates[req.Template].id)
 		if tpl == nil {
 			return inventory.None, "", 0, fmt.Errorf("core: template %q vanished", req.Template)
 		}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -152,6 +154,28 @@ func TestFrontendValidation(t *testing.T) {
 	}
 	if st := f.Stats(); st.Submitted != 0 {
 		t.Fatalf("validation failures consumed task IDs: %+v", st)
+	}
+}
+
+// A vApp larger than all hosts' memory could hold is rejected at
+// submission: no placement could satisfy it, and sizing its task slices
+// used to panic the driver (1<<62) or ask for gigabytes (near 1e9).
+func TestFrontendRejectsVAppsNoPlacementFits(t *testing.T) {
+	_, _, f := serveCloud(t, 1, 0.5)
+	topo := DefaultConfig(1).Topology
+	most := topo.Hosts * topo.HostMemMB / topo.TemplateMemMB
+	huge := int(min(int64(1)<<62, int64(math.MaxInt)))
+	for _, vms := range []int{huge, most + 1} {
+		_, err := f.SubmitOp(OpRequest{Kind: OpInstantiate, Org: "org0", Template: "tpl00", VMs: vms})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("at most %d VMs", most)) {
+			t.Fatalf("vApp of %d VMs: err = %v, want a rejection naming the bound %d", vms, err, most)
+		}
+	}
+	if st := f.Stats(); st.Submitted != 0 {
+		t.Fatalf("rejected sizes consumed task IDs: %+v", st)
+	}
+	if _, err := f.SubmitOp(OpRequest{Kind: OpInstantiate, Org: "org0", Template: "tpl00", VMs: most}); err != nil {
+		t.Fatalf("vApp of %d VMs, the bound: %v", most, err)
 	}
 }
 

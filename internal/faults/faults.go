@@ -26,12 +26,11 @@ import (
 
 // Layer names, used both as Decide arguments and as the <layer> part of
 // the derivation label. They name the subsystem whose interaction fails:
-// host agents (hostsim), the management database (mgmtdb commits), the
-// migration network (netsim), and storage (datastore I/O).
+// host agents (hostsim), the management database (mgmtdb commits), and
+// storage (datastore I/O).
 const (
 	LayerHost    = "host"
 	LayerDB      = "db"
-	LayerNet     = "net"
 	LayerStorage = "storage"
 )
 
@@ -102,7 +101,6 @@ func (l Layer) validate(name string) error {
 type Config struct {
 	Host    Layer `json:"host,omitempty"`
 	DB      Layer `json:"db,omitempty"`
-	Net     Layer `json:"net,omitempty"`
 	Storage Layer `json:"storage,omitempty"`
 }
 
@@ -111,7 +109,7 @@ func (c Config) Validate() error {
 	for _, l := range []struct {
 		name string
 		l    Layer
-	}{{LayerHost, c.Host}, {LayerDB, c.DB}, {LayerNet, c.Net}, {LayerStorage, c.Storage}} {
+	}{{LayerHost, c.Host}, {LayerDB, c.DB}, {LayerStorage, c.Storage}} {
 		if err := l.l.validate(l.name); err != nil {
 			return err
 		}
@@ -134,7 +132,6 @@ func Preset(rate float64) Config {
 	return Config{
 		Host:    Layer{FailProb: clamp(rate), Stall: Stall{Prob: clamp(rate), MeanS: 2.0, CV: 1.0}},
 		DB:      Layer{FailProb: clamp(rate / 2), Stall: Stall{Prob: clamp(rate), MeanS: 0.25, CV: 1.0}},
-		Net:     Layer{Stall: Stall{Prob: clamp(rate), MeanS: 2.0, CV: 1.0}}, // degradation, not loss
 		Storage: Layer{FailProb: clamp(rate / 4), Stall: Stall{Prob: clamp(rate), MeanS: 1.0, CV: 1.0}},
 	}
 }
@@ -171,7 +168,6 @@ type LayerStats struct {
 type Stats struct {
 	Host    LayerStats
 	DB      LayerStats
-	Net     LayerStats
 	Storage LayerStats
 }
 
@@ -195,7 +191,6 @@ type Injector struct {
 	scratch     *rng.Reseeder
 	hostPrefix  rng.SeedHasher
 	dbPrefix    rng.SeedHasher
-	netPrefix   rng.SeedHasher
 	storPrefix  rng.SeedHasher
 	retryPrefix rng.SeedHasher
 }
@@ -212,7 +207,6 @@ func New(seed int64, cfg Config) (*Injector, error) {
 		scratch:     rng.NewReseeder(),
 		hostPrefix:  base.String("fault:" + LayerHost + ":"),
 		dbPrefix:    base.String("fault:" + LayerDB + ":"),
-		netPrefix:   base.String("fault:" + LayerNet + ":"),
 		storPrefix:  base.String("fault:" + LayerStorage + ":"),
 		retryPrefix: base.String("retry:"),
 	}, nil
@@ -224,8 +218,6 @@ func (in *Injector) layerFor(name string) (Layer, *LayerStats, rng.SeedHasher) {
 		return in.cfg.Host, &in.stats.Host, in.hostPrefix
 	case LayerDB:
 		return in.cfg.DB, &in.stats.DB, in.dbPrefix
-	case LayerNet:
-		return in.cfg.Net, &in.stats.Net, in.netPrefix
 	case LayerStorage:
 		return in.cfg.Storage, &in.stats.Storage, in.storPrefix
 	}
@@ -288,7 +280,6 @@ func (in *Injector) RegisterMetrics(reg *metrics.Registry) {
 	}{
 		{LayerHost, &in.stats.Host},
 		{LayerDB, &in.stats.DB},
-		{LayerNet, &in.stats.Net},
 		{LayerStorage, &in.stats.Storage},
 	} {
 		ls := l.ls

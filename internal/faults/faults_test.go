@@ -57,13 +57,13 @@ func TestDecideIsPureFunctionOfIdentifiers(t *testing.T) {
 	want := map[key]Outcome{}
 	for task := int64(0); task < 50; task++ {
 		for attempt := 1; attempt <= 3; attempt++ {
-			for _, layer := range []string{LayerHost, LayerDB, LayerNet, LayerStorage} {
+			for _, layer := range []string{LayerHost, LayerDB, LayerStorage} {
 				want[key{layer, task, attempt}] = a.Decide(layer, "deploy", task, attempt)
 			}
 		}
 	}
 	for task := int64(49); task >= 0; task-- {
-		for _, layer := range []string{LayerStorage, LayerNet, LayerDB, LayerHost} {
+		for _, layer := range []string{LayerStorage, LayerDB, LayerHost} {
 			for attempt := 3; attempt >= 1; attempt-- {
 				got := b.Decide(layer, "deploy", task, attempt)
 				if got != want[key{layer, task, attempt}] {
@@ -123,12 +123,12 @@ func TestValidateRejectsBadConfig(t *testing.T) {
 	}{
 		{Config{Host: Layer{FailProb: 1.5}}, "host fail probability"},
 		{Config{DB: Layer{FailProb: -0.1}}, "db fail probability"},
-		{Config{Net: Layer{PerKind: map[string]float64{"migrate": 2}}}, "net per-kind migrate"},
+		{Config{Storage: Layer{PerKind: map[string]float64{"migrate": 2}}}, "storage per-kind migrate"},
 		{Config{Storage: Layer{Stall: Stall{Prob: 0.5}}}, "storage stall mean"}, // stall prob without mean
 		{Config{Host: Layer{Stall: Stall{Prob: 0.5, MeanS: 1, CV: -1}}}, "host stall cv"},
 		// Two bad per-kind entries: the error names the lexically first,
 		// whatever order the map iterates in.
-		{Config{Net: Layer{PerKind: map[string]float64{"migrate": 2, "deploy": 3}}}, "net per-kind deploy"},
+		{Config{Storage: Layer{PerKind: map[string]float64{"migrate": 2, "deploy": 3}}}, "storage per-kind deploy"},
 	}
 	for i, tc := range bad {
 		_, err := New(1, tc.cfg)
@@ -150,11 +150,11 @@ func TestValidateRejectsBadConfig(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, l := range []string{LayerHost, LayerDB, LayerNet, LayerStorage} {
+		for _, l := range []string{LayerHost, LayerDB, LayerStorage} {
 			in.Decide(l, "deploy", 1, 1)
 		}
 		s := in.stats
-		if drew := s.Host.Decisions+s.DB.Decisions+s.Net.Decisions+s.Storage.Decisions > 0; drew != tc.draws {
+		if drew := s.Host.Decisions+s.DB.Decisions+s.Storage.Decisions > 0; drew != tc.draws {
 			t.Fatalf("Preset(%v) drew = %v, want %v", tc.rate, drew, tc.draws)
 		}
 	}

@@ -19,8 +19,6 @@ func referenceDecide(seed int64, cfg Config, layer, kind string, taskID int64, a
 		lc = cfg.Host
 	case LayerDB:
 		lc = cfg.DB
-	case LayerNet:
-		lc = cfg.Net
 	case LayerStorage:
 		lc = cfg.Storage
 	}
@@ -47,7 +45,7 @@ func TestDecideMatchesReferenceDerivation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, layer := range []string{LayerHost, LayerDB, LayerNet, LayerStorage} {
+		for _, layer := range []string{LayerHost, LayerDB, LayerStorage} {
 			for taskID := int64(0); taskID < 50; taskID++ {
 				for attempt := 1; attempt <= 3; attempt++ {
 					got := in.Decide(layer, "deploy", taskID, attempt)
@@ -89,7 +87,6 @@ func TestInjectorDerivedSeedsGolden(t *testing.T) {
 	}{
 		{"fault:host:1:1", 905418259443008068},
 		{"fault:db:17:3", 2502797662279492609},
-		{"fault:net:100:2", -1103909368913001484},
 		{"fault:storage:-5:1", 6855313081034852700},
 		{"retry:9:4", 8644708048418715761},
 	}
@@ -112,7 +109,6 @@ func TestInjectorDerivedSeedsGolden(t *testing.T) {
 	}{
 		{in.hostPrefix, 1, 1, 905418259443008068},
 		{in.dbPrefix, 17, 3, 2502797662279492609},
-		{in.netPrefix, 100, 2, -1103909368913001484},
 		{in.storPrefix, -5, 1, 6855313081034852700},
 		{in.retryPrefix, 9, 4, 8644708048418715761},
 	}

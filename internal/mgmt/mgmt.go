@@ -24,7 +24,6 @@ import (
 	"cloudmcp/internal/inventory"
 	"cloudmcp/internal/metrics"
 	"cloudmcp/internal/mgmtdb"
-	"cloudmcp/internal/netsim"
 	"cloudmcp/internal/ops"
 	"cloudmcp/internal/rng"
 	"cloudmcp/internal/sim"
@@ -91,15 +90,8 @@ type Config struct {
 	// semantics — the substrate the E13 batching ablation sweeps.
 	Database *mgmtdb.Config `json:"-"`
 
-	// Network selects the shared migration-network model (package
-	// netsim): live-migration memory copies then contend on one
-	// fair-share link (counted as data-plane time) instead of being
-	// charged as isolated host-agent work. The plane builds the one
-	// network every shard's migrations share.
-	Network *netsim.Config `json:"-"`
-
 	// Faults, when set, injects deterministic transient failures and
-	// latency stalls into the host, DB, network, and storage stages (see
+	// latency stalls into the host, DB and storage stages (see
 	// package faults). Build one injector per simulation. With no
 	// injector — or an injector whose rates are all zero — Execute's
 	// event sequence is bit-for-bit what it was before faults existed.
@@ -202,7 +194,6 @@ type Manager struct {
 	admission *sim.Resource
 	threads   *sim.Resource
 	db        *DB
-	network   *netsim.Network // nil without cfg.Network
 	locks     map[inventory.ID]*sim.Resource
 	global    *sim.Resource
 
@@ -284,13 +275,11 @@ func (m *Manager) Goodput() []GoodputRow {
 }
 
 // New builds a manager over the given inventory, storage pool, and cost
-// model, writing through db and dispatching host work to agents; network
-// carries live-migration memory copies (nil charges them as host work).
-// The plane builds db, agents and network and may share them between
-// managers. label prefixes the manager's resource names and metrics keys
-// ("shardN." on a multi-shard plane, "" alone). The stream seeds all
-// stage-time draws.
-func New(env *sim.Env, inv *inventory.Inventory, pool *storage.Pool, agents *hostsim.Registry, db *DB, network *netsim.Network, model *ops.CostModel, stream *rng.Stream, label string, cfg Config) (*Manager, error) {
+// model, writing through db and dispatching host work to agents. The
+// plane builds db and agents and may share them between managers. label
+// prefixes the manager's resource names and metrics keys ("shardN." on
+// a multi-shard plane, "" alone). The stream seeds all stage-time draws.
+func New(env *sim.Env, inv *inventory.Inventory, pool *storage.Pool, agents *hostsim.Registry, db *DB, model *ops.CostModel, stream *rng.Stream, label string, cfg Config) (*Manager, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -308,7 +297,6 @@ func New(env *sim.Env, inv *inventory.Inventory, pool *storage.Pool, agents *hos
 		admission: sim.NewResource(env, label+"mgmt.admission", cfg.MaxInFlight),
 		threads:   sim.NewResource(env, label+"mgmt.threads", cfg.Threads),
 		db:        db,
-		network:   network,
 		locks:     make(map[inventory.ID]*sim.Resource),
 		global:    sim.NewResource(env, label+"mgmt.globallock", 1),
 		perKind:   make(map[ops.Kind]*kindStats),
@@ -530,7 +518,7 @@ type ExecSpec struct {
 // seeds the breakdown with that upstream time.
 //
 // With a fault injector configured, an attempt can transiently fail in
-// the DB, host, network, or storage stage; Execute then backs off per
+// the DB, host, or storage stage; Execute then backs off per
 // the retry policy and re-runs the attempt — re-taking locks, threads,
 // DB connections, and host slots while still holding the admission slot,
 // so retries amplify control-plane load instead of vanishing into a
@@ -666,11 +654,10 @@ func (m *Manager) backoff(taskID int64, attempt int) float64 {
 //
 // Injection points all sit before the Body runs: the pre-DB stage (a
 // commit failure or stall), the host-agent stage (agent failure or
-// stall), and the data plane's entry (network degradation for migrations
-// over netsim, storage latency spikes otherwise). A failed attempt still
-// pays for everything up to the failure — that wasted work is the retry
-// amplification E17 measures. Post stages are past the point of no
-// return and are never injected.
+// stall), and the data plane's entry (storage latency spikes). A failed
+// attempt still pays for everything up to the failure — that wasted work
+// is the retry amplification E17 measures. Post stages are past the
+// point of no return and are never injected.
 func (m *Manager) attempt(p *sim.Proc, task *Task, spec ExecSpec, sample ops.StageSample, attempt int) *faults.Error {
 	// 2. Inventory locks.
 	wait, release := m.acquireLocks(p, spec.LockTargets)
@@ -694,18 +681,14 @@ func (m *Manager) attempt(p *sim.Proc, task *Task, spec ExecSpec, sample ops.Sta
 	}
 
 	// 5. Data plane.
-	layer := faults.LayerStorage
-	if m.network != nil && spec.Req.Kind == ops.KindMigrate {
-		layer = faults.LayerNet
-	}
 	kind := spec.Req.Kind.String()
-	out := m.cfg.Faults.Decide(layer, kind, task.ID, attempt)
+	out := m.cfg.Faults.Decide(faults.LayerStorage, kind, task.ID, attempt)
 	if out.StallS > 0 {
 		p.Sleep(out.StallS)
 		task.Breakdown.Data += out.StallS
 	}
 	if out.Fail {
-		return &faults.Error{Layer: layer, Op: kind, Attempt: attempt}
+		return &faults.Error{Layer: faults.LayerStorage, Op: kind, Attempt: attempt}
 	}
 	d0 := p.Now()
 	task.Err = spec.Body(p)

@@ -8,9 +8,7 @@ import (
 
 	"cloudmcp/internal/hostsim"
 	"cloudmcp/internal/inventory"
-	"cloudmcp/internal/metrics"
 	"cloudmcp/internal/mgmtdb"
-	"cloudmcp/internal/netsim"
 	"cloudmcp/internal/ops"
 	"cloudmcp/internal/rng"
 	"cloudmcp/internal/sim"
@@ -37,17 +35,8 @@ func newFixture(t *testing.T, cfg Config) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var network *netsim.Network
-	if cfg.Network != nil {
-		// The link registers its probes at construction; tests read the
-		// net layer through them.
-		fx.Env.SetMetrics(metrics.NewRegistry())
-		if network, err = netsim.New(fx.Env, *cfg.Network); err != nil {
-			t.Fatal(err)
-		}
-	}
 	agents := hostsim.NewRegistry(fx.Env, fx.Inv, cfg.HostSlots)
-	mgr, err := New(fx.Env, fx.Inv, fx.Pool, agents, db, network, fx.Model, rng.Derive(1, "mgmt-test"), "", cfg)
+	mgr, err := New(fx.Env, fx.Inv, fx.Pool, agents, db, fx.Model, rng.Derive(1, "mgmt-test"), "", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +425,7 @@ func TestInvalidConfigRejected(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
 	bad := DefaultConfig()
 	bad.Threads = 0
-	if _, err := New(f.env, f.inv, f.pool, nil, nil, nil, ops.DefaultCostModel(), rng.New(1), "", bad); err == nil {
+	if _, err := New(f.env, f.inv, f.pool, nil, nil, ops.DefaultCostModel(), rng.New(1), "", bad); err == nil {
 		t.Fatal("expected config error")
 	}
 }
@@ -592,62 +581,6 @@ func TestWALStatsAbsentByDefault(t *testing.T) {
 	}
 	if got := f.mgr.DB().Name(); got != "mgmt.db" {
 		t.Fatalf("aggregate database named %q", got)
-	}
-}
-
-func TestMigrationNetworkContention(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Network = &netsim.Config{MBps: 1024} // 2048MB mem copy → 2s alone
-	f := newFixture(t, cfg)
-	var tasks []*Task
-	mk := func(h *inventory.Host, d *inventory.Datastore) *inventory.VM {
-		vm, err := f.inv.AddVM("vm", h, d, 1, 2048, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vm.State = inventory.VMPoweredOff
-		return vm
-	}
-	a := mk(f.hosts[0], f.ds[0])
-	b := mk(f.hosts[0], f.ds[0])
-	f.env.Go("ma", func(p *sim.Proc) { tasks = append(tasks, f.mgr.Migrate(p, a, f.hosts[1], ReqCtx{Org: "x"})) })
-	f.env.Go("mb", func(p *sim.Proc) { tasks = append(tasks, f.mgr.Migrate(p, b, f.hosts[1], ReqCtx{Org: "x"})) })
-	f.env.Run(sim.Forever)
-	for _, task := range tasks {
-		if task.Err != nil {
-			t.Fatal(task.Err)
-		}
-		// Concurrent 2048MB copies on a 1024MB/s link: ~4s each, in Data.
-		if task.Breakdown.Data < 3.5 || task.Breakdown.Data > 4.5 {
-			t.Fatalf("data = %v, want ~4 (shared link)", task.Breakdown.Data)
-		}
-		// Host stage no longer carries the mem copy.
-		if task.Breakdown.Host > 4.5 {
-			t.Fatalf("host = %v, mem copy double-charged", task.Breakdown.Host)
-		}
-	}
-	snap := f.env.Metrics().Snapshot(f.env.Now())
-	var grants int64 = -1
-	for _, r := range snap.Resources {
-		if r.Layer == "net" && r.Resource == "vmotion" {
-			grants = r.Grants
-		}
-	}
-	bytesMB := -1.0
-	for _, s := range snap.Scalars {
-		if s.Layer == "net" && s.Resource == "vmotion" && s.Metric == "bytes_mb" {
-			bytesMB = s.Value
-		}
-	}
-	if grants != 2 || bytesMB != 4096 {
-		t.Fatalf("net layer: %d vmotion transfers, %v MB; want 2 and 4096", grants, bytesMB)
-	}
-}
-
-func TestNetworkStatsAbsentByDefault(t *testing.T) {
-	f := newFixture(t, DefaultConfig())
-	if f.mgr.network != nil {
-		t.Fatal("network model present without config")
 	}
 }
 

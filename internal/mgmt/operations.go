@@ -168,27 +168,18 @@ func (m *Manager) Reconfigure(p *sim.Proc, vm *inventory.VM, ctx ReqCtx) *Task {
 	})
 }
 
-// Migrate live-migrates vm to dst. The guest-memory copy is charged on
-// the shared migration network when one is configured (contending with
-// concurrent migrations, counted as data time), and as host-agent time
-// otherwise.
+// Migrate live-migrates vm to dst. The guest-memory copy is charged as
+// host-agent time.
 func (m *Manager) Migrate(p *sim.Proc, vm *inventory.VM, dst *inventory.Host, ctx ReqCtx) *Task {
 	req := ops.Request{Kind: ops.KindMigrate, VMID: vm.ID}
 	ctx.apply(&req, p)
-	extraHost := 0.0
-	if m.network == nil {
-		extraHost = m.model.MigrateMemCopyS(vm.MemMB)
-	}
 	return m.Execute(p, ExecSpec{
 		Req:         req,
 		LockTargets: []inventory.ID{vm.ID, vm.HostID, dst.ID},
 		HostID:      vm.HostID,
-		ExtraHostS:  extraHost,
+		ExtraHostS:  m.model.MigrateMemCopyS(vm.MemMB),
 		Pre:         ctx.Pre,
 		Body: func(p *sim.Proc) error {
-			if m.network != nil {
-				m.network.MigrateMemory(p, vm.MemMB)
-			}
 			return m.inv.MoveVM(vm, dst, nil)
 		},
 	})

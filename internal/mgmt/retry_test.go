@@ -181,7 +181,7 @@ func TestRetryPolicyValidation(t *testing.T) {
 	cfg.Retry = RetryPolicy{MaxAttempts: -1}
 	env := sim.NewEnv()
 	inv := inventory.New()
-	if _, err := New(env, inv, nil, nil, nil, nil, ops.DefaultCostModel(), nil, "", cfg); err == nil {
+	if _, err := New(env, inv, nil, nil, nil, ops.DefaultCostModel(), nil, "", cfg); err == nil {
 		t.Fatal("negative retry policy validated")
 	}
 }

@@ -8,8 +8,8 @@
 // management database is either one shared instance every shard
 // contends on (the scale-out bottleneck the paper predicts) or a
 // private per-shard instance. The plane builds everything the shards run
-// on — the databases, the one host-agent registry and the one migration
-// network — and hands each manager its share.
+// on — the databases and the one host-agent registry — and hands each
+// manager its share.
 //
 // Operations whose source and destination hosts live on different
 // shards (migrations) run under a two-phase coordinator: a prepare
@@ -30,7 +30,6 @@ import (
 	"cloudmcp/internal/hostsim"
 	"cloudmcp/internal/inventory"
 	"cloudmcp/internal/mgmt"
-	"cloudmcp/internal/netsim"
 	"cloudmcp/internal/ops"
 	"cloudmcp/internal/rng"
 	"cloudmcp/internal/sim"
@@ -107,9 +106,9 @@ type Plane struct {
 
 // New builds the topology described by cfg over the shared inventory,
 // storage pool, and cost model. It builds what the shards run on — the
-// management databases (one shared, or one per shard), the host-agent
-// registry and the migration network, each of which exists once however
-// the plane is sharded — and then each shard's manager over them. seed
+// management databases (one shared, or one per shard) and the host-agent
+// registry, which exists once however the plane is sharded — and then
+// each shard's manager over them. seed
 // derives each shard's stage-time stream; mcfg is the per-shard manager
 // configuration.
 //
@@ -126,13 +125,6 @@ func New(env *sim.Env, inv *inventory.Inventory, pool *storage.Pool, model *ops.
 	}
 	pl := &Plane{env: env, cfg: cfg, owner: make(map[inventory.ID]int)}
 	agents := hostsim.NewRegistry(env, inv, mcfg.HostSlots)
-	var network *netsim.Network
-	if mcfg.Network != nil {
-		var err error
-		if network, err = netsim.New(env, *mcfg.Network); err != nil {
-			return nil, err
-		}
-	}
 	var db *mgmt.DB
 	for i := 0; i < cfg.Shards; i++ {
 		label, stream := "", "mgmt"
@@ -150,7 +142,7 @@ func New(env *sim.Env, inv *inventory.Inventory, pool *storage.Pool, model *ops.
 			}
 			pl.dbs = append(pl.dbs, db)
 		}
-		mgr, err := mgmt.New(env, inv, pool, agents, db, network, model, rng.Derive(seed, stream), label, mcfg)
+		mgr, err := mgmt.New(env, inv, pool, agents, db, model, rng.Derive(seed, stream), label, mcfg)
 		if err != nil {
 			return nil, err
 		}

@@ -9,7 +9,6 @@ import (
 	"cloudmcp/internal/hostsim"
 	"cloudmcp/internal/inventory"
 	"cloudmcp/internal/mgmt"
-	"cloudmcp/internal/netsim"
 	"cloudmcp/internal/ops"
 	"cloudmcp/internal/rng"
 	"cloudmcp/internal/sim"
@@ -67,7 +66,7 @@ func TestSingleShardIsIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	agents := hostsim.NewRegistry(rawFx.Env, rawFx.Inv, mcfg.HostSlots)
-	raw, err := mgmt.New(rawFx.Env, rawFx.Inv, rawFx.Pool, agents, db, nil, rawFx.Model, rng.Derive(1, "mgmt"), "", mcfg)
+	raw, err := mgmt.New(rawFx.Env, rawFx.Inv, rawFx.Pool, agents, db, rawFx.Model, rng.Derive(1, "mgmt"), "", mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,54 +241,5 @@ func TestDBsDistinctInShardOrder(t *testing.T) {
 				t.Fatalf("%d shards %s: shard %d writes through %s, want %s", tc.shards, tc.mode, i, m.DB().Name(), want.Name())
 			}
 		}
-	}
-}
-
-// The migration network is one physical link however the plane is
-// sharded: concurrent migrations owned by different shards share it
-// exactly as they do on one shard.
-func TestMigrationNetworkSharedAcrossShards(t *testing.T) {
-	dataS := func(shards int) [2]float64 {
-		fx := testfix.New(testfix.Options{Hosts: 4})
-		mcfg := mgmt.DefaultConfig()
-		mcfg.Network = &netsim.Config{MBps: 1024} // a 2048 MB copy takes 2 s alone
-		cfg := DefaultConfig()
-		cfg.Shards = shards
-		pl, err := New(fx.Env, fx.Inv, fx.Pool, fx.Model, 1, mcfg, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out [2]float64
-		// Host 0 → 1 stays on shard 0 and host 2 → 3 on shard 1.
-		for i, move := range [2][2]int{{0, 1}, {2, 3}} {
-			vm, err := fx.Inv.AddVM("vm", fx.Hosts[move[0]], fx.DS[0], 1, 2048, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			vm.State = inventory.VMPoweredOff
-			i, dst := i, fx.Hosts[move[1]]
-			fx.Env.Go("m", func(p *sim.Proc) {
-				task := pl.Migrate(p, vm, dst, mgmt.ReqCtx{Org: "x"})
-				if task.Err != nil {
-					t.Error(task.Err)
-				}
-				out[i] = task.Breakdown.Data
-			})
-		}
-		fx.Env.Run(sim.Forever)
-		if st := pl.Stats(); st.CrossOps != 0 {
-			t.Fatalf("%d shards: %d cross-shard migrations, want 0", shards, st.CrossOps)
-		}
-		return out
-	}
-	one, two := dataS(1), dataS(2)
-	for i := range one {
-		// Two concurrent copies on one 1024 MB/s link: ~4 s each.
-		if one[i] < 3.5 || one[i] > 4.5 {
-			t.Fatalf("one shard: migration %d data %.3f s, want ~4 (shared link)", i, one[i])
-		}
-	}
-	if one != two {
-		t.Fatalf("data-plane seconds on 2 shards %v, on 1 shard %v: shards must share one link", two, one)
 	}
 }

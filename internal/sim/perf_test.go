@@ -1,65 +1,9 @@
 package sim
 
 import (
-	"bytes"
-	"io"
-	"os"
 	"strings"
 	"testing"
 )
-
-// The debug event trace (CLOUDMCP_DEBUG_EVENTS=1) must go to stderr:
-// stdout carries the CLIs' artifacts, and enabling a diagnostic must not
-// corrupt a piped or diffed run. This test runs a simulation busy enough
-// to emit trace lines and asserts stdout stays clean while stderr gets
-// the trace.
-func TestDebugEventsLeaveStdoutClean(t *testing.T) {
-	oldDebug, oldEvery := debugEvents, debugEventEvery
-	debugEvents, debugEventEvery = true, 10
-	defer func() { debugEvents, debugEventEvery = oldDebug, oldEvery }()
-
-	capture := func(f **os.File) (restore func() string) {
-		orig := *f
-		r, w, err := os.Pipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		*f = w
-		done := make(chan string, 1)
-		go func() {
-			var buf bytes.Buffer
-			io.Copy(&buf, r)
-			done <- buf.String()
-		}()
-		return func() string {
-			w.Close()
-			*f = orig
-			return <-done
-		}
-	}
-	restoreOut := capture(&os.Stdout)
-	restoreErr := capture(&os.Stderr)
-
-	env := NewEnv()
-	var tick func()
-	n := 0
-	tick = func() {
-		if n++; n < 100 {
-			env.Schedule(1, tick)
-		}
-	}
-	env.Schedule(1, tick)
-	env.Run(Forever)
-
-	stdout := restoreOut()
-	stderr := restoreErr()
-	if stdout != "" {
-		t.Fatalf("debug event trace leaked to stdout: %q", stdout)
-	}
-	if stderr == "" {
-		t.Fatal("expected a debug event trace on stderr, got none")
-	}
-}
 
 // The kernel's steady-state scheduling paths must not allocate: events
 // are pooled, wakeups carry the process on the event instead of a

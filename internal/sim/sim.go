@@ -50,21 +50,9 @@ package sim
 import (
 	"fmt"
 	"math"
-	"os"
 
 	"cloudmcp/internal/metrics"
 )
-
-// debugEvents enables a low-overhead event-rate trace for diagnosing
-// runaway event cascades; set CLOUDMCP_DEBUG_EVENTS=1. The trace goes to
-// stderr: stdout belongs to the artifacts the CLIs render, and a debug aid
-// must never corrupt a piped or diffed artifact.
-var debugEvents = os.Getenv("CLOUDMCP_DEBUG_EVENTS") != ""
-
-// debugEventEvery is the number of events between debug trace lines. A
-// variable (not a constant) so the regression test can tighten it enough
-// to observe output from a tiny simulation.
-var debugEventEvery int64 = 10_000_000
 
 // Time is virtual time in seconds since the start of the simulation.
 type Time = float64
@@ -383,7 +371,6 @@ func (e *Env) Run(until Time) Time {
 	e.running = true
 	e.stopped = false
 	defer func() { e.running, e.active = false, nil }()
-	var nev int64
 	for !e.stopped {
 		ev := e.peek()
 		if ev == nil || ev.at > until {
@@ -393,12 +380,6 @@ func (e *Env) Run(until Time) Time {
 		e.now = ev.at
 		fn, p, body := ev.fn, ev.p, ev.body
 		e.release(ev)
-		if debugEvents {
-			nev++
-			if nev%debugEventEvery == 0 {
-				fmt.Fprintf(os.Stderr, "sim DEBUG: %d events, now=%v pending=%d fn=%p\n", nev, e.now, e.Pending(), fn)
-			}
-		}
 		if p != nil {
 			e.wake(p)
 		} else if fn != nil {

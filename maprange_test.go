@@ -12,6 +12,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -62,23 +63,16 @@ type mapRange struct {
 // mapRanges lists the ranges over a map in the non-test files of every
 // package under root, in file and source order.
 func mapRanges(root string) ([]mapRange, error) {
-	fset := token.NewFileSet()
-	im := &srcImporter{fset: fset, std: importer.Default(),
-		pkgs: map[string]*types.Package{}, files: map[string][]*ast.File{},
-		info: &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}}
+	m, err := loadModule()
+	if err != nil {
+		return nil, err
+	}
 	var sites []mapRange
-	err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		files, err := im.check(dir)
-		if err != nil {
-			return err
-		}
-		for _, f := range files {
-			rel, err := filepath.Rel(root, fset.File(f.Pos()).Name())
-			if err != nil {
-				return err
+	for _, pkg := range m.pkgs {
+		for _, f := range pkg.files {
+			rel, err := filepath.Rel(root, m.fset.File(f.Pos()).Name())
+			if err != nil || strings.HasPrefix(rel, "..") {
+				continue
 			}
 			count := map[string]int{}
 			for _, decl := range f.Decls {
@@ -94,7 +88,7 @@ func mapRanges(root string) ([]mapRange, error) {
 					if !ok {
 						return true
 					}
-					typ := im.info.TypeOf(rs.X)
+					typ := m.info.TypeOf(rs.X)
 					if _, isMap := typ.Underlying().(*types.Map); !isMap {
 						return true
 					}
@@ -103,15 +97,59 @@ func mapRanges(root string) ([]mapRange, error) {
 					if c := count[fn]; c > 1 {
 						key += fmt.Sprintf("#%d", c)
 					}
-					sites = append(sites, mapRange{key, fset.Position(rs.Pos()), typ})
+					sites = append(sites, mapRange{key, m.fset.Position(rs.Pos()), typ})
 					return true
 				})
 			}
 		}
-		return nil
-	})
-	return sites, err
+	}
+	return sites, nil
 }
+
+// module holds every package under internal/, cmd/, examples/ and
+// bench/, type-checked from source without its test files. TestNoNewMapRanges
+// and TestNoTestOnlySurface share one load.
+type module struct {
+	fset *token.FileSet
+	info *types.Info
+	pkgs []srcPackage // in directory walk order
+}
+
+type srcPackage struct {
+	dir   string
+	files []*ast.File
+}
+
+var loadModule = sync.OnceValues(func() (*module, error) {
+	fset := token.NewFileSet()
+	im := &srcImporter{fset: fset, std: importer.Default(),
+		pkgs: map[string]*types.Package{}, files: map[string][]*ast.File{},
+		info: &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+		}}
+	m := &module{fset: fset, info: im.info}
+	for _, root := range []string{"internal", "cmd", "examples", "bench"} {
+		err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			files, err := im.check(dir)
+			if err != nil {
+				return err
+			}
+			if len(files) > 0 {
+				m.pkgs = append(m.pkgs, srcPackage{filepath.ToSlash(dir), files})
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+})
 
 // srcImporter type-checks this module's packages from source and takes
 // the standard library's from the toolchain's export data.
