@@ -140,9 +140,24 @@ type chainKey struct {
 
 // chainState tracks the active base and clones-since-shadow for one chain.
 type chainState struct {
-	base     inventory.ID // template or shadow template the next clone links to
-	count    int          // linked clones since base creation
-	creating *sim.Signal  // non-nil while a shadow copy is in flight
+	base    inventory.ID // template or shadow template the next clone links to
+	count   int          // linked clones since base creation
+	copying bool         // a shadow copy is in flight
+
+	// head and tail are the FIFO of deploys parked until the copy ends.
+	head, tail *shadowWaiter
+}
+
+// shadowWaiter is a deploy parked in baseFor while another deploy copies
+// its chain's shadow. Records are pooled on the director and linked
+// through next; recheck is bound to the record once.
+type shadowWaiter struct {
+	p       *sim.Proc
+	cs      *chainState
+	since   sim.Time // when the current piece of the wait began
+	waitS   float64  // the wait so far, summed one piece per re-check
+	next    *shadowWaiter
+	recheck func()
 }
 
 // RebalanceEvent records one rebalancer pass that moved VMs.
@@ -204,12 +219,15 @@ type Director struct {
 	// not allocate them. Frames are only touched from the kernel's
 	// cooperative processes, so a plain slice suffices.
 	frameFree []*deployFrame
+
+	// waiterFree recycles shadowWaiter records, linked through next.
+	waiterFree *shadowWaiter
 }
 
-// deployFrame is one DeployVApp call's scatter/gather state: a slot per
-// member VM for the worker outcomes, the signal the last worker fires,
-// the outstanding-worker count, and the call's arguments, which every
-// member VM's worker reads. work is bound to the frame once, so
+// deployFrame is the scatter/gather state of a DeployVApp call with
+// workers: a slot per member VM for its outcome, the signal the last
+// worker fires, the outstanding-worker count, and the call's arguments,
+// which every worker reads. work is bound to the frame once, so
 // spawning a worker allocates no closure.
 type deployFrame struct {
 	slots           []vmOutcome
@@ -225,6 +243,8 @@ type deployFrame struct {
 	submit  sim.Time
 }
 
+// getFrame returns a frame for a vApp of n VMs, all but the last of
+// them deployed by workers.
 func (d *Director) getFrame(n int) *deployFrame {
 	var f *deployFrame
 	if k := len(d.frameFree); k > 0 {
@@ -239,13 +259,14 @@ func (d *Director) getFrame(n int) *deployFrame {
 		f.slots = make([]vmOutcome, n)
 	}
 	f.slots = f.slots[:n]
-	f.remaining, f.next = n, 0
+	f.remaining, f.next = n-1, 0
 	return f
 }
 
-// putFrame returns a frame once every worker has exited (the caller has
-// passed done.Wait, which the last worker's fire precedes). It drops the
-// frame's tasks and entities, so a pooled frame keeps none of them alive.
+// putFrame returns a frame once every worker has exited (the caller saw
+// none left, or passed done.Wait, which the last worker's fire
+// precedes). It drops the frame's tasks and entities, so a pooled frame
+// keeps none of them alive.
 func (d *Director) putFrame(f *deployFrame) {
 	clear(f.slots)
 	f.org, f.tpl, f.va, f.vm0 = "", nil, nil, ""
@@ -257,15 +278,19 @@ func (d *Director) putFrame(f *deployFrame) {
 func (d *Director) deployWorker(p *sim.Proc, f *deployFrame) {
 	i := f.next
 	f.next++
-	name := f.vm0
-	if i > 0 {
-		name = f.va.Name + "-vm" + strconv.Itoa(i)
-	}
-	f.slots[i] = d.deployOne(p, f.org, name, f.tpl, f.va, f.powerOn, f.submit)
+	f.slots[i] = d.deployOne(p, f.org, memberName(f.vm0, f.va, i), f.tpl, f.va, f.powerOn, f.submit)
 	f.remaining--
 	if f.remaining == 0 {
 		f.done.Fire()
 	}
+}
+
+// memberName names va's member VM i; vm0 is the first member's name.
+func memberName(vm0 string, va *inventory.VApp, i int) string {
+	if i == 0 {
+		return vm0
+	}
+	return va.Name + "-vm" + strconv.Itoa(i)
 }
 
 // New builds a director over an existing management plane. The stream
@@ -429,7 +454,7 @@ func (d *Director) placeNearBase(tpl *inventory.Template, needGB float64) *inven
 			return
 		}
 		need := needGB
-		if cs := d.chains[chainKey{tpl: tpl.ID, ds: ds.ID}]; cs != nil && cs.count >= d.maxChain() && cs.creating == nil {
+		if cs := d.chains[chainKey{tpl: tpl.ID, ds: ds.ID}]; cs != nil && cs.count >= d.maxChain() && !cs.copying {
 			need += tpl.DiskGB
 		}
 		if d.effectiveFree(ds) < need {
@@ -481,35 +506,85 @@ func (d *Director) baseFor(p *sim.Proc, tpl *inventory.Template, ds *inventory.D
 		d.chains[key] = cs
 	}
 	for cs.base == inventory.None || cs.count >= d.maxChain() {
-		if cs.creating != nil {
+		if cs.copying {
 			// Another deploy is already copying the shadow; wait for it
-			// and re-check rather than duplicating the copy.
-			t0 := p.Now()
-			cs.creating.Wait(p)
-			waitS += p.Now() - t0
+			// rather than duplicating the copy.
+			waitS += d.awaitCopy(p, cs)
 			continue
 		}
-		cs.creating = sim.NewSignal(d.env)
+		cs.copying = true
 		d.nextShadow++
 		name := fmt.Sprintf("shadow-%s-%d", tpl.Name, d.nextShadow)
 		t0 := p.Now()
 		shadow, cerr := d.plane.FullCopyTemplate(p, tpl, ds, name)
 		copyS += p.Now() - t0
-		sig := cs.creating
-		cs.creating = nil
 		if cerr != nil {
-			sig.Fire()
+			d.endCopy(cs)
 			return nil, waitS, copyS, cerr
 		}
 		d.shadowCopies++
 		cs.base = shadow.ID
 		cs.count = 0
 		d.registerBase(tpl.ID, ds.ID)
-		sig.Fire()
+		d.endCopy(cs)
 		break
 	}
 	cs.count++
 	return inv.Template(cs.base), waitS, copyS, nil
+}
+
+// awaitCopy parks p behind cs's shadow copy until a re-check finds that
+// p need not wait for a further copy, and returns the seconds it waited.
+func (d *Director) awaitCopy(p *sim.Proc, cs *chainState) float64 {
+	w := d.waiterFree
+	if w == nil {
+		w = &shadowWaiter{}
+		w.recheck = func() { d.recheck(w) }
+	} else {
+		d.waiterFree = w.next
+	}
+	w.p, w.cs, w.waitS = p, cs, 0
+	cs.park(w, p.Now())
+	p.Park()
+	waitS := w.waitS
+	w.p, w.cs, w.next = nil, nil, d.waiterFree
+	d.waiterFree = w
+	return waitS
+}
+
+// park appends w to the deploys waiting for cs's copy.
+func (cs *chainState) park(w *shadowWaiter, now sim.Time) {
+	w.since, w.next = now, nil
+	if cs.tail == nil {
+		cs.head = w
+	} else {
+		cs.tail.next = w
+	}
+	cs.tail = w
+}
+
+// endCopy ends cs's shadow copy. Each deploy parked on it re-checks in
+// the (time, sequence) slot a broadcast wakeup would give it.
+func (d *Director) endCopy(cs *chainState) {
+	cs.copying = false
+	for w := cs.head; w != nil; w = w.next {
+		d.env.Schedule(0, w.recheck)
+	}
+	cs.head, cs.tail = nil, nil
+}
+
+// recheck is what a woken waiter would do first: it adds the piece of
+// the wait that just ended (one piece per copy, in the order a waiting
+// process sums them), then either parks w behind the next copy, if one
+// is in flight and the chain is still blocked, or resumes w's deploy.
+func (d *Director) recheck(w *shadowWaiter) {
+	now := d.env.Now()
+	w.waitS += now - w.since
+	if cs := w.cs; cs.copying && (cs.base == inventory.None || cs.count >= d.maxChain()) {
+		cs.park(w, now)
+		return
+	}
+	d.env.Unpark(w.p)
 }
 
 // DeployResult reports one DeployVApp call.
@@ -544,33 +619,49 @@ func (d *Director) DeployVApp(p *sim.Proc, org string, tpl *inventory.Template, 
 	va := inv.AddVApp(vm0[:len(vm0)-len("-vm0")], org)
 	res := DeployResult{VApp: va, Tasks: make([]*mgmt.Task, 0, nVMs*2)}
 
-	f := d.getFrame(nVMs)
-	f.org, f.tpl, f.va, f.vm0, f.powerOn, f.submit = org, tpl, va, vm0, powerOn, submit
-	for i := 0; i < nVMs; i++ {
-		d.env.Go("deploy", f.work)
+	// Workers deploy every member but the last, which the caller deploys
+	// itself. Workers take members in start order, so the caller starts
+	// in the slot a last worker's start would take, and resumes where
+	// the last member's finish would wake it.
+	var f *deployFrame
+	var one [1]vmOutcome
+	slots := one[:]
+	if nVMs > 1 {
+		f = d.getFrame(nVMs)
+		f.org, f.tpl, f.va, f.vm0, f.powerOn, f.submit = org, tpl, va, vm0, powerOn, submit
+		for i := 1; i < nVMs; i++ {
+			d.env.Go("deploy", f.work)
+		}
+		slots = f.slots
 	}
-	if f.remaining > 0 {
+	p.Yield()
+	slots[nVMs-1] = d.deployOne(p, org, memberName(vm0, va, nVMs-1), tpl, va, powerOn, submit)
+	if f != nil && f.remaining > 0 {
 		f.done.Wait(p)
+	} else {
+		p.Yield()
 	}
 	deployed := 0
-	for i := range f.slots {
-		if f.slots[i].deploy != nil {
-			res.Tasks = append(res.Tasks, f.slots[i].deploy)
-			if f.slots[i].deploy.Err == nil {
+	for i := range slots {
+		if slots[i].deploy != nil {
+			res.Tasks = append(res.Tasks, slots[i].deploy)
+			if slots[i].deploy.Err == nil {
 				deployed++
 			}
 		}
-		if f.slots[i].pwr != nil {
-			res.Tasks = append(res.Tasks, f.slots[i].pwr)
+		if slots[i].pwr != nil {
+			res.Tasks = append(res.Tasks, slots[i].pwr)
 		}
-		if f.slots[i].err != nil && res.Err == nil {
-			res.Err = f.slots[i].err
+		if slots[i].err != nil && res.Err == nil {
+			res.Err = slots[i].err
 		}
 	}
-	d.putFrame(f)
+	if f != nil {
+		d.putFrame(f)
+	}
 	d.orgVMs[org] -= nVMs - deployed // release quota held by failures
-	d.liveVApps[va.ID] = true
 	if d.cfg.LeaseS > 0 {
+		d.liveVApps[va.ID] = true
 		vaID := va.ID
 		d.env.GoAfter(d.cfg.LeaseS, func(lp *sim.Proc) {
 			if !d.liveVApps[vaID] {
@@ -704,7 +795,9 @@ func tally(tasks int, err error, t *mgmt.Task) (int, error) {
 // errors.
 func (d *Director) DeleteVApp(p *sim.Proc, va *inventory.VApp, org string) (tasks int, err error) {
 	inv := d.plane.Inventory()
-	delete(d.liveVApps, va.ID)
+	if d.cfg.LeaseS > 0 {
+		delete(d.liveVApps, va.ID)
+	}
 	// Copy: destroy mutates va.VMs.
 	var buf [8]inventory.ID
 	for _, id := range append(buf[:0], va.VMs...) {

@@ -154,3 +154,92 @@ func TestAcquireThenAllocFree(t *testing.T) {
 		t.Fatalf("AcquireThen allocates %.1f/cycle, want 0", allocs)
 	}
 }
+
+// yieldTrace runs the processes the fuzzer's bytes describe and logs
+// every step with its time and the kernel's sequence counter. Each
+// process takes two bytes: its start time and step count, then its step
+// ops, two bits per step. A step is a zero-delay pause, a pause after
+// another event was scheduled for the same instant, a pause after Stop,
+// or a one-second sleep; with yield set a pause calls Yield, without it
+// Sleep(0), the reference Yield must reproduce event for event. Run is
+// called again after every Stop until nothing is pending, and each
+// return is logged, so a Yield that ran on past a Stop shows.
+func yieldTrace(data []byte, yield bool) []string {
+	env := NewEnv()
+	var log []string
+	note := func(what string, id, step int) {
+		log = append(log, fmt.Sprintf("t=%v seq=%d %s%d.%d", env.now, env.seq, what, id, step))
+	}
+	for i, c := 0, data; len(c) >= 2 && i < 16; i, c = i+1, c[2:] {
+		start, ops := Time(c[0]%3), c[1]
+		steps := 1 + int(c[0]>>2)%4
+		env.Schedule(start, func() { note("tick", i, 0) })
+		env.Go("p", func(p *Proc) {
+			p.Sleep(start)
+			for s := 0; s < steps; s++ {
+				note("step", i, s)
+				switch ops >> (2 * s) & 3 {
+				case 1:
+					env.Schedule(0, func() { note("same-instant", i, s) })
+				case 2:
+					env.Stop()
+				case 3:
+					p.Sleep(1)
+					continue
+				}
+				if yield {
+					p.Yield()
+				} else {
+					p.Sleep(0)
+				}
+			}
+			note("done", i, steps)
+		})
+	}
+	for runs := 0; env.Pending() > 0 && runs < 100; runs++ {
+		env.Run(Forever)
+		note("run returned", runs, 0)
+	}
+	if env.nproc != 0 {
+		log = append(log, fmt.Sprintf("leftover: %d processes", env.nproc))
+	}
+	env.Close()
+	return log
+}
+
+// FuzzYieldMatchesSleep0 checks that Yield is Sleep(0) to every
+// observer: the same steps at the same times in the same (time,
+// sequence) slots, with and without other events due at the instant,
+// and when Stop was called in the current event.
+func FuzzYieldMatchesSleep0(f *testing.F) {
+	f.Add([]byte{0, 0})
+	f.Add([]byte{4, 0b0101, 1, 0b1111, 8, 0b0010})
+	f.Add([]byte{12, 0b10011001, 13, 0b01100110, 2, 0b11})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, got := yieldTrace(data, false), yieldTrace(data, true)
+		if !slices.Equal(got, want) {
+			t.Fatalf("Yield diverges from Sleep(0):\ngot  %s\nwant %s", strings.Join(got, "\n     "), strings.Join(want, "\n     "))
+		}
+	})
+}
+
+// A process alone at its instant yields without a switch; one behind
+// another due event switches like Sleep(0).
+func TestYieldSwitchesOnlyBehindDueEvents(t *testing.T) {
+	env := NewEnv()
+	var alone, behind int64
+	env.Go("p", func(p *Proc) {
+		w := env.wakes
+		p.Yield()
+		alone = env.wakes - w
+		env.Schedule(0, func() {})
+		w = env.wakes
+		p.Yield()
+		behind = env.wakes - w
+	})
+	env.Run(Forever)
+	env.Close()
+	if alone != 0 || behind != 1 {
+		t.Fatalf("Yield switched %d times alone and %d times behind a due event, want 0 and 1", alone, behind)
+	}
+}

@@ -78,6 +78,7 @@ func (e *Env) wake(p *Proc) {
 		e.shells = append(e.shells, p)
 	}
 	e.active = p
+	e.wakes++
 	p.next()
 	e.active = nil
 }
@@ -123,6 +124,23 @@ func (p *Proc) yield() {
 func (p *Proc) Sleep(d Time) {
 	checkDelay(d)
 	p.env.scheduleWake(d, p)
+	p.yield()
+}
+
+// Yield is Sleep(0): the process waits behind every event already due at
+// the current instant and resumes in the (time, sequence) slot its
+// wakeup takes. When no other event is due now and Run has not been
+// stopped, that wakeup would be the very next event, so Yield only
+// takes its sequence number and continues without the switch.
+func (p *Proc) Yield() {
+	e := p.env
+	if !e.stopped {
+		if ev := e.peek(); ev == nil || ev.at > e.now {
+			e.seq++
+			return
+		}
+	}
+	e.scheduleWake(0, p)
 	p.yield()
 }
 

@@ -24,6 +24,8 @@
 // as callbacks instead (Schedule for Sleep, Resource.AcquireThen for
 // Acquire), each in the (time, sequence) slot of the wakeup it replaces,
 // while the process waits in Proc.Park until a callback calls Env.Unpark.
+// Proc.Yield is Sleep(0) without the switch when no other event is due
+// at the current instant.
 //
 // Time is measured in seconds of virtual time as a float64 (type Time).
 //
@@ -192,6 +194,9 @@ type Env struct {
 
 	// active is the process the kernel is switched into, if any.
 	active *Proc
+
+	// wakes counts switches into processes (see wake).
+	wakes int64
 
 	// metrics is the optional instrumentation registry resources and
 	// model layers report into; nil (the default) disables collection at
