@@ -112,7 +112,8 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c Config) validate() error {
+// Validate checks the director's sizing knobs.
+func (c Config) Validate() error {
 	if c.Cells <= 0 || c.CellThreads <= 0 {
 		return fmt.Errorf("clouddir: non-positive cells/threads in %+v", c)
 	}
@@ -297,7 +298,7 @@ func memberName(vm0 string, va *inventory.VApp, i int) string {
 // seeds cell stage-time draws; it must be distinct from the managers'
 // streams. place scores the hosts and datastores the director picks.
 func New(env *sim.Env, pl *plane.Plane, model *ops.CostModel, stream *rng.Stream, place policy.PlacementPolicy, cfg Config) (*Director, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	d := &Director{

@@ -176,15 +176,78 @@ type Cloud struct {
 	recorder *trace.Recorder
 }
 
-// New builds the cloud described by cfg.
-func New(cfg Config) (*Cloud, error) {
+// Validate runs every check New runs, in New's order, and builds
+// nothing: New fails with exactly the error Validate returns.
+func (cfg Config) Validate() error {
 	if err := cfg.Topology.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	pol, err := policy.Named(cfg.Policy)
 	if err != nil {
+		return err
+	}
+	if cfg.Faults != nil {
+		if err := cfg.Faults.Validate(); err != nil {
+			return err
+		}
+	}
+	pcfg := cfg.planeConfig()
+	if pcfg.Shards > cfg.Topology.Hosts {
+		return fmt.Errorf("core: %d shards exceed %d hosts: a shard needs at least one host", pcfg.Shards, cfg.Topology.Hosts)
+	}
+	if err := pcfg.Validate(); err != nil {
+		return err
+	}
+	if err := cfg.mgmtConfig(pol).Validate(); err != nil {
+		return err
+	}
+	if cfg.Model != nil {
+		if err := cfg.Model.Validate(); err != nil {
+			return err
+		}
+	}
+	if err := cfg.Director.Validate(); err != nil {
+		return err
+	}
+	if err := cfg.DRS.Validate(); err != nil {
+		return err
+	}
+	if cfg.Reconcile != nil {
+		return cfg.Reconcile.WithDefaults().Validate()
+	}
+	return nil
+}
+
+// planeConfig is the plane topology New builds: a zero Plane block
+// (configs predating the sharded plane) is the single-shard identity
+// topology.
+func (cfg Config) planeConfig() plane.Config {
+	if cfg.Plane == (plane.Config{}) {
+		return plane.DefaultConfig()
+	}
+	return cfg.Plane
+}
+
+// mgmtConfig is the per-shard manager configuration New builds, less
+// the fault injector: the policy set's retry when faults are on and the
+// scenario sets none, and the in-flight limit the admission policy
+// sizes from the configured base and the deployment shape (the default
+// "fixed" policy returns the base).
+func (cfg Config) mgmtConfig(pol policy.Set) mgmt.Config {
+	mcfg := cfg.Mgmt
+	if cfg.Faults != nil && mcfg.Retry == (mgmt.RetryPolicy{}) {
+		mcfg.Retry = pol.Retry
+	}
+	mcfg.MaxInFlight = pol.Admission.MaxInFlight(mcfg.MaxInFlight, cfg.Topology.Hosts, cfg.planeConfig().Shards)
+	return mcfg
+}
+
+// New builds the cloud described by cfg.
+func New(cfg Config) (*Cloud, error) {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	pol, _ := policy.Named(cfg.Policy) // Validate resolved the name
 	model := cfg.Model
 	if model == nil {
 		model = ops.DefaultCostModel()
@@ -212,28 +275,15 @@ func New(cfg Config) (*Cloud, error) {
 	}
 	pool := storage.NewPool(env, inv)
 	pool.Policy = cfg.Storage
-	mcfg := cfg.Mgmt
+	mcfg := cfg.mgmtConfig(pol)
 	if cfg.Faults != nil {
 		inj, err := faults.New(cfg.Seed, *cfg.Faults)
 		if err != nil {
 			return nil, err
 		}
 		mcfg.Faults = inj
-		if mcfg.Retry == (mgmt.RetryPolicy{}) {
-			mcfg.Retry = pol.Retry
-		}
 	}
-	if cfg.Plane == (plane.Config{}) {
-		// A zero Plane block (configs predating the sharded plane) is
-		// the single-shard identity topology.
-		cfg.Plane = plane.DefaultConfig()
-	}
-	if cfg.Plane.Shards > cfg.Topology.Hosts {
-		return nil, fmt.Errorf("core: %d shards exceed %d hosts: a shard needs at least one host", cfg.Plane.Shards, cfg.Topology.Hosts)
-	}
-	// Admission sizes the in-flight limit from the configured base and
-	// the deployment shape; the default "fixed" policy returns the base.
-	mcfg.MaxInFlight = pol.Admission.MaxInFlight(mcfg.MaxInFlight, cfg.Topology.Hosts, cfg.Plane.Shards)
+	cfg.Plane = cfg.planeConfig()
 	pl, err := plane.New(env, inv, pool, model, cfg.Seed, mcfg, cfg.Plane)
 	if err != nil {
 		return nil, err

@@ -1,13 +1,18 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"cloudmcp/internal/analysis"
 	"cloudmcp/internal/drs"
+	"cloudmcp/internal/faults"
 	"cloudmcp/internal/mgmt"
+	"cloudmcp/internal/mgmtdb"
 	"cloudmcp/internal/ops"
+	"cloudmcp/internal/plane"
+	"cloudmcp/internal/reconcile"
 	"cloudmcp/internal/sim"
 	"cloudmcp/internal/workload"
 )
@@ -84,6 +89,68 @@ func TestShardsExceedingHostsRejected(t *testing.T) {
 	}
 	if _, err := New(cfg); err == nil {
 		t.Fatal("scenario with 8 shards on 4 hosts built")
+	}
+}
+
+// Validate runs every check New runs and builds nothing: for each
+// config, one bad value per check (and a few with two, where the first
+// in New's order must win), Validate and New return the same error.
+// The configs that pass show Validate applying what New derives first:
+// the admission policy's in-flight limit, the policy set's retry, a
+// zero Plane block and the reconcile defaults.
+func TestValidateMatchesNew(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+		ok   bool
+	}{
+		{"default", func(*Config) {}, true},
+		{"no hosts", func(c *Config) { c.Topology.Hosts = 0 }, false},
+		{"no templates and unknown policy", func(c *Config) { c.Topology.Templates = 0; c.Policy = "nope" }, false},
+		{"unknown policy", func(c *Config) { c.Policy = "nope" }, false},
+		{"fault probability above 1", func(c *Config) { c.Faults = &faults.Config{Host: faults.Layer{FailProb: 2}} }, false},
+		{"bad faults and too many shards", func(c *Config) {
+			c.Faults = &faults.Config{DB: faults.Layer{FailProb: -1}}
+			c.Plane.Shards = 64
+		}, false},
+		{"shards exceed hosts", func(c *Config) { c.Plane.Shards = 64 }, false},
+		{"no shards", func(c *Config) { c.Plane.Shards = -1 }, false},
+		{"unknown db mode", func(c *Config) { c.Plane.DB = "bogus" }, false},
+		{"zero plane block", func(c *Config) { c.Plane = plane.Config{} }, true},
+		{"no threads", func(c *Config) { c.Mgmt.Threads = 0 }, false},
+		{"negative retry", func(c *Config) { c.Mgmt.Retry.BaseBackoff = -1 }, false},
+		{"faults with the policy's retry", func(c *Config) {
+			c.Faults = &faults.Config{Host: faults.Layer{FailProb: 0.1}}
+			c.Policy = "eager-retry"
+		}, true},
+		{"WAL database without connections", func(c *Config) { c.Mgmt.Database = &mgmtdb.Config{FlushS: 0.02} }, false},
+		{"no in-flight limit", func(c *Config) { c.Mgmt.MaxInFlight = 0 }, false},
+		{"no in-flight limit, sized by hosts", func(c *Config) { c.Mgmt.MaxInFlight = 0; c.Policy = "host-admission" }, true},
+		{"negative cost", func(c *Config) {
+			c.Model = ops.DefaultCostModel()
+			c.Model.CV = -1
+		}, false},
+		{"no cells", func(c *Config) { c.Director.Cells = 0 }, false},
+		{"negative lease and no threads", func(c *Config) { c.Director.LeaseS = -1; c.Mgmt.Threads = 0 }, false},
+		{"DRS without a period", func(c *Config) { c.DRS = drs.Config{Threshold: 0.2, Batch: 4} }, false},
+		{"unknown controller", func(c *Config) { c.Reconcile = &reconcile.Config{Controllers: []string{"nope"}} }, false},
+		{"bare reconcile literal", func(c *Config) { c.Reconcile = &reconcile.Config{Controllers: []string{reconcile.ControllerDrift}} }, true},
+		{"reconcile without an interval", func(c *Config) {
+			rc := reconcile.DefaultConfig()
+			rc.Controllers, rc.IntervalS = []string{reconcile.ControllerDrift}, 0
+			c.Reconcile = &rc
+		}, false},
+	} {
+		cfg := DefaultConfig(1)
+		tc.edit(&cfg)
+		verr := cfg.Validate()
+		c, nerr := New(cfg)
+		if c != nil {
+			c.Close()
+		}
+		if (verr == nil) != tc.ok || fmt.Sprint(verr) != fmt.Sprint(nerr) {
+			t.Errorf("%s: Validate = %v, New = %v; want the same, nil exactly when %v", tc.name, verr, nerr, tc.ok)
+		}
 	}
 }
 

@@ -64,9 +64,9 @@ type GridRow struct {
 	Result  ClosedLoopResult
 }
 
-// Points loads every point of the grid in row-major order and builds a
-// cloud from each, so a bad value fails, naming the point's path=value
-// list, before any point simulates.
+// Points loads every point of the grid in row-major order and checks
+// each point's config as New would, so a bad value fails, naming the
+// point's path=value list, before any point simulates.
 func (g Grid) Points(load Loader) ([]GridRow, error) {
 	total := 1
 	for _, d := range g.Dims {
@@ -91,7 +91,7 @@ func (g Grid) Points(load Loader) ([]GridRow, error) {
 		}
 		cfg, err := load(sets...)
 		if err == nil {
-			_, err = New(cfg)
+			err = cfg.Validate()
 		}
 		if err != nil {
 			return nil, fmt.Errorf("grid point %s: %w", strings.Join(sets, " "), err)

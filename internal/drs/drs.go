@@ -35,7 +35,8 @@ func DefaultConfig() Config {
 	return Config{Threshold: 0.25, CheckS: 300, Batch: 4}
 }
 
-func (c Config) validate() error {
+// Validate checks the balancer's period and batch when it is enabled.
+func (c Config) Validate() error {
 	if c.Threshold > 0 && (c.CheckS <= 0 || c.Batch <= 0) {
 		return fmt.Errorf("drs: enabled with bad period/batch %+v", c)
 	}
@@ -68,7 +69,7 @@ type Balancer struct {
 // crossing shards through the plane's coordinator when the destination
 // lives elsewhere.
 func New(env *sim.Env, pl *plane.Plane, move policy.MovePolicy, cfg Config) (*Balancer, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return &Balancer{env: env, plane: pl, move: move, cfg: cfg}, nil

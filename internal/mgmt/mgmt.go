@@ -156,12 +156,19 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate checks the sizing knobs and the retry policy.
+// Validate checks the sizing knobs, the retry policy and the WAL
+// database model when one is set.
 func (c Config) Validate() error {
 	if c.Threads <= 0 || c.DBConns <= 0 || c.MaxInFlight <= 0 || c.HostSlots <= 0 {
 		return fmt.Errorf("mgmt: non-positive config %+v", c)
 	}
-	return c.Retry.validate()
+	if err := c.Retry.validate(); err != nil {
+		return err
+	}
+	if c.Database != nil {
+		return c.Database.Validate()
+	}
+	return nil
 }
 
 // Task is the record of one executed management operation.
@@ -197,16 +204,17 @@ type Manager struct {
 	locks     map[inventory.ID]*sim.Resource
 	global    *sim.Resource
 
-	// Pooled lock-path state. Acquisition frames and retired lock
-	// resources are recycled, so the steady-state lock path allocates
-	// nothing and the lock map no longer grows by one entry per VM
-	// ever created (see recycleLock). The kernel runs event bodies one
-	// at a time, so plain slices are safe here.
+	// Pooled lock-path state. locks holds only the locks held or awaited
+	// right now: the attempt whose release leaves a lock with no holder
+	// and no waiter returns it to lockPool, so the map is empty whenever
+	// no attempt holds a lock, and lockPool never outgrows the most
+	// locks in flight at once. Acquisition frames are recycled too, so the steady-state lock
+	// path allocates nothing. The kernel runs event bodies one at a time,
+	// so plain slices are safe here.
 	lockFrames []*lockSet
 	lockPool   []*sim.Resource
 	globalRel  func()
-	chains     []*chain              // Execute's stage-chain frames
-	retiring   map[inventory.ID]bool // destroyed entities whose locks were busy (see recycleLock)
+	chains     []*chain // Execute's stage-chain frames
 
 	nextTaskID int64
 	sinks      []func(*Task)
@@ -403,9 +411,9 @@ func (m *Manager) lockFor(id inventory.ID) *sim.Resource {
 	if r, ok := m.locks[id]; ok {
 		return r
 	}
-	// Reuse a retired lock when one is free: inventory IDs never repeat,
-	// so a recycled resource always stands for a brand-new entity. Every
-	// entity lock shares one label: lock names never reach an artifact.
+	// An idle lock holds no state worth keeping, so any pooled resource
+	// stands for any entity. Every entity lock shares one label: lock
+	// names never reach an artifact.
 	var r *sim.Resource
 	if k := len(m.lockPool); k > 0 {
 		r = m.lockPool[k-1]
@@ -416,38 +424,6 @@ func (m *Manager) lockFor(id inventory.ID) *sim.Resource {
 	}
 	m.locks[id] = r
 	return r
-}
-
-// recycleLock retires the lock of a destroyed entity. Without this the
-// lock map grows by one entry per VM ever created — a leak on any
-// long-lived manager (the reconciliation plane runs forever). A lock
-// still held, or awaited by an operation queued behind the destroy, is
-// marked instead, and retired when its last holder lets go.
-func (m *Manager) recycleLock(id inventory.ID) {
-	r, ok := m.locks[id]
-	if !ok {
-		return
-	}
-	if r.InUse() > 0 || r.QueueLen() > 0 {
-		if m.retiring == nil {
-			m.retiring = make(map[inventory.ID]bool)
-		}
-		m.retiring[id] = true
-		return
-	}
-	delete(m.locks, id)
-	m.lockPool = append(m.lockPool, r)
-}
-
-// retireIdle retires every marked lock among ids that is now idle.
-func (m *Manager) retireIdle(ids []inventory.ID) {
-	for _, id := range ids {
-		if r := m.locks[id]; m.retiring[id] && r.InUse() == 0 && r.QueueLen() == 0 {
-			delete(m.retiring, id)
-			delete(m.locks, id)
-			m.lockPool = append(m.lockPool, r)
-		}
-	}
 }
 
 // lockSet is one attempt's pooled lock-acquisition frame: the mapped
@@ -469,11 +445,16 @@ func (m *Manager) getLockFrame() *lockSet {
 	}
 	ls := &lockSet{}
 	ls.release = func() {
+		// A lock left idle goes back to the pool. One with a waiter keeps
+		// its resource, and so its FIFO order: Release only schedules the
+		// waiter's wakeup, which holds the lock from this instant on.
 		for i := len(ls.held) - 1; i >= 0; i-- {
-			ls.held[i].Release(1)
-		}
-		if len(m.retiring) > 0 { // no lookup while no lock is marked
-			m.retireIdle(ls.ids)
+			r := ls.held[i]
+			r.Release(1)
+			if r.InUse() == 0 && r.QueueLen() == 0 {
+				delete(m.locks, ls.ids[i])
+				m.lockPool = append(m.lockPool, r)
+			}
 		}
 		ls.held = ls.held[:0]
 		ls.ids = ls.ids[:0]

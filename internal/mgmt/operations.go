@@ -214,20 +214,13 @@ func (m *Manager) StorageMigrate(p *sim.Proc, vm *inventory.VM, dst *inventory.D
 func (m *Manager) Destroy(p *sim.Proc, vm *inventory.VM, ctx ReqCtx) *Task {
 	req := ops.Request{Kind: ops.KindDestroy, VMID: vm.ID}
 	ctx.apply(&req, p)
-	task := m.Execute(p, ExecSpec{
+	return m.Execute(p, ExecSpec{
 		Req:         req,
 		LockTargets: []inventory.ID{vm.ID, vm.HostID, vm.DatastoreID},
 		HostID:      vm.HostID,
 		Pre:         ctx.Pre,
 		Body:        func(p *sim.Proc) error { return m.inv.RemoveVM(vm) },
 	})
-	if task.Err == nil {
-		// The VM is gone and its ID will never be reused; retire the
-		// per-entity lock instead of leaking one map entry per VM ever
-		// created.
-		m.recycleLock(vm.ID)
-	}
-	return task
 }
 
 // FullCopyTemplate clones tpl's base disk to dst as a new template (the

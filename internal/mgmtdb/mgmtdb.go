@@ -51,7 +51,8 @@ func DefaultConfig() Config {
 	return Config{Conns: 4, WriteS: 0.005, FlushS: 0.020, GroupWindowS: 0.005}
 }
 
-func (c Config) validate() error {
+// Validate checks the connection count and the stage times.
+func (c Config) Validate() error {
 	if c.Conns <= 0 || c.WriteS < 0 || c.FlushS < 0 || c.GroupWindowS < 0 {
 		return fmt.Errorf("mgmtdb: bad config %+v", c)
 	}
@@ -82,7 +83,7 @@ type DB struct {
 // New builds a database. Its metrics register separately, through
 // RegisterMetrics, so the builder can label one database among several.
 func New(env *sim.Env, cfg Config) (*DB, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return &DB{

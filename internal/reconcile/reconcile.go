@@ -104,10 +104,10 @@ func DefaultConfig() Config {
 // Enabled reports whether any controller is configured.
 func (c Config) Enabled() bool { return len(c.Controllers) > 0 }
 
-// withDefaults gives the bare literal Config{Controllers: ...} every
+// WithDefaults gives the bare literal Config{Controllers: ...} every
 // DefaultConfig knob, so it is runnable. A Config that sets any knob is
 // used as written: a zero RatePerS, Burst or DriftRate means zero.
-func (c Config) withDefaults() Config {
+func (c Config) WithDefaults() Config {
 	if !reflect.DeepEqual(c, Config{Controllers: c.Controllers}) {
 		return c
 	}
@@ -236,7 +236,7 @@ type Plane struct {
 // and DB costs. A config with no controllers yields an inert plane:
 // identical in behaviour to not constructing one at all.
 func New(env *sim.Env, pl *plane.Plane, seed int64, cfg Config) (*Plane, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

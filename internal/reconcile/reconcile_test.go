@@ -57,11 +57,11 @@ func knobs(ctrls []string, mut func(c *Config)) Config {
 // runs unthrottled.
 func TestWithDefaultsFillsOnlyTheBareLiteral(t *testing.T) {
 	want := knobs([]string{ControllerDrift}, func(*Config) {})
-	if got := (Config{Controllers: []string{ControllerDrift}}).withDefaults(); !reflect.DeepEqual(got, want) {
+	if got := (Config{Controllers: []string{ControllerDrift}}).WithDefaults(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("bare literal = %+v, want %+v", got, want)
 	}
 	zero := knobs([]string{ControllerDrift}, func(c *Config) { c.RatePerS, c.Burst, c.DriftRate = 0, 0, 0 })
-	if got := zero.withDefaults(); !reflect.DeepEqual(got, zero) {
+	if got := zero.WithDefaults(); !reflect.DeepEqual(got, zero) {
 		t.Fatalf("explicit zeros = %+v, want them kept", got)
 	}
 }

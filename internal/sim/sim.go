@@ -412,6 +412,9 @@ func (e *Env) Pending() int {
 //
 // Resource additionally keeps the time-integrals needed for utilization and
 // queue-length statistics (see Stats).
+//
+// A grant that does not queue allocates nothing: only a request that
+// waits takes a waiter record.
 type Resource struct {
 	env      *Env
 	name     string
@@ -483,11 +486,20 @@ func (r *Resource) newWaiter(p *Proc, fn func(), n int) *resWaiter {
 
 // acquire queues a request for n units (n in [1, capacity]) that resumes
 // p or calls fn when granted, and reports whether it was granted at once.
+// A request that finds the queue empty and n units free is granted in
+// place, with the accounting dispatch gives a lone waiter: it counts as
+// a queue of one for an instant and waits zero seconds.
 func (r *Resource) acquire(p *Proc, fn func(), n int) bool {
 	if n <= 0 || n > r.capacity {
 		panic(fmt.Sprintf("sim: acquire %d of %q (capacity %d)", n, r.name, r.capacity))
 	}
 	r.account()
+	if r.wHead == len(r.waiters) && r.inUse+n <= r.capacity {
+		r.maxQueue = max(r.maxQueue, 1)
+		r.inUse += n
+		r.grants++
+		return true
+	}
 	w := r.newWaiter(p, fn, n)
 	r.waiters = append(r.waiters, w)
 	if q := r.QueueLen(); q > r.maxQueue {

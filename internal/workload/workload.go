@@ -192,6 +192,11 @@ type Generator struct {
 	horizon sim.Time
 	stats   Stats
 	nextID  int64
+
+	// The profile's per-VM activity mix, fixed for the generator's life:
+	// the rates by operation and their sum per second (see activityLoop).
+	activity     [5]float64
+	activityRate float64
 }
 
 // NewGenerator builds a generator. The horizon bounds when new work is
@@ -210,8 +215,10 @@ func NewGenerator(env *sim.Env, dir *clouddir.Director, profile Profile, stream 
 	}
 	return &Generator{
 		env: env, dir: dir, profile: profile, stream: stream,
-		zipf:    rng.NewZipf(stream, ntpl, profile.TemplateTheta),
-		horizon: horizon,
+		zipf:         rng.NewZipf(stream, ntpl, profile.TemplateTheta),
+		horizon:      horizon,
+		activity:     [5]float64{profile.PowerCycleRate, profile.SnapshotRate, profile.ReconfigRate, profile.MigrateRate, profile.SuspendRate},
+		activityRate: (profile.PowerCycleRate + profile.SnapshotRate + profile.ReconfigRate + profile.MigrateRate + profile.SuspendRate) / 3600,
 	}, nil
 }
 
@@ -331,12 +338,10 @@ func (g *Generator) launchVApp(size int, lifetimeS float64) {
 // own that ends by drawing the next gap and starting the next operation
 // after it.
 func (g *Generator) activityLoop(vmID inventory.ID, org string) {
-	pr := g.profile
-	total := (pr.PowerCycleRate + pr.SnapshotRate + pr.ReconfigRate + pr.MigrateRate + pr.SuspendRate) / 3600
+	total := g.activityRate
 	if total <= 0 {
 		return
 	}
-	weights := []float64{pr.PowerCycleRate, pr.SnapshotRate, pr.ReconfigRate, pr.MigrateRate, pr.SuspendRate}
 	pl := g.dir.Plane()
 	inv := pl.Inventory()
 	var op func(p *sim.Proc)
@@ -354,7 +359,7 @@ func (g *Generator) activityLoop(vmID inventory.ID, org string) {
 		// often as via the cloud API, and keeping it manager-side keeps
 		// cell load attributable to self-service requests.
 		ctx := mgmt.ReqCtx{Org: org}
-		switch g.stream.WeightedChoice(weights) {
+		switch g.stream.WeightedChoice(g.activity[:]) {
 		case 0: // power cycle
 			if vm.State == inventory.VMPoweredOn {
 				pl.PowerOff(p, vm, ctx)
